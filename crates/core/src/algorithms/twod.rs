@@ -9,8 +9,9 @@
 //! `C` is ever communicated — only parts of `A`.
 
 use syrk_dense::{
-    available_threads, balanced_chunks_by_cost, gemm_flops, limit_threads, machine_thread_budget,
-    mul_nt, par_for_each_task, steal_task_count, syrk_flops, syrk_packed_new, Diag, Matrix,
+    balanced_chunks_by_cost, gemm_flops, limit_threads, machine_thread_budget, mul_nt,
+    par_for_each_task, steal_task_count, syrk_flops, syrk_packed_new, workers_for_flops, Diag,
+    Matrix,
 };
 use syrk_machine::{Comm, CostModel, FaultPlan, Machine, MachineError};
 
@@ -61,26 +62,33 @@ pub(crate) fn twod_body_impl(
         0
     };
 
-    // Initial distribution: my chunk of each row block in R_k, staged
-    // once per block (each chunk ships to c partners and is reused in
-    // the reassembly below).
-    let my_chunks: Vec<(usize, Vec<f64>)> = dist
+    // The row blocks of R_k that exist. With n1 < c² most of R_k has no
+    // rows, and everything below — chunks, exchange plan, reassembly, pair
+    // list, diagonal — is derived from this list by position, so a rank's
+    // host time follows its live blocks instead of c or c². Live means
+    // *rows*, not words: a 3D slice with no local columns still owes
+    // `CkLayout` its zero-valued blocks of `C`. A dead block moves and
+    // computes nothing in either variant (padded partners get zeros for
+    // it, as they do for a pair that shares no block).
+    let live: Vec<usize> = dist
         .r_set(k)
         .iter()
-        .map(|&i| (i, ad.extract_chunk(a_slice, i, k)))
+        .copied()
+        .filter(|&i| ad.rows.len(i) > 0)
         .collect();
-    let my_chunk = |i: usize| -> &[f64] {
-        &my_chunks
-            .iter()
-            .find(|&&(bi, _)| bi == i)
-            .expect("i ∈ R_k")
-            .1
-    };
+
+    // Initial distribution: my chunk of each live block, staged once per
+    // block (each chunk ships to c partners and is reused in the
+    // reassembly below).
+    let my_chunks: Vec<Vec<f64>> = live
+        .iter()
+        .map(|&i| ad.extract_chunk(a_slice, i, k))
+        .collect();
     // Lines 3–9: plan and run the exchange. The block destined to k' is
     // my chunk of the unique row block shared with k' (each pair of
     // ranks shares at most one). The tight path assembles the plan
-    // *sparsely*: only nonempty row blocks generate traffic, so both the
-    // plan and the per-rank buffers stay O(c · nonempty blocks) instead
+    // *sparsely*: only nonempty chunks generate traffic, so both the
+    // plan and the per-rank buffers stay O(c · live blocks) instead
     // of O(P) — dense P-length buffers on every rank are O(P²) bytes
     // machine-wide, and at 10⁴ ranks that working set turns every
     // event-engine resume into a cache-cold stall. With `padded`, every
@@ -90,22 +98,17 @@ pub(crate) fn twod_body_impl(
     // the phase Theorem 1's Case-2 `n1·n2/√P` term charges: semantically
     // an all-gather of each row block within its processor set, realized
     // as one all-to-all.
-    enum Exchange {
-        Dense(Vec<Vec<f64>>),
-        Sparse(std::vec::IntoIter<Vec<f64>>),
-    }
     let ag_span = comm.phase(PHASE_ALLGATHER_A);
-    let mut received = if padded {
-        // The unique row block shared with each partner, read off R_k's
-        // processor sets in O(c²) instead of intersecting R_k with every
-        // other rank's set.
-        let mut shared: Vec<Option<usize>> = vec![None; comm.size()];
-        for &i in dist.r_set(k) {
-            for &m in dist.q_set(i) {
-                if m != k {
-                    debug_assert!(shared[m].is_none(), "two ranks share two row blocks");
-                    shared[m] = Some(i);
-                }
+    // Indexed by sender when padded; else parallel to the receive plan.
+    let received: Vec<Vec<f64>> = if padded {
+        // The chunk owed to each partner, read off the live blocks'
+        // processor sets in O(c · live) instead of intersecting R_k with
+        // every other rank's set.
+        let mut owed: Vec<Option<&Vec<f64>>> = vec![None; comm.size()];
+        for (&i, ch) in live.iter().zip(&my_chunks) {
+            for &m in dist.q_set(i).iter().filter(|&&m| m != k) {
+                debug_assert!(owed[m].is_none(), "two ranks share two row blocks");
+                owed[m] = Some(ch);
             }
         }
         let blocks: Vec<Vec<f64>> = (0..comm.size())
@@ -113,19 +116,16 @@ pub(crate) fn twod_body_impl(
                 if k2 == k {
                     return Vec::new();
                 }
-                let mut buf = shared[k2].map(|i| my_chunk(i).to_vec()).unwrap_or_default();
+                let mut buf = owed[k2].cloned().unwrap_or_default();
                 buf.resize(pad_len, 0.0);
                 buf
             })
             .collect();
-        Exchange::Dense(comm.try_all_to_all(blocks)?)
+        comm.try_all_to_all(blocks)?
     } else {
         let mut sends: Vec<(usize, Vec<f64>)> = Vec::new();
         let mut recvs: Vec<(usize, usize)> = Vec::new();
-        for &(i, ref ch) in &my_chunks {
-            if ad.block_len(i) == 0 {
-                continue;
-            }
+        for (&i, ch) in live.iter().zip(&my_chunks) {
             let part = ad.chunk_partition(i);
             for (pos, &m) in dist.q_set(i).iter().enumerate() {
                 if m == k {
@@ -139,80 +139,72 @@ pub(crate) fn twod_body_impl(
                 }
             }
         }
-        Exchange::Sparse(comm.try_all_to_all_sparse(sends, &recvs)?.into_iter())
+        comm.try_all_to_all_sparse(sends, &recvs)?
     };
 
-    // Lines 10–14: reassemble each full row block A_i from the chunks of
+    // Lines 10–14: reassemble each live row block A_i from the chunks of
     // Q_i (mine plus the one received from every other member; padded
     // buffers are truncated back to the true chunk length). Q_i order
     // *is* chunk order, so each chunk's length comes straight from the
     // block's partition — and the sparse results arrive in exactly this
     // iteration order (the order the receive plan was built in), so a
     // plain cursor pairs them up.
-    let gathered: Vec<(usize, Matrix<f64>)> = dist
-        .r_set(k)
+    let mut next_recv = 0;
+    let gathered: Vec<Matrix<f64>> = live
         .iter()
-        .map(|&i| {
+        .zip(&my_chunks)
+        .map(|(&i, mine)| {
             let part = ad.chunk_partition(i);
-            let chunks: Vec<Vec<f64>> = dist
-                .q_set(i)
-                .iter()
-                .enumerate()
-                .map(|(pos, &m)| {
-                    if m == k {
-                        return my_chunk(i).to_vec();
-                    }
-                    match &mut received {
-                        Exchange::Dense(bufs) => bufs[m][..part.len(pos)].to_vec(),
-                        Exchange::Sparse(it) if part.len(pos) == 0 => Vec::new(),
-                        Exchange::Sparse(it) => it.next().expect("one block per planned receive"),
-                    }
-                })
-                .collect();
-            (i, ad.assemble_block(i, &chunks))
+            let chunks = dist.q_set(i).iter().enumerate().map(|(pos, &m)| {
+                let len = part.len(pos);
+                if m == k {
+                    mine.as_slice()
+                } else if padded {
+                    &received[m][..len]
+                } else if len == 0 {
+                    &[]
+                } else {
+                    next_recv += 1;
+                    received[next_recv - 1].as_slice()
+                }
+            });
+            ad.assemble_block(i, chunks)
         })
         .collect();
     comm.note_buffer(
-        gathered.iter().map(|(_, m)| m.len()).sum::<usize>()
-            + my_chunks.iter().map(|(_, ch)| ch.len()).sum::<usize>(),
+        gathered.iter().map(Matrix::len).sum::<usize>()
+            + my_chunks.iter().map(Vec::len).sum::<usize>(),
     );
     drop(ag_span);
-    let block_for = |i: usize| {
-        &gathered
-            .iter()
-            .find(|&&(bi, _)| bi == i)
-            .expect("i ∈ R_k was gathered")
-            .1
-    };
 
-    // Lines 15–17: off-diagonal blocks C_ij = A_i · A_jᵀ, computed in
-    // flop-balanced chunks over the rank's thread budget. Results land in
-    // per-block slots so `out.offdiag` keeps `blocks_of(k)` order — the 3D
-    // algorithm's C_k layout depends on it. Zero-sized blocks (n1 < c²
-    // leaves row blocks empty) are omitted entirely, matching
-    // `CkLayout`'s convention: at 10⁴ ranks the c(c−1)/2 pairs per rank
-    // are dominated by empty ones, and materializing ~P·c²/2 zero-sized
-    // outputs costs more than the whole exchange. Flops are charged up
-    // front, outside the worker closure, to keep the cost report
-    // deterministic (empty blocks contribute zero flops anyway).
+    // Lines 15–17: off-diagonal blocks C_ij = A_i · A_jᵀ over the pairs of
+    // live blocks (positions in `live`, in `blocks_of(k)` order — the 3D
+    // algorithm's C_k layout depends on `out.offdiag` keeping it),
+    // computed in flop-balanced chunks over the rank's thread budget, or
+    // on this thread when the whole list is too small to pay for a
+    // worker. Pairs with a zero-sized block (n1 < c² leaves row blocks
+    // empty) never appear, matching `CkLayout`'s convention: at 10⁴ ranks
+    // the c(c−1)/2 pairs per rank are dominated by empty ones, and
+    // materializing ~P·c²/2 zero-sized outputs costs more than the whole
+    // exchange. Flops are charged up front, outside the worker closure, to
+    // keep the cost report deterministic.
     let mut out = LocalOutput::default();
     let gemm_span = comm.phase(PHASE_LOCAL_GEMM);
-    let blocks: Vec<(usize, usize)> = dist
-        .blocks_of(k)
-        .into_iter()
-        .filter(|&(i, j)| block_for(i).rows() > 0 && block_for(j).rows() > 0)
+    let pairs: Vec<(usize, usize)> = (0..live.len())
+        .flat_map(|a| (0..a).map(move |b| (a, b)))
         .collect();
-    let costs: Vec<u64> = blocks
+    let costs: Vec<u64> = pairs
         .iter()
-        .map(|&(i, j)| gemm_flops(block_for(i).rows(), block_for(j).rows(), n2l))
+        .map(|&(a, b)| gemm_flops(gathered[a].rows(), gathered[b].rows(), n2l))
         .collect();
     for &f in &costs {
         comm.add_flops(f);
     }
-    let mut results: Vec<Option<OffDiagBlock>> = (0..blocks.len()).map(|_| None).collect();
+    let mut results: Vec<Option<OffDiagBlock>> = (0..pairs.len()).map(|_| None).collect();
     // Oversubscribe chunks past the worker count so the work-stealing
     // runtime can rebalance uneven block sizes.
-    let chunks = balanced_chunks_by_cost(&costs, steal_task_count(available_threads()), 1);
+    let workers = workers_for_flops(costs.iter().sum());
+    let chunks = balanced_chunks_by_cost(&costs, steal_task_count(workers), 1);
     let mut tasks: Vec<(std::ops::Range<usize>, &mut [Option<OffDiagBlock>])> = Vec::new();
     let mut rest = results.as_mut_slice();
     for r in &chunks {
@@ -222,11 +214,11 @@ pub(crate) fn twod_body_impl(
     }
     par_for_each_task(tasks, |_, (range, slots)| {
         for (slot, bi) in slots.iter_mut().zip(range) {
-            let (i, j) = blocks[bi];
+            let (a, b) = pairs[bi];
             *slot = Some(OffDiagBlock {
-                i,
-                j,
-                data: mul_nt(block_for(i), block_for(j)),
+                i: live[a],
+                j: live[b],
+                data: mul_nt(&gathered[a], &gathered[b]),
             });
         }
     });
@@ -237,18 +229,19 @@ pub(crate) fn twod_body_impl(
     );
     drop(gemm_span);
 
-    // Lines 18–20: the diagonal block, if assigned (and nonempty — the
-    // same zero-sized-block convention as the off-diagonal list).
-    if let Some(i) = dist.d_block(k) {
-        let ai = block_for(i);
-        if ai.rows() > 0 {
-            let _span = comm.phase(PHASE_LOCAL_SYRK);
-            out.diag.push(DiagBlock {
-                i,
-                data: syrk_packed_new(ai, Diag::Inclusive),
-            });
-            comm.add_flops(syrk_flops(ai.rows(), n2l));
-        }
+    // Lines 18–20: the diagonal block, if assigned and live (`D_k` may
+    // name a dead block — the same zero-sized-block convention as the
+    // off-diagonal list).
+    let diag = dist
+        .d_block(k)
+        .and_then(|i| Some((i, &gathered[live.binary_search(&i).ok()?])));
+    if let Some((i, ai)) = diag {
+        let _span = comm.phase(PHASE_LOCAL_SYRK);
+        out.diag.push(DiagBlock {
+            i,
+            data: syrk_packed_new(ai, Diag::Inclusive),
+        });
+        comm.add_flops(syrk_flops(ai.rows(), n2l));
     }
 
     // ABFT: verify every produced block against its row checksums,
@@ -260,16 +253,14 @@ pub(crate) fn twod_body_impl(
             rank: comm.world_rank(),
             detail,
         };
-        for blk in &out.offdiag {
-            let (ai, aj) = (block_for(blk.i), block_for(blk.j));
+        for (blk, &(a, b)) in out.offdiag.iter().zip(&pairs) {
+            let (ai, aj) = (&gathered[a], &gathered[b]);
             comm.add_flops(crate::abft::block_check_flops(ai.rows(), aj.rows(), n2l));
-            crate::abft::verify_offdiag_block(ai, aj, &blk.data, blk.i, blk.j)
-                .map_err(&corrupt)?;
+            crate::abft::verify_offdiag_block(ai, aj, &blk.data, blk.i, blk.j).map_err(&corrupt)?;
         }
-        for blk in &out.diag {
-            let ai = block_for(blk.i);
+        if let (Some((i, ai)), Some(blk)) = (diag, out.diag.first()) {
             comm.add_flops(crate::abft::block_check_flops(ai.rows(), ai.rows(), n2l));
-            crate::abft::verify_diag_block(ai, &blk.data, blk.i).map_err(&corrupt)?;
+            crate::abft::verify_diag_block(ai, &blk.data, i).map_err(&corrupt)?;
         }
     }
     Ok(out)

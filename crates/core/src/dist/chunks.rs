@@ -47,35 +47,37 @@ impl<'d> ConformalADist<'d> {
     }
 
     /// Extract rank `k`'s chunk of `A_i` from the global matrix (used to
-    /// stage the initial distribution; costs nothing on the machine).
+    /// stage the initial distribution; costs nothing on the machine). The
+    /// rows of `A_i` are contiguous in the row-major `a`, so the chunk is
+    /// one slice of it.
     pub fn extract_chunk(&self, a: &Matrix<f64>, i: usize, k: usize) -> Vec<f64> {
-        let range = self.rows.range(i);
-        let flat: Vec<f64> = a
-            .block(range.start, 0, range.len(), self.n2)
-            .to_owned_matrix()
-            .into_vec();
-        let part = self.chunk_partition(i);
-        flat[part.range(self.dist.chunk_index(i, k))].to_vec()
+        assert_eq!(a.cols(), self.n2, "matrix width differs from the layout's");
+        let base = self.rows.range(i).start * self.n2;
+        let chunk = self.chunk_partition(i).range(self.dist.chunk_index(i, k));
+        a.as_slice()[base + chunk.start..base + chunk.end].to_vec()
     }
 
     /// Reassemble the full row block `A_i` from its `c+1` chunks, given in
     /// `Q_i` order.
-    pub fn assemble_block(&self, i: usize, chunks: &[Vec<f64>]) -> Matrix<f64> {
-        assert_eq!(
-            chunks.len(),
-            self.dist.c() + 1,
-            "need one chunk per member of Q_i"
-        );
+    pub fn assemble_block<C: AsRef<[f64]>>(
+        &self,
+        i: usize,
+        chunks: impl IntoIterator<Item = C>,
+    ) -> Matrix<f64> {
         let part = self.chunk_partition(i);
         let mut flat = Vec::with_capacity(self.block_len(i));
-        for (pos, ch) in chunks.iter().enumerate() {
+        let mut count = 0;
+        for (pos, ch) in chunks.into_iter().enumerate() {
+            let ch = ch.as_ref();
             assert_eq!(
                 ch.len(),
                 part.len(pos),
                 "chunk {pos} of A_{i} has the wrong length"
             );
             flat.extend_from_slice(ch);
+            count += 1;
         }
+        assert_eq!(count, self.dist.c() + 1, "need one chunk per member of Q_i");
         let (r, c) = self.block_shape(i);
         Matrix::from_vec(r, c, flat)
     }

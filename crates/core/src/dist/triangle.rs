@@ -21,11 +21,29 @@ pub struct TriangleBlockDist {
     d: Vec<Option<usize>>,
     /// `Q_i` (sorted), indexed by block row `i < c²`.
     q: Vec<Vec<usize>>,
-    /// Owner of off-diagonal block `(i, j)` with `i > j`, flattened as
-    /// `i·c² + j`; `usize::MAX` for unused entries.
-    owner: Vec<usize>,
     /// Owner of diagonal block `(i, i)`, indexed by `i`.
     diag_owner: Vec<usize>,
+}
+
+/// The common element of two sorted sets, if any. A valid distribution
+/// never has two: ranks share at most one row block, and two row blocks
+/// share exactly one rank.
+fn sorted_common(a: &[usize], b: &[usize]) -> Option<usize> {
+    let (mut x, mut y) = (0, 0);
+    let mut found = None;
+    while x < a.len() && y < b.len() {
+        match a[x].cmp(&b[y]) {
+            std::cmp::Ordering::Less => x += 1,
+            std::cmp::Ordering::Greater => y += 1,
+            std::cmp::Ordering::Equal => {
+                debug_assert!(found.is_none(), "sets share two elements");
+                found = Some(a[x]);
+                x += 1;
+                y += 1;
+            }
+        }
+    }
+    found
 }
 
 impl TriangleBlockDist {
@@ -110,7 +128,7 @@ impl TriangleBlockDist {
             q.push(set);
         }
 
-        Self::from_sets(c, r, d, Some(q))
+        Self::from_sets(c, r, d, Some(q)).expect("eqs. (4)–(8) yield a valid distribution")
     }
 
     /// Build the distribution for any order `c` with a known construction:
@@ -132,70 +150,84 @@ impl TriangleBlockDist {
     pub fn new_prime_power(c: usize) -> Option<Self> {
         let r = affine_plane_lines(c)?;
         let d = match_diagonals(c, &r);
-        Some(Self::from_sets(c, r, d, None))
+        Some(Self::from_sets(c, r, d, None).expect("an affine plane is a valid distribution"))
     }
 
-    /// Assemble owner maps from row block sets + diagonal assignment and
-    /// validate. `q_sets`, if given (the cyclic construction's eq. (8)),
-    /// is cross-checked against the derived reverse index; otherwise the
-    /// reverse index is derived from `r`.
+    /// Assemble the distribution from row block sets + diagonal assignment
+    /// and validate it. `q_sets`, if given (the cyclic construction's
+    /// eq. (8)), is cross-checked against the reverse index of `r` by
+    /// [`validate`](Self::validate); otherwise it *is* that index.
     fn from_sets(
         c: usize,
         r: Vec<Vec<usize>>,
         d: Vec<Option<usize>>,
         q_sets: Option<Vec<Vec<usize>>>,
-    ) -> Self {
+    ) -> Result<Self, String> {
         let p = c * (c + 1);
-        let c2 = c * c;
         assert_eq!(r.len(), p);
         assert_eq!(d.len(), p);
-        let q = q_sets.unwrap_or_else(|| {
-            (0..c2)
-                .map(|i| (0..p).filter(|&k| r[k].contains(&i)).collect())
-                .collect()
-        });
-
-        // Owner maps derived from R_k and D_k.
-        let mut owner = vec![usize::MAX; c2 * c2];
-        for (k, rk) in r.iter().enumerate() {
-            for (a, &i) in rk.iter().enumerate() {
-                for &j in &rk[..a] {
-                    // rk is sorted, so j < i: block (i, j) belongs to k.
-                    let slot = &mut owner[i * c2 + j];
-                    assert_eq!(
-                        *slot,
-                        usize::MAX,
-                        "block ({i},{j}) claimed by both {} and {k}",
-                        *slot
-                    );
-                    *slot = k;
-                }
-            }
-        }
-        let mut diag_owner = vec![usize::MAX; c2];
-        for (k, dk) in d.iter().enumerate() {
-            if let Some(i) = *dk {
-                assert_eq!(
-                    diag_owner[i],
-                    usize::MAX,
-                    "diagonal block {i} claimed by both {} and {k}",
-                    diag_owner[i]
-                );
-                diag_owner[i] = k;
-            }
-        }
-
-        let dist = TriangleBlockDist {
+        let mut dist = TriangleBlockDist {
             c,
             r,
             d,
-            q,
-            owner,
-            diag_owner,
+            q: Vec::new(),
+            diag_owner: Vec::new(),
         };
-        dist.validate()
-            .expect("construction must yield a valid distribution");
-        dist
+        // Everything else indexes by block, so the range check comes first.
+        dist.check_row_sets()?;
+        dist.q = q_sets.unwrap_or_else(|| dist.reverse_index());
+        dist.diag_owner = dist.diag_owners()?;
+        dist.validate()?;
+        Ok(dist)
+    }
+
+    /// `|R_k| = c`, sorted and distinct, every entry a block index.
+    fn check_row_sets(&self) -> Result<(), String> {
+        for (k, rk) in self.r.iter().enumerate() {
+            if rk.len() != self.c || rk.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("R_{k} is not a sorted c-set: {rk:?}"));
+            }
+            if let Some(&max) = rk.last().filter(|&&max| max >= self.num_blocks()) {
+                return Err(format!("R_{k} contains out-of-range block {max}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// The owner of every diagonal block, from `D`: `D_k ⊆ R_k` (which
+    /// bounds it), no block claimed twice, none left out.
+    fn diag_owners(&self) -> Result<Vec<usize>, String> {
+        let mut owner = vec![usize::MAX; self.num_blocks()];
+        for (k, dk) in self.d.iter().enumerate() {
+            if let Some(i) = *dk {
+                if !self.r[k].contains(&i) {
+                    return Err(format!("D_{k} = {{{i}}} ⊄ R_{k}"));
+                }
+                if owner[i] != usize::MAX {
+                    let first = owner[i];
+                    return Err(format!(
+                        "diagonal block {i} claimed by both {first} and {k}"
+                    ));
+                }
+                owner[i] = k;
+            }
+        }
+        match owner.iter().position(|&k| k == usize::MAX) {
+            Some(i) => Err(format!("diagonal block {i} has no owner")),
+            None => Ok(owner),
+        }
+    }
+
+    /// `{k : i ∈ R_k}` for every block row `i`, in one pass over `R`
+    /// (ranks ascend, so every set comes out sorted).
+    fn reverse_index(&self) -> Vec<Vec<usize>> {
+        let mut q = vec![Vec::with_capacity(self.c + 1); self.num_blocks()];
+        for (k, rk) in self.r.iter().enumerate() {
+            for &i in rk {
+                q[i].push(k);
+            }
+        }
+        q
     }
 
     /// The prime block parameter `c`.
@@ -230,10 +262,12 @@ impl TriangleBlockDist {
         &self.q[i]
     }
 
-    /// Owner of off-diagonal block `(i, j)`; requires `i > j`.
+    /// Owner of off-diagonal block `(i, j)`; requires `i > j`. The one
+    /// rank of `Q_i ∩ Q_j`, found by an O(c) merge — no driver asks, so
+    /// no c⁴-entry table is kept for it.
     pub fn owner_of(&self, i: usize, j: usize) -> usize {
         assert!(j < i && i < self.num_blocks(), "owner_of needs j < i < c²");
-        self.owner[i * self.num_blocks() + j]
+        sorted_common(&self.q[i], &self.q[j]).expect("validated: every block has an owner")
     }
 
     /// Owner of diagonal block `(i, i)`.
@@ -268,78 +302,50 @@ impl TriangleBlockDist {
     /// (`R_k ∩ R_k'`), or `None` if they share none.
     pub fn common_block(&self, k: usize, k2: usize) -> Option<usize> {
         debug_assert_ne!(k, k2);
-        // Both sets are sorted; intersect by merge.
-        let (a, b) = (&self.r[k], &self.r[k2]);
-        let (mut x, mut y) = (0, 0);
-        let mut found = None;
-        while x < a.len() && y < b.len() {
-            match a[x].cmp(&b[y]) {
-                std::cmp::Ordering::Less => x += 1,
-                std::cmp::Ordering::Greater => y += 1,
-                std::cmp::Ordering::Equal => {
-                    debug_assert!(found.is_none(), "two ranks share two row blocks");
-                    found = Some(a[x]);
-                    x += 1;
-                    y += 1;
-                }
-            }
-        }
-        found
+        sorted_common(&self.r[k], &self.r[k2])
     }
 
     /// Check every structural invariant of the distribution:
     ///
     /// 1. every off-diagonal block `(i, j)`, `i > j`, has exactly one owner;
     /// 2. every diagonal block has exactly one owner and `D_k ⊆ R_k`;
-    /// 3. `|R_k| = c` with distinct entries; `|Q_i| = c+1`;
-    /// 4. `Q_i = {k : i ∈ R_k}` (the two indexings agree);
-    /// 5. each processor owns exactly `c(c−1)/2` off-diagonal blocks.
+    /// 3. `|R_k| = c` with distinct in-range entries, so each processor
+    ///    owns exactly `c(c−1)/2` off-diagonal blocks; `|Q_i| = c+1`
+    ///    (with `|R_k| = c`, equivalent to 1 for block row `i`);
+    /// 4. `Q_i = {k : i ∈ R_k}` (the two indexings agree).
+    ///
+    /// O(c⁴) time — every block pair is visited once — and O(c²) space.
     pub fn validate(&self) -> Result<(), String> {
-        let c2 = self.num_blocks();
-        for i in 0..c2 {
-            for j in 0..i {
-                if self.owner[i * c2 + j] == usize::MAX {
-                    return Err(format!("block ({i},{j}) has no owner"));
-                }
-            }
-            if self.diag_owner[i] == usize::MAX {
-                return Err(format!("diagonal block {i} has no owner"));
-            }
-        }
-        for (k, dk) in self.d.iter().enumerate() {
-            if let Some(i) = dk {
-                if !self.r[k].contains(i) {
-                    return Err(format!("D_{k} = {{{i}}} ⊄ R_{k}"));
-                }
-            }
-        }
-        for (k, rk) in self.r.iter().enumerate() {
-            if rk.len() != self.c || rk.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("R_{k} is not a sorted c-set: {rk:?}"));
-            }
-            if let Some(&max) = rk.last() {
-                if max >= c2 {
-                    return Err(format!("R_{k} contains out-of-range block {max}"));
-                }
-            }
-        }
-        for (i, qi) in self.q.iter().enumerate() {
-            if qi.len() != self.c + 1 {
-                return Err(format!("Q_{i} has {} elements, expected c+1", qi.len()));
-            }
-            // Cross-check eq. (8) against the reverse index of eq. (5).
-            let derived: Vec<usize> = (0..self.p()).filter(|&k| self.r[k].contains(&i)).collect();
+        let (c2, p) = (self.num_blocks(), self.p());
+        self.check_row_sets()?;
+        self.diag_owners()?;
+        // Cross-check eq. (8) against the reverse index of eq. (5).
+        for (i, (qi, derived)) in self.q.iter().zip(self.reverse_index()).enumerate() {
             if *qi != derived {
                 return Err(format!("Q_{i} = {qi:?} but {{k : i ∈ R_k}} = {derived:?}"));
             }
         }
-        let per = self.c * (self.c - 1) / 2;
-        for k in 0..self.p() {
-            if self.blocks_of(k).len() != per {
-                return Err(format!(
-                    "rank {k} owns {} blocks, expected {per}",
-                    self.blocks_of(k).len()
-                ));
+        // Sweep block row i: each k ∈ Q_i claims the pairs (i, j), j ∈ R_k,
+        // j < i. `claim[j] = i·P + k` marks the claim for this sweep only,
+        // so the table is never cleared.
+        let mut claim = vec![usize::MAX; c2];
+        for (i, qi) in self.q.iter().enumerate() {
+            let mut claimed = 0;
+            for &k in qi {
+                for &j in self.r[k].iter().take_while(|&&j| j < i) {
+                    if claim[j] / p == i {
+                        let first = claim[j] % p;
+                        return Err(format!("block ({i},{j}) claimed by both {first} and {k}"));
+                    }
+                    claim[j] = i * p + k;
+                    claimed += 1;
+                }
+            }
+            if claimed < i {
+                let j = (0..i)
+                    .find(|&j| claim[j] / p != i)
+                    .expect("fewer than i claims leave a gap");
+                return Err(format!("block ({i},{j}) has no owner"));
             }
         }
         Ok(())
@@ -436,6 +442,46 @@ mod tests {
             let d = TriangleBlockDist::new(c);
             assert!(d.validate().is_ok(), "c = {c}");
         }
+    }
+
+    /// Table 1's sets with one hand-made defect, through `from_sets`.
+    fn corrupted(
+        defect: impl FnOnce(&mut Vec<Vec<usize>>, &mut Vec<Option<usize>>, &mut Vec<Vec<usize>>),
+        with_q: bool,
+    ) -> String {
+        let good = TriangleBlockDist::new(3);
+        let mut r: Vec<Vec<usize>> = (0..12).map(|k| good.r_set(k).to_vec()).collect();
+        let mut d: Vec<Option<usize>> = (0..12).map(|k| good.d_block(k)).collect();
+        let mut q: Vec<Vec<usize>> = (0..9).map(|i| good.q_set(i).to_vec()).collect();
+        defect(&mut r, &mut d, &mut q);
+        TriangleBlockDist::from_sets(3, r, d, with_q.then_some(q)).expect_err("defect accepted")
+    }
+
+    #[test]
+    fn validate_rejects_every_kind_of_defect() {
+        // R_0 = {0,3,6} (rank 0 owns no diagonal block, so only the pair
+        // invariant is touched). 6 → 4: rank 1's block (4,0) gets a second
+        // claimant before the sweep reaches the orphaned row 6.
+        let e = corrupted(|r, _, _| r[0] = vec![0, 3, 4], false);
+        assert_eq!(e, "block (4,0) claimed by both 0 and 1");
+        // 6 → 7: blocks (6,0) and (6,3) lose their only owner first.
+        let e = corrupted(|r, _, _| r[0] = vec![0, 3, 7], false);
+        assert_eq!(e, "block (6,0) has no owner");
+        // Eq. (8) disagreeing with the reverse index of eq. (5).
+        let e = corrupted(|_, _, q| q[0] = vec![0, 1, 2, 10], true);
+        assert!(e.starts_with("Q_0 = [0, 1, 2, 10] but"), "{e}");
+        // Malformed row block sets are caught before anything indexes by them.
+        let e = corrupted(|r, _, _| r[11] = vec![6, 7, 9], false);
+        assert_eq!(e, "R_11 contains out-of-range block 9");
+        let e = corrupted(|r, _, _| r[11] = vec![6, 8, 7], false);
+        assert!(e.starts_with("R_11 is not a sorted c-set"), "{e}");
+        // Diagonal assignment: outside R_k, claimed twice, or missing.
+        let e = corrupted(|_, d, _| d[3] = Some(2), false);
+        assert_eq!(e, "D_3 = {2} ⊄ R_3");
+        let e = corrupted(|_, d, _| d[0] = Some(0), false);
+        assert_eq!(e, "diagonal block 0 claimed by both 0 and 9");
+        let e = corrupted(|_, d, _| d[9] = None, false);
+        assert_eq!(e, "diagonal block 0 has no owner");
     }
 
     #[test]

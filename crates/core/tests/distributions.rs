@@ -27,23 +27,29 @@ fn gf16_distribution_validates() {
 #[test]
 fn every_pair_of_row_blocks_shares_exactly_one_owner() {
     // The defining property (a.k.a. pair coverage of the affine plane):
-    // for any i > j there is exactly one k with {i, j} ⊆ R_k.
-    for (label, d) in [
-        ("cyclic c=5", TriangleBlockDist::new(5)),
-        ("affine c=4", TriangleBlockDist::new_prime_power(4).unwrap()),
-    ] {
+    // for any i > j there is exactly one k with {i, j} ⊆ R_k, and the
+    // on-demand `owner_of` (an O(c) merge of Q_i and Q_j, no stored table)
+    // names it. Brute force over every supported order up to 16, plus the
+    // two larger prime powers: scan every R_k into a dense pair table.
+    for c in (2..=16).chain([25, 27]) {
+        let Some(d) = TriangleBlockDist::for_order(c) else {
+            continue;
+        };
         let c2 = d.num_blocks();
+        let mut owner = vec![usize::MAX; c2 * c2];
+        for k in 0..d.p() {
+            for (i, j) in d.blocks_of(k) {
+                let slot = &mut owner[i * c2 + j];
+                assert_eq!(*slot, usize::MAX, "c={c}: pair ({i},{j}) claimed twice");
+                *slot = k;
+            }
+        }
         for i in 0..c2 {
             for j in 0..i {
-                let owners: Vec<usize> = (0..d.p())
-                    .filter(|&k| {
-                        let rk = d.r_set(k);
-                        rk.contains(&i) && rk.contains(&j)
-                    })
-                    .collect();
-                assert_eq!(owners.len(), 1, "{label}: pair ({i},{j})");
-                assert_eq!(owners[0], d.owner_of(i, j), "{label}");
+                assert_eq!(d.owner_of(i, j), owner[i * c2 + j], "c={c}: ({i},{j})");
             }
+            let diag: Vec<usize> = (0..d.p()).filter(|&k| d.d_block(k) == Some(i)).collect();
+            assert_eq!(diag, [d.diag_owner_of(i)], "c={c}: diagonal block {i}");
         }
     }
 }

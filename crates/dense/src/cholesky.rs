@@ -9,9 +9,10 @@ use crate::arena;
 use crate::matrix::Matrix;
 use crate::microkernel::{flatten_acc, microkernel_wide, MAX_ACC, MR, NR};
 use crate::pack::{pack_rows, packed_panel_len, panel_offset};
-use crate::parallel::{available_threads, par_for_each_task, steal_task_count};
+use crate::parallel::{par_for_each_task, steal_task_count, workers_for_flops};
 use crate::scalar::Scalar;
 use crate::schedule::balanced_triangle_chunks;
+use crate::syrk::syrk_flops;
 
 /// Errors from the Cholesky factorization.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,7 +163,7 @@ fn cholesky_blocked<T: Scalar>(g: &Matrix<T>) -> Result<Matrix<T>, CholeskyError
         let chunks = balanced_triangle_chunks(
             trailing,
             crate::packed::Diag::Inclusive,
-            steal_task_count(available_threads()),
+            steal_task_count(workers_for_flops(syrk_flops(trailing, nb))),
             mr,
         );
         let mut rest = &mut l.as_mut_slice()[k1 * n..];

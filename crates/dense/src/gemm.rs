@@ -25,7 +25,7 @@ use crate::microkernel::{flatten_acc, microkernel_wide, store_add, MAX_ACC, MR, 
 use crate::pack::{
     pack_cols_into, pack_rows, pack_rows_into, packed_panel_len, panel_offset, SharedPack,
 };
-use crate::parallel::{par_for_each_task, steal_task_count};
+use crate::parallel::{par_for_each_task, steal_task_count, workers_for_flops};
 use crate::scalar::Scalar;
 use crate::schedule::balanced_chunks_by_cost;
 use std::ops::Range;
@@ -114,12 +114,13 @@ fn gemm_driver<T: Scalar>(
     let (mr, nr, kc, mc, nc) = (d.spec.mr, d.spec.nr, d.spec.kc, d.spec.mc, d.spec.nc);
     let (m, k) = a.shape();
     let n = c.cols();
-    let workers = crate::parallel::available_threads();
-    // Oversubscribe row chunks so idle workers can steal; which chunk a
-    // tile lands in never affects its value (chunk boundaries stay on
-    // the global mr-tile grid).
-    let chunks = row_chunks(m, steal_task_count(workers), mr);
     let kc_cap = kc.min(k);
+    // One task list per inner panel, so that panel's flops decide whether
+    // workers are worth spawning. Row chunks are oversubscribed so idle
+    // workers can steal; which chunk a tile lands in never affects its
+    // value (chunk boundaries stay on the global mr-tile grid).
+    let workers = workers_for_flops(gemm_flops(m, n, kc_cap));
+    let chunks = row_chunks(m, steal_task_count(workers), mr);
     let mut bbuf = arena::acquire::<T>(packed_panel_len(n, kc_cap, nr));
     for p0 in (0..k).step_by(kc) {
         let pb = kc.min(k - p0);

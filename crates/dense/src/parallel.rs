@@ -68,11 +68,17 @@ fn env_thread_override() -> Option<usize> {
 /// The host's hardware thread count (what `std::thread` reports), before
 /// any budget or environment override. Bench metadata records this next
 /// to the *effective* [`available_threads`] so a thread-starved host is
-/// distinguishable from a capped run.
+/// distinguishable from a capped run. Asked of the OS once per process:
+/// `available_parallelism` reads the affinity mask and cgroup files on
+/// every call, which outside a [`limit_threads`] budget made a 1 × 96
+/// `mul_nt` take 30 µs instead of 1.2 µs.
 pub fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static HW_THREADS: OnceLock<usize> = OnceLock::new();
+    *HW_THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Number of worker threads a kernel may use right now: the active
@@ -119,6 +125,29 @@ pub fn limit_threads(n: usize) -> ThreadBudgetGuard {
 /// every rank to one kernel worker for reproducible timelines.
 pub fn machine_thread_budget(p: usize) -> usize {
     (available_threads() / p.max(1)).max(1)
+}
+
+/// Flops below which a kernel's task list runs on the calling thread.
+///
+/// Measured on the 2-vCPU Xeon (Sapphire Rapids, KVM) this repository is
+/// developed on: spawning and joining one scoped worker costs 16 µs, and
+/// a single thread sustains 37–46 GFLOP/s at this size, so 2²² flops are
+/// ~100 µs of serial work. Two workers ran such kernels at 0.79–0.89× the
+/// one-thread speed (0.18–0.45× at 2¹⁷–2²⁰ flops) and first won between
+/// 2²³ and 2²⁵; the cutoff sits one octave under the earliest win. It is
+/// a constant, not an option: a host where it is wrong by 2× loses a few
+/// percent on kernels within that octave.
+pub const SERIAL_FLOP_CUTOFF: u64 = 1 << 22;
+
+/// Worker threads worth using for a task list of `total_flops`: one
+/// (the caller, no spawn) below [`SERIAL_FLOP_CUTOFF`], else
+/// [`available_threads`].
+pub fn workers_for_flops(total_flops: u64) -> usize {
+    if total_flops < SERIAL_FLOP_CUTOFF {
+        1
+    } else {
+        available_threads()
+    }
 }
 
 /// Stealable-task oversubscription: chunks created per worker so thieves

@@ -29,7 +29,7 @@ use crate::matrix::Matrix;
 use crate::microkernel::{flatten_acc, microkernel_wide, MAX_ACC, MR, NR};
 use crate::pack::{pack_rows_into, packed_panel_len, SharedPack};
 use crate::packed::{Diag, PackedLower};
-use crate::parallel::{available_threads, par_for_each_task, steal_task_count};
+use crate::parallel::{par_for_each_task, steal_task_count, workers_for_flops};
 use crate::scalar::Scalar;
 use crate::schedule::balanced_triangle_chunks;
 use std::ops::Range;
@@ -144,11 +144,15 @@ pub(crate) fn packed_rank_update<T: Scalar>(
     // covering an mc-row block (SharedPack blocks must align to lanes).
     let col_block = mc.div_ceil(nr) * nr;
     let diag = c.diag();
-    let workers = available_threads();
-    // Oversubscribe chunks so idle workers always find something to
-    // steal; the chunk a tile lands in never affects its value.
-    let chunks = balanced_triangle_chunks(n, diag, steal_task_count(workers), mr);
     let kc_cap = kc.min(k);
+    // One task list per inner panel, so that panel's flops (twice over
+    // for SYR2K's fused pair of products) decide whether workers are
+    // worth spawning. Chunks are oversubscribed so idle workers always
+    // find something to steal; the chunk a tile lands in never affects
+    // its value.
+    let panel_flops = syrk_flops(n, kc_cap) * if b.is_some() { 2 } else { 1 };
+    let workers = workers_for_flops(panel_flops);
+    let chunks = balanced_triangle_chunks(n, diag, steal_task_count(workers), mr);
     let mut a_row_buf = arena::acquire::<T>(packed_panel_len(n, kc_cap, mr));
     let mut a_col_buf = (!square).then(|| arena::acquire::<T>(packed_panel_len(n, kc_cap, nr)));
     let mut b_row_buf = b.map(|_| arena::acquire::<T>(packed_panel_len(n, kc_cap, mr)));

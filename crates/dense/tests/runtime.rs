@@ -11,10 +11,12 @@
 
 use std::sync::{Mutex, MutexGuard};
 use syrk_dense::{
-    available_isas, available_threads, cholesky, dispatched_isa, force_isa, kernel_stats,
-    limit_threads, max_abs_diff, mul_nn, mul_nt, seeded_matrix, syr2k_packed_new,
-    syrk_full_reference, syrk_packed_new, Diag, Isa, Matrix, PackedLower,
+    available_isas, available_threads, cholesky, dispatched_isa, force_isa, gemm_flops,
+    kernel_stats, limit_threads, max_abs_diff, mul_nn, mul_nt, seeded_matrix, syr2k_packed_new,
+    syrk_flops, syrk_full_reference, syrk_packed_new, Diag, Isa, Matrix, PackedLower,
+    SERIAL_FLOP_CUTOFF,
 };
+use syrk_telemetry::registry;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -106,7 +108,8 @@ fn gemm_bitwise_identical_across_thread_counts() {
 #[test]
 fn syr2k_bitwise_identical_across_thread_counts() {
     let _s = serial();
-    let (n, k) = (101usize, 67usize);
+    // 2·n(n+1)·k flops, above the serial cutoff so workers really run.
+    let (n, k) = (151usize, 131usize);
     let a = seeded_matrix::<f64>(n, k, 17);
     let b = seeded_matrix::<f64>(n, k, 18);
     let baseline = {
@@ -155,7 +158,8 @@ fn repeated_stolen_runs_are_identical() {
     let _s = serial();
     // Same budget, four runs: the steal schedule differs run to run, the
     // bits must not.
-    let a = seeded_matrix::<f64>(157, 93, 23);
+    // (Above the serial cutoff: below it nothing is stolen at all.)
+    let a = seeded_matrix::<f64>(257, 129, 23);
     let _g = limit_threads(4);
     let first = syrk_packed_new(&a, Diag::Inclusive);
     for run in 1..4 {
@@ -164,6 +168,46 @@ fn repeated_stolen_runs_are_identical() {
             first,
             "run {run} diverged under identical budget"
         );
+    }
+}
+
+#[test]
+fn serial_cutoff_is_invisible_in_results_and_spawns_nothing_below_it() {
+    let _s = serial();
+    // One kernel on each side of the cutoff, per driver. gemm: 2·128·128·k;
+    // syrk: 128·129·k (both within one kc = 256 inner panel).
+    assert!(gemm_flops(128, 128, 127) < SERIAL_FLOP_CUTOFF);
+    assert!(gemm_flops(128, 128, 128) >= SERIAL_FLOP_CUTOFF);
+    assert!(syrk_flops(128, 254) < SERIAL_FLOP_CUTOFF);
+    assert!(syrk_flops(128, 255) >= SERIAL_FLOP_CUTOFF);
+    let counters = || {
+        let snap = registry::snapshot();
+        let get = |name| snap.counter(name).unwrap_or(0);
+        (get("syrk_tasks_scheduled"), get("syrk_tasks_run"))
+    };
+    for (k_gemm, k_syrk, below) in [(127usize, 254usize, true), (128, 255, false)] {
+        let a = seeded_matrix::<f64>(128, k_gemm, 51);
+        let b = seeded_matrix::<f64>(128, k_gemm, 52);
+        let s = seeded_matrix::<f64>(128, k_syrk, 53);
+        let baseline = {
+            let _g = limit_threads(1);
+            (mul_nt(&a, &b), syrk_packed_new(&s, Diag::Inclusive))
+        };
+        for threads in [2usize, 4] {
+            let _g = limit_threads(threads);
+            let (stats, tasks) = (kernel_stats(), counters());
+            let got = (mul_nt(&a, &b), syrk_packed_new(&s, Diag::Inclusive));
+            let (stolen, (scheduled, run)) = (kernel_stats().since(&stats).steals, counters());
+            assert_eq!(got, baseline, "k = {k_gemm}/{k_syrk} at {threads} threads");
+            assert_eq!(run - tasks.1, scheduled - tasks.0, "every task ran");
+            if below {
+                // One task per kernel: the whole call stays on this thread.
+                assert_eq!(scheduled - tasks.0, 2, "below the cutoff: one chunk each");
+                assert_eq!(stolen, 0, "below the cutoff: nobody to steal");
+            } else {
+                assert!(scheduled - tasks.0 > 2, "above the cutoff: chunked");
+            }
+        }
     }
 }
 

@@ -9,7 +9,9 @@
 //! deadlock watchdog that aborts a run with a wait-for graph when every
 //! live rank is blocked with nothing in flight.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -82,37 +84,69 @@ pub(crate) struct Mailbox {
 
 /// Unmatched-envelope buffer indexed by `(src, tag)`. Sparse collectives
 /// at 10⁴ ranks desynchronize the ranks enough that thousands of
-/// out-of-order envelopes sit buffered at a hot receiver, so matching
-/// must be a keyed lookup, not a linear scan. Each key's queue keeps
-/// arrival order — the per-link FIFO guarantee that back-to-back
-/// collectives reusing a tag rely on to match their rounds in send
-/// order. Matching itself stays [`Envelope::matches`]: a queue is keyed
-/// by exactly the `(src, tag)` that predicate tests.
+/// out-of-order envelopes sit buffered at a hot receiver — most envelopes
+/// of a many-rank 2D run pass through here — so matching must be a keyed
+/// lookup, not a linear scan, and a key must cost no allocation: an entry
+/// holds its oldest envelope inline and queues only what piles up behind
+/// it. Arrival order per key is kept — the per-link FIFO guarantee that
+/// back-to-back collectives reusing a tag rely on to match their rounds
+/// in send order. Matching itself stays [`Envelope::matches`]: an entry
+/// is keyed by exactly the `(src, tag)` that predicate tests.
 #[derive(Default)]
 struct PendingQueue {
-    by_key: HashMap<(usize, (u64, u64)), VecDeque<Envelope>>,
+    by_key: HashMap<PendingKey, (Envelope, VecDeque<Envelope>), BuildHasherDefault<KeyHasher>>,
     len: usize,
+}
+
+type PendingKey = (usize, (u64, u64));
+
+/// Hasher for [`PendingKey`]: one [`mix64`] round per word. The keys are
+/// rank numbers, communicator ids and collective tags chosen by this
+/// program, never outside input, so SipHash's collision resistance buys
+/// nothing here.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = mix64(self.0 ^ x);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl PendingQueue {
     fn push(&mut self, env: Envelope) {
         debug_assert!(env.matches(env.src, env.tag));
         self.len += 1;
-        self.by_key
-            .entry((env.src, env.tag))
-            .or_default()
-            .push_back(env);
+        match self.by_key.entry((env.src, env.tag)) {
+            Entry::Occupied(mut e) => e.get_mut().1.push_back(env),
+            Entry::Vacant(e) => {
+                e.insert((env, VecDeque::new()));
+            }
+        }
     }
 
     /// Pop the oldest buffered envelope matching `(src, tag)`, if any.
     fn take(&mut self, src: usize, tag: (u64, u64)) -> Option<Envelope> {
-        let q = self.by_key.get_mut(&(src, tag))?;
-        let env = q.pop_front()?;
-        if q.is_empty() {
-            self.by_key.remove(&(src, tag));
-        }
+        let (oldest, behind) = self.by_key.get_mut(&(src, tag))?;
         self.len -= 1;
-        Some(env)
+        match behind.pop_front() {
+            Some(next) => Some(std::mem::replace(oldest, next)),
+            None => self.by_key.remove(&(src, tag)).map(|(oldest, _)| oldest),
+        }
     }
 
     fn len(&self) -> usize {
@@ -610,7 +644,7 @@ impl Comm {
         if mf.corrupt {
             // The garbled copy arrives first and fails the checksum; the
             // retransmission below is the one the receiver consumes.
-            let ready = self.with_cost(|c, _| c.clock);
+            let ready = self.with_ledger(|l| l.total.clock);
             self.push_extra(
                 dst_world,
                 Envelope {
@@ -632,7 +666,7 @@ impl Comm {
                 ready
             })
         } else {
-            self.with_cost(|c, _| c.clock)
+            self.with_ledger(|l| l.total.clock)
         };
         self.push_to(
             dst_world,
@@ -701,10 +735,14 @@ impl Comm {
         Some(env)
     }
 
-    /// Watchdog declaration: first rank to flip the abort flag snapshots
-    /// the wait-for graph; racers get `None` and report the cascade.
+    /// Watchdog declaration: the first rank to flip the abort flag reports
+    /// the wait-for graph; racers get `None` and report the cascade. The
+    /// graph is snapshotted *before* the flag goes up: a rank that sees the
+    /// flag, or loses this race, unwinds and clears its edge at once, and
+    /// two mutually blocked ranks reach their watchdog on the same tick.
     fn declare_deadlock(&self) -> Option<DeadlockInfo> {
         let world = &*self.world;
+        let info = world.snapshot_deadlock();
         if world
             .aborted
             .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
@@ -712,12 +750,24 @@ impl Comm {
         {
             return None;
         }
-        let info = world.snapshot_deadlock();
         let mut slot = world.first_error.lock();
         if slot.is_none() {
             *slot = Some((self.world_rank(), MachineError::Deadlock(info.clone())));
         }
         Some(info)
+    }
+
+    /// Publish this rank's wait-for edge until the returned guard drops.
+    fn register_wait(&self, src_world: usize, tag: (u64, u64), op: &'static str) -> ClearWait<'_> {
+        let slot = &self.world.waiting[self.world_rank()];
+        *slot.lock() = Some(WaitEdge {
+            from: self.world_rank(),
+            to: src_world,
+            op,
+            tag,
+            phase: self.with_ledger(|l| l.active_phase()),
+        });
+        ClearWait { slot }
     }
 
     /// The single blocking matching loop every receive goes through.
@@ -736,23 +786,14 @@ impl Comm {
         if let Some(env) = mb.pending.take(src_world, tag) {
             return Ok(env);
         }
-        *world.waiting[me].lock() = Some(WaitEdge {
-            from: me,
-            to: src_world,
-            op,
-            tag,
-            phase: self.with_ledger(|l| l.active_phase()),
-        });
-        let _clear = ClearWait {
-            slot: &world.waiting[me],
-        };
         // Wall-clock span covering the whole blocked receive (recorded on
         // every exit path by the guard — including the deadlock one, so a
         // failure dump shows how long each rank really sat blocked).
         let _recv_span = RecvSpan::begin(src_world);
         if world.event.is_some() {
-            return self.recv_env_event(&mut mb, src_world, tag);
+            return self.recv_env_event(&mut mb, src_world, tag, op);
         }
+        let _wait = self.register_wait(src_world, tag, op);
         let deadline = Instant::now() + world.timeout;
         // `(since, progress epoch)` of the oldest tick at which every live
         // rank was observed blocked with this epoch.
@@ -827,15 +868,22 @@ impl Comm {
     /// [`EventState`](crate::engine::EventState) inbox, not the mailbox),
     /// and all ranks share one OS thread, so nobody can contend while
     /// this rank is parked.
+    ///
+    /// The wait-for edge is published on the way into the first park, not
+    /// per receive: the scheduler reads edges only once every live rank is
+    /// parked, and no other rank runs between a receive that finds its
+    /// message queued and its return.
     fn recv_env_event(
         &self,
         mb: &mut Mailbox,
         src_world: usize,
         tag: (u64, u64),
+        op: &'static str,
     ) -> Result<Envelope, RecvErr> {
         let me = self.world_rank();
         let world = &*self.world;
         let ev = world.event.as_ref().expect("event engine state");
+        let mut wait = None;
         loop {
             loop {
                 let Some(env) = ev.inboxes[me].lock().pop_front() else {
@@ -858,6 +906,7 @@ impl Comm {
                     world.first_error_or(MachineError::PeerFailed { rank: me }),
                 ));
             }
+            wait.get_or_insert_with(|| self.register_wait(src_world, tag, op));
             ev.park(me);
             crate::context::yield_now();
         }
