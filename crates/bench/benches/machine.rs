@@ -1,19 +1,16 @@
-//! Event-engine scale bench: cooperatively scheduled rank sweeps.
+//! Machine scale bench: cooperatively scheduled rank sweeps.
 //!
 //! Emits `BENCH_machine.json` (override with `SYRK_MACHINE_JSON`) and
-//! enforces the event engine's scale contract — CI runs this in smoke
+//! enforces the scheduler's scale contract — CI runs this in smoke
 //! mode:
 //!
 //! 1. **Ring sweep**: a neighbor-exchange ring at P ∈ {64, 1 000,
-//!    10 000, 100 000} ranks, all in one process on the event engine,
-//!    reporting wall-clock, coroutine resumes, and events/second. The
-//!    threaded engine is timed alongside at the small points (where
-//!    spawning OS threads is still feasible) for a like-for-like
-//!    speedup figure.
+//!    10 000, 100 000} ranks, all in one process, reporting wall-clock,
+//!    context resumes, and events/second.
 //! 2. **10⁴-rank SYRK gate**: a full 2D SYRK at c = 101 (P = 10 302
-//!    ranks, beyond any thread-per-rank run) must finish under the
-//!    wall-clock budget *and* its `allgather-A` phase must still match
-//!    Theorem 1's Case-2 term — scale must not distort attribution.
+//!    ranks) must finish under the wall-clock budget *and* its
+//!    `allgather-A` phase must still match Theorem 1's Case-2 term —
+//!    scale must not distort attribution.
 //! 3. **Determinism**: the ring run's total simulated clock is bitwise
 //!    identical across two runs (the event loop is deterministic).
 //!
@@ -26,10 +23,9 @@ use syrk_bench::timing::{fast_mode, format_time, RunClock};
 use syrk_core::{attribute_bounds, try_syrk_2d, Plan, PHASE_ALLGATHER_A};
 use syrk_dense::seeded_matrix;
 use syrk_machine::telemetry::registry;
-use syrk_machine::{CostModel, EngineKind, Machine};
+use syrk_machine::{CostModel, Machine};
 
 struct RingEntry {
-    engine: &'static str,
     ranks: usize,
     rounds: usize,
     seconds: f64,
@@ -46,13 +42,12 @@ fn fail(gate: &str, detail: String) -> ! {
 /// One ring run: `rounds` neighbor exchanges (send right, receive left)
 /// of a single word per rank per round. Returns (wall seconds, resume
 /// count delta, max simulated clock).
-fn ring_run(engine: EngineKind, p: usize, rounds: usize) -> (f64, u64, f64) {
+fn ring_run(p: usize, rounds: usize) -> (f64, u64, f64) {
     let before = registry::snapshot()
         .counter("syrk_engine_resumes")
         .unwrap_or(0);
     let t = Instant::now();
     let out = Machine::new(p)
-        .with_engine(engine)
         .with_model(CostModel::typical())
         .try_run(move |comm| {
             let me = comm.rank();
@@ -85,9 +80,7 @@ fn main() {
     let mut clock = RunClock::start();
     let mut entries: Vec<RingEntry> = Vec::new();
 
-    // Section 1: the ring sweep. Every point runs on the event engine;
-    // the threaded engine rides along only where a thread per rank is
-    // cheap enough to time honestly.
+    // Section 1: the ring sweep.
     let sweep: &[usize] = if fast {
         &[64, 1_000]
     } else {
@@ -97,45 +90,38 @@ fn main() {
     println!("== ring neighbor-exchange sweep ({rounds} rounds/rank) ==");
     for &p in sweep {
         let msgs = (p * rounds) as f64;
-        for engine in [EngineKind::Event, EngineKind::Threaded] {
-            if engine == EngineKind::Threaded && p > 1_000 {
-                continue; // a thread per rank stops being a machine model up here
-            }
-            let (seconds, resumes, final_clock) = ring_run(engine, p, rounds);
-            // One send + one matched receive per message is the natural
-            // "event" unit; resumes are reported alongside as the
-            // scheduler's own activity measure.
-            let events_per_sec = 2.0 * msgs / seconds;
-            println!(
-                "  {:>8} ranks  {:<8} {:>12}  {:>12.0} events/s  ({} resumes)",
-                p,
-                engine.name(),
-                format_time(seconds),
-                events_per_sec,
-                resumes
-            );
-            entries.push(RingEntry {
-                engine: engine.name(),
-                ranks: p,
-                rounds,
-                seconds,
-                resumes,
-                events_per_sec,
-                final_clock,
-            });
-        }
+        let (seconds, resumes, final_clock) = ring_run(p, rounds);
+        // One send + one matched receive per message is the natural
+        // "event" unit; resumes are reported alongside as the
+        // scheduler's own activity measure.
+        let events_per_sec = 2.0 * msgs / seconds;
+        println!(
+            "  {:>8} ranks  {:>12}  {:>12.0} events/s  ({} resumes)",
+            p,
+            format_time(seconds),
+            events_per_sec,
+            resumes
+        );
+        entries.push(RingEntry {
+            ranks: p,
+            rounds,
+            seconds,
+            resumes,
+            events_per_sec,
+            final_clock,
+        });
     }
     clock.mark("ring_sweep");
 
     // Gate 3 (cheap, so it runs before the big SYRK): determinism — the
     // same ring twice must land on the bitwise-identical simulated clock.
     let p_det = if fast { 256 } else { 4_096 };
-    let (_, _, clock_a) = ring_run(EngineKind::Event, p_det, rounds);
-    let (_, _, clock_b) = ring_run(EngineKind::Event, p_det, rounds);
+    let (_, _, clock_a) = ring_run(p_det, rounds);
+    let (_, _, clock_b) = ring_run(p_det, rounds);
     if clock_a.to_bits() != clock_b.to_bits() {
         fail(
             "determinism",
-            format!("event-engine ring at P={p_det} gave clock {clock_a} then {clock_b}"),
+            format!("ring at P={p_det} gave clock {clock_a} then {clock_b}"),
         );
     }
     println!("determinism: ok (P={p_det} ring clock {clock_a} reproduced bitwise)");
@@ -217,8 +203,8 @@ fn main() {
         let comma = if i + 1 < entries.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{ \"engine\": \"{}\", \"ranks\": {}, \"rounds\": {}, \"seconds\": {:.6e}, \"resumes\": {}, \"events_per_sec\": {:.3e}, \"final_clock\": {:.6e} }}{comma}",
-            e.engine, e.ranks, e.rounds, e.seconds, e.resumes, e.events_per_sec, e.final_clock
+            "    {{ \"engine\": \"event\", \"ranks\": {}, \"rounds\": {}, \"seconds\": {:.6e}, \"resumes\": {}, \"events_per_sec\": {:.3e}, \"final_clock\": {:.6e} }}{comma}",
+            e.ranks, e.rounds, e.seconds, e.resumes, e.events_per_sec, e.final_clock
         );
     }
     let _ = writeln!(json, "  ],");

@@ -161,16 +161,14 @@ fn print_metrics(fmt: &str) {
 }
 
 /// Force a two-rank recv/recv deadlock: both ranks post a receive and
-/// nobody sends, so the watchdog trips, the failure dump (wait-for graph,
+/// nobody sends, so the scheduler declares it, the failure dump (wait-for graph,
 /// metrics, flight recording) lands at `dump_path`, and the process exits
 /// 0 if the dump is non-empty.
 fn run_deadlock(dump_path: &std::path::Path, metrics: Option<&str>) -> ! {
     flight::enable();
-    let machine = Machine::new(2)
-        .with_watchdog(std::time::Duration::from_millis(200))
-        .with_failure_dump(dump_path);
+    let machine = Machine::new(2).with_failure_dump(dump_path);
     let err = machine.try_run(|comm| {
-        // Symmetric blocked receives: a cycle the watchdog must report.
+        // Symmetric blocked receives: a cycle the scheduler must report.
         let peer = 1 - comm.rank();
         comm.try_recv::<Vec<f64>>(peer, 99).map(|_| ())
     });

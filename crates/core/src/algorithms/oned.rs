@@ -9,10 +9,7 @@
 //! Bandwidth cost (eq. (3)): `(n1(n1+1)/2)·(1 − 1/P)`, matching the
 //! Case 1 lower bound's leading term `n1(n1−1)/2`.
 
-use syrk_dense::{
-    limit_threads, machine_thread_budget, syrk_flops, syrk_packed_new, Diag, Matrix, PackedLower,
-    Partition1D,
-};
+use syrk_dense::{syrk_flops, syrk_packed_new, Diag, Matrix, PackedLower, Partition1D};
 use syrk_machine::{CostModel, FaultPlan, Machine, MachineError, ReduceScatterAlg, Timeline};
 
 use super::common::SyrkRunResult;
@@ -151,11 +148,6 @@ fn syrk_1d_impl(
     if let Some(plan) = faults {
         machine = machine.with_faults(plan.clone());
     }
-    // Split the hardware threads evenly across the *concurrently
-    // executing* ranks so the per-rank local SYRK doesn't oversubscribe
-    // the host. Under the event engine ranks run one at a time, so each
-    // may use the full budget.
-    let _threads = limit_threads(machine_thread_budget(machine.concurrent_ranks()));
     let out = machine.try_run(|comm| {
         let l = comm.rank();
         // Line 2–3: local SYRK on the owned column block A_ℓ.

@@ -9,7 +9,7 @@
 //! Bandwidth cost (eq. (12)): `n1n2/(√p1·p2) + n1²/(2p1)` to leading
 //! order.
 
-use syrk_dense::{limit_threads, machine_thread_budget, Diag, Matrix, PackedLower, Partition1D};
+use syrk_dense::{Diag, Matrix, PackedLower, Partition1D};
 use syrk_machine::{CostModel, FaultPlan, Machine, ProcessGrid, Timeline};
 
 use super::common::{assemble_c, DiagBlock, LocalOutput, OffDiagBlock, SyrkRunResult};
@@ -223,11 +223,6 @@ fn syrk_3d_impl(
     if let Some(plan) = faults {
         machine = machine.with_faults(plan.clone());
     }
-    // Split the hardware threads evenly across the *concurrently
-    // executing* ranks so the per-rank kernels don't oversubscribe the
-    // host. Under the event engine ranks run one at a time, so each may
-    // use the full budget.
-    let _threads = limit_threads(machine_thread_budget(machine.concurrent_ranks()));
     let out = machine.try_run(|mut comm| {
         let gc = grid.split(&mut comm);
         // Line 3: run 2D SYRK within the slice on block column A_{*ℓ}.

@@ -9,9 +9,8 @@
 //! `C` is ever communicated — only parts of `A`.
 
 use syrk_dense::{
-    balanced_chunks_by_cost, gemm_flops, limit_threads, machine_thread_budget, mul_nt,
-    par_for_each_task, steal_task_count, syrk_flops, syrk_packed_new, workers_for_flops, Diag,
-    Matrix,
+    balanced_chunks_by_cost, gemm_flops, mul_nt, par_for_each_task, steal_task_count, syrk_flops,
+    syrk_packed_new, workers_for_flops, Diag, Matrix,
 };
 use syrk_machine::{Comm, CostModel, FaultPlan, Machine, MachineError};
 
@@ -364,11 +363,6 @@ fn syrk_2d_traced_impl(
     if let Some(plan) = faults {
         machine = machine.with_faults(plan.clone());
     }
-    // Split the hardware threads evenly across the *concurrently
-    // executing* ranks so the per-rank kernels don't oversubscribe the
-    // host. Under the event engine ranks run one at a time, so each may
-    // use the full budget.
-    let _threads = limit_threads(machine_thread_budget(machine.concurrent_ranks()));
     let out = machine.try_run(|comm| twod_body_impl(&comm, &dist, &ad, a, padded, abft))?;
     let c_full = assemble_c(n1, &ad.rows, &out.results);
     Ok((

@@ -133,10 +133,10 @@ pub struct RecoveryReport {
 /// and replanning, and detected corruption by retrying, up to
 /// `policy.max_attempts` total attempts.
 ///
-/// Returns the (bitwise engine-independent) result of the successful
-/// attempt — with the last recovery prologue's cost merged in — plus a
-/// [`RecoveryReport`]. Unrecoverable failures (deadlock, plan
-/// rejection, exhausted attempts or ranks) surface as [`SyrkError`].
+/// Returns the result of the successful attempt — with the last recovery
+/// prologue's cost merged in — plus a [`RecoveryReport`]. Unrecoverable
+/// failures (deadlock, plan rejection, exhausted attempts or ranks)
+/// surface as [`SyrkError`].
 pub fn run_with_recovery(
     a: &Matrix<f64>,
     initial: Plan,

@@ -118,11 +118,11 @@ pub fn limit_threads(n: usize) -> ThreadBudgetGuard {
     ThreadBudgetGuard { prev }
 }
 
-/// The per-rank kernel thread budget for a machine run with `p` ranks:
-/// the caller's [`available_threads`] budget split evenly, at least one
-/// each. Deriving from `available_threads` (not raw hardware) lets an
-/// outer [`limit_threads`] guard cap a whole simulated run — e.g. pinning
-/// every rank to one kernel worker for reproducible timelines.
+/// The [`available_threads`] budget split evenly over `p` concurrently
+/// running ranks, at least one each. The simulated machine runs one rank
+/// at a time, so the algorithms no longer ask; the `syrkbench` replay
+/// (`benchmark/src/replay.rs`) is the only caller. An outer
+/// [`limit_threads`] guard caps a whole simulated run without it.
 pub fn machine_thread_budget(p: usize) -> usize {
     (available_threads() / p.max(1)).max(1)
 }

@@ -17,8 +17,8 @@
 //! blocking receive would observe the abort — so the exchange is
 //! charged arithmetically instead, standing in for the out-of-band
 //! control plane a real runtime falls back to. Both branches charge the
-//! same pairwise-exchange cost shape and are deterministic, so threaded
-//! and event engines agree bitwise on recovery outcomes.
+//! same pairwise-exchange cost shape and are deterministic, so a recovery
+//! outcome does not depend on when the abort reached a survivor.
 
 use crate::collectives::TAG_AGREE;
 use crate::comm::{Comm, HEARTBEAT_TIMEOUT_PROBES, RECOVER_AGREE_PHASE, RECOVER_DETECT_PHASE};

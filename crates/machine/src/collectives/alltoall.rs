@@ -49,13 +49,12 @@ impl Comm {
     /// identical to [`try_all_to_all`](Comm::try_all_to_all); only the
     /// zero-word messages the dense schedule ships purely for lockstep
     /// are elided, which is what makes 10⁴-rank sparse exchanges (most
-    /// pairs share nothing) tractable on the event engine.
+    /// pairs share nothing) tractable.
     ///
     /// Contract: `recv_words[q]` must equal `blocks[rank].len()` as rank
     /// `q` sees it — both sides agree on every pair's sizes, exactly as
     /// `MPI_Alltoallv` counts must. Disagreement strands one side waiting
-    /// for a message that never comes: an exact deadlock diagnostic on
-    /// the event engine, a watchdog timeout on threads.
+    /// for a message that never comes: an exact deadlock diagnostic.
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_all_to_all_v(
         &self,
@@ -112,8 +111,7 @@ impl Comm {
     /// Contract (as for `MPI_Alltoallv` counts): `recvs` must list
     /// exactly the `(src, len)` pairs matching what each `src` sends
     /// here. Disagreement strands a rank in a receive that can never
-    /// match: an exact deadlock diagnostic on the event engine, a
-    /// watchdog timeout on threads.
+    /// match: an exact deadlock diagnostic.
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_all_to_all_sparse(
         &self,

@@ -6,25 +6,22 @@
 //! lives: per-link sequence numbers and payload checksums (so injected
 //! duplicates and corruption are *detected*, see [`crate::FaultPlan`]),
 //! `retry:*` phase attribution for all fault-handling traffic, and the
-//! deadlock watchdog that aborts a run with a wait-for graph when every
-//! live rank is blocked with nothing in flight.
+//! wait-for edge each parked rank publishes, from which the scheduler
+//! builds the deadlock diagnostic when every live rank is blocked with
+//! nothing in flight.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use crate::sync::{
-    channel::{Receiver, Sender},
-    Mutex,
-};
 
 use crate::cost::{CostModel, RankCost, RankLedger};
+use crate::engine::EventState;
 use crate::envelope::{Envelope, Garbled, Payload};
 use crate::error::{DeadlockInfo, MachineError, WaitEdge};
 use crate::fault::{mix64, FaultPlan, MessageFaults};
+use crate::sync::Mutex;
 use crate::trace::{Event, EventKind, Timeline};
 use syrk_telemetry::flight::{self, FlightKind};
 
@@ -61,19 +58,16 @@ pub const RECOVER_BACKOFF_PHASE: &str = "recover:backoff";
 /// detector sends this many unanswered heartbeat probes per suspect.
 pub const HEARTBEAT_TIMEOUT_PROBES: u64 = 4;
 
-/// Per-rank incoming message queue with out-of-order matching.
+/// Per-rank out-of-order matching state.
 ///
-/// Channels deliver envelopes in send order per link; a receive for a
-/// specific `(src, tag)` buffers any non-matching envelopes in `pending`
-/// until they are asked for. The mailbox also holds this rank's per-link
-/// sequence counters: `tx_seq[d]` numbers messages this rank sends to
-/// world rank `d`, `rx_next[s]` is the next sequence number expected from
-/// world rank `s` (everything below it is a duplicate).
+/// The rank's inbox ([`EventState::inboxes`]) holds envelopes in send
+/// order per link; a receive for a specific `(src, tag)` buffers any
+/// non-matching envelopes in `pending` until they are asked for. The
+/// mailbox also holds this rank's per-link sequence counters: `tx_seq[d]`
+/// numbers messages this rank sends to world rank `d`, `rx_next[s]` is the
+/// next sequence number expected from world rank `s` (everything below it
+/// is a duplicate).
 pub(crate) struct Mailbox {
-    /// The mpsc endpoint under the threaded engine; `None` under the
-    /// event engine, which delivers through
-    /// [`EventState::inboxes`](crate::engine::EventState) instead.
-    rx: Option<Receiver<Envelope>>,
     pending: PendingQueue,
     /// Per-link sequence counters, allocated only when the installed
     /// fault plan perturbs messages — an unfaulted 10⁵-rank run must not
@@ -95,7 +89,6 @@ pub(crate) struct Mailbox {
 #[derive(Default)]
 struct PendingQueue {
     by_key: HashMap<PendingKey, (Envelope, VecDeque<Envelope>), BuildHasherDefault<KeyHasher>>,
-    len: usize,
 }
 
 type PendingKey = (usize, (u64, u64));
@@ -130,7 +123,6 @@ impl Hasher for KeyHasher {
 impl PendingQueue {
     fn push(&mut self, env: Envelope) {
         debug_assert!(env.matches(env.src, env.tag));
-        self.len += 1;
         match self.by_key.entry((env.src, env.tag)) {
             Entry::Occupied(mut e) => e.get_mut().1.push_back(env),
             Entry::Vacant(e) => {
@@ -142,43 +134,19 @@ impl PendingQueue {
     /// Pop the oldest buffered envelope matching `(src, tag)`, if any.
     fn take(&mut self, src: usize, tag: (u64, u64)) -> Option<Envelope> {
         let (oldest, behind) = self.by_key.get_mut(&(src, tag))?;
-        self.len -= 1;
         match behind.pop_front() {
             Some(next) => Some(std::mem::replace(oldest, next)),
             None => self.by_key.remove(&(src, tag)).map(|(oldest, _)| oldest),
         }
     }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-/// Why a blocking receive gave up. Carries enough context to reproduce
-/// the legacy panic messages exactly in the panicking wrappers.
-pub(crate) enum RecvErr {
-    /// The world's poison flag is set: some rank panicked.
-    PeerPanicked,
-    /// Some rank failed first (clean error, crash, or watchdog abort
-    /// elsewhere); `0` is the first recorded error when known.
-    Aborted(MachineError),
-    /// No matching message within the machine timeout.
-    Timeout {
-        /// Unmatched envelopes buffered at the blocked rank.
-        pending: usize,
-    },
-    /// This rank's watchdog declared the deadlock (it won the race).
-    Deadlock(DeadlockInfo),
 }
 
 /// Shared state of one machine run: the network fabric, cost ledger, and
-/// the failure/watchdog flags.
+/// the failure flags.
 pub(crate) struct World {
     pub size: usize,
     pub model: CostModel,
-    pub senders: Vec<Sender<Envelope>>,
     pub costs: Vec<Mutex<RankLedger>>,
-    pub timeout: Duration,
     /// Set when any rank panics so blocked receives abort promptly.
     pub poisoned: AtomicBool,
     /// Set when any rank fails for any reason (panic, clean error, crash,
@@ -191,12 +159,6 @@ pub(crate) struct World {
     pub waiting: Vec<Mutex<Option<WaitEdge>>>,
     /// Ranks that have returned from the SPMD closure.
     pub finished: Vec<AtomicBool>,
-    /// Bumped on every envelope pulled off any channel; the watchdog only
-    /// fires after a full grace window with no progress machine-wide.
-    pub progress: AtomicU64,
-    /// Grace window of global silence before the watchdog declares a
-    /// deadlock (all live ranks blocked the whole time).
-    pub watchdog: Duration,
     /// Per-rank communication-operation counters (for crash/stall faults).
     pub ops: Vec<AtomicU64>,
     /// World ranks killed by injected crash faults, in the order the
@@ -208,9 +170,8 @@ pub(crate) struct World {
     pub faults: Option<FaultPlan>,
     /// Per-rank event logs when tracing is enabled.
     pub traces: Option<Vec<Mutex<Timeline>>>,
-    /// The event-engine fabric when this run is driven by the discrete
-    /// event loop (`None` ⇒ threaded engine, mpsc fabric).
-    pub event: Option<crate::engine::EventState>,
+    /// The scheduler's fabric: inboxes, parked flags and the wake list.
+    pub event: EventState,
 }
 
 impl World {
@@ -226,18 +187,8 @@ impl World {
         self.aborted.store(true, Ordering::SeqCst);
     }
 
-    fn first_error_or(&self, fallback: MachineError) -> MachineError {
-        self.first_error
-            .lock()
-            .as_ref()
-            .map(|(_, e)| e.clone())
-            .unwrap_or(fallback)
-    }
-
     /// Snapshot the wait-for graph: one edge per live blocked rank, in
-    /// rank order, plus the set of cleanly finished ranks. Shared by the
-    /// watchdog and the event engine's exact detection so both report an
-    /// identical [`DeadlockInfo`] for the same stalled configuration.
+    /// rank order, plus the set of cleanly finished ranks.
     pub(crate) fn snapshot_deadlock(&self) -> DeadlockInfo {
         let mut edges = Vec::new();
         let mut finished = Vec::new();
@@ -265,8 +216,8 @@ impl Drop for ClearWait<'_> {
 }
 
 /// Records a `recv:block` flight span from construction to drop, so every
-/// exit path of the blocking receive (match, abort, timeout, deadlock)
-/// closes the span.
+/// exit path of the blocking receive (match, abort, deadlock) closes the
+/// span.
 struct RecvSpan {
     start_ns: Option<u64>,
     src_world: usize,
@@ -315,19 +266,13 @@ pub struct Comm {
 }
 
 impl Comm {
-    pub(crate) fn new_world(
-        world: Arc<World>,
-        rank: usize,
-        rx: Option<Receiver<Envelope>>,
-        group: Arc<Vec<usize>>,
-    ) -> Self {
+    pub(crate) fn new_world(world: Arc<World>, rank: usize, group: Arc<Vec<usize>>) -> Self {
         // Sequence screening is only exercised when faults can perturb
         // messages; skip the per-rank O(P) counters otherwise.
         let screened = world.faults.as_ref().is_some_and(|p| p.perturbs_messages());
         let size = if screened { world.size } else { 0 };
         Comm {
             mailbox: Arc::new(Mutex::new(Mailbox {
-                rx,
                 pending: PendingQueue::default(),
                 tx_seq: vec![0; size],
                 rx_next: vec![0; size],
@@ -521,54 +466,6 @@ impl Comm {
         Ok(())
     }
 
-    fn push_to(&self, dst_world: usize, env: Envelope) -> Result<(), MachineError> {
-        if let Some(ev) = &self.world.event {
-            // Event-engine fabric: a queue push that can also unpark the
-            // destination. Inboxes outlive their rank's closure, so the
-            // send itself never fails.
-            ev.deliver(dst_world, env);
-            return Ok(());
-        }
-        self.world.senders[dst_world].send(env).map_err(|_| {
-            // The peer's inbox closed because its thread exited. Like the
-            // recv path, a crash is not anonymized into `PeerFailed`:
-            // survivors need the crashed rank's identity to agree on
-            // failures and shrink the world around it.
-            match self.world.first_error_or(MachineError::PeerFailed {
-                rank: self.world_rank(),
-            }) {
-                e @ MachineError::RankCrashed { .. } => e,
-                _ => MachineError::PeerFailed {
-                    rank: self.world_rank(),
-                },
-            }
-        })
-    }
-
-    /// Push a fault-injected extra copy (a garbled duplicate or
-    /// corruption). Unlike the real copy, the receiver may legitimately
-    /// have consumed everything it needed and returned already — its
-    /// channel is then closed and the trailing artifact is discarded by
-    /// the "network", not reported as a failure (which would race the
-    /// first-error slot against the run's own completion).
-    fn push_extra(&self, dst_world: usize, env: Envelope) -> Result<(), MachineError> {
-        let r = self.push_to(dst_world, env);
-        if r.is_err() {
-            // The receiver's channel closes when its closure returns;
-            // wait for the flags to settle so a clean exit is never
-            // misclassified, then swallow the artifact either way (a
-            // genuine failure is recorded by the failing rank itself).
-            let world = &*self.world;
-            while !world.finished[dst_world].load(Ordering::SeqCst)
-                && !world.poisoned.load(Ordering::SeqCst)
-                && !world.aborted.load(Ordering::SeqCst)
-            {
-                std::thread::yield_now();
-            }
-        }
-        Ok(())
-    }
-
     /// Charge a fault-handling receive (or retransmit) under `phase`,
     /// metering it on the telemetry registry (`syrk_retry_*_handled`).
     fn charge_retry(
@@ -645,7 +542,7 @@ impl Comm {
             // The garbled copy arrives first and fails the checksum; the
             // retransmission below is the one the receiver consumes.
             let ready = self.with_ledger(|l| l.total.clock);
-            self.push_extra(
+            self.world.event.deliver(
                 dst_world,
                 Envelope {
                     src: me,
@@ -657,7 +554,7 @@ impl Comm {
                     wire_checksum: checksum ^ 0xbad_c0de,
                     payload: Box::new(Garbled),
                 },
-            )?;
+            );
         }
         let sender_ready = if charge_send {
             self.with_cost(|c, m| {
@@ -668,7 +565,7 @@ impl Comm {
         } else {
             self.with_ledger(|l| l.total.clock)
         };
-        self.push_to(
+        self.world.event.deliver(
             dst_world,
             Envelope {
                 src: me,
@@ -680,11 +577,11 @@ impl Comm {
                 wire_checksum: checksum,
                 payload: Box::new(payload),
             },
-        )?;
+        );
         if mf.duplicate {
             // A stale second copy with the same sequence number; the
             // receiver detects and discards it.
-            self.push_extra(
+            self.world.event.deliver(
                 dst_world,
                 Envelope {
                     src: me,
@@ -696,13 +593,13 @@ impl Comm {
                     wire_checksum: checksum,
                     payload: Box::new(Garbled),
                 },
-            )?;
+            );
         }
         Ok(())
     }
 
     /// Receive-side fault screening, applied to every envelope pulled off
-    /// the channel *before* tag matching: a checksum mismatch is a
+    /// the inbox *before* tag matching: a checksum mismatch is a
     /// corrupted delivery, a sequence number below the link cursor is a
     /// duplicate. Both are discarded, with the wasted receive charged to
     /// the matching `retry:*` phase.
@@ -735,28 +632,6 @@ impl Comm {
         Some(env)
     }
 
-    /// Watchdog declaration: the first rank to flip the abort flag reports
-    /// the wait-for graph; racers get `None` and report the cascade. The
-    /// graph is snapshotted *before* the flag goes up: a rank that sees the
-    /// flag, or loses this race, unwinds and clears its edge at once, and
-    /// two mutually blocked ranks reach their watchdog on the same tick.
-    fn declare_deadlock(&self) -> Option<DeadlockInfo> {
-        let world = &*self.world;
-        let info = world.snapshot_deadlock();
-        if world
-            .aborted
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            return None;
-        }
-        let mut slot = world.first_error.lock();
-        if slot.is_none() {
-            *slot = Some((self.world_rank(), MachineError::Deadlock(info.clone())));
-        }
-        Some(info)
-    }
-
     /// Publish this rank's wait-for edge until the returned guard drops.
     fn register_wait(&self, src_world: usize, tag: (u64, u64), op: &'static str) -> ClearWait<'_> {
         let slot = &self.world.waiting[self.world_rank()];
@@ -770,18 +645,31 @@ impl Comm {
         ClearWait { slot }
     }
 
-    /// The single blocking matching loop every receive goes through.
-    /// Registers this rank's wait-for edge, screens every delivery for
-    /// injected faults, and gives up on poisoning, abort, watchdog
-    /// deadlock, or the machine timeout.
+    /// The single blocking matching loop every receive goes through:
+    /// drain this rank's inbox, screening every delivery for injected
+    /// faults, and when it runs dry with no match, park and yield to the
+    /// scheduler. No timeouts — a deadlock is detected exactly by the
+    /// scheduler (empty ready heap, live ranks), which records the error
+    /// and wakes everyone to observe the abort.
+    ///
+    /// Holding the mailbox guard across the yield is sound: only the
+    /// owning rank ever locks its own mailbox (senders touch the
+    /// [`EventState`] inbox, not the mailbox), and exactly one rank runs
+    /// at a time, so nobody can contend while this rank is parked.
+    ///
+    /// The wait-for edge is published on the way into the first park, not
+    /// per receive: the scheduler reads edges only once every live rank is
+    /// parked, and no other rank runs between a receive that finds its
+    /// message queued and its return.
     fn recv_env(
         &self,
         src_world: usize,
         tag: (u64, u64),
         op: &'static str,
-    ) -> Result<Envelope, RecvErr> {
+    ) -> Result<Envelope, MachineError> {
         let me = self.world_rank();
         let world = &*self.world;
+        let ev = &world.event;
         let mut mb = self.mailbox.lock();
         if let Some(env) = mb.pending.take(src_world, tag) {
             return Ok(env);
@@ -790,107 +678,13 @@ impl Comm {
         // every exit path by the guard — including the deadlock one, so a
         // failure dump shows how long each rank really sat blocked).
         let _recv_span = RecvSpan::begin(src_world);
-        if world.event.is_some() {
-            return self.recv_env_event(&mut mb, src_world, tag, op);
-        }
-        let _wait = self.register_wait(src_world, tag, op);
-        let deadline = Instant::now() + world.timeout;
-        // `(since, progress epoch)` of the oldest tick at which every live
-        // rank was observed blocked with this epoch.
-        let mut stuck: Option<(Instant, u64)> = None;
-        loop {
-            // Poll in short slices so failures elsewhere (panic, crash,
-            // watchdog) abort this receive promptly instead of stalling
-            // until the full deadlock timeout.
-            let rx = mb.rx.as_ref().expect("threaded engine owns a channel");
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(env) => {
-                    world.progress.fetch_add(1, Ordering::SeqCst);
-                    stuck = None;
-                    let Some(env) = self.screen(&mut mb, env) else {
-                        continue;
-                    };
-                    if env.matches(src_world, tag) {
-                        return Ok(env);
-                    }
-                    mb.pending.push(env);
-                }
-                Err(_) => {
-                    if world.poisoned.load(Ordering::Relaxed) {
-                        return Err(RecvErr::PeerPanicked);
-                    }
-                    if world.aborted.load(Ordering::SeqCst) {
-                        return Err(RecvErr::Aborted(
-                            world.first_error_or(MachineError::PeerFailed { rank: me }),
-                        ));
-                    }
-                    let prog = world.progress.load(Ordering::SeqCst);
-                    let all_blocked = (0..world.size).all(|r| {
-                        r == me
-                            || world.finished[r].load(Ordering::SeqCst)
-                            || world.waiting[r].lock().is_some()
-                    });
-                    if all_blocked {
-                        match stuck {
-                            Some((since, epoch)) if epoch == prog => {
-                                if since.elapsed() >= world.watchdog {
-                                    return match self.declare_deadlock() {
-                                        Some(info) => Err(RecvErr::Deadlock(info)),
-                                        None => Err(RecvErr::Aborted(world.first_error_or(
-                                            MachineError::PeerFailed { rank: me },
-                                        ))),
-                                    };
-                                }
-                            }
-                            _ => stuck = Some((Instant::now(), prog)),
-                        }
-                    } else {
-                        stuck = None;
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(RecvErr::Timeout {
-                            pending: mb.pending.len(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Event-engine tail of the blocking receive: drain this rank's
-    /// inbox, and when it runs dry with no match, park and yield to the
-    /// scheduler. No timeouts and no watchdog heuristics — a deadlock is
-    /// detected exactly by the scheduler (empty ready heap, live ranks),
-    /// which records the error and wakes everyone to observe the abort.
-    ///
-    /// Holding the mailbox guard across the yield is sound: only the
-    /// owning rank ever locks its own mailbox (senders touch the
-    /// [`EventState`](crate::engine::EventState) inbox, not the mailbox),
-    /// and all ranks share one OS thread, so nobody can contend while
-    /// this rank is parked.
-    ///
-    /// The wait-for edge is published on the way into the first park, not
-    /// per receive: the scheduler reads edges only once every live rank is
-    /// parked, and no other rank runs between a receive that finds its
-    /// message queued and its return.
-    fn recv_env_event(
-        &self,
-        mb: &mut Mailbox,
-        src_world: usize,
-        tag: (u64, u64),
-        op: &'static str,
-    ) -> Result<Envelope, RecvErr> {
-        let me = self.world_rank();
-        let world = &*self.world;
-        let ev = world.event.as_ref().expect("event engine state");
         let mut wait = None;
         loop {
             loop {
                 let Some(env) = ev.inboxes[me].lock().pop_front() else {
                     break;
                 };
-                world.progress.fetch_add(1, Ordering::Relaxed);
-                let Some(env) = self.screen(mb, env) else {
+                let Some(env) = self.screen(&mut mb, env) else {
                     continue;
                 };
                 if env.matches(src_world, tag) {
@@ -899,12 +693,17 @@ impl Comm {
                 mb.pending.push(env);
             }
             if world.poisoned.load(Ordering::Relaxed) {
-                return Err(RecvErr::PeerPanicked);
+                return Err(MachineError::PeerFailed { rank: me });
             }
             if world.aborted.load(Ordering::SeqCst) {
-                return Err(RecvErr::Aborted(
-                    world.first_error_or(MachineError::PeerFailed { rank: me }),
-                ));
+                // A crash is not anonymized into `PeerFailed`: survivors
+                // need the crashed rank's identity to agree on failures
+                // and shrink the world around it, so the run's first error
+                // propagates.
+                return Err(match world.first_error.lock().as_ref() {
+                    Some((_, e @ MachineError::RankCrashed { .. })) => e.clone(),
+                    _ => MachineError::PeerFailed { rank: me },
+                });
             }
             wait.get_or_insert_with(|| self.register_wait(src_world, tag, op));
             ev.park(me);
@@ -912,60 +711,19 @@ impl Comm {
         }
     }
 
-    /// Like [`recv_env`](Comm::recv_env) but panicking, with the legacy
-    /// diagnostic messages.
-    fn recv_env_or_panic(&self, src_world: usize, tag: (u64, u64), op: &'static str) -> Envelope {
-        let me = self.world_rank();
-        match self.recv_env(src_world, tag, op) {
-            Ok(env) => env,
-            Err(RecvErr::PeerPanicked) => panic!(
-                "rank {me}: aborting recv from {src_world} tag {tag:?}: another rank panicked"
-            ),
-            Err(RecvErr::Aborted(e)) => {
-                panic!("rank {me}: aborting recv from {src_world} tag {tag:?}: {e}")
-            }
-            Err(RecvErr::Timeout { pending }) => panic!(
-                "rank {me}: recv from {src_world} tag {tag:?} timed out after {:?} \
-                 ({pending} unmatched envelopes pending)",
-                self.world.timeout
-            ),
-            Err(RecvErr::Deadlock(info)) => {
-                panic!("rank {me}: {}", MachineError::Deadlock(info))
-            }
-        }
-    }
-
-    fn recv_err_to_machine(&self, e: RecvErr, src_world: usize, tag: (u64, u64)) -> MachineError {
-        let me = self.world_rank();
-        match e {
-            // A crash is not anonymized into `PeerFailed`: survivors need
-            // the crashed rank's identity to agree on failures and shrink
-            // the world around it, so the run's first error propagates.
-            RecvErr::Aborted(e @ MachineError::RankCrashed { .. }) => e,
-            RecvErr::PeerPanicked | RecvErr::Aborted(_) => MachineError::PeerFailed { rank: me },
-            RecvErr::Timeout { .. } => MachineError::RecvTimeout {
-                rank: me,
-                src: src_world,
-                tag,
-            },
-            RecvErr::Deadlock(info) => MachineError::Deadlock(info),
-        }
-    }
-
     /// Send `payload` to group rank `dst` with `tag`. Blocking-send
     /// semantics are simulated for cost purposes only; the transport is
     /// buffered, so `send` never deadlocks.
     ///
-    /// Panics on injected crash faults or a dead peer; see
-    /// [`try_send`](Comm::try_send) for the `Result` form.
+    /// Panics on injected crash faults; see [`try_send`](Comm::try_send)
+    /// for the `Result` form.
     pub fn send<T: Payload>(&self, dst: usize, tag: u64, payload: T) {
         self.try_send(dst, tag, payload)
             .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Fallible form of [`send`](Comm::send): returns an error instead of
-    /// panicking when this rank is crashed by the fault plan or the peer
-    /// is gone.
+    /// panicking when this rank is crashed by the fault plan.
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_send<T: Payload>(
         &self,
@@ -986,33 +744,16 @@ impl Comm {
 
     /// Receive a `T` from group rank `src` with `tag`.
     ///
-    /// Panics if the next matching message does not contain a `T`, or if no
-    /// matching message arrives within the machine's timeout (a deadlock
-    /// diagnostic rather than a hang). See [`try_recv`](Comm::try_recv)
-    /// for the `Result` form.
+    /// Panics if the next matching message does not contain a `T`, or if
+    /// the run fails while this rank waits (a deadlock is diagnosed, not
+    /// hung on). See [`try_recv`](Comm::try_recv) for the `Result` form.
     pub fn recv<T: Payload>(&self, src: usize, tag: u64) -> T {
-        assert!(
-            src < self.size(),
-            "recv: src {src} out of range for size {}",
-            self.size()
-        );
-        self.fault_op_check().unwrap_or_else(|e| panic!("{e}"));
-        let env = self.recv_env_or_panic(self.group[src], (self.comm_id, tag), "recv");
-        self.with_cost(|c, m| c.on_recv(env.words, env.sender_ready, m));
-        self.trace(EventKind::Recv, self.group[src], env.words as u64);
-        *env.payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "rank {}: type mismatch receiving from {} tag {}",
-                self.rank(),
-                src,
-                tag
-            )
-        })
+        self.try_recv(src, tag).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible form of [`recv`](Comm::recv): a watchdog-detected
-    /// deadlock, timeout, peer failure, injected crash, or payload type
-    /// mismatch is returned as a [`MachineError`] instead of panicking.
+    /// Fallible form of [`recv`](Comm::recv): a peer failure, an injected
+    /// crash, a deadlock or a payload type mismatch is returned as a
+    /// [`MachineError`] instead of panicking.
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_recv<T: Payload>(&self, src: usize, tag: u64) -> Result<T, MachineError> {
         assert!(
@@ -1022,9 +763,7 @@ impl Comm {
         );
         self.fault_op_check()?;
         let src_world = self.group[src];
-        let env = self
-            .recv_env(src_world, (self.comm_id, tag), "recv")
-            .map_err(|e| self.recv_err_to_machine(e, src_world, (self.comm_id, tag)))?;
+        let env = self.recv_env(src_world, (self.comm_id, tag), "recv")?;
         self.with_cost(|c, m| c.on_recv(env.words, env.sender_ready, m));
         self.trace(EventKind::Recv, src_world, env.words as u64);
         env.payload
@@ -1042,27 +781,8 @@ impl Comm {
     /// the step is charged once at `α + β·max(w_out, w_in)`, which is what
     /// makes pairwise-exchange collectives cost `(1 − 1/P)·w`.
     pub fn exchange<T: Payload, U: Payload>(&self, dst: usize, out: T, src: usize, tag: u64) -> U {
-        assert!(dst < self.size() && src < self.size());
-        let w_out = out.words();
-        // Dispatch without advancing the clock: the exchange is charged as
-        // one duplex step when the inbound message is matched below.
-        self.dispatch(dst, (self.comm_id, tag), out, false, false)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let env = self.recv_env_or_panic(self.group[src], (self.comm_id, tag), "exchange");
-        self.with_cost(|c, m| c.on_exchange(w_out, env.words, env.sender_ready, m));
-        self.trace(
-            EventKind::Exchange,
-            self.group[dst],
-            w_out.max(env.words) as u64,
-        );
-        *env.payload.downcast::<U>().unwrap_or_else(|_| {
-            panic!(
-                "rank {}: type mismatch in exchange with src {} tag {}",
-                self.rank(),
-                src,
-                tag
-            )
-        })
+        self.try_exchange(dst, out, src, tag)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible form of [`exchange`](Comm::exchange).
@@ -1076,11 +796,10 @@ impl Comm {
     ) -> Result<U, MachineError> {
         assert!(dst < self.size() && src < self.size());
         let w_out = out.words();
+        // Dispatch without advancing the clock: the exchange is charged as
+        // one duplex step when the inbound message is matched below.
         self.dispatch(dst, (self.comm_id, tag), out, false, false)?;
-        let src_world = self.group[src];
-        let env = self
-            .recv_env(src_world, (self.comm_id, tag), "exchange")
-            .map_err(|e| self.recv_err_to_machine(e, src_world, (self.comm_id, tag)))?;
+        let env = self.recv_env(self.group[src], (self.comm_id, tag), "exchange")?;
         self.with_cost(|c, m| c.on_exchange(w_out, env.words, env.sender_ready, m));
         self.trace(
             EventKind::Exchange,
@@ -1127,7 +846,9 @@ impl Comm {
         let mut members: Vec<(u64, usize, usize)> = vec![(color, key, me)];
         for src in 0..self.size() {
             if src != me {
-                let env = self.recv_env_or_panic(self.group[src], (self.comm_id, tag), "split");
+                let env = self
+                    .recv_env(self.group[src], (self.comm_id, tag), "split")
+                    .unwrap_or_else(|e| panic!("{e}"));
                 let v = env
                     .payload
                     .downcast::<Vec<u64>>()

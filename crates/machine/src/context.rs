@@ -1,478 +1,221 @@
-//! Stackful coroutines for the event-driven engine.
+//! Rank contexts: how a simulated rank's call stack is suspended and
+//! resumed.
 //!
-//! The event engine (see [`crate::engine`]) runs every simulated rank as a
-//! resumable coroutine on one OS thread, so a rank can block deep inside a
-//! receive (arbitrarily far down the user's SPMD closure) and hand control
-//! back to the scheduler without unwinding. That requires a *stackful*
-//! continuation: each rank gets its own call stack, and suspending is a
-//! plain callee-saved context switch — no external crates, just two naked
-//! functions per architecture (x86_64 SysV and AArch64 AAPCS64).
+//! The scheduler (see [`crate::engine`]) advances one rank at a time, and a
+//! rank can block deep inside a receive — arbitrarily far down the user's
+//! SPMD closure — and hand control back without unwinding. That takes a
+//! *stackful* continuation. Two backends provide one behind the same four
+//! operations, `new` / `resume` / `is_done` ([`Context`]) and
+//! [`yield_now`]:
 //!
-//! The switch saves exactly what the respective ABI makes the callee
-//! responsible for (x86_64: `rbp rbx r12–r15` + `rsp`; AArch64:
-//! `x19–x28 x29 x30` + `d8–d15` + `sp`); everything else is caller-saved
-//! and already spilled by the compiler around the `ctx_switch` call.
+//! * `native` — a private heap stack per rank and a callee-saved register
+//!   switch in naked assembly (x86_64, AArch64);
+//! * `portable` — a parked OS thread per rank and a baton passed between
+//!   it and the scheduler (every other target).
 //!
-//! Safety model:
-//! * a coroutine is only ever resumed from the thread that created it, and
-//!   only one coroutine per thread runs at a time (strict alternation with
-//!   its scheduler), so no state is shared concurrently;
-//! * panics unwind *inside* the coroutine's own stack and are caught at
-//!   its outermost frame — unwinding never crosses the assembly frames;
-//! * stacks carry a canary word at their low end, checked after every
-//!   resume, so an overflow aborts loudly instead of corrupting a
-//!   neighbouring allocation.
-//!
-//! Stacks are deliberately allocated below the glibc mmap threshold by
-//! default (64 KiB), so a 10⁵-rank machine draws its stacks from the heap
-//! arena instead of creating 10⁵ distinct mappings (the kernel caps a
-//! process at `vm.max_map_count` mappings, typically 65530). Pages are
-//! committed lazily, so an idle rank costs only the few KiB it actually
-//! touches.
+//! The target architecture chooses, at build time, and nothing else does.
+//! On either backend exactly one of scheduler and rank runs at any moment,
+//! so the scheduler's heap order — and with it every result, cost vector
+//! and diagnostic — is the same on both. Test builds compile the portable
+//! backend on every host so that this is checked where CI runs.
 
-use std::alloc::{self, Layout};
-use std::cell::Cell;
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+pub(crate) mod native;
+#[cfg(any(test, not(any(target_arch = "x86_64", target_arch = "aarch64"))))]
+pub(crate) mod portable;
 
-/// Whether this build has a context switch for the target architecture.
-/// On unsupported targets the machine falls back to the threaded engine.
-pub(crate) const SUPPORTED: bool = cfg!(any(target_arch = "x86_64", target_arch = "aarch64"));
-
-/// Magic written at the lowest words of every coroutine stack and checked
-/// after each resume.
-const CANARY: u64 = 0xdead_5afe_57ac_ca11;
-
-#[cfg(target_arch = "x86_64")]
-mod arch {
-    use std::arch::naked_asm;
-
-    /// Save the callee-saved state on the current stack, store the stack
-    /// pointer to `*save`, and resume from the stack pointer in
-    /// `*restore`. Returns (into the restored context) when some other
-    /// context switches back.
-    #[unsafe(naked)]
-    pub(super) unsafe extern "sysv64" fn ctx_switch(_save: *mut usize, _restore: *const usize) {
-        naked_asm!(
-            "push rbp",
-            "push rbx",
-            "push r12",
-            "push r13",
-            "push r14",
-            "push r15",
-            "mov [rdi], rsp",
-            "mov rsp, [rsi]",
-            "pop r15",
-            "pop r14",
-            "pop r13",
-            "pop r12",
-            "pop rbx",
-            "pop rbp",
-            "ret",
-        )
-    }
-
-    /// First frame of every coroutine: `prepare` plants this as the `ret`
-    /// target of the initial `ctx_switch`, with the bootstrap argument in
-    /// the restored `r12`. Realigns the stack and calls the Rust entry
-    /// (which never returns; the trailing `ud2` enforces that).
-    #[unsafe(naked)]
-    unsafe extern "sysv64" fn trampoline() {
-        naked_asm!(
-            "mov rdi, r12",
-            "and rsp, -16",
-            "call {entry}",
-            "ud2",
-            entry = sym super::coroutine_entry,
-        )
-    }
-
-    /// Lay out the bootstrap frame below `top` (16-aligned) so the first
-    /// `ctx_switch` into it pops zeros into the callee-saved registers
-    /// (except `r12` = `arg`) and returns into `trampoline`.
-    pub(super) unsafe fn prepare(top: *mut usize, arg: *mut u8) -> usize {
-        unsafe {
-            let mut sp = top;
-            sp = sp.sub(1);
-            *sp = trampoline as *const () as usize; // ret target
-            sp = sp.sub(1);
-            *sp = 0; // rbp
-            sp = sp.sub(1);
-            *sp = 0; // rbx
-            sp = sp.sub(1);
-            *sp = arg as usize; // r12 — bootstrap argument
-            sp = sp.sub(1);
-            *sp = 0; // r13
-            sp = sp.sub(1);
-            *sp = 0; // r14
-            sp = sp.sub(1);
-            *sp = 0; // r15
-            sp as usize
-        }
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod arch {
-    use std::arch::naked_asm;
-
-    /// AArch64 twin of the x86_64 switch: saves `x19–x28`, the frame
-    /// pointer/link register pair, and the low halves of `v8–v15` (the
-    /// callee-saved SIMD state), swaps `sp`, and returns via the restored
-    /// `x30`.
-    #[unsafe(naked)]
-    pub(super) unsafe extern "C" fn ctx_switch(_save: *mut usize, _restore: *const usize) {
-        naked_asm!(
-            "sub sp, sp, #160",
-            "stp x19, x20, [sp, #0]",
-            "stp x21, x22, [sp, #16]",
-            "stp x23, x24, [sp, #32]",
-            "stp x25, x26, [sp, #48]",
-            "stp x27, x28, [sp, #64]",
-            "stp x29, x30, [sp, #80]",
-            "stp d8, d9, [sp, #96]",
-            "stp d10, d11, [sp, #112]",
-            "stp d12, d13, [sp, #128]",
-            "stp d14, d15, [sp, #144]",
-            "mov x9, sp",
-            "str x9, [x0]",
-            "ldr x9, [x1]",
-            "mov sp, x9",
-            "ldp x19, x20, [sp, #0]",
-            "ldp x21, x22, [sp, #16]",
-            "ldp x23, x24, [sp, #32]",
-            "ldp x25, x26, [sp, #48]",
-            "ldp x27, x28, [sp, #64]",
-            "ldp x29, x30, [sp, #80]",
-            "ldp d8, d9, [sp, #96]",
-            "ldp d10, d11, [sp, #112]",
-            "ldp d12, d13, [sp, #128]",
-            "ldp d14, d15, [sp, #144]",
-            "add sp, sp, #160",
-            "ret",
-        )
-    }
-
-    /// First frame: the bootstrap argument travels in the restored `x19`.
-    #[unsafe(naked)]
-    unsafe extern "C" fn trampoline() {
-        naked_asm!(
-            "mov x0, x19",
-            "bl {entry}",
-            "brk #0x1",
-            entry = sym super::coroutine_entry,
-        )
-    }
-
-    /// One 160-byte register frame below `top`: `x19` slot = `arg`, `x30`
-    /// (link register) slot = `trampoline`, everything else zero. After
-    /// the restoring `ctx_switch` pops it, `sp == top` (16-aligned, as
-    /// AArch64 requires at all times).
-    pub(super) unsafe fn prepare(top: *mut usize, arg: *mut u8) -> usize {
-        unsafe {
-            let sp = (top as *mut u8).sub(160) as *mut usize;
-            std::ptr::write_bytes(sp, 0, 20);
-            *sp = arg as usize; // x19 — bootstrap argument
-            *sp.add(11) = trampoline as usize; // x30 — ret target
-            sp as usize
-        }
-    }
-}
-
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+pub(crate) use native::Coroutine;
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-mod arch {
-    /// Stub for unsupported targets; never called because
-    /// [`super::SUPPORTED`] is false and the machine stays on the
-    /// threaded engine.
-    pub(super) unsafe extern "C" fn ctx_switch(_save: *mut usize, _restore: *const usize) {
-        unreachable!("context switch on unsupported architecture")
-    }
+pub(crate) use portable::Coroutine;
 
-    pub(super) unsafe fn prepare(_top: *mut usize, _arg: *mut u8) -> usize {
-        unreachable!("coroutine bootstrap on unsupported architecture")
-    }
-}
-
-/// A heap-allocated coroutine stack with a canary at its low end.
-struct Stack {
-    ptr: *mut u8,
-    layout: Layout,
-}
-
-impl Stack {
-    fn new(size: usize) -> Stack {
-        let size = size.max(16 * 1024) & !15;
-        let layout = Layout::from_size_align(size, 16).expect("stack layout");
-        let ptr = unsafe { alloc::alloc(layout) };
-        if ptr.is_null() {
-            alloc::handle_alloc_error(layout);
-        }
-        unsafe { (ptr as *mut u64).write(CANARY) };
-        Stack { ptr, layout }
-    }
-
-    /// One past the highest usable word (stacks grow downward).
-    fn top(&self) -> *mut usize {
-        unsafe { self.ptr.add(self.layout.size()) as *mut usize }
-    }
-
-    fn canary_intact(&self) -> bool {
-        unsafe { (self.ptr as *const u64).read() == CANARY }
-    }
-}
-
-impl Drop for Stack {
-    fn drop(&mut self) {
-        unsafe { alloc::dealloc(self.ptr, self.layout) };
-    }
-}
-
-/// Outcome of one [`Coroutine::resume`].
+/// Outcome of one [`Context::resume`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Status {
-    /// The coroutine suspended at a blocking point ([`yield_now`]).
+    /// The rank suspended at a blocking point ([`yield_now`]).
     Yielded,
-    /// The coroutine's closure ran to completion (or unwound into the
-    /// entry's catch); it must not be resumed again.
+    /// The rank's body ran to completion; it must not be resumed again.
     Complete,
 }
 
-/// Shared switch state between a coroutine and its scheduler. Boxed so
-/// its address is stable while both sides hold raw pointers to it.
-struct Inner {
-    /// Scheduler-side stack pointer, live while the coroutine runs.
-    sched_sp: usize,
-    /// Coroutine-side stack pointer, live while it is suspended.
-    coro_sp: usize,
-    done: bool,
-    /// The rank body; taken by `coroutine_entry` on first resume.
-    closure: Option<Box<dyn FnOnce()>>,
+/// A suspended rank, as the scheduler sees it.
+pub(crate) trait Context {
+    /// A context that will run `body` on a stack of `stack_bytes` of its
+    /// own when first resumed. The body must not unwind (the machine wraps
+    /// rank closures in `catch_unwind`).
+    fn new(stack_bytes: usize, body: Box<dyn FnOnce() + Send>) -> Self;
+
+    /// Run the rank until it yields or completes. Must only be called
+    /// from scheduler context (not from inside another resume of the same
+    /// context) and never after it completed.
+    fn resume(&mut self) -> Status;
+
+    /// Whether the rank's body has run to completion.
+    fn is_done(&self) -> bool;
 }
 
-thread_local! {
-    /// The coroutine currently running on this thread (null in scheduler
-    /// context). A stack of one: nested machines save and restore it
-    /// around their own resumes.
-    static CURRENT: Cell<*mut Inner> = const { Cell::new(std::ptr::null_mut()) };
-}
-
-/// Rust-side first frame of every coroutine, called by the architecture
-/// trampoline on the coroutine's own stack. Runs the closure and switches
-/// back to the scheduler for the last time.
-extern "C" fn coroutine_entry(inner: *mut Inner) -> ! {
-    {
-        let closure = unsafe { (*inner).closure.take().expect("coroutine entered twice") };
-        // The closure is expected to contain its own catch_unwind (the
-        // engine wraps rank bodies exactly like the threaded runner's
-        // thread bodies). A panic escaping it cannot unwind across the
-        // assembly frames below, so it is a hard abort.
-        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(closure)).is_err() {
-            eprintln!("fatal: panic escaped a simulated rank's outermost frame");
-            std::process::abort();
-        }
-    }
-    unsafe {
-        (*inner).done = true;
-        arch::ctx_switch(&mut (*inner).coro_sp, &(*inner).sched_sp);
-    }
-    // The scheduler never resumes a completed coroutine.
-    std::process::abort();
-}
-
-/// A suspended rank: its private stack plus the saved switch state.
-pub(crate) struct Coroutine {
-    stack: Stack,
-    inner: Box<Inner>,
-    started: bool,
-}
-
-impl Coroutine {
-    /// Create a coroutine that will run `closure` on a fresh stack of
-    /// `stack_bytes` when first resumed. The closure must not unwind (wrap
-    /// rank bodies in `catch_unwind`).
-    pub(crate) fn new(stack_bytes: usize, closure: Box<dyn FnOnce()>) -> Coroutine {
-        // SUPPORTED is a per-target const; the assert is a deliberate
-        // runtime guard so unsupported targets still compile and can use
-        // the threaded engine.
-        #[allow(clippy::assertions_on_constants)]
-        {
-            assert!(SUPPORTED, "stackful coroutines unsupported on this target");
-        }
-        Coroutine {
-            stack: Stack::new(stack_bytes),
-            inner: Box::new(Inner {
-                sched_sp: 0,
-                coro_sp: 0,
-                done: false,
-                closure: Some(closure),
-            }),
-            started: false,
-        }
-    }
-
-    /// Whether the coroutine has run to completion.
-    pub(crate) fn is_done(&self) -> bool {
-        self.inner.done
-    }
-
-    /// Run the coroutine until it yields or completes. Must only be
-    /// called from scheduler context (not from inside another resume of
-    /// the same coroutine) and never after it completed.
-    pub(crate) fn resume(&mut self) -> Status {
-        assert!(!self.inner.done, "resume of a completed coroutine");
-        let inner: *mut Inner = &mut *self.inner;
-        if !self.started {
-            self.started = true;
-            self.inner.coro_sp = unsafe { arch::prepare(self.stack.top(), inner as *mut u8) };
-        }
-        let prev = CURRENT.with(|c| c.replace(inner));
-        unsafe { arch::ctx_switch(&mut (*inner).sched_sp, &(*inner).coro_sp) };
-        CURRENT.with(|c| c.set(prev));
-        assert!(
-            self.stack.canary_intact(),
-            "a simulated rank overflowed its coroutine stack; raise it with \
-             SYRK_MACHINE_STACK_KB or Machine::with_rank_stack"
-        );
-        if self.inner.done {
-            Status::Complete
-        } else {
-            Status::Yielded
-        }
+/// Outermost frame of a rank on both backends. A panic escaping the body
+/// can neither unwind across the native backend's assembly frames nor be
+/// left to kill a thread the scheduler is waiting on, so it is a hard
+/// abort.
+fn run_body(body: Box<dyn FnOnce() + Send>) {
+    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).is_err() {
+        eprintln!("fatal: panic escaped a simulated rank's outermost frame");
+        std::process::abort();
     }
 }
 
-/// Suspend the coroutine currently running on this thread, returning
-/// control to its scheduler. Returns when the scheduler resumes it.
+/// Suspend the rank running on this thread, returning control to its
+/// scheduler. Returns when the scheduler resumes it.
 ///
-/// Panics when called outside a coroutine — blocking receives only reach
-/// this through the event engine, which always runs ranks as coroutines.
+/// Each backend keeps the running rank in a thread-local of its own. The
+/// native one is set only for the length of a resume, so where both are
+/// set the native context is the innermost.
+///
+/// Panics when called outside a rank — blocking receives only reach this
+/// from inside [`Machine::try_run`](crate::Machine::try_run).
 pub(crate) fn yield_now() {
-    let inner = CURRENT.with(|c| c.get());
-    assert!(
-        !inner.is_null(),
-        "yield_now outside a coroutine (event-engine receive on a non-event machine?)"
-    );
-    unsafe { arch::ctx_switch(&mut (*inner).coro_sp, &(*inner).sched_sp) };
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    if native::yield_current() {
+        return;
+    }
+    #[cfg(any(test, not(any(target_arch = "x86_64", target_arch = "aarch64"))))]
+    if portable::yield_current() {
+        return;
+    }
+    panic!("yield_now outside a simulated rank");
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use std::rc::Rc;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    /// The same five tests for each backend.
+    macro_rules! backend_tests {
+        ($backend:ident) => {
+            mod $backend {
+                use crate::context::$backend::Coroutine;
+                use crate::context::{yield_now, Context, Status};
+                use std::sync::atomic::{AtomicUsize, Ordering};
+                use std::sync::{Arc, Mutex};
 
-    #[test]
-    fn runs_to_completion_without_yield() {
-        let hit = Arc::new(AtomicUsize::new(0));
-        let h = Arc::clone(&hit);
-        let mut co = Coroutine::new(
-            64 * 1024,
-            Box::new(move || {
-                h.store(7, Ordering::SeqCst);
-            }),
-        );
-        assert_eq!(co.resume(), Status::Complete);
-        assert!(co.is_done());
-        assert_eq!(hit.load(Ordering::SeqCst), 7);
-    }
+                #[test]
+                fn runs_to_completion_without_yield() {
+                    let hit = Arc::new(AtomicUsize::new(0));
+                    let h = Arc::clone(&hit);
+                    let mut co = Coroutine::new(
+                        64 * 1024,
+                        Box::new(move || {
+                            h.store(7, Ordering::SeqCst);
+                        }),
+                    );
+                    assert_eq!(co.resume(), Status::Complete);
+                    assert!(co.is_done());
+                    assert_eq!(hit.load(Ordering::SeqCst), 7);
+                }
 
-    #[test]
-    fn yield_suspends_and_resume_continues() {
-        let log = Rc::new(std::cell::RefCell::new(Vec::new()));
-        let l = Rc::clone(&log);
-        let mut co = Coroutine::new(
-            64 * 1024,
-            Box::new(move || {
-                l.borrow_mut().push(1);
-                yield_now();
-                l.borrow_mut().push(2);
-                yield_now();
-                l.borrow_mut().push(3);
-            }),
-        );
-        assert_eq!(co.resume(), Status::Yielded);
-        assert_eq!(*log.borrow(), [1]);
-        assert_eq!(co.resume(), Status::Yielded);
-        assert_eq!(*log.borrow(), [1, 2]);
-        assert_eq!(co.resume(), Status::Complete);
-        assert_eq!(*log.borrow(), [1, 2, 3]);
-    }
-
-    #[test]
-    fn interleaves_many_coroutines() {
-        // Round-robin 8 counters; each increments its slot 100 times with
-        // a yield between increments. Deep interleaving must preserve
-        // per-coroutine program order and isolation.
-        let counts = Arc::new((0..8).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>());
-        let mut cos: Vec<Coroutine> = (0..8)
-            .map(|i| {
-                let counts = Arc::clone(&counts);
-                Coroutine::new(
-                    64 * 1024,
-                    Box::new(move || {
-                        for _ in 0..100 {
-                            counts[i].fetch_add(1, Ordering::SeqCst);
+                #[test]
+                fn yield_suspends_and_resume_continues() {
+                    let log = Arc::new(Mutex::new(Vec::new()));
+                    let l = Arc::clone(&log);
+                    let mut co = Coroutine::new(
+                        64 * 1024,
+                        Box::new(move || {
+                            l.lock().unwrap().push(1);
                             yield_now();
+                            l.lock().unwrap().push(2);
+                            yield_now();
+                            l.lock().unwrap().push(3);
+                        }),
+                    );
+                    assert_eq!(co.resume(), Status::Yielded);
+                    assert_eq!(*log.lock().unwrap(), [1]);
+                    assert_eq!(co.resume(), Status::Yielded);
+                    assert_eq!(*log.lock().unwrap(), [1, 2]);
+                    assert_eq!(co.resume(), Status::Complete);
+                    assert_eq!(*log.lock().unwrap(), [1, 2, 3]);
+                }
+
+                #[test]
+                fn interleaves_many_coroutines() {
+                    // Round-robin 8 counters; each increments its slot 100
+                    // times with a yield between increments. Deep
+                    // interleaving must preserve per-coroutine program
+                    // order and isolation.
+                    let counts = Arc::new((0..8).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>());
+                    let mut cos: Vec<Coroutine> = (0..8)
+                        .map(|i| {
+                            let counts = Arc::clone(&counts);
+                            Coroutine::new(
+                                64 * 1024,
+                                Box::new(move || {
+                                    for _ in 0..100 {
+                                        counts[i].fetch_add(1, Ordering::SeqCst);
+                                        yield_now();
+                                    }
+                                }),
+                            )
+                        })
+                        .collect();
+                    let mut live = cos.len();
+                    while live > 0 {
+                        for co in cos.iter_mut() {
+                            if !co.is_done() && co.resume() == Status::Complete {
+                                live -= 1;
+                            }
                         }
-                    }),
-                )
-            })
-            .collect();
-        let mut live = cos.len();
-        while live > 0 {
-            for co in cos.iter_mut() {
-                if !co.is_done() && co.resume() == Status::Complete {
-                    live -= 1;
+                    }
+                    for c in counts.iter() {
+                        assert_eq!(c.load(Ordering::SeqCst), 100);
+                    }
+                }
+
+                #[test]
+                fn panic_inside_closure_is_caught_by_wrapper() {
+                    // Machine-style wrapper: catch_unwind inside the body.
+                    let caught = Arc::new(AtomicUsize::new(0));
+                    let c = Arc::clone(&caught);
+                    let mut co = Coroutine::new(
+                        64 * 1024,
+                        Box::new(move || {
+                            let r = std::panic::catch_unwind(|| panic!("boom"));
+                            if r.is_err() {
+                                c.store(1, Ordering::SeqCst);
+                            }
+                        }),
+                    );
+                    assert_eq!(co.resume(), Status::Complete);
+                    assert_eq!(caught.load(Ordering::SeqCst), 1);
+                }
+
+                #[test]
+                fn float_state_survives_switches() {
+                    // Callee-saved FP registers (d8–d15 on AArch64) must
+                    // round-trip through a yield; accumulate in a way the
+                    // compiler keeps in registers across the call.
+                    let out = Arc::new(Mutex::new(0.0f64));
+                    let o = Arc::clone(&out);
+                    let mut co = Coroutine::new(
+                        64 * 1024,
+                        Box::new(move || {
+                            let mut acc = 1.5f64;
+                            for i in 0..10 {
+                                acc = acc.mul_add(1.25, i as f64);
+                                yield_now();
+                            }
+                            *o.lock().unwrap() = acc;
+                        }),
+                    );
+                    let mut reference = 1.5f64;
+                    for i in 0..10 {
+                        reference = reference.mul_add(1.25, i as f64);
+                    }
+                    while co.resume() != Status::Complete {}
+                    assert_eq!(*out.lock().unwrap(), reference);
                 }
             }
-        }
-        for c in counts.iter() {
-            assert_eq!(c.load(Ordering::SeqCst), 100);
-        }
+        };
     }
 
-    #[test]
-    fn panic_inside_closure_is_caught_by_wrapper() {
-        // Engine-style wrapper: catch_unwind inside the coroutine.
-        let caught = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&caught);
-        let mut co = Coroutine::new(
-            64 * 1024,
-            Box::new(move || {
-                let r = std::panic::catch_unwind(|| panic!("boom"));
-                if r.is_err() {
-                    c.store(1, Ordering::SeqCst);
-                }
-            }),
-        );
-        assert_eq!(co.resume(), Status::Complete);
-        assert_eq!(caught.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn float_state_survives_switches() {
-        // Callee-saved FP registers (d8–d15 on AArch64) must round-trip
-        // through a yield; accumulate in a way the compiler keeps in
-        // registers across the call.
-        let out = Arc::new(Mutexed(std::sync::Mutex::new(0.0f64)));
-        let o = Arc::clone(&out);
-        let mut co = Coroutine::new(
-            64 * 1024,
-            Box::new(move || {
-                let mut acc = 1.5f64;
-                for i in 0..10 {
-                    acc = acc.mul_add(1.25, i as f64);
-                    yield_now();
-                }
-                *o.0.lock().unwrap() = acc;
-            }),
-        );
-        let mut reference = 1.5f64;
-        for i in 0..10 {
-            reference = reference.mul_add(1.25, i as f64);
-        }
-        while co.resume() != Status::Complete {}
-        assert_eq!(*out.0.lock().unwrap(), reference);
-    }
-
-    struct Mutexed(std::sync::Mutex<f64>);
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    backend_tests!(native);
+    backend_tests!(portable);
 }

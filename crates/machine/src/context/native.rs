@@ -1,0 +1,298 @@
+//! Native context backend: a private stack per rank and a callee-saved
+//! register switch, for the targets that have one written (x86_64 SysV and
+//! AArch64 AAPCS64).
+//!
+//! Suspending is a plain callee-saved context switch — no external crates,
+//! just two naked functions per architecture. The switch saves exactly
+//! what the respective ABI makes the callee responsible for (x86_64:
+//! `rbp rbx r12–r15` + `rsp`; AArch64: `x19–x28 x29 x30` + `d8–d15` +
+//! `sp`); everything else is caller-saved and already spilled by the
+//! compiler around the `ctx_switch` call.
+//!
+//! Safety model:
+//! * a coroutine is only ever resumed from the thread that created it, and
+//!   only one coroutine per thread runs at a time (strict alternation with
+//!   its scheduler), so no state is shared concurrently;
+//! * panics unwind *inside* the coroutine's own stack and are caught at
+//!   its outermost frame — unwinding never crosses the assembly frames;
+//! * stacks carry a canary word at their low end, checked after every
+//!   resume, so an overflow aborts loudly instead of corrupting a
+//!   neighbouring allocation.
+//!
+//! Stacks are deliberately allocated below the glibc mmap threshold by
+//! default (64 KiB), so a 10⁵-rank machine draws its stacks from the heap
+//! arena instead of creating 10⁵ distinct mappings (the kernel caps a
+//! process at `vm.max_map_count` mappings, typically 65530). Pages are
+//! committed lazily, so an idle rank costs only the few KiB it actually
+//! touches.
+
+use std::alloc::{self, Layout};
+use std::cell::Cell;
+
+use super::{run_body, Context, Status};
+
+/// Magic written at the lowest words of every coroutine stack and checked
+/// after each resume.
+const CANARY: u64 = 0xdead_5afe_57ac_ca11;
+
+#[cfg(target_arch = "x86_64")]
+mod arch {
+    use std::arch::naked_asm;
+
+    /// Save the callee-saved state on the current stack, store the stack
+    /// pointer to `*save`, and resume from the stack pointer in
+    /// `*restore`. Returns (into the restored context) when some other
+    /// context switches back.
+    #[unsafe(naked)]
+    pub(super) unsafe extern "sysv64" fn ctx_switch(_save: *mut usize, _restore: *const usize) {
+        naked_asm!(
+            "push rbp",
+            "push rbx",
+            "push r12",
+            "push r13",
+            "push r14",
+            "push r15",
+            "mov [rdi], rsp",
+            "mov rsp, [rsi]",
+            "pop r15",
+            "pop r14",
+            "pop r13",
+            "pop r12",
+            "pop rbx",
+            "pop rbp",
+            "ret",
+        )
+    }
+
+    /// First frame of every coroutine: `prepare` plants this as the `ret`
+    /// target of the initial `ctx_switch`, with the bootstrap argument in
+    /// the restored `r12`. Realigns the stack and calls the Rust entry
+    /// (which never returns; the trailing `ud2` enforces that).
+    #[unsafe(naked)]
+    unsafe extern "sysv64" fn trampoline() {
+        naked_asm!(
+            "mov rdi, r12",
+            "and rsp, -16",
+            "call {entry}",
+            "ud2",
+            entry = sym super::coroutine_entry,
+        )
+    }
+
+    /// Lay out the bootstrap frame below `top` (16-aligned) so the first
+    /// `ctx_switch` into it pops zeros into the callee-saved registers
+    /// (except `r12` = `arg`) and returns into `trampoline`.
+    pub(super) unsafe fn prepare(top: *mut usize, arg: *mut u8) -> usize {
+        unsafe {
+            let mut sp = top;
+            sp = sp.sub(1);
+            *sp = trampoline as *const () as usize; // ret target
+            sp = sp.sub(1);
+            *sp = 0; // rbp
+            sp = sp.sub(1);
+            *sp = 0; // rbx
+            sp = sp.sub(1);
+            *sp = arg as usize; // r12 — bootstrap argument
+            sp = sp.sub(1);
+            *sp = 0; // r13
+            sp = sp.sub(1);
+            *sp = 0; // r14
+            sp = sp.sub(1);
+            *sp = 0; // r15
+            sp as usize
+        }
+    }
+}
+
+#[cfg(target_arch = "aarch64")]
+mod arch {
+    use std::arch::naked_asm;
+
+    /// AArch64 twin of the x86_64 switch: saves `x19–x28`, the frame
+    /// pointer/link register pair, and the low halves of `v8–v15` (the
+    /// callee-saved SIMD state), swaps `sp`, and returns via the restored
+    /// `x30`.
+    #[unsafe(naked)]
+    pub(super) unsafe extern "C" fn ctx_switch(_save: *mut usize, _restore: *const usize) {
+        naked_asm!(
+            "sub sp, sp, #160",
+            "stp x19, x20, [sp, #0]",
+            "stp x21, x22, [sp, #16]",
+            "stp x23, x24, [sp, #32]",
+            "stp x25, x26, [sp, #48]",
+            "stp x27, x28, [sp, #64]",
+            "stp x29, x30, [sp, #80]",
+            "stp d8, d9, [sp, #96]",
+            "stp d10, d11, [sp, #112]",
+            "stp d12, d13, [sp, #128]",
+            "stp d14, d15, [sp, #144]",
+            "mov x9, sp",
+            "str x9, [x0]",
+            "ldr x9, [x1]",
+            "mov sp, x9",
+            "ldp x19, x20, [sp, #0]",
+            "ldp x21, x22, [sp, #16]",
+            "ldp x23, x24, [sp, #32]",
+            "ldp x25, x26, [sp, #48]",
+            "ldp x27, x28, [sp, #64]",
+            "ldp x29, x30, [sp, #80]",
+            "ldp d8, d9, [sp, #96]",
+            "ldp d10, d11, [sp, #112]",
+            "ldp d12, d13, [sp, #128]",
+            "ldp d14, d15, [sp, #144]",
+            "add sp, sp, #160",
+            "ret",
+        )
+    }
+
+    /// First frame: the bootstrap argument travels in the restored `x19`.
+    #[unsafe(naked)]
+    unsafe extern "C" fn trampoline() {
+        naked_asm!(
+            "mov x0, x19",
+            "bl {entry}",
+            "brk #0x1",
+            entry = sym super::coroutine_entry,
+        )
+    }
+
+    /// One 160-byte register frame below `top`: `x19` slot = `arg`, `x30`
+    /// (link register) slot = `trampoline`, everything else zero. After
+    /// the restoring `ctx_switch` pops it, `sp == top` (16-aligned, as
+    /// AArch64 requires at all times).
+    pub(super) unsafe fn prepare(top: *mut usize, arg: *mut u8) -> usize {
+        unsafe {
+            let sp = (top as *mut u8).sub(160) as *mut usize;
+            std::ptr::write_bytes(sp, 0, 20);
+            *sp = arg as usize; // x19 — bootstrap argument
+            *sp.add(11) = trampoline as usize; // x30 — ret target
+            sp as usize
+        }
+    }
+}
+
+/// A heap-allocated coroutine stack with a canary at its low end.
+struct Stack {
+    ptr: *mut u8,
+    layout: Layout,
+}
+
+impl Stack {
+    fn new(size: usize) -> Stack {
+        let size = size.max(16 * 1024) & !15;
+        let layout = Layout::from_size_align(size, 16).expect("stack layout");
+        let ptr = unsafe { alloc::alloc(layout) };
+        if ptr.is_null() {
+            alloc::handle_alloc_error(layout);
+        }
+        unsafe { (ptr as *mut u64).write(CANARY) };
+        Stack { ptr, layout }
+    }
+
+    /// One past the highest usable word (stacks grow downward).
+    fn top(&self) -> *mut usize {
+        unsafe { self.ptr.add(self.layout.size()) as *mut usize }
+    }
+
+    fn canary_intact(&self) -> bool {
+        unsafe { (self.ptr as *const u64).read() == CANARY }
+    }
+}
+
+impl Drop for Stack {
+    fn drop(&mut self) {
+        unsafe { alloc::dealloc(self.ptr, self.layout) };
+    }
+}
+
+/// Shared switch state between a coroutine and its scheduler. Boxed so
+/// its address is stable while both sides hold raw pointers to it.
+struct Inner {
+    /// Scheduler-side stack pointer, live while the coroutine runs.
+    sched_sp: usize,
+    /// Coroutine-side stack pointer, live while it is suspended.
+    coro_sp: usize,
+    done: bool,
+    /// The rank body; taken by `coroutine_entry` on first resume.
+    closure: Option<Box<dyn FnOnce() + Send>>,
+}
+
+thread_local! {
+    /// The coroutine currently running on this thread (null in scheduler
+    /// context). A stack of one: nested machines save and restore it
+    /// around their own resumes.
+    static CURRENT: Cell<*mut Inner> = const { Cell::new(std::ptr::null_mut()) };
+}
+
+/// Rust-side first frame of every coroutine, called by the architecture
+/// trampoline on the coroutine's own stack. Runs the closure and switches
+/// back to the scheduler for the last time.
+extern "C" fn coroutine_entry(inner: *mut Inner) -> ! {
+    run_body(unsafe { (*inner).closure.take().expect("coroutine entered twice") });
+    unsafe {
+        (*inner).done = true;
+        arch::ctx_switch(&mut (*inner).coro_sp, &(*inner).sched_sp);
+    }
+    // The scheduler never resumes a completed coroutine.
+    std::process::abort();
+}
+
+/// A suspended rank: its private stack plus the saved switch state.
+pub(crate) struct Coroutine {
+    stack: Stack,
+    inner: Box<Inner>,
+    started: bool,
+}
+
+impl Context for Coroutine {
+    fn new(stack_bytes: usize, body: Box<dyn FnOnce() + Send>) -> Coroutine {
+        Coroutine {
+            stack: Stack::new(stack_bytes),
+            inner: Box::new(Inner {
+                sched_sp: 0,
+                coro_sp: 0,
+                done: false,
+                closure: Some(body),
+            }),
+            started: false,
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        self.inner.done
+    }
+
+    fn resume(&mut self) -> Status {
+        assert!(!self.inner.done, "resume of a completed coroutine");
+        let inner: *mut Inner = &mut *self.inner;
+        if !self.started {
+            self.started = true;
+            self.inner.coro_sp = unsafe { arch::prepare(self.stack.top(), inner as *mut u8) };
+        }
+        let prev = CURRENT.with(|c| c.replace(inner));
+        unsafe { arch::ctx_switch(&mut (*inner).sched_sp, &(*inner).coro_sp) };
+        CURRENT.with(|c| c.set(prev));
+        assert!(
+            self.stack.canary_intact(),
+            "a simulated rank overflowed its coroutine stack; raise it with \
+             Machine::with_rank_stack_kb"
+        );
+        if self.inner.done {
+            Status::Complete
+        } else {
+            Status::Yielded
+        }
+    }
+}
+
+/// Suspend the coroutine running on this thread, if one is, and return
+/// `true` once the scheduler has resumed it; `false` when this thread is
+/// not inside a native coroutine.
+pub(super) fn yield_current() -> bool {
+    let inner = CURRENT.with(|c| c.get());
+    if inner.is_null() {
+        return false;
+    }
+    unsafe { arch::ctx_switch(&mut (*inner).coro_sp, &(*inner).sched_sp) };
+    true
+}

@@ -2,7 +2,7 @@
 //! graph, a metrics snapshot, and the wall-clock flight recording are
 //! written to one JSON artifact.
 //!
-//! The watchdog's [`DeadlockInfo`](crate::DeadlockInfo) already says
+//! The scheduler's [`DeadlockInfo`](crate::DeadlockInfo) already says
 //! *who* was blocked on *whom*; the dump adds *what the process was
 //! actually doing* — every registered `syrk_*` counter and, when the
 //! [flight recorder](syrk_telemetry::flight) was enabled, the wall-clock
@@ -124,7 +124,6 @@ fn error_kind(err: &MachineError) -> &'static str {
         MachineError::RankCrashed { .. } => "rank_crashed",
         MachineError::RankPanicked { .. } => "rank_panicked",
         MachineError::PeerFailed { .. } => "peer_failed",
-        MachineError::RecvTimeout { .. } => "recv_timeout",
         MachineError::DataCorruption { .. } => "data_corruption",
         MachineError::TypeMismatch { .. } => "type_mismatch",
     }

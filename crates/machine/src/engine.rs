@@ -1,21 +1,21 @@
-//! The discrete-event engine: a single-threaded scheduler that advances
-//! rank coroutines in deterministic α-β-γ clock order.
+//! The discrete-event scheduler: a single loop that advances the ranks
+//! in deterministic α-β-γ clock order.
 //!
-//! The threaded runner simulates `P` ranks with `P` OS threads, which
-//! caps experiments at tens of ranks. This engine runs the same SPMD
-//! closures as stackful coroutines (see [`crate::context`]) driven by one
-//! event loop: a min-heap of runnable ranks keyed by `(clock, rank)`.
-//! Each pop resumes one rank, which runs until it blocks in a receive
-//! (registering itself in [`EventState::blocked`] and yielding) or its
-//! closure returns. Sends never block — delivery is a queue push into the
-//! destination's inbox — and a send to a blocked destination moves it to
-//! the wake list, from which the scheduler re-heaps it at its current
-//! clock. A 10⁵-rank 2D SYRK run therefore fits in one process: memory
-//! is bounded by the coroutine stacks plus in-flight envelopes, not by
+//! Every rank's SPMD closure runs as a suspendable context (see
+//! [`crate::context`]) driven by one event loop: a min-heap of runnable
+//! ranks keyed by `(clock, rank)`. Each pop resumes one rank, which runs
+//! until it blocks in a receive (registering itself in
+//! [`EventState::blocked`] and yielding) or its closure returns. Sends
+//! never block — delivery is a queue push into the destination's inbox —
+//! and a send to a blocked destination moves it to the wake list, from
+//! which the scheduler re-heaps it at its current clock. With the native
+//! context backend a 10⁵-rank 2D SYRK run therefore fits in one process:
+//! memory is bounded by the rank stacks plus in-flight envelopes, not by
 //! OS threads.
 //!
-//! **Determinism.** The loop is single-threaded and its only ordering
-//! input is the heap key `(clock.to_bits(), rank)` — `f64::to_bits` is
+//! **Determinism.** Exactly one of scheduler and rank runs at any moment,
+//! on either context backend, and the loop's only ordering input is the
+//! heap key `(clock.to_bits(), rank)` — `f64::to_bits` is
 //! order-preserving for the non-negative clocks the cost model produces,
 //! and ties break by rank. Given the same machine configuration the
 //! resume order, and hence every rank's observed message order, is a pure
@@ -23,23 +23,19 @@
 //! order: envelopes between a pair of ranks stay FIFO per link, and the
 //! receive loop matches on `(src, tag)`, so cross-link interleaving only
 //! changes which envelopes sit in `pending` — never what a receive
-//! returns. That is the equivalence argument with the threaded engine,
-//! asserted bitwise by the differential tests (`tests/engine_equivalence.rs`).
+//! returns. `tests/engine_equivalence.rs` pins the outcome.
 //!
-//! **Exact deadlock detection.** The watchdog's grace window exists
-//! because OS threads cannot see each other's instantaneous state. Here
-//! the scheduler *is* the global state: an empty ready heap with live
-//! ranks means every live rank is blocked with nothing in flight to wake
-//! it — that configuration is the deadlock, detected exactly and
-//! immediately. The wait-for graph is snapshotted with the same code path
-//! as the watchdog, so `DeadlockInfo` is identical across engines.
+//! **Exact deadlock detection.** The scheduler *is* the global state: an
+//! empty ready heap with live ranks means every live rank is blocked with
+//! nothing in flight to wake it — that configuration is the deadlock,
+//! detected exactly and immediately, with no timeout and no grace window.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::comm::World;
-use crate::context::{Coroutine, Status};
+use crate::context::{Context, Status};
 use crate::envelope::Envelope;
 use crate::error::MachineError;
 use crate::sync::Mutex;
@@ -49,16 +45,14 @@ static RESUMES: LazyCounter = LazyCounter::new("syrk_engine_resumes");
 static WAKES: LazyCounter = LazyCounter::new("syrk_engine_wakes");
 static EVENT_RUNS: LazyCounter = LazyCounter::new("syrk_engine_event_runs");
 
-/// Per-run fabric state of the event engine, owned by the [`World`] when
-/// the machine runs on this engine (`world.event.is_some()` is the
-/// engine discriminant throughout `comm.rs`).
+/// Per-run fabric state of the scheduler, owned by the [`World`].
 ///
-/// The fields are behind mutexes/atomics only so `World` stays `Sync`
-/// (the threaded engine shares the type); under the event engine exactly
-/// one rank runs at a time, so every lock is uncontended.
+/// The fields are behind mutexes/atomics so `World` is `Sync` (the
+/// portable context backend runs each rank on a thread of its own);
+/// exactly one rank runs at a time, so every lock is uncontended.
 pub(crate) struct EventState {
-    /// Per-rank incoming envelope queues (the event-engine analogue of
-    /// the per-rank mpsc channels).
+    /// Per-rank incoming envelope queues. An inbox outlives its rank's
+    /// closure, so delivery cannot fail.
     pub(crate) inboxes: Vec<Mutex<VecDeque<Envelope>>>,
     /// `blocked[r]` is set by rank `r` just before it yields out of a
     /// blocking receive, and cleared by whoever schedules it again.
@@ -94,11 +88,10 @@ impl EventState {
     }
 }
 
-/// Scheduler-side deadlock declaration: the event-loop analogue of the
-/// watchdog's `declare_deadlock`, sharing its wait-for-graph snapshot so
-/// both engines report the identical [`DeadlockInfo`](crate::DeadlockInfo).
-/// A lost CAS means some rank already failed — the stalled configuration
-/// is then an abort cascade, not a deadlock, and the first error stands.
+/// Declare the deadlock: raise the abort flag and record the wait-for
+/// graph as the run's first error. A lost CAS means some rank already
+/// failed — the stalled configuration is then an abort cascade, not a
+/// deadlock, and the first error stands.
 fn declare_deadlock(world: &World) {
     if world
         .aborted
@@ -115,16 +108,15 @@ fn declare_deadlock(world: &World) {
     }
 }
 
-/// Run every coroutine to completion in deterministic clock order.
+/// Run every rank to completion in deterministic clock order.
 ///
-/// Invariant on exit: all coroutines are done — even under failures,
+/// Invariant on exit: all contexts are done — even under failures,
 /// blocked ranks are woken to observe the abort flag and unwind through
-/// their own error paths, exactly like threaded ranks do. Callers rely on
-/// this to drop the coroutines (and the borrows captured in them) before
-/// touching the world again.
-pub(crate) fn drive(world: &World, coroutines: &mut [Coroutine]) {
+/// their own error paths. Callers rely on this to drop the contexts (and
+/// the borrows captured in them) before touching the world again.
+pub(crate) fn drive<C: Context>(world: &World, coroutines: &mut [C]) {
     EVENT_RUNS.inc();
-    let ev = world.event.as_ref().expect("drive needs an event world");
+    let ev = &world.event;
     let mut live = coroutines.len();
     // Min-heap on (clock bits, rank): non-negative clocks compare by bits,
     // ties resolve to the lowest rank. Every rank starts runnable at 0.

@@ -130,9 +130,9 @@ pub(crate) struct Envelope {
 
 impl Envelope {
     /// Whether this envelope satisfies a receive posted for `(src, tag)`.
-    /// The single matching predicate of both engines' receive loops —
-    /// keeping it in one place is part of the cross-engine equivalence
-    /// argument (see `crate::engine`).
+    /// The single matching predicate of the receive loop and its pending
+    /// queue (see `crate::engine` for why the match alone decides what a
+    /// receive returns).
     pub(crate) fn matches(&self, src_world: usize, tag: (u64, u64)) -> bool {
         self.src == src_world && self.tag == tag
     }

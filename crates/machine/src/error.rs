@@ -4,8 +4,8 @@
 //! arguments, unbalanced phase pops, out-of-range ranks — these stay
 //! panics, as in MPI debug builds) from *runtime failures* that a robust
 //! caller may want to observe and handle: a crashed or panicked peer, a
-//! deadlocked communication pattern, a receive that timed out, or a
-//! payload whose type does not match the receive. The latter are
+//! deadlocked communication pattern, or a payload whose type does not
+//! match the receive. The latter are
 //! [`MachineError`]s, produced by the `try_*` APIs on
 //! [`Comm`](crate::Comm) and [`Machine::try_run`](crate::Machine::try_run).
 
@@ -40,11 +40,12 @@ impl fmt::Display for WaitEdge {
     }
 }
 
-/// Wait-for-graph diagnostic produced by the deadlock watchdog: one edge
-/// per blocked rank, plus the set of ranks that had already finished.
+/// Wait-for-graph diagnostic produced by the scheduler when no rank can
+/// run: one edge per blocked rank, plus the set of ranks that had already
+/// finished.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeadlockInfo {
-    /// One wait-for edge per rank that was blocked when the watchdog fired.
+    /// One wait-for edge per rank that was blocked when the run stalled.
     pub edges: Vec<WaitEdge>,
     /// Ranks that had already returned from the SPMD closure.
     pub finished: Vec<usize>,
@@ -71,7 +72,7 @@ impl fmt::Display for DeadlockInfo {
 #[derive(Debug, Clone, PartialEq)]
 pub enum MachineError {
     /// Every live rank was blocked in a receive with no message in flight;
-    /// the watchdog aborted the run instead of hanging.
+    /// the scheduler aborted the run instead of hanging.
     Deadlock(DeadlockInfo),
     /// A rank was killed by an injected crash fault
     /// (see [`FaultPlan::crash_rank`](crate::FaultPlan::crash_rank)).
@@ -93,17 +94,6 @@ pub enum MachineError {
     PeerFailed {
         /// World rank that observed the failure.
         rank: usize,
-    },
-    /// A blocking receive saw no matching message within the machine's
-    /// timeout (the coarse fallback when the watchdog cannot fire, e.g.
-    /// one rank is stuck in local compute).
-    RecvTimeout {
-        /// World rank whose receive timed out.
-        rank: usize,
-        /// World rank it was receiving from.
-        src: usize,
-        /// `(communicator id, user tag)` being matched.
-        tag: (u64, u64),
     },
     /// A rank's output failed an algorithm-level checksum verification
     /// (ABFT): the run produced data, but the data is wrong. Unlike a
@@ -147,9 +137,6 @@ impl fmt::Display for MachineError {
                     f,
                     "rank {rank}: output failed checksum verification: {detail}"
                 )
-            }
-            MachineError::RecvTimeout { rank, src, tag } => {
-                write!(f, "rank {rank}: recv from {src} tag {tag:?} timed out")
             }
             MachineError::TypeMismatch { rank, src, tag } => {
                 write!(

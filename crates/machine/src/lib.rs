@@ -11,12 +11,12 @@
 //! * collectives (`All-to-All`, `Reduce-Scatter`) use pairwise-exchange
 //!   algorithms with latency `P − 1` and bandwidth `(1 − 1/P)·w`.
 //!
-//! [`Machine::run`] executes an SPMD closure on every rank — by default
-//! as cooperatively scheduled coroutines on a deterministic discrete-event
-//! loop (scaling to 10⁵ ranks in one process), or with one OS thread per
-//! rank (`SYRK_MACHINE_ENGINE=threaded`); ranks communicate through
-//! [`Comm`] (typed point-to-point, MPI-style collectives,
-//! sub-communicators). All data movement is *real* — the
+//! [`Machine::run`] executes an SPMD closure on every rank, as
+//! cooperatively scheduled contexts on a deterministic discrete-event
+//! loop (scaling to 10⁵ ranks in one process where the target has a
+//! native context switch); ranks communicate through [`Comm`] (typed
+//! point-to-point, MPI-style collectives, sub-communicators). All data
+//! movement is *real* — the
 //! algorithms built on top compute actual numerical results — and every
 //! word is metered, so measured communication can be compared directly
 //! against the paper's lower bounds.
@@ -76,6 +76,6 @@ pub use envelope::Payload;
 pub use error::{DeadlockInfo, MachineError, WaitEdge};
 pub use export::{chrome_trace_json, chrome_trace_json_with_wall, timelines_csv};
 pub use fault::FaultPlan;
-pub use machine::{force_engine, EngineKind, ForcedEngineGuard, Machine, RunOutput};
+pub use machine::{EngineKind, Machine, RunOutput};
 pub use topology::{GridComms, ProcessGrid};
 pub use trace::{Event, EventKind, Timeline};

@@ -1,147 +1,41 @@
 //! The SPMD runner: executes the user closure on every simulated rank and
 //! collects results plus the cost report.
 //!
-//! Two interchangeable engines sit behind [`Machine::run`]/[`Machine::try_run`]:
-//!
-//! * **Threaded** — one OS thread per rank over an mpsc fabric. Simple and
-//!   truly concurrent, but capped at tens-to-hundreds of ranks by thread
-//!   cost, and its deadlock detection is a grace-window watchdog.
-//! * **Event** — every rank is a stackful coroutine (see [`crate::context`])
-//!   advanced by a single-threaded discrete-event loop in deterministic
-//!   α-β-γ clock order (see [`crate::engine`]). 10⁴–10⁵-rank runs fit in
-//!   one process, and deadlock detection is exact: an empty ready queue
-//!   with live ranks *is* the deadlock.
-//!
-//! Selection, highest precedence first: [`Machine::with_engine`], the
-//! in-process [`force_engine`] override, the `SYRK_MACHINE_ENGINE`
-//! environment variable (`threaded` | `event`), then the default — the
-//! event engine wherever its context switch is implemented (x86_64,
-//! aarch64), threaded elsewhere. Both engines produce bitwise-identical
-//! results, costs, phase tables, and traces for the same configuration
-//! (asserted by `tests/engine_equivalence.rs`).
+//! Every rank is a suspendable context (see [`crate::context`]) advanced
+//! by one discrete-event loop in deterministic α-β-γ clock order (see
+//! [`crate::engine`]). With the native context switch 10⁴–10⁵-rank runs
+//! fit in one process, and deadlock detection is exact: an empty ready
+//! queue with live ranks *is* the deadlock.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
-
-use crate::sync::{channel::unbounded, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::comm::{Comm, World};
-use crate::context::Coroutine;
+use crate::context::{Context, Coroutine};
 use crate::cost::{CostModel, CostReport, RankLedger};
 use crate::engine::EventState;
 use crate::error::MachineError;
 use crate::fault::FaultPlan;
+use crate::sync::Mutex;
 
-/// Which runner executes the simulated ranks. See the module docs for
-/// the trade-offs; results are identical on both.
+/// The scheduler's name for the `syrkbench` host fingerprint
+/// (`benchmark/src/host.rs`), which is the only caller of
+/// [`Machine::selected_engine`]; there is nothing to select. Goes when the
+/// harness stops asking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// One OS thread per rank (the legacy runner).
-    Threaded,
-    /// Cooperatively scheduled coroutines on a discrete-event loop.
+    /// Cooperatively scheduled ranks on the discrete-event loop.
     Event,
 }
 
 impl EngineKind {
-    /// Lower-case name, matching the `SYRK_MACHINE_ENGINE` values.
+    /// Lower-case name.
     pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Threaded => "threaded",
-            EngineKind::Event => "event",
-        }
+        "event"
     }
-}
-
-/// In-process engine override: 0 = unset, 1 = threaded, 2 = event.
-/// Process-wide like the ISA and thread-budget overrides, because
-/// algorithms construct machines internally where no builder is
-/// reachable.
-static ENGINE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// RAII guard restoring the previous in-process engine override on drop.
-#[must_use = "the engine override is restored when the guard drops"]
-#[derive(Debug)]
-pub struct ForcedEngineGuard {
-    prev: u8,
-}
-
-impl Drop for ForcedEngineGuard {
-    fn drop(&mut self) {
-        ENGINE_OVERRIDE.store(self.prev, Ordering::Relaxed);
-    }
-}
-
-/// Pin every machine constructed until the guard drops to `kind` — the
-/// in-process analogue of `SYRK_MACHINE_ENGINE`, used by the differential
-/// engine tests (algorithms build their machines internally, so an env
-/// variable cached per process could not switch engines between tests).
-/// An explicit [`Machine::with_engine`] still wins. Process-wide and
-/// last-writer-wins under concurrent guards; both engines compute
-/// identical results, so the override affects scale and scheduling,
-/// never correctness.
-pub fn force_engine(kind: EngineKind) -> ForcedEngineGuard {
-    if kind == EngineKind::Event {
-        // Runtime guard, not a compile-time one: unsupported targets
-        // must still build and run the threaded engine.
-        #[allow(clippy::assertions_on_constants)]
-        {
-            assert!(
-                crate::context::SUPPORTED,
-                "force_engine: the event engine is not supported on this target"
-            );
-        }
-    }
-    let code = match kind {
-        EngineKind::Threaded => 1,
-        EngineKind::Event => 2,
-    };
-    let prev = ENGINE_OVERRIDE.swap(code, Ordering::Relaxed);
-    ForcedEngineGuard { prev }
-}
-
-/// `SYRK_MACHINE_ENGINE`, parsed once per process. Invalid values are a
-/// hard error — a typo silently falling back to the default engine would
-/// publish benchmark numbers for the wrong runner.
-fn env_engine() -> Option<EngineKind> {
-    static ENV_ENGINE: OnceLock<Option<EngineKind>> = OnceLock::new();
-    *ENV_ENGINE.get_or_init(|| {
-        let value = std::env::var("SYRK_MACHINE_ENGINE").ok()?;
-        let kind = match value.as_str() {
-            "threaded" => EngineKind::Threaded,
-            "event" => EngineKind::Event,
-            _ => panic!(
-                "SYRK_MACHINE_ENGINE: unknown engine {value:?} \
-                 (valid values: threaded, event)"
-            ),
-        };
-        if kind == EngineKind::Event {
-            #[allow(clippy::assertions_on_constants)]
-            {
-                assert!(
-                    crate::context::SUPPORTED,
-                    "SYRK_MACHINE_ENGINE=event: the event engine is not supported on this target"
-                );
-            }
-        }
-        Some(kind)
-    })
-}
-
-/// `SYRK_MACHINE_STACK_KB`, parsed once per process: per-rank coroutine
-/// stack size for the event engine, in KiB.
-fn env_stack_kb() -> Option<usize> {
-    static ENV_STACK: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV_STACK.get_or_init(|| {
-        let value = std::env::var("SYRK_MACHINE_STACK_KB").ok()?;
-        match value.parse::<usize>() {
-            Ok(kb) if kb >= 16 => Some(kb),
-            _ => panic!("SYRK_MACHINE_STACK_KB: expected an integer >= 16 (KiB), got {value:?}"),
-        }
-    })
 }
 
 /// Output of one machine run: the per-rank results of the SPMD closure and
@@ -175,12 +69,9 @@ pub struct RunOutput<R> {
 pub struct Machine {
     size: usize,
     model: CostModel,
-    timeout: Duration,
-    watchdog: Duration,
     faults: Option<FaultPlan>,
     tracing: bool,
     failure_dump: Option<PathBuf>,
-    engine: Option<EngineKind>,
     rank_stack_kb: Option<usize>,
 }
 
@@ -195,17 +86,20 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Erase the borrow lifetimes of a coroutine body so it can be stored in
-/// a [`Coroutine`].
+/// Erase the borrow lifetimes of a rank body so it can be stored in a
+/// [`Context`].
 ///
 /// # Safety
 ///
-/// Sound only because `try_run_event` drives every coroutine to
-/// completion (the engine's exit invariant, upheld even under failures
-/// via the abort wake-all) and drops the coroutine vector before the
-/// borrowed locals — the closure can neither run nor be dropped after
-/// its borrows end.
-unsafe fn erase_lifetime<'a>(b: Box<dyn FnOnce() + 'a>) -> Box<dyn FnOnce() + 'static> {
+/// Sound only because `try_run_on` drives every context to completion
+/// (the scheduler's exit invariant, upheld even under failures via the
+/// abort wake-all) and drops the context vector before the borrowed
+/// locals — the closure can neither run nor be dropped after its borrows
+/// end. A portable context consumes its body on the rank's thread before
+/// it reports completion.
+unsafe fn erase_lifetime<'a>(
+    b: Box<dyn FnOnce() + Send + 'a>,
+) -> Box<dyn FnOnce() + Send + 'static> {
     unsafe { std::mem::transmute(b) }
 }
 
@@ -217,12 +111,9 @@ impl Machine {
         Machine {
             size,
             model: CostModel::bandwidth_only(),
-            timeout: Duration::from_secs(120),
-            watchdog: Duration::from_secs(2),
             faults: None,
             tracing: false,
             failure_dump: None,
-            engine: None,
             rank_stack_kb: None,
         }
     }
@@ -250,44 +141,14 @@ impl Machine {
         self
     }
 
-    /// Set the deadlock-detection timeout for blocking receives (the
-    /// coarse per-receive fallback under the threaded engine; the
-    /// watchdog usually fires first, and the event engine detects
-    /// deadlocks exactly without either).
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Set the watchdog grace window for the threaded engine: when every
-    /// live rank has been blocked in a receive with no message delivered
-    /// machine-wide for this long, the run aborts with a wait-for-graph
-    /// [`MachineError::Deadlock`] instead of hanging. The event engine
-    /// needs no grace window — it reports the identical diagnostic the
-    /// moment the stalled configuration arises.
-    pub fn with_watchdog(mut self, grace: Duration) -> Self {
-        self.watchdog = grace;
-        self
-    }
-
     /// Install a deterministic fault-injection plan for the run.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
     }
 
-    /// Pin this machine to `kind`, overriding [`force_engine`] and
-    /// `SYRK_MACHINE_ENGINE`. Panics (at run time) if the event engine is
-    /// requested on a target without a context switch.
-    pub fn with_engine(mut self, kind: EngineKind) -> Self {
-        self.engine = Some(kind);
-        self
-    }
-
-    /// Set the per-rank coroutine stack size for the event engine, in
-    /// KiB (min 16). Overrides `SYRK_MACHINE_STACK_KB` and the size-based
-    /// default. Ignored by the threaded engine, whose ranks use OS thread
-    /// stacks.
+    /// Set the per-rank stack size, in KiB (min 16), overriding the
+    /// size-based default: 256 KiB up to 4096 ranks, 64 KiB above.
     pub fn with_rank_stack_kb(mut self, kb: usize) -> Self {
         assert!(kb >= 16, "with_rank_stack_kb: need at least 16 KiB");
         self.rank_stack_kb = Some(kb);
@@ -299,83 +160,51 @@ impl Machine {
         self.size
     }
 
-    /// The engine this machine will run on, after applying the full
-    /// precedence chain: [`with_engine`](Machine::with_engine), then
-    /// [`force_engine`], then `SYRK_MACHINE_ENGINE`, then the platform
-    /// default (event where supported).
+    /// Always [`EngineKind::Event`]. The `syrkbench` host fingerprint is
+    /// the only caller.
     pub fn selected_engine(&self) -> EngineKind {
-        if let Some(kind) = self.engine {
-            return kind;
-        }
-        match ENGINE_OVERRIDE.load(Ordering::Relaxed) {
-            1 => return EngineKind::Threaded,
-            2 => return EngineKind::Event,
-            _ => {}
-        }
-        if let Some(kind) = env_engine() {
-            return kind;
-        }
-        if crate::context::SUPPORTED {
-            EngineKind::Event
-        } else {
-            EngineKind::Threaded
-        }
+        EngineKind::Event
     }
 
-    /// How many ranks execute simultaneously under the selected engine:
-    /// `size` on the threaded engine (one OS thread each), 1 on the
-    /// event engine (cooperative, one at a time). Algorithms derive
-    /// their per-rank kernel thread budget from this — an event-engine
-    /// rank may use the whole host for local compute because no other
-    /// rank computes concurrently.
+    /// How many ranks execute simultaneously: 1 — the scheduler runs one
+    /// rank at a time, so a rank may use the whole host for local compute.
+    /// The `syrkbench` replay (`benchmark/src/replay.rs`) is the only
+    /// caller.
     pub fn concurrent_ranks(&self) -> usize {
-        match self.selected_engine() {
-            EngineKind::Threaded => self.size,
-            EngineKind::Event => 1,
-        }
+        1
     }
 
-    /// Per-rank coroutine stack in bytes: the builder override, else
-    /// `SYRK_MACHINE_STACK_KB`, else 256 KiB for small machines (panic
-    /// formatting and backtraces want headroom) dropping to 64 KiB past
-    /// 4096 ranks — below the allocator's mmap threshold, so huge
-    /// machines draw stacks from the heap arena instead of exhausting
-    /// the kernel's mapping budget (`vm.max_map_count`).
+    /// Per-rank stack in bytes: the builder override, else 256 KiB for
+    /// small machines (panic formatting and backtraces want headroom)
+    /// dropping to 64 KiB past 4096 ranks — below the allocator's mmap
+    /// threshold, so huge machines draw stacks from the heap arena instead
+    /// of exhausting the kernel's mapping budget (`vm.max_map_count`).
     fn rank_stack_bytes(&self) -> usize {
         let kb = self
             .rank_stack_kb
-            .or_else(env_stack_kb)
             .unwrap_or(if self.size <= 4096 { 256 } else { 64 });
         kb * 1024
     }
 
-    /// The shared world state, minus the engine-specific fabric.
-    fn build_world(
-        &self,
-        senders: Vec<crate::sync::channel::Sender<crate::envelope::Envelope>>,
-        event: Option<EventState>,
-    ) -> World {
+    /// The shared state of one run.
+    fn build_world(&self) -> World {
         let p = self.size;
         World {
             size: p,
             model: self.model,
-            senders,
             costs: (0..p).map(|_| Mutex::new(RankLedger::default())).collect(),
-            timeout: self.timeout,
             poisoned: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
             first_error: Mutex::new(None),
             waiting: (0..p).map(|_| Mutex::new(None)).collect(),
             finished: (0..p).map(|_| AtomicBool::new(false)).collect(),
-            progress: AtomicU64::new(0),
-            watchdog: self.watchdog,
             ops: (0..p).map(|_| AtomicU64::new(0)).collect(),
             crashed: Mutex::new(Vec::new()),
             faults: self.faults.clone(),
             traces: self
                 .tracing
                 .then(|| (0..p).map(|_| Mutex::new(Vec::new())).collect()),
-            event,
+            event: EventState::new(p),
         }
     }
 
@@ -421,113 +250,41 @@ impl Machine {
         R: Send,
         F: Fn(Comm) -> Result<R, MachineError> + Sync,
     {
-        match self.selected_engine() {
-            EngineKind::Threaded => self.try_run_threaded(f),
-            EngineKind::Event => self.try_run_event(f),
-        }
+        self.try_run_on::<Coroutine, R, F>(f)
     }
 
-    /// The legacy runner: one OS thread per rank over the mpsc fabric.
-    fn try_run_threaded<R, F>(&self, f: F) -> Result<RunOutput<R>, MachineError>
+    /// [`try_run`](Machine::try_run) on context backend `C`: one context
+    /// per rank, advanced by the scheduler in deterministic clock order.
+    fn try_run_on<C, R, F>(&self, f: F) -> Result<RunOutput<R>, MachineError>
     where
+        C: Context,
         R: Send,
         F: Fn(Comm) -> Result<R, MachineError> + Sync,
     {
         let p = self.size;
-        let mut senders = Vec::with_capacity(p);
-        let mut receivers = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let world = Arc::new(self.build_world(senders, None));
-        let group: Arc<Vec<usize>> = Arc::new((0..p).collect());
-
-        let results: Vec<Option<R>> = std::thread::scope(|s| {
-            receivers
-                .into_iter()
-                .enumerate()
-                .map(|(rank, rx)| {
-                    let world = Arc::clone(&world);
-                    let group = Arc::clone(&group);
-                    let f = &f;
-                    s.spawn(move || {
-                        let comm = Comm::new_world(Arc::clone(&world), rank, Some(rx), group);
-                        let r = panic::catch_unwind(AssertUnwindSafe(|| f(comm)));
-                        let out = match r {
-                            Ok(Ok(v)) => Some(v),
-                            Ok(Err(e)) => {
-                                world.record_error(rank, e);
-                                None
-                            }
-                            Err(payload) => {
-                                // Record the originating failure *before*
-                                // raising the flags, so ranks that abort in
-                                // cascade can never claim the first-error
-                                // slot.
-                                world.record_error(
-                                    rank,
-                                    MachineError::RankPanicked {
-                                        rank,
-                                        message: panic_message(payload.as_ref()),
-                                    },
-                                );
-                                world.poisoned.store(true, Ordering::SeqCst);
-                                None
-                            }
-                        };
-                        world.finished[rank].store(true, Ordering::SeqCst);
-                        out
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("rank thread died outside catch_unwind"))
-                .collect()
-        });
-
-        self.collect(world, results)
-    }
-
-    /// The discrete-event runner: rank coroutines on one scheduler
-    /// thread, advanced in deterministic clock order.
-    fn try_run_event<R, F>(&self, f: F) -> Result<RunOutput<R>, MachineError>
-    where
-        R: Send,
-        F: Fn(Comm) -> Result<R, MachineError> + Sync,
-    {
-        #[allow(clippy::assertions_on_constants)]
-        {
-            assert!(
-                crate::context::SUPPORTED,
-                "the event engine has no context switch for this target; \
-                 use SYRK_MACHINE_ENGINE=threaded or Machine::with_engine"
-            );
-        }
-        let p = self.size;
-        let world = Arc::new(self.build_world(Vec::new(), Some(EventState::new(p))));
+        let world = Arc::new(self.build_world());
         let group: Arc<Vec<usize>> = Arc::new((0..p).collect());
         let stack_bytes = self.rank_stack_bytes();
-        // Result slots live above the coroutines so the erased borrows in
-        // the rank bodies are dropped (with the coroutine vector) first.
+        // Result slots live above the contexts so the erased borrows in
+        // the rank bodies are dropped (with the context vector) first.
         let result_slots: Vec<Mutex<Option<R>>> = (0..p).map(|_| Mutex::new(None)).collect();
-        let mut coroutines: Vec<Coroutine> = (0..p)
+        let mut contexts: Vec<C> = (0..p)
             .map(|rank| {
                 let world = Arc::clone(&world);
                 let group = Arc::clone(&group);
                 let f = &f;
                 let slots = &result_slots;
-                // Mirrors the threaded rank body exactly, so failure
-                // bookkeeping (first error, poison, finished) is shared
-                // behavior, not engine behavior.
                 let body = move || {
-                    let comm = Comm::new_world(Arc::clone(&world), rank, None, group);
+                    let comm = Comm::new_world(Arc::clone(&world), rank, group);
                     let r = panic::catch_unwind(AssertUnwindSafe(|| f(comm)));
                     match r {
                         Ok(Ok(v)) => *slots[rank].lock() = Some(v),
                         Ok(Err(e)) => world.record_error(rank, e),
                         Err(payload) => {
+                            // Record the originating failure *before*
+                            // raising the poison flag, so ranks that abort
+                            // in cascade can never claim the first-error
+                            // slot.
                             world.record_error(
                                 rank,
                                 MachineError::RankPanicked {
@@ -541,16 +298,16 @@ impl Machine {
                     world.finished[rank].store(true, Ordering::SeqCst);
                 };
                 let erased = unsafe { erase_lifetime(Box::new(body)) };
-                Coroutine::new(stack_bytes, erased)
+                C::new(stack_bytes, erased)
             })
             .collect();
-        crate::engine::drive(&world, &mut coroutines);
-        drop(coroutines);
+        crate::engine::drive(&world, &mut contexts);
+        drop(contexts);
         let results: Vec<Option<R>> = result_slots.into_iter().map(|m| m.into_inner()).collect();
         self.collect(world, results)
     }
 
-    /// Engine-independent epilogue: unwrap the world, surface the first
+    /// Epilogue: unwrap the world, surface the first
     /// recorded error (writing the failure dump), or assemble the
     /// [`RunOutput`].
     fn collect<R>(
@@ -593,13 +350,6 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes tests that flip the process-global engine override
-    /// (the cargo harness runs sibling tests concurrently).
-    fn engine_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn single_rank_runs() {
@@ -713,30 +463,90 @@ mod tests {
         assert!((out.cost.elapsed() - 18.0).abs() < 1e-12);
     }
 
+    /// Run `f` on the native and on the portable context backend; the two
+    /// outcomes must be equal — results, per-rank costs (clock bits
+    /// included) and phase tables, or the first error.
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    fn on_both_backends<R, F>(machine: &Machine, f: F) -> Result<RunOutput<R>, MachineError>
+    where
+        R: Send + PartialEq + std::fmt::Debug,
+        F: Fn(Comm) -> Result<R, MachineError> + Sync,
+    {
+        use crate::context::{native, portable};
+        let native = machine.try_run_on::<native::Coroutine, R, _>(&f);
+        let portable = machine.try_run_on::<portable::Coroutine, R, _>(&f);
+        assert_eq!(native.as_ref().err(), portable.as_ref().err());
+        if let (Ok(n), Ok(p)) = (&native, &portable) {
+            assert_eq!(n.results, p.results);
+            assert_eq!(n.cost.ranks, p.cost.ranks);
+            assert_eq!(n.cost.phases, p.cost.phases);
+        }
+        native
+    }
+
     #[test]
-    fn engines_agree_on_a_small_run() {
-        // A ring exchange with per-rank clocks: both engines must produce
-        // bitwise-identical results and cost reports (the full matrix
-        // lives in tests/engine_equivalence.rs).
-        let run = |kind: EngineKind| {
-            Machine::new(6)
-                .with_engine(kind)
-                .with_model(CostModel::typical())
-                .run(|comm| {
-                    let p = comm.size();
-                    let next = (comm.rank() + 1) % p;
-                    let prev = (comm.rank() + p - 1) % p;
-                    let mine = vec![comm.rank() as f64; 8];
-                    let got: Vec<f64> = comm.exchange(next, mine, prev, 1);
-                    comm.add_flops(100);
-                    got[0]
-                })
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    fn portable_backend_equals_native() {
+        // A ring exchange with per-rank clocks.
+        let ring = on_both_backends(&Machine::new(6).with_model(CostModel::typical()), |comm| {
+            let p = comm.size();
+            let next = (comm.rank() + 1) % p;
+            let prev = (comm.rank() + p - 1) % p;
+            let mine = vec![comm.rank() as f64; 8];
+            let got: Vec<f64> = comm.try_exchange(next, mine, prev, 1)?;
+            comm.add_flops(100);
+            Ok(got[0])
+        })
+        .expect("ring exchange");
+        assert_eq!(ring.results, [5.0, 0.0, 1.0, 2.0, 3.0, 4.0]);
+
+        // A collective over enough ranks to interleave many parks.
+        let sums = on_both_backends(&Machine::new(64), |comm| {
+            let mine = vec![comm.rank() as f64; 4];
+            Ok(comm.try_all_reduce(&mine)?.iter().sum::<f64>())
+        })
+        .expect("all_reduce");
+        let expect = (0..64).sum::<usize>() as f64 * 4.0;
+        assert!(sums.results.iter().all(|&r| r == expect));
+
+        // Mutual receive: the exact wait-for graph, rank 2 finished.
+        let err = on_both_backends(&Machine::new(3), |comm| {
+            if comm.rank() < 2 {
+                let _: Vec<f64> = comm.try_recv(1 - comm.rank(), 9)?;
+            }
+            Ok(())
+        })
+        .expect_err("mutual recv must deadlock");
+        let MachineError::Deadlock(info) = err else {
+            panic!("expected a deadlock, got {err}");
         };
-        let threaded = run(EngineKind::Threaded);
-        let event = run(EngineKind::Event);
-        assert_eq!(threaded.results, event.results);
-        assert_eq!(threaded.cost.ranks, event.cost.ranks);
-        assert_eq!(threaded.cost.phases, event.cost.phases);
+        assert_eq!(info.edges.len(), 2);
+        assert_eq!(info.finished, vec![2]);
+
+        // An injected crash surfaces as the same typed first error.
+        let crashed = Machine::new(4).with_faults(FaultPlan::seeded(3).crash_rank(1, 2));
+        let err = on_both_backends(&crashed, |comm| {
+            comm.try_all_gather(vec![comm.rank() as f64; 2])?;
+            comm.try_all_gather(vec![1.0; 2]).map(drop)
+        })
+        .expect_err("crash plan must fail");
+        assert!(matches!(err, MachineError::RankCrashed { rank: 1, .. }));
+
+        // A rank panic while its peers are parked on it.
+        let err = on_both_backends(&Machine::new(3), |comm| {
+            if comm.rank() == 2 {
+                panic!("deliberate");
+            }
+            comm.try_recv::<Vec<f64>>(2, 0).map(drop)
+        })
+        .expect_err("a panicking rank must fail the run");
+        assert_eq!(
+            err,
+            MachineError::RankPanicked {
+                rank: 2,
+                message: "deliberate".to_string()
+            }
+        );
     }
 
     #[test]
@@ -744,7 +554,7 @@ mod tests {
         // More ranks than any reasonable thread budget, one process, and
         // an actual data dependency chain across all of them.
         let p = 3000;
-        let out = Machine::new(p).with_engine(EngineKind::Event).run(|comm| {
+        let out = Machine::new(p).run(|comm| {
             if comm.rank() == 0 {
                 comm.send(1, 0, vec![1.0f64]);
                 0.0
@@ -762,11 +572,9 @@ mod tests {
 
     #[test]
     fn event_engine_detects_deadlock_exactly() {
-        // Two ranks each waiting on the other: the scheduler must report
-        // the same wait-for graph the watchdog would, without any grace
-        // window (so no with_watchdog tuning here — detection is exact).
+        // Two ranks each waiting on the other: the scheduler reports the
+        // wait-for graph the moment the stalled configuration arises.
         let err = Machine::new(2)
-            .with_engine(EngineKind::Event)
             .try_run(|comm| -> Result<(), MachineError> {
                 let peer = 1 - comm.rank();
                 let _: Vec<f64> = comm.try_recv(peer, 9)?;
@@ -785,49 +593,15 @@ mod tests {
     }
 
     #[test]
-    fn force_engine_guard_sets_and_restores() {
-        let _serial = engine_lock();
-        let default_kind = Machine::new(2).selected_engine();
-        {
-            let _g = force_engine(EngineKind::Threaded);
-            assert_eq!(Machine::new(2).selected_engine(), EngineKind::Threaded);
-            // An explicit builder choice still wins over the override.
-            assert_eq!(
-                Machine::new(2)
-                    .with_engine(EngineKind::Event)
-                    .selected_engine(),
-                EngineKind::Event
-            );
-        }
-        assert_eq!(Machine::new(2).selected_engine(), default_kind);
-    }
-
-    #[test]
-    fn concurrent_ranks_reflects_engine() {
-        let _serial = engine_lock();
-        let m = Machine::new(40);
-        assert_eq!(
-            m.clone()
-                .with_engine(EngineKind::Threaded)
-                .concurrent_ranks(),
-            40
-        );
-        assert_eq!(m.with_engine(EngineKind::Event).concurrent_ranks(), 1);
-    }
-
-    #[test]
     fn event_engine_runs_with_tiny_stacks() {
         // The large-P stack policy (64 KiB) must be enough for the
         // communication paths; the canary turns an overflow into a
         // loud failure rather than corruption.
-        let out = Machine::new(64)
-            .with_engine(EngineKind::Event)
-            .with_rank_stack_kb(64)
-            .run(|comm| {
-                let mine = vec![comm.rank() as f64; 4];
-                let sum: f64 = comm.all_reduce(&mine).iter().sum();
-                sum
-            });
+        let out = Machine::new(64).with_rank_stack_kb(64).run(|comm| {
+            let mine = vec![comm.rank() as f64; 4];
+            let sum: f64 = comm.all_reduce(&mine).iter().sum();
+            sum
+        });
         let expect = (0..64).sum::<usize>() as f64 * 4.0;
         assert!(out.results.iter().all(|&r| r == expect));
     }

@@ -1,11 +1,9 @@
 //! Minimal synchronization primitives for the simulated machine.
 //!
-//! The workspace builds with no external crates, so the two pieces of
-//! parking_lot/crossbeam the machine used are provided here on top of
-//! `std`: a panic-transparent [`Mutex`] (lock-poisoning is ignored — a
-//! panicking rank already poisons the whole run via the `poisoned` flag)
-//! and an unbounded MPSC [`channel`] (std's `mpsc::Sender` is `Sync`
-//! since Rust 1.72, which is all the fully connected fabric needs).
+//! The workspace builds with no external crates, so the one piece of
+//! parking_lot the machine used is provided here on top of `std`: a
+//! panic-transparent [`Mutex`] (lock-poisoning is ignored — a panicking
+//! rank already poisons the whole run via the `poisoned` flag).
 
 use std::sync::{self, MutexGuard};
 
@@ -33,11 +31,6 @@ impl<T> Mutex<T> {
     }
 }
 
-/// Unbounded MPSC channel used as the network fabric between ranks.
-pub mod channel {
-    pub use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,17 +47,5 @@ mod tests {
         .join();
         *m.lock() += 1;
         assert_eq!(*m.lock(), 1);
-    }
-
-    #[test]
-    fn channel_delivers_in_order() {
-        let (tx, rx) = channel::unbounded();
-        for i in 0..4 {
-            tx.send(i).unwrap();
-        }
-        assert_eq!(
-            (0..4).map(|_| rx.recv().unwrap()).collect::<Vec<_>>(),
-            [0, 1, 2, 3]
-        );
     }
 }

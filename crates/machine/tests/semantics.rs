@@ -2,7 +2,6 @@
 //! sub-communicators, clock/critical-path behaviour, and collectives on
 //! sub-communicators.
 
-use std::time::Duration;
 use syrk_machine::{CostModel, Machine};
 
 #[test]
@@ -125,19 +124,21 @@ fn collectives_work_on_subcommunicators() {
 
 #[test]
 fn timeout_reports_deadlock_instead_of_hanging() {
-    let result = std::panic::catch_unwind(|| {
-        Machine::new(2)
-            .with_timeout(Duration::from_millis(200))
-            .run(|comm| {
-                if comm.rank() == 0 {
-                    // Rank 0 waits for a message nobody sends.
-                    let _: Vec<f64> = comm.recv(1, 77);
-                }
-            });
-    });
+    let payload = std::panic::catch_unwind(|| {
+        Machine::new(2).run(|comm| {
+            if comm.rank() == 0 {
+                // Rank 0 waits for a message nobody sends.
+                let _: Vec<f64> = comm.recv(1, 77);
+            }
+        });
+    })
+    .expect_err("a deadlocked recv must panic");
+    let message = payload
+        .downcast_ref::<String>()
+        .expect("Machine::run panics with the formatted first error");
     assert!(
-        result.is_err(),
-        "deadlocked recv must panic after the timeout"
+        message.contains("rank 0 waits on rank 1 (recv tag (0, 77))"),
+        "the panic must carry the wait-for edge 0 → 1: {message}"
     );
 }
 

@@ -9,8 +9,8 @@ use std::sync::Barrier;
 use syrk_bench::json;
 use syrk_machine::{scoped_failure_dump_path, set_failure_dump_path, Machine, MachineError};
 
-/// A two-rank run where each rank waits on the other: deadlocks under
-/// both engines, deterministically.
+/// A two-rank run where each rank waits on the other: deadlocks,
+/// deterministically.
 fn forced_deadlock(tag: usize) -> MachineError {
     Machine::new(2)
         .try_run(|comm| -> Result<(), MachineError> {

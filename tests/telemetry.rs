@@ -8,7 +8,6 @@
 //! across this run" would otherwise race a sibling test's machine runs.
 
 use std::sync::Mutex;
-use std::time::Duration;
 
 use syrk_bench::{parse_json, Json};
 use syrk_core::try_syrk_2d_traced;
@@ -139,13 +138,10 @@ fn deadlock_writes_failure_dump_with_graph_and_wall_row() {
     let path = dir.join("dump.json");
 
     flight::enable();
-    let err = Machine::new(2)
-        .with_watchdog(Duration::from_millis(100))
-        .with_failure_dump(&path)
-        .try_run(|comm| {
-            let peer = 1 - comm.rank();
-            comm.try_recv::<Vec<f64>>(peer, 42).map(|_| ())
-        });
+    let err = Machine::new(2).with_failure_dump(&path).try_run(|comm| {
+        let peer = 1 - comm.rank();
+        comm.try_recv::<Vec<f64>>(peer, 42).map(|_| ())
+    });
     flight::disable();
     flight::clear();
     assert!(matches!(err, Err(MachineError::Deadlock(_))));
@@ -187,12 +183,10 @@ fn global_dump_path_applies_when_machine_has_none() {
     let _ = std::fs::remove_dir_all(&dir);
     let path = dir.join("global_dump.json");
     let prev = set_failure_dump_path(Some(path.clone()));
-    let err = Machine::new(2)
-        .with_watchdog(Duration::from_millis(100))
-        .try_run(|comm| {
-            let peer = 1 - comm.rank();
-            comm.try_recv::<Vec<f64>>(peer, 43).map(|_| ())
-        });
+    let err = Machine::new(2).try_run(|comm| {
+        let peer = 1 - comm.rank();
+        comm.try_recv::<Vec<f64>>(peer, 43).map(|_| ())
+    });
     set_failure_dump_path(prev);
     assert!(matches!(err, Err(MachineError::Deadlock(_))));
     let body = std::fs::read_to_string(&path).expect("global-path dump written");
