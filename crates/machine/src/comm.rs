@@ -6,9 +6,9 @@
 //! lives: per-link sequence numbers and payload checksums (so injected
 //! duplicates and corruption are *detected*, see [`crate::FaultPlan`]),
 //! `retry:*` phase attribution for all fault-handling traffic, and the
-//! wait-for edge each parked rank publishes, from which the scheduler
-//! builds the deadlock diagnostic when every live rank is blocked with
-//! nothing in flight.
+//! `(src, tag, op)` each parked rank leaves in its slot, from which the
+//! scheduler builds the deadlock diagnostic when every live rank is
+//! blocked with nothing in flight.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -60,14 +60,18 @@ pub const HEARTBEAT_TIMEOUT_PROBES: u64 = 4;
 
 /// Per-rank out-of-order matching state.
 ///
-/// The rank's inbox ([`EventState::inboxes`]) holds envelopes in send
-/// order per link; a receive for a specific `(src, tag)` buffers any
-/// non-matching envelopes in `pending` until they are asked for. The
-/// mailbox also holds this rank's per-link sequence counters: `tx_seq[d]`
-/// numbers messages this rank sends to world rank `d`, `rx_next[s]` is the
-/// next sequence number expected from world rank `s` (everything below it
-/// is a duplicate).
+/// The rank's inbox (in its [`RankSlot`](crate::engine::RankSlot)) holds
+/// envelopes in send order per link. A receive takes the whole inbox into
+/// `backlog` under one lock and screens it from the front; a receive for
+/// a specific `(src, tag)` buffers any non-matching envelopes in `pending`
+/// until they are asked for, and leaves what lies behind its match in
+/// `backlog`, unscreened, for the next receive. The mailbox also holds this
+/// rank's per-link sequence counters: `tx_seq[d]` numbers messages this
+/// rank sends to world rank `d`, `rx_next[s]` is the next sequence number
+/// expected from world rank `s` (everything below it is a duplicate).
 pub(crate) struct Mailbox {
+    /// Arrived, not yet screened; always older than anything in the inbox.
+    backlog: VecDeque<Envelope>,
     pending: PendingQueue,
     /// Per-link sequence counters, allocated only when the installed
     /// fault plan perturbs messages — an unfaulted 10⁵-rank run must not
@@ -146,7 +150,6 @@ impl PendingQueue {
 pub(crate) struct World {
     pub size: usize,
     pub model: CostModel,
-    pub costs: Vec<Mutex<RankLedger>>,
     /// Set when any rank panics so blocked receives abort promptly.
     pub poisoned: AtomicBool,
     /// Set when any rank fails for any reason (panic, clean error, crash,
@@ -155,8 +158,6 @@ pub(crate) struct World {
     /// First failure recorded in the run: `(world rank, error)`. Set-once;
     /// cascade failures on other ranks never overwrite it.
     pub first_error: Mutex<Option<(usize, MachineError)>>,
-    /// What each rank is currently blocked on (for the wait-for graph).
-    pub waiting: Vec<Mutex<Option<WaitEdge>>>,
     /// Ranks that have returned from the SPMD closure.
     pub finished: Vec<AtomicBool>,
     /// Per-rank communication-operation counters (for crash/stall faults).
@@ -170,7 +171,8 @@ pub(crate) struct World {
     pub faults: Option<FaultPlan>,
     /// Per-rank event logs when tracing is enabled.
     pub traces: Option<Vec<Mutex<Timeline>>>,
-    /// The scheduler's fabric: inboxes, parked flags and the wake list.
+    /// The scheduler's fabric: one slot per rank (ledger, inbox, what it
+    /// is parked on) and the wake list.
     pub event: EventState,
 }
 
@@ -187,31 +189,29 @@ impl World {
         self.aborted.store(true, Ordering::SeqCst);
     }
 
-    /// Snapshot the wait-for graph: one edge per live blocked rank, in
-    /// rank order, plus the set of cleanly finished ranks.
+    /// Snapshot the wait-for graph: one edge per parked rank, in rank
+    /// order, plus the set of cleanly finished ranks. An edge's phase is
+    /// the innermost one open on the parked rank — the one it parked in.
     pub(crate) fn snapshot_deadlock(&self) -> DeadlockInfo {
         let mut edges = Vec::new();
         let mut finished = Vec::new();
-        for r in 0..self.size {
+        for (r, slot) in self.event.slots.iter().enumerate() {
             if self.finished[r].load(Ordering::SeqCst) {
                 finished.push(r);
-            } else if let Some(e) = self.waiting[r].lock().clone() {
-                edges.push(e);
+                continue;
+            }
+            let slot = slot.lock();
+            if let Some((to, tag, op)) = slot.parked {
+                edges.push(WaitEdge {
+                    from: r,
+                    to,
+                    op,
+                    tag,
+                    phase: slot.ledger.active_phase(),
+                });
             }
         }
-        edges.sort_by_key(|e| e.from);
         DeadlockInfo { edges, finished }
-    }
-}
-
-/// Clears this rank's wait-for edge when the blocking receive exits.
-struct ClearWait<'a> {
-    slot: &'a Mutex<Option<WaitEdge>>,
-}
-
-impl Drop for ClearWait<'_> {
-    fn drop(&mut self) {
-        *self.slot.lock() = None;
     }
 }
 
@@ -273,6 +273,7 @@ impl Comm {
         let size = if screened { world.size } else { 0 };
         Comm {
             mailbox: Arc::new(Mutex::new(Mailbox {
+                backlog: VecDeque::new(),
                 pending: PendingQueue::default(),
                 tx_seq: vec![0; size],
                 rx_next: vec![0; size],
@@ -306,8 +307,7 @@ impl Comm {
     }
 
     fn with_ledger<R>(&self, f: impl FnOnce(&mut RankLedger) -> R) -> R {
-        let mut guard = self.world.costs[self.world_rank()].lock();
-        f(&mut guard)
+        f(&mut self.world.event.slots[self.world_rank()].lock().ledger)
     }
 
     pub(crate) fn with_cost<R>(&self, f: impl FnOnce(&mut RankCost, &CostModel) -> R) -> R {
@@ -552,7 +552,7 @@ impl Comm {
                     seq,
                     checksum,
                     wire_checksum: checksum ^ 0xbad_c0de,
-                    payload: Box::new(Garbled),
+                    payload: Garbled::wire(),
                 },
             );
         }
@@ -575,7 +575,7 @@ impl Comm {
                 seq,
                 checksum,
                 wire_checksum: checksum,
-                payload: Box::new(payload),
+                payload: payload.into_wire(),
             },
         );
         if mf.duplicate {
@@ -591,7 +591,7 @@ impl Comm {
                     seq,
                     checksum,
                     wire_checksum: checksum,
-                    payload: Box::new(Garbled),
+                    payload: Garbled::wire(),
                 },
             );
         }
@@ -632,35 +632,30 @@ impl Comm {
         Some(env)
     }
 
-    /// Publish this rank's wait-for edge until the returned guard drops.
-    fn register_wait(&self, src_world: usize, tag: (u64, u64), op: &'static str) -> ClearWait<'_> {
-        let slot = &self.world.waiting[self.world_rank()];
-        *slot.lock() = Some(WaitEdge {
-            from: self.world_rank(),
-            to: src_world,
-            op,
-            tag,
-            phase: self.with_ledger(|l| l.active_phase()),
-        });
-        ClearWait { slot }
-    }
-
     /// The single blocking matching loop every receive goes through:
-    /// drain this rank's inbox, screening every delivery for injected
-    /// faults, and when it runs dry with no match, park and yield to the
+    /// screen the backlog from the front for injected faults until the
+    /// match turns up; when it runs dry, take the whole inbox as the next
+    /// backlog under one slot lock — or, when nothing was delivered
+    /// either, park in that same critical section and yield to the
     /// scheduler. No timeouts — a deadlock is detected exactly by the
     /// scheduler (empty ready heap, live ranks), which records the error
     /// and wakes everyone to observe the abort.
     ///
-    /// Holding the mailbox guard across the yield is sound: only the
-    /// owning rank ever locks its own mailbox (senders touch the
-    /// [`EventState`] inbox, not the mailbox), and exactly one rank runs
-    /// at a time, so nobody can contend while this rank is parked.
+    /// Envelopes are screened one at a time in arrival order and only up
+    /// to the match, exactly as if they were popped off the inbox singly:
+    /// which `retry:*` phase a discarded copy is charged to, and at what
+    /// clock, does not depend on how many arrived in one batch.
     ///
-    /// The wait-for edge is published on the way into the first park, not
-    /// per receive: the scheduler reads edges only once every live rank is
-    /// parked, and no other rank runs between a receive that finds its
-    /// message queued and its return.
+    /// Holding the mailbox guard across the yield is sound: only the
+    /// owning rank ever locks its own mailbox (senders touch the slot's
+    /// inbox, not the mailbox), and exactly one rank runs at a time, so
+    /// nobody can contend while this rank is parked.
+    ///
+    /// What the rank waits for goes into its slot only when it parks; a
+    /// receive that finds its message already delivered publishes
+    /// nothing. The scheduler reads `parked` for two things: `deliver`
+    /// wakes the rank for exactly that `(src, tag)`, and the deadlock
+    /// snapshot turns it into the rank's wait-for edge.
     fn recv_env(
         &self,
         src_world: usize,
@@ -669,7 +664,6 @@ impl Comm {
     ) -> Result<Envelope, MachineError> {
         let me = self.world_rank();
         let world = &*self.world;
-        let ev = &world.event;
         let mut mb = self.mailbox.lock();
         if let Some(env) = mb.pending.take(src_world, tag) {
             return Ok(env);
@@ -678,12 +672,8 @@ impl Comm {
         // every exit path by the guard — including the deadlock one, so a
         // failure dump shows how long each rank really sat blocked).
         let _recv_span = RecvSpan::begin(src_world);
-        let mut wait = None;
         loop {
-            loop {
-                let Some(env) = ev.inboxes[me].lock().pop_front() else {
-                    break;
-                };
+            while let Some(env) = mb.backlog.pop_front() {
                 let Some(env) = self.screen(&mut mb, env) else {
                     continue;
                 };
@@ -691,6 +681,11 @@ impl Comm {
                     return Ok(env);
                 }
                 mb.pending.push(env);
+            }
+            let mut slot = world.event.slots[me].lock();
+            if !slot.inbox.is_empty() {
+                std::mem::swap(&mut slot.inbox, &mut mb.backlog);
+                continue;
             }
             if world.poisoned.load(Ordering::Relaxed) {
                 return Err(MachineError::PeerFailed { rank: me });
@@ -705,8 +700,8 @@ impl Comm {
                     _ => MachineError::PeerFailed { rank: me },
                 });
             }
-            wait.get_or_insert_with(|| self.register_wait(src_world, tag, op));
-            ev.park(me);
+            slot.parked = Some((src_world, tag, op));
+            drop(slot);
             crate::context::yield_now();
         }
     }
@@ -766,14 +761,11 @@ impl Comm {
         let env = self.recv_env(src_world, (self.comm_id, tag), "recv")?;
         self.with_cost(|c, m| c.on_recv(env.words, env.sender_ready, m));
         self.trace(EventKind::Recv, src_world, env.words as u64);
-        env.payload
-            .downcast::<T>()
-            .map(|b| *b)
-            .map_err(|_| MachineError::TypeMismatch {
-                rank: self.rank(),
-                src,
-                tag,
-            })
+        T::from_wire(env.payload).ok_or(MachineError::TypeMismatch {
+            rank: self.rank(),
+            src,
+            tag,
+        })
     }
 
     /// Simultaneously send `payload` to `dst` and receive a `T` from `src`
@@ -806,14 +798,11 @@ impl Comm {
             self.group[dst],
             w_out.max(env.words) as u64,
         );
-        env.payload
-            .downcast::<U>()
-            .map(|b| *b)
-            .map_err(|_| MachineError::TypeMismatch {
-                rank: self.rank(),
-                src,
-                tag,
-            })
+        U::from_wire(env.payload).ok_or(MachineError::TypeMismatch {
+            rank: self.rank(),
+            src,
+            tag,
+        })
     }
 
     /// Collectively split this communicator into disjoint sub-communicators.
@@ -849,10 +838,8 @@ impl Comm {
                 let env = self
                     .recv_env(self.group[src], (self.comm_id, tag), "split")
                     .unwrap_or_else(|e| panic!("{e}"));
-                let v = env
-                    .payload
-                    .downcast::<Vec<u64>>()
-                    .expect("split metadata must be Vec<u64>");
+                let v =
+                    Vec::<u64>::from_wire(env.payload).expect("split metadata must be Vec<u64>");
                 if v[0] == color {
                     members.push((v[0], v[1] as usize, src));
                 }

@@ -5,11 +5,11 @@
 //! rank can block deep inside a receive — arbitrarily far down the user's
 //! SPMD closure — and hand control back without unwinding. That takes a
 //! *stackful* continuation. Two backends provide one behind the same four
-//! operations, `new` / `resume` / `is_done` ([`Context`]) and
+//! operations, `spawn` / `resume` / `is_done` ([`Context`]) and
 //! [`yield_now`]:
 //!
-//! * `native` — a private heap stack per rank and a callee-saved register
-//!   switch in naked assembly (x86_64, AArch64);
+//! * `native` — a private stack per rank, carved from 64 MiB chunks, and a
+//!   callee-saved register switch in naked assembly (x86_64, AArch64);
 //! * `portable` — a parked OS thread per rank and a baton passed between
 //!   it and the scheduler (every other target).
 //!
@@ -38,12 +38,17 @@ pub(crate) enum Status {
     Complete,
 }
 
+/// What a rank runs: its SPMD closure, wrapped by the machine.
+pub(crate) type Body = Box<dyn FnOnce() + Send>;
+
 /// A suspended rank, as the scheduler sees it.
-pub(crate) trait Context {
-    /// A context that will run `body` on a stack of `stack_bytes` of its
-    /// own when first resumed. The body must not unwind (the machine wraps
-    /// rank closures in `catch_unwind`).
-    fn new(stack_bytes: usize, body: Box<dyn FnOnce() + Send>) -> Self;
+pub(crate) trait Context: Sized {
+    /// The contexts of one run, one per body in order: each will run its
+    /// body on a stack of `stack_bytes` of its own when first resumed. A
+    /// body must not unwind (the machine wraps rank closures in
+    /// `catch_unwind`). All of a run's contexts are made together so that
+    /// a backend can allocate their stacks together.
+    fn spawn(stack_bytes: usize, bodies: Vec<Body>) -> Vec<Self>;
 
     /// Run the rank until it yields or completes. Must only be called
     /// from scheduler context (not from inside another resume of the same
@@ -58,7 +63,7 @@ pub(crate) trait Context {
 /// can neither unwind across the native backend's assembly frames nor be
 /// left to kill a thread the scheduler is waiting on, so it is a hard
 /// abort.
-fn run_body(body: Box<dyn FnOnce() + Send>) {
+fn run_body(body: Body) {
     if std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).is_err() {
         eprintln!("fatal: panic escaped a simulated rank's outermost frame");
         std::process::abort();
@@ -93,15 +98,19 @@ mod tests {
         ($backend:ident) => {
             mod $backend {
                 use crate::context::$backend::Coroutine;
-                use crate::context::{yield_now, Context, Status};
+                use crate::context::{yield_now, Body, Context, Status};
                 use std::sync::atomic::{AtomicUsize, Ordering};
                 use std::sync::{Arc, Mutex};
+
+                fn one(stack_bytes: usize, body: Body) -> Coroutine {
+                    Coroutine::spawn(stack_bytes, vec![body]).remove(0)
+                }
 
                 #[test]
                 fn runs_to_completion_without_yield() {
                     let hit = Arc::new(AtomicUsize::new(0));
                     let h = Arc::clone(&hit);
-                    let mut co = Coroutine::new(
+                    let mut co = one(
                         64 * 1024,
                         Box::new(move || {
                             h.store(7, Ordering::SeqCst);
@@ -116,7 +125,7 @@ mod tests {
                 fn yield_suspends_and_resume_continues() {
                     let log = Arc::new(Mutex::new(Vec::new()));
                     let l = Arc::clone(&log);
-                    let mut co = Coroutine::new(
+                    let mut co = one(
                         64 * 1024,
                         Box::new(move || {
                             l.lock().unwrap().push(1);
@@ -141,20 +150,18 @@ mod tests {
                     // interleaving must preserve per-coroutine program
                     // order and isolation.
                     let counts = Arc::new((0..8).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>());
-                    let mut cos: Vec<Coroutine> = (0..8)
+                    let bodies = (0..8)
                         .map(|i| {
                             let counts = Arc::clone(&counts);
-                            Coroutine::new(
-                                64 * 1024,
-                                Box::new(move || {
-                                    for _ in 0..100 {
-                                        counts[i].fetch_add(1, Ordering::SeqCst);
-                                        yield_now();
-                                    }
-                                }),
-                            )
+                            Box::new(move || {
+                                for _ in 0..100 {
+                                    counts[i].fetch_add(1, Ordering::SeqCst);
+                                    yield_now();
+                                }
+                            }) as Body
                         })
                         .collect();
+                    let mut cos = Coroutine::spawn(64 * 1024, bodies);
                     let mut live = cos.len();
                     while live > 0 {
                         for co in cos.iter_mut() {
@@ -173,7 +180,7 @@ mod tests {
                     // Machine-style wrapper: catch_unwind inside the body.
                     let caught = Arc::new(AtomicUsize::new(0));
                     let c = Arc::clone(&caught);
-                    let mut co = Coroutine::new(
+                    let mut co = one(
                         64 * 1024,
                         Box::new(move || {
                             let r = std::panic::catch_unwind(|| panic!("boom"));
@@ -193,7 +200,7 @@ mod tests {
                     // compiler keeps in registers across the call.
                     let out = Arc::new(Mutex::new(0.0f64));
                     let o = Arc::clone(&out);
-                    let mut co = Coroutine::new(
+                    let mut co = one(
                         64 * 1024,
                         Box::new(move || {
                             let mut acc = 1.5f64;

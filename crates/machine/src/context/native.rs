@@ -16,20 +16,31 @@
 //! * panics unwind *inside* the coroutine's own stack and are caught at
 //!   its outermost frame — unwinding never crosses the assembly frames;
 //! * stacks carry a canary word at their low end, checked after every
-//!   resume, so an overflow aborts loudly instead of corrupting a
-//!   neighbouring allocation.
+//!   resume, so an overflow fails loudly instead of silently corrupting
+//!   the stack below it.
 //!
-//! Stacks are deliberately allocated below the glibc mmap threshold by
-//! default (64 KiB), so a 10⁵-rank machine draws its stacks from the heap
-//! arena instead of creating 10⁵ distinct mappings (the kernel caps a
-//! process at `vm.max_map_count` mappings, typically 65530). Pages are
-//! committed lazily, so an idle rank costs only the few KiB it actually
-//! touches.
+//! The stacks of one run are carved out of chunks of [`STACK_CHUNK_BYTES`],
+//! one `alloc` and one `dealloc` per chunk per run. 64 MiB is above the
+//! 32 MiB ceiling of glibc's dynamic mmap threshold, so a full chunk is
+//! always a mapping of its own, returned to the kernel when the run ends:
+//! a stack page no rank touched never becomes resident, and no freed stack
+//! is recycled into the heap for later runs' envelopes and tables to dirty.
+//! A 10⁵-rank machine is ~100 mappings — neither one multi-GB reservation
+//! nor 10⁵ heap blocks (the kernel caps a process at `vm.max_map_count`
+//! mappings, typically 65530). An idle rank then costs the pages it
+//! touches: the canary's and the frames of `run_body` down to its first
+//! receive, 8–12 KiB; the whole 2256-rank `sim_ranks` run — payloads,
+//! ledgers and the assembled `C` included — peaks at 58 kB per rank.
 
 use std::alloc::{self, Layout};
 use std::cell::Cell;
+use std::rc::Rc;
 
-use super::{run_body, Context, Status};
+use super::{run_body, Body, Context, Status};
+
+/// Size of the allocations rank stacks are carved from; the last chunk of
+/// a run is the remainder.
+const STACK_CHUNK_BYTES: usize = 64 << 20;
 
 /// Magic written at the lowest words of every coroutine stack and checked
 /// after each resume.
@@ -171,37 +182,68 @@ mod arch {
     }
 }
 
-/// A heap-allocated coroutine stack with a canary at its low end.
-struct Stack {
+/// One allocation holding the stacks of consecutive ranks, freed when the
+/// last of their coroutines drops.
+struct Chunk {
     ptr: *mut u8,
     layout: Layout,
 }
 
-impl Stack {
-    fn new(size: usize) -> Stack {
-        let size = size.max(16 * 1024) & !15;
-        let layout = Layout::from_size_align(size, 16).expect("stack layout");
+impl Chunk {
+    fn new(bytes: usize) -> Rc<Chunk> {
+        let layout = Layout::from_size_align(bytes, 16).expect("stack chunk layout");
+        // SAFETY: the layout is not zero-sized — a chunk holds at least one
+        // stack of at least 16 KiB.
         let ptr = unsafe { alloc::alloc(layout) };
         if ptr.is_null() {
             alloc::handle_alloc_error(layout);
         }
-        unsafe { (ptr as *mut u64).write(CANARY) };
-        Stack { ptr, layout }
+        Rc::new(Chunk { ptr, layout })
+    }
+}
+
+impl Drop for Chunk {
+    fn drop(&mut self) {
+        // SAFETY: `ptr` came from `alloc` with this layout, and every
+        // coroutine running on it is gone (each holds an `Rc`).
+        unsafe { alloc::dealloc(self.ptr, self.layout) };
+    }
+}
+
+/// A coroutine stack — `bytes` of a [`Chunk`] — with a canary at its low
+/// end.
+struct Stack {
+    base: *mut u8,
+    bytes: usize,
+    /// Keeps the memory under `base` allocated.
+    _chunk: Rc<Chunk>,
+}
+
+impl Stack {
+    /// The `index`-th stack of `bytes` (a multiple of 16) within `chunk`.
+    fn carve(chunk: &Rc<Chunk>, index: usize, bytes: usize) -> Stack {
+        assert!((index + 1) * bytes <= chunk.layout.size());
+        // SAFETY: in bounds of the chunk by the assertion, 8-aligned since
+        // the chunk is 16-aligned and `bytes` a multiple of 16.
+        let base = unsafe {
+            let base = chunk.ptr.add(index * bytes);
+            (base as *mut u64).write(CANARY);
+            base
+        };
+        Stack {
+            base,
+            bytes,
+            _chunk: Rc::clone(chunk),
+        }
     }
 
     /// One past the highest usable word (stacks grow downward).
     fn top(&self) -> *mut usize {
-        unsafe { self.ptr.add(self.layout.size()) as *mut usize }
+        unsafe { self.base.add(self.bytes) as *mut usize }
     }
 
     fn canary_intact(&self) -> bool {
-        unsafe { (self.ptr as *const u64).read() == CANARY }
-    }
-}
-
-impl Drop for Stack {
-    fn drop(&mut self) {
-        unsafe { alloc::dealloc(self.ptr, self.layout) };
+        unsafe { (self.base as *const u64).read() == CANARY }
     }
 }
 
@@ -214,7 +256,7 @@ struct Inner {
     coro_sp: usize,
     done: bool,
     /// The rank body; taken by `coroutine_entry` on first resume.
-    closure: Option<Box<dyn FnOnce() + Send>>,
+    closure: Option<Body>,
 }
 
 thread_local! {
@@ -245,17 +287,28 @@ pub(crate) struct Coroutine {
 }
 
 impl Context for Coroutine {
-    fn new(stack_bytes: usize, body: Box<dyn FnOnce() + Send>) -> Coroutine {
-        Coroutine {
-            stack: Stack::new(stack_bytes),
-            inner: Box::new(Inner {
-                sched_sp: 0,
-                coro_sp: 0,
-                done: false,
-                closure: Some(body),
-            }),
-            started: false,
+    fn spawn(stack_bytes: usize, bodies: Vec<Body>) -> Vec<Coroutine> {
+        let stack_bytes = stack_bytes.max(16 * 1024) & !15;
+        let per_chunk = (STACK_CHUNK_BYTES / stack_bytes).max(1);
+        let mut coroutines = Vec::with_capacity(bodies.len());
+        let mut bodies = bodies.into_iter();
+        while bodies.len() > 0 {
+            let stacks = per_chunk.min(bodies.len());
+            let chunk = Chunk::new(stacks * stack_bytes);
+            for (index, body) in bodies.by_ref().take(stacks).enumerate() {
+                coroutines.push(Coroutine {
+                    stack: Stack::carve(&chunk, index, stack_bytes),
+                    inner: Box::new(Inner {
+                        sched_sp: 0,
+                        coro_sp: 0,
+                        done: false,
+                        closure: Some(body),
+                    }),
+                    started: false,
+                });
+            }
         }
+        coroutines
     }
 
     fn is_done(&self) -> bool {

@@ -18,7 +18,7 @@ use std::cell::OnceCell;
 use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 
-use super::{run_body, Context, Status};
+use super::{run_body, Body, Context, Status};
 use crate::sync::Mutex;
 
 /// Who runs next.
@@ -62,13 +62,13 @@ pub(crate) struct Coroutine {
     baton: Arc<Baton>,
     stack_bytes: usize,
     /// The rank body until the first resume moves it onto its thread.
-    body: Option<Box<dyn FnOnce() + Send>>,
+    body: Option<Body>,
     thread: Option<JoinHandle<()>>,
 }
 
 impl Context for Coroutine {
-    fn new(stack_bytes: usize, body: Box<dyn FnOnce() + Send>) -> Coroutine {
-        Coroutine {
+    fn spawn(stack_bytes: usize, bodies: Vec<Body>) -> Vec<Coroutine> {
+        let coroutine = |body| Coroutine {
             baton: Arc::new(Baton {
                 turn: Mutex::new(Turn::Scheduler),
                 passed: Condvar::new(),
@@ -76,7 +76,8 @@ impl Context for Coroutine {
             stack_bytes,
             body: Some(body),
             thread: None,
-        }
+        };
+        bodies.into_iter().map(coroutine).collect()
     }
 
     fn is_done(&self) -> bool {

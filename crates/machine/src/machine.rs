@@ -14,8 +14,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::comm::{Comm, World};
-use crate::context::{Context, Coroutine};
-use crate::cost::{CostModel, CostReport, RankLedger};
+use crate::context::{Body, Context, Coroutine};
+use crate::cost::{CostModel, CostReport};
 use crate::engine::EventState;
 use crate::error::MachineError;
 use crate::fault::FaultPlan;
@@ -97,9 +97,7 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// locals — the closure can neither run nor be dropped after its borrows
 /// end. A portable context consumes its body on the rank's thread before
 /// it reports completion.
-unsafe fn erase_lifetime<'a>(
-    b: Box<dyn FnOnce() + Send + 'a>,
-) -> Box<dyn FnOnce() + Send + 'static> {
+unsafe fn erase_lifetime<'a>(b: Box<dyn FnOnce() + Send + 'a>) -> Body {
     unsafe { std::mem::transmute(b) }
 }
 
@@ -176,9 +174,11 @@ impl Machine {
 
     /// Per-rank stack in bytes: the builder override, else 256 KiB for
     /// small machines (panic formatting and backtraces want headroom)
-    /// dropping to 64 KiB past 4096 ranks — below the allocator's mmap
-    /// threshold, so huge machines draw stacks from the heap arena instead
-    /// of exhausting the kernel's mapping budget (`vm.max_map_count`).
+    /// dropping to 64 KiB past 4096 ranks. The size is address space, not
+    /// memory: the native backend carves stacks out of 64 MiB chunks whose
+    /// untouched pages never become resident (see `context/native.rs`), so
+    /// a 10⁵-rank machine reserves 6.4 GB in ~100 mappings and holds a few
+    /// pages per rank.
     fn rank_stack_bytes(&self) -> usize {
         let kb = self
             .rank_stack_kb
@@ -192,11 +192,9 @@ impl Machine {
         World {
             size: p,
             model: self.model,
-            costs: (0..p).map(|_| Mutex::new(RankLedger::default())).collect(),
             poisoned: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
             first_error: Mutex::new(None),
-            waiting: (0..p).map(|_| Mutex::new(None)).collect(),
             finished: (0..p).map(|_| AtomicBool::new(false)).collect(),
             ops: (0..p).map(|_| AtomicU64::new(0)).collect(),
             crashed: Mutex::new(Vec::new()),
@@ -268,7 +266,7 @@ impl Machine {
         // Result slots live above the contexts so the erased borrows in
         // the rank bodies are dropped (with the context vector) first.
         let result_slots: Vec<Mutex<Option<R>>> = (0..p).map(|_| Mutex::new(None)).collect();
-        let mut contexts: Vec<C> = (0..p)
+        let bodies: Vec<Body> = (0..p)
             .map(|rank| {
                 let world = Arc::clone(&world);
                 let group = Arc::clone(&group);
@@ -297,10 +295,10 @@ impl Machine {
                     }
                     world.finished[rank].store(true, Ordering::SeqCst);
                 };
-                let erased = unsafe { erase_lifetime(Box::new(body)) };
-                C::new(stack_bytes, erased)
+                unsafe { erase_lifetime(Box::new(body)) }
             })
             .collect();
+        let mut contexts = C::spawn(stack_bytes, bodies);
         crate::engine::drive(&world, &mut contexts);
         drop(contexts);
         let results: Vec<Option<R>> = result_slots.into_iter().map(|m| m.into_inner()).collect();
@@ -324,8 +322,8 @@ impl Machine {
         }
         let mut ranks = Vec::with_capacity(self.size);
         let mut phases = Vec::with_capacity(self.size);
-        for m in world.costs {
-            let (total, rank_phases) = m.into_inner().into_parts();
+        for slot in world.event.slots {
+            let (total, rank_phases) = slot.into_inner().ledger.into_parts();
             ranks.push(total);
             phases.push(rank_phases);
         }
@@ -508,6 +506,25 @@ mod tests {
         .expect("all_reduce");
         let expect = (0..64).sum::<usize>() as f64 * 4.0;
         assert!(sums.results.iter().all(|&r| r == expect));
+
+        // A hundred early messages for a rank parked on another one: it is
+        // not woken for them, and drains them in arrival order afterwards.
+        let early = on_both_backends(&Machine::new(102), |comm| {
+            if comm.rank() == 0 {
+                let asked: Vec<f64> = comm.try_recv(101, 7)?;
+                let mut sum = asked[0];
+                for src in 1..=100 {
+                    sum += comm.try_recv::<Vec<f64>>(src, 1)?[0];
+                }
+                return Ok(sum);
+            }
+            let tag = if comm.rank() == 101 { 7 } else { 1 };
+            comm.try_send(0, tag, vec![comm.rank() as f64])?;
+            Ok(0.0)
+        })
+        .expect("early messages");
+        assert_eq!(early.results[0], (1..=101).sum::<usize>() as f64);
+        assert_eq!(early.cost.ranks[0].msgs_recv, 101);
 
         // Mutual receive: the exact wait-for graph, rank 2 finished.
         let err = on_both_backends(&Machine::new(3), |comm| {
