@@ -1,7 +1,9 @@
 //! Shared types for the distributed SYRK algorithms: per-rank outputs,
 //! global assembly, and the run result bundling output with costs.
 
-use syrk_dense::{Diag, Matrix, PackedLower, Partition1D};
+use syrk_dense::{
+    mirror_lower_to_upper, write_packed_lower, Diag, Matrix, PackedLower, Partition1D,
+};
 use syrk_machine::CostReport;
 
 /// An off-diagonal block of `C` produced by a rank: block indices
@@ -49,17 +51,30 @@ pub struct SyrkRunResult {
 /// Assemble per-rank [`LocalOutput`]s into the full symmetric `C`.
 ///
 /// `rows` is the block-row partition of `0..n1` shared by all outputs.
-/// Every off-diagonal and diagonal block must appear exactly once across
-/// the outputs; the strict upper triangle is filled by mirroring.
+/// Every off-diagonal and diagonal block with rows on both sides must
+/// appear exactly once across the outputs (a block without rows holds no
+/// words and may be left out). Each block is written once, into the lower
+/// triangle; the strict upper triangle is filled by one mirror pass.
 pub fn assemble_c(n1: usize, rows: &Partition1D, outputs: &[LocalOutput]) -> Matrix<f64> {
     let mut c = Matrix::zeros(n1, n1);
-    let mut seen_off = std::collections::HashSet::new();
-    let mut seen_diag = std::collections::HashSet::new();
+    // One flag per pair `j ≤ i` of the row blocks that have rows, numbered
+    // by position in `live`: with n1 < c² that is a few hundred blocks out
+    // of c².
+    let live: Vec<usize> = (0..rows.parts()).filter(|&i| rows.len(i) > 0).collect();
+    let pair = |a: usize, b: usize| a * (a + 1) / 2 + b;
+    let mut seen = vec![false; pair(live.len(), 0)];
+    // Marks the pair; false when it was marked before.
+    let mut first_time = |i: usize, j: usize| {
+        let (Ok(a), Ok(b)) = (live.binary_search(&i), live.binary_search(&j)) else {
+            return true;
+        };
+        !std::mem::replace(&mut seen[pair(a, b)], true)
+    };
     for out in outputs {
         for blk in &out.offdiag {
             assert!(blk.j < blk.i, "off-diagonal block must have j < i");
             assert!(
-                seen_off.insert((blk.i, blk.j)),
+                first_time(blk.i, blk.j),
                 "block ({}, {}) produced twice",
                 blk.i,
                 blk.j
@@ -70,24 +85,28 @@ pub fn assemble_c(n1: usize, rows: &Partition1D, outputs: &[LocalOutput]) -> Mat
         }
         for blk in &out.diag {
             assert!(
-                seen_diag.insert(blk.i),
+                first_time(blk.i, blk.i),
                 "diagonal block {} produced twice",
                 blk.i
             );
             let r = rows.range(blk.i);
             assert_eq!(blk.data.n(), r.len(), "diagonal block size mismatch");
             assert_eq!(blk.data.diag(), Diag::Inclusive);
-            let full = blk.data.to_full_symmetric();
-            c.set_block(r.start, r.start, &full);
+            write_packed_lower(
+                &mut c,
+                r.start,
+                r.len(),
+                Diag::Inclusive,
+                [blk.data.as_slice()],
+            );
         }
     }
-    // Mirror the lower triangle up.
-    for i in 0..n1 {
-        for j in 0..i {
-            let v = c[(i, j)];
-            c[(j, i)] = v;
+    for (a, &i) in live.iter().enumerate() {
+        for (b, &j) in live[..=a].iter().enumerate() {
+            assert!(seen[pair(a, b)], "block ({i}, {j}) was not produced");
         }
     }
+    mirror_lower_to_upper(&mut c);
     c
 }
 
@@ -127,6 +146,58 @@ mod tests {
         let c = assemble_c(n1, &rows, &outputs);
         let want = syrk_full_reference(&a);
         assert!(max_abs_diff(&c, &want) < 1e-12);
+    }
+
+    /// A 3-block output of zeros with one block left out.
+    fn zeros_without(skip: (usize, usize)) -> (Partition1D, LocalOutput) {
+        let rows = Partition1D::new(6, 3);
+        let mut out = LocalOutput::default();
+        for i in 0..3 {
+            for j in (0..=i).filter(|&j| (i, j) != skip) {
+                if j < i {
+                    let data = Matrix::zeros(2, 2);
+                    out.offdiag.push(OffDiagBlock { i, j, data });
+                } else {
+                    let data = PackedLower::zeros(2, Diag::Inclusive);
+                    out.diag.push(DiagBlock { i, data });
+                }
+            }
+        }
+        (rows, out)
+    }
+
+    #[test]
+    #[should_panic(expected = "block (2, 1) was not produced")]
+    fn missing_offdiagonal_block_rejected() {
+        let (rows, out) = zeros_without((2, 1));
+        let _ = assemble_c(6, &rows, &[out]);
+    }
+
+    #[test]
+    #[should_panic(expected = "block (1, 1) was not produced")]
+    fn missing_diagonal_block_rejected() {
+        let (rows, out) = zeros_without((1, 1));
+        let _ = assemble_c(6, &rows, &[out]);
+    }
+
+    #[test]
+    fn blocks_without_rows_may_be_left_out() {
+        // n1 = 2 over 3 row blocks: block 2 has no rows and no block.
+        let rows = Partition1D::new(2, 3);
+        let mut out = LocalOutput::default();
+        let one = |v: f64| PackedLower::from_vec(1, Diag::Inclusive, vec![v]);
+        out.diag.push(DiagBlock {
+            i: 0,
+            data: one(1.0),
+        });
+        out.diag.push(DiagBlock {
+            i: 1,
+            data: one(3.0),
+        });
+        let data = Matrix::from_vec(1, 1, vec![2.0]);
+        out.offdiag.push(OffDiagBlock { i: 1, j: 0, data });
+        let c = assemble_c(2, &rows, &[out]);
+        assert_eq!(c.as_slice(), &[1.0, 2.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -68,9 +68,9 @@ pub fn syrk_2d_limited(
             if pr.is_empty() {
                 continue;
             }
-            let a_panel = a.block_owned(0, pr.start, n1, pr.len());
+            let a_panel = a.block(0, pr.start, n1, pr.len());
             let ad = ConformalADist::new(&dist, n1, pr.len());
-            let my_chunk = |i: usize| ad.extract_chunk(&a_panel, i, k);
+            let my_chunk = |i: usize| ad.extract_chunk(a_panel, i, k);
             // Panel All-to-All: same pattern as Alg. 2, panel width only.
             let blocks: Vec<Vec<f64>> = (0..comm.size())
                 .map(|k2| {

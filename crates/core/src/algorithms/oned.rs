@@ -9,7 +9,10 @@
 //! Bandwidth cost (eq. (3)): `(n1(n1+1)/2)·(1 − 1/P)`, matching the
 //! Case 1 lower bound's leading term `n1(n1−1)/2`.
 
-use syrk_dense::{syrk_flops, syrk_packed_new, Diag, Matrix, PackedLower, Partition1D};
+use syrk_dense::{
+    mirror_lower_to_upper, syrk_flops, syrk_packed_view, write_packed_lower, Diag, Matrix,
+    PackedLower, Partition1D,
+};
 use syrk_machine::{CostModel, FaultPlan, Machine, MachineError, ReduceScatterAlg, Timeline};
 
 use super::common::SyrkRunResult;
@@ -150,19 +153,21 @@ fn syrk_1d_impl(
     }
     let out = machine.try_run(|comm| {
         let l = comm.rank();
-        // Line 2–3: local SYRK on the owned column block A_ℓ.
+        // Line 2–3: local SYRK on the owned column block A_ℓ, read where
+        // it lies in the global matrix.
         let r = cols.range(l);
-        let (cbar, a_l) = {
+        let cbar = {
             let _span = comm.phase(PHASE_LOCAL_SYRK);
-            let a_l = a.block_owned(0, r.start, n1, r.len());
-            let cbar = syrk_packed_new(&a_l, Diag::Inclusive);
+            let mut cbar = PackedLower::zeros(n1, Diag::Inclusive);
+            syrk_packed_view(&mut cbar, a.block(0, r.start, n1, r.len()));
             comm.add_flops(syrk_flops(n1, r.len()));
-            comm.note_buffer(a_l.len() + cbar.len());
-            (cbar, a_l)
+            comm.note_buffer(n1 * r.len() + cbar.len());
+            cbar
         };
         if abft {
             let _span = comm.phase(crate::abft::PHASE_ABFT);
             comm.add_flops(crate::abft::block_check_flops(n1, n1, r.len()));
+            let a_l = a.block_owned(0, r.start, n1, r.len());
             crate::abft::verify_diag_block(&a_l, &cbar, l).map_err(|detail| {
                 MachineError::DataCorruption {
                     rank: comm.world_rank(),
@@ -184,13 +189,13 @@ fn syrk_1d_impl(
         comm.try_reduce_scatter_with(segs, rs_alg)
     })?;
 
-    // Reassemble the packed triangle from the per-rank segments (the
-    // "evenly distributed across Π" final state) and expand.
-    let mut packed = Vec::with_capacity(packed_len);
-    for seg in &out.results {
-        packed.extend_from_slice(seg);
-    }
-    let c = PackedLower::from_vec(n1, Diag::Inclusive, packed).to_full_symmetric();
+    // The per-rank segments (the "evenly distributed across Π" final
+    // state) concatenate to the packed triangle: stream them into the
+    // lower triangle of C and mirror once.
+    let mut c = Matrix::zeros(n1, n1);
+    let segs = out.results.iter().map(Vec::as_slice);
+    write_packed_lower(&mut c, 0, n1, Diag::Inclusive, segs);
+    mirror_lower_to_upper(&mut c);
     Ok((SyrkRunResult { c, cost: out.cost }, out.traces))
 }
 

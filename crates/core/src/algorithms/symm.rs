@@ -50,7 +50,7 @@ pub fn symm_2d(a_sym: &Matrix<f64>, b: &Matrix<f64>, c: usize, model: CostModel)
     let machine = Machine::new(dist.p()).with_model(model);
     let out = machine.run(|comm| {
         let k = comm.rank();
-        let my_chunk = |i: usize| bd.extract_chunk(b, i, k);
+        let my_chunk = |i: usize| bd.extract_chunk(b.view(), i, k);
 
         // Phase 1: gather B_j for j ∈ R_k (identical pattern to Alg. 2's
         // A gather).

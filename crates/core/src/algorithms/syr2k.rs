@@ -72,7 +72,7 @@ pub fn syr2k_2d(a: &Matrix<f64>, b: &Matrix<f64>, c: usize, model: CostModel) ->
         // Chunks of both inputs are packed back-to-back per partner, so
         // the exchange is still a single (sparse) All-to-All: latency
         // matches SYRK's pair-per-partner schedule, bandwidth doubled.
-        let my_chunk = |m: &Matrix<f64>, i: usize| ad.extract_chunk(m, i, k);
+        let my_chunk = |m: &Matrix<f64>, i: usize| ad.extract_chunk(m.view(), i, k);
         let mut recv_words: Vec<usize> = vec![0; comm.size()];
         for &i in dist.r_set(k) {
             let part = ad.chunk_partition(i);

@@ -230,9 +230,9 @@ fn syrk_3d_impl(
         // 2D body on the slice communicator; they land on this world
         // rank's ledger because spans are per-rank, not per-communicator.
         let cr = cols.range(gc.l);
-        let a_col = a.block_owned(0, cr.start, n1, cr.len());
+        let a_col = a.block(0, cr.start, n1, cr.len());
         let ad = ConformalADist::new(&dist, n1, cr.len());
-        let local = twod_body(&gc.slice, &dist, &ad, &a_col)?;
+        let local = twod_body(&gc.slice, &dist, &ad, a_col)?;
         // Lines 4–5: Reduce-Scatter the partial C_k across Π_{k*}. The
         // payloads are built straight from the block storage (no flat
         // concatenation) and handed to the segment-based collective, which

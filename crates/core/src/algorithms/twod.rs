@@ -10,7 +10,7 @@
 
 use syrk_dense::{
     balanced_chunks_by_cost, gemm_flops, mul_nt, par_for_each_task, steal_task_count, syrk_flops,
-    syrk_packed_new, workers_for_flops, Diag, Matrix,
+    syrk_packed_new, workers_for_flops, Diag, Matrix, MatrixView,
 };
 use syrk_machine::{Comm, CostModel, FaultPlan, Machine, MachineError};
 
@@ -22,12 +22,14 @@ use crate::planner::PlanError;
 
 /// The SPMD body of Algorithm 2, reused verbatim by each slice of the 3D
 /// algorithm (Alg. 3 line 3). `a_slice` is the `n1 × n2_local` input this
-/// communicator is responsible for; `comm.size()` must be `c(c+1)`.
+/// communicator is responsible for — a view, because a 3D slice's column
+/// block stays where it lies in the global `A`; `comm.size()` must be
+/// `c(c+1)`.
 pub(crate) fn twod_body(
     comm: &Comm,
     dist: &TriangleBlockDist,
     ad: &ConformalADist,
-    a_slice: &Matrix<f64>,
+    a_slice: MatrixView<'_, f64>,
 ) -> Result<LocalOutput, MachineError> {
     twod_body_impl(comm, dist, ad, a_slice, false, false)
 }
@@ -41,7 +43,7 @@ pub(crate) fn twod_body_impl(
     comm: &Comm,
     dist: &TriangleBlockDist,
     ad: &ConformalADist,
-    a_slice: &Matrix<f64>,
+    a_slice: MatrixView<'_, f64>,
     padded: bool,
     abft: bool,
 ) -> Result<LocalOutput, MachineError> {
@@ -363,7 +365,7 @@ fn syrk_2d_traced_impl(
     if let Some(plan) = faults {
         machine = machine.with_faults(plan.clone());
     }
-    let out = machine.try_run(|comm| twod_body_impl(&comm, &dist, &ad, a, padded, abft))?;
+    let out = machine.try_run(|comm| twod_body_impl(&comm, &dist, &ad, a.view(), padded, abft))?;
     let c_full = assemble_c(n1, &ad.rows, &out.results);
     Ok((
         SyrkRunResult {

@@ -5,7 +5,7 @@
 //! distribution arbitrary as long as it is even.
 
 use super::triangle::TriangleBlockDist;
-use syrk_dense::{Matrix, Partition1D};
+use syrk_dense::{Matrix, MatrixView, Partition1D};
 
 /// Maps between global `A` coordinates and the per-rank chunks of the
 /// conformal distribution, for an `n1 × n2` input split into `c²` row
@@ -46,15 +46,17 @@ impl<'d> ConformalADist<'d> {
         self.chunk_partition(i).len(self.dist.chunk_index(i, k))
     }
 
-    /// Extract rank `k`'s chunk of `A_i` from the global matrix (used to
-    /// stage the initial distribution; costs nothing on the machine). The
-    /// rows of `A_i` are contiguous in the row-major `a`, so the chunk is
-    /// one slice of it.
-    pub fn extract_chunk(&self, a: &Matrix<f64>, i: usize, k: usize) -> Vec<f64> {
+    /// Extract rank `k`'s chunk of `A_i` from `a` (used to stage the
+    /// initial distribution; costs nothing on the machine): the one copy
+    /// a rank makes of the `n1·n2/P` words it owns. `a` is a view, so a
+    /// 3D slice passes its column block of the global matrix as it lies;
+    /// over a whole matrix the rows of `A_i` are contiguous and the chunk
+    /// is one slice of it.
+    pub fn extract_chunk(&self, a: MatrixView<'_, f64>, i: usize, k: usize) -> Vec<f64> {
         assert_eq!(a.cols(), self.n2, "matrix width differs from the layout's");
         let base = self.rows.range(i).start * self.n2;
         let chunk = self.chunk_partition(i).range(self.dist.chunk_index(i, k));
-        a.as_slice()[base + chunk.start..base + chunk.end].to_vec()
+        a.flat_range_to_vec(base + chunk.start..base + chunk.end)
     }
 
     /// Reassemble the full row block `A_i` from its `c+1` chunks, given in
@@ -98,12 +100,41 @@ mod tests {
             let chunks: Vec<Vec<f64>> = dist
                 .q_set(i)
                 .iter()
-                .map(|&k| ad.extract_chunk(&a, i, k))
+                .map(|&k| ad.extract_chunk(a.view(), i, k))
                 .collect();
             let asm = ad.assemble_block(i, &chunks);
             let range = ad.rows.range(i);
             let want = a.block_owned(range.start, 0, range.len(), n2);
             assert_eq!(asm, want, "block {i}");
+        }
+    }
+
+    #[test]
+    fn chunk_of_a_borrowed_column_block_equals_chunk_of_its_copy() {
+        // A 3D slice's column block, read where it lies in the global
+        // matrix: chunks straddle row ends, slices are one column wide
+        // (n2/p2 = 1) or have no columns at all (p2 > n2) and still yield
+        // their (empty) chunks.
+        for (n1, n2, c, p2) in [(10, 10, 2, 4), (9, 12, 3, 2), (12, 1, 2, 3), (8, 6, 2, 7)] {
+            let dist = TriangleBlockDist::new(c);
+            let a = seeded_matrix::<f64>(n1, n2, (n1 + n2) as u64);
+            let cols = Partition1D::new(n2, p2);
+            for l in 0..p2 {
+                let cr = cols.range(l);
+                let ad = ConformalADist::new(&dist, n1, cr.len());
+                let copy = a.block_owned(0, cr.start, n1, cr.len());
+                for i in 0..dist.num_blocks() {
+                    for &k in dist.q_set(i) {
+                        let borrowed = ad.extract_chunk(a.block(0, cr.start, n1, cr.len()), i, k);
+                        assert_eq!(borrowed.len(), ad.chunk_len(i, k));
+                        assert_eq!(
+                            borrowed,
+                            ad.extract_chunk(copy.view(), i, k),
+                            "({n1}, {n2}, {c}, {p2}) slice {l} block {i} rank {k}"
+                        );
+                    }
+                }
+            }
         }
     }
 

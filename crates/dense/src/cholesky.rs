@@ -156,9 +156,9 @@ fn cholesky_blocked<T: Scalar>(g: &Matrix<T>) -> Result<Matrix<T>, CholeskyError
         // matrix. The scalar-ISA f64 path sweeps dual-panel wide tiles
         // away from chunk tails.
         let trailing = n - k1;
-        pack_rows(panel.vec_mut(), &l, k1..n, k0..k1, mr);
+        pack_rows(panel.vec_mut(), l.view(), k1..n, k0..k1, mr);
         if let Some(pc) = panel_col.as_mut() {
-            pack_rows(pc.vec_mut(), &l, k1..n, k0..k1, nr);
+            pack_rows(pc.vec_mut(), l.view(), k1..n, k0..k1, nr);
         }
         let chunks = balanced_triangle_chunks(
             trailing,

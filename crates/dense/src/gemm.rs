@@ -28,6 +28,7 @@ use crate::pack::{
 use crate::parallel::{par_for_each_task, steal_task_count, workers_for_flops};
 use crate::scalar::Scalar;
 use crate::schedule::balanced_chunks_by_cost;
+use crate::view::MatrixView;
 use std::ops::Range;
 
 /// Flops performed by `C += A·B` with `A: m×k`, `B: k×n`
@@ -107,12 +108,12 @@ fn split_rows<'c, T: Scalar>(
 /// (dual-panel wide on the scalar-ISA f64 path).
 fn gemm_driver<T: Scalar>(
     c: &mut Matrix<T>,
-    a: &Matrix<T>,
+    a: MatrixView<'_, T>,
     pack_b: impl Fn(Range<usize>, Range<usize>, usize, &mut [T]) + Sync,
 ) {
     let d = T::dispatch();
     let (mr, nr, kc, mc, nc) = (d.spec.mr, d.spec.nr, d.spec.kc, d.spec.mc, d.spec.nc);
-    let (m, k) = a.shape();
+    let (m, k) = (a.rows(), a.cols());
     let n = c.cols();
     let kc_cap = kc.min(k);
     // One task list per inner panel, so that panel's flops decide whether
@@ -189,7 +190,9 @@ pub fn gemm_nt<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>) {
         return;
     }
     // Bᵀ's columns are B's rows, so the B-side pack is a row pack.
-    gemm_driver(c, a, |cols, ks, r, dst| pack_rows_into(dst, b, cols, ks, r));
+    gemm_driver(c, a.view(), |cols, ks, r, dst| {
+        pack_rows_into(dst, b.view(), cols, ks, r)
+    });
 }
 
 /// Packed, register-blocked, multi-threaded `C += A·B`.
@@ -201,7 +204,9 @@ pub fn gemm_nn<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    gemm_driver(c, a, |cols, ks, r, dst| pack_cols_into(dst, b, ks, cols, r));
+    gemm_driver(c, a.view(), |cols, ks, r, dst| {
+        pack_cols_into(dst, b.view(), ks, cols, r)
+    });
 }
 
 /// Convenience: `A·Bᵀ` into a fresh matrix.

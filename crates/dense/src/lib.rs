@@ -49,7 +49,7 @@ pub use isa::{available_isas, detected_isa, dispatched_isa, force_isa, ForcedIsa
 pub use matrix::Matrix;
 pub use microkernel::{dispatch_f64, Dispatch, KernelSpec};
 pub use norms::{frobenius, max_abs_diff, max_abs_diff_lower, syrk_tolerance};
-pub use packed::{Diag, PackedLower};
+pub use packed::{mirror_lower_to_upper, write_packed_lower, Diag, PackedLower};
 pub use parallel::{
     available_threads, hardware_threads, limit_threads, machine_thread_budget, par_for_each_task,
     steal_task_count, workers_for_flops, SERIAL_FLOP_CUTOFF,
@@ -63,6 +63,6 @@ pub use syr2k::{
 };
 pub use syrk::{
     syrk_flops, syrk_full_reference, syrk_lower_ref, syrk_packed, syrk_packed_new,
-    syrk_strict_flops,
+    syrk_packed_view, syrk_strict_flops,
 };
 pub use view::{MatrixView, MatrixViewMut};

@@ -131,8 +131,7 @@ impl<T: Scalar> Matrix<T> {
     /// Copy the block at `(row0, col0)` of size `rows × cols` into a new
     /// owned matrix.
     pub fn block_owned(&self, row0: usize, col0: usize, rows: usize, cols: usize) -> Matrix<T> {
-        let v = self.block(row0, col0, rows, cols);
-        Matrix::from_fn(rows, cols, |i, j| v[(i, j)])
+        self.block(row0, col0, rows, cols).to_owned_matrix()
     }
 
     /// Write `src` into the block at `(row0, col0)`.

@@ -334,8 +334,8 @@ mod tests {
             let a = seeded_matrix::<f64>(MR, kc, 100 + kc as u64);
             let b = seeded_matrix::<f64>(NR, kc, 200 + kc as u64);
             let (mut ap, mut bp) = (Vec::new(), Vec::new());
-            pack_rows(&mut ap, &a, 0..MR, 0..kc, MR);
-            pack_rows(&mut bp, &b, 0..NR, 0..kc, NR);
+            pack_rows(&mut ap, a.view(), 0..MR, 0..kc, MR);
+            pack_rows(&mut bp, b.view(), 0..NR, 0..kc, NR);
             let acc = microkernel(kc, &ap, &bp);
             for i in 0..MR {
                 for j in 0..NR {
@@ -356,8 +356,8 @@ mod tests {
             let a = seeded_matrix::<f64>(2 * MR, kc, 300 + kc as u64);
             let b = seeded_matrix::<f64>(NR, kc, 400 + kc as u64);
             let (mut ap, mut bp) = (Vec::new(), Vec::new());
-            pack_rows(&mut ap, &a, 0..2 * MR, 0..kc, MR);
-            pack_rows(&mut bp, &b, 0..NR, 0..kc, NR);
+            pack_rows(&mut ap, a.view(), 0..2 * MR, 0..kc, MR);
+            pack_rows(&mut bp, b.view(), 0..NR, 0..kc, NR);
             let ap0 = &ap[..kc * MR];
             let ap1 = &ap[kc * MR..];
             let (w0, w1) = microkernel_wide(kc, ap0, ap1, &bp);
@@ -376,8 +376,8 @@ mod tests {
         // the corresponding accumulator entries must be exactly zero.
         let a = seeded_matrix::<f64>(2, 9, 5);
         let (mut ap, mut bp) = (Vec::new(), Vec::new());
-        pack_rows(&mut ap, &a, 0..2, 0..9, MR);
-        pack_rows(&mut bp, &a, 0..2, 0..9, NR);
+        pack_rows(&mut ap, a.view(), 0..2, 0..9, MR);
+        pack_rows(&mut bp, a.view(), 0..2, 0..9, NR);
         let acc = microkernel(9, &ap, &bp);
         for (i, row) in acc.iter().enumerate() {
             for (j, &v) in row.iter().enumerate() {
@@ -408,8 +408,8 @@ mod tests {
         let a = seeded_matrix::<f64>(MR, kc, 9);
         let b = seeded_matrix::<f64>(NR, kc, 10);
         let (mut ap, mut bp) = (Vec::new(), Vec::new());
-        pack_rows(&mut ap, &a, 0..MR, 0..kc, MR);
-        pack_rows(&mut bp, &b, 0..NR, 0..kc, NR);
+        pack_rows(&mut ap, a.view(), 0..MR, 0..kc, MR);
+        pack_rows(&mut bp, b.view(), 0..NR, 0..kc, NR);
         let tile = microkernel(kc, &ap, &bp);
         let mut flat = vec![f64::NAN; MR * NR];
         portable_kernel(kc, &ap, &bp, &mut flat);

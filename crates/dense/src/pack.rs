@@ -32,8 +32,8 @@
 //!   chunk packing its own overlapping copy — when the dispatched tile
 //!   is square (`mr == nr`) *one* pack even serves both operands.
 
-use crate::matrix::Matrix;
 use crate::scalar::Scalar;
+use crate::view::MatrixView;
 use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -67,10 +67,12 @@ fn set_pack_len<T: Scalar>(buf: &mut Vec<T>, len: usize) {
 
 /// Pack rows `rows` of `a`, restricted to columns `cols`, into `buf` as
 /// zero-padded `r`-row k-major micro-panels. `buf` is resized; reuse one
-/// (arena) buffer across panels to amortize the allocation.
+/// (arena) buffer across panels to amortize the allocation. The source
+/// is a view, so a caller packs a column block of a larger matrix in
+/// place; the packed values and their order do not depend on the stride.
 pub fn pack_rows<T: Scalar>(
     buf: &mut Vec<T>,
-    a: &Matrix<T>,
+    a: MatrixView<'_, T>,
     rows: Range<usize>,
     cols: Range<usize>,
     r: usize,
@@ -85,7 +87,7 @@ pub fn pack_rows<T: Scalar>(
 /// (stale arena data, a reused shared buffer) never leak through.
 pub fn pack_rows_into<T: Scalar>(
     dst: &mut [T],
-    a: &Matrix<T>,
+    a: MatrixView<'_, T>,
     rows: Range<usize>,
     cols: Range<usize>,
     r: usize,
@@ -117,7 +119,7 @@ pub fn pack_rows_into<T: Scalar>(
 /// matrix are walked row by row.
 pub fn pack_cols<T: Scalar>(
     buf: &mut Vec<T>,
-    b: &Matrix<T>,
+    b: MatrixView<'_, T>,
     rows: Range<usize>,
     cols: Range<usize>,
     r: usize,
@@ -131,7 +133,7 @@ pub fn pack_cols<T: Scalar>(
 /// [`pack_rows_into`].
 pub fn pack_cols_into<T: Scalar>(
     dst: &mut [T],
-    b: &Matrix<T>,
+    b: MatrixView<'_, T>,
     rows: Range<usize>,
     cols: Range<usize>,
     r: usize,
@@ -342,6 +344,7 @@ impl<'a, T: Scalar> SharedPack<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
     use crate::rng::seeded_matrix;
     use std::sync::atomic::AtomicUsize;
 
@@ -351,7 +354,7 @@ mod tests {
         // zero lanes.
         let a = Matrix::from_fn(6, 3, |i, j| (10 * i + j) as f64);
         let mut buf = Vec::new();
-        pack_rows(&mut buf, &a, 1..6, 0..3, 4);
+        pack_rows(&mut buf, a.view(), 1..6, 0..3, 4);
         assert_eq!(buf.len(), packed_panel_len(5, 3, 4));
         // Panel 0, k = 0 holds column 0 of rows 1..5.
         assert_eq!(&buf[0..4], &[10.0, 20.0, 30.0, 40.0]);
@@ -369,16 +372,16 @@ mod tests {
         // must still come out zero.
         let a = Matrix::from_fn(6, 3, |i, j| (10 * i + j) as f64);
         let mut dirty = vec![9e9; packed_panel_len(5, 3, 4) + 7];
-        pack_rows(&mut dirty, &a, 1..6, 0..3, 4);
+        pack_rows(&mut dirty, a.view(), 1..6, 0..3, 4);
         let mut fresh = Vec::new();
-        pack_rows(&mut fresh, &a, 1..6, 0..3, 4);
+        pack_rows(&mut fresh, a.view(), 1..6, 0..3, 4);
         assert_eq!(dirty, fresh);
 
         let b = Matrix::from_fn(5, 7, |i, j| (i * 7 + j) as f64);
         let mut dirty = vec![-3.0; 2];
-        pack_cols(&mut dirty, &b, 1..4, 2..7, 4);
+        pack_cols(&mut dirty, b.view(), 1..4, 2..7, 4);
         let mut fresh = Vec::new();
-        pack_cols(&mut fresh, &b, 1..4, 2..7, 4);
+        pack_cols(&mut fresh, b.view(), 1..4, 2..7, 4);
         assert_eq!(dirty, fresh);
     }
 
@@ -387,18 +390,33 @@ mod tests {
         let b = Matrix::from_fn(5, 7, |i, j| (i * 7 + j) as f64);
         let bt = b.transpose();
         let (mut by_cols, mut by_rows) = (Vec::new(), Vec::new());
-        pack_cols(&mut by_cols, &b, 1..4, 2..7, 4);
-        pack_rows(&mut by_rows, &bt, 2..7, 1..4, 4);
+        pack_cols(&mut by_cols, b.view(), 1..4, 2..7, 4);
+        pack_rows(&mut by_rows, bt.view(), 2..7, 1..4, 4);
         assert_eq!(by_cols, by_rows);
+    }
+
+    #[test]
+    fn packing_a_strided_view_equals_packing_its_copy() {
+        // A column block of a wider matrix, packed where it lies.
+        let whole = seeded_matrix::<f64>(11, 23, 8);
+        let copy = whole.block_owned(2, 5, 9, 13);
+        let view = whole.block(2, 5, 9, 13);
+        let (mut from_view, mut from_copy) = (Vec::new(), Vec::new());
+        pack_rows(&mut from_view, view, 1..8, 3..13, 4);
+        pack_rows(&mut from_copy, copy.view(), 1..8, 3..13, 4);
+        assert_eq!(from_view, from_copy);
+        pack_cols(&mut from_view, view, 2..9, 0..11, 4);
+        pack_cols(&mut from_copy, copy.view(), 2..9, 0..11, 4);
+        assert_eq!(from_view, from_copy);
     }
 
     #[test]
     fn empty_ranges_pack_to_empty() {
         let a = Matrix::<f64>::zeros(4, 4);
         let mut buf = vec![1.0];
-        pack_rows(&mut buf, &a, 2..2, 0..4, 4);
+        pack_rows(&mut buf, a.view(), 2..2, 0..4, 4);
         assert!(buf.is_empty());
-        pack_cols(&mut buf, &a, 0..4, 3..3, 4);
+        pack_cols(&mut buf, a.view(), 0..4, 3..3, 4);
         assert!(buf.is_empty());
     }
 
@@ -406,12 +424,12 @@ mod tests {
     fn shared_pack_matches_direct_pack() {
         let a = seeded_matrix::<f64>(23, 9, 77);
         let mut direct = Vec::new();
-        pack_rows(&mut direct, &a, 0..23, 0..9, 4);
+        pack_rows(&mut direct, a.view(), 0..23, 0..9, 4);
 
         let mut buf = vec![0.0f64; packed_panel_len(23, 9, 4)];
         let shared = SharedPack::new(&mut buf, 23, 9, 4, 8);
         let pack = |rows: Range<usize>, dst: &mut [f64]| {
-            pack_rows_into(dst, &a, rows, 0..9, 4);
+            pack_rows_into(dst, a.view(), rows, 0..9, 4);
         };
         shared.ensure_rows(0..23, &pack);
         for row in (0..23).step_by(4) {
@@ -428,7 +446,7 @@ mod tests {
         let packs = AtomicUsize::new(0);
         let pack = |rows: Range<usize>, dst: &mut [f64]| {
             packs.fetch_add(1, Ordering::Relaxed);
-            pack_rows_into(dst, &a, rows, 0..16, 4);
+            pack_rows_into(dst, a.view(), rows, 0..16, 4);
         };
         std::thread::scope(|s| {
             for _ in 0..4 {
@@ -452,11 +470,11 @@ mod tests {
         // padded to 8 lanes in its final panel.
         let a = seeded_matrix::<f64>(21, 5, 6);
         let mut direct = Vec::new();
-        pack_rows(&mut direct, &a, 0..21, 0..5, 4);
+        pack_rows(&mut direct, a.view(), 0..21, 0..5, 4);
         let mut buf = vec![7.7f64; packed_panel_len(21, 5, 4)];
         let shared = SharedPack::new(&mut buf, 21, 5, 4, 8);
         let pack = |rows: Range<usize>, dst: &mut [f64]| {
-            pack_rows_into(dst, &a, rows, 0..5, 4);
+            pack_rows_into(dst, a.view(), rows, 0..5, 4);
         };
         shared.ensure_rows(0..21, &pack);
         for row in (0..21).step_by(4) {

@@ -188,8 +188,8 @@ mod tests {
                     let a = seeded_matrix::<f64>(rows, kc, 1000 + kc as u64);
                     let b = seeded_matrix::<f64>(cols, kc, 2000 + kc as u64);
                     let (mut ap, mut bp) = (Vec::new(), Vec::new());
-                    pack_rows(&mut ap, &a, 0..rows, 0..kc, mr);
-                    pack_rows(&mut bp, &b, 0..cols, 0..kc, nr);
+                    pack_rows(&mut ap, a.view(), 0..rows, 0..kc, mr);
+                    pack_rows(&mut bp, b.view(), 0..cols, 0..kc, nr);
                     // Zero-length packs still need one padded tile.
                     ap.resize(kc * mr, 0.0);
                     bp.resize(kc * nr, 0.0);
@@ -224,8 +224,8 @@ mod tests {
             let a = seeded_matrix::<f64>(mr, kc, 3);
             let b = seeded_matrix::<f64>(nr, kc, 4);
             let (mut ap, mut bp) = (Vec::new(), Vec::new());
-            pack_rows(&mut ap, &a, 0..mr, 0..kc, mr);
-            pack_rows(&mut bp, &b, 0..nr, 0..kc, nr);
+            pack_rows(&mut ap, a.view(), 0..mr, 0..kc, mr);
+            pack_rows(&mut bp, b.view(), 0..nr, 0..kc, nr);
             let mut first = vec![0.0; mr * nr];
             (d.kernel)(kc, &ap, &bp, &mut first);
             for _ in 0..3 {

@@ -6,7 +6,7 @@
 //! instead of GEMM's `4n²k` for the same product.
 
 use crate::matrix::Matrix;
-use crate::packed::{Diag, PackedLower};
+use crate::packed::{mirror_lower_to_upper, Diag, PackedLower};
 use crate::scalar::Scalar;
 
 /// Flops for the inclusive lower triangle of `A·Bᵀ + B·Aᵀ`, `A, B: n×k`:
@@ -47,7 +47,7 @@ pub fn syr2k_lower_ref<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T
 /// the dual-panel wide path stays off here because the fused tile
 /// already consumes the extra register pressure.
 pub fn syr2k_packed<T: Scalar>(c: &mut PackedLower<T>, a: &Matrix<T>, b: &Matrix<T>) {
-    crate::syrk::packed_rank_update(c, a, Some(b));
+    crate::syrk::packed_rank_update(c, a.view(), Some(b.view()));
 }
 
 /// Convenience: packed lower triangle of `A·Bᵀ + B·Aᵀ`.
@@ -63,12 +63,7 @@ pub fn syr2k_full_reference<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T
     let n = a.rows();
     let mut c = Matrix::zeros(n, n);
     syr2k_lower_ref(&mut c, a, b);
-    for i in 0..n {
-        for j in 0..i {
-            let v = c[(i, j)];
-            c[(j, i)] = v;
-        }
-    }
+    mirror_lower_to_upper(&mut c);
     c
 }
 

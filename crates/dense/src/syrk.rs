@@ -28,10 +28,11 @@ use crate::arena;
 use crate::matrix::Matrix;
 use crate::microkernel::{flatten_acc, microkernel_wide, MAX_ACC, MR, NR};
 use crate::pack::{pack_rows_into, packed_panel_len, SharedPack};
-use crate::packed::{Diag, PackedLower};
+use crate::packed::{mirror_lower_to_upper, Diag, PackedLower};
 use crate::parallel::{par_for_each_task, steal_task_count, workers_for_flops};
 use crate::scalar::Scalar;
 use crate::schedule::balanced_triangle_chunks;
+use crate::view::MatrixView;
 use std::ops::Range;
 
 /// Flops to compute the inclusive lower triangle of `A·Aᵀ`, `A: n×k`
@@ -64,20 +65,12 @@ pub fn syrk_lower_ref<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>) {
     }
 }
 
-/// Offset of packed row `i` and its first column bound for `diag`.
+/// Offset of packed row `i` for `diag`.
 #[inline]
 fn row_off(diag: Diag, i: usize) -> usize {
     match diag {
         Diag::Inclusive => i * (i + 1) / 2,
         Diag::Strict => i * i.saturating_sub(1) / 2,
-    }
-}
-
-#[inline]
-fn row_end(diag: Diag, i: usize) -> usize {
-    match diag {
-        Diag::Inclusive => i + 1,
-        Diag::Strict => i,
     }
 }
 
@@ -100,7 +93,7 @@ fn store_packed_tile<T: Scalar>(
     // the diagonal clamp to the row's column bound.
     for u in 0..rr {
         let i = it + u;
-        let jend = (j0 + nr).min(row_end(diag, i));
+        let jend = (j0 + nr).min(diag.row_len(i));
         if jend <= j0 {
             continue;
         }
@@ -122,14 +115,14 @@ fn store_packed_tile<T: Scalar>(
 /// SIMD tiles add a second pack at lane width `nr` for the column side.
 pub(crate) fn packed_rank_update<T: Scalar>(
     c: &mut PackedLower<T>,
-    a: &Matrix<T>,
-    b: Option<&Matrix<T>>,
+    a: MatrixView<'_, T>,
+    b: Option<MatrixView<'_, T>>,
 ) {
-    let (n, k) = a.shape();
+    let (n, k) = (a.rows(), a.cols());
     assert_eq!(c.n(), n, "packed rank update: dimension mismatch");
     if let Some(b) = b {
         assert_eq!(
-            b.shape(),
+            (b.rows(), b.cols()),
             (n, k),
             "syr2k: A and B must have identical shapes"
         );
@@ -224,7 +217,7 @@ pub(crate) fn packed_rank_update<T: Scalar>(
                 // keeps the narrow path (its tile fuses two products).
                 let wide = d.spec.wide && b.is_none() && it + 2 * mr <= rows.end;
                 let take = if wide { 2 * mr } else { mr.min(rows.end - it) };
-                let colmax = row_end(diag, it + take - 1);
+                let colmax = diag.row_len(it + take - 1);
                 a_row.ensure_rows(it..it + take, &pack_a_row);
                 acol.ensure_rows(0..colmax, &pack_acol);
                 if let Some(brow) = &b_row {
@@ -291,6 +284,14 @@ fn split_triangle<'c, T: Scalar>(
 /// Packed kernel: accumulate the lower triangle of `A·Aᵀ` into packed
 /// storage via the register-blocked driver.
 pub fn syrk_packed<T: Scalar>(c: &mut PackedLower<T>, a: &Matrix<T>) {
+    syrk_packed_view(c, a.view());
+}
+
+/// [`syrk_packed`] on a borrowed block: a rank runs `Local-SYRK` on its
+/// column block of the global `A` without copying it. Packing visits the
+/// same values in the same ascending-k order as for an owned copy of the
+/// block, so the result is bitwise the same.
+pub fn syrk_packed_view<T: Scalar>(c: &mut PackedLower<T>, a: MatrixView<'_, T>) {
     packed_rank_update(c, a, None);
 }
 
@@ -308,13 +309,7 @@ pub fn syrk_full_reference<T: Scalar>(a: &Matrix<T>) -> Matrix<T> {
     let n = a.rows();
     let mut c = Matrix::zeros(n, n);
     syrk_lower_ref(&mut c, a);
-    // Mirror to the upper triangle.
-    for i in 0..n {
-        for j in 0..i {
-            let v = c[(i, j)];
-            c[(j, i)] = v;
-        }
-    }
+    mirror_lower_to_upper(&mut c);
     c
 }
 

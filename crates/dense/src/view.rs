@@ -1,7 +1,7 @@
 //! Borrowed, strided matrix views.
 
 use crate::scalar::Scalar;
-use std::ops::Index;
+use std::ops::{Index, Range};
 
 /// An immutable view of a `rows × cols` block inside a row-major buffer
 /// with row stride `stride ≥ cols`.
@@ -67,7 +67,32 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
 
     /// Copy into a new owned matrix.
     pub fn to_owned_matrix(&self) -> crate::matrix::Matrix<T> {
-        crate::matrix::Matrix::from_fn(self.rows, self.cols, |i, j| self[(i, j)])
+        let data = self.flat_range_to_vec(0..self.rows * self.cols);
+        crate::matrix::Matrix::from_vec(self.rows, self.cols, data)
+    }
+
+    /// Copy elements `range` of the view's row-major flattening: one
+    /// slice copy when the rows are contiguous in the buffer (a whole
+    /// matrix, or full-width rows of one), row pieces otherwise.
+    pub fn flat_range_to_vec(&self, range: Range<usize>) -> Vec<T> {
+        assert!(
+            range.start <= range.end && range.end <= self.rows * self.cols,
+            "flat range out of the view"
+        );
+        if range.is_empty() {
+            return Vec::new();
+        }
+        if self.stride == self.cols {
+            return self.data[range].to_vec();
+        }
+        let mut out = Vec::with_capacity(range.len());
+        let (mut i, mut j) = (range.start / self.cols, range.start % self.cols);
+        while out.len() < range.len() {
+            let take = (self.cols - j).min(range.len() - out.len());
+            out.extend_from_slice(&self.row(i)[j..j + take]);
+            (i, j) = (i + 1, 0);
+        }
+        out
     }
 }
 
@@ -175,6 +200,22 @@ mod tests {
         let o = m.block(0, 1, 2, 2).to_owned_matrix();
         assert_eq!(o[(0, 0)], 1.0);
         assert_eq!(o[(1, 1)], 3.0);
+    }
+
+    #[test]
+    fn flat_ranges_cross_row_ends_of_a_strided_view() {
+        let m = Matrix::from_fn(5, 7, |i, j| (i * 7 + j) as f64);
+        let v = m.block(1, 2, 3, 4);
+        let flat = v.to_owned_matrix().into_vec();
+        assert_eq!(flat.len(), 12);
+        for start in 0..=12 {
+            for end in start..=12 {
+                assert_eq!(v.flat_range_to_vec(start..end), flat[start..end]);
+            }
+        }
+        // Contiguous rows take the one-slice path; zero columns copy nothing.
+        assert_eq!(m.view().flat_range_to_vec(5..17), m.as_slice()[5..17]);
+        assert!(m.block(0, 7, 5, 0).flat_range_to_vec(0..0).is_empty());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use syrk_dense::{
     gemm_flops, gemm_nn_ref, gemm_nt, gemm_nt_ref, mul_nn, mul_nt, seeded_matrix, syr2k_flops,
-    syr2k_full_reference, syrk_flops, syrk_full_reference, syrk_packed_new, syrk_strict_flops,
-    Diag, Matrix, PackedLower,
+    syr2k_full_reference, syrk_flops, syrk_full_reference, syrk_packed_new, syrk_packed_view,
+    syrk_strict_flops, Diag, Matrix, PackedLower,
 };
 
 #[test]
@@ -56,6 +56,21 @@ fn syrk_equals_half_of_symmetric_gemm() {
     for i in 0..40 {
         for j in 0..40 {
             assert!((g[(i, j)] - s[(i, j)]).abs() < 1e-10);
+        }
+    }
+}
+
+#[test]
+fn syrk_on_a_borrowed_column_block_is_bitwise_the_copy() {
+    // Real-valued entries and k past one inner panel: any change in the
+    // order of accumulation would show in the last bits.
+    let whole = seeded_matrix::<f64>(70, 1400, 6);
+    for (col0, cols) in [(0, 1400), (3, 700), (699, 701), (1399, 1), (1400, 0)] {
+        for diag in [Diag::Inclusive, Diag::Strict] {
+            let mut borrowed = PackedLower::zeros(70, diag);
+            syrk_packed_view(&mut borrowed, whole.block(0, col0, 70, cols));
+            let copied = syrk_packed_new(&whole.block_owned(0, col0, 70, cols), diag);
+            assert_eq!(borrowed, copied, "columns {col0}+{cols} {diag:?}");
         }
     }
 }
