@@ -15,7 +15,6 @@
 //! simulated α-β-γ clock) to `target/experiments/trace_<mode>.{csv,json}`.
 //! Malformed arguments print usage and exit with status 2.
 
-use syrk_bench::timing::format_time;
 use syrk_core::{
     attribute_bounds, plan, try_syrk_1d_traced, try_syrk_2d_traced, try_syrk_3d_traced, Plan,
     SyrkError, SyrkRunResult,
@@ -421,4 +420,30 @@ fn report(label: &str, n1: usize, n2: usize, plan: Plan, run: &SyrkRunResult, tr
     print!("{}", run.cost.phase_table());
     println!();
     print!("{}", attribute_bounds(n1, n2, plan, &run.cost));
+}
+
+/// Human-readable seconds.
+fn format_time(secs: f64) -> String {
+    if secs >= 1.0 {
+        format!("{secs:.3} s")
+    } else if secs >= 1e-3 {
+        format!("{:.3} ms", secs * 1e3)
+    } else if secs >= 1e-6 {
+        format!("{:.3} us", secs * 1e6)
+    } else {
+        format!("{:.1} ns", secs * 1e9)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn formats_scales() {
+        assert!(format_time(2.5).ends_with(" s"));
+        assert!(format_time(2.5e-3).ends_with(" ms"));
+        assert!(format_time(2.5e-6).ends_with(" us"));
+        assert!(format_time(2.5e-9).ends_with(" ns"));
+    }
 }

@@ -2,18 +2,14 @@
 //!
 //! Regenerates every table and figure of the SPAA '23 SYRK paper from the
 //! implementation (see DESIGN.md's per-experiment index). The
-//! `experiments` binary prints aligned text tables and writes CSVs; the
-//! benches under `benches/` (built on the in-repo [`timing`] harness)
-//! time the kernels, the collectives, and the full simulated algorithms.
+//! `experiments` binary prints aligned text tables and writes CSVs;
+//! `plan` and `trace` are the planner and phase-trace CLIs. Wall-clock
+//! numbers are not measured here: that is `syrkbench` (`benchmark/`).
 
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod json;
 pub mod table;
-pub mod timing;
 
 pub use experiments::{all, Experiment};
-pub use json::{parse as parse_json, Json, JsonError};
 pub use table::{fnum, Table};
-pub use timing::{fast_mode, Group, Measurement};

@@ -20,7 +20,7 @@
 //! *capacity*, never zeroes contents (the pack routines fully initialize
 //! what they use), and a returned buffer keeps its backing storage.
 //! Hit/miss/alloc-bytes counters flush into [`crate::stats`], so the
-//! trace binary and the scaling bench can prove the steady state: after
+//! trace binary and `tests/runtime.rs` can prove the steady state: after
 //! warm-up, `arena_misses` and `arena_alloc_bytes` deltas are zero.
 
 use crate::scalar::Scalar;

@@ -6,7 +6,7 @@
 //! kernels per instruction set; this module decides **which one runs**:
 //!
 //! 1. an in-process override installed by [`force_isa`] (an RAII guard,
-//!    used by the forced-ISA test matrix and per-ISA benches),
+//!    used by the forced-ISA test matrix),
 //! 2. else the `SYRK_FORCE_ISA` environment variable (`scalar`, `avx2`,
 //!    `avx512`, or `neon` — parsed and validated **once**; an unknown
 //!    name or an ISA the host cannot run is a hard error, never silently
@@ -107,8 +107,7 @@ impl std::fmt::Display for Isa {
 }
 
 /// Every ISA the running host can execute, best first, `Scalar` always
-/// last — the iteration set of the forced-ISA test matrix and the
-/// per-ISA benches.
+/// last — the iteration set of the forced-ISA test matrix.
 pub fn available_isas() -> Vec<Isa> {
     let mut out: Vec<Isa> = [Isa::Avx512, Isa::Avx2, Isa::Neon]
         .into_iter()
@@ -185,10 +184,10 @@ impl Drop for ForcedIsaGuard {
 
 /// Pin the kernel dispatch to `isa` until the returned guard drops —
 /// the in-process analogue of `SYRK_FORCE_ISA`, used by the forced-ISA
-/// test matrix and the per-ISA benches. Panics if the host cannot
-/// execute `isa`. Process-wide and last-writer-wins under concurrent
-/// guards; every ISA computes correct results, so the override affects
-/// performance and rounding, never correctness.
+/// test matrix. Panics if the host cannot execute `isa`. Process-wide
+/// and last-writer-wins under concurrent guards; every ISA computes
+/// correct results, so the override affects performance and rounding,
+/// never correctness.
 pub fn force_isa(isa: Isa) -> ForcedIsaGuard {
     require_available(isa, "force_isa");
     let prev = ISA_OVERRIDE.swap(isa.index() as u8 + 1, Ordering::Relaxed);
@@ -211,8 +210,8 @@ pub fn dispatched_isa() -> Isa {
 
 /// Crate-internal serialization for unit tests that either flip the
 /// process-global ISA override or assert bitwise determinism that a
-/// concurrent override flip would break. Integration tests and benches
-/// run single-binary suites with their own locks; this one covers the
+/// concurrent override flip would break. Integration tests run
+/// single-binary suites with their own locks; this one covers the
 /// unit-test binary, where the cargo test harness runs modules
 /// concurrently.
 #[cfg(test)]

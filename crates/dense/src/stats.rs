@@ -8,7 +8,7 @@
 //! work-stealing runtime scheduled and migrated tasks. The `trace` binary
 //! reports them next to the per-phase communication table so one run
 //! shows both sides of the α-β-γ model (network words and γ-side kernel
-//! work), and the scaling bench uses the arena counters to prove the
+//! work), and `tests/runtime.rs` uses the arena counters to prove the
 //! steady state allocates nothing.
 //!
 //! Since the telemetry layer landed, the counters live on the process
@@ -87,7 +87,7 @@ impl KernelStats {
     }
 
     /// `(name, calls)` per ISA with a nonzero count — the reporting shape
-    /// the `trace` binary and the benches print.
+    /// the `trace` binary prints.
     pub fn isa_calls_by_name(&self) -> Vec<(&'static str, u64)> {
         Isa::ALL
             .iter()

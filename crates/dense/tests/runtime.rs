@@ -1,8 +1,8 @@
 //! End-to-end tests of the work-stealing kernel runtime: thread-budget
 //! nesting, bitwise determinism of every parallel kernel across thread
 //! counts (the chunking, the steal schedule, and the wide/narrow kernel
-//! choice must all be invisible in the results), and the arena's
-//! zero-allocation steady state.
+//! choice must all be invisible in the results), the arena's
+//! zero-allocation steady state, and the shared pack's exact word count.
 //!
 //! The thread budget and the arena counters are process-global, and the
 //! test harness runs tests on concurrent threads, so every test
@@ -10,11 +10,12 @@
 //! deltas would otherwise race.
 
 use std::sync::{Mutex, MutexGuard};
+use syrk_dense::pack::packed_panel_len;
 use syrk_dense::{
-    available_isas, available_threads, cholesky, dispatched_isa, force_isa, gemm_flops,
-    kernel_stats, limit_threads, max_abs_diff, mul_nn, mul_nt, seeded_matrix, syr2k_packed_new,
-    syrk_flops, syrk_full_reference, syrk_packed_new, Diag, Isa, Matrix, PackedLower,
-    SERIAL_FLOP_CUTOFF,
+    available_isas, available_threads, balanced_triangle_chunks, cholesky, dispatch_f64,
+    dispatched_isa, force_isa, gemm_flops, kernel_stats, limit_threads, max_abs_diff, mul_nn,
+    mul_nt, per_chunk_pack_words, seeded_matrix, steal_task_count, syr2k_packed_new, syrk_flops,
+    syrk_full_reference, syrk_packed_new, Diag, Isa, Matrix, PackedLower, SERIAL_FLOP_CUTOFF,
 };
 use syrk_telemetry::registry;
 
@@ -313,4 +314,42 @@ fn arena_steady_state_allocates_nothing() {
     );
     assert_eq!(d.arena_misses, 0, "steady state must not miss the arena");
     assert!(d.arena_hits >= 1, "steady state must hit the arena");
+}
+
+#[test]
+fn four_thread_syrk_packs_each_operand_side_exactly_once() {
+    let _s = serial();
+    // Each of the two kc = 256 inner panels is 512·513·256 flops, far
+    // above the serial cutoff: sixteen chunks over four workers really
+    // share the packs.
+    let (n, k) = (512usize, 512usize);
+    assert!(syrk_flops(n, k / 2) >= SERIAL_FLOP_CUTOFF);
+    let a = seeded_matrix::<f64>(n, k, 1);
+    let spec = dispatch_f64().spec;
+    let (mr, nr) = (spec.mr, spec.nr);
+    let _g = limit_threads(4);
+    let before = kernel_stats();
+    let _ = syrk_packed_new(&a, Diag::Inclusive);
+    let packed = kernel_stats().since(&before).pack_words;
+    // One full-height shared copy per operand side: a single pack at lane
+    // width mr when the tile is square (both sides alias it), a second at
+    // nr for a rectangular SIMD tile. Both counts are linear in the panel
+    // width, so the totals use the full k.
+    let sides: &[usize] = if mr == nr { &[mr] } else { &[mr, nr] };
+    let shared: u64 = sides
+        .iter()
+        .map(|&r| packed_panel_len(n, k, r) as u64)
+        .sum();
+    assert_eq!(packed, shared, "spec {mr}x{nr}: every block packed once");
+    // Against every chunk packing its own triangle prefix.
+    let chunks = balanced_triangle_chunks(n, Diag::Inclusive, steal_task_count(4), mr);
+    let per_chunk: u64 = sides
+        .iter()
+        .map(|&r| per_chunk_pack_words(&chunks, k, r))
+        .sum();
+    assert!(
+        per_chunk as f64 >= 1.8 * packed as f64,
+        "shared {packed} words vs per-chunk model {per_chunk} over {} chunks",
+        chunks.len()
+    );
 }

@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::error::MachineError;
-use syrk_telemetry::{flight, registry, wall_trace_events};
+use syrk_telemetry::{escape_json, flight, registry, wall_trace_events};
 
 static GLOBAL_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
 
@@ -100,24 +100,6 @@ fn ambient_path() -> Option<PathBuf> {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn error_kind(err: &MachineError) -> &'static str {
     match err {
         MachineError::Deadlock(_) => "deadlock",
@@ -135,13 +117,13 @@ fn error_kind(err: &MachineError) -> &'static str {
 pub fn failure_dump_string(err: &MachineError) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"kind\": \"{}\",", error_kind(err));
-    let _ = writeln!(out, "  \"error\": \"{}\",", escape(&err.to_string()));
+    let _ = writeln!(out, "  \"error\": \"{}\",", escape_json(&err.to_string()));
     if let MachineError::Deadlock(info) = err {
         out.push_str("  \"wait_for\": [");
         for (i, e) in info.edges.iter().enumerate() {
             let sep = if i == 0 { "" } else { ", " };
             let phase = match e.phase {
-                Some(p) => format!("\"{}\"", escape(p)),
+                Some(p) => format!("\"{}\"", escape_json(p)),
                 None => "null".to_string(),
             };
             let _ = write!(
@@ -150,7 +132,7 @@ pub fn failure_dump_string(err: &MachineError) -> String {
                  \"phase\": {phase}}}",
                 e.from,
                 e.to,
-                escape(e.op),
+                escape_json(e.op),
                 e.tag.0,
                 e.tag.1
             );

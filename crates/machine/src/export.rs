@@ -17,7 +17,7 @@
 use crate::trace::{Event, EventKind, Timeline};
 use std::fmt::Write as _;
 use syrk_telemetry::export::WALL_PID;
-use syrk_telemetry::{wall_trace_events, FlightRecording};
+use syrk_telemetry::{escape_json, wall_trace_events, FlightRecording};
 
 /// Scale from model time to trace-event microseconds.
 const TS_SCALE: f64 = 1e6;
@@ -31,27 +31,6 @@ fn kind_label(kind: EventKind) -> &'static str {
     }
 }
 
-/// Minimal JSON string escaping (the strings here are phase names and
-/// labels, but escape control characters anyway to keep the output valid
-/// for arbitrary names).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn push_event(out: &mut String, e: &Event, rank: usize, prev_clock: f64) {
     let name = e.phase.unwrap_or_else(|| kind_label(e.kind));
     let ts = prev_clock * TS_SCALE;
@@ -62,14 +41,14 @@ fn push_event(out: &mut String, e: &Event, rank: usize, prev_clock: f64) {
         e.peer.to_string()
     };
     let phase = match e.phase {
-        Some(p) => format!("\"{}\"", escape(p)),
+        Some(p) => format!("\"{}\"", escape_json(p)),
         None => "null".to_string(),
     };
     let _ = write!(
         out,
         "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":0,\"tid\":{},\
          \"args\":{{\"amount\":{},\"peer\":{},\"phase\":{}}}}}",
-        escape(name),
+        escape_json(name),
         kind_label(e.kind),
         ts,
         dur,
@@ -286,11 +265,5 @@ mod tests {
         let json = chrome_trace_json_with_wall(&[], &rec);
         assert!(json.contains("\"wall-clock\""));
         assert!(!json.contains(",]") && !json.contains("[,"));
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! Every endpoint renders JSON by hand (the workspace is
 //! dependency-free); the output is strict JSON — the integration tests
-//! round-trip every body through `syrk_bench`'s parser. Handlers never
-//! panic on client input: bad parameters become 4xx documents, and
-//! algorithm errors (unsupported grid orders, empty matrices) become
-//! 422s with the error text.
+//! round-trip every body through [`crate::json`]'s strict parser.
+//! Handlers never panic on client input: bad parameters become 4xx
+//! documents, and algorithm errors (unsupported grid orders, empty
+//! matrices) become 422s with the error text.
 
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
@@ -21,9 +21,9 @@ use syrk_core::{
 };
 use syrk_dense::seeded_matrix;
 use syrk_machine::{scoped_failure_dump_path, CostModel, FaultPlan};
-use syrk_telemetry::registry;
+use syrk_telemetry::{escape_json, registry};
 
-use crate::http::{escape, Request, Response};
+use crate::http::{Request, Response};
 use crate::json::{self, Json};
 use crate::state::{self, AdmitError, SharedState};
 
@@ -542,7 +542,7 @@ fn json_outcome(outcome: &AttemptOutcome) -> String {
         AttemptOutcome::Corrupted { detail } => {
             format!(
                 "{{\"kind\": \"corrupted\", \"detail\": \"{}\"}}",
-                escape(detail)
+                escape_json(detail)
             )
         }
     }

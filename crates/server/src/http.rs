@@ -12,6 +12,8 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
+use syrk_telemetry::escape_json;
+
 /// Cap on the request head (request line + headers). Generous for any
 /// curl/browser query against this API.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -233,7 +235,10 @@ impl Response {
 
     /// A JSON error document: `{"error": "..."}`.
     pub fn json_error(status: u16, message: &str) -> Self {
-        Self::json(status, format!("{{\"error\": \"{}\"}}\n", escape(message)))
+        Self::json(
+            status,
+            format!("{{\"error\": \"{}\"}}\n", escape_json(message)),
+        )
     }
 
     /// An HTML response.
@@ -300,26 +305,6 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Escape a string for embedding inside JSON double quotes.
-pub fn escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,11 +339,5 @@ mod tests {
             query,
             vec![("a".into(), "".into()), ("b".into(), "1".into())]
         );
-    }
-
-    #[test]
-    fn escape_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }

@@ -1,11 +1,13 @@
-//! A minimal strict JSON parser for `/run` request bodies.
+//! A minimal strict JSON parser — the only one in the repository.
 //!
 //! The workspace is dependency-free, so the server parses the few
-//! fields it accepts (`recovery`, `faults`) with its own
-//! recursive-descent parser instead of pulling in serde. It accepts
-//! exactly RFC 8259 syntax — no trailing commas, no comments, no bare
-//! NaN/Infinity — and bounds nesting depth so a hostile body cannot
-//! blow the worker's stack.
+//! fields a `/run` body carries (`recovery`, `faults`) with its own
+//! recursive-descent parser instead of pulling in serde, and the tests
+//! and `syrkbench` check every document the workspace emits (responses,
+//! Chrome traces, metric snapshots, failure dumps) with the same one.
+//! It accepts exactly RFC 8259 syntax — no trailing commas, no
+//! comments, no bare NaN/Infinity — and bounds nesting depth so a
+//! hostile body cannot blow the worker's stack.
 
 /// Maximum nesting depth of arrays/objects.
 const MAX_DEPTH: usize = 32;
@@ -64,6 +66,14 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The elements of an array, if this is one.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
             _ => None,
         }
     }
@@ -217,9 +227,12 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
+                            // Four hex digits exactly: `from_str_radix`
+                            // alone would take a sign (`\u+041`).
                             let hex = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| {
@@ -331,6 +344,10 @@ mod tests {
             Json::Str("a\"b\nA".into())
         );
         assert_eq!(
+            parse(r#""\b\f\/\r\t\\""#).unwrap(),
+            Json::Str("\u{8}\u{c}/\r\t\\".into())
+        );
+        assert_eq!(
             parse("[1, [2], {}]").unwrap(),
             Json::Arr(vec![
                 Json::Num(1.0),
@@ -338,8 +355,15 @@ mod tests {
                 Json::Obj(vec![])
             ])
         );
+        assert_eq!(parse("[ \n]").unwrap(), Json::Arr(vec![]));
+        assert_eq!(parse("{ \t}").unwrap(), Json::Obj(vec![]));
+        assert_eq!(
+            parse("[1, 2]").unwrap().as_arr(),
+            Some(&[Json::Num(1.0), Json::Num(2.0)][..])
+        );
+        assert_eq!(parse("{}").unwrap().as_arr(), None);
         // Non-ASCII passes through.
-        assert_eq!(parse("\"é\"").unwrap(), Json::Str("é".into()));
+        assert_eq!(parse("\"é 😀\"").unwrap(), Json::Str("é 😀".into()));
     }
 
     #[test]
@@ -360,9 +384,16 @@ mod tests {
             "+1",
             "--1",
             "{'a': 1}",
+            "{\"a\" 1}",
+            "[1, 2}",
+            "\"\\u+041\"",
+            "\"\\u00g1\"",
+            "\"\\u041\"",
+            "\"\\ud800 lone\"",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+        assert!(parse("[1, x]").unwrap_err().contains("offset 4"));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! End-to-end tests for the SYRK-as-a-service server: every endpoint
-//! round-trips through `syrk_bench`'s strict JSON parser, malformed
+//! round-trips through the crate's own strict JSON parser, malformed
 //! input degrades to 4xx without killing the server, `/run` admission
 //! control rejects deterministically when the queue is full without
 //! starving `/plan`, and `/shutdown` drains in-flight work.
@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 
-use syrk_bench::json::{self, Json};
+use syrk_server::json::{self, Json};
 use syrk_server::{Server, ServerConfig, SharedState};
 
 // ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ fn plan_round_trips_through_strict_json() {
     assert!(best.get("plan").and_then(|p| p.get("algorithm")).is_some());
     let predicted = best
         .get("predicted_cost")
-        .and_then(Json::as_num)
+        .and_then(Json::as_f64)
         .expect("predicted cost");
     assert!(predicted > 0.0);
     let candidates = doc
@@ -158,13 +158,13 @@ fn plan_round_trips_through_strict_json() {
         .expect("candidates");
     assert!(!candidates.is_empty());
     // Candidates arrive sorted by predicted cost; the best is first.
-    let first = candidates[0].get("predicted_cost").and_then(Json::as_num);
+    let first = candidates[0].get("predicted_cost").and_then(Json::as_f64);
     assert_eq!(first, Some(predicted));
     let terms = doc.get("terms").and_then(Json::as_arr).expect("terms");
     assert!(!terms.is_empty());
     for t in terms {
         assert!(t.get("phase").and_then(Json::as_str).is_some());
-        assert!(t.get("bound_term").and_then(Json::as_num).is_some());
+        assert!(t.get("bound_term").and_then(Json::as_f64).is_some());
     }
     srv.shutdown();
 }
@@ -177,12 +177,12 @@ fn bounds_reports_syrk_vs_gemm_attribution() {
     let syrk = doc
         .get("syrk")
         .and_then(|b| b.get("communicated"))
-        .and_then(Json::as_num)
+        .and_then(Json::as_f64)
         .expect("syrk bound");
     let gemm = doc
         .get("gemm")
         .and_then(|b| b.get("communicated"))
-        .and_then(Json::as_num)
+        .and_then(Json::as_f64)
         .expect("gemm bound");
     assert!(syrk > 0.0 && gemm > syrk, "gemm {gemm} vs syrk {syrk}");
     let tables = doc
@@ -204,20 +204,20 @@ fn run_executes_and_reports_measured_cost() {
     let words = doc
         .get("cost")
         .and_then(|c| c.get("max_words_sent"))
-        .and_then(Json::as_num)
+        .and_then(Json::as_f64)
         .expect("measured words");
     assert!(words > 0.0);
     let ratio = doc
         .get("measured_over_bound")
-        .and_then(Json::as_num)
+        .and_then(Json::as_f64)
         .expect("ratio");
     assert!(ratio > 0.0 && ratio < 10.0, "ratio {ratio}");
     // Determinism: same seed, same checksum.
-    let checksum = doc.get("c_checksum").and_then(Json::as_num).unwrap();
+    let checksum = doc.get("c_checksum").and_then(Json::as_f64).unwrap();
     let (status2, body2) = post(srv.addr, "/run?alg=2d&n1=36&n2=8&c=3&seed=7");
     let again = parse_ok(status2, &body2)
         .get("c_checksum")
-        .and_then(Json::as_num)
+        .and_then(Json::as_f64)
         .unwrap();
     assert_eq!(checksum, again);
     srv.shutdown();
@@ -273,7 +273,7 @@ fn run_with_injected_crash_recovers_and_reports() {
         .and_then(Json::as_arr)
         .expect("ranks_lost");
     assert_eq!(lost.len(), 1);
-    assert_eq!(lost[0].as_num(), Some(1.0));
+    assert_eq!(lost[0].as_f64(), Some(1.0));
     let attempts = recovery
         .get("attempts")
         .and_then(Json::as_arr)
@@ -291,19 +291,19 @@ fn run_with_injected_crash_recovers_and_reports() {
     let final_ranks = recovery
         .get("final_plan")
         .and_then(|p| p.get("ranks"))
-        .and_then(Json::as_num)
+        .and_then(Json::as_f64)
         .expect("final plan ranks");
     assert!(final_ranks <= 11.0, "{body}");
     let words = recovery
         .get("recovery_words")
-        .and_then(Json::as_num)
+        .and_then(Json::as_f64)
         .expect("recovery words");
     assert!(words > 0.0, "{body}");
     // The recovery counters are live on /metrics.
     let attempts_after = scrape_counter(srv.addr, "syrk_recovery_attempts");
     assert!(attempts_after > attempts_before);
     // Determinism survives recovery: same request, same checksum.
-    let checksum = doc.get("c_checksum").and_then(Json::as_num).unwrap();
+    let checksum = doc.get("c_checksum").and_then(Json::as_f64).unwrap();
     let (status2, _, body2) = post_json(
         srv.addr,
         "/run?alg=2d&n1=36&n2=8&c=3&seed=7",
@@ -311,7 +311,7 @@ fn run_with_injected_crash_recovers_and_reports() {
     );
     let again = parse_ok(status2, &body2);
     assert_eq!(
-        again.get("c_checksum").and_then(Json::as_num),
+        again.get("c_checksum").and_then(Json::as_f64),
         Some(checksum)
     );
     srv.shutdown();

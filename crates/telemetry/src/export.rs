@@ -14,8 +14,11 @@ use std::fmt::Write as _;
 use crate::flight::{FlightEvent, FlightKind, FlightRecording};
 use crate::registry::{bucket_bound, MetricValue, MetricsSnapshot, HISTOGRAM_BUCKETS};
 
-/// Escape a string for embedding inside JSON double quotes.
-fn escape_json(s: &str) -> String {
+/// Escape a string for embedding inside JSON double quotes: `"`, `\\`
+/// and every control character below U+0020, everything else verbatim.
+/// The one escaper of the workspace — the machine's trace and dump
+/// writers and the server's responses all call it.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -195,6 +198,13 @@ pub fn wall_trace_json(rec: &FlightRecording) -> String {
 mod tests {
     use super::*;
     use crate::registry::{self};
+
+    #[test]
+    fn json_escaping_covers_quotes_and_controls() {
+        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape_json("\r\t\u{1}"), "\\r\\t\\u0001");
+        assert_eq!(escape_json("é 😀"), "é 😀");
+    }
 
     #[test]
     fn prometheus_text_exposes_all_kinds() {

@@ -10,7 +10,9 @@
 //! the crashed rank, not just the machine-level first failure.
 
 use std::sync::Mutex;
-use syrk_repro::core::{run_with_recovery, syrk_lower_bound, AttemptOutcome, Plan, RecoveryPolicy};
+use syrk_repro::core::{
+    plan, run_with_recovery, syrk_lower_bound, AttemptOutcome, Plan, RecoveryPolicy,
+};
 use syrk_repro::dense::{max_abs_diff, seeded_matrix, syrk_full_reference};
 use syrk_repro::machine::{
     Comm, CostModel, FaultPlan, Machine, MachineError, RECOVER_AGREE_PHASE, RECOVER_BACKOFF_PHASE,
@@ -192,8 +194,23 @@ fn twod_crash_recovery_is_engine_identical_and_correct() {
     );
     assert!(max_abs_diff(&run.c, &syrk_full_reference(&a)) < 1e-10);
 
-    // The merged cost report charges the whole recover:* family.
+    // The successful attempt ran the replanned grid on the same input: to
+    // the bit the run the planner would have launched had it known.
     let p = report.final_plan.ranks();
+    let (clean, clean_report) = run_with_recovery(
+        &a,
+        report.final_plan,
+        CostModel::bandwidth_only(),
+        None,
+        &RecoveryPolicy::default(),
+    )
+    .expect("clean run on the replanned grid");
+    assert!(!clean_report.recovered);
+    let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(run.c.as_slice()), bits(clean.c.as_slice()));
+    assert_eq!(plan(36, 8, p).plan, report.final_plan);
+
+    // The merged cost report charges the whole recover:* family.
     let phase_words = |name: &str| -> u64 {
         (0..p)
             .filter_map(|r| run.cost.phase_cost(r, name))

@@ -6,8 +6,8 @@
 use std::path::PathBuf;
 use std::sync::Barrier;
 
-use syrk_bench::json;
 use syrk_machine::{scoped_failure_dump_path, set_failure_dump_path, Machine, MachineError};
+use syrk_server::json;
 
 /// A two-rank run where each rank waits on the other: deadlocks,
 /// deterministically.

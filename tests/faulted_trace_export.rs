@@ -1,15 +1,15 @@
 //! Export-format tests for faulted traced runs: the Chrome trace JSON
 //! written for a run under fault injection must round-trip through the
-//! strict JSON parser in `syrk_bench::json` and carry the retry traffic
+//! strict JSON parser in `syrk_server::json` and carry the retry traffic
 //! as named `retry:*` slices, so a Perfetto user can see exactly which
 //! messages were retransmitted and why.
 
-use syrk_bench::{parse_json as parse, Json};
 use syrk_core::try_syrk_2d_traced;
 use syrk_machine::telemetry::{FlightEvent, FlightKind, FlightRecording};
 use syrk_machine::{
     chrome_trace_json, chrome_trace_json_with_wall, CostModel, FaultPlan, Timeline,
 };
+use syrk_server::json::{parse, Json};
 
 fn faulted_traces() -> Vec<Timeline> {
     let a = syrk_dense::seeded_matrix::<f64>(36, 8, 1);
@@ -53,8 +53,8 @@ fn faulted_chrome_trace_names_retry_slices_and_round_trips() {
         if e.get("ph").and_then(Json::as_str) != Some("X") {
             continue;
         }
-        assert!(e.get("ts").and_then(Json::as_num).unwrap() >= 0.0);
-        assert!(e.get("dur").and_then(Json::as_num).unwrap() >= 0.0);
+        assert!(e.get("ts").and_then(Json::as_f64).unwrap() >= 0.0);
+        assert!(e.get("dur").and_then(Json::as_f64).unwrap() >= 0.0);
         assert!(e.get("pid").is_some() && e.get("tid").is_some());
         let name = e.get("name").and_then(Json::as_str).unwrap();
         if name.starts_with("retry:") {
@@ -117,7 +117,7 @@ fn merged_wall_trace_round_trips_with_faulted_timelines() {
     let doc = parse(&json).expect("merged trace must be strict JSON");
     let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
     // Both processes present: the simulated rows and the wall-clock rows.
-    let pid_of = |e: &Json| e.get("pid").and_then(Json::as_num).unwrap();
+    let pid_of = |e: &Json| e.get("pid").and_then(Json::as_f64).unwrap();
     assert!(events.iter().any(|e| pid_of(e) == 0.0));
     assert!(events.iter().any(|e| pid_of(e) == 1.0));
     // The retry slices survive the merge.

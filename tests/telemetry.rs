@@ -9,11 +9,11 @@
 
 use std::sync::Mutex;
 
-use syrk_bench::{parse_json, Json};
 use syrk_core::try_syrk_2d_traced;
 use syrk_dense::seeded_matrix;
 use syrk_machine::telemetry::{flight, prometheus_text, registry, snapshot_json};
 use syrk_machine::{set_failure_dump_path, CostModel, FaultPlan, Machine, MachineError};
+use syrk_server::json::{parse as parse_json, Json};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -117,16 +117,16 @@ fn exporters_render_the_live_registry() {
     assert!(doc
         .get("counters")
         .and_then(|c| c.get("syrk_coll_all_gather_calls"))
-        .and_then(Json::as_num)
+        .and_then(Json::as_f64)
         .is_some_and(|v| v >= 2.0));
     assert!(doc.get("gauges").is_some());
     let hist = doc
         .get("histograms")
         .and_then(|h| h.get("syrk_coll_all_gather_payload_words"))
         .expect("payload histogram exported");
-    let count = hist.get("count").and_then(Json::as_num).unwrap();
+    let count = hist.get("count").and_then(Json::as_f64).unwrap();
     let buckets = hist.get("buckets").and_then(Json::as_arr).unwrap();
-    let bucket_total: f64 = buckets.iter().filter_map(Json::as_num).sum();
+    let bucket_total: f64 = buckets.iter().filter_map(Json::as_f64).sum();
     assert_eq!(count, bucket_total, "buckets must partition the count");
 }
 
@@ -168,7 +168,7 @@ fn deadlock_writes_failure_dump_with_graph_and_wall_row() {
     assert!(
         events.iter().any(|e| {
             e.get("name").and_then(Json::as_str) == Some("recv:block")
-                && e.get("pid").and_then(Json::as_num) == Some(1.0)
+                && e.get("pid").and_then(Json::as_f64) == Some(1.0)
         }),
         "expected a recv:block wall-clock slice in {} events",
         events.len()

@@ -1,13 +1,13 @@
 //! Integration: the Chrome trace-event exporter produces well-formed
 //! JSON for every algorithm's traced run, validated with the in-repo
-//! parser (`syrk_bench::json`) — the same check CI's smoke run relies on.
+//! strict parser (`syrk_server::json`).
 
 use std::collections::BTreeMap;
 
-use syrk_bench::{parse_json, Json};
 use syrk_core::{syrk_1d_traced, syrk_2d_traced, syrk_3d_traced};
 use syrk_dense::seeded_matrix;
 use syrk_machine::{chrome_trace_json, timelines_csv, CostModel, Timeline};
+use syrk_server::json::{parse as parse_json, Json};
 
 fn all_traces() -> Vec<(&'static str, Vec<Timeline>)> {
     let a = seeded_matrix::<f64>(36, 8, 2);
@@ -53,9 +53,9 @@ fn chrome_trace_json_is_valid_for_all_algorithms() {
                     for key in ["name", "cat", "ph", "ts", "dur", "pid", "tid"] {
                         assert!(e.get(key).is_some(), "{name}: event {i} lacks {key:?}");
                     }
-                    let tid = e.get("tid").and_then(Json::as_num).unwrap() as u64;
-                    let ts = e.get("ts").and_then(Json::as_num).unwrap();
-                    let dur = e.get("dur").and_then(Json::as_num).unwrap();
+                    let tid = e.get("tid").and_then(Json::as_f64).unwrap() as u64;
+                    let ts = e.get("ts").and_then(Json::as_f64).unwrap();
+                    let dur = e.get("dur").and_then(Json::as_f64).unwrap();
                     assert!(dur >= 0.0, "{name}: event {i} has negative dur");
                     // Per-rank timestamps are monotone non-decreasing.
                     if let Some(&prev) = last_ts.get(&tid) {
@@ -69,7 +69,7 @@ fn chrome_trace_json_is_valid_for_all_algorithms() {
                     let args = e.get("args").unwrap_or_else(|| {
                         panic!("{name}: event {i} lacks args");
                     });
-                    assert!(args.get("amount").and_then(Json::as_num).is_some());
+                    assert!(args.get("amount").and_then(Json::as_f64).is_some());
                     assert!(args.get("phase").is_some());
                     slices += 1;
                 }
