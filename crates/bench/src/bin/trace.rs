@@ -15,11 +15,8 @@
 //! simulated α-β-γ clock) to `target/experiments/trace_<mode>.{csv,json}`.
 //! Malformed arguments print usage and exit with status 2.
 
-use syrk_core::{
-    attribute_bounds, plan, try_syrk_1d_traced, try_syrk_2d_traced, try_syrk_3d_traced, Plan,
-    SyrkError, SyrkRunResult,
-};
-use syrk_dense::{detected_isa, dispatched_isa, kernel_stats, seeded_matrix, Matrix};
+use syrk_core::{attribute_bounds, plan, run, Plan, RunSpec, SyrkRunResult};
+use syrk_dense::{detected_isa, dispatched_isa, kernel_stats, seeded_matrix};
 use syrk_machine::telemetry::{flight, prometheus_text, registry, snapshot_json};
 use syrk_machine::{
     chrome_trace_json, chrome_trace_json_with_wall, timelines_csv, CostModel, EventKind, FaultPlan,
@@ -256,11 +253,16 @@ fn main() {
         beta: 0.01,
         gamma: 1e-5,
     };
+    let spec = RunSpec {
+        faults,
+        trace: true,
+        ..RunSpec::new(the_plan, model)
+    };
 
     let kernels_before = kernel_stats();
     let wall = std::time::Instant::now();
-    let (run, traces) = match run_traced(&a, the_plan, model, faults.as_ref()) {
-        Ok(out) => out,
+    let (run, traces) = match run(&a, &spec) {
+        Ok(out) => (out.result, out.traces.expect("the spec asks for tracing")),
         Err(e) => {
             eprintln!("trace: run failed: {e}");
             std::process::exit(1);
@@ -270,7 +272,7 @@ fn main() {
     let kernels = kernel_stats().since(&kernels_before);
 
     report(label, n1, n2, the_plan, &run, &traces);
-    if let Some(plan) = &faults {
+    if let Some(plan) = &spec.faults {
         report_faults(plan, &run);
     }
 
@@ -344,20 +346,6 @@ fn main() {
     if let Some(fmt) = &metrics_fmt {
         println!("\n-- metrics ({fmt}) --");
         print_metrics(fmt);
-    }
-}
-
-/// Dispatch the traced run for a plan.
-fn run_traced(
-    a: &Matrix<f64>,
-    plan: Plan,
-    model: CostModel,
-    faults: Option<&FaultPlan>,
-) -> Result<(SyrkRunResult, Vec<Timeline>), SyrkError> {
-    match plan {
-        Plan::OneD { p } => try_syrk_1d_traced(a, p, model, faults),
-        Plan::TwoD { c } => try_syrk_2d_traced(a, c, model, faults),
-        Plan::ThreeD { c, p2 } => try_syrk_3d_traced(a, c, p2, model, faults),
     }
 }
 

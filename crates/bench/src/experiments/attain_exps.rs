@@ -6,7 +6,7 @@
 use crate::table::{fnum, Table};
 use syrk_core::{
     alg1d_predicted_cost, alg2d_predicted_cost, alg2d_tight_cost, alg3d_predicted_cost, syrk_1d,
-    syrk_2d, syrk_2d_padded, syrk_3d, syrk_lower_bound,
+    syrk_2d, syrk_3d, syrk_lower_bound, Plan, RunSpec,
 };
 use syrk_dense::{max_abs_diff, seeded_matrix, syrk_full_reference, syrk_tolerance, Matrix};
 use syrk_machine::CostModel;
@@ -104,8 +104,12 @@ pub fn attain_2d() -> Vec<Table> {
         let (err, ok) = verified(&run.c, &a);
         assert!(ok, "({n1},{n2},c={c}) numerically wrong: {err}");
         let measured = run.cost.max_words_sent() as f64;
-        let padded = syrk_2d_padded(&a, c, CostModel::bandwidth_only());
-        let padded_meas = padded.cost.max_words_sent() as f64;
+        let padded = RunSpec {
+            padded: true,
+            ..RunSpec::new(Plan::TwoD { c }, CostModel::bandwidth_only())
+        };
+        let padded = syrk_core::run(&a, &padded).expect("same grid as the tight run");
+        let padded_meas = padded.result.cost.max_words_sent() as f64;
         let tight = alg2d_tight_cost(n1, n2, c);
         let eq10 = alg2d_predicted_cost(n1, n2, c);
         let bound = syrk_lower_bound(n1, n2, p).communicated();

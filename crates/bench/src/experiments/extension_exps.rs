@@ -4,8 +4,8 @@
 
 use crate::table::{fnum, Table};
 use syrk_core::{
-    symm_2d, symm_reference, syr2k_1d, syr2k_2d, syrk_1d_with, syrk_2d, syrk_2d_limited, syrk_3d,
-    syrk_lower_bound, syrk_memory_dependent_bound,
+    run, symm_2d, symm_reference, syr2k_1d, syr2k_2d, syrk_2d, syrk_2d_limited, syrk_3d,
+    syrk_lower_bound, syrk_memory_dependent_bound, Plan, RunSpec,
 };
 use syrk_dense::{max_abs_diff, seeded_matrix, syr2k_full_reference, syrk_tolerance};
 use syrk_machine::{CostModel, ReduceScatterAlg};
@@ -159,12 +159,16 @@ pub fn latency_1d() -> Vec<Table> {
     let (n1, n2, p) = (32usize, 256usize, 16usize);
     let a = seeded_matrix::<f64>(n1, n2, 11);
     let reference = syrk_dense::syrk_full_reference(&a);
-    for (name, alg) in [
+    for (name, rs_alg) in [
         ("pairwise (paper §3.2)", ReduceScatterAlg::PairwiseExchange),
         ("recursive halving", ReduceScatterAlg::RecursiveHalving),
         ("tree + scatter", ReduceScatterAlg::TreeThenScatter),
     ] {
-        let run = syrk_1d_with(&a, p, model, alg);
+        let spec = RunSpec {
+            rs_alg,
+            ..RunSpec::new(Plan::OneD { p }, model)
+        };
+        let run = run(&a, &spec).expect("p > 0 on a nonempty A").result;
         let ok = max_abs_diff(&run.c, &reference) <= syrk_tolerance::<f64>(n2, 1.0);
         assert!(ok, "{name} produced a wrong result");
         t.row(vec![

@@ -238,7 +238,7 @@ mod tests {
         let (n1, n2, p) = (20, 40, 5);
         let a = seeded_matrix::<f64>(n1, n2, 3);
         let g = gemm_1d(&a, p, CostModel::bandwidth_only());
-        let s = super::super::oned::syrk_1d(&a, p, CostModel::bandwidth_only());
+        let s = crate::syrk_1d(&a, p, CostModel::bandwidth_only());
         let ratio = g.cost.max_words_sent() as f64 / s.cost.max_words_sent() as f64;
         // n1² vs n1(n1+1)/2 → ratio = 2n1/(n1+1) ≈ 1.90 for n1 = 20.
         assert!((ratio - 2.0 * 20.0 / 21.0).abs() < 0.05, "ratio {ratio}");

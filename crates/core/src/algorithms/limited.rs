@@ -153,7 +153,7 @@ mod tests {
     fn rounds_1_matches_plain_2d() {
         let a = seeded_int_matrix::<f64>(16, 10, 4, 7);
         let lim = syrk_2d_limited(&a, 2, 1, CostModel::bandwidth_only());
-        let std = super::super::twod::syrk_2d(&a, 2, CostModel::bandwidth_only());
+        let std = crate::syrk_2d(&a, 2, CostModel::bandwidth_only());
         assert_eq!(max_abs_diff(&lim.c, &std.c), 0.0);
         assert_eq!(lim.cost.max_words_sent(), std.cost.max_words_sent());
         assert_eq!(lim.cost.total_flops(), std.cost.total_flops());

@@ -13,9 +13,10 @@ use syrk_dense::{
     mirror_lower_to_upper, syrk_flops, syrk_packed_view, write_packed_lower, Diag, Matrix,
     PackedLower, Partition1D,
 };
-use syrk_machine::{CostModel, FaultPlan, Machine, MachineError, ReduceScatterAlg, Timeline};
+use syrk_machine::MachineError;
 
 use super::common::SyrkRunResult;
+use super::run::{machine_for, RunSpec, SyrkRun};
 use crate::attribution::{PHASE_LOCAL_SYRK, PHASE_REDUCE_SCATTER_C};
 use crate::error::SyrkError;
 use crate::planner::PlanError;
@@ -24,115 +25,7 @@ use crate::planner::PlanError;
 ///
 /// `a` is the global input; each rank extracts its own column block
 /// (modeling the required initial distribution, which costs nothing).
-/// Returns the assembled `C = A·Aᵀ` and the cost report.
-pub fn syrk_1d(a: &Matrix<f64>, p: usize, model: CostModel) -> SyrkRunResult {
-    syrk_1d_with(a, p, model, ReduceScatterAlg::PairwiseExchange)
-}
-
-/// Algorithm 1 with an explicit Reduce-Scatter algorithm — the §6
-/// latency/bandwidth trade made selectable (pairwise = the paper's
-/// analysis; recursive halving = log-latency at equal bandwidth for
-/// power-of-two P; tree+scatter = log-latency, bandwidth-inflated).
-pub fn syrk_1d_with(
-    a: &Matrix<f64>,
-    p: usize,
-    model: CostModel,
-    rs_alg: ReduceScatterAlg,
-) -> SyrkRunResult {
-    match syrk_1d_impl(a, p, model, rs_alg, false, None, false) {
-        Ok((run, _)) => run,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`syrk_1d`]: invalid configurations and machine
-/// failures (crash, deadlock, …) surface as [`SyrkError`] instead of
-/// panicking. An optional [`FaultPlan`] injects deterministic transport
-/// faults into the run.
-#[must_use = "the Result carries the simulated run's outcome or failure"]
-pub fn try_syrk_1d(
-    a: &Matrix<f64>,
-    p: usize,
-    model: CostModel,
-    faults: Option<&FaultPlan>,
-) -> Result<SyrkRunResult, SyrkError> {
-    syrk_1d_impl(
-        a,
-        p,
-        model,
-        ReduceScatterAlg::PairwiseExchange,
-        false,
-        faults,
-        false,
-    )
-    .map(|(run, _)| run)
-}
-
-/// [`try_syrk_1d`] with ABFT checksum verification: each rank checks its
-/// local packed contribution `C̄_ℓ = A_ℓ·A_ℓᵀ` against independently
-/// computed row checksums (`crate::abft`) before the Reduce-Scatter, so
-/// a corrupt-but-undetected local result surfaces as
-/// [`MachineError::DataCorruption`] instead of silently poisoning `C`.
-/// Verification flops are charged under the `abft:verify` phase.
-#[must_use = "the Result carries the simulated run's outcome or failure"]
-pub fn try_syrk_1d_abft(
-    a: &Matrix<f64>,
-    p: usize,
-    model: CostModel,
-    faults: Option<&FaultPlan>,
-) -> Result<SyrkRunResult, SyrkError> {
-    syrk_1d_impl(
-        a,
-        p,
-        model,
-        ReduceScatterAlg::PairwiseExchange,
-        false,
-        faults,
-        true,
-    )
-    .map(|(run, _)| run)
-}
-
-/// Algorithm 1 with event tracing enabled: returns the run result plus
-/// the per-rank communication timelines (see `syrk_machine::Event`).
-pub fn syrk_1d_traced(
-    a: &Matrix<f64>,
-    p: usize,
-    model: CostModel,
-) -> (SyrkRunResult, Vec<Timeline>) {
-    try_syrk_1d_traced(a, p, model, None).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`syrk_1d_traced`], with optional fault injection.
-#[must_use = "the Result carries the simulated run's outcome or failure"]
-pub fn try_syrk_1d_traced(
-    a: &Matrix<f64>,
-    p: usize,
-    model: CostModel,
-    faults: Option<&FaultPlan>,
-) -> Result<(SyrkRunResult, Vec<Timeline>), SyrkError> {
-    let (run, traces) = syrk_1d_impl(
-        a,
-        p,
-        model,
-        ReduceScatterAlg::PairwiseExchange,
-        true,
-        faults,
-        false,
-    )?;
-    Ok((run, traces.expect("tracing was enabled")))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn syrk_1d_impl(
-    a: &Matrix<f64>,
-    p: usize,
-    model: CostModel,
-    rs_alg: ReduceScatterAlg,
-    tracing: bool,
-    faults: Option<&FaultPlan>,
-    abft: bool,
-) -> Result<(SyrkRunResult, Option<Vec<Timeline>>), SyrkError> {
+pub(crate) fn run_1d(a: &Matrix<f64>, p: usize, spec: &RunSpec) -> Result<SyrkRun, SyrkError> {
     let (n1, n2) = a.shape();
     if p == 0 {
         return Err(PlanError::ZeroRanks.into());
@@ -144,14 +37,7 @@ fn syrk_1d_impl(
     let packed_len = Diag::Inclusive.packed_len(n1);
     let segments = Partition1D::new(packed_len, p);
 
-    let mut machine = Machine::new(p).with_model(model);
-    if tracing {
-        machine = machine.with_tracing();
-    }
-    if let Some(plan) = faults {
-        machine = machine.with_faults(plan.clone());
-    }
-    let out = machine.try_run(|comm| {
+    let out = machine_for(spec, p).try_run(|comm| {
         let l = comm.rank();
         // Line 2–3: local SYRK on the owned column block A_ℓ, read where
         // it lies in the global matrix.
@@ -164,7 +50,7 @@ fn syrk_1d_impl(
             comm.note_buffer(n1 * r.len() + cbar.len());
             cbar
         };
-        if abft {
+        if spec.abft {
             let _span = comm.phase(crate::abft::PHASE_ABFT);
             comm.add_flops(crate::abft::block_check_flops(n1, n1, r.len()));
             let a_l = a.block_owned(0, r.start, n1, r.len());
@@ -186,7 +72,7 @@ fn syrk_1d_impl(
             }
             out
         };
-        comm.try_reduce_scatter_with(segs, rs_alg)
+        comm.try_reduce_scatter_with(segs, spec.rs_alg)
     })?;
 
     // The per-rank segments (the "evenly distributed across Π" final
@@ -196,14 +82,19 @@ fn syrk_1d_impl(
     let segs = out.results.iter().map(Vec::as_slice);
     write_packed_lower(&mut c, 0, n1, Diag::Inclusive, segs);
     mirror_lower_to_upper(&mut c);
-    Ok((SyrkRunResult { c, cost: out.cost }, out.traces))
+    Ok(SyrkRun {
+        result: SyrkRunResult { c, cost: out.cost },
+        traces: out.traces,
+        recovery: None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::bounds::alg1d_predicted_cost;
+    use crate::syrk_1d;
     use syrk_dense::{max_abs_diff, seeded_int_matrix, seeded_matrix, syrk_full_reference};
+    use syrk_machine::CostModel;
 
     #[test]
     fn correct_for_various_shapes_and_p() {

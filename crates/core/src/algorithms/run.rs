@@ -1,0 +1,194 @@
+//! One run, one value: [`RunSpec`] names everything a simulated SYRK run
+//! can vary and [`run`] executes it.
+//!
+//! The paper has three algorithms and one grid choice (§5.1–§5.4), which
+//! is the [`Plan`]; the rest of a spec is how the run is observed
+//! (`trace`, `dump`), checked (`abft`, `recovery`), perturbed (`faults`)
+//! or costed (`model`, `rs_alg`, `padded`). `syrk_{1d,2d,3d}` and
+//! `try_syrk_{1d,2d,3d}` are the common specs spelled as functions.
+
+use std::path::PathBuf;
+
+use syrk_dense::Matrix;
+use syrk_machine::{CostModel, FaultPlan, Machine, ReduceScatterAlg, Timeline};
+
+use super::{oned, threed, twod, SyrkRunResult};
+use crate::error::SyrkError;
+use crate::planner::Plan;
+use crate::recovery::{self, RecoveryPolicy, RecoveryReport};
+
+/// Everything that parameterises one simulated SYRK run.
+#[derive(Debug, Clone)]
+pub struct RunSpec {
+    /// Algorithm and grid (§5.4).
+    pub plan: Plan,
+    /// The α-β-γ cost model of the simulated machine.
+    pub model: CostModel,
+    /// Deterministic transport faults and crashes to inject.
+    pub faults: Option<FaultPlan>,
+    /// Record per-rank event timelines (see `syrk_machine::Event`). With
+    /// `recovery`, the timelines are the successful attempt's.
+    pub trace: bool,
+    /// In-machine ABFT: every rank checks each block it produced against
+    /// independently computed row checksums (`C_ij·1 = A_i·(A_jᵀ·1)`)
+    /// before the block leaves the rank, so a corrupt local product
+    /// surfaces as `MachineError::DataCorruption` naming the block.
+    /// Verification flops are charged under the `abft:verify` phase.
+    /// Implied by [`RecoveryPolicy::verify`]. Algorithm 3 has no
+    /// in-machine checks and ignores it (ROADMAP item 9c); its recovered
+    /// runs rely on the final full-`C` verification.
+    pub abft: bool,
+    /// Algorithm 1's Reduce-Scatter — the §6 latency/bandwidth trade
+    /// (pairwise = the paper's analysis; recursive halving = log-latency
+    /// at equal bandwidth for power-of-two P; tree+scatter = log-latency,
+    /// bandwidth-inflated). Algorithm 2 has no Reduce-Scatter; Algorithm
+    /// 3's row Reduce-Scatter ignores it and is always pairwise (ROADMAP
+    /// item 4, collectives as selectable schedules).
+    pub rs_alg: ReduceScatterAlg,
+    /// Algorithm 2 with the paper's padded exchange buffer `B` (Alg. 2
+    /// lines 3–9 verbatim): measured bandwidth reproduces eq. (10)'s
+    /// `(n1n2/c)(1 − 1/P)` exactly, at the cost of shipping some zeros.
+    /// Algorithm 1 has no exchange of `A`; Algorithm 3 ignores it and its
+    /// slices always run the tight exchange (ROADMAP item 11, one driver
+    /// for every grid).
+    pub padded: bool,
+    /// Survive crashes by shrinking and replanning and detected
+    /// corruption by retrying (see [`crate::recovery`]); `plan` is then
+    /// the *initial* grid.
+    pub recovery: Option<RecoveryPolicy>,
+    /// Where a failed machine writes its post-mortem (`syrk_machine::dump`);
+    /// applies to every machine the run builds, recovery prologues
+    /// included.
+    pub dump: Option<PathBuf>,
+}
+
+impl RunSpec {
+    /// The plain run of `plan`: no faults, no tracing, no checks, the
+    /// paper's pairwise Reduce-Scatter and tight exchange, no recovery,
+    /// no dump.
+    pub fn new(plan: Plan, model: CostModel) -> Self {
+        RunSpec {
+            plan,
+            model,
+            faults: None,
+            trace: false,
+            abft: false,
+            rs_alg: ReduceScatterAlg::PairwiseExchange,
+            padded: false,
+            recovery: None,
+            dump: None,
+        }
+    }
+}
+
+/// What [`run`] returns.
+#[derive(Debug)]
+pub struct SyrkRun {
+    /// The assembled `C = A·Aᵀ` and the cost report.
+    pub result: SyrkRunResult,
+    /// Per-rank event timelines; `Some` iff [`RunSpec::trace`].
+    pub traces: Option<Vec<Timeline>>,
+    /// What it took to finish; `Some` iff [`RunSpec::recovery`].
+    pub recovery: Option<RecoveryReport>,
+}
+
+/// Execute `spec` on `a`. Invalid configurations and machine failures
+/// (crash, deadlock, detected corruption, …) surface as [`SyrkError`].
+#[must_use = "the Result carries the simulated run's outcome or failure"]
+pub fn run(a: &Matrix<f64>, spec: &RunSpec) -> Result<SyrkRun, SyrkError> {
+    match &spec.recovery {
+        Some(policy) => recovery::recover(a, spec, policy),
+        None => match spec.plan {
+            Plan::OneD { p } => oned::run_1d(a, p, spec),
+            Plan::TwoD { c } => twod::run_2d(a, c, spec),
+            Plan::ThreeD { c, p2 } => threed::run_3d(a, c, p2, spec),
+        },
+    }
+}
+
+/// The machine every run of `spec` executes on, at `ranks` ranks.
+pub(crate) fn machine_for(spec: &RunSpec, ranks: usize) -> Machine {
+    let mut machine = Machine::new(ranks).with_model(spec.model);
+    if spec.trace {
+        machine = machine.with_tracing();
+    }
+    if let Some(plan) = &spec.faults {
+        machine = machine.with_faults(plan.clone());
+    }
+    if let Some(path) = &spec.dump {
+        machine = machine.with_failure_dump(path);
+    }
+    machine
+}
+
+fn plain(a: &Matrix<f64>, plan: Plan, model: CostModel) -> SyrkRunResult {
+    match run(a, &RunSpec::new(plan, model)) {
+        Ok(out) => out.result,
+        Err(e) => panic!("{e}"),
+    }
+}
+
+fn faulted(
+    a: &Matrix<f64>,
+    plan: Plan,
+    model: CostModel,
+    faults: Option<&FaultPlan>,
+) -> Result<SyrkRunResult, SyrkError> {
+    let spec = RunSpec {
+        faults: faults.cloned(),
+        ..RunSpec::new(plan, model)
+    };
+    run(a, &spec).map(|out| out.result)
+}
+
+/// Algorithm 1 (§5.1) on `p` ranks: [`run`] of
+/// `RunSpec::new(Plan::OneD { p }, model)`, panicking on error.
+pub fn syrk_1d(a: &Matrix<f64>, p: usize, model: CostModel) -> SyrkRunResult {
+    plain(a, Plan::OneD { p }, model)
+}
+
+/// Algorithm 2 (§5.2) on `P = c(c+1)` ranks: [`run`] of
+/// `RunSpec::new(Plan::TwoD { c }, model)`, panicking on error.
+pub fn syrk_2d(a: &Matrix<f64>, c: usize, model: CostModel) -> SyrkRunResult {
+    plain(a, Plan::TwoD { c }, model)
+}
+
+/// Algorithm 3 (§5.3) on `P = c(c+1)·p2` ranks: [`run`] of
+/// `RunSpec::new(Plan::ThreeD { c, p2 }, model)`, panicking on error.
+pub fn syrk_3d(a: &Matrix<f64>, c: usize, p2: usize, model: CostModel) -> SyrkRunResult {
+    plain(a, Plan::ThreeD { c, p2 }, model)
+}
+
+/// Fallible [`syrk_1d`]: [`run`] of the plain spec plus `faults`.
+#[must_use = "the Result carries the simulated run's outcome or failure"]
+pub fn try_syrk_1d(
+    a: &Matrix<f64>,
+    p: usize,
+    model: CostModel,
+    faults: Option<&FaultPlan>,
+) -> Result<SyrkRunResult, SyrkError> {
+    faulted(a, Plan::OneD { p }, model, faults)
+}
+
+/// Fallible [`syrk_2d`]: [`run`] of the plain spec plus `faults`.
+#[must_use = "the Result carries the simulated run's outcome or failure"]
+pub fn try_syrk_2d(
+    a: &Matrix<f64>,
+    c: usize,
+    model: CostModel,
+    faults: Option<&FaultPlan>,
+) -> Result<SyrkRunResult, SyrkError> {
+    faulted(a, Plan::TwoD { c }, model, faults)
+}
+
+/// Fallible [`syrk_3d`]: [`run`] of the plain spec plus `faults`.
+#[must_use = "the Result carries the simulated run's outcome or failure"]
+pub fn try_syrk_3d(
+    a: &Matrix<f64>,
+    c: usize,
+    p2: usize,
+    model: CostModel,
+    faults: Option<&FaultPlan>,
+) -> Result<SyrkRunResult, SyrkError> {
+    faulted(a, Plan::ThreeD { c, p2 }, model, faults)
+}

@@ -198,7 +198,7 @@ mod tests {
         let a = seeded_matrix::<f64>(n1, n2, 5);
         let b = seeded_matrix::<f64>(n1, n2, 6);
         let s2 = syr2k_1d(&a, &b, p, CostModel::bandwidth_only());
-        let s1 = super::super::oned::syrk_1d(&a, p, CostModel::bandwidth_only());
+        let s1 = crate::syrk_1d(&a, p, CostModel::bandwidth_only());
         assert_eq!(s2.cost.max_words_sent(), s1.cost.max_words_sent());
         // Local flops double (two rank-k updates); the Reduce-Scatter
         // additions are unchanged (same output size).
@@ -215,7 +215,7 @@ mod tests {
         let a = seeded_matrix::<f64>(n1, n2, 7);
         let b = seeded_matrix::<f64>(n1, n2, 8);
         let s2 = syr2k_2d(&a, &b, c, CostModel::bandwidth_only());
-        let s1 = super::super::twod::syrk_2d(&a, c, CostModel::bandwidth_only());
+        let s1 = crate::syrk_2d(&a, c, CostModel::bandwidth_only());
         assert_eq!(s2.cost.max_words_sent(), 2 * s1.cost.max_words_sent());
         // Same latency: chunks are paired into the same messages.
         assert_eq!(s2.cost.max_messages(), s1.cost.max_messages());

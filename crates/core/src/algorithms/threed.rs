@@ -10,9 +10,10 @@
 //! order.
 
 use syrk_dense::{Diag, Matrix, PackedLower, Partition1D};
-use syrk_machine::{CostModel, FaultPlan, Machine, ProcessGrid, Timeline};
+use syrk_machine::ProcessGrid;
 
 use super::common::{assemble_c, DiagBlock, LocalOutput, OffDiagBlock, SyrkRunResult};
+use super::run::{machine_for, RunSpec, SyrkRun};
 use super::twod::twod_body;
 use crate::attribution::PHASE_REDUCE_SCATTER_C;
 use crate::dist::{ConformalADist, TriangleBlockDist};
@@ -147,62 +148,12 @@ impl CkLayout {
 }
 
 /// Run Algorithm 3 on a simulated machine with `P = c(c+1)·p2` ranks.
-///
-/// Returns the assembled `C = A·Aᵀ` and the cost report.
-pub fn syrk_3d(a: &Matrix<f64>, c: usize, p2: usize, model: CostModel) -> SyrkRunResult {
-    match syrk_3d_impl(a, c, p2, model, false, None) {
-        Ok((run, _)) => run,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`syrk_3d`]: invalid configurations and machine
-/// failures (crash, deadlock, …) surface as [`SyrkError`] instead of
-/// panicking. An optional [`FaultPlan`] injects deterministic transport
-/// faults into the run.
-#[must_use = "the Result carries the simulated run's outcome or failure"]
-pub fn try_syrk_3d(
+pub(crate) fn run_3d(
     a: &Matrix<f64>,
     c: usize,
     p2: usize,
-    model: CostModel,
-    faults: Option<&FaultPlan>,
-) -> Result<SyrkRunResult, SyrkError> {
-    syrk_3d_impl(a, c, p2, model, false, faults).map(|(run, _)| run)
-}
-
-/// Algorithm 3 with event tracing enabled: returns the run result plus
-/// the per-rank communication timelines (see `syrk_machine::Event`).
-pub fn syrk_3d_traced(
-    a: &Matrix<f64>,
-    c: usize,
-    p2: usize,
-    model: CostModel,
-) -> (SyrkRunResult, Vec<Timeline>) {
-    try_syrk_3d_traced(a, c, p2, model, None).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`syrk_3d_traced`], with optional fault injection.
-#[must_use = "the Result carries the simulated run's outcome or failure"]
-pub fn try_syrk_3d_traced(
-    a: &Matrix<f64>,
-    c: usize,
-    p2: usize,
-    model: CostModel,
-    faults: Option<&FaultPlan>,
-) -> Result<(SyrkRunResult, Vec<Timeline>), SyrkError> {
-    let (run, traces) = syrk_3d_impl(a, c, p2, model, true, faults)?;
-    Ok((run, traces.expect("tracing was enabled")))
-}
-
-fn syrk_3d_impl(
-    a: &Matrix<f64>,
-    c: usize,
-    p2: usize,
-    model: CostModel,
-    tracing: bool,
-    faults: Option<&FaultPlan>,
-) -> Result<(SyrkRunResult, Option<Vec<Timeline>>), SyrkError> {
+    spec: &RunSpec,
+) -> Result<SyrkRun, SyrkError> {
     let dist = TriangleBlockDist::for_order(c).ok_or(PlanError::UnsupportedOrder { c })?;
     if p2 == 0 {
         return Err(PlanError::ZeroRanks.into());
@@ -216,14 +167,10 @@ fn syrk_3d_impl(
     let cols = Partition1D::new(n2, p2);
     let grid = ProcessGrid::new(p1, p2);
 
-    let mut machine = Machine::new(p1 * p2).with_model(model);
-    if tracing {
-        machine = machine.with_tracing();
-    }
-    if let Some(plan) = faults {
-        machine = machine.with_faults(plan.clone());
-    }
-    let out = machine.try_run(|mut comm| {
+    // The slices run the plain 2D body: Algorithm 3 has no `padded`
+    // exchange and no in-machine `abft` (see the `RunSpec` field docs).
+    let slice_spec = RunSpec::new(spec.plan, spec.model);
+    let out = machine_for(spec, p1 * p2).try_run(|mut comm| {
         let gc = grid.split(&mut comm);
         // Line 3: run 2D SYRK within the slice on block column A_{*ℓ}.
         // Phases (allgather-A, local-gemm, local-syrk) are pushed by the
@@ -232,7 +179,7 @@ fn syrk_3d_impl(
         let cr = cols.range(gc.l);
         let a_col = a.block(0, cr.start, n1, cr.len());
         let ad = ConformalADist::new(&dist, n1, cr.len());
-        let local = twod_body(&gc.slice, &dist, &ad, a_col)?;
+        let local = twod_body(&gc.slice, &dist, &ad, a_col, &slice_spec)?;
         // Lines 4–5: Reduce-Scatter the partial C_k across Π_{k*}. The
         // payloads are built straight from the block storage (no flat
         // concatenation) and handed to the segment-based collective, which
@@ -258,21 +205,22 @@ fn syrk_3d_impl(
         let segs: Vec<Vec<f64>> = segs.into_iter().map(|(_, s)| s).collect();
         outputs.push(CkLayout::new(&dist, &rows, k).assemble(&segs));
     }
-    let c_full = assemble_c(n1, &rows, &outputs);
-    Ok((
-        SyrkRunResult {
-            c: c_full,
+    Ok(SyrkRun {
+        result: SyrkRunResult {
+            c: assemble_c(n1, &rows, &outputs),
             cost: out.cost,
         },
-        out.traces,
-    ))
+        traces: out.traces,
+        recovery: None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::bounds::alg3d_predicted_cost;
+    use crate::{syrk_2d, syrk_3d};
     use syrk_dense::{max_abs_diff, seeded_int_matrix, seeded_matrix, syrk_full_reference};
+    use syrk_machine::CostModel;
 
     #[test]
     fn correct_small_grids() {
@@ -296,7 +244,7 @@ mod tests {
         // Reduce-Scatter is over one rank (free): identical to Alg. 2.
         let a = seeded_int_matrix::<f64>(12, 5, 4, 5);
         let run3 = syrk_3d(&a, 2, 1, CostModel::bandwidth_only());
-        let run2 = super::super::twod::syrk_2d(&a, 2, CostModel::bandwidth_only());
+        let run2 = syrk_2d(&a, 2, CostModel::bandwidth_only());
         assert_eq!(max_abs_diff(&run3.c, &run2.c), 0.0);
         assert_eq!(run3.cost.max_words_sent(), run2.cost.max_words_sent());
     }

@@ -12,9 +12,10 @@ use syrk_dense::{
     balanced_chunks_by_cost, gemm_flops, mul_nt, par_for_each_task, steal_task_count, syrk_flops,
     syrk_packed_new, workers_for_flops, Diag, Matrix, MatrixView,
 };
-use syrk_machine::{Comm, CostModel, FaultPlan, Machine, MachineError};
+use syrk_machine::{Comm, MachineError};
 
 use super::common::{assemble_c, DiagBlock, LocalOutput, OffDiagBlock, SyrkRunResult};
+use super::run::{machine_for, RunSpec, SyrkRun};
 use crate::attribution::{PHASE_ALLGATHER_A, PHASE_LOCAL_GEMM, PHASE_LOCAL_SYRK};
 use crate::dist::{ConformalADist, TriangleBlockDist};
 use crate::error::SyrkError;
@@ -25,28 +26,20 @@ use crate::planner::PlanError;
 /// communicator is responsible for — a view, because a 3D slice's column
 /// block stays where it lies in the global `A`; `comm.size()` must be
 /// `c(c+1)`.
+///
+/// Of `spec` the body reads `padded` and `abft`. With `padded` the
+/// exchange buffer `B` is padded to `P` equal blocks of
+/// `⌈n1·n2/(c²(c+1))⌉` words, exactly as Algorithm 2's pseudocode
+/// allocates it — reproducing the eq. (10) cost analysis verbatim (the
+/// unpadded variant is slightly cheaper; see `alg2d_tight_cost`).
 pub(crate) fn twod_body(
     comm: &Comm,
     dist: &TriangleBlockDist,
     ad: &ConformalADist,
     a_slice: MatrixView<'_, f64>,
+    spec: &RunSpec,
 ) -> Result<LocalOutput, MachineError> {
-    twod_body_impl(comm, dist, ad, a_slice, false, false)
-}
-
-/// Like [`twod_body`] but with the exchange buffer `B` padded to `P`
-/// equal blocks of `⌈n1·n2/(c²(c+1))⌉` words, exactly as Algorithm 2's
-/// pseudocode allocates it — reproducing the eq. (10) cost analysis
-/// verbatim (the unpadded variant is slightly cheaper; see
-/// `alg2d_tight_cost`).
-pub(crate) fn twod_body_impl(
-    comm: &Comm,
-    dist: &TriangleBlockDist,
-    ad: &ConformalADist,
-    a_slice: MatrixView<'_, f64>,
-    padded: bool,
-    abft: bool,
-) -> Result<LocalOutput, MachineError> {
+    let (padded, abft) = (spec.padded, spec.abft);
     assert_eq!(comm.size(), dist.p(), "2D body needs exactly c(c+1) ranks");
     let k = comm.rank();
     let n2l = a_slice.cols();
@@ -268,89 +261,7 @@ pub(crate) fn twod_body_impl(
 }
 
 /// Run Algorithm 2 on a simulated machine with `P = c(c+1)` ranks.
-///
-/// Returns the assembled `C = A·Aᵀ` and the cost report.
-pub fn syrk_2d(a: &Matrix<f64>, c: usize, model: CostModel) -> SyrkRunResult {
-    syrk_2d_impl(a, c, model, false)
-}
-
-/// Algorithm 2 with the paper's padded exchange buffer `B` (Alg. 2
-/// lines 3–9 verbatim): measured bandwidth reproduces eq. (10)'s
-/// `(n1n2/c)(1 − 1/P)` exactly, at the cost of shipping some zeros.
-pub fn syrk_2d_padded(a: &Matrix<f64>, c: usize, model: CostModel) -> SyrkRunResult {
-    syrk_2d_impl(a, c, model, true)
-}
-
-fn syrk_2d_impl(a: &Matrix<f64>, c: usize, model: CostModel, padded: bool) -> SyrkRunResult {
-    match syrk_2d_traced_impl(a, c, model, padded, false, None, false) {
-        Ok((run, _)) => run,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`syrk_2d`]: invalid configurations and machine
-/// failures (crash, deadlock, …) surface as [`SyrkError`] instead of
-/// panicking. An optional [`FaultPlan`] injects deterministic transport
-/// faults into the run.
-#[must_use = "the Result carries the simulated run's outcome or failure"]
-pub fn try_syrk_2d(
-    a: &Matrix<f64>,
-    c: usize,
-    model: CostModel,
-    faults: Option<&FaultPlan>,
-) -> Result<SyrkRunResult, SyrkError> {
-    syrk_2d_traced_impl(a, c, model, false, false, faults, false).map(|(run, _)| run)
-}
-
-/// [`try_syrk_2d`] with ABFT checksum verification: every rank checks
-/// each off-diagonal block `C_ij` against `A_i·(A_jᵀ·1)` and its
-/// diagonal block against the analogous packed-row checksums before the
-/// blocks are assembled, so a corrupt-but-undetected local product
-/// surfaces as [`MachineError::DataCorruption`] naming the block instead
-/// of silently poisoning `C`. Verification flops are charged under the
-/// `abft:verify` phase.
-#[must_use = "the Result carries the simulated run's outcome or failure"]
-pub fn try_syrk_2d_abft(
-    a: &Matrix<f64>,
-    c: usize,
-    model: CostModel,
-    faults: Option<&FaultPlan>,
-) -> Result<SyrkRunResult, SyrkError> {
-    syrk_2d_traced_impl(a, c, model, false, false, faults, true).map(|(run, _)| run)
-}
-
-/// Algorithm 2 with event tracing enabled: returns the run result plus
-/// the per-rank communication timelines (see `syrk_machine::Event`).
-pub fn syrk_2d_traced(
-    a: &Matrix<f64>,
-    c: usize,
-    model: CostModel,
-) -> (SyrkRunResult, Vec<syrk_machine::Timeline>) {
-    try_syrk_2d_traced(a, c, model, None).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`syrk_2d_traced`], with optional fault injection.
-#[must_use = "the Result carries the simulated run's outcome or failure"]
-pub fn try_syrk_2d_traced(
-    a: &Matrix<f64>,
-    c: usize,
-    model: CostModel,
-    faults: Option<&FaultPlan>,
-) -> Result<(SyrkRunResult, Vec<syrk_machine::Timeline>), SyrkError> {
-    let (run, traces) = syrk_2d_traced_impl(a, c, model, false, true, faults, false)?;
-    Ok((run, traces.expect("tracing was enabled")))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn syrk_2d_traced_impl(
-    a: &Matrix<f64>,
-    c: usize,
-    model: CostModel,
-    padded: bool,
-    tracing: bool,
-    faults: Option<&FaultPlan>,
-    abft: bool,
-) -> Result<(SyrkRunResult, Option<Vec<syrk_machine::Timeline>>), SyrkError> {
+pub(crate) fn run_2d(a: &Matrix<f64>, c: usize, spec: &RunSpec) -> Result<SyrkRun, SyrkError> {
     let dist = TriangleBlockDist::for_order(c).ok_or(PlanError::UnsupportedOrder { c })?;
     let (n1, n2) = a.shape();
     if n1 == 0 || n2 == 0 {
@@ -358,29 +269,25 @@ fn syrk_2d_traced_impl(
     }
     let ad = ConformalADist::new(&dist, n1, n2);
 
-    let mut machine = Machine::new(dist.p()).with_model(model);
-    if tracing {
-        machine = machine.with_tracing();
-    }
-    if let Some(plan) = faults {
-        machine = machine.with_faults(plan.clone());
-    }
-    let out = machine.try_run(|comm| twod_body_impl(&comm, &dist, &ad, a.view(), padded, abft))?;
-    let c_full = assemble_c(n1, &ad.rows, &out.results);
-    Ok((
-        SyrkRunResult {
-            c: c_full,
+    let out =
+        machine_for(spec, dist.p()).try_run(|comm| twod_body(&comm, &dist, &ad, a.view(), spec))?;
+    Ok(SyrkRun {
+        result: SyrkRunResult {
+            c: assemble_c(n1, &ad.rows, &out.results),
             cost: out.cost,
         },
-        out.traces,
-    ))
+        traces: out.traces,
+        recovery: None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::bounds::{alg2d_predicted_cost, alg2d_tight_cost};
+    use crate::{run, syrk_2d, Plan, RunSpec};
+    use syrk_dense::{gemm_flops, syrk_flops};
     use syrk_dense::{max_abs_diff, seeded_int_matrix, seeded_matrix, syrk_full_reference};
+    use syrk_machine::CostModel;
 
     #[test]
     fn correct_for_c2_and_c3() {
@@ -475,7 +382,11 @@ mod tests {
         // Exact-division sizes: chunk = n1·n2/(c²(c+1)) with no rounding.
         let (n1, n2, c) = (36, 8, 3); // chunks of 36·8/(9·4) = 8 words
         let a = seeded_matrix::<f64>(n1, n2, 21);
-        let run = syrk_2d_padded(&a, c, CostModel::bandwidth_only());
+        let spec = RunSpec {
+            padded: true,
+            ..RunSpec::new(Plan::TwoD { c }, CostModel::bandwidth_only())
+        };
+        let run = run(&a, &spec).unwrap().result;
         // Correctness unchanged.
         assert!(max_abs_diff(&run.c, &syrk_full_reference(&a)) < 1e-10);
         // Every rank ships P−1 blocks of the fixed size: eq. (10).

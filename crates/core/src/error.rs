@@ -1,4 +1,4 @@
-//! Typed errors for the fallible `try_syrk_*` entry points.
+//! Typed errors of `run` and the fallible `try_syrk_*` wrappers.
 
 use crate::planner::PlanError;
 use syrk_machine::MachineError;

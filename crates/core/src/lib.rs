@@ -8,26 +8,30 @@
 //!   headline factor-of-2 comparison;
 //! * [`TriangleBlockDist`] — the triangle block distribution of the
 //!   symmetric output (§5.2.1, eqs. (4)–(8)), with runtime validation;
-//! * [`syrk_1d`], [`syrk_2d`], [`syrk_3d`] — Algorithms 1–3, running on
-//!   the simulated α-β-γ machine of `syrk-machine` with exact word
-//!   counting;
+//! * [`run`] — Algorithms 1–3 on the simulated α-β-γ machine of
+//!   `syrk-machine` with exact word counting. A [`RunSpec`] names the
+//!   grid ([`Plan`]) and everything else a run can vary (faults, tracing,
+//!   ABFT, recovery, the failure-dump path); [`syrk_1d`], [`syrk_2d`],
+//!   [`syrk_3d`] and their `try_` forms are the plain specs spelled as
+//!   functions;
 //! * [`gemm_1d`]/[`gemm_2d`]/[`gemm_3d`]/[`scalapack_syrk_2d`] —
 //!   communication-optimal GEMM and a ScaLAPACK-style SYRK baseline;
 //! * [`plan`] — the §5.4 processor-grid selection.
 //!
 //! ```
-//! use syrk_core::{syrk_2d, syrk_lower_bound};
+//! use syrk_core::{run, syrk_lower_bound, Plan, RunSpec};
 //! use syrk_dense::{seeded_matrix, syrk_full_reference, max_abs_diff};
 //! use syrk_machine::CostModel;
 //!
 //! // Tall-skinny SYRK on P = c(c+1) = 12 simulated processors.
 //! let a = seeded_matrix::<f64>(36, 4, 0);
-//! let run = syrk_2d(&a, 3, CostModel::bandwidth_only());
-//! assert!(max_abs_diff(&run.c, &syrk_full_reference(&a)) < 1e-10);
+//! let spec = RunSpec::new(Plan::TwoD { c: 3 }, CostModel::bandwidth_only());
+//! let out = run(&a, &spec).expect("c = 3 is a valid grid order").result;
+//! assert!(max_abs_diff(&out.c, &syrk_full_reference(&a)) < 1e-10);
 //!
 //! // Measured words at the busiest rank ≈ the Theorem 1 bound.
 //! let bound = syrk_lower_bound(36, 4, 12).communicated();
-//! let measured = run.cost.max_words_sent() as f64;
+//! let measured = out.cost.max_words_sent() as f64;
 //! assert!(measured < 1.3 * bound.max(1.0) + 36.0);
 //! ```
 
@@ -46,11 +50,10 @@ mod recovery;
 
 pub use abft::{AbftChecksums, AbftViolation, ABFT_CHECKS, ABFT_DETECTS, PHASE_ABFT};
 pub use algorithms::{
-    assemble_c, gemm_1d, gemm_2d, gemm_3d, scalapack_syrk_2d, symm_2d, symm_reference, syr2k_1d,
-    syr2k_2d, syrk_1d, syrk_1d_traced, syrk_1d_with, syrk_2d, syrk_2d_limited, syrk_2d_padded,
-    syrk_2d_traced, syrk_3d, syrk_3d_traced, try_syrk_1d, try_syrk_1d_abft, try_syrk_1d_traced,
-    try_syrk_2d, try_syrk_2d_abft, try_syrk_2d_traced, try_syrk_3d, try_syrk_3d_traced, DiagBlock,
-    LocalOutput, OffDiagBlock, SymmRunResult, SyrkRunResult,
+    assemble_c, gemm_1d, gemm_2d, gemm_3d, run, scalapack_syrk_2d, symm_2d, symm_reference,
+    syr2k_1d, syr2k_2d, syrk_1d, syrk_2d, syrk_2d_limited, syrk_3d, try_syrk_1d, try_syrk_2d,
+    try_syrk_3d, DiagBlock, LocalOutput, OffDiagBlock, RunSpec, SymmRunResult, SyrkRun,
+    SyrkRunResult,
 };
 pub use attribution::{
     attribute_bounds, AttributionReport, TermAttribution, PHASE_ALLGATHER_A, PHASE_LOCAL_GEMM,

@@ -39,6 +39,9 @@ pub enum PlanError {
         /// Columns of `A`.
         n2: usize,
     },
+    /// A recovery policy with `max_attempts = 0`: not even the first
+    /// try is allowed.
+    ZeroAttempts,
 }
 
 impl std::fmt::Display for PlanError {
@@ -56,6 +59,9 @@ impl std::fmt::Display for PlanError {
                     f,
                     "input matrix must have nonzero dimensions, got {n1}x{n2}"
                 )
+            }
+            PlanError::ZeroAttempts => {
+                write!(f, "recovery needs at least one attempt (max_attempts = 0)")
             }
         }
     }

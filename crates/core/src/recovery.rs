@@ -1,7 +1,8 @@
 //! Shrink-and-replan recovery: crash-surviving SYRK.
 //!
-//! [`run_with_recovery`] drives a fallible SYRK run to completion across
-//! injected rank crashes and detected data corruption:
+//! A [`RunSpec`] with a [`RecoveryPolicy`] ([`run_with_recovery`] is that
+//! spec spelled as a function) drives a fallible SYRK run to completion
+//! across injected rank crashes and detected data corruption:
 //!
 //! 1. **detection + agreement** — when an attempt dies with
 //!    [`MachineError::RankCrashed`], the next attempt opens with a
@@ -34,15 +35,13 @@
 
 use syrk_dense::{Matrix, Partition1D};
 use syrk_machine::{
-    CostModel, CostReport, FaultPlan, Machine, MachineError, RECOVER_BACKOFF_PHASE,
+    CostModel, CostReport, FaultPlan, MachineError, RECOVER_BACKOFF_PHASE,
     RECOVER_REDISTRIBUTE_PHASE,
 };
 use syrk_telemetry::LazyCounter;
 
 use crate::abft::AbftChecksums;
-use crate::algorithms::{
-    try_syrk_1d, try_syrk_1d_abft, try_syrk_2d, try_syrk_2d_abft, try_syrk_3d, SyrkRunResult,
-};
+use crate::algorithms::{machine_for, run, RunSpec, SyrkRun, SyrkRunResult};
 use crate::bounds::{syrk_lower_bound, BoundCase};
 use crate::error::SyrkError;
 use crate::planner::{plan, Plan, PlanError};
@@ -56,11 +55,11 @@ pub static RECOVERY_RANKS_LOST: LazyCounter = LazyCounter::new("syrk_recovery_ra
 /// the collective tag space).
 const TAG_REDISTRIBUTE: u64 = 77;
 
-/// Knobs for [`run_with_recovery`].
+/// Knobs of a recovered run ([`RunSpec::recovery`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPolicy {
-    /// Total execution attempts allowed (first try included). Must be
-    /// at least 1.
+    /// Total execution attempts allowed (first try included). Zero is
+    /// rejected with [`PlanError::ZeroAttempts`].
     pub max_attempts: usize,
     /// Simulated-clock backoff before the first retry; doubles on each
     /// further retry.
@@ -111,7 +110,7 @@ pub struct RecoveryAttempt {
     pub outcome: AttemptOutcome,
 }
 
-/// What it took to finish a [`run_with_recovery`] call.
+/// What it took to finish a recovered run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryReport {
     /// Every attempt in order; the last one is always `Completed`.
@@ -131,7 +130,8 @@ pub struct RecoveryReport {
 
 /// Run SYRK under `initial`, surviving injected crashes by shrinking
 /// and replanning, and detected corruption by retrying, up to
-/// `policy.max_attempts` total attempts.
+/// `policy.max_attempts` total attempts: [`run`] of
+/// `RunSpec { faults, recovery: Some(policy), ..RunSpec::new(initial, model) }`.
 ///
 /// Returns the result of the successful attempt — with the last recovery
 /// prologue's cost merged in — plus a [`RecoveryReport`]. Unrecoverable
@@ -144,37 +144,58 @@ pub fn run_with_recovery(
     faults: Option<&FaultPlan>,
     policy: &RecoveryPolicy,
 ) -> Result<(SyrkRunResult, RecoveryReport), SyrkError> {
-    assert!(policy.max_attempts >= 1, "need at least one attempt");
+    let spec = RunSpec {
+        faults: faults.cloned(),
+        recovery: Some(policy.clone()),
+        ..RunSpec::new(initial, model)
+    };
+    let out = run(a, &spec)?;
+    Ok((out.result, out.recovery.expect("a recovered run reports")))
+}
+
+/// The attempt loop behind [`run`] for a spec with a recovery policy.
+pub(crate) fn recover(
+    a: &Matrix<f64>,
+    spec: &RunSpec,
+    policy: &RecoveryPolicy,
+) -> Result<SyrkRun, SyrkError> {
     let (n1, n2) = a.shape();
     if n1 == 0 || n2 == 0 {
         return Err(PlanError::EmptyMatrix { n1, n2 }.into());
     }
     let checks = policy.verify.then(|| AbftChecksums::new(a));
 
-    let mut cur_plan = initial;
-    let mut p_budget = initial.ranks();
-    let mut faults_now: Option<FaultPlan> = faults.cloned();
+    // One attempt is `spec` without the policy, on the current grid with
+    // the faults still pending.
+    let mut attempt_spec = RunSpec {
+        abft: spec.abft || policy.verify,
+        recovery: None,
+        ..spec.clone()
+    };
+    let mut p_budget = spec.plan.ranks();
     let mut attempts: Vec<RecoveryAttempt> = Vec::new();
     let mut ranks_lost: Vec<usize> = Vec::new();
     let mut recovery_words: u64 = 0;
     let mut backoff_clock: f64 = 0.0;
     let mut prologue: Option<CostReport> = None;
-    let mut last_err = SyrkError::Plan(PlanError::ZeroRanks);
+    // What a zero budget returns: the loop below never runs.
+    let mut last_err = SyrkError::Plan(PlanError::ZeroAttempts);
 
     for attempt in 1..=policy.max_attempts {
         if attempt > 1 {
             RECOVERY_ATTEMPTS.inc();
             let backoff = policy.backoff_base * 2f64.powi(attempt as i32 - 2);
-            let pro = recovery_prologue(a, cur_plan, model, &ranks_lost, backoff)?;
+            let pro = recovery_prologue(a, &attempt_spec, &ranks_lost, backoff)?;
             recovery_words += pro.total_words();
             backoff_clock += backoff;
             prologue = Some(pro);
         }
+        let cur_plan = attempt_spec.plan;
         let bound_case = syrk_lower_bound(n1, n2, cur_plan.ranks()).case;
-        match execute(a, cur_plan, model, faults_now.as_ref(), policy.verify) {
-            Ok(mut run) => {
+        match run(a, &attempt_spec) {
+            Ok(mut out) => {
                 if let Some(checks) = &checks {
-                    if let Err(v) = checks.verify(&run.c) {
+                    if let Err(v) = checks.verify(&out.result.c) {
                         attempts.push(RecoveryAttempt {
                             plan: cur_plan,
                             bound_case,
@@ -190,26 +211,23 @@ pub fn run_with_recovery(
                     }
                 }
                 if let Some(mut pro) = prologue.take() {
-                    pro.absorb(&run.cost);
-                    run.cost = pro;
+                    pro.absorb(&out.result.cost);
+                    out.result.cost = pro;
                 }
                 attempts.push(RecoveryAttempt {
                     plan: cur_plan,
                     bound_case,
                     outcome: AttemptOutcome::Completed,
                 });
-                let recovered = attempts.len() > 1;
-                return Ok((
-                    run,
-                    RecoveryReport {
-                        attempts,
-                        ranks_lost,
-                        final_plan: cur_plan,
-                        recovered,
-                        recovery_words,
-                        backoff_clock,
-                    },
-                ));
+                out.recovery = Some(RecoveryReport {
+                    recovered: attempts.len() > 1,
+                    attempts,
+                    ranks_lost,
+                    final_plan: cur_plan,
+                    recovery_words,
+                    backoff_clock,
+                });
+                return Ok(out);
             }
             Err(SyrkError::Machine(MachineError::RankCrashed { rank, after_ops })) => {
                 attempts.push(RecoveryAttempt {
@@ -227,8 +245,8 @@ pub fn run_with_recovery(
                 // The shrunken machine renumbers world ranks 0..P′, so
                 // the crashed rank's pending faults must not re-fire
                 // against its successor.
-                faults_now = faults_now.map(|f| f.without_crashed(rank));
-                cur_plan = plan(n1, n2, p_budget).plan;
+                attempt_spec.faults = attempt_spec.faults.take().map(|f| f.without_crashed(rank));
+                attempt_spec.plan = plan(n1, n2, p_budget).plan;
             }
             Err(SyrkError::Machine(MachineError::DataCorruption { rank, detail })) => {
                 attempts.push(RecoveryAttempt {
@@ -247,41 +265,25 @@ pub fn run_with_recovery(
     Err(last_err)
 }
 
-/// Dispatch one attempt to the plan's algorithm, with or without
-/// in-machine ABFT block checks (the 3D body relies on the final
-/// full-`C` verification only).
-fn execute(
-    a: &Matrix<f64>,
-    plan: Plan,
-    model: CostModel,
-    faults: Option<&FaultPlan>,
-    verify: bool,
-) -> Result<SyrkRunResult, SyrkError> {
-    match plan {
-        Plan::OneD { p } if verify => try_syrk_1d_abft(a, p, model, faults),
-        Plan::OneD { p } => try_syrk_1d(a, p, model, faults),
-        Plan::TwoD { c } if verify => try_syrk_2d_abft(a, c, model, faults),
-        Plan::TwoD { c } => try_syrk_2d(a, c, model, faults),
-        Plan::ThreeD { c, p2 } => try_syrk_3d(a, c, p2, model, faults),
-    }
-}
-
 /// The detect → agree → redistribute → backoff prologue, run as its own
 /// fault-free machine at the *replanned* rank count so its cost report
 /// merges index-wise into the subsequent attempt's report.
 fn recovery_prologue(
     a: &Matrix<f64>,
-    plan: Plan,
-    model: CostModel,
+    attempt: &RunSpec,
     lost: &[usize],
     backoff: f64,
 ) -> Result<CostReport, SyrkError> {
     let (n1, n2) = a.shape();
-    let p = plan.ranks();
+    let p = attempt.plan.ranks();
     let shares = Partition1D::new(n1 * n2, p);
     let lost: Vec<usize> = lost.to_vec();
-    let machine = Machine::new(p).with_model(model);
-    let out = machine.try_run(|comm| {
+    // Of the attempt's spec a prologue keeps the model and the dump path.
+    let spec = RunSpec {
+        dump: attempt.dump.clone(),
+        ..RunSpec::new(attempt.plan, attempt.model)
+    };
+    let out = machine_for(&spec, p).try_run(|comm| {
         let agreed = comm.try_agree_on_failures(&lost)?;
         debug_assert!(
             lost.iter().all(|r| agreed.contains(r)),
@@ -378,6 +380,15 @@ mod tests {
             matches!(err, SyrkError::Machine(MachineError::RankCrashed { .. })),
             "{err}"
         );
+        // No budget at all is a typed rejection, not a panic.
+        let policy = RecoveryPolicy {
+            max_attempts: 0,
+            ..policy
+        };
+        let err = run_with_recovery(&a, Plan::OneD { p: 4 }, model(), Some(&faults), &policy)
+            .unwrap_err();
+        assert_eq!(err, SyrkError::Plan(PlanError::ZeroAttempts));
+        assert!(err.to_string().contains("at least one attempt"), "{err}");
     }
 
     #[test]

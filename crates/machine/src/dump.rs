@@ -10,18 +10,13 @@
 //! themselves, closed on the abort path) rendered as Chrome trace
 //! events.
 //!
-//! A dump destination can be set three ways, highest precedence first:
-//!
-//! * per machine, with
-//!   [`Machine::with_failure_dump`](crate::Machine::with_failure_dump);
-//! * per calling thread, with [`scoped_failure_dump_path`] — an RAII
-//!   scope for callers (like the `syrk-core` algorithms and the serving
-//!   path) that construct machines internally but want each concurrent
-//!   run's dump routed independently. A process-wide slot cannot do
-//!   this: concurrent `Machine::try_run` callers would clobber each
-//!   other's setting;
-//! * process-wide, with [`set_failure_dump_path`] — the coarse fallback
-//!   for single-run binaries.
+//! A dump destination is set per machine, with
+//! [`Machine::with_failure_dump`](crate::Machine::with_failure_dump);
+//! callers that build machines internally (the `syrk-core` algorithms,
+//! and through them the serving path) carry the path in their run
+//! description and hand it to every machine the run builds, so
+//! concurrent runs route their dumps independently. A machine without a
+//! path writes nothing.
 //!
 //! Dump writing is best-effort: an unwritable path is reported on stderr
 //! and never masks the run's own error. Writes are serialized through a
@@ -30,7 +25,6 @@
 //! interleave or truncate each other's JSON — the file always holds one
 //! complete document.
 
-use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,67 +32,6 @@ use std::sync::Mutex;
 
 use crate::error::MachineError;
 use syrk_telemetry::{escape_json, flight, registry, wall_trace_events};
-
-static GLOBAL_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-thread_local! {
-    /// Innermost [`scoped_failure_dump_path`] scope for this thread.
-    static SCOPED_PATH: RefCell<Vec<Option<PathBuf>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Set (or clear, with `None`) the process-wide failure-dump path used
-/// by every [`Machine`](crate::Machine) run that has no per-machine or
-/// scoped path. Returns the previous setting.
-pub fn set_failure_dump_path(path: Option<PathBuf>) -> Option<PathBuf> {
-    let mut slot = GLOBAL_PATH.lock().unwrap_or_else(|e| e.into_inner());
-    std::mem::replace(&mut slot, path)
-}
-
-/// Route failure dumps from machine runs on *this thread* to `path`
-/// until the returned guard drops (`None` suppresses dumps for the
-/// scope, shadowing any process-wide path). Scopes nest; the innermost
-/// wins. A per-machine [`with_failure_dump`](crate::Machine::with_failure_dump)
-/// still takes precedence.
-///
-/// This is the concurrency-safe alternative to [`set_failure_dump_path`]
-/// for servers and test harnesses running several machines at once:
-/// each run's dump destination is scoped to its own thread instead of a
-/// single process-wide slot that concurrent callers would clobber.
-#[must_use = "the scoped dump path is active only until the guard drops"]
-pub fn scoped_failure_dump_path(path: Option<PathBuf>) -> ScopedFailureDumpGuard {
-    SCOPED_PATH.with(|s| s.borrow_mut().push(path));
-    ScopedFailureDumpGuard { _private: () }
-}
-
-/// RAII guard for [`scoped_failure_dump_path`]; restores the previous
-/// scope on drop.
-#[derive(Debug)]
-pub struct ScopedFailureDumpGuard {
-    _private: (),
-}
-
-impl Drop for ScopedFailureDumpGuard {
-    fn drop(&mut self) {
-        SCOPED_PATH.with(|s| {
-            s.borrow_mut().pop();
-        });
-    }
-}
-
-/// The effective non-machine dump destination for this thread:
-/// the innermost scope if one is active (even a suppressing `None`),
-/// else the process-wide slot. The outer `Option` is "is any dump
-/// configured at all".
-fn ambient_path() -> Option<PathBuf> {
-    let scoped = SCOPED_PATH.with(|s| s.borrow().last().cloned());
-    match scoped {
-        Some(inner) => inner,
-        None => GLOBAL_PATH
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone(),
-    }
-}
 
 fn error_kind(err: &MachineError) -> &'static str {
     match err {
@@ -191,16 +124,14 @@ pub fn write_failure_dump(path: &Path, err: &MachineError) -> std::io::Result<()
     }
 }
 
-/// Best-effort dump on a failed run: the machine's own path wins over
-/// the calling thread's scope, which wins over the process-wide slot;
-/// no configured path means no dump. IO failures are reported on
-/// stderr, never propagated (the run's error is the story; the dump is
-/// a diagnostic side channel).
+/// Best-effort dump on a failed run to the machine's path, if it has
+/// one. IO failures are reported on stderr, never propagated (the run's
+/// error is the story; the dump is a diagnostic side channel).
 pub(crate) fn dump_on_error(machine_path: Option<&Path>, err: &MachineError) {
-    let Some(path) = machine_path.map(Path::to_path_buf).or_else(ambient_path) else {
+    let Some(path) = machine_path else {
         return;
     };
-    match write_failure_dump(&path, err) {
+    match write_failure_dump(path, err) {
         Ok(()) => eprintln!("failure dump written to {}", path.display()),
         Err(io) => eprintln!("failed to write failure dump to {}: {io}", path.display()),
     }
@@ -262,45 +193,6 @@ mod tests {
         assert!(doc.contains("\"kind\": \"rank_crashed\""));
         assert!(!doc.contains("\"wait_for\""));
         assert!(doc.contains("\"metrics\": {"));
-    }
-
-    #[test]
-    fn scoped_path_wins_over_global_and_restores() {
-        // Thread-locals make this test immune to other tests' scopes;
-        // exercise the precedence chain directly via ambient_path.
-        let global = PathBuf::from("/tmp/syrk_dump_global.json");
-        let prev = set_failure_dump_path(Some(global.clone()));
-        assert_eq!(ambient_path(), Some(global.clone()));
-        {
-            let scoped = PathBuf::from("/tmp/syrk_dump_scoped.json");
-            let _g = scoped_failure_dump_path(Some(scoped.clone()));
-            assert_eq!(ambient_path(), Some(scoped.clone()));
-            {
-                // A suppressing inner scope shadows everything.
-                let _g2 = scoped_failure_dump_path(None);
-                assert_eq!(ambient_path(), None);
-            }
-            assert_eq!(ambient_path(), Some(scoped));
-        }
-        assert_eq!(ambient_path(), Some(global));
-        set_failure_dump_path(prev);
-    }
-
-    #[test]
-    fn scopes_are_per_thread() {
-        let scoped = PathBuf::from("/tmp/syrk_dump_thread_a.json");
-        let _g = scoped_failure_dump_path(Some(scoped.clone()));
-        assert_eq!(ambient_path(), Some(scoped));
-        // Another thread sees no scope (and whatever the global slot
-        // holds — tests sharing it run under their own keys, so only
-        // check the scope is absent by shadowing with one of our own).
-        std::thread::spawn(|| {
-            let other = PathBuf::from("/tmp/syrk_dump_thread_b.json");
-            let _g = scoped_failure_dump_path(Some(other.clone()));
-            assert_eq!(ambient_path(), Some(other));
-        })
-        .join()
-        .unwrap();
     }
 
     #[test]

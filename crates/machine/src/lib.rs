@@ -68,10 +68,7 @@ pub use comm::{
     RETRY_DUP_PHASE, RETRY_STALL_PHASE,
 };
 pub use cost::{CostModel, CostReport, PhaseCost, PhaseRow, PhaseTable, RankCost, UNTAGGED_PHASE};
-pub use dump::{
-    failure_dump_string, scoped_failure_dump_path, set_failure_dump_path, write_failure_dump,
-    ScopedFailureDumpGuard,
-};
+pub use dump::{failure_dump_string, write_failure_dump};
 pub use envelope::Payload;
 pub use error::{DeadlockInfo, MachineError, WaitEdge};
 pub use export::{chrome_trace_json, chrome_trace_json_with_wall, timelines_csv};

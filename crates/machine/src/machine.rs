@@ -119,8 +119,7 @@ impl Machine {
     /// Write a post-mortem artifact to `path` if the run fails: the
     /// error, the wait-for graph (for deadlocks), a metrics snapshot,
     /// and the flight recording as Chrome trace events (see
-    /// [`crate::dump`]). Overrides any process-wide
-    /// [`set_failure_dump_path`](crate::dump::set_failure_dump_path).
+    /// [`crate::dump`]). A machine without a path writes nothing.
     pub fn with_failure_dump(mut self, path: impl Into<PathBuf>) -> Self {
         self.failure_dump = Some(path.into());
         self

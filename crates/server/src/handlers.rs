@@ -14,13 +14,12 @@ use std::time::Instant;
 
 use syrk_core::{
     alg1d_predicted_cost, alg2d_tight_cost, alg3d_a_term, alg3d_c_term, alg3d_leading_a_term,
-    alg3d_leading_c_term, candidate_plans, gemm_lower_bound, plan, predicted_cost,
-    run_with_recovery, syrk_lower_bound, thm1_case1_c_term, thm1_case2_a_term, try_syrk_1d,
-    try_syrk_2d, try_syrk_3d, AttemptOutcome, Plan, RankedPlan, RecoveryPolicy, RecoveryReport,
-    SyrkBound, SyrkRunResult,
+    alg3d_leading_c_term, candidate_plans, gemm_lower_bound, plan, predicted_cost, run,
+    syrk_lower_bound, thm1_case1_c_term, thm1_case2_a_term, AttemptOutcome, Plan, RankedPlan,
+    RecoveryPolicy, RecoveryReport, RunSpec, SyrkBound, SyrkRunResult,
 };
 use syrk_dense::seeded_matrix;
-use syrk_machine::{scoped_failure_dump_path, CostModel, FaultPlan};
+use syrk_machine::{CostModel, FaultPlan};
 use syrk_telemetry::{escape_json, registry};
 
 use crate::http::{Request, Response};
@@ -497,39 +496,32 @@ fn handle_run(state: &Arc<SharedState>, req: &Request) -> Response {
         }
     };
 
-    // Per-run failure-dump destination, if the server was configured
-    // with a dump directory.
-    let _dump_scope = state.config.dump_dir.as_ref().map(|dir| {
-        let seq = state.run_seq.fetch_add(1, Ordering::Relaxed);
-        scoped_failure_dump_path(Some(dir.join(format!("run_{seq}.json"))))
-    });
-
-    let a = seeded_matrix::<f64>(n1, n2, seed);
-    let model = CostModel::bandwidth_only();
-    if let Some(policy) = policy {
-        let result = run_with_recovery(&a, chosen, model, faults.as_ref(), &policy);
-        drop(permit);
-        return match result {
-            Ok((run, report)) => Response::json(
-                200,
-                render_run(n1, n2, seed, report.final_plan, &run, Some(&report)),
-            ),
-            Err(e) => Response::json_error(
-                422,
-                &format!("run failed after {} attempt(s): {e}", policy.max_attempts),
-            ),
-        };
-    }
-    let result = match chosen {
-        Plan::OneD { p } => try_syrk_1d(&a, p, model, faults.as_ref()),
-        Plan::TwoD { c } => try_syrk_2d(&a, c, model, faults.as_ref()),
-        Plan::ThreeD { c, p2 } => try_syrk_3d(&a, c, p2, model, faults.as_ref()),
+    // One spec per request; its failure dumps, if the server was
+    // configured with a dump directory, go to a per-run file.
+    let spec = RunSpec {
+        faults,
+        recovery: policy,
+        dump: state.config.dump_dir.as_ref().map(|dir| {
+            let seq = state.run_seq.fetch_add(1, Ordering::Relaxed);
+            dir.join(format!("run_{seq}.json"))
+        }),
+        ..RunSpec::new(chosen, CostModel::bandwidth_only())
     };
+    let a = seeded_matrix::<f64>(n1, n2, seed);
+    let result = run(&a, &spec);
     drop(permit);
 
-    match result {
-        Ok(run) => Response::json(200, render_run(n1, n2, seed, chosen, &run, None)),
-        Err(e) => Response::json_error(422, &format!("run failed: {e}")),
+    match (result, &spec.recovery) {
+        (Ok(out), _) => {
+            let report = out.recovery.as_ref();
+            let ran = report.map_or(chosen, |r| r.final_plan);
+            Response::json(200, render_run(n1, n2, seed, ran, &out.result, report))
+        }
+        (Err(e), Some(policy)) => Response::json_error(
+            422,
+            &format!("run failed after {} attempt(s): {e}", policy.max_attempts),
+        ),
+        (Err(e), None) => Response::json_error(422, &format!("run failed: {e}")),
     }
 }
 

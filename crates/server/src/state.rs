@@ -71,9 +71,10 @@ pub struct ServerConfig {
     /// Cap on the rank budget `p` for `/plan` and `/bounds` queries —
     /// candidate enumeration is O(p), so unbounded p is a CPU DoS.
     pub max_plan_ranks: usize,
-    /// When set, each `/run` gets a scoped per-run failure-dump path
-    /// `run_<seq>.json` under this directory (see
-    /// `syrk_machine::scoped_failure_dump_path`).
+    /// When set, each `/run` carries a per-run failure-dump path
+    /// `run_<seq>.json` under this directory in its `RunSpec::dump`; the
+    /// sequence counts every admitted run, and only a failing machine
+    /// writes its file.
     pub dump_dir: Option<PathBuf>,
 }
 

@@ -336,6 +336,40 @@ fn run_crash_without_recovery_budget_survives_as_422() {
 }
 
 #[test]
+fn failing_runs_dump_to_their_own_file_under_dump_dir() {
+    let dir = std::env::temp_dir().join(format!("syrk_server_dump_dir_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let srv = TestServer::start(ServerConfig {
+        dump_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let path = "/run?alg=2d&n1=36&n2=8&c=3";
+    let crashing = r#"{"recovery": {"max_attempts": 1}, "faults": {"seed": 5, "crash_rank": 1, "crash_op": 1}}"#;
+    for (body, want) in [(crashing, 422), ("", 200), (crashing, 422)] {
+        let (status, _head, reply) = post_json(srv.addr, path, body);
+        assert_eq!(status, want, "{reply}");
+    }
+    // The sequence counts every run; only the failing ones write.
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("dump dir created by the first dump")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["run_0.json", "run_2.json"]);
+    for name in files {
+        let doc = std::fs::read_to_string(dir.join(&name)).unwrap();
+        let doc = json::parse(&doc).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            doc.get("kind").and_then(Json::as_str),
+            Some("rank_crashed"),
+            "{name}"
+        );
+    }
+    srv.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn queued_run_times_out_with_retry_after() {
     let srv = TestServer::start(ServerConfig {
         max_concurrent_runs: 1,

@@ -22,22 +22,23 @@ pub use syrk_dense as dense;
 pub use syrk_geometry as geometry;
 pub use syrk_machine as machine;
 
-pub use syrk_core::{plan, syrk_1d, syrk_2d, syrk_3d, syrk_lower_bound, Plan, SyrkRunResult};
+pub use syrk_core::{
+    plan, run, syrk_1d, syrk_2d, syrk_3d, syrk_lower_bound, Plan, RunSpec, SyrkRunResult,
+};
 pub use syrk_machine::CostModel;
 
 use syrk_dense::Matrix;
 
 /// Plan the optimal algorithm/grid for `(a.rows(), a.cols())` on at most
 /// `p` simulated processors (§5.4) and execute it. Returns the chosen
-/// plan together with the run result (assembled `C` + cost report).
+/// plan together with the run result (assembled `C` + cost report):
+/// [`run`] of `RunSpec::new(chosen, model)`, panicking on error.
 pub fn run_auto(a: &Matrix<f64>, p: usize, model: CostModel) -> (Plan, SyrkRunResult) {
     let chosen = plan(a.rows(), a.cols(), p).plan;
-    let run = match chosen {
-        Plan::OneD { p } => syrk_1d(a, p, model),
-        Plan::TwoD { c } => syrk_2d(a, c, model),
-        Plan::ThreeD { c, p2 } => syrk_3d(a, c, p2, model),
-    };
-    (chosen, run)
+    match run(a, &RunSpec::new(chosen, model)) {
+        Ok(out) => (chosen, out.result),
+        Err(e) => panic!("{e}"),
+    }
 }
 
 #[cfg(test)]

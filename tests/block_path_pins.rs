@@ -10,11 +10,12 @@
 //! (`rcrash` crashes rank 3 on its second operation, shrinks and replans).
 
 use syrk_repro::core::{
-    plan, run_with_recovery, try_syrk_1d, try_syrk_2d, try_syrk_3d, RecoveryPolicy, SyrkRunResult,
+    plan, run, run_with_recovery, syrk_1d, syrk_2d, syrk_3d, try_syrk_1d, try_syrk_2d, try_syrk_3d,
+    RecoveryPolicy, RunSpec, SyrkRunResult, PHASE_ABFT,
 };
 use syrk_repro::dense::{seeded_int_matrix, Matrix};
-use syrk_repro::machine::{CostReport, FaultPlan};
-use syrk_repro::{CostModel, Plan};
+use syrk_repro::machine::{CostReport, EventKind, FaultPlan};
+use syrk_repro::{run_auto, CostModel, Plan};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0100_0000_01b3;
@@ -67,14 +68,10 @@ fn input(n1: usize, n2: usize) -> Matrix<f64> {
     seeded_int_matrix::<f64>(n1, n2, 3, (n1 * 31 + n2) as u64)
 }
 
-fn run(a: &Matrix<f64>, plan: Plan) -> SyrkRunResult {
-    let model = CostModel::bandwidth_only();
-    match plan {
-        Plan::OneD { p } => try_syrk_1d(a, p, model, None),
-        Plan::TwoD { c } => try_syrk_2d(a, c, model, None),
-        Plan::ThreeD { c, p2 } => try_syrk_3d(a, c, p2, model, None),
-    }
-    .expect("fault-free run")
+fn plain(a: &Matrix<f64>, plan: Plan) -> SyrkRunResult {
+    run(a, &RunSpec::new(plan, CostModel::bandwidth_only()))
+        .expect("fault-free run")
+        .result
 }
 
 /// `[words_total, words_max, messages_max, peak_buffer, flops_total,
@@ -144,7 +141,7 @@ fn sim_blocks_round_is_pinned() {
     ];
     for (n1, n2, plan, want) in cases {
         let a = input(n1, n2);
-        check(&format!("{n1}x{n2} {plan:?}"), &run(&a, plan), want);
+        check(&format!("{n1}x{n2} {plan:?}"), &plain(&a, plan), want);
     }
 }
 
@@ -212,7 +209,7 @@ fn serve_mixed_classes_are_pinned() {
     ];
     for (n1, n2, plan, want) in cases {
         let a = input(n1, n2);
-        check(&format!("{n1}x{n2} {plan:?}"), &run(&a, plan), want);
+        check(&format!("{n1}x{n2} {plan:?}"), &plain(&a, plan), want);
     }
 
     // rcrash: r2d with rank 3 crashing on its second operation; the
@@ -243,4 +240,116 @@ fn serve_mixed_classes_are_pinned() {
             R2D_C_DIGEST,
         ],
     );
+}
+
+/// What the function matrix could not say: tracing and in-machine ABFT
+/// in one run. Tracing charges nothing, and the checks only add `Flops`
+/// events under their own phase.
+#[test]
+fn trace_and_abft_compose_on_the_2d_pin_shape() {
+    let a = input(36, 8);
+    let base = RunSpec::new(Plan::TwoD { c: 3 }, CostModel::typical());
+    let traced = RunSpec {
+        trace: true,
+        ..base.clone()
+    };
+    let checked = RunSpec { abft: true, ..base };
+    let both = RunSpec {
+        trace: true,
+        ..checked.clone()
+    };
+    let traced = run(&a, &traced).unwrap();
+    let checked = run(&a, &checked).unwrap();
+    let both = run(&a, &both).unwrap();
+    assert!(checked.traces.is_none());
+    assert_eq!(
+        cost_digest(&both.result.cost),
+        cost_digest(&checked.result.cost)
+    );
+    assert_eq!(c_digest(&both.result.c), c_digest(&checked.result.c));
+
+    let (plain_tl, both_tl) = (traced.traces.unwrap(), both.traces.unwrap());
+    assert_eq!(plain_tl.len(), 12);
+    assert_eq!(both_tl.len(), 12);
+    for (rank, (want, got)) in plain_tl.iter().zip(&both_tl).enumerate() {
+        // `want` is a subsequence of `got`, clocks included; the rest is
+        // verification.
+        let mut want = want.iter().peekable();
+        let mut extra = 0;
+        for e in got {
+            if want.next_if(|w| *w == e).is_none() {
+                assert_eq!(
+                    (e.kind, e.phase),
+                    (EventKind::Flops, Some(PHASE_ABFT)),
+                    "rank {rank}: unexpected extra event {e:?}"
+                );
+                extra += 1;
+            }
+        }
+        assert!(want.next().is_none(), "rank {rank}: traced events missing");
+        assert!(extra > 0, "rank {rank}: no verification event");
+    }
+}
+
+/// Each kept wrapper is `run` of the spec its doc comment names: same
+/// `C`, same cost report, to the bit.
+#[test]
+fn wrappers_equal_run_of_their_spec() {
+    let model = CostModel::typical();
+    let faults = FaultPlan::seeded(7).drop(0.2).duplicate(0.1);
+    let faulted = |plan| RunSpec {
+        faults: Some(faults.clone()),
+        ..RunSpec::new(plan, model)
+    };
+    let (d1, d2, d3) = (
+        Plan::OneD { p: 4 },
+        Plan::TwoD { c: 3 },
+        Plan::ThreeD { c: 2, p2: 2 },
+    );
+    let a = input(36, 8);
+    let auto = plan(36, 8, 12).plan;
+    let policy = RecoveryPolicy::default();
+    let crash = FaultPlan::seeded(5).crash_rank(1, 1);
+    let recovered = RunSpec {
+        faults: Some(crash.clone()),
+        recovery: Some(policy.clone()),
+        ..RunSpec::new(d2, model)
+    };
+    let table: [(&str, SyrkRunResult, RunSpec); 8] = [
+        ("syrk_1d", syrk_1d(&a, 4, model), RunSpec::new(d1, model)),
+        ("syrk_2d", syrk_2d(&a, 3, model), RunSpec::new(d2, model)),
+        ("syrk_3d", syrk_3d(&a, 2, 2, model), RunSpec::new(d3, model)),
+        (
+            "try_syrk_1d",
+            try_syrk_1d(&a, 4, model, Some(&faults)).unwrap(),
+            faulted(d1),
+        ),
+        (
+            "try_syrk_2d",
+            try_syrk_2d(&a, 3, model, Some(&faults)).unwrap(),
+            faulted(d2),
+        ),
+        (
+            "try_syrk_3d",
+            try_syrk_3d(&a, 2, 2, model, Some(&faults)).unwrap(),
+            faulted(d3),
+        ),
+        (
+            "run_with_recovery",
+            run_with_recovery(&a, d2, model, Some(&crash), &policy)
+                .unwrap()
+                .0,
+            recovered,
+        ),
+        (
+            "run_auto",
+            run_auto(&a, 12, model).1,
+            RunSpec::new(auto, model),
+        ),
+    ];
+    for (name, got, spec) in table {
+        let want = run(&a, &spec).unwrap().result;
+        assert_eq!(cost_digest(&got.cost), cost_digest(&want.cost), "{name}");
+        assert_eq!(c_digest(&got.c), c_digest(&want.c), "{name}");
+    }
 }

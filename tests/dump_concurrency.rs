@@ -1,18 +1,19 @@
-//! Failure dumps under concurrent `Machine::try_run` calls: scoped
-//! per-run destinations must route independently, and simultaneous
-//! dumps — even to one shared global path — must never interleave or
-//! truncate each other's JSON.
+//! Failure dumps under concurrent `Machine::try_run` calls: per-machine
+//! destinations must route independently, and simultaneous dumps — even
+//! to one shared path — must never interleave or truncate each other's
+//! JSON.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Barrier;
 
-use syrk_machine::{scoped_failure_dump_path, set_failure_dump_path, Machine, MachineError};
+use syrk_machine::{Machine, MachineError};
 use syrk_server::json;
 
 /// A two-rank run where each rank waits on the other: deadlocks,
-/// deterministically.
-fn forced_deadlock(tag: usize) -> MachineError {
+/// deterministically, and dumps to `dump`.
+fn forced_deadlock(tag: usize, dump: &Path) -> MachineError {
     Machine::new(2)
+        .with_failure_dump(dump)
         .try_run(|comm| -> Result<(), MachineError> {
             let peer = 1 - comm.rank();
             let _: Vec<f64> = comm.try_recv(peer, tag as u64)?;
@@ -46,10 +47,6 @@ fn assert_complete_dump(path: &PathBuf) {
 #[test]
 fn simultaneous_deadlocks_dump_to_scoped_paths_independently() {
     let dir = fresh_dir("syrk_dump_scoped_concurrent");
-    // A process-global path is also set; the scoped paths must win and
-    // nothing may land on the global one.
-    let global = dir.join("global.json");
-    let prev = set_failure_dump_path(Some(global.clone()));
     let barrier = Barrier::new(2);
     let paths: Vec<PathBuf> = (0..2).map(|i| dir.join(format!("run_{i}.json"))).collect();
     std::thread::scope(|s| {
@@ -59,9 +56,8 @@ fn simultaneous_deadlocks_dump_to_scoped_paths_independently() {
             .map(|(i, path)| {
                 let barrier = &barrier;
                 s.spawn(move || {
-                    let _scope = scoped_failure_dump_path(Some(path.clone()));
                     barrier.wait();
-                    let err = forced_deadlock(i);
+                    let err = forced_deadlock(i, path);
                     assert!(matches!(err, MachineError::Deadlock(_)));
                 })
             })
@@ -70,14 +66,9 @@ fn simultaneous_deadlocks_dump_to_scoped_paths_independently() {
             h.join().expect("deadlock run thread panicked");
         }
     });
-    set_failure_dump_path(prev);
     for path in &paths {
         assert_complete_dump(path);
     }
-    assert!(
-        !global.exists(),
-        "scoped paths must take precedence over the global slot"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -90,14 +81,11 @@ fn simultaneous_dumps_to_one_shared_path_never_tear() {
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|i| {
-                let shared = shared.clone();
+                let shared = &shared;
                 let barrier = &barrier;
                 s.spawn(move || {
-                    // Scoped (not set_failure_dump_path) so this test
-                    // cannot clobber a sibling test's global slot.
-                    let _scope = scoped_failure_dump_path(Some(shared));
                     barrier.wait();
-                    let _ = forced_deadlock(i);
+                    let _ = forced_deadlock(i, shared);
                 })
             })
             .collect();

@@ -24,7 +24,7 @@
 //! not integers, so its low bits legitimately differ between ISAs.
 
 use syrk_repro::core::{
-    try_syrk_1d, try_syrk_2d, try_syrk_2d_traced, try_syrk_3d, SyrkError, SyrkRunResult,
+    run, try_syrk_1d, try_syrk_2d, try_syrk_3d, Plan, RunSpec, SyrkError, SyrkRunResult,
 };
 use syrk_repro::dense::{seeded_matrix, Matrix};
 use syrk_repro::machine::{CostModel, CostReport, FaultPlan, Machine, MachineError, Timeline};
@@ -225,9 +225,14 @@ fn unfaulted_runs_are_bitwise_identical_across_engines() {
 fn traced_timelines_are_identical_across_engines() {
     let model = CostModel::typical();
     let a = seeded_matrix::<f64>(12, 8, 7);
-    let (run, traces) = try_syrk_2d_traced(&a, 2, model, None).expect("traced run");
-    let (again, traces_again) = try_syrk_2d_traced(&a, 2, model, None).expect("second traced run");
-    assert_bitwise_eq(&run.c, &again.c, "2d traced");
+    let spec = RunSpec {
+        trace: true,
+        ..RunSpec::new(Plan::TwoD { c: 2 }, model)
+    };
+    let first = run(&a, &spec).expect("traced run");
+    let again = run(&a, &spec).expect("second traced run");
+    assert_bitwise_eq(&first.result.c, &again.result.c, "2d traced");
+    let (traces, traces_again) = (first.traces.unwrap(), again.traces.unwrap());
     // Event is Copy + PartialEq: kind, peer, amount, clock, phase all
     // compare exactly, so the whole per-rank timeline must be equal.
     assert_eq!(

@@ -4,19 +4,23 @@
 //! as named `retry:*` slices, so a Perfetto user can see exactly which
 //! messages were retransmitted and why.
 
-use syrk_core::try_syrk_2d_traced;
+use syrk_core::{run, Plan, RunSpec};
 use syrk_machine::telemetry::{FlightEvent, FlightKind, FlightRecording};
 use syrk_machine::{
     chrome_trace_json, chrome_trace_json_with_wall, CostModel, FaultPlan, Timeline,
 };
 use syrk_server::json::{parse, Json};
 
-fn faulted_traces() -> Vec<Timeline> {
+/// Timelines of the traced 36 × 8, c = 3 run under `drop(0.4).corrupt(0.4)`.
+fn faulted_traces(seed: u64) -> Vec<Timeline> {
     let a = syrk_dense::seeded_matrix::<f64>(36, 8, 1);
-    let faults = FaultPlan::seeded(7).drop(0.4).corrupt(0.4);
-    let (_, traces) = try_syrk_2d_traced(&a, 3, CostModel::bandwidth_only(), Some(&faults))
-        .expect("faulted 2D run must complete under bounded retries");
-    traces
+    let spec = RunSpec {
+        faults: Some(FaultPlan::seeded(seed).drop(0.4).corrupt(0.4)),
+        trace: true,
+        ..RunSpec::new(Plan::TwoD { c: 3 }, CostModel::bandwidth_only())
+    };
+    let out = run(&a, &spec).expect("faulted 2D run must complete under bounded retries");
+    out.traces.expect("the spec asks for tracing")
 }
 
 /// Names of all complete (`"ph": "X"`) slices in a parsed trace document.
@@ -33,7 +37,7 @@ fn slice_names(doc: &Json) -> Vec<String> {
 
 #[test]
 fn faulted_chrome_trace_names_retry_slices_and_round_trips() {
-    let traces = faulted_traces();
+    let traces = faulted_traces(7);
     let json = chrome_trace_json(&traces);
     let doc = parse(&json).expect("chrome trace JSON must be strict JSON");
     let names = slice_names(&doc);
@@ -76,12 +80,8 @@ fn faulted_runs_have_deterministic_retry_counts_per_seed() {
     // each kind is reproducible run to run. (Byte-identical exports are
     // not guaranteed: receive-side screening charges at envelope-arrival
     // order, which the OS scheduler controls.)
-    let a = syrk_dense::seeded_matrix::<f64>(36, 8, 1);
-    let model = CostModel::bandwidth_only();
     let retry_counts = |seed: u64| {
-        let faults = FaultPlan::seeded(seed).drop(0.4).corrupt(0.4);
-        let (_, traces) = try_syrk_2d_traced(&a, 3, model, Some(&faults)).unwrap();
-        let doc = parse(&chrome_trace_json(&traces)).expect("strict JSON");
+        let doc = parse(&chrome_trace_json(&faulted_traces(seed))).expect("strict JSON");
         let names = slice_names(&doc);
         let count = |n: &str| names.iter().filter(|x| *x == n).count();
         (count("retry:drop"), count("retry:corrupt"))
@@ -93,7 +93,7 @@ fn faulted_runs_have_deterministic_retry_counts_per_seed() {
 
 #[test]
 fn merged_wall_trace_round_trips_with_faulted_timelines() {
-    let traces = faulted_traces();
+    let traces = faulted_traces(7);
     let rec = FlightRecording {
         events: vec![
             FlightEvent {

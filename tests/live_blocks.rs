@@ -11,12 +11,10 @@
 //! separates `rows(i) > 0` from `block_len(i) > 0`), the padded variant,
 //! and the 2256-rank shape of the `sim_ranks` benchmark workload.
 
-use syrk_repro::core::{
-    syrk_2d_padded, try_syrk_2d, try_syrk_2d_abft, try_syrk_3d, SyrkRunResult, TriangleBlockDist,
-};
+use syrk_repro::core::{run, try_syrk_2d, try_syrk_3d, RunSpec, SyrkRunResult, TriangleBlockDist};
 use syrk_repro::dense::{seeded_int_matrix, syrk_full_reference, Matrix, Partition1D};
 use syrk_repro::machine::CostReport;
-use syrk_repro::CostModel;
+use syrk_repro::{CostModel, Plan};
 
 /// FNV-1a over every rank row and every phase row of the report: all
 /// counters, the clock bits, and the phase names in first-use order.
@@ -117,8 +115,12 @@ fn twod_abft_cost_reports_are_pinned() {
     ];
     for (n1, want) in want {
         let a = input(n1, 5);
-        let run = try_syrk_2d_abft(&a, 3, CostModel::typical(), None).unwrap();
-        check(&format!("2d+abft c=3 n1={n1}"), &a, run, want);
+        let spec = RunSpec {
+            abft: true,
+            ..RunSpec::new(Plan::TwoD { c: 3 }, CostModel::typical())
+        };
+        let out = run(&a, &spec).unwrap().result;
+        check(&format!("2d+abft c=3 n1={n1}"), &a, out, want);
     }
 }
 
@@ -148,11 +150,11 @@ fn prime_power_and_padded_variants_are_pinned() {
     // c = 4 (affine plane), n1 = 4c; and the padded exchange, which ships
     // a fixed-size block to every partner whether or not a block is live.
     let a = input(16, 6);
-    let run = try_syrk_2d(&a, 4, CostModel::typical(), None).unwrap();
+    let plain = try_syrk_2d(&a, 4, CostModel::typical(), None).unwrap();
     check(
         "2d c=4 n1=16",
         &a,
-        run,
+        plain,
         [384, 32, 16, 32, 1632, 0x8ca7_957d_e17f_da2a],
     );
     let want: [(usize, [u64; 6]); 2] = [
@@ -161,8 +163,12 @@ fn prime_power_and_padded_variants_are_pinned() {
     ];
     for (n1, want) in want {
         let a = input(n1, 5);
-        let run = syrk_2d_padded(&a, 3, CostModel::typical());
-        check(&format!("2d padded c=3 n1={n1}"), &a, run, want);
+        let spec = RunSpec {
+            padded: true,
+            ..RunSpec::new(Plan::TwoD { c: 3 }, CostModel::typical())
+        };
+        let out = run(&a, &spec).unwrap().result;
+        check(&format!("2d padded c=3 n1={n1}"), &a, out, want);
     }
 }
 

@@ -3,32 +3,45 @@
 //! types.
 
 use syrk_repro::core::{
-    syrk_1d_traced, syrk_2d_traced, syrk_3d_traced, syrk_lower_bound, RankedPlan,
-    PHASE_ALLGATHER_A, PHASE_LOCAL_SYRK, PHASE_REDUCE_SCATTER_C,
+    run, syrk_lower_bound, RankedPlan, PHASE_ALLGATHER_A, PHASE_LOCAL_SYRK, PHASE_REDUCE_SCATTER_C,
 };
-use syrk_repro::dense::{limit_threads, max_abs_diff, seeded_matrix, syrk_full_reference};
+use syrk_repro::dense::{limit_threads, max_abs_diff, seeded_matrix, syrk_full_reference, Matrix};
 use syrk_repro::machine::{CostModel, CostReport, EventKind, Timeline};
-use syrk_repro::SyrkRunResult;
+use syrk_repro::{Plan, RunSpec, SyrkRunResult};
+
+/// One grid per algorithm, all accepting a 36 × 8 input.
+const GRIDS: [(&str, Plan); 3] = [
+    ("1d", Plan::OneD { p: 4 }),
+    ("2d", Plan::TwoD { c: 3 }),
+    ("3d", Plan::ThreeD { c: 2, p2: 2 }),
+];
+
+fn traced(a: &Matrix<f64>, plan: Plan, model: CostModel) -> (SyrkRunResult, Vec<Timeline>) {
+    let spec = RunSpec {
+        trace: true,
+        ..RunSpec::new(plan, model)
+    };
+    let out = run(a, &spec).expect("traced run");
+    (out.result, out.traces.expect("the spec asks for tracing"))
+}
 
 /// Run every traced algorithm on a shape all three grids accept.
 fn traced_runs() -> Vec<(&'static str, SyrkRunResult, Vec<Timeline>)> {
     let a = seeded_matrix::<f64>(36, 8, 8);
-    let model = CostModel::default();
-    vec![
-        ("1d", syrk_1d_traced(&a, 4, model)),
-        ("2d", syrk_2d_traced(&a, 3, model)),
-        ("3d", syrk_3d_traced(&a, 2, 2, model)),
-    ]
-    .into_iter()
-    .map(|(name, (run, traces))| (name, run, traces))
-    .collect()
+    GRIDS
+        .into_iter()
+        .map(|(name, plan)| {
+            let (run, traces) = traced(&a, plan, CostModel::default());
+            (name, run, traces)
+        })
+        .collect()
 }
 
 #[test]
 fn traced_2d_run_is_correct_and_fully_logged() {
     let (n1, n2, c) = (24usize, 6usize, 2usize);
     let a = seeded_matrix::<f64>(n1, n2, 8);
-    let (run, traces) = syrk_2d_traced(&a, c, CostModel::bandwidth_only());
+    let (run, traces) = traced(&a, Plan::TwoD { c }, CostModel::bandwidth_only());
     assert!(max_abs_diff(&run.c, &syrk_full_reference(&a)) < 1e-10);
     assert_eq!(traces.len(), run.cost.num_ranks());
 
@@ -144,20 +157,14 @@ fn timelines_identical_across_host_thread_budgets() {
     // parallelism must not leak into the traced timelines.
     let a = seeded_matrix::<f64>(36, 8, 9);
     let model = CostModel::default();
-    type Traced = fn(&syrk_repro::dense::Matrix<f64>, CostModel) -> (SyrkRunResult, Vec<Timeline>);
-    let runs: [(&str, Traced); 3] = [
-        ("1d", |a, m| syrk_1d_traced(a, 4, m)),
-        ("2d", |a, m| syrk_2d_traced(a, 3, m)),
-        ("3d", |a, m| syrk_3d_traced(a, 2, 2, m)),
-    ];
-    for (name, f) in runs {
+    for (name, plan) in GRIDS {
         let serial = {
             let _g = limit_threads(1);
-            f(&a, model).1
+            traced(&a, plan, model).1
         };
         let wide = {
             let _g = limit_threads(8);
-            f(&a, model).1
+            traced(&a, plan, model).1
         };
         assert_eq!(serial, wide, "{name}: timeline depends on host threads");
     }

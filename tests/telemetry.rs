@@ -9,10 +9,10 @@
 
 use std::sync::Mutex;
 
-use syrk_core::try_syrk_2d_traced;
+use syrk_core::{run, Plan, RunSpec};
 use syrk_dense::seeded_matrix;
 use syrk_machine::telemetry::{flight, prometheus_text, registry, snapshot_json};
-use syrk_machine::{set_failure_dump_path, CostModel, FaultPlan, Machine, MachineError};
+use syrk_machine::{CostModel, FaultPlan, Machine, MachineError};
 use syrk_server::json::{parse as parse_json, Json};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -21,13 +21,22 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// The traced c = 3 run both counter tests drive.
+fn traced_2d(faults: Option<FaultPlan>) -> RunSpec {
+    RunSpec {
+        faults,
+        trace: true,
+        ..RunSpec::new(Plan::TwoD { c: 3 }, CostModel::bandwidth_only())
+    }
+}
+
 #[test]
 fn kernel_runtime_counters_stay_consistent_across_a_run() {
     let _g = lock();
     let before = registry::snapshot();
     let a = seeded_matrix::<f64>(36, 8, 3);
-    let (run, _) = try_syrk_2d_traced(&a, 3, CostModel::bandwidth_only(), None).unwrap();
-    assert!(run.cost.elapsed() > 0.0);
+    let out = run(&a, &traced_2d(None)).unwrap();
+    assert!(out.result.cost.elapsed() > 0.0);
     let after = registry::snapshot();
 
     // Every task the work-stealing runtime scheduled was run, and the
@@ -85,7 +94,7 @@ fn fault_injection_and_retry_handling_are_metered() {
     let before = registry::snapshot();
     let a = seeded_matrix::<f64>(36, 8, 3);
     let faults = FaultPlan::seeded(7).drop(0.4).corrupt(0.4);
-    try_syrk_2d_traced(&a, 3, CostModel::bandwidth_only(), Some(&faults)).unwrap();
+    run(&a, &traced_2d(Some(faults))).unwrap();
     let after = registry::snapshot();
     let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
     // Injection-side counters (what the fault plan did) and
@@ -173,23 +182,5 @@ fn deadlock_writes_failure_dump_with_graph_and_wall_row() {
         "expected a recv:block wall-clock slice in {} events",
         events.len()
     );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn global_dump_path_applies_when_machine_has_none() {
-    let _g = lock();
-    let dir = std::env::temp_dir().join("syrk_telemetry_global_test");
-    let _ = std::fs::remove_dir_all(&dir);
-    let path = dir.join("global_dump.json");
-    let prev = set_failure_dump_path(Some(path.clone()));
-    let err = Machine::new(2).try_run(|comm| {
-        let peer = 1 - comm.rank();
-        comm.try_recv::<Vec<f64>>(peer, 43).map(|_| ())
-    });
-    set_failure_dump_path(prev);
-    assert!(matches!(err, Err(MachineError::Deadlock(_))));
-    let body = std::fs::read_to_string(&path).expect("global-path dump written");
-    assert!(body.contains("\"kind\": \"deadlock\""));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,18 +4,24 @@
 
 use std::collections::BTreeMap;
 
-use syrk_core::{syrk_1d_traced, syrk_2d_traced, syrk_3d_traced};
+use syrk_core::{run, Plan, RunSpec};
 use syrk_dense::seeded_matrix;
 use syrk_machine::{chrome_trace_json, timelines_csv, CostModel, Timeline};
 use syrk_server::json::{parse as parse_json, Json};
 
 fn all_traces() -> Vec<(&'static str, Vec<Timeline>)> {
     let a = seeded_matrix::<f64>(36, 8, 2);
-    let model = CostModel::default();
+    let traced = |plan| {
+        let spec = RunSpec {
+            trace: true,
+            ..RunSpec::new(plan, CostModel::default())
+        };
+        run(&a, &spec).unwrap().traces.unwrap()
+    };
     vec![
-        ("1d", syrk_1d_traced(&a, 4, model).1),
-        ("2d", syrk_2d_traced(&a, 3, model).1),
-        ("3d", syrk_3d_traced(&a, 2, 2, model).1),
+        ("1d", traced(Plan::OneD { p: 4 })),
+        ("2d", traced(Plan::TwoD { c: 3 })),
+        ("3d", traced(Plan::ThreeD { c: 2, p2: 2 })),
     ]
 }
 
