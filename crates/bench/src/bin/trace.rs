@@ -306,6 +306,15 @@ fn main() {
         },
     );
 
+    // The whole run's wall time over its messages: kernels, spawn and
+    // this binary's event tracing are all in the numerator.
+    let messages: u64 = run.cost.ranks.iter().map(|r| r.msgs_sent).sum();
+    println!(
+        "message path: {messages} messages, {:.0} ns host time per message \
+         (wall time of the run / messages sent, tracing on)",
+        wall * 1e9 / messages.max(1) as f64,
+    );
+
     let dir = std::path::Path::new("target/experiments");
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("trace: cannot create {}: {e}", dir.display());

@@ -77,7 +77,8 @@ pub fn syrk_2d_limited(
                     if k2 == k {
                         Vec::new()
                     } else {
-                        dist.common_block(k, k2).map(&my_chunk).unwrap_or_default()
+                        let mine = dist.common_block(k, k2).map(&my_chunk);
+                        mine.map_or_else(Vec::new, |ch| ch.to_vec())
                     }
                 })
                 .collect();
@@ -86,18 +87,9 @@ pub fn syrk_2d_limited(
                 .r_set(k)
                 .iter()
                 .map(|&i| {
-                    let chunks: Vec<Vec<f64>> = dist
-                        .q_set(i)
-                        .iter()
-                        .map(|&m| {
-                            if m == k {
-                                my_chunk(i)
-                            } else {
-                                received[m].clone()
-                            }
-                        })
-                        .collect();
-                    (i, ad.assemble_block(i, &chunks))
+                    let (mine, q) = (my_chunk(i), dist.q_set(i));
+                    let chunks = (q.iter()).map(|&m| if m == k { &mine[..] } else { &received[m] });
+                    (i, ad.assemble_block(i, chunks))
                 })
                 .collect();
             comm.note_buffer(out_words + gathered.iter().map(|(_, m)| m.len()).sum::<usize>());

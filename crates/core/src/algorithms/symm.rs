@@ -59,7 +59,8 @@ pub fn symm_2d(a_sym: &Matrix<f64>, b: &Matrix<f64>, c: usize, model: CostModel)
                 if k2 == k {
                     Vec::new()
                 } else {
-                    dist.common_block(k, k2).map(&my_chunk).unwrap_or_default()
+                    let mine = dist.common_block(k, k2).map(&my_chunk);
+                    mine.map_or_else(Vec::new, |ch| ch.to_vec())
                 }
             })
             .collect();
@@ -68,18 +69,9 @@ pub fn symm_2d(a_sym: &Matrix<f64>, b: &Matrix<f64>, c: usize, model: CostModel)
             .r_set(k)
             .iter()
             .map(|&i| {
-                let chunks: Vec<Vec<f64>> = dist
-                    .q_set(i)
-                    .iter()
-                    .map(|&q| {
-                        if q == k {
-                            my_chunk(i)
-                        } else {
-                            received[q].clone()
-                        }
-                    })
-                    .collect();
-                (i, bd.assemble_block(i, &chunks))
+                let (mine, q) = (my_chunk(i), dist.q_set(i));
+                let chunks = (q.iter()).map(|&m| if m == k { &mine[..] } else { &received[m] });
+                (i, bd.assemble_block(i, chunks))
             })
             .collect();
         let b_block = |i: usize| {

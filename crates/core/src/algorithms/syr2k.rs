@@ -88,11 +88,7 @@ pub fn syr2k_2d(a: &Matrix<f64>, b: &Matrix<f64>, c: usize, model: CostModel) ->
                     return Vec::new();
                 }
                 match dist.common_block(k, k2) {
-                    Some(i) => {
-                        let mut buf = my_chunk(a, i);
-                        buf.extend(my_chunk(b, i));
-                        buf
-                    }
+                    Some(i) => [my_chunk(a, i), my_chunk(b, i)].concat(),
                     None => Vec::new(),
                 }
             })
@@ -103,23 +99,23 @@ pub fn syr2k_2d(a: &Matrix<f64>, b: &Matrix<f64>, c: usize, model: CostModel) ->
 
         // Reassemble A_i and B_i from the paired chunks.
         let gather = |i: usize| -> (Matrix<f64>, Matrix<f64>) {
-            let mut a_chunks = Vec::new();
-            let mut b_chunks = Vec::new();
+            let (mine_a, mine_b) = (my_chunk(a, i), my_chunk(b, i));
+            let (mut a_chunks, mut b_chunks) = (Vec::new(), Vec::new());
             for &m in dist.q_set(i) {
                 if m == k {
-                    a_chunks.push(my_chunk(a, i));
-                    b_chunks.push(my_chunk(b, i));
+                    a_chunks.push(&mine_a[..]);
+                    b_chunks.push(&mine_b[..]);
                 } else {
                     let buf = &received[m];
                     let half = ad.chunk_len(i, m);
                     assert_eq!(buf.len(), 2 * half, "paired chunk length mismatch");
-                    a_chunks.push(buf[..half].to_vec());
-                    b_chunks.push(buf[half..].to_vec());
+                    a_chunks.push(&buf[..half]);
+                    b_chunks.push(&buf[half..]);
                 }
             }
             (
-                ad.assemble_block(i, &a_chunks),
-                ad.assemble_block(i, &b_chunks),
+                ad.assemble_block(i, a_chunks),
+                ad.assemble_block(i, b_chunks),
             )
         };
         type BlockPair = (Matrix<f64>, Matrix<f64>);

@@ -8,6 +8,8 @@
 //! its diagonal block (if assigned) with a local SYRK. No contribution to
 //! `C` is ever communicated — only parts of `A`.
 
+use std::sync::Arc;
+
 use syrk_dense::{
     balanced_chunks_by_cost, gemm_flops, mul_nt, par_for_each_task, steal_task_count, syrk_flops,
     syrk_packed_new, workers_for_flops, Diag, Matrix, MatrixView,
@@ -72,9 +74,9 @@ pub(crate) fn twod_body(
         .collect();
 
     // Initial distribution: my chunk of each live block, staged once per
-    // block (each chunk ships to c partners and is reused in the
-    // reassembly below).
-    let my_chunks: Vec<Vec<f64>> = live
+    // block as a shared buffer (each chunk ships to c partners as c
+    // handles on it and is reused in the reassembly below).
+    let my_chunks: Vec<Arc<[f64]>> = live
         .iter()
         .map(|&i| ad.extract_chunk(a_slice, i, k))
         .collect();
@@ -93,12 +95,14 @@ pub(crate) fn twod_body(
     // an all-gather of each row block within its processor set, realized
     // as one all-to-all.
     let ag_span = comm.phase(PHASE_ALLGATHER_A);
-    // Indexed by sender when padded; else parallel to the receive plan.
-    let received: Vec<Vec<f64>> = if padded {
+    // Padded: owned buffers indexed by sender. Tight: the senders' own
+    // buffers, parallel to the receive plan.
+    let (mut by_sender, mut by_plan): (Vec<Vec<f64>>, Vec<Arc<[f64]>>) = Default::default();
+    if padded {
         // The chunk owed to each partner, read off the live blocks'
         // processor sets in O(c · live) instead of intersecting R_k with
         // every other rank's set.
-        let mut owed: Vec<Option<&Vec<f64>>> = vec![None; comm.size()];
+        let mut owed: Vec<Option<&[f64]>> = vec![None; comm.size()];
         for (&i, ch) in live.iter().zip(&my_chunks) {
             for &m in dist.q_set(i).iter().filter(|&&m| m != k) {
                 debug_assert!(owed[m].is_none(), "two ranks share two row blocks");
@@ -110,14 +114,14 @@ pub(crate) fn twod_body(
                 if k2 == k {
                     return Vec::new();
                 }
-                let mut buf = owed[k2].cloned().unwrap_or_default();
+                let mut buf = owed[k2].map(<[f64]>::to_vec).unwrap_or_default();
                 buf.resize(pad_len, 0.0);
                 buf
             })
             .collect();
-        comm.try_all_to_all(blocks)?
+        by_sender = comm.try_all_to_all(blocks)?;
     } else {
-        let mut sends: Vec<(usize, Vec<f64>)> = Vec::new();
+        let mut sends: Vec<(usize, Arc<[f64]>)> = Vec::new();
         let mut recvs: Vec<(usize, usize)> = Vec::new();
         for (&i, ch) in live.iter().zip(&my_chunks) {
             let part = ad.chunk_partition(i);
@@ -129,12 +133,12 @@ pub(crate) fn twod_body(
                     recvs.push((m, part.len(pos)));
                 }
                 if !ch.is_empty() {
-                    sends.push((m, ch.clone()));
+                    sends.push((m, Arc::clone(ch)));
                 }
             }
         }
-        comm.try_all_to_all_sparse(sends, &recvs)?
-    };
+        by_plan = comm.try_all_to_all_sparse(sends, &recvs)?;
+    }
 
     // Lines 10–14: reassemble each live row block A_i from the chunks of
     // Q_i (mine plus the one received from every other member; padded
@@ -152,14 +156,14 @@ pub(crate) fn twod_body(
             let chunks = dist.q_set(i).iter().enumerate().map(|(pos, &m)| {
                 let len = part.len(pos);
                 if m == k {
-                    mine.as_slice()
+                    &mine[..]
                 } else if padded {
-                    &received[m][..len]
+                    &by_sender[m][..len]
                 } else if len == 0 {
                     &[]
                 } else {
                     next_recv += 1;
-                    received[next_recv - 1].as_slice()
+                    &by_plan[next_recv - 1][..]
                 }
             });
             ad.assemble_block(i, chunks)
@@ -167,7 +171,7 @@ pub(crate) fn twod_body(
         .collect();
     comm.note_buffer(
         gathered.iter().map(Matrix::len).sum::<usize>()
-            + my_chunks.iter().map(Vec::len).sum::<usize>(),
+            + my_chunks.iter().map(|ch| ch.len()).sum::<usize>(),
     );
     drop(ag_span);
 

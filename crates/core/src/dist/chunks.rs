@@ -4,6 +4,8 @@
 //! row-major elements of the block — the paper leaves the within-block
 //! distribution arbitrary as long as it is even.
 
+use std::sync::Arc;
+
 use super::triangle::TriangleBlockDist;
 use syrk_dense::{Matrix, MatrixView, Partition1D};
 
@@ -48,15 +50,16 @@ impl<'d> ConformalADist<'d> {
 
     /// Extract rank `k`'s chunk of `A_i` from `a` (used to stage the
     /// initial distribution; costs nothing on the machine): the one copy
-    /// a rank makes of the `n1·n2/P` words it owns. `a` is a view, so a
-    /// 3D slice passes its column block of the global matrix as it lies;
-    /// over a whole matrix the rows of `A_i` are contiguous and the chunk
-    /// is one slice of it.
-    pub fn extract_chunk(&self, a: MatrixView<'_, f64>, i: usize, k: usize) -> Vec<f64> {
+    /// a rank makes of the `n1·n2/P` words it owns, in a buffer the rank
+    /// can hand to all `c` other members of `Q_i` without copying it
+    /// again. `a` is a view, so a 3D slice passes its column block of the
+    /// global matrix as it lies; over a whole matrix the rows of `A_i`
+    /// are contiguous and the chunk is one slice of it.
+    pub fn extract_chunk(&self, a: MatrixView<'_, f64>, i: usize, k: usize) -> Arc<[f64]> {
         assert_eq!(a.cols(), self.n2, "matrix width differs from the layout's");
         let base = self.rows.range(i).start * self.n2;
         let chunk = self.chunk_partition(i).range(self.dist.chunk_index(i, k));
-        a.flat_range_to_vec(base + chunk.start..base + chunk.end)
+        a.flat_range_to_arc(base + chunk.start..base + chunk.end)
     }
 
     /// Reassemble the full row block `A_i` from its `c+1` chunks, given in
@@ -97,7 +100,7 @@ mod tests {
         let a = seeded_matrix::<f64>(n1, n2, 1);
         let ad = ConformalADist::new(&dist, n1, n2);
         for i in 0..dist.num_blocks() {
-            let chunks: Vec<Vec<f64>> = dist
+            let chunks: Vec<Arc<[f64]>> = dist
                 .q_set(i)
                 .iter()
                 .map(|&k| ad.extract_chunk(a.view(), i, k))

@@ -1,13 +1,15 @@
 //! A rank reads its column block of `A` where it lies in the global
 //! matrix: the 1D and 3D drivers used to copy an `n1 × n2/p` block per
-//! rank (12 × 4 MB live at once for the 3D run below, 6× the input). This
+//! rank (12 × 4 MB live at once for the 3D run below, 6× the input). And
+//! a 2D rank stages each chunk of `A` it owns once, however many partners
+//! the chunk goes to: the exchange used to clone it per destination. This
 //! binary holds one test, because it watches every allocation of the
 //! process.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use syrk_core::{try_syrk_1d, try_syrk_3d};
+use syrk_core::{try_syrk_1d, try_syrk_2d, try_syrk_3d};
 use syrk_dense::seeded_matrix;
 use syrk_machine::CostModel;
 
@@ -16,7 +18,7 @@ use syrk_machine::CostModel;
 static THRESHOLD: AtomicUsize = AtomicUsize::new(usize::MAX);
 /// How many were recorded, and the sizes of the first few.
 static COUNT: AtomicUsize = AtomicUsize::new(0);
-static SIZES: [AtomicUsize; 32] = [const { AtomicUsize::new(0) }; 32];
+static SIZES: [AtomicUsize; 128] = [const { AtomicUsize::new(0) }; 128];
 
 struct Recording;
 
@@ -80,4 +82,17 @@ fn no_rank_copies_its_column_block() {
         try_syrk_1d(&a, p, model, None).expect("a clean run");
     });
     assert_eq!(big, [], "1D: allocations of a column block or more");
+
+    // The 2D member: 6 ranks, each owning one 65 536-word chunk of each of
+    // its c = 2 row blocks and shipping it to the c other members of the
+    // block's processor set. One buffer per chunk (the words plus the two
+    // counters of the shared handle), not one per destination: P·c = 12.
+    let (n1, n2, c) = (1536, 512, 2);
+    let chunk = n1 / (c * c) * n2 / (c + 1);
+    let a = seeded_matrix::<f64>(n1, n2, 1);
+    let big = allocations_of_at_least(chunk, || {
+        try_syrk_2d(&a, c, model, None).expect("a clean run");
+    });
+    let chunks = big.iter().filter(|&&w| w <= chunk + 2).count();
+    assert_eq!(chunks, c * (c + 1) * c, "2D: chunk-sized allocations");
 }

@@ -2,6 +2,7 @@
 
 use crate::scalar::Scalar;
 use std::ops::{Index, Range};
+use std::sync::Arc;
 
 /// An immutable view of a `rows × cols` block inside a row-major buffer
 /// with row stride `stride ≥ cols`.
@@ -93,6 +94,20 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
             (i, j) = (i + 1, 0);
         }
         out
+    }
+
+    /// [`flat_range_to_vec`](Self::flat_range_to_vec) into a shared
+    /// buffer: one allocation and one copy when the rows are contiguous,
+    /// by way of the `Vec` otherwise.
+    pub fn flat_range_to_arc(&self, range: Range<usize>) -> Arc<[T]> {
+        if self.stride != self.cols {
+            return Arc::from(self.flat_range_to_vec(range));
+        }
+        assert!(
+            range.end <= self.rows * self.cols,
+            "flat range out of the view"
+        );
+        Arc::from(&self.data[range])
     }
 }
 
@@ -211,10 +226,12 @@ mod tests {
         for start in 0..=12 {
             for end in start..=12 {
                 assert_eq!(v.flat_range_to_vec(start..end), flat[start..end]);
+                assert_eq!(v.flat_range_to_arc(start..end)[..], flat[start..end]);
             }
         }
         // Contiguous rows take the one-slice path; zero columns copy nothing.
         assert_eq!(m.view().flat_range_to_vec(5..17), m.as_slice()[5..17]);
+        assert_eq!(m.view().flat_range_to_arc(5..17)[..], m.as_slice()[5..17]);
         assert!(m.block(0, 7, 5, 0).flat_range_to_vec(0..0).is_empty());
     }
 

@@ -2,6 +2,7 @@
 
 use crate::collectives::{CollectiveAlg, TAG_ALLTOALL};
 use crate::comm::Comm;
+use crate::envelope::Payload;
 use crate::error::MachineError;
 
 impl Comm {
@@ -99,88 +100,100 @@ impl Comm {
     /// only the live traffic: `sends` is `(dst, payload)` per outgoing
     /// block (payloads must be non-empty, destinations distinct), and
     /// `recvs` is `(src, words)` per expected incoming block (sources
-    /// distinct, `words > 0`). Returns the received blocks parallel to
-    /// `recvs`.
+    /// distinct, `words > 0`); both in any order. The payload is any one
+    /// [`Payload`] type — `Vec<f64>`, or `Arc<[f64]>` when one buffer
+    /// goes to many destinations — and every partner must send the same
+    /// type. Returns the received blocks parallel to `recvs`: block `i`
+    /// is the one from `recvs[i].0`.
     ///
     /// Messages are issued in the dense pairwise schedule's step order —
     /// at step `s` rank `r` sends to `(r + s) % P` and receives from
     /// `(r + P − s) % P` — so the simulated clocks, message counts, and
-    /// word counts are *identical* to [`try_all_to_all_v`] with the same
-    /// traffic scattered into dense vectors.
+    /// word counts are *identical* to `try_all_to_all_v` with the same
+    /// traffic scattered into dense vectors. Both lists are sorted by
+    /// step up front and walked front to back: the loop reads rank-local
+    /// memory sequentially, which matters because every blocking step
+    /// comes back from a context switch with its lines cold.
     ///
     /// Contract (as for `MPI_Alltoallv` counts): `recvs` must list
     /// exactly the `(src, len)` pairs matching what each `src` sends
     /// here. Disagreement strands a rank in a receive that can never
     /// match: an exact deadlock diagnostic.
     #[must_use = "the Result carries transport failures that must be handled"]
-    pub fn try_all_to_all_sparse(
+    pub fn try_all_to_all_sparse<T: Payload>(
         &self,
-        mut sends: Vec<(usize, Vec<f64>)>,
+        mut sends: Vec<(usize, T)>,
         recvs: &[(usize, usize)],
-    ) -> Result<Vec<Vec<f64>>, MachineError> {
-        crate::metrics::ALL_TO_ALL.record(sends.iter().map(|(_, b)| b.len()).sum());
+    ) -> Result<Vec<T>, MachineError> {
+        let words = sends.iter().map(|(_, b)| b.words()).sum();
+        crate::metrics::ALL_TO_ALL.record(words);
         let _span = self.collective_phase("coll:all-to-all");
         let p = self.size();
         let me = self.rank();
-        self.note_buffer(sends.iter().map(|(_, b)| b.len()).sum());
+        self.note_buffer(words);
         // Order both sides by pairwise step; merging the two sorted lists
         // then replays the dense schedule, skipping idle steps for free.
-        let mut tx: Vec<(usize, usize)> = (0..sends.len())
-            .map(|idx| {
-                let (dst, ref payload) = sends[idx];
-                assert!(
-                    dst < p && dst != me,
-                    "sparse all-to-all: bad destination {dst}"
-                );
-                assert!(
-                    !payload.is_empty(),
-                    "sparse all-to-all: empty payload for {dst}"
-                );
-                ((dst + p - me) % p, idx)
-            })
-            .collect();
-        tx.sort_unstable();
-        let mut rx: Vec<(usize, usize)> = (0..recvs.len())
-            .map(|idx| {
-                let (src, words) = recvs[idx];
+        let send_step = |dst: usize| (dst + p - me) % p;
+        for (dst, payload) in &sends {
+            assert!(
+                *dst < p && *dst != me,
+                "sparse all-to-all: bad destination {dst}"
+            );
+            assert!(
+                payload.words() > 0,
+                "sparse all-to-all: empty payload for {dst}"
+            );
+        }
+        sends.sort_unstable_by_key(|&(dst, _)| send_step(dst));
+        assert!(
+            sends.windows(2).all(|w| w[0].0 != w[1].0),
+            "sparse all-to-all: duplicate destination"
+        );
+        // (step, src, position in `recvs`)
+        let mut rx: Vec<(usize, usize, usize)> = (recvs.iter().enumerate())
+            .map(|(idx, &(src, words))| {
                 assert!(src < p && src != me, "sparse all-to-all: bad source {src}");
                 assert!(words > 0, "sparse all-to-all: zero-word receive from {src}");
-                ((me + p - src) % p, idx)
+                ((me + p - src) % p, src, idx)
             })
             .collect();
         rx.sort_unstable();
-        debug_assert!(
-            tx.windows(2).all(|w| w[0].0 != w[1].0),
-            "duplicate destination"
+        assert!(
+            rx.windows(2).all(|w| w[0].0 != w[1].0),
+            "sparse all-to-all: duplicate source"
         );
-        debug_assert!(rx.windows(2).all(|w| w[0].0 != w[1].0), "duplicate source");
-        let mut out: Vec<Vec<f64>> = (0..recvs.len()).map(|_| Vec::new()).collect();
-        let (mut ti, mut ri) = (0, 0);
-        while ti < tx.len() || ri < rx.len() {
-            let ts = tx.get(ti).map_or(usize::MAX, |&(s, _)| s);
-            let rs = rx.get(ri).map_or(usize::MAX, |&(s, _)| s);
-            if ts == rs {
-                let (sidx, ridx) = (tx[ti].1, rx[ri].1);
-                let payload = std::mem::take(&mut sends[sidx].1);
-                out[ridx] =
-                    self.try_exchange(sends[sidx].0, payload, recvs[ridx].0, TAG_ALLTOALL)?;
-                ti += 1;
-                ri += 1;
-            } else if ts < rs {
-                let sidx = tx[ti].1;
-                let payload = std::mem::take(&mut sends[sidx].1);
-                self.try_send(sends[sidx].0, TAG_ALLTOALL, payload)?;
-                ti += 1;
-            } else {
-                let ridx = rx[ri].1;
-                out[ridx] = self.try_recv(recvs[ridx].0, TAG_ALLTOALL)?;
-                ri += 1;
+        let mut sends = sends.into_iter().peekable();
+        let mut rx_due = rx.iter().peekable();
+        // Received blocks in step order, i.e. parallel to `rx`.
+        let mut got: Vec<T> = Vec::with_capacity(rx.len());
+        loop {
+            let ts = sends.peek().map_or(usize::MAX, |&(dst, _)| send_step(dst));
+            let rs = rx_due.peek().map_or(usize::MAX, |r| r.0);
+            let out = if ts <= rs { sends.next() } else { None };
+            let src = if rs <= ts { rx_due.next() } else { None }.map(|r| r.1);
+            match (out, src) {
+                (Some((dst, out)), Some(src)) => {
+                    got.push(self.try_exchange(dst, out, src, TAG_ALLTOALL)?)
+                }
+                (Some((dst, out)), None) => self.try_send(dst, TAG_ALLTOALL, out)?,
+                (None, Some(src)) => got.push(self.try_recv(src, TAG_ALLTOALL)?),
+                (None, None) => break,
             }
         }
-        for (buf, &(src, words)) in out.iter().zip(recvs) {
-            debug_assert_eq!(buf.len(), words, "block from {src} has the wrong length");
+        // One pass from step order into the caller's order.
+        let mut out: Vec<Option<T>> = (0..rx.len()).map(|_| None).collect();
+        for (block, &(_, src, idx)) in got.into_iter().zip(&rx) {
+            debug_assert_eq!(
+                block.words(),
+                recvs[idx].1,
+                "block from {src} has the wrong length"
+            );
+            out[idx] = Some(block);
         }
-        Ok(out)
+        Ok(out
+            .into_iter()
+            .map(|b| b.expect("`rx` holds every position of `recvs` once"))
+            .collect())
     }
 
     /// Fallible form of [`all_to_all_with`](Comm::all_to_all_with).
@@ -265,8 +278,12 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use crate::collectives::CollectiveAlg;
-    use crate::machine::Machine;
+    use crate::envelope::Payload;
+    use crate::fault::FaultPlan;
+    use crate::machine::{Machine, RunOutput};
 
     /// The canonical all-to-all check: rank r sends `[r*P + q]` to rank q;
     /// afterwards rank q holds `[r*P + q]` from every r.
@@ -467,6 +484,113 @@ mod tests {
             assert_eq!(d.words_sent, s.words_sent);
             assert_eq!(d.msgs_sent, s.msgs_sent);
             assert_eq!(d.clock.to_bits(), s.clock.to_bits());
+        }
+    }
+
+    #[test]
+    fn sparse_list_form_returns_blocks_parallel_to_recvs() {
+        // Every rank hears from the three ranks behind it and lists them
+        // nearest first — step 1, 2, 3 — then in reverse: block `i` is the
+        // one from `recvs[i].0` either way, and the costs do not move.
+        let p = 5;
+        let run = |reverse: bool| {
+            Machine::new(p).run(move |comm| {
+                let me = comm.rank();
+                let sends = (1..=3)
+                    .map(|d| ((me + d) % p, vec![me as f64; d]))
+                    .collect();
+                let mut recvs: Vec<(usize, usize)> =
+                    (1..=3).map(|d| ((me + p - d) % p, d)).collect();
+                if reverse {
+                    recvs.reverse();
+                }
+                let got: Vec<Vec<f64>> = comm.try_all_to_all_sparse(sends, &recvs).unwrap();
+                assert_eq!(got.len(), recvs.len());
+                for (block, &(src, words)) in got.iter().zip(&recvs) {
+                    assert_eq!(block, &vec![src as f64; words], "rank {me} from {src}");
+                }
+            })
+        };
+        let (forward, reversed) = (run(false), run(true));
+        assert_eq!(forward.cost.ranks, reversed.cost.ranks);
+    }
+
+    #[test]
+    fn sparse_list_form_handles_send_only_and_receive_only_ranks() {
+        // Rank r sends r + 1 words to every higher rank: rank 0 only
+        // sends, the last rank only receives, and no step is duplex.
+        let p = 4;
+        let out = Machine::new(p).run(|comm| {
+            let me = comm.rank();
+            let sends = (me + 1..p).map(|q| (q, vec![me as f64; me + 1])).collect();
+            let recvs: Vec<(usize, usize)> = (0..me).map(|q| (q, q + 1)).collect();
+            let got: Vec<Vec<f64>> = comm.try_all_to_all_sparse(sends, &recvs).unwrap();
+            for (q, block) in got.iter().enumerate() {
+                assert_eq!(block, &vec![q as f64; q + 1], "rank {me} from {q}");
+            }
+            got.len()
+        });
+        assert_eq!(out.results, [0, 1, 2, 3]);
+        for (r, cost) in out.cost.ranks.iter().enumerate() {
+            assert_eq!(cost.msgs_sent, (p - 1 - r) as u64, "rank {r}");
+            assert_eq!(cost.msgs_recv, r as u64, "rank {r}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate destination")]
+    fn sparse_list_form_rejects_a_destination_listed_twice() {
+        // A real assert, release builds included: the second envelope
+        // would carry the same `(src, tag)` and nobody would receive it.
+        Machine::new(3).run(|comm| {
+            let next = (comm.rank() + 1) % 3;
+            let prev = (comm.rank() + 2) % 3;
+            let sends = vec![(next, vec![1.0]), (next, vec![2.0])];
+            comm.try_all_to_all_sparse(sends, &[(prev, 1)]).map(drop)
+        });
+    }
+
+    /// A 6-rank exchange of payload type `T` under drops, duplicates and
+    /// corruption: rank r ships r % 3 + 1 words, staged once, to the three
+    /// ranks ahead of it. Returns what each rank received, as plain words.
+    fn faulted_exchange<T>() -> RunOutput<Vec<Vec<f64>>>
+    where
+        T: Payload + Clone + From<Vec<f64>> + std::ops::Deref<Target = [f64]>,
+    {
+        let p = 6;
+        let plan = FaultPlan::seeded(11).duplicate(0.2).corrupt(0.1).drop(0.2);
+        Machine::new(p).with_faults(plan).run(move |comm| {
+            let me = comm.rank();
+            let chunk = T::from(vec![me as f64 + 0.5; me % 3 + 1]);
+            let sends = (1..=3).map(|d| ((me + d) % p, chunk.clone())).collect();
+            let recvs: Vec<(usize, usize)> = (1..=3)
+                .map(|d| (me + p - d) % p)
+                .map(|src| (src, src % 3 + 1))
+                .collect();
+            let got: Vec<T> = comm.try_all_to_all_sparse(sends, &recvs).unwrap();
+            got.iter().map(|block| block.to_vec()).collect()
+        })
+    }
+
+    #[test]
+    fn shared_and_owned_payloads_cost_the_same_under_faults() {
+        let owned = faulted_exchange::<Vec<f64>>();
+        let shared = faulted_exchange::<Arc<[f64]>>();
+        assert_eq!(owned.results, shared.results);
+        for (me, got) in owned.results.iter().enumerate() {
+            let want: Vec<Vec<f64>> = (1..=3)
+                .map(|d| (me + 6 - d) % 6)
+                .map(|src| vec![src as f64 + 0.5; src % 3 + 1])
+                .collect();
+            assert_eq!(got, &want, "rank {me}");
+        }
+        // Phase row by phase row, `retry:*` included, clocks to the bit.
+        let retried = |n: &&str| n.starts_with("retry:");
+        assert!(owned.cost.phase_names().iter().any(retried));
+        assert_eq!(owned.cost.phases, shared.cost.phases);
+        let rows = |out: &RunOutput<_>| out.cost.phases.concat();
+        for (o, s) in rows(&owned).iter().zip(&rows(&shared)) {
+            assert_eq!(o.cost.clock.to_bits(), s.cost.clock.to_bits(), "{}", o.name);
         }
     }
 

@@ -1,6 +1,16 @@
 //! Communicators: point-to-point messaging, sub-communicators, and the
 //! shared world state of a simulated machine run.
 //!
+//! A `Comm` is a group, a communicator id and a handle on the world; it
+//! holds no message state. Everything a rank's messages touch — its cost
+//! ledger, its inbox, the screened envelopes no receive has claimed yet
+//! ([`PendingQueue`]) and its per-link sequence counters — is the rank's
+//! [`RankSlot`], under one lock: a send takes the destination's slot to
+//! deliver, a receive takes its own once and works under it. A payload
+//! rides in its envelope as a `Vec<f64>`, as an `Arc<[f64]>` (a buffer
+//! sent to many destinations: the tight 2D exchange's chunks) or, for
+//! every other type, boxed — see [`crate::envelope::Wire`].
+//!
 //! Every transmission funnels through one dispatch path and every receive
 //! through one matching loop, which is where the robustness machinery
 //! lives: per-link sequence numbers and payload checksums (so injected
@@ -17,7 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::cost::{CostModel, RankCost, RankLedger};
-use crate::engine::EventState;
+use crate::engine::{EventState, RankSlot};
 use crate::envelope::{Envelope, Garbled, Payload};
 use crate::error::{DeadlockInfo, MachineError, WaitEdge};
 use crate::fault::{mix64, FaultPlan, MessageFaults};
@@ -58,28 +68,6 @@ pub const RECOVER_BACKOFF_PHASE: &str = "recover:backoff";
 /// detector sends this many unanswered heartbeat probes per suspect.
 pub const HEARTBEAT_TIMEOUT_PROBES: u64 = 4;
 
-/// Per-rank out-of-order matching state.
-///
-/// The rank's inbox (in its [`RankSlot`](crate::engine::RankSlot)) holds
-/// envelopes in send order per link. A receive takes the whole inbox into
-/// `backlog` under one lock and screens it from the front; a receive for
-/// a specific `(src, tag)` buffers any non-matching envelopes in `pending`
-/// until they are asked for, and leaves what lies behind its match in
-/// `backlog`, unscreened, for the next receive. The mailbox also holds this
-/// rank's per-link sequence counters: `tx_seq[d]` numbers messages this
-/// rank sends to world rank `d`, `rx_next[s]` is the next sequence number
-/// expected from world rank `s` (everything below it is a duplicate).
-pub(crate) struct Mailbox {
-    /// Arrived, not yet screened; always older than anything in the inbox.
-    backlog: VecDeque<Envelope>,
-    pending: PendingQueue,
-    /// Per-link sequence counters, allocated only when the installed
-    /// fault plan perturbs messages — an unfaulted 10⁵-rank run must not
-    /// pay O(P) per rank (O(P²) machine-wide) for screening it never does.
-    tx_seq: Vec<u64>,
-    rx_next: Vec<u64>,
-}
-
 /// Unmatched-envelope buffer indexed by `(src, tag)`. Sparse collectives
 /// at 10⁴ ranks desynchronize the ranks enough that thousands of
 /// out-of-order envelopes sit buffered at a hot receiver — most envelopes
@@ -91,7 +79,7 @@ pub(crate) struct Mailbox {
 /// in send order. Matching itself stays [`Envelope::matches`]: an entry
 /// is keyed by exactly the `(src, tag)` that predicate tests.
 #[derive(Default)]
-struct PendingQueue {
+pub(crate) struct PendingQueue {
     by_key: HashMap<PendingKey, (Envelope, VecDeque<Envelope>), BuildHasherDefault<KeyHasher>>,
 }
 
@@ -148,7 +136,6 @@ impl PendingQueue {
 /// Shared state of one machine run: the network fabric, cost ledger, and
 /// the failure flags.
 pub(crate) struct World {
-    pub size: usize,
     pub model: CostModel,
     /// Set when any rank panics so blocked receives abort promptly.
     pub poisoned: AtomicBool,
@@ -253,7 +240,6 @@ impl Drop for RecvSpan {
 /// always used in the public API; translation to world ranks is internal.
 pub struct Comm {
     world: Arc<World>,
-    mailbox: Arc<Mutex<Mailbox>>,
     /// World ranks of this communicator's members, indexed by group rank.
     group: Arc<Vec<usize>>,
     /// This rank's position within `group`.
@@ -267,17 +253,7 @@ pub struct Comm {
 
 impl Comm {
     pub(crate) fn new_world(world: Arc<World>, rank: usize, group: Arc<Vec<usize>>) -> Self {
-        // Sequence screening is only exercised when faults can perturb
-        // messages; skip the per-rank O(P) counters otherwise.
-        let screened = world.faults.as_ref().is_some_and(|p| p.perturbs_messages());
-        let size = if screened { world.size } else { 0 };
         Comm {
-            mailbox: Arc::new(Mutex::new(Mailbox {
-                backlog: VecDeque::new(),
-                pending: PendingQueue::default(),
-                tx_seq: vec![0; size],
-                rx_next: vec![0; size],
-            })),
             group,
             group_rank: rank,
             comm_id: 0,
@@ -316,14 +292,20 @@ impl Comm {
     }
 
     pub(crate) fn trace(&self, kind: EventKind, peer: usize, amount: u64) {
+        if self.world.traces.is_some() {
+            self.with_ledger(|l| self.trace_at(l, kind, peer, amount));
+        }
+    }
+
+    /// [`trace`](Comm::trace) for a caller that holds this rank's slot.
+    fn trace_at(&self, ledger: &RankLedger, kind: EventKind, peer: usize, amount: u64) {
         if let Some(traces) = &self.world.traces {
-            let (clock, phase) = self.with_ledger(|l| (l.total.clock, l.active_phase()));
             traces[self.world_rank()].lock().push(Event {
                 kind,
                 peer,
                 amount,
-                clock,
-                phase,
+                clock: ledger.total.clock,
+                phase: ledger.active_phase(),
             });
         }
     }
@@ -443,15 +425,10 @@ impl Comm {
         let op = self.world.ops[me].fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(clock) = plan.stall_at(me, op) {
             crate::fault::note_stall();
-            self.charge_retry(
-                RETRY_STALL_PHASE,
-                EventKind::Flops,
-                usize::MAX,
-                0,
-                |c, _| {
-                    c.clock += clock;
-                },
-            );
+            self.with_ledger(|l| {
+                let stall = |c: &mut RankCost, _: &CostModel| c.clock += clock;
+                self.charge_retry(l, RETRY_STALL_PHASE, EventKind::Flops, usize::MAX, 0, stall)
+            });
         }
         if plan.crash_at(me, op) {
             crate::fault::note_crash();
@@ -466,10 +443,12 @@ impl Comm {
         Ok(())
     }
 
-    /// Charge a fault-handling receive (or retransmit) under `phase`,
-    /// metering it on the telemetry registry (`syrk_retry_*_handled`).
+    /// Charge a fault-handling receive (or retransmit) under `phase` to
+    /// this rank's `ledger`, metering it on the telemetry registry
+    /// (`syrk_retry_*_handled`).
     fn charge_retry(
         &self,
+        ledger: &mut RankLedger,
         phase: &'static str,
         kind: EventKind,
         peer: usize,
@@ -477,13 +456,13 @@ impl Comm {
         f: impl FnOnce(&mut RankCost, &CostModel),
     ) {
         crate::fault::note_retry(phase);
-        self.with_ledger(|l| l.push(phase));
-        self.with_cost(f);
+        ledger.push(phase);
+        ledger.apply(&self.world.model, f);
         // Traced while the retry phase is still open, so the slice in the
         // exported timeline is named `retry:*` and a viewer can see which
         // transmissions were fault repair rather than algorithm traffic.
-        self.trace(kind, peer, amount);
-        self.with_ledger(|l| l.pop());
+        self.trace_at(ledger, kind, peer, amount);
+        ledger.pop();
     }
 
     /// The single dispatch path every transmission goes through: assigns
@@ -508,9 +487,9 @@ impl Comm {
         let words = payload.words();
         let active = self.faults_active();
         let (seq, checksum) = if active {
-            let mut mb = self.mailbox.lock();
-            let s = mb.tx_seq[dst_world];
-            mb.tx_seq[dst_world] += 1;
+            let mut slot = self.world.event.slots[me].lock();
+            let s = slot.tx_seq[dst_world];
+            slot.tx_seq[dst_world] += 1;
             (s, payload.checksum())
         } else {
             (0, 0)
@@ -530,13 +509,11 @@ impl Comm {
         // Retransmits: each lost attempt costs a full message on the
         // sender but never reaches the wire.
         for _ in 0..mf.drops {
-            self.charge_retry(
-                RETRY_DROP_PHASE,
-                EventKind::Send,
-                dst_world,
-                words as u64,
-                |c, m| c.on_send(words, m),
-            );
+            self.with_ledger(|l| {
+                let resend = |c: &mut RankCost, m: &CostModel| c.on_send(words, m);
+                let (kind, amount) = (EventKind::Send, words as u64);
+                self.charge_retry(l, RETRY_DROP_PHASE, kind, dst_world, amount, resend)
+            });
         }
         if mf.corrupt {
             // The garbled copy arrives first and fails the checksum; the
@@ -602,54 +579,41 @@ impl Comm {
     /// the inbox *before* tag matching: a checksum mismatch is a
     /// corrupted delivery, a sequence number below the link cursor is a
     /// duplicate. Both are discarded, with the wasted receive charged to
-    /// the matching `retry:*` phase.
-    fn screen(&self, mb: &mut Mailbox, env: Envelope) -> Option<Envelope> {
+    /// the matching `retry:*` phase of the receiver's `slot`.
+    fn screen(&self, slot: &mut RankSlot, env: Envelope) -> Option<Envelope> {
         if !self.faults_active() {
             return Some(env);
         }
-        if env.wire_checksum != env.checksum {
-            self.charge_retry(
-                RETRY_CORRUPT_PHASE,
-                EventKind::Recv,
-                env.src,
-                env.words as u64,
-                |c, m| c.on_recv(env.words, env.sender_ready, m),
-            );
-            return None;
-        }
-        let next = &mut mb.rx_next[env.src];
-        if env.seq < *next {
-            self.charge_retry(
-                RETRY_DUP_PHASE,
-                EventKind::Recv,
-                env.src,
-                env.words as u64,
-                |c, m| c.on_recv(env.words, env.sender_ready, m),
-            );
-            return None;
-        }
-        *next = env.seq + 1;
-        Some(env)
+        let phase = if env.wire_checksum != env.checksum {
+            RETRY_CORRUPT_PHASE
+        } else if env.seq < slot.rx_next[env.src] {
+            RETRY_DUP_PHASE
+        } else {
+            slot.rx_next[env.src] = env.seq + 1;
+            return Some(env);
+        };
+        let wasted = |c: &mut RankCost, m: &CostModel| c.on_recv(env.words, env.sender_ready, m);
+        let (kind, amount) = (EventKind::Recv, env.words as u64);
+        self.charge_retry(&mut slot.ledger, phase, kind, env.src, amount, wasted);
+        None
     }
 
-    /// The single blocking matching loop every receive goes through:
-    /// screen the backlog from the front for injected faults until the
-    /// match turns up; when it runs dry, take the whole inbox as the next
-    /// backlog under one slot lock — or, when nothing was delivered
-    /// either, park in that same critical section and yield to the
-    /// scheduler. No timeouts — a deadlock is detected exactly by the
-    /// scheduler (empty ready heap, live ranks), which records the error
-    /// and wakes everyone to observe the abort.
+    /// The single blocking matching loop every receive goes through, under
+    /// this rank's own slot lock: take the match out of `pending` if an
+    /// earlier receive already screened it; otherwise pop the inbox from
+    /// the front, screening each envelope for injected faults and
+    /// buffering the ones nobody asked for yet in `pending`, until the
+    /// match turns up; when the inbox runs dry, park in that same critical
+    /// section, drop the lock, yield to the scheduler and retake it. No
+    /// timeouts — a deadlock is detected exactly by the scheduler (empty
+    /// ready heap, live ranks), which records the error and wakes everyone
+    /// to observe the abort.
     ///
     /// Envelopes are screened one at a time in arrival order and only up
-    /// to the match, exactly as if they were popped off the inbox singly:
-    /// which `retry:*` phase a discarded copy is charged to, and at what
-    /// clock, does not depend on how many arrived in one batch.
-    ///
-    /// Holding the mailbox guard across the yield is sound: only the
-    /// owning rank ever locks its own mailbox (senders touch the slot's
-    /// inbox, not the mailbox), and exactly one rank runs at a time, so
-    /// nobody can contend while this rank is parked.
+    /// to the match — what lies behind it stays in the inbox, unscreened,
+    /// for the next receive — so which `retry:*` phase a discarded copy is
+    /// charged to, and at what clock, does not depend on how many arrived
+    /// while the rank was away.
     ///
     /// What the rank waits for goes into its slot only when it parks; a
     /// receive that finds its message already delivered publishes
@@ -664,8 +628,8 @@ impl Comm {
     ) -> Result<Envelope, MachineError> {
         let me = self.world_rank();
         let world = &*self.world;
-        let mut mb = self.mailbox.lock();
-        if let Some(env) = mb.pending.take(src_world, tag) {
+        let mut slot = world.event.slots[me].lock();
+        if let Some(env) = slot.pending.take(src_world, tag) {
             return Ok(env);
         }
         // Wall-clock span covering the whole blocked receive (recorded on
@@ -673,19 +637,14 @@ impl Comm {
         // failure dump shows how long each rank really sat blocked).
         let _recv_span = RecvSpan::begin(src_world);
         loop {
-            while let Some(env) = mb.backlog.pop_front() {
-                let Some(env) = self.screen(&mut mb, env) else {
+            while let Some(env) = slot.inbox.pop_front() {
+                let Some(env) = self.screen(&mut slot, env) else {
                     continue;
                 };
                 if env.matches(src_world, tag) {
                     return Ok(env);
                 }
-                mb.pending.push(env);
-            }
-            let mut slot = world.event.slots[me].lock();
-            if !slot.inbox.is_empty() {
-                std::mem::swap(&mut slot.inbox, &mut mb.backlog);
-                continue;
+                slot.pending.push(env);
             }
             if world.poisoned.load(Ordering::Relaxed) {
                 return Err(MachineError::PeerFailed { rank: me });
@@ -703,6 +662,7 @@ impl Comm {
             slot.parked = Some((src_world, tag, op));
             drop(slot);
             crate::context::yield_now();
+            slot = world.event.slots[me].lock();
         }
     }
 
@@ -854,7 +814,6 @@ impl Comm {
         let comm_id = mix64(self.comm_id ^ mix64(self.split_seq) ^ mix64(color.wrapping_add(1)));
         Comm {
             world: Arc::clone(&self.world),
-            mailbox: Arc::clone(&self.mailbox),
             group: Arc::new(group),
             group_rank,
             comm_id,
@@ -877,7 +836,10 @@ impl Drop for PhaseScope<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use crate::cost::UNTAGGED_PHASE;
+    use crate::error::MachineError;
     use crate::machine::Machine;
 
     #[test]
@@ -1036,5 +998,44 @@ mod tests {
                 let _: Vec<u64> = comm.recv(0, 0);
             }
         });
+    }
+
+    #[test]
+    fn shared_payload_roundtrips_and_never_converts() {
+        let words = [3.0f64, 4.0, 5.0];
+        let out = Machine::new(2).run(move |comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 1, Arc::<[f64]>::from(&words[..]));
+                0.0
+            } else {
+                let v: Arc<[f64]> = comm.recv(0, 1);
+                v.iter().sum()
+            }
+        });
+        assert_eq!(out.results[1], 12.0);
+        assert_eq!(out.cost.ranks[0].words_sent, 3);
+        assert_eq!(out.cost.ranks[1].words_recv, 3);
+
+        // A shared send received as owned words, and the reverse: a typed
+        // error on the receiver, never a silent copy.
+        for shared_send in [true, false] {
+            let err = Machine::new(2)
+                .try_run(move |comm| {
+                    match (comm.rank(), shared_send) {
+                        (0, true) => comm.try_send(1, 2, Arc::<[f64]>::from(&words[..]))?,
+                        (0, false) => comm.try_send(1, 2, words.to_vec())?,
+                        (_, true) => drop(comm.try_recv::<Vec<f64>>(0, 2)?),
+                        (_, false) => drop(comm.try_recv::<Arc<[f64]>>(0, 2)?),
+                    }
+                    Ok(())
+                })
+                .unwrap_err();
+            let want = MachineError::TypeMismatch {
+                rank: 1,
+                src: 0,
+                tag: 2,
+            };
+            assert_eq!(err, want, "shared send: {shared_send}");
+        }
     }
 }

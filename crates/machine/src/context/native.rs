@@ -30,7 +30,7 @@
 //! mappings, typically 65530). An idle rank then costs the pages it
 //! touches: the canary's and the frames of `run_body` down to its first
 //! receive, 8–12 KiB; the whole 2256-rank `sim_ranks` run — payloads,
-//! ledgers and the assembled `C` included — peaks at 58 kB per rank.
+//! ledgers and the assembled `C` included — peaks at 46 kB per rank.
 
 use std::alloc::{self, Layout};
 use std::cell::Cell;

@@ -13,9 +13,12 @@
 //! message it asked for, not once per arrival. With the native context
 //! backend a 10⁵-rank 2D SYRK run therefore fits in one process: memory
 //! is bounded by the touched pages of the rank stacks plus in-flight
-//! envelopes, not by OS threads — 58 kB of peak resident set per rank on
+//! envelopes, not by OS threads — 46 kB of peak resident set per rank on
 //! the 2256-rank `sim_ranks` shape, payloads and the `C` assembly
-//! included.
+//! included. A rank's whole side of the message path — ledger, inbox,
+//! screened-but-unclaimed envelopes, link sequence counters, what it is
+//! parked on — is its [`RankSlot`]: a send locks the destination's, a
+//! receive its own, and nothing else is locked per message.
 //!
 //! **Determinism.** Exactly one of scheduler and rank runs at any moment,
 //! on either context backend, and the loop's only ordering input is the
@@ -41,7 +44,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::Ordering;
 
-use crate::comm::World;
+use crate::comm::{PendingQueue, World};
 use crate::context::{Context, Status};
 use crate::cost::RankLedger;
 use crate::envelope::Envelope;
@@ -56,16 +59,28 @@ static EVENT_RUNS: LazyCounter = LazyCounter::new("syrk_engine_event_runs");
 /// What a parked rank waits for: `(src world rank, tag, operation)`.
 pub(crate) type Parked = (usize, (u64, u64), &'static str);
 
-/// Everything the host keeps per simulated rank that another rank or the
-/// scheduler touches: one lock, one cache neighbourhood per message.
+/// Everything the host keeps per simulated rank for the message path —
+/// what the rank itself, its senders and the scheduler touch: one lock,
+/// one cache neighbourhood per message.
 #[derive(Default)]
 pub(crate) struct RankSlot {
     /// Cost totals, phase stack and per-phase breakdown. `total.clock` is
     /// the scheduler's heap key.
     pub(crate) ledger: RankLedger,
-    /// Envelopes delivered since the rank last drained, in arrival order.
-    /// The slot outlives its rank's closure, so delivery cannot fail.
+    /// Envelopes delivered and not yet screened, in arrival order (send
+    /// order per link). The slot outlives its rank's closure, so delivery
+    /// cannot fail.
     pub(crate) inbox: VecDeque<Envelope>,
+    /// Screened envelopes no receive has asked for yet.
+    pub(crate) pending: PendingQueue,
+    /// Per-link sequence counters: `tx_seq[d]` numbers the messages this
+    /// rank sends to world rank `d`, `rx_next[s]` is the next number
+    /// expected from world rank `s` (anything below it is a duplicate).
+    /// Empty unless the fault plan perturbs messages — an unfaulted
+    /// 10⁵-rank run must not pay O(P) per rank for screening it never
+    /// does.
+    pub(crate) tx_seq: Vec<u64>,
+    pub(crate) rx_next: Vec<u64>,
     /// Set by the rank just before it yields out of a blocking receive;
     /// cleared by whoever schedules it again. While it is set the rank
     /// does not run, so its ledger — phase stack included — cannot move.
@@ -85,9 +100,16 @@ pub(crate) struct EventState {
 }
 
 impl EventState {
-    pub(crate) fn new(p: usize) -> EventState {
+    /// `links` is the length of every rank's sequence-counter tables: `p`
+    /// when messages are screened, 0 otherwise.
+    pub(crate) fn new(p: usize, links: usize) -> EventState {
+        let slot = || RankSlot {
+            tx_seq: vec![0; links],
+            rx_next: vec![0; links],
+            ..RankSlot::default()
+        };
         EventState {
-            slots: (0..p).map(|_| Mutex::default()).collect(),
+            slots: (0..p).map(|_| Mutex::new(slot())).collect(),
             woken: Mutex::new(Vec::new()),
         }
     }

@@ -1,6 +1,7 @@
 //! Messages exchanged between simulated ranks.
 
 use std::any::Any;
+use std::sync::Arc;
 
 use crate::fault::mix64;
 
@@ -40,18 +41,22 @@ pub trait Payload: Send + 'static {
     {
         match wire {
             Wire::Boxed(b) => b.downcast().ok().map(|b| *b),
-            Wire::Words(_) => None,
+            _ => None,
         }
     }
 }
 
-/// A payload inside an [`Envelope`]. `Vec<f64>` — every block, chunk and
-/// partial sum the algorithms move — travels as it is; boxing it would
-/// cost the message path one more allocation and free than the data
-/// needs.
+/// A payload inside an [`Envelope`]. `Vec<f64>` — every block and partial
+/// sum the algorithms move — travels as it is; boxing it would cost the
+/// message path one more allocation and free than the data needs. A
+/// buffer that goes to many destinations unchanged (the 2D exchange's
+/// chunks) travels as `Arc<[f64]>`: one allocation, a handle per message.
+/// Neither kind is ever received as the other.
 pub enum Wire {
     /// A `Vec<f64>`, unboxed.
     Words(Vec<f64>),
+    /// An `Arc<[f64]>`: the sender's buffer itself, not a copy of it.
+    Shared(Arc<[f64]>),
     /// Any other payload type; downcast on receive.
     Boxed(Box<dyn Any + Send>),
 }
@@ -61,13 +66,18 @@ fn fold(acc: u64, word: u64) -> u64 {
     mix64(acc.rotate_left(7) ^ word)
 }
 
+/// Checksum of a run of `f64` words, whichever buffer kind holds them.
+fn fold_words(words: &[f64]) -> u64 {
+    words.iter().fold(0xf64, |a, x| fold(a, x.to_bits()))
+}
+
 impl Payload for Vec<f64> {
     fn words(&self) -> usize {
         self.len()
     }
 
     fn checksum(&self) -> u64 {
-        self.iter().fold(0xf64, |a, x| fold(a, x.to_bits()))
+        fold_words(self)
     }
 
     fn into_wire(self) -> Wire {
@@ -77,7 +87,28 @@ impl Payload for Vec<f64> {
     fn from_wire(wire: Wire) -> Option<Self> {
         match wire {
             Wire::Words(v) => Some(v),
-            Wire::Boxed(_) => None,
+            _ => None,
+        }
+    }
+}
+
+impl Payload for Arc<[f64]> {
+    fn words(&self) -> usize {
+        self.len()
+    }
+
+    fn checksum(&self) -> u64 {
+        fold_words(self)
+    }
+
+    fn into_wire(self) -> Wire {
+        Wire::Shared(self)
+    }
+
+    fn from_wire(wire: Wire) -> Option<Self> {
+        match wire {
+            Wire::Shared(a) => Some(a),
+            _ => None,
         }
     }
 }
@@ -231,5 +262,23 @@ mod tests {
         assert_eq!(Vec::<u64>::from_wire(vec![3u64].into_wire()), Some(vec![3]));
         assert_eq!(Vec::<f64>::from_wire(vec![3u64].into_wire()), None);
         assert_eq!(Vec::<u64>::from_wire(vec![3.0f64].into_wire()), None);
+    }
+
+    #[test]
+    fn shared_words_ride_as_a_handle_and_fold_like_owned_ones() {
+        let owned = vec![1.5f64, -2.0, 0.0, 7.25];
+        let shared: Arc<[f64]> = Arc::from(&owned[..]);
+        assert_eq!(shared.words(), owned.words());
+        // Same fold: a corrupted copy of either kind is detected alike.
+        assert_eq!(shared.checksum(), owned.checksum());
+        // The envelope carries the sender's buffer, not a copy of it.
+        let wire = Arc::clone(&shared).into_wire();
+        assert!(matches!(wire, Wire::Shared(_)));
+        let back = <Arc<[f64]>>::from_wire(wire).expect("a shared payload");
+        assert!(Arc::ptr_eq(&back, &shared));
+        // Neither kind is received as the other, nor as a boxed type.
+        assert_eq!(Vec::<f64>::from_wire(shared.clone().into_wire()), None);
+        assert_eq!(<Arc<[f64]>>::from_wire(owned.into_wire()), None);
+        assert_eq!(Vec::<u64>::from_wire(shared.into_wire()), None);
     }
 }

@@ -188,8 +188,10 @@ impl Machine {
     /// The shared state of one run.
     fn build_world(&self) -> World {
         let p = self.size;
+        // Sequence screening is only exercised when faults can perturb
+        // messages; skip the per-rank O(P) counters otherwise.
+        let screened = self.faults.as_ref().is_some_and(|f| f.perturbs_messages());
         World {
-            size: p,
             model: self.model,
             poisoned: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
@@ -201,7 +203,7 @@ impl Machine {
             traces: self
                 .tracing
                 .then(|| (0..p).map(|_| Mutex::new(Vec::new())).collect()),
-            event: EventState::new(p),
+            event: EventState::new(p, if screened { p } else { 0 }),
         }
     }
 

@@ -9,7 +9,7 @@ use std::sync::{self, MutexGuard};
 
 /// A mutex whose `lock` never returns a poison error: if a thread
 /// panicked while holding the lock, the data is handed out anyway. The
-/// machine's cost ledgers and mailboxes stay consistent under panics
+/// machine's cost ledgers and inboxes stay consistent under panics
 /// because every mutation is a single short critical section.
 #[derive(Debug, Default)]
 pub struct Mutex<T>(sync::Mutex<T>);
