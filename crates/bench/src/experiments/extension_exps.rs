@@ -228,7 +228,7 @@ pub fn limited_memory() -> Vec<Table> {
             ok.to_string(),
         ]);
     }
-    t.note("words constant (each chunk crosses the network once); msgs = rounds x (P-1)");
+    t.note("words constant (each chunk crosses the network once); msgs = rounds × the c² partners that share a row block");
     t.note("peak buffer -> owned-output footprint as rounds grow; W_mem rises as M falls - the s6 trade");
     vec![t]
 }

@@ -201,11 +201,26 @@ mod tests {
         assert!(!(e.run)().is_empty());
     }
 
+    /// E13, E16 and E17 render exactly as committed in
+    /// `experiments_output.txt`: their floats are closed forms of integer
+    /// counts, so no column depends on the ISA (timing lines are outside
+    /// the tables).
     #[test]
     fn run_extensions() {
+        let committed = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../experiments_output.txt"
+        ));
         for slug in ["syr2k", "memory", "latency1d", "limited", "symm"] {
             let e = all().into_iter().find(|e| e.slug == slug).unwrap();
-            assert!(!(e.run)().is_empty(), "{slug}");
+            let tables = (e.run)();
+            assert!(!tables.is_empty(), "{slug}");
+            if matches!(slug, "syr2k" | "limited" | "symm") {
+                for t in &tables {
+                    let text = t.render();
+                    assert!(committed.contains(&text), "{slug} renders\n{text}");
+                }
+            }
         }
     }
 

@@ -5,12 +5,15 @@
 //! This module implements the natural panel-streaming variant of the 2D
 //! algorithm: instead of gathering all `n2` columns of its `R_k` row
 //! blocks at once, each rank processes the columns in `rounds` panels —
-//! gather a panel (All-to-All), accumulate its contribution into the
-//! locally owned `C` blocks, discard the panel, repeat.
+//! gather a panel with Algorithm 2's exchange (`gather_row_blocks`, the
+//! one `syrk_2d` runs), accumulate its contribution into the locally
+//! owned `C` blocks, discard the panel, repeat.
 //!
 //! * **Communication volume for `A` is unchanged** (every chunk still
 //!   crosses the network exactly once): `n1n2/(c+1)` words per rank.
-//! * **Latency multiplies by `rounds`** (one All-to-All per panel).
+//! * **Latency multiplies by `rounds`**: each panel sends one message to
+//!   each of the `c²` partners that share a row block (with a nonempty
+//!   chunk).
 //! * **Peak memory shrinks**: the transient gathered-panel buffer drops
 //!   from `c·(n1/c²)·n2` to `c·(n1/c²)·⌈n2/rounds⌉` words.
 //!
@@ -24,10 +27,15 @@ use syrk_dense::{
 use syrk_machine::{CostModel, Machine};
 
 use super::common::{assemble_c, DiagBlock, LocalOutput, OffDiagBlock, SyrkRunResult};
+use super::twod::gather_row_blocks;
 use crate::dist::{ConformalADist, TriangleBlockDist};
 
 /// Run the panel-streaming 2D algorithm with `rounds` column panels.
-/// `rounds = 1` is exactly [`syrk_2d`](crate::syrk_2d).
+/// `rounds = 1` sends, receives and computes exactly what
+/// [`syrk_2d`](crate::syrk_2d) does, rank by rank, and produces the same
+/// `C`; only `peak_buffer_words` differs, by convention: this driver
+/// counts its owned output blocks and not its staged chunks (2532 words
+/// against 2880 at E16's 72 × 96, c = 3).
 pub fn syrk_2d_limited(
     a: &Matrix<f64>,
     c: usize,
@@ -38,29 +46,34 @@ pub fn syrk_2d_limited(
     let dist = TriangleBlockDist::for_order(c)
         .unwrap_or_else(|| panic!("no triangle block construction for c = {c}"));
     let (n1, n2) = a.shape();
-    let rows = Partition1D::new(n1, dist.num_blocks());
+    // Every panel has the row blocks of the whole input.
+    let whole = ConformalADist::new(&dist, n1, n2);
+    let rows = &whole.rows;
     let panels = Partition1D::new(n2, rounds);
 
     let machine = Machine::new(dist.p()).with_model(model);
     let out = machine.run(|comm| {
         let k = comm.rank();
-        // Owned output blocks, accumulated across panels.
-        let mut off_blocks: Vec<OffDiagBlock> = dist
-            .blocks_of(k)
-            .into_iter()
-            .map(|(i, j)| OffDiagBlock {
-                i,
-                j,
-                data: Matrix::zeros(rows.len(i), rows.len(j)),
+        let live = whole.live_blocks(k);
+        // Owned output blocks, accumulated across panels: pairs of
+        // positions in `live`, in `blocks_of(k)` order.
+        let pairs: Vec<(usize, usize)> = (0..live.len())
+            .flat_map(|x| (0..x).map(move |y| (x, y)))
+            .collect();
+        let mut off_blocks: Vec<OffDiagBlock> = (pairs.iter())
+            .map(|&(x, y)| {
+                let (i, j) = (live[x], live[y]);
+                let data = Matrix::zeros(rows.len(i), rows.len(j));
+                OffDiagBlock { i, j, data }
             })
             .collect();
-        let mut diag_block: Option<DiagBlock> = dist.d_block(k).map(|i| DiagBlock {
-            i,
-            data: PackedLower::zeros(rows.len(i), Diag::Inclusive),
+        let mut diag_block: Option<(usize, DiagBlock)> = dist.d_block(k).and_then(|i| {
+            let data = PackedLower::zeros(rows.len(i), Diag::Inclusive);
+            Some((live.binary_search(&i).ok()?, DiagBlock { i, data }))
         });
         // Persistent output footprint.
         let out_words: usize = off_blocks.iter().map(|b| b.data.len()).sum::<usize>()
-            + diag_block.as_ref().map_or(0, |d| d.data.len());
+            + diag_block.as_ref().map_or(0, |(_, d)| d.data.len());
         comm.note_buffer(out_words);
 
         for round in 0..rounds {
@@ -68,56 +81,31 @@ pub fn syrk_2d_limited(
             if pr.is_empty() {
                 continue;
             }
+            // Algorithm 2's exchange, panel width only.
             let a_panel = a.block(0, pr.start, n1, pr.len());
             let ad = ConformalADist::new(&dist, n1, pr.len());
-            let my_chunk = |i: usize| ad.extract_chunk(a_panel, i, k);
-            // Panel All-to-All: same pattern as Alg. 2, panel width only.
-            let blocks: Vec<Vec<f64>> = (0..comm.size())
-                .map(|k2| {
-                    if k2 == k {
-                        Vec::new()
-                    } else {
-                        let mine = dist.common_block(k, k2).map(&my_chunk);
-                        mine.map_or_else(Vec::new, |ch| ch.to_vec())
-                    }
-                })
-                .collect();
-            let received = comm.all_to_all(blocks);
-            let gathered: Vec<(usize, Matrix<f64>)> = dist
-                .r_set(k)
-                .iter()
-                .map(|&i| {
-                    let (mine, q) = (my_chunk(i), dist.q_set(i));
-                    let chunks = (q.iter()).map(|&m| if m == k { &mine[..] } else { &received[m] });
-                    (i, ad.assemble_block(i, chunks))
-                })
-                .collect();
-            comm.note_buffer(out_words + gathered.iter().map(|(_, m)| m.len()).sum::<usize>());
-            let block_for = |i: usize| {
-                &gathered
-                    .iter()
-                    .find(|&&(bi, _)| bi == i)
-                    .expect("gathered")
-                    .1
-            };
+            let gathered = gather_row_blocks(&comm, &dist, &ad, &live, [a_panel], false)
+                .unwrap_or_else(|e| panic!("{e}"));
+            let gathered: Vec<Matrix<f64>> = gathered.into_iter().map(|[ai]| ai).collect();
+            comm.note_buffer(out_words + gathered.iter().map(Matrix::len).sum::<usize>());
             // Accumulate this panel's contribution.
-            for blk in &mut off_blocks {
-                let (ai, aj) = (block_for(blk.i), block_for(blk.j));
+            for (blk, &(x, y)) in off_blocks.iter_mut().zip(&pairs) {
+                let (ai, aj) = (&gathered[x], &gathered[y]);
                 gemm_nt(&mut blk.data, ai, aj);
                 comm.add_flops(gemm_flops(ai.rows(), aj.rows(), pr.len()));
             }
-            if let Some(d) = &mut diag_block {
-                let ai = block_for(d.i);
+            if let Some((x, d)) = &mut diag_block {
+                let ai = &gathered[*x];
                 syrk_packed(&mut d.data, ai);
                 comm.add_flops(syrk_flops(ai.rows(), pr.len()));
             }
         }
         LocalOutput {
             offdiag: off_blocks,
-            diag: diag_block.into_iter().collect(),
+            diag: diag_block.into_iter().map(|(_, d)| d).collect(),
         }
     });
-    let c_full = assemble_c(n1, &rows, &out.results);
+    let c_full = assemble_c(n1, rows, &out.results);
     SyrkRunResult {
         c: c_full,
         cost: out.cost,
@@ -143,12 +131,32 @@ mod tests {
 
     #[test]
     fn rounds_1_matches_plain_2d() {
-        let a = seeded_int_matrix::<f64>(16, 10, 4, 7);
-        let lim = syrk_2d_limited(&a, 2, 1, CostModel::bandwidth_only());
-        let std = crate::syrk_2d(&a, 2, CostModel::bandwidth_only());
-        assert_eq!(max_abs_diff(&lim.c, &std.c), 0.0);
-        assert_eq!(lim.cost.max_words_sent(), std.cost.max_words_sent());
-        assert_eq!(lim.cost.total_flops(), std.cost.total_flops());
+        // Rank by rank: the same messages, words and flops, and `C` to the
+        // bit — at a full shape and at n1 < c² (most blocks dead).
+        for (n1, n2, c) in [(16, 10, 2), (3, 4, 4)] {
+            let a = seeded_int_matrix::<f64>(n1, n2, 4, 7);
+            let lim = syrk_2d_limited(&a, c, 1, CostModel::bandwidth_only());
+            let std = crate::syrk_2d(&a, c, CostModel::bandwidth_only());
+            let bits =
+                |m: &Matrix<f64>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&lim.c), bits(&std.c), "{n1}x{n2} c={c}");
+            for (rank, (l, s)) in lim.cost.ranks.iter().zip(&std.cost.ranks).enumerate() {
+                let counts =
+                    |r: &syrk_machine::RankCost| [r.words_sent, r.words_recv, r.msgs_sent, r.flops];
+                assert_eq!(counts(l), counts(s), "{n1}x{n2} c={c} rank {rank}");
+            }
+        }
+    }
+
+    #[test]
+    fn peak_buffer_counts_owned_output_instead_of_staged_chunks() {
+        // The one field `rounds = 1` does not share with `syrk_2d`, at
+        // E16's shape.
+        let a = seeded_matrix::<f64>(72, 96, 14);
+        let lim = syrk_2d_limited(&a, 3, 1, CostModel::bandwidth_only());
+        let std = crate::syrk_2d(&a, 3, CostModel::bandwidth_only());
+        assert_eq!(lim.cost.max_peak_buffer(), 2532);
+        assert_eq!(std.cost.max_peak_buffer(), 2880);
     }
 
     #[test]

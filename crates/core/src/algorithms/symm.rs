@@ -7,11 +7,12 @@
 //! (`i > j`, plus its diagonal block if assigned) — `A` never moves.
 //! Each owned block serves double duty (`A_ij·B_j → C_i` and
 //! `A_ijᵀ·B_i → C_j`), which is the symmetry saving. The communication
-//! is two personalized All-to-Alls over the same pair structure as
-//! Algorithm 2:
+//! is two sparse exchanges over Algorithm 2's pair structure, one message
+//! per partner that shares a row block (with a nonempty chunk):
 //!
 //! 1. **gather `B`**: rank `k` collects `B_j` for `j ∈ R_k` from the
-//!    conformal distribution (`n·m/(c+1)` words), and
+//!    conformal distribution (`n·m/(c+1)` words) — Algorithm 2's
+//!    exchange (`gather_row_blocks`) with `B` in `A`'s place, and
 //! 2. **reduce `C`**: partial `C_i` contributions flow back along the
 //!    same pairs, leaving `C_i` conformally distributed over `Q_i`
 //!    (`n·m/(c+1)` words).
@@ -22,6 +23,7 @@
 use syrk_dense::{gemm_flops, mul_nn, Matrix};
 use syrk_machine::{CostModel, Machine};
 
+use super::twod::gather_row_blocks;
 use crate::dist::{ConformalADist, TriangleBlockDist};
 use syrk_machine::CostReport;
 
@@ -50,70 +52,40 @@ pub fn symm_2d(a_sym: &Matrix<f64>, b: &Matrix<f64>, c: usize, model: CostModel)
     let machine = Machine::new(dist.p()).with_model(model);
     let out = machine.run(|comm| {
         let k = comm.rank();
-        let my_chunk = |i: usize| bd.extract_chunk(b.view(), i, k);
+        // Blocks by position in `live`, as in Algorithm 2.
+        let live = bd.live_blocks(k);
 
-        // Phase 1: gather B_j for j ∈ R_k (identical pattern to Alg. 2's
-        // A gather).
-        let blocks: Vec<Vec<f64>> = (0..comm.size())
-            .map(|k2| {
-                if k2 == k {
-                    Vec::new()
-                } else {
-                    let mine = dist.common_block(k, k2).map(&my_chunk);
-                    mine.map_or_else(Vec::new, |ch| ch.to_vec())
-                }
-            })
-            .collect();
-        let received = comm.all_to_all(blocks);
-        let gathered: Vec<(usize, Matrix<f64>)> = dist
-            .r_set(k)
-            .iter()
-            .map(|&i| {
-                let (mine, q) = (my_chunk(i), dist.q_set(i));
-                let chunks = (q.iter()).map(|&m| if m == k { &mine[..] } else { &received[m] });
-                (i, bd.assemble_block(i, chunks))
-            })
-            .collect();
-        let b_block = |i: usize| {
-            &gathered
-                .iter()
-                .find(|&&(bi, _)| bi == i)
-                .expect("j ∈ R_k gathered")
-                .1
-        };
+        // Phase 1: gather B_j for j ∈ R_k.
+        let b_blocks = gather_row_blocks(&comm, &dist, &bd, &live, [b.view()], false)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let b_blocks: Vec<Matrix<f64>> = b_blocks.into_iter().map(|[bj]| bj).collect();
 
-        // Phase 2: local compute. partial[i] accumulates this rank's
-        // contribution to C_i, for each i ∈ R_k.
-        let mut partial: Vec<(usize, Matrix<f64>)> = dist
-            .r_set(k)
-            .iter()
-            .map(|&i| (i, Matrix::zeros(rows.len(i), m)))
+        // Phase 2: local compute. partial[x] accumulates this rank's
+        // contribution to C_i, i = live[x].
+        let mut partial: Vec<Matrix<f64>> = (live.iter())
+            .map(|&i| Matrix::zeros(rows.len(i), m))
             .collect();
-        let mut add_into = |i: usize, contrib: &Matrix<f64>| {
-            let slot = partial
-                .iter_mut()
-                .find(|(bi, _)| *bi == i)
-                .expect("contribution targets an owned row block");
-            slot.1.add_assign(contrib);
-        };
         // A block row/col ranges follow the same row partition as B.
         let a_block = |bi: usize, bj: usize| -> Matrix<f64> {
             let (ri, rj) = (rows.range(bi), rows.range(bj));
             a_sym.block_owned(ri.start, rj.start, ri.len(), rj.len())
         };
-        for (i, j) in dist.blocks_of(k) {
-            let aij = a_block(i, j);
-            // C_i += A_ij · B_j.
-            add_into(i, &mul_nn(&aij, b_block(j)));
-            // C_j += A_ijᵀ · B_i  (= A_ji · B_i by symmetry): compute as
-            // (B_iᵀ · A_ij)ᵀ without forming A_ijᵀ: use gemm_nt with
-            // operands transposed — simplest is explicit transpose (the
-            // block is small).
-            add_into(j, &mul_nn(&aij.transpose(), b_block(i)));
-            comm.add_flops(2 * gemm_flops(aij.rows(), m, aij.cols()));
+        // The pairs of `blocks_of(k)` that have rows, in its order.
+        for x in 0..live.len() {
+            for y in 0..x {
+                let aij = a_block(live[x], live[y]);
+                // C_i += A_ij · B_j.
+                partial[x].add_assign(&mul_nn(&aij, &b_blocks[y]));
+                // C_j += A_ijᵀ · B_i  (= A_ji · B_i by symmetry): compute as
+                // (B_iᵀ · A_ij)ᵀ without forming A_ijᵀ: use gemm_nt with
+                // operands transposed — simplest is explicit transpose (the
+                // block is small).
+                partial[y].add_assign(&mul_nn(&aij.transpose(), &b_blocks[x]));
+                comm.add_flops(2 * gemm_flops(aij.rows(), m, aij.cols()));
+            }
         }
-        if let Some(i) = dist.d_block(k) {
-            let aii = a_block(i, i);
+        if let Some(x) = dist.d_block(k).and_then(|i| live.binary_search(&i).ok()) {
+            let aii = a_block(live[x], live[x]);
             // The diagonal block is symmetric; only its lower triangle is
             // authoritative, so symmetrize before multiplying.
             let mut full = aii.clone();
@@ -122,79 +94,67 @@ pub fn symm_2d(a_sym: &Matrix<f64>, b: &Matrix<f64>, c: usize, model: CostModel)
                     full[(r, s)] = full[(s, r)];
                 }
             }
-            add_into(i, &mul_nn(&full, b_block(i)));
+            partial[x].add_assign(&mul_nn(&full, &b_blocks[x]));
             comm.add_flops(gemm_flops(full.rows(), m, full.cols()));
         }
 
-        // Phase 3: reduce C along the same pair structure — rank k sends
-        // to k' the chunk (k'’s conformal slice) of its partial C_i for
-        // the shared block i; every rank then sums what it receives with
-        // its own slice, ending with C conformally distributed.
-        let chunk_of = |mat: &Matrix<f64>, i: usize, owner: usize| -> Vec<f64> {
-            let part = syrk_dense::Partition1D::new(mat.len(), dist.c() + 1);
-            let flat = mat.as_slice();
-            flat[part.range(dist.chunk_index(i, owner))].to_vec()
-        };
-        let c_blocks: Vec<Vec<f64>> = (0..comm.size())
-            .map(|k2| {
-                if k2 == k {
-                    return Vec::new();
-                }
-                match dist.common_block(k, k2) {
-                    Some(i) => {
-                        let mat = &partial
-                            .iter()
-                            .find(|(bi, _)| *bi == i)
-                            .expect(
-                                "common_block(k, k2) = Some(i) implies i ∈ R_k, and `partial` \
-                                 holds one accumulator per block of R_k",
-                            )
-                            .1;
-                        chunk_of(mat, i, k2)
-                    }
-                    None => Vec::new(),
-                }
-            })
-            .collect();
-        let c_recv = comm.all_to_all(c_blocks);
-        // Final owned chunks: for each i ∈ R_k, my slice of C_i = my
-        // partial slice + the slices received from the other Q_i members.
-        let mut final_chunks: Vec<(usize, Vec<f64>)> = Vec::with_capacity(dist.r_set(k).len());
-        for &(i, ref mat) in &partial {
-            let mut acc = chunk_of(mat, i, k);
-            for &q in dist.q_set(i) {
+        // Phase 3: reduce C along the same pairs — rank k sends each other
+        // member q of Q_i q's conformal chunk of its partial C_i, and
+        // receives its own chunk from each of them. Every rank then sums
+        // what it receives with its own chunk, in Q_i order, ending with
+        // C conformally distributed.
+        let mut sends: Vec<(usize, Vec<f64>)> = Vec::new();
+        let mut recvs: Vec<(usize, usize)> = Vec::new();
+        for (&i, part_c) in live.iter().zip(&partial) {
+            let part = bd.chunk_partition(i);
+            let mine = part.len(dist.chunk_index(i, k));
+            for (pos, &q) in dist.q_set(i).iter().enumerate() {
                 if q == k {
                     continue;
                 }
-                let inc = &c_recv[q];
-                assert_eq!(inc.len(), acc.len(), "C-reduce chunk length mismatch");
-                for (a, b) in acc.iter_mut().zip(inc) {
-                    *a += b;
+                if part.len(pos) > 0 {
+                    sends.push((q, part_c.as_slice()[part.range(pos)].to_vec()));
                 }
-                comm.add_flops(acc.len() as u64);
+                if mine > 0 {
+                    recvs.push((q, mine));
+                }
             }
-            final_chunks.push((i, acc));
         }
-        final_chunks
+        let received = comm
+            .try_all_to_all_sparse(sends, &recvs)
+            .unwrap_or_else(|e| panic!("{e}"));
+        // Final owned chunks: for each live i, my chunk of C_i = my
+        // partial chunk + the chunks received from the other Q_i members
+        // (in the order the receive plan was built, so a cursor pairs
+        // them up).
+        let mut received = received.iter();
+        (live.iter().zip(&partial))
+            .map(|(&i, part_c)| {
+                let part = bd.chunk_partition(i);
+                let mut acc = part_c.as_slice()[part.range(dist.chunk_index(i, k))].to_vec();
+                for _ in 0..dist.c() {
+                    if !acc.is_empty() {
+                        let inc = received.next().expect("one chunk per partner");
+                        for (a, b) in acc.iter_mut().zip(inc) {
+                            *a += b;
+                        }
+                    }
+                    comm.add_flops(acc.len() as u64);
+                }
+                (i, acc)
+            })
+            .collect::<Vec<_>>()
     });
 
-    // Assembly: collect each C_i's chunks (in Q_i order) and reconstruct.
+    // Assembly: each rank's chunk of C_i is its conformal slice of the
+    // rows of C_i, which lie contiguously in `c_full`.
     let mut c_full = Matrix::zeros(n, m);
-    for i in 0..dist.num_blocks() {
-        let chunks: Vec<Vec<f64>> = dist
-            .q_set(i)
-            .iter()
-            .map(|&k| {
-                out.results[k]
-                    .iter()
-                    .find(|(bi, _)| *bi == i)
-                    .expect("every Q_i member ends with a chunk of C_i")
-                    .1
-                    .clone()
-            })
-            .collect();
-        let block = bd.assemble_block(i, &chunks);
-        c_full.set_block(rows.range(i).start, 0, &block);
+    for (k, chunks) in out.results.iter().enumerate() {
+        for (i, chunk) in chunks {
+            let base = rows.range(*i).start * m;
+            let r = bd.chunk_partition(*i).range(dist.chunk_index(*i, k));
+            c_full.as_mut_slice()[base + r.start..base + r.end].copy_from_slice(chunk);
+        }
     }
     SymmRunResult {
         c: c_full,
@@ -240,6 +200,15 @@ mod tests {
             let err = max_abs_diff(&run.c, &symm_reference(&a, &b));
             assert!(err < 1e-9, "(n={n},m={m},c={c}): {err}");
         }
+        // n < c²: most row blocks are empty.
+        for &(n, m, c) in &[(5usize, 7usize, 3usize), (3, 4, 4), (10, 3, 5), (1, 1, 2)] {
+            let raw = seeded_int_matrix::<f64>(n, n, 3, (n + m) as u64);
+            let a = Matrix::from_fn(n, n, |i, j| raw[(i, j)] + raw[(j, i)]);
+            let b = seeded_int_matrix::<f64>(n, m, 3, 77);
+            let run = symm_2d(&a, &b, c, CostModel::bandwidth_only());
+            let err = max_abs_diff(&run.c, &symm_reference(&a, &b));
+            assert_eq!(err, 0.0, "(n={n},m={m},c={c})");
+        }
     }
 
     #[test]
@@ -283,11 +252,12 @@ mod tests {
 
     #[test]
     fn two_all_to_alls_of_latency() {
+        // One message per partner that shares a row block, in each of the
+        // two exchanges: 2·c², not the dense schedule's 2(P − 1).
         let (n, m, c) = (18usize, 4usize, 3usize);
         let a = symmetric(n, 1);
         let b = seeded_matrix::<f64>(n, m, 2);
         let run = symm_2d(&a, &b, c, CostModel::bandwidth_only());
-        let p = c * (c + 1);
-        assert_eq!(run.cost.max_messages(), 2 * (p - 1) as u64);
+        assert_eq!(run.cost.max_messages(), 2 * (c * c) as u64);
     }
 }

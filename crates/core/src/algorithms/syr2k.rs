@@ -10,11 +10,13 @@
 //! `4·n1n2/√P` a GEMM-style evaluation of the two products would move).
 
 use syrk_dense::{
-    gemm_flops, mul_nt, syr2k_flops, syr2k_packed_new, Diag, Matrix, PackedLower, Partition1D,
+    gemm_flops, mirror_lower_to_upper, mul_nt, syr2k_flops, syr2k_packed, syr2k_packed_new,
+    write_packed_lower, Diag, Matrix, PackedLower, Partition1D,
 };
 use syrk_machine::{CostModel, Machine};
 
 use super::common::{assemble_c, DiagBlock, LocalOutput, OffDiagBlock, SyrkRunResult};
+use super::twod::gather_row_blocks;
 use crate::dist::{ConformalADist, TriangleBlockDist};
 
 /// 1D SYR2K: both inputs column-distributed, local SYR2K, Reduce-Scatter
@@ -28,31 +30,35 @@ pub fn syr2k_1d(a: &Matrix<f64>, b: &Matrix<f64>, p: usize, model: CostModel) ->
         "syr2k: A and B must have identical shapes"
     );
     let cols = Partition1D::new(n2, p);
-    let packed_len = Diag::Inclusive.packed_len(n1);
-    let segments = Partition1D::new(packed_len, p);
+    let segments = Partition1D::new(Diag::Inclusive.packed_len(n1), p);
 
     let machine = Machine::new(p).with_model(model);
     let out = machine.run(|comm| {
+        // Both column blocks are read where they lie.
         let r = cols.range(comm.rank());
-        let a_l = a.block_owned(0, r.start, n1, r.len());
-        let b_l = b.block_owned(0, r.start, n1, r.len());
-        let cbar = syr2k_packed_new(&a_l, &b_l, Diag::Inclusive);
+        let mut cbar = PackedLower::zeros(n1, Diag::Inclusive);
+        let (a_l, b_l) = (
+            a.block(0, r.start, n1, r.len()),
+            b.block(0, r.start, n1, r.len()),
+        );
+        syr2k_packed(&mut cbar, a_l, b_l);
         comm.add_flops(syr2k_flops(n1, r.len()));
         comm.reduce_scatter_block(cbar.as_slice(), &segments.lens())
     });
 
-    let mut packed = Vec::with_capacity(packed_len);
-    for seg in &out.results {
-        packed.extend_from_slice(seg);
-    }
-    let c = PackedLower::from_vec(n1, Diag::Inclusive, packed).to_full_symmetric();
+    // The segments concatenate to the packed triangle, as in `run_1d`.
+    let mut c = Matrix::zeros(n1, n1);
+    let segs = out.results.iter().map(Vec::as_slice);
+    write_packed_lower(&mut c, 0, n1, Diag::Inclusive, segs);
+    mirror_lower_to_upper(&mut c);
     SyrkRunResult { c, cost: out.cost }
 }
 
-/// 2D SYR2K on the Triangle Block Distribution: one All-to-All gathers
-/// the `R_k` row blocks of *both* inputs (two chunks per partner), then
-/// each off-diagonal block is `C_ij = A_i·B_jᵀ + B_i·A_jᵀ` and each
-/// diagonal block a local SYR2K.
+/// 2D SYR2K on the Triangle Block Distribution: Algorithm 2's exchange
+/// gathers the `R_k` row blocks of *both* inputs (both chunks in one
+/// message per partner: SYRK's latency, twice its bandwidth), then each
+/// off-diagonal block is `C_ij = A_i·B_jᵀ + B_i·A_jᵀ` and each diagonal
+/// block a local SYR2K.
 pub fn syr2k_2d(a: &Matrix<f64>, b: &Matrix<f64>, c: usize, model: CostModel) -> SyrkRunResult {
     let dist = TriangleBlockDist::for_order(c).unwrap_or_else(|| {
         panic!("no triangle block construction for c = {c} (need a prime power)")
@@ -68,84 +74,32 @@ pub fn syr2k_2d(a: &Matrix<f64>, b: &Matrix<f64>, c: usize, model: CostModel) ->
     let machine = Machine::new(dist.p()).with_model(model);
     let out = machine.run(|comm| {
         let k = comm.rank();
-        let n2l = n2;
-        // Chunks of both inputs are packed back-to-back per partner, so
-        // the exchange is still a single (sparse) All-to-All: latency
-        // matches SYRK's pair-per-partner schedule, bandwidth doubled.
-        let my_chunk = |m: &Matrix<f64>, i: usize| ad.extract_chunk(m.view(), i, k);
-        let mut recv_words: Vec<usize> = vec![0; comm.size()];
-        for &i in dist.r_set(k) {
-            let part = ad.chunk_partition(i);
-            for (pos, &m) in dist.q_set(i).iter().enumerate() {
-                if m != k {
-                    recv_words[m] = 2 * part.len(pos);
-                }
-            }
-        }
-        let blocks: Vec<Vec<f64>> = (0..comm.size())
-            .map(|k2| {
-                if k2 == k {
-                    return Vec::new();
-                }
-                match dist.common_block(k, k2) {
-                    Some(i) => [my_chunk(a, i), my_chunk(b, i)].concat(),
-                    None => Vec::new(),
-                }
-            })
-            .collect();
-        let received = comm
-            .try_all_to_all_v(blocks, &recv_words)
+        let live = ad.live_blocks(k);
+        let gathered = gather_row_blocks(&comm, &dist, &ad, &live, [a.view(), b.view()], false)
             .unwrap_or_else(|e| panic!("{e}"));
 
-        // Reassemble A_i and B_i from the paired chunks.
-        let gather = |i: usize| -> (Matrix<f64>, Matrix<f64>) {
-            let (mine_a, mine_b) = (my_chunk(a, i), my_chunk(b, i));
-            let (mut a_chunks, mut b_chunks) = (Vec::new(), Vec::new());
-            for &m in dist.q_set(i) {
-                if m == k {
-                    a_chunks.push(&mine_a[..]);
-                    b_chunks.push(&mine_b[..]);
-                } else {
-                    let buf = &received[m];
-                    let half = ad.chunk_len(i, m);
-                    assert_eq!(buf.len(), 2 * half, "paired chunk length mismatch");
-                    a_chunks.push(&buf[..half]);
-                    b_chunks.push(&buf[half..]);
-                }
-            }
-            (
-                ad.assemble_block(i, a_chunks),
-                ad.assemble_block(i, b_chunks),
-            )
-        };
-        type BlockPair = (Matrix<f64>, Matrix<f64>);
-        let gathered: Vec<(usize, BlockPair)> =
-            dist.r_set(k).iter().map(|&i| (i, gather(i))).collect();
-        let pair_for = |i: usize| {
-            &gathered
-                .iter()
-                .find(|&&(bi, _)| bi == i)
-                .expect("i ∈ R_k was gathered")
-                .1
-        };
-
+        // Blocks by position in `live`, pairs in `blocks_of(k)` order.
         let mut out = LocalOutput::default();
-        for (i, j) in dist.blocks_of(k) {
-            let (ai, bi) = pair_for(i);
-            let (aj, bj) = pair_for(j);
-            // C_ij = A_i·B_jᵀ + B_i·A_jᵀ.
-            let mut blk = mul_nt(ai, bj);
-            blk.add_assign(&mul_nt(bi, aj));
-            comm.add_flops(2 * gemm_flops(ai.rows(), aj.rows(), n2l));
-            out.offdiag.push(OffDiagBlock { i, j, data: blk });
+        for (x, [ai, bi]) in gathered.iter().enumerate() {
+            for (y, [aj, bj]) in gathered[..x].iter().enumerate() {
+                // C_ij = A_i·B_jᵀ + B_i·A_jᵀ.
+                let mut blk = mul_nt(ai, bj);
+                blk.add_assign(&mul_nt(bi, aj));
+                comm.add_flops(2 * gemm_flops(ai.rows(), aj.rows(), n2));
+                let (i, j) = (live[x], live[y]);
+                out.offdiag.push(OffDiagBlock { i, j, data: blk });
+            }
         }
-        if let Some(i) = dist.d_block(k) {
-            let (ai, bi) = pair_for(i);
+        let diag = dist
+            .d_block(k)
+            .and_then(|i| Some((i, live.binary_search(&i).ok()?)));
+        if let Some((i, x)) = diag {
+            let [ai, bi] = &gathered[x];
             out.diag.push(DiagBlock {
                 i,
                 data: syr2k_packed_new(ai, bi, Diag::Inclusive),
             });
-            comm.add_flops(syr2k_flops(ai.rows(), n2l));
+            comm.add_flops(syr2k_flops(ai.rows(), n2));
         }
         out
     });

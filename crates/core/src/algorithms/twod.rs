@@ -33,7 +33,9 @@ use crate::planner::PlanError;
 /// exchange buffer `B` is padded to `P` equal blocks of
 /// `⌈n1·n2/(c²(c+1))⌉` words, exactly as Algorithm 2's pseudocode
 /// allocates it — reproducing the eq. (10) cost analysis verbatim (the
-/// unpadded variant is slightly cheaper; see `alg2d_tight_cost`).
+/// unpadded variant is slightly cheaper; see `alg2d_tight_cost`). The
+/// exchange itself is [`gather_row_blocks`], which the §6 extension
+/// drivers call too.
 pub(crate) fn twod_body(
     comm: &Comm,
     dist: &TriangleBlockDist,
@@ -41,137 +43,28 @@ pub(crate) fn twod_body(
     a_slice: MatrixView<'_, f64>,
     spec: &RunSpec,
 ) -> Result<LocalOutput, MachineError> {
-    let (padded, abft) = (spec.padded, spec.abft);
     assert_eq!(comm.size(), dist.p(), "2D body needs exactly c(c+1) ranks");
     let k = comm.rank();
     let n2l = a_slice.cols();
-    // The paper's fixed block size for B: n1n2 / (c²(c+1)), rounded up to
-    // cover uneven chunk splits. Only the padded variant ships it, and
-    // the scan touches every chunk of every row block, so the tight path
-    // skips it entirely.
-    let pad_len = if padded {
-        (0..dist.num_blocks())
-            .flat_map(|i| dist.q_set(i).iter().map(move |&m| ad.chunk_len(i, m)))
-            .max()
-            .unwrap_or(0)
-    } else {
-        0
-    };
 
-    // The row blocks of R_k that exist. With n1 < c² most of R_k has no
-    // rows, and everything below — chunks, exchange plan, reassembly, pair
-    // list, diagonal — is derived from this list by position, so a rank's
-    // host time follows its live blocks instead of c or c². Live means
-    // *rows*, not words: a 3D slice with no local columns still owes
-    // `CkLayout` its zero-valued blocks of `C`. A dead block moves and
-    // computes nothing in either variant (padded partners get zeros for
-    // it, as they do for a pair that shares no block).
-    let live: Vec<usize> = dist
-        .r_set(k)
-        .iter()
-        .copied()
-        .filter(|&i| ad.rows.len(i) > 0)
-        .collect();
+    // The row blocks of R_k that exist. Everything below — exchange,
+    // pair list, diagonal — is derived from this list by position, so a
+    // rank's host time follows its live blocks instead of c or c². A dead
+    // block moves and computes nothing in either variant (padded partners
+    // get zeros for it, as they do for a pair that shares no block).
+    let live = ad.live_blocks(k);
 
-    // Initial distribution: my chunk of each live block, staged once per
-    // block as a shared buffer (each chunk ships to c partners as c
-    // handles on it and is reused in the reassembly below).
-    let my_chunks: Vec<Arc<[f64]>> = live
-        .iter()
-        .map(|&i| ad.extract_chunk(a_slice, i, k))
-        .collect();
-    // Lines 3–9: plan and run the exchange. The block destined to k' is
-    // my chunk of the unique row block shared with k' (each pair of
-    // ranks shares at most one). The tight path assembles the plan
-    // *sparsely*: only nonempty chunks generate traffic, so both the
-    // plan and the per-rank buffers stay O(c · live blocks) instead
-    // of O(P) — dense P-length buffers on every rank are O(P²) bytes
-    // machine-wide, and at 10⁴ ranks that working set turns every
-    // event-engine resume into a cache-cold stall. With `padded`, every
-    // partner (even a partnerless pair) ships the fixed-size block like
-    // the paper's B array, so that variant keeps the dense schedule and
-    // reproduces eq. (10) verbatim. The exchange-and-reassemble of A is
-    // the phase Theorem 1's Case-2 `n1·n2/√P` term charges: semantically
-    // an all-gather of each row block within its processor set, realized
-    // as one all-to-all.
+    // Lines 3–14: gather every live A_i. The exchange-and-reassemble of A
+    // is the phase Theorem 1's Case-2 `n1·n2/√P` term charges.
     let ag_span = comm.phase(PHASE_ALLGATHER_A);
-    // Padded: owned buffers indexed by sender. Tight: the senders' own
-    // buffers, parallel to the receive plan.
-    let (mut by_sender, mut by_plan): (Vec<Vec<f64>>, Vec<Arc<[f64]>>) = Default::default();
-    if padded {
-        // The chunk owed to each partner, read off the live blocks'
-        // processor sets in O(c · live) instead of intersecting R_k with
-        // every other rank's set.
-        let mut owed: Vec<Option<&[f64]>> = vec![None; comm.size()];
-        for (&i, ch) in live.iter().zip(&my_chunks) {
-            for &m in dist.q_set(i).iter().filter(|&&m| m != k) {
-                debug_assert!(owed[m].is_none(), "two ranks share two row blocks");
-                owed[m] = Some(ch);
-            }
-        }
-        let blocks: Vec<Vec<f64>> = (0..comm.size())
-            .map(|k2| {
-                if k2 == k {
-                    return Vec::new();
-                }
-                let mut buf = owed[k2].map(<[f64]>::to_vec).unwrap_or_default();
-                buf.resize(pad_len, 0.0);
-                buf
-            })
+    let gathered: Vec<Matrix<f64>> =
+        gather_row_blocks(comm, dist, ad, &live, [a_slice], spec.padded)?
+            .into_iter()
+            .map(|[ai]| ai)
             .collect();
-        by_sender = comm.try_all_to_all(blocks)?;
-    } else {
-        let mut sends: Vec<(usize, Arc<[f64]>)> = Vec::new();
-        let mut recvs: Vec<(usize, usize)> = Vec::new();
-        for (&i, ch) in live.iter().zip(&my_chunks) {
-            let part = ad.chunk_partition(i);
-            for (pos, &m) in dist.q_set(i).iter().enumerate() {
-                if m == k {
-                    continue;
-                }
-                if part.len(pos) > 0 {
-                    recvs.push((m, part.len(pos)));
-                }
-                if !ch.is_empty() {
-                    sends.push((m, Arc::clone(ch)));
-                }
-            }
-        }
-        by_plan = comm.try_all_to_all_sparse(sends, &recvs)?;
-    }
-
-    // Lines 10–14: reassemble each live row block A_i from the chunks of
-    // Q_i (mine plus the one received from every other member; padded
-    // buffers are truncated back to the true chunk length). Q_i order
-    // *is* chunk order, so each chunk's length comes straight from the
-    // block's partition — and the sparse results arrive in exactly this
-    // iteration order (the order the receive plan was built in), so a
-    // plain cursor pairs them up.
-    let mut next_recv = 0;
-    let gathered: Vec<Matrix<f64>> = live
-        .iter()
-        .zip(&my_chunks)
-        .map(|(&i, mine)| {
-            let part = ad.chunk_partition(i);
-            let chunks = dist.q_set(i).iter().enumerate().map(|(pos, &m)| {
-                let len = part.len(pos);
-                if m == k {
-                    &mine[..]
-                } else if padded {
-                    &by_sender[m][..len]
-                } else if len == 0 {
-                    &[]
-                } else {
-                    next_recv += 1;
-                    &by_plan[next_recv - 1][..]
-                }
-            });
-            ad.assemble_block(i, chunks)
-        })
-        .collect();
     comm.note_buffer(
         gathered.iter().map(Matrix::len).sum::<usize>()
-            + my_chunks.iter().map(|ch| ch.len()).sum::<usize>(),
+            + live.iter().map(|&i| ad.chunk_len(i, k)).sum::<usize>(),
     );
     drop(ag_span);
 
@@ -245,7 +138,7 @@ pub(crate) fn twod_body(
     // ABFT: verify every produced block against its row checksums,
     // computed independently from the gathered A blocks, before the
     // contribution leaves this rank (`C_ij·1 = A_i·(A_jᵀ·1)`).
-    if abft {
+    if spec.abft {
         let _span = comm.phase(crate::abft::PHASE_ABFT);
         let corrupt = |detail| MachineError::DataCorruption {
             rank: comm.world_rank(),
@@ -262,6 +155,133 @@ pub(crate) fn twod_body(
         }
     }
     Ok(out)
+}
+
+/// Algorithm 2's exchange (§5.2 lines 3–14), the one place it is
+/// planned: rank `k` ships its chunk of each live row block `A_i`,
+/// `i ∈ R_k`, to the other `c` members of `Q_i`, then reassembles each
+/// `A_i` from the chunks of `Q_i`. `live` is `ad.live_blocks(k)`; the
+/// result is parallel to it, one block per operand. Each operand is
+/// distributed conformally by `ad`: SYRK passes `A`, SYMM its `B`, the
+/// panel variant one panel of `A`, and SYR2K both `A` and `B`, whose
+/// chunks for a partner travel back to back in one message. A single
+/// operand's chunk ships as `extract_chunk` staged it — one buffer, `c`
+/// handles, reused in the reassembly.
+///
+/// The block destined to k' is my chunk of the unique row block shared
+/// with k' (each pair of ranks shares at most one). The tight exchange is
+/// planned *sparsely*: only nonempty chunks generate traffic, so both the
+/// plan and the per-rank buffers stay O(c · live blocks) instead of
+/// O(P) — dense P-length buffers on every rank are O(P²) bytes
+/// machine-wide, and at 10⁴ ranks that working set turns every
+/// event-engine resume into a cache-cold stall. With `padded`, every
+/// partner (even a partnerless pair) gets the paper's fixed-size block of
+/// `B`, `⌈n1·n2/(c²(c+1))⌉` words per operand, so that variant keeps the
+/// dense schedule and reproduces eq. (10) verbatim.
+pub(crate) fn gather_row_blocks<const N: usize>(
+    comm: &Comm,
+    dist: &TriangleBlockDist,
+    ad: &ConformalADist,
+    live: &[usize],
+    operands: [MatrixView<'_, f64>; N],
+    padded: bool,
+) -> Result<Vec<[Matrix<f64>; N]>, MachineError> {
+    let k = comm.rank();
+    let mine: Vec<Arc<[f64]>> = live
+        .iter()
+        .map(|&i| match &operands[..] {
+            [a] => ad.extract_chunk(*a, i, k),
+            ops => (ops.iter().map(|&a| ad.extract_chunk(a, i, k)))
+                .collect::<Vec<_>>()
+                .concat()
+                .into(),
+        })
+        .collect();
+    // Padded: owned buffers indexed by sender. Tight: the senders' own
+    // buffers, parallel to the receive plan.
+    let (mut by_sender, mut by_plan): (Vec<Vec<f64>>, Vec<Arc<[f64]>>) = Default::default();
+    if padded {
+        // Rounded up to cover uneven chunk splits; the scan touches every
+        // chunk of every row block, so the tight path skips it.
+        let pad_len = (0..dist.num_blocks())
+            .flat_map(|i| dist.q_set(i).iter().map(move |&m| ad.chunk_len(i, m)))
+            .max()
+            .unwrap_or(0);
+        // The chunk owed to each partner, read off the live blocks'
+        // processor sets in O(c · live) instead of intersecting R_k with
+        // every other rank's set.
+        let mut owed: Vec<Option<&[f64]>> = vec![None; comm.size()];
+        for (&i, ch) in live.iter().zip(&mine) {
+            for &m in dist.q_set(i).iter().filter(|&&m| m != k) {
+                debug_assert!(owed[m].is_none(), "two ranks share two row blocks");
+                owed[m] = Some(ch);
+            }
+        }
+        let blocks: Vec<Vec<f64>> = (0..comm.size())
+            .map(|k2| {
+                if k2 == k {
+                    return Vec::new();
+                }
+                let mut buf = owed[k2].map(<[f64]>::to_vec).unwrap_or_default();
+                buf.resize(N * pad_len, 0.0);
+                buf
+            })
+            .collect();
+        by_sender = comm.try_all_to_all(blocks)?;
+    } else {
+        let mut sends: Vec<(usize, Arc<[f64]>)> = Vec::new();
+        let mut recvs: Vec<(usize, usize)> = Vec::new();
+        for (&i, ch) in live.iter().zip(&mine) {
+            let part = ad.chunk_partition(i);
+            for (pos, &m) in dist.q_set(i).iter().enumerate() {
+                if m == k {
+                    continue;
+                }
+                if part.len(pos) > 0 {
+                    recvs.push((m, N * part.len(pos)));
+                }
+                if !ch.is_empty() {
+                    sends.push((m, Arc::clone(ch)));
+                }
+            }
+        }
+        by_plan = comm.try_all_to_all_sparse(sends, &recvs)?;
+    }
+
+    // Reassemble each live block from the buffers of Q_i (mine plus the
+    // one received from every other member; padded buffers are truncated
+    // back to the true length). Q_i order *is* chunk order, so each
+    // chunk's length comes straight from the block's partition — and the
+    // sparse results arrive in exactly this iteration order (the order
+    // the receive plan was built in), so a plain cursor pairs them up.
+    let mut next_recv = 0;
+    let blocks = live.iter().zip(&mine).map(|(&i, mine)| {
+        let part = ad.chunk_partition(i);
+        let bufs: Vec<&[f64]> = (dist.q_set(i).iter().enumerate())
+            .map(|(pos, &m)| {
+                let len = N * part.len(pos);
+                if m == k {
+                    &mine[..]
+                } else if padded {
+                    &by_sender[m][..len]
+                } else if len == 0 {
+                    &[]
+                } else {
+                    next_recv += 1;
+                    &by_plan[next_recv - 1][..]
+                }
+            })
+            .collect();
+        // Operand `o` is the `o`-th chunk-length piece of each buffer.
+        std::array::from_fn(|o| {
+            let chunks = bufs.iter().enumerate().map(|(pos, buf)| {
+                let len = part.len(pos);
+                &buf[o * len..(o + 1) * len]
+            });
+            ad.assemble_block(i, chunks)
+        })
+    });
+    Ok(blocks.collect())
 }
 
 /// Run Algorithm 2 on a simulated machine with `P = c(c+1)` ranks.

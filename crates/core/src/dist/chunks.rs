@@ -43,6 +43,16 @@ impl<'d> ConformalADist<'d> {
         Partition1D::new(self.block_len(i), self.dist.c() + 1)
     }
 
+    /// The row blocks of `R_k` that have rows, in `R_k` order. With
+    /// `n1 < c²` most of `R_k` is empty; Algorithm 2 and the drivers built
+    /// on its exchange address blocks by their position in this list.
+    /// Live means *rows*, not words: a 3D slice with no local columns
+    /// still owes its zero-valued blocks of `C`.
+    pub(crate) fn live_blocks(&self, k: usize) -> Vec<usize> {
+        let r_k = self.dist.r_set(k).iter().copied();
+        r_k.filter(|&i| self.rows.len(i) > 0).collect()
+    }
+
     /// Length of the chunk of `A_i` held by rank `k ∈ Q_i`.
     pub fn chunk_len(&self, i: usize, k: usize) -> usize {
         self.chunk_partition(i).len(self.dist.chunk_index(i, k))

@@ -124,7 +124,13 @@ impl<T: Scalar> Matrix<T> {
             row0 + rows <= self.rows && col0 + cols <= self.cols,
             "block out of range"
         );
-        let start = row0 * self.cols + col0;
+        // A block without rows reads nothing; on the bottom edge
+        // (`row0 == self.rows`) its start would lie past the buffer.
+        let start = if rows == 0 {
+            0
+        } else {
+            row0 * self.cols + col0
+        };
         MatrixView::new(&self.data[start..], rows, cols, self.cols)
     }
 
@@ -253,6 +259,26 @@ mod tests {
         assert_eq!(z[(1, 2)], 6.0);
         assert_eq!(z[(2, 3)], 11.0);
         assert_eq!(z[(0, 0)], 0.0);
+    }
+
+    #[test]
+    fn zero_area_blocks_are_empty_anywhere_the_range_allows() {
+        // Every block of a 3 × 4 matrix with no rows or no columns, at
+        // every (row0, col0) the range assert accepts, edges included.
+        let m = Matrix::from_fn(3, 4, |i, j| (i * 4 + j) as f64);
+        for row0 in 0..=3 {
+            for col0 in 0..=4 {
+                let fits = (0..=3 - row0).flat_map(|r| (0..=4 - col0).map(move |c| (r, c)));
+                for (rows, cols) in fits.filter(|&(r, c)| r * c == 0) {
+                    let at = format!("{rows}x{cols} at ({row0}, {col0})");
+                    let view = m.block(row0, col0, rows, cols);
+                    assert_eq!((view.rows(), view.cols()), (rows, cols), "{at}");
+                    let owned = m.block_owned(row0, col0, rows, cols);
+                    assert_eq!(owned.shape(), (rows, cols), "{at}");
+                    assert!(owned.as_slice().is_empty(), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use crate::matrix::Matrix;
 use crate::packed::{mirror_lower_to_upper, Diag, PackedLower};
 use crate::scalar::Scalar;
+use crate::view::MatrixView;
 
 /// Flops for the inclusive lower triangle of `A·Bᵀ + B·Aᵀ`, `A, B: n×k`:
 /// two fused dot products per entry, `n(n+1)/2 · 4k`.
@@ -45,15 +46,18 @@ pub fn syr2k_lower_ref<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T
 /// the tile when the dispatched kernel is rectangular), and each
 /// register tile fuses two (narrow) microkernel calls before the store —
 /// the dual-panel wide path stays off here because the fused tile
-/// already consumes the extra register pressure.
-pub fn syr2k_packed<T: Scalar>(c: &mut PackedLower<T>, a: &Matrix<T>, b: &Matrix<T>) {
-    crate::syrk::packed_rank_update(c, a.view(), Some(b.view()));
+/// already consumes the extra register pressure. The operands are views,
+/// so a rank passes its column blocks of the global `A` and `B` where
+/// they lie; packing reads the same values in the same order as from
+/// owned copies, so the result is bitwise the same.
+pub fn syr2k_packed<T: Scalar>(c: &mut PackedLower<T>, a: MatrixView<'_, T>, b: MatrixView<'_, T>) {
+    crate::syrk::packed_rank_update(c, a, Some(b));
 }
 
 /// Convenience: packed lower triangle of `A·Bᵀ + B·Aᵀ`.
 pub fn syr2k_packed_new<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, diag: Diag) -> PackedLower<T> {
     let mut c = PackedLower::zeros(a.rows(), diag);
-    syr2k_packed(&mut c, a, b);
+    syr2k_packed(&mut c, a.view(), b.view());
     c
 }
 

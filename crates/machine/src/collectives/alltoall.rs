@@ -41,60 +41,12 @@ impl Comm {
         self.try_all_to_all_with(blocks, CollectiveAlg::PairwiseExchange)
     }
 
-    /// Sparse personalized all-to-all (the `MPI_Alltoallv` shape): the
-    /// caller also supplies `recv_words[q]`, the size of the block rank
-    /// `q` is sending here. A pairwise step where *neither* direction
-    /// moves data is skipped outright — no message, no latency charge —
-    /// and a step with traffic in only one direction degrades to a plain
-    /// send or receive instead of a duplex exchange. Word counts are
-    /// identical to [`try_all_to_all`](Comm::try_all_to_all); only the
-    /// zero-word messages the dense schedule ships purely for lockstep
-    /// are elided, which is what makes 10⁴-rank sparse exchanges (most
-    /// pairs share nothing) tractable.
+    /// Sparse all-to-all over explicit partner lists (the
+    /// `MPI_Alltoallv` shape) — the form Algorithm 2's row-block exchange
+    /// uses at 10⁴⁺ ranks.
     ///
-    /// Contract: `recv_words[q]` must equal `blocks[rank].len()` as rank
-    /// `q` sees it — both sides agree on every pair's sizes, exactly as
-    /// `MPI_Alltoallv` counts must. Disagreement strands one side waiting
-    /// for a message that never comes: an exact deadlock diagnostic.
-    #[must_use = "the Result carries transport failures that must be handled"]
-    pub fn try_all_to_all_v(
-        &self,
-        mut blocks: Vec<Vec<f64>>,
-        recv_words: &[usize],
-    ) -> Result<Vec<Vec<f64>>, MachineError> {
-        crate::metrics::ALL_TO_ALL.record(blocks.iter().map(Vec::len).sum());
-        let _span = self.collective_phase("coll:all-to-all");
-        let p = self.size();
-        let me = self.rank();
-        assert_eq!(blocks.len(), p, "all_to_all needs one block per rank");
-        assert_eq!(
-            recv_words.len(),
-            p,
-            "all_to_all_v needs one expected size per rank"
-        );
-        self.note_buffer(blocks.iter().map(Vec::len).sum());
-        let mut recv: Vec<Vec<f64>> = vec![Vec::new(); p];
-        recv[me] = std::mem::take(&mut blocks[me]);
-        for step in 1..p {
-            let dst = (me + step) % p;
-            let src = (me + p - step) % p;
-            let out = std::mem::take(&mut blocks[dst]);
-            match (out.is_empty(), recv_words[src] == 0) {
-                (false, false) => recv[src] = self.try_exchange(dst, out, src, TAG_ALLTOALL)?,
-                (false, true) => self.try_send(dst, TAG_ALLTOALL, out)?,
-                (true, false) => recv[src] = self.try_recv(src, TAG_ALLTOALL)?,
-                (true, true) => {}
-            }
-        }
-        Ok(recv)
-    }
-
-    /// Sparse all-to-all over explicit partner lists — the form the 2D
-    /// SYRK exchange uses at 10⁴⁺ ranks.
-    ///
-    /// [`try_all_to_all_v`](Comm::try_all_to_all_v) still takes dense
-    /// `P`-length vectors, which costs every rank O(P) memory even when
-    /// it talks to a handful of partners; machine-wide that is O(P²)
+    /// Dense `P`-length vectors would cost every rank O(P) memory even
+    /// when it talks to a handful of partners; machine-wide that is O(P²)
     /// bytes, and at 10⁴ ranks the resulting multi-GB working set turns
     /// every coroutine resume into a cache-cold stall. This form takes
     /// only the live traffic: `sends` is `(dst, payload)` per outgoing
@@ -109,8 +61,11 @@ impl Comm {
     /// Messages are issued in the dense pairwise schedule's step order —
     /// at step `s` rank `r` sends to `(r + s) % P` and receives from
     /// `(r + P − s) % P` — so the simulated clocks, message counts, and
-    /// word counts are *identical* to `try_all_to_all_v` with the same
-    /// traffic scattered into dense vectors. Both lists are sorted by
+    /// word counts are *identical* to the dense pairwise schedule's with
+    /// the same traffic, minus its zero-word lockstep messages: a step
+    /// where neither direction moves data is skipped outright, and a step
+    /// with traffic in one direction is a plain send or receive instead
+    /// of a duplex exchange. Both lists are sorted by
     /// step up front and walked front to back: the loop reads rank-local
     /// memory sequentially, which matters because every blocking step
     /// comes back from a context switch with its lines cold.
@@ -357,21 +312,15 @@ mod tests {
         let out = Machine::new(p).run(|comm| {
             let me = comm.rank();
             let (right, left) = ((me + 1) % p, (me + p - 1) % p);
-            let mut blocks = vec![Vec::new(); p];
-            blocks[right] = vec![me as f64; 3];
-            blocks[left] = vec![me as f64; 3];
-            let mut recv_words = vec![0usize; p];
-            recv_words[right] = 3;
-            recv_words[left] = 3;
-            let recv = comm.try_all_to_all_v(blocks, &recv_words).unwrap();
-            for (q, blk) in recv.iter().enumerate() {
-                if q == right || q == left {
-                    assert_eq!(blk, &vec![q as f64; 3], "rank {me} from {q}");
-                } else if q != me {
-                    assert!(blk.is_empty(), "rank {me} got data from non-neighbor {q}");
-                }
-            }
-            true
+            let sends = vec![(right, vec![me as f64; 3]), (left, vec![me as f64; 3])];
+            let got: Vec<Vec<f64>> = comm
+                .try_all_to_all_sparse(sends, &[(right, 3), (left, 3)])
+                .unwrap();
+            assert_eq!(
+                got,
+                [vec![right as f64; 3], vec![left as f64; 3]],
+                "rank {me}"
+            );
         });
         for r in &out.cost.ranks {
             assert_eq!(r.msgs_sent, 2);
@@ -380,105 +329,29 @@ mod tests {
     }
 
     #[test]
-    fn sparse_alltoallv_handles_one_directional_pairs() {
-        // Rank r sends r+1 words to every higher rank only, so every pair
-        // has traffic in exactly one direction — the exchange must
-        // degrade to plain sends/receives without deadlocking.
-        let p = 4;
-        let out = Machine::new(p).run(|comm| {
-            let me = comm.rank();
-            let blocks: Vec<Vec<f64>> = (0..p)
-                .map(|q| {
-                    if q > me {
-                        vec![me as f64; me + 1]
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
-            let recv_words: Vec<usize> = (0..p).map(|q| if q < me { q + 1 } else { 0 }).collect();
-            let recv = comm.try_all_to_all_v(blocks, &recv_words).unwrap();
-            for (q, blk) in recv.iter().enumerate() {
-                if q < me {
-                    assert_eq!(blk, &vec![q as f64; q + 1], "rank {me} from {q}");
-                } else if q != me {
-                    assert!(blk.is_empty());
-                }
-            }
-            true
-        });
-        for (r, cost) in out.cost.ranks.iter().enumerate() {
-            assert_eq!(cost.msgs_sent, (p - 1 - r) as u64, "rank {r}");
-        }
-    }
-
-    #[test]
     fn sparse_alltoallv_matches_dense_when_full() {
-        // With every block nonempty the sparse form is the dense pairwise
+        // With every partner listed the list form is the dense pairwise
         // exchange: identical results, words, messages, and clocks.
         let (p, b) = (5, 3);
         let body = move |sparse: bool| {
             Machine::new(p).run(move |comm| {
                 let me = comm.rank();
-                let blocks: Vec<Vec<f64>> = (0..p).map(|q| vec![(me * p + q) as f64; b]).collect();
-                let recv = if sparse {
-                    let sizes = vec![b; p];
-                    comm.try_all_to_all_v(blocks, &sizes).unwrap()
+                let block = |q: usize| vec![(me * p + q) as f64; b];
+                let recv: Vec<Vec<f64>> = if sparse {
+                    let others = (0..p).filter(|&q| q != me);
+                    let sends = others.clone().map(|q| (q, block(q))).collect();
+                    let recvs: Vec<(usize, usize)> = others.map(|q| (q, b)).collect();
+                    let mut got = comm.try_all_to_all_sparse(sends, &recvs).unwrap();
+                    got.insert(me, block(me));
+                    got
                 } else {
-                    comm.try_all_to_all(blocks).unwrap()
+                    comm.try_all_to_all((0..p).map(block).collect()).unwrap()
                 };
                 recv.iter().map(|blk| blk[0]).sum::<f64>()
             })
         };
         let dense = body(false);
         let sparse = body(true);
-        assert_eq!(dense.results, sparse.results);
-        for (d, s) in dense.cost.ranks.iter().zip(&sparse.cost.ranks) {
-            assert_eq!(d.words_sent, s.words_sent);
-            assert_eq!(d.msgs_sent, s.msgs_sent);
-            assert_eq!(d.clock.to_bits(), s.clock.to_bits());
-        }
-    }
-
-    #[test]
-    fn sparse_list_form_matches_dense_v_exactly() {
-        // An asymmetric pattern: rank r sends r%3+1 words to r+1 and r+2
-        // (mod p), receives from r-1 and r-2. Driving it through the
-        // dense-vector and partner-list forms must produce identical
-        // payloads, costs, and clocks — the list form replays the same
-        // pairwise schedule.
-        let p = 7;
-        let pattern = |me: usize| -> Vec<(usize, Vec<f64>)> {
-            (1..=2)
-                .map(|d| ((me + d) % p, vec![me as f64; me % 3 + 1]))
-                .collect()
-        };
-        let dense = Machine::new(p).run(|comm| {
-            let me = comm.rank();
-            let mut blocks = vec![Vec::new(); p];
-            for (dst, payload) in pattern(me) {
-                blocks[dst] = payload;
-            }
-            let mut recv_words = vec![0usize; p];
-            for d in 1..=2 {
-                let src = (me + p - d) % p;
-                recv_words[src] = src % 3 + 1;
-            }
-            let recv = comm.try_all_to_all_v(blocks, &recv_words).unwrap();
-            (1..=2)
-                .map(|d| recv[(me + p - d) % p].clone())
-                .collect::<Vec<_>>()
-        });
-        let sparse = Machine::new(p).run(|comm| {
-            let me = comm.rank();
-            let recvs: Vec<(usize, usize)> = (1..=2)
-                .map(|d| {
-                    let src = (me + p - d) % p;
-                    (src, src % 3 + 1)
-                })
-                .collect();
-            comm.try_all_to_all_sparse(pattern(me), &recvs).unwrap()
-        });
         assert_eq!(dense.results, sparse.results);
         for (d, s) in dense.cost.ranks.iter().zip(&sparse.cost.ranks) {
             assert_eq!(d.words_sent, s.words_sent);
