@@ -291,6 +291,13 @@ impl Drop for PendingGuard {
 /// query returns the cached [`RankedPlan`] (it is `Copy`) without
 /// re-enumerating candidates. Concurrent cold lookups of the same key
 /// coalesce onto one computation (see the cache docs above).
+///
+/// With `n1 < 2` the strict lower triangle Theorem 1 speaks about is
+/// empty: the plan is still the cheapest, and its `bound` is 0.
+///
+/// # Panics
+///
+/// If `p = 0` or `n2 = 0`.
 pub fn plan(n1: usize, n2: usize, p: usize) -> RankedPlan {
     let key = (n1, n2, p);
     loop {
@@ -353,12 +360,17 @@ pub fn plan(n1: usize, n2: usize, p: usize) -> RankedPlan {
 /// The uncached planner: enumerate every feasible candidate and rank by
 /// predicted cost.
 fn plan_uncached(n1: usize, n2: usize, p: usize) -> RankedPlan {
+    assert!(n2 >= 1 && p >= 1, "plan needs n2 ≥ 1 and P ≥ 1");
     let best = candidate_plans(p)
         .into_iter()
         .map(|pl| (pl, predicted_cost(n1, n2, pl)))
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .expect("at least the 1D plan is always feasible");
-    let bound = syrk_lower_bound(n1, n2, best.0.ranks()).communicated();
+    let bound = if n1 < 2 {
+        0.0
+    } else {
+        syrk_lower_bound(n1, n2, best.0.ranks()).communicated()
+    };
     RankedPlan {
         plan: best.0,
         predicted_cost: best.1,
@@ -474,6 +486,16 @@ mod tests {
         for &(n1, n2, p) in &[(50, 5000, 13), (5000, 50, 47), (300, 300, 97), (2, 2, 1)] {
             let rp = plan(n1, n2, p);
             assert!(rp.plan.ranks() <= p, "({n1},{n2},{p}) -> {:?}", rp.plan);
+        }
+    }
+
+    #[test]
+    fn fewer_than_two_rows_plan_with_a_zero_bound() {
+        for (n1, n2, p) in [(1, 8, 4), (1, 8, 3), (0, 5, 12), (1, 1, 1), (1, 40, 30)] {
+            let rp = plan(n1, n2, p);
+            assert_eq!(rp.bound, 0.0, "({n1},{n2},{p})");
+            assert!(rp.plan.ranks() <= p, "({n1},{n2},{p}) -> {:?}", rp.plan);
+            assert_eq!(rp.predicted_cost, predicted_cost(n1, n2, rp.plan));
         }
     }
 

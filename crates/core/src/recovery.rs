@@ -191,14 +191,24 @@ pub(crate) fn recover(
             prologue = Some(pro);
         }
         let cur_plan = attempt_spec.plan;
-        let bound_case = syrk_lower_bound(n1, n2, cur_plan.ranks()).case;
+        // Asked only of a plan `run` accepted (a rejected one, e.g. zero
+        // ranks, returns below unrecorded). One row leaves the strict
+        // triangle empty: Lemma 6's Case 1 threshold `P ≤ n2/√(n1(n1−1))`
+        // is then infinite.
+        let bound_case = || {
+            if n1 < 2 {
+                BoundCase::Case1
+            } else {
+                syrk_lower_bound(n1, n2, cur_plan.ranks()).case
+            }
+        };
         match run(a, &attempt_spec) {
             Ok(mut out) => {
                 if let Some(checks) = &checks {
                     if let Err(v) = checks.verify(&out.result.c) {
                         attempts.push(RecoveryAttempt {
                             plan: cur_plan,
-                            bound_case,
+                            bound_case: bound_case(),
                             outcome: AttemptOutcome::Corrupted {
                                 detail: v.to_string(),
                             },
@@ -216,7 +226,7 @@ pub(crate) fn recover(
                 }
                 attempts.push(RecoveryAttempt {
                     plan: cur_plan,
-                    bound_case,
+                    bound_case: bound_case(),
                     outcome: AttemptOutcome::Completed,
                 });
                 out.recovery = Some(RecoveryReport {
@@ -232,7 +242,7 @@ pub(crate) fn recover(
             Err(SyrkError::Machine(MachineError::RankCrashed { rank, after_ops })) => {
                 attempts.push(RecoveryAttempt {
                     plan: cur_plan,
-                    bound_case,
+                    bound_case: bound_case(),
                     outcome: AttemptOutcome::Crashed { rank },
                 });
                 ranks_lost.push(rank);
@@ -251,7 +261,7 @@ pub(crate) fn recover(
             Err(SyrkError::Machine(MachineError::DataCorruption { rank, detail })) => {
                 attempts.push(RecoveryAttempt {
                     plan: cur_plan,
-                    bound_case,
+                    bound_case: bound_case(),
                     outcome: AttemptOutcome::Corrupted {
                         detail: detail.clone(),
                     },

@@ -17,7 +17,9 @@
 //! exactly once by whichever worker first sweeps it, while A row blocks
 //! are packed per task into [`crate::arena`] buffers. Every `C` element
 //! is accumulated in ascending-k order regardless of blocking, stealing,
-//! or thread count, so results are deterministic.
+//! or thread count, so results are deterministic. A `C` of at most
+//! [`SMALL_OUTPUT_CUTOFF`] entries skips all of this: its entries are
+//! direct chains with the same op sequence ([`crate::direct`]).
 
 use crate::arena;
 use crate::matrix::Matrix;
@@ -25,7 +27,9 @@ use crate::microkernel::{flatten_acc, microkernel_wide, store_add, MAX_ACC, MR, 
 use crate::pack::{
     pack_cols_into, pack_rows, pack_rows_into, packed_panel_len, panel_offset, SharedPack,
 };
-use crate::parallel::{par_for_each_task, steal_task_count, workers_for_flops};
+use crate::parallel::{
+    par_for_each_task, steal_task_count, workers_for_flops, SMALL_OUTPUT_CUTOFF,
+};
 use crate::scalar::Scalar;
 use crate::schedule::balanced_chunks_by_cost;
 use crate::view::MatrixView;
@@ -105,8 +109,8 @@ fn split_rows<'c, T: Scalar>(
 /// first sweeps each window; `pack_b(cols, ks, nr, dst)` fills one such
 /// block for inner range `ks` at lane width `nr`. Each task packs its
 /// own A row blocks into an arena buffer and sweeps register tiles
-/// (dual-panel wide on the scalar-ISA f64 path).
-fn gemm_driver<T: Scalar>(
+/// (dual-panel wide on the scalar-ISA f64 path). Needs nonempty operands.
+pub(crate) fn gemm_driver<T: Scalar>(
     c: &mut Matrix<T>,
     a: MatrixView<'_, T>,
     pack_b: impl Fn(Range<usize>, Range<usize>, usize, &mut [T]) + Sync,
@@ -180,7 +184,8 @@ fn gemm_driver<T: Scalar>(
     }
 }
 
-/// Packed, register-blocked, multi-threaded `C += A·Bᵀ`.
+/// Packed, register-blocked, multi-threaded `C += A·Bᵀ`; a `C` of at most
+/// [`SMALL_OUTPUT_CUTOFF`] entries as direct chains (`crate::direct`).
 pub fn gemm_nt<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>) {
     let (m, k) = a.shape();
     let (n, k2) = b.shape();
@@ -189,13 +194,18 @@ pub fn gemm_nt<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
+    if m * n <= SMALL_OUTPUT_CUTOFF {
+        // Column j of Bᵀ is row j of B.
+        return crate::direct::gemm(c, a.view(), b.as_slice(), k, 1);
+    }
     // Bᵀ's columns are B's rows, so the B-side pack is a row pack.
     gemm_driver(c, a.view(), |cols, ks, r, dst| {
         pack_rows_into(dst, b.view(), cols, ks, r)
     });
 }
 
-/// Packed, register-blocked, multi-threaded `C += A·B`.
+/// Packed, register-blocked, multi-threaded `C += A·B`; a `C` of at most
+/// [`SMALL_OUTPUT_CUTOFF`] entries as direct chains (`crate::direct`).
 pub fn gemm_nn<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>) {
     let (m, k) = a.shape();
     let (k2, n) = b.shape();
@@ -203,6 +213,9 @@ pub fn gemm_nn<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>) {
     assert_eq!(c.shape(), (m, n), "gemm_nn: output shape mismatch");
     if m == 0 || n == 0 || k == 0 {
         return;
+    }
+    if m * n <= SMALL_OUTPUT_CUTOFF {
+        return crate::direct::gemm(c, a.view(), b.as_slice(), 1, n);
     }
     gemm_driver(c, a.view(), |cols, ks, r, dst| {
         pack_cols_into(dst, b.view(), ks, cols, r)

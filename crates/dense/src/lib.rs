@@ -23,6 +23,7 @@
 pub mod arena;
 mod blocking;
 mod cholesky;
+mod direct;
 mod gemm;
 pub mod isa;
 mod matrix;
@@ -52,7 +53,7 @@ pub use norms::{frobenius, max_abs_diff, max_abs_diff_lower, syrk_tolerance};
 pub use packed::{mirror_lower_to_upper, write_packed_lower, Diag, PackedLower};
 pub use parallel::{
     available_threads, hardware_threads, limit_threads, machine_thread_budget, par_for_each_task,
-    steal_task_count, workers_for_flops, SERIAL_FLOP_CUTOFF,
+    steal_task_count, workers_for_flops, SERIAL_FLOP_CUTOFF, SMALL_OUTPUT_CUTOFF,
 };
 pub use rng::{seeded_int_matrix, seeded_matrix, DetRng};
 pub use scalar::Scalar;

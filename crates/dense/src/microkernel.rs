@@ -123,6 +123,11 @@ pub struct Dispatch<T: Scalar> {
     pub spec: KernelSpec,
     /// The `mr × nr` tile kernel.
     pub kernel: KernelFn<T>,
+    /// The same ISA's arithmetic one entry at a time, for products too
+    /// small to pack: `chains(x, y, rs, ps, acc)` sets
+    /// `acc[j] = Σ_p x[p]·y[j·rs + p·ps]`, each entry one chain from zero
+    /// in ascending `p` (see `crate::direct`).
+    pub(crate) chains: fn(&[T], &[T], usize, usize, &mut [T]),
 }
 
 /// The portable kernel behind the dispatchable slice interface: computes
@@ -140,6 +145,7 @@ pub fn scalar_dispatch<T: Scalar>(wide: bool) -> Dispatch<T> {
     Dispatch {
         spec,
         kernel: portable_kernel::<T>,
+        chains: crate::direct::chains::<T, false>,
     }
 }
 
@@ -147,20 +153,31 @@ pub fn scalar_dispatch<T: Scalar>(wide: bool) -> Dispatch<T> {
 /// the host can execute (see [`crate::isa::Isa::available`]); asking for
 /// a foreign-architecture ISA panics.
 pub fn dispatch_for_isa_f64(isa: Isa) -> Dispatch<f64> {
-    let kernel: KernelFn<f64> = match isa {
+    type ChainsFn = fn(&[f64], &[f64], usize, usize, &mut [f64]);
+    let (kernel, chains): (KernelFn<f64>, ChainsFn) = match isa {
         Isa::Scalar => return scalar_dispatch::<f64>(f64::WIDE_KERNEL),
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => crate::simd::x86::microkernel_avx2_8x6,
+        Isa::Avx2 => (
+            crate::simd::x86::microkernel_avx2_8x6,
+            crate::simd::x86::chains_avx2,
+        ),
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => crate::simd::x86::microkernel_avx512_16x14,
+        Isa::Avx512 => (
+            crate::simd::x86::microkernel_avx512_16x14,
+            crate::simd::x86::chains_avx512,
+        ),
         #[cfg(target_arch = "aarch64")]
-        Isa::Neon => crate::simd::arm::microkernel_neon_8x6,
+        Isa::Neon => (
+            crate::simd::arm::microkernel_neon_8x6,
+            crate::simd::arm::chains_neon,
+        ),
         #[allow(unreachable_patterns)]
         other => panic!("ISA {other} has no kernel on this target architecture"),
     };
     Dispatch {
         spec: spec_for_isa(isa),
         kernel,
+        chains,
     }
 }
 

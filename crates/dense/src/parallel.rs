@@ -139,6 +139,20 @@ pub fn machine_thread_budget(p: usize) -> usize {
 /// percent on kernels within that octave.
 pub const SERIAL_FLOP_CUTOFF: u64 = 1 << 22;
 
+/// Output entries (`m·n`, or a triangle's packed length) at or below which
+/// `gemm_nt`, `gemm_nn`, `syrk_packed(_view)` and `syr2k_packed` skip the
+/// packed runtime and compute each entry as one direct chain, bitwise the
+/// same `C` (see `crate::direct`).
+///
+/// Measured on the same host, one thread, direct against packed: with
+/// 64 entries the direct path is ahead at every depth (8×8 `gemm_nt`:
+/// 1.30 vs 1.61 µs at k = 64, 4.6 vs 5.9 µs at k = 256, 73 vs 96 µs at
+/// k = 4096; 1×64: 4–5× ahead), with 81 it is behind at every depth (9×9:
+/// 2.17 vs 1.69, 8.6 vs 6.2, 136 vs 102 µs). SYRK crosses between 66 and
+/// 78 packed entries. A 2×2×64 product takes 0.23 µs instead of 1.20.
+/// Like the flop cutoff it is a constant, not an option.
+pub const SMALL_OUTPUT_CUTOFF: usize = 64;
+
 /// Worker threads worth using for a task list of `total_flops`: one
 /// (the caller, no spawn) below [`SERIAL_FLOP_CUTOFF`], else
 /// [`available_threads`].

@@ -96,6 +96,36 @@ pub mod x86 {
         unsafe { avx512_16x14(kc, ap.as_ptr(), bp.as_ptr(), acc.as_mut_ptr()) }
     }
 
+    /// [`crate::direct::chains`] in AVX2 + FMA arithmetic: one `vfmadd`
+    /// per step, as [`microkernel_avx2_8x6`] applies to every tile entry.
+    pub fn chains_avx2(x: &[f64], y: &[f64], rs: usize, ps: usize, acc: &mut [f64]) {
+        debug_assert!(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"));
+        // SAFETY: the dispatch table offers this function only for
+        // `Isa::Avx2`, which it selects only when `Isa::available` detected
+        // AVX2 and FMA.
+        unsafe { chains_fma(x, y, rs, ps, acc) }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    fn chains_fma(x: &[f64], y: &[f64], rs: usize, ps: usize, acc: &mut [f64]) {
+        crate::direct::chains::<f64, true>(x, y, rs, ps, acc)
+    }
+
+    /// [`crate::direct::chains`] in AVX-512F arithmetic, the fused
+    /// multiply-add of [`microkernel_avx512_16x14`].
+    pub fn chains_avx512(x: &[f64], y: &[f64], rs: usize, ps: usize, acc: &mut [f64]) {
+        debug_assert!(is_x86_feature_detected!("avx512f"));
+        // SAFETY: the dispatch table offers this function only for
+        // `Isa::Avx512`, which it selects only when `Isa::available`
+        // detected AVX-512F.
+        unsafe { chains_fma512(x, y, rs, ps, acc) }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn chains_fma512(x: &[f64], y: &[f64], rs: usize, ps: usize, acc: &mut [f64]) {
+        crate::direct::chains::<f64, true>(x, y, rs, ps, acc)
+    }
+
     #[target_feature(enable = "avx512f")]
     unsafe fn avx512_16x14(kc: usize, ap: *const f64, bp: *const f64, acc: *mut f64) {
         // 14 columns × 2 zmm (8 rows each) = 28 accumulators; with the
@@ -134,6 +164,13 @@ pub mod arm {
         check_panels(kc, ap, bp, acc, 8, 6);
         // SAFETY: NEON is mandatory on aarch64; bounds checked above.
         unsafe { neon_8x6(kc, ap.as_ptr(), bp.as_ptr(), acc.as_mut_ptr()) }
+    }
+
+    /// [`crate::direct::chains`] in NEON arithmetic, the fused
+    /// multiply-add of [`microkernel_neon_8x6`]. The FPU is baseline on
+    /// aarch64, so `mul_add` is one `fmadd` without a feature gate.
+    pub fn chains_neon(x: &[f64], y: &[f64], rs: usize, ps: usize, acc: &mut [f64]) {
+        crate::direct::chains::<f64, true>(x, y, rs, ps, acc)
     }
 
     #[target_feature(enable = "neon")]

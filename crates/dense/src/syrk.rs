@@ -22,14 +22,18 @@
 //! [`crate::arena`] so the steady state allocates nothing. Diagonal
 //! register tiles are computed in full and stored clamped to `j ≤ i`
 //! (or `j < i`); the scalar-ISA f64 path uses the dual-panel wide
-//! microkernel away from chunk tails.
+//! microkernel away from chunk tails. A triangle of at most
+//! [`SMALL_OUTPUT_CUTOFF`] packed entries skips all of this: its entries
+//! are direct chains with the same op sequence ([`crate::direct`]).
 
 use crate::arena;
 use crate::matrix::Matrix;
 use crate::microkernel::{flatten_acc, microkernel_wide, MAX_ACC, MR, NR};
 use crate::pack::{pack_rows_into, packed_panel_len, SharedPack};
 use crate::packed::{mirror_lower_to_upper, Diag, PackedLower};
-use crate::parallel::{par_for_each_task, steal_task_count, workers_for_flops};
+use crate::parallel::{
+    par_for_each_task, steal_task_count, workers_for_flops, SMALL_OUTPUT_CUTOFF,
+};
 use crate::scalar::Scalar;
 use crate::schedule::balanced_triangle_chunks;
 use crate::view::MatrixView;
@@ -105,14 +109,10 @@ fn store_packed_tile<T: Scalar>(
     }
 }
 
-/// Shared packed-triangle driver for SYRK (`b = None`, `C += A·Aᵀ`) and
-/// SYR2K (`b = Some`, `C += A·Bᵀ + B·Aᵀ`). `kc`-panel loop outside,
-/// flop-balanced work-stolen row chunks inside; every packed entry is
-/// accumulated in ascending-k order independent of the chunking, and
-/// each row block of a shared pack is packed exactly once per panel by
-/// whichever worker first needs it. Square tiles (`mr == nr`) alias one
-/// pack per operand matrix for both sides of the product; rectangular
-/// SIMD tiles add a second pack at lane width `nr` for the column side.
+/// SYRK (`b = None`, `C += A·Aᵀ`) and SYR2K (`b = Some`,
+/// `C += A·Bᵀ + B·Aᵀ`) into packed storage: a triangle of at most
+/// [`SMALL_OUTPUT_CUTOFF`] entries as direct chains ([`crate::direct`]),
+/// anything larger through [`triangle_driver`].
 pub(crate) fn packed_rank_update<T: Scalar>(
     c: &mut PackedLower<T>,
     a: MatrixView<'_, T>,
@@ -130,6 +130,27 @@ pub(crate) fn packed_rank_update<T: Scalar>(
     if n == 0 || k == 0 {
         return;
     }
+    if c.len() <= SMALL_OUTPUT_CUTOFF {
+        crate::direct::rank_update(c, a, b);
+    } else {
+        triangle_driver(c, a, b);
+    }
+}
+
+/// The packed-triangle driver behind [`packed_rank_update`]. `kc`-panel
+/// loop outside, flop-balanced work-stolen row chunks inside; every packed
+/// entry is accumulated in ascending-k order independent of the chunking,
+/// and each row block of a shared pack is packed exactly once per panel by
+/// whichever worker first needs it. Square tiles (`mr == nr`) alias one
+/// pack per operand matrix for both sides of the product; rectangular
+/// SIMD tiles add a second pack at lane width `nr` for the column side.
+/// Needs nonempty operands of matching shapes.
+pub(crate) fn triangle_driver<T: Scalar>(
+    c: &mut PackedLower<T>,
+    a: MatrixView<'_, T>,
+    b: Option<MatrixView<'_, T>>,
+) {
+    let (n, k) = (a.rows(), a.cols());
     let d = T::dispatch();
     let (mr, nr, kc, mc) = (d.spec.mr, d.spec.nr, d.spec.kc, d.spec.mc);
     let square = mr == nr;

@@ -52,6 +52,12 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
         &self.data[i * self.stride..i * self.stride + self.cols]
     }
 
+    /// The buffer from element `(0, col0)` on, and the row stride: element
+    /// `(i, col0 + p)` is at `i·stride + p` of the returned slice.
+    pub(crate) fn strided_at(&self, col0: usize) -> (&'a [T], usize) {
+        (&self.data[col0..], self.stride)
+    }
+
     /// A sub-view of this view.
     pub fn sub(&self, row0: usize, col0: usize, rows: usize, cols: usize) -> MatrixView<'a, T> {
         assert!(

@@ -471,8 +471,10 @@ impl Comm {
     /// and duplicated copies are delivered around the real one), and
     /// charges the real attempt in the caller's phase. `charge_send` is
     /// false for the exchange path (charged as one duplex step at match
-    /// time) and for zero-cost metadata; `exempt` messages (split
-    /// bookkeeping) still carry sequence numbers but never fault.
+    /// time) and for zero-cost metadata. `exempt` messages ([`Comm::split`]
+    /// bookkeeping) still carry sequence numbers, but they never fault and
+    /// are not operations of the crash/stall schedule, so an exempt
+    /// dispatch cannot fail.
     fn dispatch<T: Payload>(
         &self,
         dst: usize,
@@ -481,7 +483,9 @@ impl Comm {
         charge_send: bool,
         exempt: bool,
     ) -> Result<(), MachineError> {
-        self.fault_op_check()?;
+        if !exempt {
+            self.fault_op_check()?;
+        }
         let dst_world = self.group[dst];
         let me = self.world_rank();
         let words = payload.words();
@@ -771,54 +775,109 @@ impl Comm {
     /// the SPMD sense — same call sequence on every rank). Ranks passing the
     /// same `color` end up in the same child communicator, ordered by
     /// `key` (ties broken by parent rank). Mirrors `MPI_Comm_split`.
+    ///
+    /// Membership is bookkeeping, not algorithm communication: group rank 0
+    /// gathers every member's `(color, key)`, sorts once, and sends each
+    /// member its child group — one `Arc` shared by the whole color — and
+    /// its position in it. That is `2(P − 1)` envelopes and `O(P log P)`
+    /// work at the root. The envelopes charge nothing on any ledger, are
+    /// never faulted, are not operations of a crash or stall schedule (see
+    /// [`FaultPlan::crash_rank`]) and leave no trace event. A member that
+    /// never calls `split` is diagnosed as a [`MachineError::Deadlock`]
+    /// whose wait-for edges carry op `"split"`.
+    ///
+    /// Panics if the run fails while this rank waits for the membership.
     pub fn split(&mut self, color: u64, key: usize) -> Comm {
         self.split_seq += 1;
-        // Agree on membership: all-gather (color, key) as metadata.
-        // This is bookkeeping, not algorithm communication, so it is
-        // performed out-of-band (no cost charged) via a zero-cost gather:
-        // every rank sends its (color, key) to everyone. To keep the
-        // simulation honest we avoid the network entirely: membership is a
-        // pure function of the arguments, which every rank must supply
-        // consistently, so each rank exchanges metadata envelopes of zero
-        // words. The metadata is exempt from fault injection (it still
-        // carries sequence numbers so link cursors stay consistent).
-        let tag = mix64(self.comm_id ^ self.split_seq.wrapping_mul(0x51ab_3c47));
-        let me = self.group_rank;
-        let meta = vec![color, key as u64];
-        for dst in 0..self.size() {
-            if dst != me {
-                // Zero-word metadata: charge nothing.
-                self.dispatch(dst, (self.comm_id, tag), meta.clone(), false, true)
-                    .unwrap_or_else(|e| panic!("{e}"));
-            }
-        }
-        let mut members: Vec<(u64, usize, usize)> = vec![(color, key, me)];
-        for src in 0..self.size() {
-            if src != me {
-                let env = self
-                    .recv_env(self.group[src], (self.comm_id, tag), "split")
-                    .unwrap_or_else(|e| panic!("{e}"));
-                let v =
-                    Vec::<u64>::from_wire(env.payload).expect("split metadata must be Vec<u64>");
-                if v[0] == color {
-                    members.push((v[0], v[1] as usize, src));
-                }
-            }
-        }
-        members.sort_by_key(|&(_, key, parent_rank)| (key, parent_rank));
-        let group: Vec<usize> = members.iter().map(|&(_, _, pr)| self.group[pr]).collect();
-        let group_rank = members
-            .iter()
-            .position(|&(_, _, pr)| pr == me)
-            .expect("caller is always a member of its own color group");
+        let tag = (
+            self.comm_id,
+            mix64(self.comm_id ^ self.split_seq.wrapping_mul(0x51ab_3c47)),
+        );
+        let membership = if self.group_rank == 0 {
+            self.split_root(tag, color, key)
+        } else {
+            let request = SplitRequest { color, key };
+            self.dispatch(0, tag, request, false, true)
+                .and_then(|()| self.recv_env(self.group[0], tag, "split"))
+                .map(|env| {
+                    let reply = SplitReply::from_wire(env.payload);
+                    reply.expect("split replies are SplitReply")
+                })
+        };
+        let SplitReply { group, rank } = membership.unwrap_or_else(|e| panic!("{e}"));
         let comm_id = mix64(self.comm_id ^ mix64(self.split_seq) ^ mix64(color.wrapping_add(1)));
         Comm {
             world: Arc::clone(&self.world),
-            group: Arc::new(group),
-            group_rank,
+            group,
+            group_rank: rank,
             comm_id,
             split_seq: 0,
         }
+    }
+
+    /// Group rank 0's side of [`split`](Comm::split): collect the other
+    /// members' requests, last member first (when the root resumes, the
+    /// earlier ones have usually arrived too, so it parks about once), and
+    /// answer each with its share of the sorted membership.
+    fn split_root(
+        &self,
+        tag: (u64, u64),
+        color: u64,
+        key: usize,
+    ) -> Result<SplitReply, MachineError> {
+        let mut members = Vec::with_capacity(self.size());
+        members.push((color, key, 0));
+        for src in (1..self.size()).rev() {
+            let env = self.recv_env(self.group[src], tag, "split")?;
+            let req =
+                SplitRequest::from_wire(env.payload).expect("split requests are SplitRequest");
+            members.push((req.color, req.key, src));
+        }
+        // Parent ranks are distinct, so the order is total.
+        members.sort_unstable();
+        let mut mine = None;
+        for run in members.chunk_by(|x, y| x.0 == y.0) {
+            let group = Arc::new(run.iter().map(|&(_, _, pr)| self.group[pr]).collect());
+            for (rank, &(_, _, pr)) in run.iter().enumerate() {
+                let reply = SplitReply {
+                    group: Arc::clone(&group),
+                    rank,
+                };
+                if pr == 0 {
+                    mine = Some(reply);
+                } else {
+                    self.dispatch(pr, tag, reply, false, true)?;
+                }
+            }
+        }
+        Ok(mine.expect("the root is a member of its own color"))
+    }
+}
+
+/// A member's `(color, key)`, sent to the root of a [`Comm::split`].
+struct SplitRequest {
+    color: u64,
+    key: usize,
+}
+
+/// The root's answer to a [`SplitRequest`]: the child group's world ranks,
+/// shared by every member of the color, and the receiver's position in it.
+struct SplitReply {
+    group: Arc<Vec<usize>>,
+    rank: usize,
+}
+
+/// Split bookkeeping rides the network for its ordering and deadlock
+/// diagnosis only: it occupies no words.
+impl Payload for SplitRequest {
+    fn words(&self) -> usize {
+        0
+    }
+}
+
+impl Payload for SplitReply {
+    fn words(&self) -> usize {
+        0
     }
 }
 

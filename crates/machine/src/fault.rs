@@ -191,7 +191,8 @@ impl FaultPlan {
     }
 
     /// Stall world rank `rank` for `clock` model-time units just before
-    /// its `at_op`-th communication operation (1-based).
+    /// its `at_op`-th communication operation (1-based), counted as for
+    /// [`crash_rank`](FaultPlan::crash_rank).
     pub fn stall_rank(mut self, rank: usize, at_op: u64, clock: f64) -> Self {
         assert!(clock >= 0.0, "stall clock must be non-negative");
         self.stall = Some((rank, at_op, clock));
@@ -201,6 +202,9 @@ impl FaultPlan {
     /// Crash world rank `rank` just before its `at_op`-th communication
     /// operation (1-based). The run aborts with
     /// [`MachineError::RankCrashed`](crate::MachineError::RankCrashed).
+    /// The operations counted are sends, receives and exchanges, so every
+    /// collective built on them; [`Comm::split`](crate::Comm::split) is
+    /// bookkeeping, not an operation, and neither counts nor crashes.
     /// May be called repeatedly to schedule crashes on several ranks;
     /// per run, whichever scheduled crash fires first wins.
     pub fn crash_rank(mut self, rank: usize, at_op: u64) -> Self {

@@ -238,10 +238,16 @@ fn planned_syrk_fuzz() {
 /// The `try_syrk_*` entry points are total: every small configuration —
 /// empty matrices, zero rank counts, and grid orders with no triangle
 /// block construction — yields `Ok` or a typed [`SyrkError`], never a
-/// panic, and every `Ok` is numerically correct.
+/// panic, and every `Ok` is numerically correct. So is
+/// `run_with_recovery` on one or two rows with rank 1 crashing at its
+/// first operation: with one row the replanned attempt plans for an
+/// empty strict triangle.
 #[test]
 fn try_api_is_total_over_random_configs() {
-    use syrk_repro::core::{try_syrk_1d, try_syrk_2d, try_syrk_3d};
+    use syrk_repro::core::{
+        run_with_recovery, try_syrk_1d, try_syrk_2d, try_syrk_3d, Plan, RecoveryPolicy,
+    };
+    use syrk_repro::machine::FaultPlan;
     let mut rng = DetRng::seed_from_u64(0x5afe);
     let model = syrk_repro::CostModel::bandwidth_only();
     let mut oks = 0usize;
@@ -253,16 +259,27 @@ fn try_api_is_total_over_random_configs() {
         let c = rng.gen_range(0, 7); // 0, 1, 6 have no construction
         let p2 = rng.gen_range(0, 4);
         let a = syrk_repro::dense::seeded_matrix::<f64>(n1, n2, case as u64);
-        for (alg, res) in [
-            ("1d", try_syrk_1d(&a, p, model, None)),
-            ("2d", try_syrk_2d(&a, c, model, None)),
-            ("3d", try_syrk_3d(&a, c, p2, model, None)),
+        let rows = 1 + case % 2;
+        let thin = syrk_repro::dense::seeded_matrix::<f64>(rows, n2, case as u64);
+        let crash = FaultPlan::seeded(case as u64).crash_rank(1, 1);
+        let recovered = |plan| {
+            run_with_recovery(&thin, plan, model, Some(&crash), &RecoveryPolicy::default())
+                .map(|(run, _)| run)
+        };
+        for (alg, input, res) in [
+            ("1d", &a, try_syrk_1d(&a, p, model, None)),
+            ("2d", &a, try_syrk_2d(&a, c, model, None)),
+            ("3d", &a, try_syrk_3d(&a, c, p2, model, None)),
+            ("1d+crash", &thin, recovered(Plan::OneD { p })),
+            ("2d+crash", &thin, recovered(Plan::TwoD { c })),
+            ("3d+crash", &thin, recovered(Plan::ThreeD { c, p2 })),
         ] {
             match res {
                 Ok(run) => {
                     oks += 1;
-                    let want = syrk_repro::dense::syrk_full_reference(&a);
+                    let want = syrk_repro::dense::syrk_full_reference(input);
                     let err = syrk_repro::dense::max_abs_diff(&run.c, &want);
+                    let n1 = input.rows();
                     assert!(
                         err < 1e-9,
                         "case {case} {alg} ({n1},{n2},{p},{c},{p2}): {err}"
