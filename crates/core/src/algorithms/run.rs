@@ -35,22 +35,20 @@ pub struct RunSpec {
     /// surfaces as `MachineError::DataCorruption` naming the block.
     /// Verification flops are charged under the `abft:verify` phase.
     /// Implied by [`RecoveryPolicy::verify`]. Algorithm 3 has no
-    /// in-machine checks and ignores it (ROADMAP item 9c); its recovered
-    /// runs rely on the final full-`C` verification.
+    /// in-machine checks and ignores it; its recovered runs rely on the
+    /// final full-`C` verification.
     pub abft: bool,
     /// Algorithm 1's Reduce-Scatter — the §6 latency/bandwidth trade
     /// (pairwise = the paper's analysis; recursive halving = log-latency
     /// at equal bandwidth for power-of-two P; tree+scatter = log-latency,
     /// bandwidth-inflated). Algorithm 2 has no Reduce-Scatter; Algorithm
-    /// 3's row Reduce-Scatter ignores it and is always pairwise (ROADMAP
-    /// item 4, collectives as selectable schedules).
+    /// 3 ignores it: its row Reduce-Scatter is always pairwise.
     pub rs_alg: ReduceScatterAlg,
     /// Algorithm 2 with the paper's padded exchange buffer `B` (Alg. 2
     /// lines 3–9 verbatim): measured bandwidth reproduces eq. (10)'s
     /// `(n1n2/c)(1 − 1/P)` exactly, at the cost of shipping some zeros.
-    /// Algorithm 1 has no exchange of `A`; Algorithm 3 ignores it and its
-    /// slices always run the tight exchange (ROADMAP item 11, one driver
-    /// for every grid).
+    /// Algorithm 1 has no exchange of `A`; Algorithm 3 ignores it: its
+    /// slices always run the tight exchange.
     pub padded: bool,
     /// Survive crashes by shrinking and replanning and detected
     /// corruption by retrying (see [`crate::recovery`]); `plan` is then

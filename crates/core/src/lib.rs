@@ -72,7 +72,7 @@ pub use planner::{
     candidate_plans, constructible_orders, ideal_case3_grid, nearest_triangle_c, plan,
     plan_cache_len, predicted_cost, Plan, PlanError, RankedPlan, PLAN_CACHE_CAP,
 };
-pub use primes::{is_prime, largest_triangle_c_at_most, triangle_c_for, valid_grid_sizes};
+pub use primes::{is_prime, largest_triangle_c_at_most, triangle_c_for};
 pub use recovery::{
     run_with_recovery, AttemptOutcome, RecoveryAttempt, RecoveryPolicy, RecoveryReport,
     RECOVERY_ATTEMPTS, RECOVERY_RANKS_LOST,

@@ -45,14 +45,6 @@ pub fn largest_triangle_c_at_most(p: usize) -> Option<usize> {
     None
 }
 
-/// All valid processor counts `c(c+1)` with prime `c ≤ cmax`.
-pub fn valid_grid_sizes(cmax: usize) -> Vec<(usize, usize)> {
-    (2..=cmax)
-        .filter(|&c| is_prime(c))
-        .map(|c| (c, c * (c + 1)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,14 +73,5 @@ mod tests {
         assert_eq!(largest_triangle_c_at_most(30), Some(5));
         assert_eq!(largest_triangle_c_at_most(100), Some(7)); // 7·8=56; 11·12=132
         assert_eq!(largest_triangle_c_at_most(5), None);
-    }
-
-    #[test]
-    fn valid_sizes_are_triangle_numbers_of_primes() {
-        let v = valid_grid_sizes(11);
-        assert_eq!(v, vec![(2, 6), (3, 12), (5, 30), (7, 56), (11, 132)]);
-        for (c, p) in v {
-            assert_eq!(triangle_c_for(p), Some(c));
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Reusable packed-panel workspace arena.
 //!
 //! Every packed kernel call needs scratch buffers for micro-panel packs
-//! (`A`-blocks, `B`-panels, Cholesky panels). Allocating them fresh per
+//! (`A`-blocks, `B`-panels). Allocating them fresh per
 //! call — the pre-arena behaviour — put an allocator round-trip and a
 //! page-fault warm-up on every kernel invocation, multiplied by every
 //! worker; in the simulated-machine runs the same shapes recur thousands
@@ -34,8 +34,8 @@ use std::sync::Mutex;
 /// are simply freed.
 const GLOBAL_POOL_CAP: usize = 64;
 
-/// Buffers surrendered by exiting worker threads, type-erased (`Vec<f64>`
-/// and `Vec<f32>` coexist; checkout filters by downcast).
+/// Buffers surrendered by exiting worker threads, type-erased (checkout
+/// takes only a `Vec<T>` of the requested element type, by downcast).
 static GLOBAL_POOL: Mutex<Vec<Box<dyn Any + Send>>> = Mutex::new(Vec::new());
 
 struct LocalArena {
@@ -218,13 +218,15 @@ mod tests {
 
     #[test]
     fn distinct_scalar_types_do_not_cross() {
-        {
-            let mut b = acquire::<f32>(777);
-            b.resized(777).fill(2.0f32);
-        }
-        // An f64 checkout must not receive the f32 buffer.
-        let mut b = acquire::<f64>(777);
-        assert!(b.vec_mut().capacity() >= 777);
+        // A slot of another element type is skipped, however well it fits.
+        let mut slots: Vec<Box<dyn Any + Send>> = vec![
+            Box::new(Vec::<f32>::with_capacity(777)),
+            Box::new(Vec::<f64>::with_capacity(10)),
+        ];
+        let got = take_from::<f64>(&mut slots, 777).unwrap();
+        assert_eq!(got.capacity(), 10);
+        assert!(take_from::<f64>(&mut slots, 1).is_none());
+        assert_eq!(slots.len(), 1);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use crate::arena;
 use crate::matrix::Matrix;
-use crate::microkernel::{flatten_acc, microkernel_wide, store_add, MAX_ACC, MR, NR};
+use crate::microkernel::{store_add, MAX_ACC};
 use crate::pack::{
     pack_cols_into, pack_rows, pack_rows_into, packed_panel_len, panel_offset, SharedPack,
 };
@@ -108,8 +108,8 @@ fn split_rows<'c, T: Scalar>(
 /// packed columns, published in `nc`-column blocks by whichever worker
 /// first sweeps each window; `pack_b(cols, ks, nr, dst)` fills one such
 /// block for inner range `ks` at lane width `nr`. Each task packs its
-/// own A row blocks into an arena buffer and sweeps register tiles
-/// (dual-panel wide on the scalar-ISA f64 path). Needs nonempty operands.
+/// own A row blocks into an arena buffer and sweeps register tiles.
+/// Needs nonempty operands.
 pub(crate) fn gemm_driver<T: Scalar>(
     c: &mut Matrix<T>,
     a: MatrixView<'_, T>,
@@ -144,38 +144,16 @@ pub(crate) fn gemm_driver<T: Scalar>(
                     let jc_end = (jc + nc).min(n);
                     // nc-aligned windows map 1:1 onto publication blocks.
                     bshared.ensure_rows(jc..jc_end, &pack_b_block);
-                    let mut it = 0;
-                    while it < ib {
-                        let wide = d.spec.wide && it + 2 * mr <= ib;
-                        let take = if wide { 2 * mr } else { mr.min(ib - it) };
-                        let ap0 = &apack.vec_mut()[panel_offset(it, pb, mr)..];
+                    for it in (0..ib).step_by(mr) {
+                        let take = mr.min(ib - it);
+                        let ap = &apack.vec_mut()[panel_offset(it, pb, mr)..];
                         for j0 in (jc..jc_end).step_by(nr) {
                             let cc = nr.min(jc_end - j0);
-                            let bp = bshared.panel(j0);
                             let off = (i0 - rows.start + it) * n + j0;
-                            if wide {
-                                // Scalar-ISA only, where mr == MR, nr == NR.
-                                let ap1 = &ap0[panel_offset(MR, pb, MR)..];
-                                let (acc0, acc1) = microkernel_wide(pb, ap0, ap1, bp);
-                                tiles += 2;
-                                flatten_acc(&acc0, &mut acc[..MR * NR]);
-                                store_add(&mut cbuf[off..], n, MR, cc, &acc[..MR * NR], NR);
-                                flatten_acc(&acc1, &mut acc[..MR * NR]);
-                                store_add(
-                                    &mut cbuf[off + MR * n..],
-                                    n,
-                                    MR,
-                                    cc,
-                                    &acc[..MR * NR],
-                                    NR,
-                                );
-                            } else {
-                                (d.kernel)(pb, ap0, bp, &mut acc[..mr * nr]);
-                                tiles += 1;
-                                store_add(&mut cbuf[off..], n, take, cc, &acc[..mr * nr], nr);
-                            }
+                            (d.kernel)(pb, ap, bshared.panel(j0), &mut acc[..mr * nr]);
+                            tiles += 1;
+                            store_add(&mut cbuf[off..], n, take, cc, &acc[..mr * nr], nr);
                         }
-                        it += take;
                     }
                 }
             }

@@ -22,7 +22,6 @@
 
 pub mod arena;
 mod blocking;
-mod cholesky;
 mod direct;
 mod gemm;
 pub mod isa;
@@ -42,14 +41,11 @@ mod syrk;
 mod view;
 
 pub use blocking::Partition1D;
-pub use cholesky::{
-    cholesky, trsm_left_lower, trsm_left_transpose, trsm_right_transpose, CholeskyError,
-};
 pub use gemm::{gemm_flops, gemm_nn, gemm_nn_ref, gemm_nt, gemm_nt_ref, mul_nn, mul_nt};
 pub use isa::{available_isas, detected_isa, dispatched_isa, force_isa, ForcedIsaGuard, Isa};
 pub use matrix::Matrix;
 pub use microkernel::{dispatch_f64, Dispatch, KernelSpec};
-pub use norms::{frobenius, max_abs_diff, max_abs_diff_lower, syrk_tolerance};
+pub use norms::{max_abs_diff, syrk_tolerance};
 pub use packed::{mirror_lower_to_upper, write_packed_lower, Diag, PackedLower};
 pub use parallel::{
     available_threads, hardware_threads, limit_threads, machine_thread_budget, par_for_each_task,
@@ -66,4 +62,4 @@ pub use syrk::{
     syrk_flops, syrk_full_reference, syrk_lower_ref, syrk_packed, syrk_packed_new,
     syrk_packed_view, syrk_strict_flops,
 };
-pub use view::{MatrixView, MatrixViewMut};
+pub use view::MatrixView;

@@ -1,7 +1,7 @@
 //! Row-major owned matrices.
 
 use crate::scalar::Scalar;
-use crate::view::{MatrixView, MatrixViewMut};
+use crate::view::MatrixView;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -111,11 +111,6 @@ impl<T: Scalar> Matrix<T> {
     /// A borrowed view of the whole matrix.
     pub fn view(&self) -> MatrixView<'_, T> {
         MatrixView::new(&self.data, self.rows, self.cols, self.cols)
-    }
-
-    /// A mutable view of the whole matrix.
-    pub fn view_mut(&mut self) -> MatrixViewMut<'_, T> {
-        MatrixViewMut::new(&mut self.data, self.rows, self.cols, self.cols)
     }
 
     /// A borrowed view of the block `rows_range × cols_range`.

@@ -52,9 +52,6 @@ pub const MAX_ACC: usize = MAX_MR * MAX_NR;
 /// * `nc` — column-block width swept per row block **and** the B-side
 ///   shared-pack publication granularity, so it must be a multiple of
 ///   `nr` (which is why the SIMD specs use 252, not 256).
-/// * `wide` — whether the dual-panel `2·MR × NR` portable variant runs
-///   away from chunk tails (scalar f64 only; the SIMD tiles already
-///   fill their register files).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelSpec {
     /// The ISA this spec belongs to.
@@ -69,13 +66,9 @@ pub struct KernelSpec {
     pub mc: usize,
     /// Column-block width / B-side publication block (multiple of `nr`).
     pub nc: usize,
-    /// Whether the dual-panel wide portable kernel is used.
-    pub wide: bool,
 }
 
-/// The f64 tile geometry of each ISA. `wide` is set for the scalar spec;
-/// [`crate::scalar::Scalar::dispatch`] clears it for scalars whose
-/// `WIDE_KERNEL` is off (f32).
+/// The f64 tile geometry of each ISA.
 pub fn spec_for_isa(isa: Isa) -> KernelSpec {
     match isa {
         Isa::Scalar => KernelSpec {
@@ -85,7 +78,6 @@ pub fn spec_for_isa(isa: Isa) -> KernelSpec {
             kc: 256,
             mc: 64,
             nc: 256,
-            wide: true,
         },
         // 12 of 16 ymm (AVX2) / 24 of 32 q-regs (NEON) accumulate.
         Isa::Avx2 | Isa::Neon => KernelSpec {
@@ -95,7 +87,6 @@ pub fn spec_for_isa(isa: Isa) -> KernelSpec {
             kc: 256,
             mc: 64,
             nc: 252,
-            wide: false,
         },
         // 28 of 32 zmm accumulate; 252 = 14 · 18 keeps NC | nr.
         Isa::Avx512 => KernelSpec {
@@ -105,7 +96,6 @@ pub fn spec_for_isa(isa: Isa) -> KernelSpec {
             kc: 256,
             mc: 64,
             nc: 252,
-            wide: false,
         },
     }
 }
@@ -131,21 +121,12 @@ pub struct Dispatch<T: Scalar> {
 }
 
 /// The portable kernel behind the dispatchable slice interface: computes
-/// the `MR × NR` tile and copies it row-major into `acc`.
+/// the `MR × NR` tile and copies it row-major into `acc`
+/// (`acc[i · NR + j] = tile[i][j]`).
 pub fn portable_kernel<T: Scalar>(kc: usize, ap: &[T], bp: &[T], acc: &mut [T]) {
     let tile = microkernel(kc, ap, bp);
-    flatten_acc(&tile, acc);
-}
-
-/// The scalar-ISA dispatch for any element type. `wide` mirrors the
-/// scalar's `WIDE_KERNEL` choice.
-pub fn scalar_dispatch<T: Scalar>(wide: bool) -> Dispatch<T> {
-    let mut spec = spec_for_isa(Isa::Scalar);
-    spec.wide = wide;
-    Dispatch {
-        spec,
-        kernel: portable_kernel::<T>,
-        chains: crate::direct::chains::<T, false>,
+    for (row, dst) in tile.iter().zip(acc.chunks_exact_mut(NR)) {
+        dst.copy_from_slice(row);
     }
 }
 
@@ -155,7 +136,7 @@ pub fn scalar_dispatch<T: Scalar>(wide: bool) -> Dispatch<T> {
 pub fn dispatch_for_isa_f64(isa: Isa) -> Dispatch<f64> {
     type ChainsFn = fn(&[f64], &[f64], usize, usize, &mut [f64]);
     let (kernel, chains): (KernelFn<f64>, ChainsFn) = match isa {
-        Isa::Scalar => return scalar_dispatch::<f64>(f64::WIDE_KERNEL),
+        Isa::Scalar => (portable_kernel, crate::direct::chains::<f64, false>),
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => (
             crate::simd::x86::microkernel_avx2_8x6,
@@ -231,74 +212,6 @@ pub fn microkernel<T: Scalar>(kc: usize, ap: &[T], bp: &[T]) -> Acc<T> {
     acc
 }
 
-/// Dual-panel wide kernel: two vertically adjacent `MR × NR` tiles of
-/// `Ap · Bpᵀ` in one k-sweep. `ap0` and `ap1` are two *consecutive*
-/// k-major micro-panels of A (rows `i..i+MR` and `i+MR..i+2MR`), `bp`
-/// one panel of B; each loaded B group feeds both accumulators, doubling
-/// the arithmetic per B-load and filling the register file an `MR × NR`
-/// tile leaves half empty on f64 targets.
-///
-/// Every element's accumulation is the *same sequence* of `+`/`*` ops,
-/// in the same ascending-k order and 4× unroll grouping, as the plain
-/// [`microkernel`] — the two tiles' updates interleave in program order
-/// but never mix lanes — so `(acc0, acc1)` is **bitwise identical** to
-/// two separate narrow calls. Drivers may therefore pick wide or narrow
-/// freely (per chunk, per tail) without perturbing results.
-#[inline]
-pub fn microkernel_wide<T: Scalar>(kc: usize, ap0: &[T], ap1: &[T], bp: &[T]) -> (Acc<T>, Acc<T>) {
-    let mut acc0 = [[T::zero(); NR]; MR];
-    let mut acc1 = [[T::zero(); NR]; MR];
-    let ap0 = &ap0[..kc * MR];
-    let ap1 = &ap1[..kc * MR];
-    let bp = &bp[..kc * NR];
-    let mut a0 = ap0.chunks_exact(4 * MR);
-    let mut a1 = ap1.chunks_exact(4 * MR);
-    let mut b4 = bp.chunks_exact(4 * NR);
-    for ((x0, x1), y) in a0.by_ref().zip(a1.by_ref()).zip(b4.by_ref()) {
-        step(&mut acc0, &x0[..MR], &y[..NR]);
-        step(&mut acc1, &x1[..MR], &y[..NR]);
-        step(&mut acc0, &x0[MR..2 * MR], &y[NR..2 * NR]);
-        step(&mut acc1, &x1[MR..2 * MR], &y[NR..2 * NR]);
-        step(&mut acc0, &x0[2 * MR..3 * MR], &y[2 * NR..3 * NR]);
-        step(&mut acc1, &x1[2 * MR..3 * MR], &y[2 * NR..3 * NR]);
-        step(&mut acc0, &x0[3 * MR..], &y[3 * NR..]);
-        step(&mut acc1, &x1[3 * MR..], &y[3 * NR..]);
-    }
-    for ((x0, x1), y) in a0
-        .remainder()
-        .chunks_exact(MR)
-        .zip(a1.remainder().chunks_exact(MR))
-        .zip(b4.remainder().chunks_exact(NR))
-    {
-        step(&mut acc0, x0, y);
-        step(&mut acc1, x1, y);
-    }
-    (acc0, acc1)
-}
-
-/// `acc[i1] + acc[i2]` lane-wise — used by SYR2K to fuse its two products
-/// before a single store.
-#[inline]
-pub fn acc_add<T: Scalar>(x: &Acc<T>, y: &Acc<T>) -> Acc<T> {
-    let mut out = [[T::zero(); NR]; MR];
-    for i in 0..MR {
-        for j in 0..NR {
-            out[i][j] = x[i][j] + y[i][j];
-        }
-    }
-    out
-}
-
-/// Copy a portable `MR × NR` accumulator into the row-major slice layout
-/// the dispatchable kernels produce (`out[i · NR + j] = acc[i][j]`), so
-/// the wide portable path and the SIMD path share one store routine.
-#[inline]
-pub fn flatten_acc<T: Scalar>(acc: &Acc<T>, out: &mut [T]) {
-    for (row, dst) in acc.iter().zip(out.chunks_exact_mut(NR)) {
-        dst.copy_from_slice(row);
-    }
-}
-
 /// Add the leading `rows × cols` corner of a row-major `mr × nr` tile
 /// `acc` (row stride `nr`) into a row-major destination `dst` with row
 /// stride `stride`, starting at `dst[0]`.
@@ -315,25 +228,6 @@ pub fn store_add<T: Scalar>(
         let drow = &mut dst[i * stride..i * stride + cols];
         for (d, &v) in drow.iter_mut().zip(arow.iter()) {
             *d += v;
-        }
-    }
-}
-
-/// Subtract variant of [`store_add`] — the Cholesky trailing update is
-/// `C −= L·Lᵀ`.
-#[inline]
-pub fn store_sub<T: Scalar>(
-    dst: &mut [T],
-    stride: usize,
-    rows: usize,
-    cols: usize,
-    acc: &[T],
-    nr: usize,
-) {
-    for (i, arow) in acc.chunks_exact(nr).enumerate().take(rows) {
-        let drow = &mut dst[i * stride..i * stride + cols];
-        for (d, &v) in drow.iter_mut().zip(arow.iter()) {
-            *d -= v;
         }
     }
 }
@@ -368,26 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_kernel_bitwise_matches_two_narrow_calls() {
-        for kc in [0usize, 1, 3, 4, 5, 8, 17, 64, 129] {
-            let a = seeded_matrix::<f64>(2 * MR, kc, 300 + kc as u64);
-            let b = seeded_matrix::<f64>(NR, kc, 400 + kc as u64);
-            let (mut ap, mut bp) = (Vec::new(), Vec::new());
-            pack_rows(&mut ap, a.view(), 0..2 * MR, 0..kc, MR);
-            pack_rows(&mut bp, b.view(), 0..NR, 0..kc, NR);
-            let ap0 = &ap[..kc * MR];
-            let ap1 = &ap[kc * MR..];
-            let (w0, w1) = microkernel_wide(kc, ap0, ap1, &bp);
-            let n0 = microkernel(kc, ap0, &bp);
-            let n1 = microkernel(kc, ap1, &bp);
-            // Bitwise, not approximate: the wide kernel must be a pure
-            // scheduling change.
-            assert_eq!(w0, n0, "kc={kc} upper tile");
-            assert_eq!(w1, n1, "kc={kc} lower tile");
-        }
-    }
-
-    #[test]
     fn padded_lanes_do_not_leak() {
         // Pack only 2 live rows on each side; lanes 2..4 are zeros and
         // the corresponding accumulator entries must be exactly zero.
@@ -415,8 +289,6 @@ mod tests {
         assert_eq!(m[(1, 0)], 1.0 + acc[0]);
         assert_eq!(m[(2, 2)], 1.0 + acc[NR + 2]);
         assert_eq!(m[(1, 3)], 1.0, "clamped columns untouched");
-        store_sub(&mut m.as_mut_slice()[stride..], stride, 2, 3, &acc, NR);
-        assert!(m.as_slice().iter().all(|&x| x == 1.0));
     }
 
     #[test]
@@ -446,10 +318,6 @@ mod tests {
             assert!(s.mc.is_multiple_of(s.mr), "{isa}: mc must align to mr");
             assert!(s.nc.is_multiple_of(s.nr), "{isa}: nc must align to nr");
             assert!(s.kc > 0 && s.mc > 0 && s.nc > 0);
-            assert_eq!(s.wide, isa == Isa::Scalar, "only scalar runs wide");
         }
-        let d32 = <f32 as Scalar>::dispatch();
-        assert!(!d32.spec.wide, "f32 keeps the wide kernel off");
-        assert_eq!(d32.spec.isa, Isa::Scalar);
     }
 }

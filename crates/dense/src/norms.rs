@@ -13,33 +13,6 @@ pub fn max_abs_diff<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Maximum absolute difference restricted to the lower triangle (`j ≤ i`);
-/// used when only the lower triangle of a symmetric result is meaningful.
-pub fn max_abs_diff_lower<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> f64 {
-    assert_eq!(a.shape(), b.shape(), "max_abs_diff_lower shape mismatch");
-    assert_eq!(
-        a.rows(),
-        a.cols(),
-        "max_abs_diff_lower needs square matrices"
-    );
-    let mut worst = 0.0f64;
-    for i in 0..a.rows() {
-        for j in 0..=i {
-            worst = worst.max((a[(i, j)] - b[(i, j)]).abs().to_f64());
-        }
-    }
-    worst
-}
-
-/// Frobenius norm.
-pub fn frobenius<T: Scalar>(a: &Matrix<T>) -> f64 {
-    a.as_slice()
-        .iter()
-        .map(|&x| x.to_f64() * x.to_f64())
-        .sum::<f64>()
-        .sqrt()
-}
-
 /// A relative tolerance suitable for verifying an `n1 × n2` SYRK in `T`:
 /// roughly `n2 · ε · scale`, with head-room for reduction reordering.
 pub fn syrk_tolerance<T: Scalar>(n2: usize, scale: f64) -> f64 {
@@ -58,21 +31,6 @@ mod tests {
         b[(0, 0)] -= 0.25;
         assert_eq!(max_abs_diff(&a, &b), 0.5);
         assert_eq!(max_abs_diff(&a, &a), 0.0);
-    }
-
-    #[test]
-    fn lower_variant_ignores_upper() {
-        let a = Matrix::<f64>::zeros(3, 3);
-        let mut b = Matrix::<f64>::zeros(3, 3);
-        b[(0, 2)] = 100.0; // upper triangle: ignored
-        b[(2, 0)] = 0.125;
-        assert_eq!(max_abs_diff_lower(&a, &b), 0.125);
-    }
-
-    #[test]
-    fn frobenius_known() {
-        let a = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((frobenius(&a) - 5.0).abs() < 1e-15);
     }
 
     #[test]

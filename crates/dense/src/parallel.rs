@@ -28,9 +28,9 @@
 //!
 //! Two knobs control the thread count:
 //!
-//! * the `SYRK_NUM_THREADS` environment variable (parsed **once** into a
-//!   `OnceLock` — it used to be re-read and re-parsed on every call from
-//!   the hot scheduling path), and
+//! * the `SYRK_NUM_THREADS` environment variable (a positive integer,
+//!   parsed **once** into a `OnceLock`; any other value is a hard error,
+//!   like an invalid `SYRK_FORCE_ISA`), and
 //! * a process-wide budget set by [`limit_threads`], which the simulated
 //!   machine uses to split hardware threads fairly across its ranks
 //!   (each of `P` rank threads runs kernels with `available/P` workers
@@ -44,24 +44,29 @@ use syrk_telemetry::flight::{self, FlightKind};
 /// Process-wide thread budget; 0 means "unset, use the hardware count".
 static THREAD_BUDGET: AtomicUsize = AtomicUsize::new(0);
 
-/// Parse a `SYRK_NUM_THREADS` value: a positive integer, or `None` for
-/// anything invalid (`0`, negatives, non-numeric) — the caller then falls
-/// back to the hardware count instead of propagating garbage.
-pub(crate) fn parse_thread_count(s: &str) -> Option<usize> {
-    s.trim().parse::<usize>().ok().filter(|&n| n >= 1)
+/// Parse a `SYRK_NUM_THREADS` value: a positive integer, or the error
+/// message naming the value (`0`, negatives, non-numeric).
+pub(crate) fn parse_thread_count(s: &str) -> Result<usize, String> {
+    s.trim()
+        .parse::<usize>()
+        .ok()
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| {
+            format!("SYRK_NUM_THREADS: invalid value {s:?} (expected a positive integer)")
+        })
 }
 
 /// The `SYRK_NUM_THREADS` override, read and parsed exactly once per
 /// process. [`available_threads`] sits on the scheduling hot path, and
 /// `std::env::var` + parse per call was measurable overhead; the
-/// environment of a running process is ours, so caching is safe.
+/// environment of a running process is ours, so caching is safe. An
+/// invalid value panics: falling back to the hardware count would run,
+/// and publish numbers for, a thread count nobody asked for.
 fn env_thread_override() -> Option<usize> {
     static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
     *ENV_THREADS.get_or_init(|| {
-        std::env::var("SYRK_NUM_THREADS")
-            .ok()
-            .as_deref()
-            .and_then(parse_thread_count)
+        let value = std::env::var("SYRK_NUM_THREADS").ok()?;
+        Some(parse_thread_count(&value).unwrap_or_else(|e| panic!("{e}")))
     })
 }
 
@@ -335,8 +340,8 @@ mod tests {
 
     #[test]
     fn thread_env_parser_rejects_garbage() {
-        // Invalid values fall back to `None` (→ hardware count) instead
-        // of being silently re-parsed — and never panic.
+        // Invalid values are an error naming the value, never a silent
+        // fall-back to the hardware count.
         for bad in [
             "0",
             "-3",
@@ -347,10 +352,15 @@ mod tests {
             "0x4",
             "18446744073709551616",
         ] {
-            assert_eq!(parse_thread_count(bad), None, "{bad:?} must be rejected");
+            assert_eq!(
+                parse_thread_count(bad),
+                Err(format!(
+                    "SYRK_NUM_THREADS: invalid value {bad:?} (expected a positive integer)"
+                )),
+            );
         }
-        assert_eq!(parse_thread_count("1"), Some(1));
-        assert_eq!(parse_thread_count(" 8 "), Some(8));
+        assert_eq!(parse_thread_count("1"), Ok(1));
+        assert_eq!(parse_thread_count(" 8 "), Ok(8));
     }
 
     #[test]

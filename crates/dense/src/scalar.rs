@@ -6,9 +6,10 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A floating-point scalar usable in the dense kernels.
 ///
-/// Implemented for `f32` and `f64`; the distributed algorithms are
-/// instantiated with `f64` (one `f64` = one machine word in the cost
-/// accounting of `syrk-machine`).
+/// Implemented for `f64`, the one element type of the distributed
+/// algorithms (one `f64` = one machine word in the cost accounting of
+/// `syrk-machine`). The kernels stay generic over it so their signatures
+/// say which operations they rely on.
 pub trait Scalar:
     Copy
     + Default
@@ -29,20 +30,10 @@ pub trait Scalar:
     + MulAssign
     + Sum
 {
-    /// Whether the dual-panel wide (`2·MR × NR`) microkernel variant
-    /// pays off for this scalar. `f64` turns it on (eight 4-lane rows of
-    /// accumulator fit the register file and double the reuse of each
-    /// B-panel load); other scalars keep the plain `MR × NR` path. The
-    /// wide kernel is bitwise-identical per element to two narrow calls,
-    /// so this is purely a performance switch — results never depend on
-    /// it.
-    const WIDE_KERNEL: bool;
     /// The kernel dispatch for this scalar: tile geometry plus kernel
     /// function, resolved from the process ISA selection
-    /// ([`crate::isa::dispatched_isa`]). `f64` picks among the explicit
-    /// SIMD kernels; every other scalar always runs the portable kernel.
-    /// Drivers call this once per kernel invocation so one call never
-    /// mixes ISAs.
+    /// ([`crate::isa::dispatched_isa`]). Drivers call this once per
+    /// kernel invocation so one call never mixes ISAs.
     fn dispatch() -> crate::microkernel::Dispatch<Self>;
     /// Additive identity.
     fn zero() -> Self;
@@ -60,52 +51,40 @@ pub trait Scalar:
     fn epsilon() -> Self;
 }
 
-macro_rules! impl_scalar {
-    ($t:ty, $wide:expr, $dispatch:expr) => {
-        impl Scalar for $t {
-            const WIDE_KERNEL: bool = $wide;
-            #[inline]
-            fn dispatch() -> crate::microkernel::Dispatch<Self> {
-                $dispatch
-            }
-            #[inline(always)]
-            fn zero() -> Self {
-                0.0
-            }
-            #[inline(always)]
-            fn one() -> Self {
-                1.0
-            }
-            #[inline(always)]
-            fn from_f64(x: f64) -> Self {
-                x as $t
-            }
-            #[inline(always)]
-            fn to_f64(self) -> f64 {
-                self as f64
-            }
-            #[inline(always)]
-            fn abs(self) -> Self {
-                <$t>::abs(self)
-            }
-            #[inline(always)]
-            fn mul_add(self, a: Self, b: Self) -> Self {
-                <$t>::mul_add(self, a, b)
-            }
-            #[inline(always)]
-            fn epsilon() -> Self {
-                <$t>::EPSILON
-            }
-        }
-    };
+impl Scalar for f64 {
+    #[inline]
+    fn dispatch() -> crate::microkernel::Dispatch<Self> {
+        crate::microkernel::dispatch_f64()
+    }
+    #[inline(always)]
+    fn zero() -> Self {
+        0.0
+    }
+    #[inline(always)]
+    fn one() -> Self {
+        1.0
+    }
+    #[inline(always)]
+    fn from_f64(x: f64) -> Self {
+        x
+    }
+    #[inline(always)]
+    fn to_f64(self) -> f64 {
+        self
+    }
+    #[inline(always)]
+    fn abs(self) -> Self {
+        f64::abs(self)
+    }
+    #[inline(always)]
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        f64::mul_add(self, a, b)
+    }
+    #[inline(always)]
+    fn epsilon() -> Self {
+        f64::EPSILON
+    }
 }
-
-impl_scalar!(
-    f32,
-    false,
-    crate::microkernel::scalar_dispatch::<Self>(Self::WIDE_KERNEL)
-);
-impl_scalar!(f64, true, crate::microkernel::dispatch_f64());
 
 #[cfg(test)]
 mod tests {
@@ -122,11 +101,5 @@ mod tests {
         assert_eq!(generic_ops::<f64>(), 7.0);
         assert_eq!((-3.5f64).abs(), 3.5);
         assert_eq!(f64::from_f64(2.5), 2.5);
-    }
-
-    #[test]
-    fn scalar_ops_f32() {
-        assert_eq!(generic_ops::<f32>(), 7.0);
-        assert_eq!(f32::from_f64(0.5).to_f64(), 0.5);
     }
 }

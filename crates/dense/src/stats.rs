@@ -45,8 +45,7 @@ static QUEUE_DEPTH: LazyGauge = LazyGauge::new("syrk_queue_depth");
 pub struct KernelStats {
     /// Words copied into packed micro-panel buffers (A- and B-side).
     pub pack_words: u64,
-    /// Register-blocked `MR × NR` microkernel invocations (a dual-panel
-    /// wide call counts as two: it produces two tiles).
+    /// Register-blocked `mr × nr` microkernel invocations, one per tile.
     pub microkernel_calls: u64,
     /// Workspace-arena checkouts satisfied by a cached buffer.
     pub arena_hits: u64,

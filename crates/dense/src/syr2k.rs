@@ -44,12 +44,10 @@ pub fn syr2k_lower_ref<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T
 /// [`crate::syrk_packed`]: both operands are full-height shared packs
 /// published cooperatively across the work-stealing workers (per side of
 /// the tile when the dispatched kernel is rectangular), and each
-/// register tile fuses two (narrow) microkernel calls before the store —
-/// the dual-panel wide path stays off here because the fused tile
-/// already consumes the extra register pressure. The operands are views,
-/// so a rank passes its column blocks of the global `A` and `B` where
-/// they lie; packing reads the same values in the same order as from
-/// owned copies, so the result is bitwise the same.
+/// register tile fuses two microkernel calls before the store. The
+/// operands are views, so a rank passes its column blocks of the global
+/// `A` and `B` where they lie; packing reads the same values in the same
+/// order as from owned copies, so the result is bitwise the same.
 pub fn syr2k_packed<T: Scalar>(c: &mut PackedLower<T>, a: MatrixView<'_, T>, b: MatrixView<'_, T>) {
     crate::syrk::packed_rank_update(c, a, Some(b));
 }

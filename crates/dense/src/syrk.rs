@@ -21,14 +21,13 @@
 //! split would be badly skewed), pulling pack buffers from the workspace
 //! [`crate::arena`] so the steady state allocates nothing. Diagonal
 //! register tiles are computed in full and stored clamped to `j ≤ i`
-//! (or `j < i`); the scalar-ISA f64 path uses the dual-panel wide
-//! microkernel away from chunk tails. A triangle of at most
-//! [`SMALL_OUTPUT_CUTOFF`] packed entries skips all of this: its entries
-//! are direct chains with the same op sequence ([`crate::direct`]).
+//! (or `j < i`). A triangle of at most [`SMALL_OUTPUT_CUTOFF`] packed
+//! entries skips all of this: its entries are direct chains with the same
+//! op sequence ([`crate::direct`]).
 
 use crate::arena;
 use crate::matrix::Matrix;
-use crate::microkernel::{flatten_acc, microkernel_wide, MAX_ACC, MR, NR};
+use crate::microkernel::MAX_ACC;
 use crate::pack::{pack_rows_into, packed_panel_len, SharedPack};
 use crate::packed::{mirror_lower_to_upper, Diag, PackedLower};
 use crate::parallel::{
@@ -231,13 +230,8 @@ pub(crate) fn triangle_driver<T: Scalar>(
             let mut acc = [T::zero(); MAX_ACC];
             let mut acc2 = [T::zero(); MAX_ACC];
             let mut tiles = 0u64;
-            let mut it = rows.start;
-            while it < rows.end {
-                // Dual-panel wide tiles away from the chunk tail
-                // (scalar-ISA only, where mr == MR == nr == NR); SYR2K
-                // keeps the narrow path (its tile fuses two products).
-                let wide = d.spec.wide && b.is_none() && it + 2 * mr <= rows.end;
-                let take = if wide { 2 * mr } else { mr.min(rows.end - it) };
+            for it in rows.clone().step_by(mr) {
+                let take = mr.min(rows.end - it);
                 let colmax = diag.row_len(it + take - 1);
                 a_row.ensure_rows(it..it + take, &pack_a_row);
                 acol.ensure_rows(0..colmax, &pack_acol);
@@ -247,37 +241,23 @@ pub(crate) fn triangle_driver<T: Scalar>(
                 if let Some(bc) = bcol {
                     bc.ensure_rows(0..colmax, &pack_bcol);
                 }
-                if wide {
-                    let ap0 = a_row.panel(it);
-                    let ap1 = a_row.panel(it + MR);
-                    for j0 in (0..colmax).step_by(NR) {
-                        let (acc0, acc1) = microkernel_wide(pb, ap0, ap1, acol.panel(j0));
+                for j0 in (0..colmax).step_by(nr) {
+                    if let Some(bc) = bcol {
+                        // A·Bᵀ tile plus B·Aᵀ tile, fused before the
+                        // store (ab + ba elementwise, fixed order).
+                        let brow = b_row.as_ref().expect("bcol implies b_row");
+                        (d.kernel)(pb, a_row.panel(it), bc.panel(j0), &mut acc[..mr * nr]);
+                        (d.kernel)(pb, brow.panel(it), acol.panel(j0), &mut acc2[..mr * nr]);
                         tiles += 2;
-                        flatten_acc(&acc0, &mut acc[..MR * NR]);
-                        store_packed_tile(diag, base, cbuf, &acc[..MR * NR], NR, it, MR, j0);
-                        flatten_acc(&acc1, &mut acc[..MR * NR]);
-                        store_packed_tile(diag, base, cbuf, &acc[..MR * NR], NR, it + MR, MR, j0);
-                    }
-                } else {
-                    for j0 in (0..colmax).step_by(nr) {
-                        if let Some(bc) = bcol {
-                            // A·Bᵀ tile plus B·Aᵀ tile, fused before the
-                            // store (ab + ba elementwise, fixed order).
-                            let brow = b_row.as_ref().expect("bcol implies b_row");
-                            (d.kernel)(pb, a_row.panel(it), bc.panel(j0), &mut acc[..mr * nr]);
-                            (d.kernel)(pb, brow.panel(it), acol.panel(j0), &mut acc2[..mr * nr]);
-                            tiles += 2;
-                            for (x, &y) in acc[..mr * nr].iter_mut().zip(&acc2[..mr * nr]) {
-                                *x += y;
-                            }
-                        } else {
-                            (d.kernel)(pb, a_row.panel(it), acol.panel(j0), &mut acc[..mr * nr]);
-                            tiles += 1;
+                        for (x, &y) in acc[..mr * nr].iter_mut().zip(&acc2[..mr * nr]) {
+                            *x += y;
                         }
-                        store_packed_tile(diag, base, cbuf, &acc[..mr * nr], nr, it, take, j0);
+                    } else {
+                        (d.kernel)(pb, a_row.panel(it), acol.panel(j0), &mut acc[..mr * nr]);
+                        tiles += 1;
                     }
+                    store_packed_tile(diag, base, cbuf, &acc[..mr * nr], nr, it, take, j0);
                 }
-                it += take;
             }
             crate::stats::add_microkernel_calls(d.spec.isa, tiles);
         });

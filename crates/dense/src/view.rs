@@ -126,72 +126,6 @@ impl<T: Scalar> Index<(usize, usize)> for MatrixView<'_, T> {
     }
 }
 
-/// A mutable view of a `rows × cols` block inside a row-major buffer.
-pub struct MatrixViewMut<'a, T = f64> {
-    data: &'a mut [T],
-    rows: usize,
-    cols: usize,
-    stride: usize,
-}
-
-impl<'a, T: Scalar> MatrixViewMut<'a, T> {
-    /// Wrap `data` as a mutable view (same size contract as
-    /// [`MatrixView::new`]).
-    pub fn new(data: &'a mut [T], rows: usize, cols: usize, stride: usize) -> Self {
-        assert!(stride >= cols, "stride {stride} < cols {cols}");
-        if rows > 0 {
-            assert!(
-                data.len() >= (rows - 1) * stride + cols,
-                "buffer too small for {rows}x{cols} view with stride {stride}"
-            );
-        }
-        MatrixViewMut {
-            data,
-            rows,
-            cols,
-            stride,
-        }
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Element accessor.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> T {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[i * self.stride + j]
-    }
-
-    /// Mutable element accessor.
-    #[inline]
-    pub fn at_mut(&mut self, i: usize, j: usize) -> &mut T {
-        debug_assert!(i < self.rows && j < self.cols);
-        &mut self.data[i * self.stride + j]
-    }
-
-    /// Row `i` as a mutable slice.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [T] {
-        debug_assert!(i < self.rows);
-        &mut self.data[i * self.stride..i * self.stride + self.cols]
-    }
-
-    /// Reborrow as an immutable view.
-    pub fn as_view(&self) -> MatrixView<'_, T> {
-        MatrixView::new(self.data, self.rows, self.cols, self.stride)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::matrix::Matrix;
@@ -239,19 +173,6 @@ mod tests {
         assert_eq!(m.view().flat_range_to_vec(5..17), m.as_slice()[5..17]);
         assert_eq!(m.view().flat_range_to_arc(5..17)[..], m.as_slice()[5..17]);
         assert!(m.block(0, 7, 5, 0).flat_range_to_vec(0..0).is_empty());
-    }
-
-    #[test]
-    fn mut_view_writes_through() {
-        let mut m = Matrix::<f64>::zeros(3, 3);
-        {
-            let mut v = m.view_mut();
-            *v.at_mut(1, 2) = 7.0;
-            v.row_mut(0)[1] = 3.0;
-            assert_eq!(v.get(1, 2), 7.0);
-        }
-        assert_eq!(m[(1, 2)], 7.0);
-        assert_eq!(m[(0, 1)], 3.0);
     }
 
     #[test]

@@ -44,8 +44,6 @@ pub const RETRY_DROP_PHASE: &str = "retry:drop";
 pub const RETRY_DUP_PHASE: &str = "retry:dup";
 /// Receive-side cost of discarding a checksum-failed delivery.
 pub const RETRY_CORRUPT_PHASE: &str = "retry:corrupt";
-/// Clock lost to an injected rank stall.
-pub const RETRY_STALL_PHASE: &str = "retry:stall";
 
 /// Phase names under which crash-recovery costs are recorded. Like the
 /// `retry:*` family they are distinct from every algorithm phase, so
@@ -147,7 +145,7 @@ pub(crate) struct World {
     pub first_error: Mutex<Option<(usize, MachineError)>>,
     /// Ranks that have returned from the SPMD closure.
     pub finished: Vec<AtomicBool>,
-    /// Per-rank communication-operation counters (for crash/stall faults).
+    /// Per-rank communication-operation counters (for crash faults).
     pub ops: Vec<AtomicU64>,
     /// World ranks killed by injected crash faults, in the order the
     /// crashes fired. Survivors read this through
@@ -351,11 +349,6 @@ impl Comm {
         self.world.aborted.load(Ordering::SeqCst)
     }
 
-    /// Current cost counters of this rank (snapshot).
-    pub fn my_cost(&self) -> RankCost {
-        self.with_ledger(|l| l.total.clone())
-    }
-
     /// Open a named phase on this *rank*: until the matching
     /// [`pop_phase`](Comm::pop_phase), every cost delta and traced event
     /// charged by this rank — on this communicator or any communicator
@@ -413,7 +406,7 @@ impl Comm {
     }
 
     /// Charge one communication operation against the fault plan's
-    /// crash/stall schedule for this rank.
+    /// crash schedule for this rank.
     fn fault_op_check(&self) -> Result<(), MachineError> {
         let Some(plan) = &self.world.faults else {
             return Ok(());
@@ -423,13 +416,6 @@ impl Comm {
         }
         let me = self.world_rank();
         let op = self.world.ops[me].fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(clock) = plan.stall_at(me, op) {
-            crate::fault::note_stall();
-            self.with_ledger(|l| {
-                let stall = |c: &mut RankCost, _: &CostModel| c.clock += clock;
-                self.charge_retry(l, RETRY_STALL_PHASE, EventKind::Flops, usize::MAX, 0, stall)
-            });
-        }
         if plan.crash_at(me, op) {
             crate::fault::note_crash();
             self.world.crashed.lock().push(me);
@@ -473,7 +459,7 @@ impl Comm {
     /// false for the exchange path (charged as one duplex step at match
     /// time) and for zero-cost metadata. `exempt` messages ([`Comm::split`]
     /// bookkeeping) still carry sequence numbers, but they never fault and
-    /// are not operations of the crash/stall schedule, so an exempt
+    /// are not operations of the crash schedule, so an exempt
     /// dispatch cannot fail.
     fn dispatch<T: Payload>(
         &self,
@@ -781,7 +767,7 @@ impl Comm {
     /// member its child group — one `Arc` shared by the whole color — and
     /// its position in it. That is `2(P − 1)` envelopes and `O(P log P)`
     /// work at the root. The envelopes charge nothing on any ledger, are
-    /// never faulted, are not operations of a crash or stall schedule (see
+    /// never faulted, are not operations of a crash schedule (see
     /// [`FaultPlan::crash_rank`]) and leave no trace event. A member that
     /// never calls `split` is diagnosed as a [`MachineError::Deadlock`]
     /// whose wait-for edges carry op `"split"`.

@@ -322,11 +322,6 @@ impl CostReport {
         self.ranks.iter().map(|r| r.words_sent).max().unwrap_or(0)
     }
 
-    /// `max_p words_recv(p)` — receive-side critical-path bandwidth cost.
-    pub fn max_words_recv(&self) -> u64 {
-        self.ranks.iter().map(|r| r.words_recv).max().unwrap_or(0)
-    }
-
     /// `max_p (words_sent(p) + words_recv(p))` — total traffic at the
     /// busiest rank.
     pub fn max_words_total(&self) -> u64 {

@@ -15,7 +15,6 @@
 //! * **corrupt** — the delivered bits fail the payload checksum; the
 //!   receiver discards the copy (`retry:corrupt`) and consumes the
 //!   retransmission instead,
-//! * **stall** — a chosen rank loses a fixed amount of clock mid-phase,
 //! * **crash** — a chosen rank dies after a fixed number of communication
 //!   operations, which surfaces as
 //!   [`MachineError::RankCrashed`](crate::MachineError::RankCrashed).
@@ -38,12 +37,10 @@ static DROPS_INJECTED: LazyCounter = LazyCounter::new("syrk_fault_drops_injected
 static DUPS_INJECTED: LazyCounter = LazyCounter::new("syrk_fault_dups_injected");
 static CORRUPTS_INJECTED: LazyCounter = LazyCounter::new("syrk_fault_corrupts_injected");
 static DELAYS_INJECTED: LazyCounter = LazyCounter::new("syrk_fault_delays_injected");
-static STALLS_INJECTED: LazyCounter = LazyCounter::new("syrk_fault_stalls_injected");
 static CRASHES_INJECTED: LazyCounter = LazyCounter::new("syrk_fault_crashes_injected");
 static RETRY_DROP: LazyCounter = LazyCounter::new("syrk_retry_drop_handled");
 static RETRY_DUP: LazyCounter = LazyCounter::new("syrk_retry_dup_handled");
 static RETRY_CORRUPT: LazyCounter = LazyCounter::new("syrk_retry_corrupt_handled");
-static RETRY_STALL: LazyCounter = LazyCounter::new("syrk_retry_stall_handled");
 
 /// Meter one message's injected faults on the telemetry registry
 /// (`syrk_fault_*_injected`). Called by the transmit path once per
@@ -61,11 +58,6 @@ pub(crate) fn note_injected(mf: &MessageFaults) {
     }
 }
 
-/// Meter an injected rank stall (`syrk_fault_stalls_injected`).
-pub(crate) fn note_stall() {
-    STALLS_INJECTED.inc();
-}
-
 /// Meter an injected rank crash (`syrk_fault_crashes_injected`).
 pub(crate) fn note_crash() {
     CRASHES_INJECTED.inc();
@@ -79,7 +71,6 @@ pub(crate) fn note_retry(phase: &str) {
         crate::comm::RETRY_DROP_PHASE => RETRY_DROP.inc(),
         crate::comm::RETRY_DUP_PHASE => RETRY_DUP.inc(),
         crate::comm::RETRY_CORRUPT_PHASE => RETRY_CORRUPT.inc(),
-        crate::comm::RETRY_STALL_PHASE => RETRY_STALL.inc(),
         _ => {}
     }
 }
@@ -133,7 +124,6 @@ pub struct FaultPlan {
     delay_skew: f64,
     corrupt_p: f64,
     max_retries: u32,
-    stall: Option<(usize, u64, f64)>,
     crash: Vec<(usize, u64)>,
 }
 
@@ -148,7 +138,6 @@ impl FaultPlan {
             delay_skew: 0.0,
             corrupt_p: 0.0,
             max_retries: 8,
-            stall: None,
             crash: Vec::new(),
         }
     }
@@ -190,15 +179,6 @@ impl FaultPlan {
         self
     }
 
-    /// Stall world rank `rank` for `clock` model-time units just before
-    /// its `at_op`-th communication operation (1-based), counted as for
-    /// [`crash_rank`](FaultPlan::crash_rank).
-    pub fn stall_rank(mut self, rank: usize, at_op: u64, clock: f64) -> Self {
-        assert!(clock >= 0.0, "stall clock must be non-negative");
-        self.stall = Some((rank, at_op, clock));
-        self
-    }
-
     /// Crash world rank `rank` just before its `at_op`-th communication
     /// operation (1-based). The run aborts with
     /// [`MachineError::RankCrashed`](crate::MachineError::RankCrashed).
@@ -233,10 +213,10 @@ impl FaultPlan {
         self.drop_p > 0.0 || self.dup_p > 0.0 || self.delay_p > 0.0 || self.corrupt_p > 0.0
     }
 
-    /// Whether the plan targets whole ranks (stall/crash) — when false,
-    /// the per-operation counters are not consulted.
+    /// Whether the plan crashes any rank — when false, the
+    /// per-operation counters are not consulted.
     pub(crate) fn perturbs_ranks(&self) -> bool {
-        self.stall.is_some() || !self.crash.is_empty()
+        !self.crash.is_empty()
     }
 
     /// Decide the faults for message `seq` on the `src → dst` link.
@@ -258,14 +238,6 @@ impl FaultPlan {
             f.delay = self.delay_skew;
         }
         f
-    }
-
-    /// Clock stall for `rank` at its `op`-th communication operation.
-    pub(crate) fn stall_at(&self, rank: usize, op: u64) -> Option<f64> {
-        match self.stall {
-            Some((r, at, clock)) if r == rank && at == op => Some(clock),
-            _ => None,
-        }
     }
 
     /// Whether `rank` crashes at its `op`-th communication operation.

@@ -65,7 +65,7 @@ pub use collectives::{CollectiveAlg, ReduceScatterAlg};
 pub use comm::{
     Comm, PhaseScope, HEARTBEAT_TIMEOUT_PROBES, RECOVER_AGREE_PHASE, RECOVER_BACKOFF_PHASE,
     RECOVER_DETECT_PHASE, RECOVER_REDISTRIBUTE_PHASE, RETRY_CORRUPT_PHASE, RETRY_DROP_PHASE,
-    RETRY_DUP_PHASE, RETRY_STALL_PHASE,
+    RETRY_DUP_PHASE,
 };
 pub use cost::{CostModel, CostReport, PhaseCost, PhaseRow, PhaseTable, RankCost, UNTAGGED_PHASE};
 pub use dump::{failure_dump_string, write_failure_dump};
