@@ -44,7 +44,11 @@ fn main() {
     for e in selected {
         let t0 = Instant::now();
         println!("═══ {} — {} ═══", e.slug, e.artifact);
-        for (idx, table) in (e.run)().iter().enumerate() {
+        let tables = (e.run)().unwrap_or_else(|err| {
+            eprintln!("experiments: {} failed: {err}", e.slug);
+            std::process::exit(1);
+        });
+        for (idx, table) in tables.iter().enumerate() {
             print!("{}", table.render());
             let slug = format!("{}_{}", e.slug, idx);
             if let Err(err) = table.write_csv(&csv_dir, &slug) {

@@ -1,12 +1,12 @@
 //! E4 (Theorem 1 sweep) and E8 (§5.4 algorithm/grid crossover).
 
 use crate::table::{fnum, Table};
-use syrk_core::{gemm_lower_bound, plan, predicted_cost, syrk_lower_bound, Plan};
+use syrk_core::{gemm_lower_bound, plan, predicted_cost, syrk_lower_bound, Plan, SyrkError};
 
 /// E4 — Theorem 1: the lower bound `W` across processor counts for the
 /// three matrix shapes (short-wide, tall-skinny, square), showing the
 /// case boundaries and the SYRK/GEMM factor of 2.
-pub fn bounds_sweep() -> Vec<Table> {
+pub fn bounds_sweep() -> Result<Vec<Table>, SyrkError> {
     let shapes = [
         ("short-wide", 64usize, 65536usize),
         ("tall-skinny", 65536, 64),
@@ -43,13 +43,13 @@ pub fn bounds_sweep() -> Vec<Table> {
         t.note("GEMM/SYRK ratio -> 2 in every case (the headline claim)");
         tables.push(t);
     }
-    tables
+    Ok(tables)
 }
 
 /// E8 — §5.4: which algorithm the planner picks as `P` grows for a fixed
 /// shape, with the predicted costs of all three families (the crossover
 /// the paper describes: 1D→3D for short-wide, 2D→3D for tall-skinny).
-pub fn crossover() -> Vec<Table> {
+pub fn crossover() -> Result<Vec<Table>, SyrkError> {
     let mut tables = Vec::new();
     for (name, n1, n2) in [
         ("short-wide", 64usize, 4096usize),
@@ -102,5 +102,5 @@ pub fn crossover() -> Vec<Table> {
         t.note("paper §5.4: case boundaries P = n2/sqrt(n1(n1-1)) (1D->3D) and P = n1(n1-1)/n2^2 (2D->3D)");
         tables.push(t);
     }
-    tables
+    Ok(tables)
 }

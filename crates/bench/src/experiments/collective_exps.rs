@@ -2,12 +2,13 @@
 //! Bruck collectives, measured on the simulated machine.
 
 use crate::table::{fnum, Table};
-use syrk_machine::{CollectiveAlg, CostModel, Machine};
+use syrk_core::SyrkError;
+use syrk_machine::{CollectiveAlg, CostModel, CostReport, Machine, MachineError};
 
 /// E12 — All-to-All algorithms: pairwise exchange (bandwidth-optimal,
 /// latency `P−1`) vs Bruck (latency `⌈log₂P⌉`, bandwidth inflated by
 /// ~`(log₂P)/2`), across message sizes, under a realistic α ≫ β model.
-pub fn collectives_tradeoff() -> Vec<Table> {
+pub fn collectives_tradeoff() -> Result<Vec<Table>, SyrkError> {
     let mut t = Table::new(
         "E12 / §6 — All-to-All: pairwise exchange vs Bruck",
         &[
@@ -31,17 +32,15 @@ pub fn collectives_tradeoff() -> Vec<Table> {
     };
     for p in [8usize, 16, 32, 64] {
         for b in [1usize, 16, 256, 4096] {
-            let run = |alg: CollectiveAlg| {
-                Machine::new(p)
-                    .with_model(model)
-                    .run(move |comm| {
-                        let blocks = vec![vec![0.5f64; b]; p];
-                        comm.all_to_all_with(blocks, alg);
-                    })
-                    .cost
+            let run = |alg: CollectiveAlg| -> Result<CostReport, MachineError> {
+                let out = Machine::new(p).with_model(model).try_run(move |comm| {
+                    let blocks = vec![vec![0.5f64; b]; p];
+                    comm.try_all_to_all_with(blocks, alg).map(drop)
+                })?;
+                Ok(out.cost)
             };
-            let pw = run(CollectiveAlg::PairwiseExchange);
-            let bk = run(CollectiveAlg::Bruck);
+            let pw = run(CollectiveAlg::PairwiseExchange)?;
+            let bk = run(CollectiveAlg::Bruck)?;
             assert_eq!(pw.max_messages(), (p - 1) as u64);
             assert!(bk.max_messages() <= (p as f64).log2().ceil() as u64);
             t.row(vec![
@@ -62,5 +61,5 @@ pub fn collectives_tradeoff() -> Vec<Table> {
     t.note(
         "trades O(log P) latency for an O(log P) bandwidth factor — Bruck wins for small messages",
     );
-    vec![t]
+    Ok(vec![t])
 }

@@ -2,7 +2,7 @@
 //! distribution tables and figures from the implementation.
 
 use crate::table::Table;
-use syrk_core::TriangleBlockDist;
+use syrk_core::{SyrkError, TriangleBlockDist};
 
 fn set_str(s: &[usize]) -> String {
     let inner: Vec<String> = s.iter().map(|x| x.to_string()).collect();
@@ -12,7 +12,7 @@ fn set_str(s: &[usize]) -> String {
 /// E2 — Table 1: the row block sets `R_k`, diagonal blocks `D_k`, and
 /// processor sets `Q_i` for `c = 3, P = 12`, exactly as printed in the
 /// paper, regenerated from eqs. (4)–(8).
-pub fn table1_distribution() -> Vec<Table> {
+pub fn table1_distribution() -> Result<Vec<Table>, SyrkError> {
     let d = TriangleBlockDist::new(3);
     let mut t = Table::new(
         "E2 / Table 1 — Triangle Block Distribution row block sets (c=3, P=12)",
@@ -54,14 +54,14 @@ pub fn table1_distribution() -> Vec<Table> {
         f.row(row);
     }
     f.note("diagonal owners in [brackets]; compare blue rank labels in paper Fig. 2");
-    vec![t, q, f]
+    Ok(vec![t, q, f])
 }
 
 /// E3 — Figure 3: the 3D distribution with `p1 = 6 (c = 2), p2 = 3`:
 /// each slice ℓ reuses the 2D distribution on its block column of A, and
 /// each triangle-block-of-blocks `C_k` is shared by the `p2` ranks of the
 /// grid row `Π_{k*}`.
-pub fn fig3_3d_distribution() -> Vec<Table> {
+pub fn fig3_3d_distribution() -> Result<Vec<Table>, SyrkError> {
     let d = TriangleBlockDist::new(2);
     let (p1, p2) = (d.p(), 3usize);
 
@@ -109,5 +109,5 @@ pub fn fig3_3d_distribution() -> Vec<Table> {
         }
     }
     a.note("each block A_il evenly divided across its c+1=3 slice ranks, per Fig. 3's red/colored labels");
-    vec![t, a]
+    Ok(vec![t, a])
 }

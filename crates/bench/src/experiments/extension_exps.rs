@@ -4,8 +4,8 @@
 
 use crate::table::{fnum, Table};
 use syrk_core::{
-    run, symm_2d, symm_reference, syr2k_1d, syr2k_2d, syrk_2d, syrk_2d_limited, syrk_3d,
-    syrk_lower_bound, syrk_memory_dependent_bound, Plan, RunSpec,
+    run, symm_2d, symm_reference, syr2k_1d, syr2k_2d, syrk_2d_limited, syrk_lower_bound,
+    syrk_memory_dependent_bound, try_syrk_2d, try_syrk_3d, Plan, RunSpec, SyrkError,
 };
 use syrk_dense::{max_abs_diff, seeded_matrix, syr2k_full_reference, syrk_tolerance};
 use syrk_machine::{CostModel, ReduceScatterAlg};
@@ -15,7 +15,7 @@ use syrk_machine::{CostModel, ReduceScatterAlg};
 /// variant moves the *same* words as SYRK (only the output triangle
 /// moves); the 2D variant moves exactly 2× SYRK's input words (two
 /// inputs) — still half of evaluating the two products by GEMM (4×).
-pub fn syr2k_extension() -> Vec<Table> {
+pub fn syr2k_extension() -> Result<Vec<Table>, SyrkError> {
     let mut t = Table::new(
         "E13 / §6 extension — SYR2K with triangle blocking",
         &[
@@ -36,8 +36,8 @@ pub fn syr2k_extension() -> Vec<Table> {
     let (n1, n2, p) = (48usize, 480usize, 8usize);
     let a = seeded_matrix::<f64>(n1, n2, 1);
     let b = seeded_matrix::<f64>(n1, n2, 2);
-    let s2 = syr2k_1d(&a, &b, p, m());
-    let s1 = syrk_core::syrk_1d(&a, p, m());
+    let s2 = syr2k_1d(&a, &b, p, m())?;
+    let s1 = syrk_core::try_syrk_1d(&a, p, m(), None)?;
     let err = max_abs_diff(&s2.c, &syr2k_full_reference(&a, &b));
     let ok = err <= syrk_tolerance::<f64>(n2, 1.0);
     assert!(ok, "syr2k_1d wrong: {err}");
@@ -57,8 +57,8 @@ pub fn syr2k_extension() -> Vec<Table> {
     let (n1, n2, c) = (360usize, 8usize, 5usize);
     let a = seeded_matrix::<f64>(n1, n2, 3);
     let b = seeded_matrix::<f64>(n1, n2, 4);
-    let s2 = syr2k_2d(&a, &b, c, m());
-    let s1 = syrk_2d(&a, c, m());
+    let s2 = syr2k_2d(&a, &b, c, m())?;
+    let s1 = try_syrk_2d(&a, c, m(), None)?;
     let err = max_abs_diff(&s2.c, &syr2k_full_reference(&a, &b));
     let ok = err <= syrk_tolerance::<f64>(n2, 1.0);
     assert!(ok, "syr2k_2d wrong: {err}");
@@ -75,14 +75,14 @@ pub fn syr2k_extension() -> Vec<Table> {
     ]);
     t.note("1D: word ratio = 1 (only the output moves); 2D: word ratio = 2 (two inputs)");
     t.note("a GEMM-style evaluation (two full products) would move 4x the 2D SYRK words");
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E14 — memory footprint vs the memory-independent assumption: §3.2
 /// assumes "sufficient local memory"; §6 notes the 3D algorithm may not
 /// fit in limited-memory regimes. Measure each algorithm's peak per-rank
 /// buffer against the balanced-data budget `(n1²/2 + n1n2)/P`.
-pub fn memory_footprint() -> Vec<Table> {
+pub fn memory_footprint() -> Result<Vec<Table>, SyrkError> {
     let mut t = Table::new(
         "E14 / §6 extension — peak per-rank buffer words vs balanced-data budget",
         &[
@@ -119,26 +119,26 @@ pub fn memory_footprint() -> Vec<Table> {
 
     let (n1, n2) = (72usize, 144usize);
     let a = seeded_matrix::<f64>(n1, n2, 9);
-    let r1 = syrk_core::syrk_1d(&a, 8, m());
+    let r1 = syrk_core::try_syrk_1d(&a, 8, m(), None)?;
     push("syrk_1d", n1, n2, 8, r1.cost.max_peak_buffer());
-    let r2 = syrk_2d(&a, 2, m());
+    let r2 = try_syrk_2d(&a, 2, m(), None)?;
     push("syrk_2d c=2", n1, n2, 6, r2.cost.max_peak_buffer());
-    let r3 = syrk_3d(&a, 2, 4, m());
+    let r3 = try_syrk_3d(&a, 2, 4, m(), None)?;
     push("syrk_3d c=2,p2=4", n1, n2, 24, r3.cost.max_peak_buffer());
-    let r3b = syrk_3d(&a, 3, 2, m());
+    let r3b = try_syrk_3d(&a, 3, 2, m(), None)?;
     push("syrk_3d c=3,p2=2", n1, n2, 24, r3b.cost.max_peak_buffer());
 
     t.note("1D needs the full n1(n1+1)/2 output resident per rank: the classic memory/comm trade");
     t.note("peak/budget >> 1 marks where the paper's 'sufficient memory' assumption binds (§6)");
     t.note("W_mem(M=peak) < Thm1 bound everywhere: at these peaks the memory-independent regime governs,");
     t.note("i.e. each algorithm carries enough memory that Theorem 1 is the binding constraint");
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E15 — latency-optimal collectives inside Algorithm 1 (§6): the same
 /// computation with three Reduce-Scatter algorithms, under a
 /// latency-heavy model, P a power of two.
-pub fn latency_1d() -> Vec<Table> {
+pub fn latency_1d() -> Result<Vec<Table>, SyrkError> {
     let mut t = Table::new(
         "E15 / §6 extension — Algorithm 1 with latency-efficient Reduce-Scatter",
         &[
@@ -168,7 +168,7 @@ pub fn latency_1d() -> Vec<Table> {
             rs_alg,
             ..RunSpec::new(Plan::OneD { p }, model)
         };
-        let run = run(&a, &spec).expect("p > 0 on a nonempty A").result;
+        let run = run(&a, &spec)?.result;
         let ok = max_abs_diff(&run.c, &reference) <= syrk_tolerance::<f64>(n2, 1.0);
         assert!(ok, "{name} produced a wrong result");
         t.row(vec![
@@ -189,14 +189,14 @@ pub fn latency_1d() -> Vec<Table> {
         "Theorem 1 bound at this instance: {:.0} words — pairwise and halving both sit on it",
         b.communicated()
     ));
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E16 — the limited-memory panel variant (§6 future work): stream the
 /// columns in `rounds` panels. A-volume is invariant; latency grows
 /// linearly with rounds; the peak transient buffer shrinks toward the
 /// owned-output footprint. The memory-dependent trade, measured.
-pub fn limited_memory() -> Vec<Table> {
+pub fn limited_memory() -> Result<Vec<Table>, SyrkError> {
     let mut t = Table::new(
         "E16 / §6 extension — panel-streamed 2D SYRK (limited memory)",
         &[
@@ -214,7 +214,7 @@ pub fn limited_memory() -> Vec<Table> {
     let a = seeded_matrix::<f64>(n1, n2, 14);
     let reference = syrk_dense::syrk_full_reference(&a);
     for rounds in [1usize, 2, 4, 8, 16] {
-        let run = syrk_2d_limited(&a, c, rounds, CostModel::bandwidth_only());
+        let run = syrk_2d_limited(&a, c, rounds, CostModel::bandwidth_only())?;
         let ok = max_abs_diff(&run.c, &reference) <= syrk_tolerance::<f64>(n2, 1.0);
         assert!(ok, "rounds={rounds}");
         let peak = run.cost.max_peak_buffer();
@@ -230,13 +230,13 @@ pub fn limited_memory() -> Vec<Table> {
     }
     t.note("words constant (each chunk crosses the network once); msgs = rounds × the c² partners that share a row block");
     t.note("peak buffer -> owned-output footprint as rounds grow; W_mem rises as M falls - the s6 trade");
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E17 — SYMM with the triangle blocking on the symmetric *input*: the
 /// n×n operand never moves; communication is `2nm/(c+1)` — independent
 /// of n². A dense-layout route would have to circulate A itself.
-pub fn symm_extension() -> Vec<Table> {
+pub fn symm_extension() -> Result<Vec<Table>, SyrkError> {
     let mut t = Table::new(
         "E17 / §6 extension — SYMM (C = A_sym · B), symmetric operand pinned in place",
         &[
@@ -264,7 +264,7 @@ pub fn symm_extension() -> Vec<Table> {
             }
         }
         let b = seeded_matrix::<f64>(n, m, 3);
-        let run = symm_2d(&a, &b, c, CostModel::bandwidth_only());
+        let run = symm_2d(&a, &b, c, CostModel::bandwidth_only())?;
         let err = max_abs_diff(&run.c, &symm_reference(&a, &b));
         let ok = err <= syrk_tolerance::<f64>(n, 4.0);
         assert!(ok, "(n={n},c={c}): {err}");
@@ -281,5 +281,5 @@ pub fn symm_extension() -> Vec<Table> {
     }
     t.note("doubling n doubles SYMM words (linear: only B and C move) while the dense-A column grows 4x");
     t.note("the symmetric operand is pinned by the triangle blocks - the paper's s6 SYMM conjecture, exhibited");
-    vec![t]
+    Ok(vec![t])
 }

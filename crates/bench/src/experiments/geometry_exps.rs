@@ -2,6 +2,7 @@
 //! experiments.
 
 use crate::table::{fnum, Table};
+use syrk_core::SyrkError;
 use syrk_geometry::{
     check_lemma3_proof_steps, loomis_whitney_sides, symmetric_lw_sides, Lemma6Problem, PointSet,
     SyrkIterationSpace,
@@ -10,7 +11,7 @@ use syrk_geometry::{
 /// E1 — Figure 1: the SYRK iteration space (triangular prism), its exact
 /// volume `n1·n2·(n1+1)/2`, and the projection footprints onto `A`, `Aᵀ`,
 /// and `C`.
-pub fn fig1_iteration_space() -> Vec<Table> {
+pub fn fig1_iteration_space() -> Result<Vec<Table>, SyrkError> {
     let mut t = Table::new(
         "E1 / Fig. 1 — SYRK iteration space volumes and projections",
         &[
@@ -42,13 +43,13 @@ pub fn fig1_iteration_space() -> Vec<Table> {
     }
     t.note("paper: Fig. 1 caption gives n1·n2·(n1+1)/2 total iteration points");
     t.note("phi_i/phi_j are footprints on A/A^T: (n1-1)·n2; phi_k on strict-lower C: n1(n1-1)/2");
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E10 — Lemma 3: the symmetric Loomis–Whitney inequality, checked on the
 /// SYRK prism, on triangle blocks (where it is asymptotically tight), and
 /// on pseudo-random subsets; compared against plain Loomis–Whitney.
-pub fn lemma3_tightness() -> Vec<Table> {
+pub fn lemma3_tightness() -> Result<Vec<Table>, SyrkError> {
     let mut t = Table::new(
         "E10 / Lemma 3 — symmetric Loomis-Whitney: slack rhs/lhs (>= 1 required)",
         &[
@@ -122,12 +123,12 @@ pub fn lemma3_tightness() -> Vec<Table> {
     t.note(
         "slack -> 1 on triangle blocks as s grows: the structure the optimal algorithms exploit",
     );
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E11 — Lemma 6: the analytic three-case optimum vs an independent
 /// golden-section solve, plus the KKT residuals of the paper's duals.
-pub fn lemma6_optimization() -> Vec<Table> {
+pub fn lemma6_optimization() -> Result<Vec<Table>, SyrkError> {
     let mut t = Table::new(
         "E11 / Lemma 6 — analytic vs numeric optimum and KKT residuals",
         &[
@@ -177,5 +178,5 @@ pub fn lemma6_optimization() -> Vec<Table> {
         ]);
     }
     t.note("paper: Lemma 6's KKT certificate (cases 1-3) machine-checked; numeric solver is independent");
-    vec![t]
+    Ok(vec![t])
 }

@@ -6,12 +6,14 @@
 //!   communication.
 
 use crate::table::{fnum, Table};
-use syrk_core::{gemm_1d, gemm_2d, gemm_3d, scalapack_syrk_2d, syrk_1d, syrk_2d, syrk_3d};
+use syrk_core::{
+    gemm_1d, gemm_2d, gemm_3d, scalapack_syrk_2d, try_syrk_1d, try_syrk_2d, try_syrk_3d, SyrkError,
+};
 use syrk_dense::{max_abs_diff, seeded_matrix, syrk_full_reference, syrk_tolerance};
 use syrk_machine::CostModel;
 
 /// E9a — Case 1 regime (short-wide): 1D SYRK vs 1D GEMM at identical `P`.
-pub fn headline_case1() -> Vec<Table> {
+pub fn headline_case1() -> Result<Vec<Table>, SyrkError> {
     let mut t = Table::new(
         "E9a / headline — 1D SYRK vs 1D GEMM (Case 1, words & flops at busiest rank)",
         &[
@@ -28,8 +30,8 @@ pub fn headline_case1() -> Vec<Table> {
     );
     for (n1, n2, p) in [(64usize, 1024usize, 4usize), (96, 2048, 8), (128, 4096, 16)] {
         let a = seeded_matrix::<f64>(n1, n2, 42);
-        let s = syrk_1d(&a, p, CostModel::bandwidth_only());
-        let g = gemm_1d(&a, p, CostModel::bandwidth_only());
+        let s = try_syrk_1d(&a, p, CostModel::bandwidth_only(), None)?;
+        let g = gemm_1d(&a, p, CostModel::bandwidth_only())?;
         for run in [&s, &g] {
             let err = max_abs_diff(&run.c, &syrk_full_reference(&a));
             assert!(err <= syrk_tolerance::<f64>(n2, 1.0), "wrong result: {err}");
@@ -52,7 +54,7 @@ pub fn headline_case1() -> Vec<Table> {
         ]);
     }
     t.note("expected word ratio: n1^2 / (n1(n1+1)/2) = 2n1/(n1+1) -> 2; flop ratio likewise -> 2");
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E9b — Case 2 regime (tall-skinny): 2D SYRK (triangle blocking) vs
@@ -60,7 +62,7 @@ pub fn headline_case1() -> Vec<Table> {
 /// (`c(c+1)` vs `r²`), so costs are normalized to the scale-free constant
 /// `words·√P/(n1·n2)` that the bounds predict: 1 for optimal SYRK, 2 for
 /// GEMM *and* for library SYRK.
-pub fn headline_case2() -> Vec<Table> {
+pub fn headline_case2() -> Result<Vec<Table>, SyrkError> {
     let mut t = Table::new(
         "E9b / headline — 2D: triangle-block SYRK vs SUMMA GEMM vs ScaLAPACK-style SYRK",
         &[
@@ -80,12 +82,12 @@ pub fn headline_case2() -> Vec<Table> {
     let tol = syrk_tolerance::<f64>(n2, 1.0);
 
     // Optimal SYRK on c = 5 (P = 30).
-    let s = syrk_2d(&a, 5, CostModel::bandwidth_only());
+    let s = try_syrk_2d(&a, 5, CostModel::bandwidth_only(), None)?;
     assert!(max_abs_diff(&s.c, &reference) <= tol);
     // GEMM and ScaLAPACK SYRK on r = 6 (P = 36, the closest square).
-    let g = gemm_2d(&a, 6, CostModel::bandwidth_only());
+    let g = gemm_2d(&a, 6, CostModel::bandwidth_only())?;
     assert!(max_abs_diff(&g.c, &reference) <= tol);
-    let l = scalapack_syrk_2d(&a, 6, CostModel::bandwidth_only());
+    let l = scalapack_syrk_2d(&a, 6, CostModel::bandwidth_only())?;
     assert!(max_abs_diff(&l.c, &reference) <= tol);
 
     for (name, run, p) in [
@@ -110,12 +112,12 @@ pub fn headline_case2() -> Vec<Table> {
     }
     t.note("bounds: optimal SYRK const -> 1, GEMM const -> 2");
     t.note("ScaLAPACK-style: flop const ~ 1 (halved like SYRK) but word const ~ 2 (like GEMM) — the gap this paper closes");
-    vec![t]
+    Ok(vec![t])
 }
 
 /// E9c — Case 3 regime (large P): 3D SYRK vs 3D GEMM, normalized to the
 /// scale-free constant `words/(n1²n2/P)^{2/3}` (bounds: 3/2 vs 3).
-pub fn headline_case3() -> Vec<Table> {
+pub fn headline_case3() -> Result<Vec<Table>, SyrkError> {
     let mut t = Table::new(
         "E9c / headline — 3D: SYRK (c(c+1) x p2 grid) vs GEMM (r x r x p2 grid)",
         &[
@@ -133,9 +135,9 @@ pub fn headline_case3() -> Vec<Table> {
     let tol = syrk_tolerance::<f64>(n2, 1.0);
 
     // SYRK: c = 3 (p1 = 12), p2 = 3 → P = 36. GEMM: r = 3, p2 = 4 → P = 36.
-    let s = syrk_3d(&a, 3, 3, CostModel::bandwidth_only());
+    let s = try_syrk_3d(&a, 3, 3, CostModel::bandwidth_only(), None)?;
     assert!(max_abs_diff(&s.c, &reference) <= tol);
-    let g = gemm_3d(&a, 3, 4, CostModel::bandwidth_only());
+    let g = gemm_3d(&a, 3, 4, CostModel::bandwidth_only())?;
     assert!(max_abs_diff(&g.c, &reference) <= tol);
 
     for (name, run, p) in [("syrk_3d (this paper)", &s, 36usize), ("gemm_3d", &g, 36)] {
@@ -151,5 +153,5 @@ pub fn headline_case3() -> Vec<Table> {
         ]);
     }
     t.note("bounds: SYRK const -> 3/2, GEMM const -> 3 (factor 2, paper §6); small grids carry O(1/c) slack");
-    vec![t]
+    Ok(vec![t])
 }

@@ -10,6 +10,8 @@ mod geometry_exps;
 mod headline_exps;
 mod trend_exps;
 
+use syrk_core::SyrkError;
+
 use crate::table::Table;
 
 /// A named, runnable experiment.
@@ -18,8 +20,9 @@ pub struct Experiment {
     pub slug: &'static str,
     /// Paper artifact it regenerates.
     pub artifact: &'static str,
-    /// Run the experiment, producing one or more tables.
-    pub run: fn() -> Vec<Table>,
+    /// Run the experiment, producing one or more tables, or the first
+    /// simulated run that failed.
+    pub run: fn() -> Result<Vec<Table>, SyrkError>,
 }
 
 /// Every experiment, in paper order.
@@ -153,7 +156,7 @@ mod tests {
     fn run_fig1_table1_fig3() {
         for slug in ["fig1", "table1", "fig3"] {
             let e = all().into_iter().find(|e| e.slug == slug).unwrap();
-            let tables = (e.run)();
+            let tables = (e.run)().unwrap();
             assert!(
                 !tables.is_empty() && tables.iter().all(|t| !t.rows.is_empty()),
                 "{slug}"
@@ -165,40 +168,40 @@ mod tests {
     fn run_bounds_and_crossover() {
         for slug in ["bounds", "crossover", "lemma3", "lemma6"] {
             let e = all().into_iter().find(|e| e.slug == slug).unwrap();
-            assert!(!(e.run)().is_empty(), "{slug}");
+            assert!(!(e.run)().unwrap().is_empty(), "{slug}");
         }
     }
 
     #[test]
     fn run_attain1d() {
         let e = all().into_iter().find(|e| e.slug == "attain1d").unwrap();
-        assert!(!(e.run)().is_empty());
+        assert!(!(e.run)().unwrap().is_empty());
     }
 
     #[test]
     fn run_attain2d() {
         let e = all().into_iter().find(|e| e.slug == "attain2d").unwrap();
-        assert!(!(e.run)().is_empty());
+        assert!(!(e.run)().unwrap().is_empty());
     }
 
     #[test]
     fn run_attain3d() {
         let e = all().into_iter().find(|e| e.slug == "attain3d").unwrap();
-        assert!(!(e.run)().is_empty());
+        assert!(!(e.run)().unwrap().is_empty());
     }
 
     #[test]
     fn run_headlines() {
         for slug in ["headline1", "headline2", "headline3"] {
             let e = all().into_iter().find(|e| e.slug == slug).unwrap();
-            assert!(!(e.run)().is_empty(), "{slug}");
+            assert!(!(e.run)().unwrap().is_empty(), "{slug}");
         }
     }
 
     #[test]
     fn run_collectives() {
         let e = all().into_iter().find(|e| e.slug == "collectives").unwrap();
-        assert!(!(e.run)().is_empty());
+        assert!(!(e.run)().unwrap().is_empty());
     }
 
     /// E13, E16 and E17 render exactly as committed in
@@ -213,7 +216,7 @@ mod tests {
         ));
         for slug in ["syr2k", "memory", "latency1d", "limited", "symm"] {
             let e = all().into_iter().find(|e| e.slug == slug).unwrap();
-            let tables = (e.run)();
+            let tables = (e.run)().unwrap();
             assert!(!tables.is_empty(), "{slug}");
             if matches!(slug, "syr2k" | "limited" | "symm") {
                 for t in &tables {
@@ -227,12 +230,12 @@ mod tests {
     #[test]
     fn run_trend() {
         let e = all().into_iter().find(|e| e.slug == "trend").unwrap();
-        assert!(!(e.run)().is_empty());
+        assert!(!(e.run)().unwrap().is_empty());
     }
 
     #[test]
     fn run_flops() {
         let e = all().into_iter().find(|e| e.slug == "flops").unwrap();
-        assert!(!(e.run)().is_empty());
+        assert!(!(e.run)().unwrap().is_empty());
     }
 }

@@ -1,10 +1,31 @@
 //! Shared types for the distributed SYRK algorithms: per-rank outputs,
-//! global assembly, and the run result bundling output with costs.
+//! global assembly, the run result bundling output with costs, and the
+//! configuration checks every driver makes before a rank starts.
 
 use syrk_dense::{
     mirror_lower_to_upper, write_packed_lower, Diag, Matrix, PackedLower, Partition1D,
 };
 use syrk_machine::CostReport;
+
+use crate::dist::TriangleBlockDist;
+use crate::planner::PlanError;
+
+/// `Ok` for a run on at least one rank (`p`, `p2` or a grid side `r`).
+pub(crate) fn check_ranks(p: usize) -> Result<(), PlanError> {
+    (p > 0).then_some(()).ok_or(PlanError::ZeroRanks)
+}
+
+/// `Ok` for an `n1 × n2` input with no zero dimension.
+pub(crate) fn check_shape(n1: usize, n2: usize) -> Result<(), PlanError> {
+    (n1 > 0 && n2 > 0)
+        .then_some(())
+        .ok_or(PlanError::EmptyMatrix { n1, n2 })
+}
+
+/// The triangle block distribution of order `c`, if one is constructible.
+pub(crate) fn triangle_dist(c: usize) -> Result<TriangleBlockDist, PlanError> {
+    TriangleBlockDist::for_order(c).ok_or(PlanError::UnsupportedOrder { c })
+}
 
 /// An off-diagonal block of `C` produced by a rank: block indices
 /// `(i, j)` with `i > j` and the dense block values.

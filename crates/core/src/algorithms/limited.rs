@@ -6,8 +6,8 @@
 //! algorithm: instead of gathering all `n2` columns of its `R_k` row
 //! blocks at once, each rank processes the columns in `rounds` panels —
 //! gather a panel with Algorithm 2's exchange (`gather_row_blocks`, the
-//! one `syrk_2d` runs), accumulate its contribution into the locally
-//! owned `C` blocks, discard the panel, repeat.
+//! one `run` executes for `Plan::TwoD`), accumulate its contribution
+//! into the locally owned `C` blocks, discard the panel, repeat.
 //!
 //! * **Communication volume for `A` is unchanged** (every chunk still
 //!   crosses the network exactly once): `n1n2/(c+1)` words per rank.
@@ -26,33 +26,37 @@ use syrk_dense::{
 };
 use syrk_machine::{CostModel, Machine};
 
-use super::common::{assemble_c, DiagBlock, LocalOutput, OffDiagBlock, SyrkRunResult};
+use super::common::{
+    assemble_c, check_shape, triangle_dist, DiagBlock, LocalOutput, OffDiagBlock, SyrkRunResult,
+};
 use super::twod::gather_row_blocks;
-use crate::dist::{ConformalADist, TriangleBlockDist};
+use crate::dist::ConformalADist;
+use crate::error::SyrkError;
 
 /// Run the panel-streaming 2D algorithm with `rounds` column panels.
-/// `rounds = 1` sends, receives and computes exactly what
-/// [`syrk_2d`](crate::syrk_2d) does, rank by rank, and produces the same
-/// `C`; only `peak_buffer_words` differs, by convention: this driver
-/// counts its owned output blocks and not its staged chunks (2532 words
-/// against 2880 at E16's 72 × 96, c = 3).
+/// `rounds = 1` sends, receives and computes exactly what Algorithm 2
+/// ([`try_syrk_2d`](crate::try_syrk_2d)) does, rank by rank, and produces
+/// the same `C`; only `peak_buffer_words` differs, by convention: this
+/// driver counts its owned output blocks and not its staged chunks (2532
+/// words against 2880 at E16's 72 × 96, c = 3). Errors as
+/// [`run`](crate::run); `rounds = 0` panics.
 pub fn syrk_2d_limited(
     a: &Matrix<f64>,
     c: usize,
     rounds: usize,
     model: CostModel,
-) -> SyrkRunResult {
+) -> Result<SyrkRunResult, SyrkError> {
     assert!(rounds >= 1, "need at least one panel round");
-    let dist = TriangleBlockDist::for_order(c)
-        .unwrap_or_else(|| panic!("no triangle block construction for c = {c}"));
+    let dist = triangle_dist(c)?;
     let (n1, n2) = a.shape();
+    check_shape(n1, n2)?;
     // Every panel has the row blocks of the whole input.
     let whole = ConformalADist::new(&dist, n1, n2);
     let rows = &whole.rows;
     let panels = Partition1D::new(n2, rounds);
 
     let machine = Machine::new(dist.p()).with_model(model);
-    let out = machine.run(|comm| {
+    let out = machine.try_run(|comm| {
         let k = comm.rank();
         let live = whole.live_blocks(k);
         // Owned output blocks, accumulated across panels: pairs of
@@ -84,8 +88,7 @@ pub fn syrk_2d_limited(
             // Algorithm 2's exchange, panel width only.
             let a_panel = a.block(0, pr.start, n1, pr.len());
             let ad = ConformalADist::new(&dist, n1, pr.len());
-            let gathered = gather_row_blocks(&comm, &dist, &ad, &live, [a_panel], false)
-                .unwrap_or_else(|e| panic!("{e}"));
+            let gathered = gather_row_blocks(&comm, &dist, &ad, &live, [a_panel], false)?;
             let gathered: Vec<Matrix<f64>> = gathered.into_iter().map(|[ai]| ai).collect();
             comm.note_buffer(out_words + gathered.iter().map(Matrix::len).sum::<usize>());
             // Accumulate this panel's contribution.
@@ -100,16 +103,15 @@ pub fn syrk_2d_limited(
                 comm.add_flops(syrk_flops(ai.rows(), pr.len()));
             }
         }
-        LocalOutput {
+        Ok(LocalOutput {
             offdiag: off_blocks,
             diag: diag_block.into_iter().map(|(_, d)| d).collect(),
-        }
-    });
-    let c_full = assemble_c(n1, rows, &out.results);
-    SyrkRunResult {
-        c: c_full,
+        })
+    })?;
+    Ok(SyrkRunResult {
+        c: assemble_c(n1, rows, &out.results),
         cost: out.cost,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -123,7 +125,7 @@ mod tests {
         let a = seeded_matrix::<f64>(n1, n2, 31);
         let want = syrk_full_reference(&a);
         for rounds in [1usize, 2, 3, 5, 24, 30] {
-            let run = syrk_2d_limited(&a, c, rounds, CostModel::bandwidth_only());
+            let run = syrk_2d_limited(&a, c, rounds, CostModel::bandwidth_only()).unwrap();
             let err = max_abs_diff(&run.c, &want);
             assert!(err < 1e-10, "rounds={rounds}: err {err}");
         }
@@ -135,8 +137,8 @@ mod tests {
         // bit — at a full shape and at n1 < c² (most blocks dead).
         for (n1, n2, c) in [(16, 10, 2), (3, 4, 4)] {
             let a = seeded_int_matrix::<f64>(n1, n2, 4, 7);
-            let lim = syrk_2d_limited(&a, c, 1, CostModel::bandwidth_only());
-            let std = crate::syrk_2d(&a, c, CostModel::bandwidth_only());
+            let lim = syrk_2d_limited(&a, c, 1, CostModel::bandwidth_only()).unwrap();
+            let std = crate::try_syrk_2d(&a, c, CostModel::bandwidth_only(), None).unwrap();
             let bits =
                 |m: &Matrix<f64>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&lim.c), bits(&std.c), "{n1}x{n2} c={c}");
@@ -150,11 +152,11 @@ mod tests {
 
     #[test]
     fn peak_buffer_counts_owned_output_instead_of_staged_chunks() {
-        // The one field `rounds = 1` does not share with `syrk_2d`, at
+        // The one field `rounds = 1` does not share with Algorithm 2, at
         // E16's shape.
         let a = seeded_matrix::<f64>(72, 96, 14);
-        let lim = syrk_2d_limited(&a, 3, 1, CostModel::bandwidth_only());
-        let std = crate::syrk_2d(&a, 3, CostModel::bandwidth_only());
+        let lim = syrk_2d_limited(&a, 3, 1, CostModel::bandwidth_only()).unwrap();
+        let std = crate::try_syrk_2d(&a, 3, CostModel::bandwidth_only(), None).unwrap();
         assert_eq!(lim.cost.max_peak_buffer(), 2532);
         assert_eq!(std.cost.max_peak_buffer(), 2880);
     }
@@ -165,8 +167,8 @@ mod tests {
         // messages ×rounds, peak transient buffer ↓.
         let (n1, n2, c) = (36usize, 48usize, 3usize);
         let a = seeded_matrix::<f64>(n1, n2, 8);
-        let one = syrk_2d_limited(&a, c, 1, CostModel::bandwidth_only());
-        let four = syrk_2d_limited(&a, c, 4, CostModel::bandwidth_only());
+        let one = syrk_2d_limited(&a, c, 1, CostModel::bandwidth_only()).unwrap();
+        let four = syrk_2d_limited(&a, c, 4, CostModel::bandwidth_only()).unwrap();
         // Same total A words (each chunk crosses once).
         assert_eq!(one.cost.total_words(), four.cost.total_words());
         // Latency multiplied by the round count.
@@ -184,7 +186,7 @@ mod tests {
     fn more_rounds_than_columns_is_fine() {
         // Empty panels are skipped (no phantom messages or flops).
         let a = seeded_matrix::<f64>(8, 3, 9);
-        let run = syrk_2d_limited(&a, 2, 10, CostModel::bandwidth_only());
+        let run = syrk_2d_limited(&a, 2, 10, CostModel::bandwidth_only()).unwrap();
         assert!(max_abs_diff(&run.c, &syrk_full_reference(&a)) < 1e-12);
     }
 }

@@ -15,11 +15,10 @@ use syrk_dense::{
 };
 use syrk_machine::MachineError;
 
-use super::common::SyrkRunResult;
+use super::common::{check_ranks, check_shape, SyrkRunResult};
 use super::run::{machine_for, RunSpec, SyrkRun};
 use crate::attribution::{PHASE_LOCAL_SYRK, PHASE_REDUCE_SCATTER_C};
 use crate::error::SyrkError;
-use crate::planner::PlanError;
 
 /// Run Algorithm 1 on a simulated machine with `p` ranks.
 ///
@@ -27,12 +26,8 @@ use crate::planner::PlanError;
 /// (modeling the required initial distribution, which costs nothing).
 pub(crate) fn run_1d(a: &Matrix<f64>, p: usize, spec: &RunSpec) -> Result<SyrkRun, SyrkError> {
     let (n1, n2) = a.shape();
-    if p == 0 {
-        return Err(PlanError::ZeroRanks.into());
-    }
-    if n1 == 0 || n2 == 0 {
-        return Err(PlanError::EmptyMatrix { n1, n2 }.into());
-    }
+    check_ranks(p)?;
+    check_shape(n1, n2)?;
     let cols = Partition1D::new(n2, p);
     let packed_len = Diag::Inclusive.packed_len(n1);
     let segments = Partition1D::new(packed_len, p);
@@ -92,7 +87,7 @@ pub(crate) fn run_1d(a: &Matrix<f64>, p: usize, spec: &RunSpec) -> Result<SyrkRu
 #[cfg(test)]
 mod tests {
     use crate::bounds::alg1d_predicted_cost;
-    use crate::syrk_1d;
+    use crate::try_syrk_1d;
     use syrk_dense::{max_abs_diff, seeded_int_matrix, seeded_matrix, syrk_full_reference};
     use syrk_machine::CostModel;
 
@@ -107,7 +102,7 @@ mod tests {
             (16, 64, 8),
         ] {
             let a = seeded_matrix::<f64>(n1, n2, (n1 * 100 + n2) as u64);
-            let run = syrk_1d(&a, p, CostModel::bandwidth_only());
+            let run = try_syrk_1d(&a, p, CostModel::bandwidth_only(), None).unwrap();
             let want = syrk_full_reference(&a);
             let err = max_abs_diff(&run.c, &want);
             assert!(err < 1e-10, "({n1},{n2},{p}): err {err}");
@@ -117,7 +112,7 @@ mod tests {
     #[test]
     fn integer_inputs_are_exact() {
         let a = seeded_int_matrix::<f64>(8, 16, 4, 7);
-        let run = syrk_1d(&a, 4, CostModel::bandwidth_only());
+        let run = try_syrk_1d(&a, 4, CostModel::bandwidth_only(), None).unwrap();
         assert_eq!(max_abs_diff(&run.c, &syrk_full_reference(&a)), 0.0);
     }
 
@@ -127,7 +122,7 @@ mod tests {
         // of n1(n1+1)/2 this is (1 − 1/P)·n1(n1+1)/2 ± rounding.
         let (n1, n2, p) = (20, 40, 5);
         let a = seeded_matrix::<f64>(n1, n2, 3);
-        let run = syrk_1d(&a, p, CostModel::bandwidth_only());
+        let run = try_syrk_1d(&a, p, CostModel::bandwidth_only(), None).unwrap();
         let predicted = alg1d_predicted_cost(n1, p);
         let measured = run.cost.max_words_sent() as f64;
         assert!(
@@ -144,7 +139,7 @@ mod tests {
         // equals P·(1−1/P)·packed = (P−1)·packed words.
         let (n1, n2, p) = (10, 30, 3);
         let a = seeded_matrix::<f64>(n1, n2, 9);
-        let run = syrk_1d(&a, p, CostModel::bandwidth_only());
+        let run = try_syrk_1d(&a, p, CostModel::bandwidth_only(), None).unwrap();
         let packed = n1 * (n1 + 1) / 2;
         assert_eq!(run.cost.total_words(), ((p - 1) * packed) as u64);
     }
@@ -153,7 +148,7 @@ mod tests {
     fn flops_are_load_balanced_when_p_divides_n2() {
         let (n1, n2, p) = (12, 32, 4);
         let a = seeded_matrix::<f64>(n1, n2, 11);
-        let run = syrk_1d(&a, p, CostModel::bandwidth_only());
+        let run = try_syrk_1d(&a, p, CostModel::bandwidth_only(), None).unwrap();
         // Local SYRK flops identical across ranks; Reduce-Scatter adds
         // (P−1)·|segment| flops, and segments differ by at most one word.
         let fmax = run.cost.ranks.iter().map(|r| r.flops).max().unwrap();
@@ -164,7 +159,7 @@ mod tests {
     #[test]
     fn single_rank_does_no_communication() {
         let a = seeded_matrix::<f64>(7, 5, 2);
-        let run = syrk_1d(&a, 1, CostModel::bandwidth_only());
+        let run = try_syrk_1d(&a, 1, CostModel::bandwidth_only(), None).unwrap();
         assert_eq!(run.cost.total_words(), 0);
         assert!(max_abs_diff(&run.c, &syrk_full_reference(&a)) < 1e-12);
     }

@@ -4,8 +4,8 @@
 //! The paper has three algorithms and one grid choice (§5.1–§5.4), which
 //! is the [`Plan`]; the rest of a spec is how the run is observed
 //! (`trace`, `dump`), checked (`abft`, `recovery`), perturbed (`faults`)
-//! or costed (`model`, `rs_alg`, `padded`). `syrk_{1d,2d,3d}` and
-//! `try_syrk_{1d,2d,3d}` are the common specs spelled as functions.
+//! or costed (`model`, `rs_alg`, `padded`). `try_syrk_{1d,2d,3d}` are
+//! the plain specs, plus faults, spelled as functions.
 
 use std::path::PathBuf;
 
@@ -38,21 +38,22 @@ pub struct RunSpec {
     /// in-machine checks and ignores it; its recovered runs rely on the
     /// final full-`C` verification.
     pub abft: bool,
-    /// Algorithm 1's Reduce-Scatter — the §6 latency/bandwidth trade
-    /// (pairwise = the paper's analysis; recursive halving = log-latency
-    /// at equal bandwidth for power-of-two P; tree+scatter = log-latency,
-    /// bandwidth-inflated). Algorithm 2 has no Reduce-Scatter; Algorithm
-    /// 3 ignores it: its row Reduce-Scatter is always pairwise.
+    /// The Reduce-Scatter of `C` — Algorithm 1's over all ranks,
+    /// Algorithm 3's over each grid row — and the §6 latency/bandwidth
+    /// trade (pairwise = the paper's analysis; recursive halving =
+    /// log-latency at equal bandwidth for power-of-two P; tree+scatter =
+    /// log-latency, bandwidth-inflated). Algorithm 2 has no
+    /// Reduce-Scatter.
     pub rs_alg: ReduceScatterAlg,
-    /// Algorithm 2 with the paper's padded exchange buffer `B` (Alg. 2
-    /// lines 3–9 verbatim): measured bandwidth reproduces eq. (10)'s
+    /// The exchange of `A` with the paper's padded buffer `B` (Alg. 2
+    /// lines 3–9 verbatim), in Algorithm 2 and in each slice of
+    /// Algorithm 3: measured bandwidth reproduces eq. (10)'s
     /// `(n1n2/c)(1 − 1/P)` exactly, at the cost of shipping some zeros.
-    /// Algorithm 1 has no exchange of `A`; Algorithm 3 ignores it: its
-    /// slices always run the tight exchange.
+    /// Algorithm 1 has no exchange of `A`.
     pub padded: bool,
     /// Survive crashes by shrinking and replanning and detected
-    /// corruption by retrying (see [`crate::recovery`]); `plan` is then
-    /// the *initial* grid.
+    /// corruption by retrying (see [`crate::run_with_recovery`]); `plan`
+    /// is then the *initial* grid.
     pub recovery: Option<RecoveryPolicy>,
     /// Where a failed machine writes its post-mortem (`syrk_machine::dump`);
     /// applies to every machine the run builds, recovery prologues
@@ -119,13 +120,6 @@ pub(crate) fn machine_for(spec: &RunSpec, ranks: usize) -> Machine {
     machine
 }
 
-fn plain(a: &Matrix<f64>, plan: Plan, model: CostModel) -> SyrkRunResult {
-    match run(a, &RunSpec::new(plan, model)) {
-        Ok(out) => out.result,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 fn faulted(
     a: &Matrix<f64>,
     plan: Plan,
@@ -140,24 +134,7 @@ fn faulted(
 }
 
 /// Algorithm 1 (§5.1) on `p` ranks: [`run`] of
-/// `RunSpec::new(Plan::OneD { p }, model)`, panicking on error.
-pub fn syrk_1d(a: &Matrix<f64>, p: usize, model: CostModel) -> SyrkRunResult {
-    plain(a, Plan::OneD { p }, model)
-}
-
-/// Algorithm 2 (§5.2) on `P = c(c+1)` ranks: [`run`] of
-/// `RunSpec::new(Plan::TwoD { c }, model)`, panicking on error.
-pub fn syrk_2d(a: &Matrix<f64>, c: usize, model: CostModel) -> SyrkRunResult {
-    plain(a, Plan::TwoD { c }, model)
-}
-
-/// Algorithm 3 (§5.3) on `P = c(c+1)·p2` ranks: [`run`] of
-/// `RunSpec::new(Plan::ThreeD { c, p2 }, model)`, panicking on error.
-pub fn syrk_3d(a: &Matrix<f64>, c: usize, p2: usize, model: CostModel) -> SyrkRunResult {
-    plain(a, Plan::ThreeD { c, p2 }, model)
-}
-
-/// Fallible [`syrk_1d`]: [`run`] of the plain spec plus `faults`.
+/// `RunSpec::new(Plan::OneD { p }, model)` plus `faults`.
 #[must_use = "the Result carries the simulated run's outcome or failure"]
 pub fn try_syrk_1d(
     a: &Matrix<f64>,
@@ -168,7 +145,8 @@ pub fn try_syrk_1d(
     faulted(a, Plan::OneD { p }, model, faults)
 }
 
-/// Fallible [`syrk_2d`]: [`run`] of the plain spec plus `faults`.
+/// Algorithm 2 (§5.2) on `P = c(c+1)` ranks: [`run`] of
+/// `RunSpec::new(Plan::TwoD { c }, model)` plus `faults`.
 #[must_use = "the Result carries the simulated run's outcome or failure"]
 pub fn try_syrk_2d(
     a: &Matrix<f64>,
@@ -179,7 +157,8 @@ pub fn try_syrk_2d(
     faulted(a, Plan::TwoD { c }, model, faults)
 }
 
-/// Fallible [`syrk_3d`]: [`run`] of the plain spec plus `faults`.
+/// Algorithm 3 (§5.3) on `P = c(c+1)·p2` ranks: [`run`] of
+/// `RunSpec::new(Plan::ThreeD { c, p2 }, model)` plus `faults`.
 #[must_use = "the Result carries the simulated run's outcome or failure"]
 pub fn try_syrk_3d(
     a: &Matrix<f64>,

@@ -21,11 +21,12 @@
 //! `n × n` symmetric operand contributes **zero** communication.
 
 use syrk_dense::{gemm_flops, mul_nn, Matrix};
-use syrk_machine::{CostModel, Machine};
+use syrk_machine::{CostModel, CostReport, Machine};
 
+use super::common::{check_shape, triangle_dist};
 use super::twod::gather_row_blocks;
-use crate::dist::{ConformalADist, TriangleBlockDist};
-use syrk_machine::CostReport;
+use crate::dist::ConformalADist;
+use crate::error::SyrkError;
 
 /// Result of a distributed SYMM run.
 #[derive(Debug)]
@@ -37,27 +38,33 @@ pub struct SymmRunResult {
 }
 
 /// Run the 2D SYMM on `P = c(c+1)` simulated ranks. `a_sym` must be
-/// symmetric (only its lower triangle is read); `b` is `n × m`.
-pub fn symm_2d(a_sym: &Matrix<f64>, b: &Matrix<f64>, c: usize, model: CostModel) -> SymmRunResult {
+/// symmetric (only its lower triangle is read); `b` is `n × m`. Errors
+/// as [`run`](crate::run); a non-square `A` or a `B` of the wrong height
+/// panics.
+pub fn symm_2d(
+    a_sym: &Matrix<f64>,
+    b: &Matrix<f64>,
+    c: usize,
+    model: CostModel,
+) -> Result<SymmRunResult, SyrkError> {
     let n = a_sym.rows();
     assert_eq!(a_sym.cols(), n, "SYMM needs a square symmetric A");
     assert_eq!(b.rows(), n, "B must have n rows");
     let m = b.cols();
-    let dist = TriangleBlockDist::for_order(c)
-        .unwrap_or_else(|| panic!("no triangle block construction for c = {c}"));
+    let dist = triangle_dist(c)?;
+    check_shape(n, m)?;
     // Conformal layout of the n×m operands B and C over the c² row blocks.
     let bd = ConformalADist::new(&dist, n, m);
     let rows = &bd.rows;
 
     let machine = Machine::new(dist.p()).with_model(model);
-    let out = machine.run(|comm| {
+    let out = machine.try_run(|comm| {
         let k = comm.rank();
         // Blocks by position in `live`, as in Algorithm 2.
         let live = bd.live_blocks(k);
 
         // Phase 1: gather B_j for j ∈ R_k.
-        let b_blocks = gather_row_blocks(&comm, &dist, &bd, &live, [b.view()], false)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let b_blocks = gather_row_blocks(&comm, &dist, &bd, &live, [b.view()], false)?;
         let b_blocks: Vec<Matrix<f64>> = b_blocks.into_iter().map(|[bj]| bj).collect();
 
         // Phase 2: local compute. partial[x] accumulates this rank's
@@ -120,15 +127,13 @@ pub fn symm_2d(a_sym: &Matrix<f64>, b: &Matrix<f64>, c: usize, model: CostModel)
                 }
             }
         }
-        let received = comm
-            .try_all_to_all_sparse(sends, &recvs)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let received = comm.try_all_to_all_sparse(sends, &recvs)?;
         // Final owned chunks: for each live i, my chunk of C_i = my
         // partial chunk + the chunks received from the other Q_i members
         // (in the order the receive plan was built, so a cursor pairs
         // them up).
         let mut received = received.iter();
-        (live.iter().zip(&partial))
+        let chunks = (live.iter().zip(&partial))
             .map(|(&i, part_c)| {
                 let part = bd.chunk_partition(i);
                 let mut acc = part_c.as_slice()[part.range(dist.chunk_index(i, k))].to_vec();
@@ -143,8 +148,9 @@ pub fn symm_2d(a_sym: &Matrix<f64>, b: &Matrix<f64>, c: usize, model: CostModel)
                 }
                 (i, acc)
             })
-            .collect::<Vec<_>>()
-    });
+            .collect::<Vec<_>>();
+        Ok(chunks)
+    })?;
 
     // Assembly: each rank's chunk of C_i is its conformal slice of the
     // rows of C_i, which lie contiguously in `c_full`.
@@ -156,10 +162,10 @@ pub fn symm_2d(a_sym: &Matrix<f64>, b: &Matrix<f64>, c: usize, model: CostModel)
             c_full.as_mut_slice()[base + r.start..base + r.end].copy_from_slice(chunk);
         }
     }
-    SymmRunResult {
+    Ok(SymmRunResult {
         c: c_full,
         cost: out.cost,
-    }
+    })
 }
 
 /// Sequential reference: `C = sym(A)·B` where only the lower triangle of
@@ -196,7 +202,7 @@ mod tests {
         for &(n, m, c) in &[(8usize, 3usize, 2usize), (18, 5, 3), (27, 4, 3), (10, 2, 3)] {
             let a = symmetric(n, (n + m) as u64);
             let b = seeded_matrix::<f64>(n, m, 77);
-            let run = symm_2d(&a, &b, c, CostModel::bandwidth_only());
+            let run = symm_2d(&a, &b, c, CostModel::bandwidth_only()).unwrap();
             let err = max_abs_diff(&run.c, &symm_reference(&a, &b));
             assert!(err < 1e-9, "(n={n},m={m},c={c}): {err}");
         }
@@ -205,7 +211,7 @@ mod tests {
             let raw = seeded_int_matrix::<f64>(n, n, 3, (n + m) as u64);
             let a = Matrix::from_fn(n, n, |i, j| raw[(i, j)] + raw[(j, i)]);
             let b = seeded_int_matrix::<f64>(n, m, 3, 77);
-            let run = symm_2d(&a, &b, c, CostModel::bandwidth_only());
+            let run = symm_2d(&a, &b, c, CostModel::bandwidth_only()).unwrap();
             let err = max_abs_diff(&run.c, &symm_reference(&a, &b));
             assert_eq!(err, 0.0, "(n={n},m={m},c={c})");
         }
@@ -223,7 +229,7 @@ mod tests {
             }
         }
         let b = seeded_int_matrix::<f64>(n, 4, 3, 6);
-        let run = symm_2d(&a, &b, 2, CostModel::bandwidth_only());
+        let run = symm_2d(&a, &b, 2, CostModel::bandwidth_only()).unwrap();
         assert_eq!(max_abs_diff(&run.c, &symm_reference(&a, &b)), 0.0);
     }
 
@@ -234,7 +240,7 @@ mod tests {
         let (n, m, c) = (36usize, 8usize, 3usize);
         let a = symmetric(n, 9);
         let b = seeded_matrix::<f64>(n, m, 10);
-        let run = symm_2d(&a, &b, c, CostModel::bandwidth_only());
+        let run = symm_2d(&a, &b, c, CostModel::bandwidth_only()).unwrap();
         let expect = 2 * n * m / (c + 1);
         let measured = run.cost.max_words_sent() as usize;
         assert!(
@@ -244,7 +250,7 @@ mod tests {
         // Doubling n (with m fixed) must NOT double the communication…
         let a2 = symmetric(2 * n, 11);
         let b2 = seeded_matrix::<f64>(2 * n, m, 12);
-        let run2 = symm_2d(&a2, &b2, c, CostModel::bandwidth_only());
+        let run2 = symm_2d(&a2, &b2, c, CostModel::bandwidth_only()).unwrap();
         // …it exactly doubles with n·m (linear in n), not with n².
         let ratio = run2.cost.max_words_sent() as f64 / run.cost.max_words_sent() as f64;
         assert!((ratio - 2.0).abs() < 0.2, "ratio {ratio}");
@@ -257,7 +263,7 @@ mod tests {
         let (n, m, c) = (18usize, 4usize, 3usize);
         let a = symmetric(n, 1);
         let b = seeded_matrix::<f64>(n, m, 2);
-        let run = symm_2d(&a, &b, c, CostModel::bandwidth_only());
+        let run = symm_2d(&a, &b, c, CostModel::bandwidth_only()).unwrap();
         assert_eq!(run.cost.max_messages(), 2 * (c * c) as u64);
     }
 }

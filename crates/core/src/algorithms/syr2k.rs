@@ -15,25 +15,38 @@ use syrk_dense::{
 };
 use syrk_machine::{CostModel, Machine};
 
-use super::common::{assemble_c, DiagBlock, LocalOutput, OffDiagBlock, SyrkRunResult};
+use super::common::{
+    assemble_c, check_ranks, check_shape, triangle_dist, DiagBlock, LocalOutput, OffDiagBlock,
+    SyrkRunResult,
+};
 use super::twod::gather_row_blocks;
-use crate::dist::{ConformalADist, TriangleBlockDist};
+use crate::dist::ConformalADist;
+use crate::error::SyrkError;
 
 /// 1D SYR2K: both inputs column-distributed, local SYR2K, Reduce-Scatter
-/// of the packed triangle. Identical communication to [`syrk_1d`]
-/// (`crate::syrk_1d`) — the output is the only thing that moves.
-pub fn syr2k_1d(a: &Matrix<f64>, b: &Matrix<f64>, p: usize, model: CostModel) -> SyrkRunResult {
+/// of the packed triangle. Identical communication to Algorithm 1
+/// ([`try_syrk_1d`](crate::try_syrk_1d)) — the output is the only thing
+/// that moves. Errors as [`run`](crate::run); `A` and `B` of different
+/// shapes panic.
+pub fn syr2k_1d(
+    a: &Matrix<f64>,
+    b: &Matrix<f64>,
+    p: usize,
+    model: CostModel,
+) -> Result<SyrkRunResult, SyrkError> {
     let (n1, n2) = a.shape();
     assert_eq!(
         b.shape(),
         (n1, n2),
         "syr2k: A and B must have identical shapes"
     );
+    check_ranks(p)?;
+    check_shape(n1, n2)?;
     let cols = Partition1D::new(n2, p);
     let segments = Partition1D::new(Diag::Inclusive.packed_len(n1), p);
 
     let machine = Machine::new(p).with_model(model);
-    let out = machine.run(|comm| {
+    let out = machine.try_run(|comm| {
         // Both column blocks are read where they lie.
         let r = cols.range(comm.rank());
         let mut cbar = PackedLower::zeros(n1, Diag::Inclusive);
@@ -43,40 +56,44 @@ pub fn syr2k_1d(a: &Matrix<f64>, b: &Matrix<f64>, p: usize, model: CostModel) ->
         );
         syr2k_packed(&mut cbar, a_l, b_l);
         comm.add_flops(syr2k_flops(n1, r.len()));
-        comm.reduce_scatter_block(cbar.as_slice(), &segments.lens())
-    });
+        comm.try_reduce_scatter_block(cbar.as_slice(), &segments.lens())
+    })?;
 
     // The segments concatenate to the packed triangle, as in `run_1d`.
     let mut c = Matrix::zeros(n1, n1);
     let segs = out.results.iter().map(Vec::as_slice);
     write_packed_lower(&mut c, 0, n1, Diag::Inclusive, segs);
     mirror_lower_to_upper(&mut c);
-    SyrkRunResult { c, cost: out.cost }
+    Ok(SyrkRunResult { c, cost: out.cost })
 }
 
 /// 2D SYR2K on the Triangle Block Distribution: Algorithm 2's exchange
 /// gathers the `R_k` row blocks of *both* inputs (both chunks in one
 /// message per partner: SYRK's latency, twice its bandwidth), then each
 /// off-diagonal block is `C_ij = A_i·B_jᵀ + B_i·A_jᵀ` and each diagonal
-/// block a local SYR2K.
-pub fn syr2k_2d(a: &Matrix<f64>, b: &Matrix<f64>, c: usize, model: CostModel) -> SyrkRunResult {
-    let dist = TriangleBlockDist::for_order(c).unwrap_or_else(|| {
-        panic!("no triangle block construction for c = {c} (need a prime power)")
-    });
+/// block a local SYR2K. Errors as [`run`](crate::run); `A` and `B` of
+/// different shapes panic.
+pub fn syr2k_2d(
+    a: &Matrix<f64>,
+    b: &Matrix<f64>,
+    c: usize,
+    model: CostModel,
+) -> Result<SyrkRunResult, SyrkError> {
     let (n1, n2) = a.shape();
     assert_eq!(
         b.shape(),
         (n1, n2),
         "syr2k: A and B must have identical shapes"
     );
+    let dist = triangle_dist(c)?;
+    check_shape(n1, n2)?;
     let ad = ConformalADist::new(&dist, n1, n2);
 
     let machine = Machine::new(dist.p()).with_model(model);
-    let out = machine.run(|comm| {
+    let out = machine.try_run(|comm| {
         let k = comm.rank();
         let live = ad.live_blocks(k);
-        let gathered = gather_row_blocks(&comm, &dist, &ad, &live, [a.view(), b.view()], false)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let gathered = gather_row_blocks(&comm, &dist, &ad, &live, [a.view(), b.view()], false)?;
 
         // Blocks by position in `live`, pairs in `blocks_of(k)` order.
         let mut out = LocalOutput::default();
@@ -101,13 +118,12 @@ pub fn syr2k_2d(a: &Matrix<f64>, b: &Matrix<f64>, c: usize, model: CostModel) ->
             });
             comm.add_flops(syr2k_flops(ai.rows(), n2));
         }
-        out
-    });
-    let c_full = assemble_c(n1, &ad.rows, &out.results);
-    SyrkRunResult {
-        c: c_full,
+        Ok(out)
+    })?;
+    Ok(SyrkRunResult {
+        c: assemble_c(n1, &ad.rows, &out.results),
         cost: out.cost,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -120,7 +136,7 @@ mod tests {
         for &(n1, n2, p) in &[(6usize, 12usize, 3usize), (9, 7, 4), (16, 16, 1)] {
             let a = seeded_matrix::<f64>(n1, n2, 1);
             let b = seeded_matrix::<f64>(n1, n2, 2);
-            let run = syr2k_1d(&a, &b, p, CostModel::bandwidth_only());
+            let run = syr2k_1d(&a, &b, p, CostModel::bandwidth_only()).unwrap();
             let err = max_abs_diff(&run.c, &syr2k_full_reference(&a, &b));
             assert!(err < 1e-10, "({n1},{n2},{p}): {err}");
         }
@@ -131,7 +147,7 @@ mod tests {
         for &(n1, n2, c) in &[(8usize, 5usize, 2usize), (18, 4, 3), (27, 6, 3)] {
             let a = seeded_int_matrix::<f64>(n1, n2, 4, 3);
             let b = seeded_int_matrix::<f64>(n1, n2, 4, 4);
-            let run = syr2k_2d(&a, &b, c, CostModel::bandwidth_only());
+            let run = syr2k_2d(&a, &b, c, CostModel::bandwidth_only()).unwrap();
             assert_eq!(
                 max_abs_diff(&run.c, &syr2k_full_reference(&a, &b)),
                 0.0,
@@ -147,8 +163,8 @@ mod tests {
         let (n1, n2, p) = (20, 40, 5);
         let a = seeded_matrix::<f64>(n1, n2, 5);
         let b = seeded_matrix::<f64>(n1, n2, 6);
-        let s2 = syr2k_1d(&a, &b, p, CostModel::bandwidth_only());
-        let s1 = crate::syrk_1d(&a, p, CostModel::bandwidth_only());
+        let s2 = syr2k_1d(&a, &b, p, CostModel::bandwidth_only()).unwrap();
+        let s1 = crate::try_syrk_1d(&a, p, CostModel::bandwidth_only(), None).unwrap();
         assert_eq!(s2.cost.max_words_sent(), s1.cost.max_words_sent());
         // Local flops double (two rank-k updates); the Reduce-Scatter
         // additions are unchanged (same output size).
@@ -164,8 +180,8 @@ mod tests {
         let (n1, n2, c) = (36, 8, 3);
         let a = seeded_matrix::<f64>(n1, n2, 7);
         let b = seeded_matrix::<f64>(n1, n2, 8);
-        let s2 = syr2k_2d(&a, &b, c, CostModel::bandwidth_only());
-        let s1 = crate::syrk_2d(&a, c, CostModel::bandwidth_only());
+        let s2 = syr2k_2d(&a, &b, c, CostModel::bandwidth_only()).unwrap();
+        let s1 = crate::try_syrk_2d(&a, c, CostModel::bandwidth_only(), None).unwrap();
         assert_eq!(s2.cost.max_words_sent(), 2 * s1.cost.max_words_sent());
         // Same latency: chunks are paired into the same messages.
         assert_eq!(s2.cost.max_messages(), s1.cost.max_messages());

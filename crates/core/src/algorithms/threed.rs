@@ -12,13 +12,15 @@
 use syrk_dense::{Diag, Matrix, PackedLower, Partition1D};
 use syrk_machine::ProcessGrid;
 
-use super::common::{assemble_c, DiagBlock, LocalOutput, OffDiagBlock, SyrkRunResult};
+use super::common::{
+    assemble_c, check_ranks, check_shape, triangle_dist, DiagBlock, LocalOutput, OffDiagBlock,
+    SyrkRunResult,
+};
 use super::run::{machine_for, RunSpec, SyrkRun};
 use super::twod::twod_body;
 use crate::attribution::PHASE_REDUCE_SCATTER_C;
 use crate::dist::{ConformalADist, TriangleBlockDist};
 use crate::error::SyrkError;
-use crate::planner::PlanError;
 
 /// The canonical flat layout of a rank's `C_k` data: its off-diagonal
 /// blocks in `blocks_of(k)` order (each row-major), followed by the
@@ -154,22 +156,21 @@ pub(crate) fn run_3d(
     p2: usize,
     spec: &RunSpec,
 ) -> Result<SyrkRun, SyrkError> {
-    let dist = TriangleBlockDist::for_order(c).ok_or(PlanError::UnsupportedOrder { c })?;
-    if p2 == 0 {
-        return Err(PlanError::ZeroRanks.into());
-    }
+    let dist = triangle_dist(c)?;
+    check_ranks(p2)?;
     let p1 = dist.p();
     let (n1, n2) = a.shape();
-    if n1 == 0 || n2 == 0 {
-        return Err(PlanError::EmptyMatrix { n1, n2 }.into());
-    }
+    check_shape(n1, n2)?;
     let rows = Partition1D::new(n1, dist.num_blocks());
     let cols = Partition1D::new(n2, p2);
     let grid = ProcessGrid::new(p1, p2);
 
-    // The slices run the plain 2D body: Algorithm 3 has no `padded`
-    // exchange and no in-machine `abft` (see the `RunSpec` field docs).
-    let slice_spec = RunSpec::new(spec.plan, spec.model);
+    // The slices run the 2D body with the spec's exchange (`padded`) and
+    // no in-machine `abft` (see the `RunSpec` field docs).
+    let slice_spec = RunSpec {
+        padded: spec.padded,
+        ..RunSpec::new(spec.plan, spec.model)
+    };
     let out = machine_for(spec, p1 * p2).try_run(|mut comm| {
         let gc = grid.split(&mut comm);
         // Line 3: run 2D SYRK within the slice on block column A_{*ℓ}.
@@ -180,16 +181,16 @@ pub(crate) fn run_3d(
         let a_col = a.block(0, cr.start, n1, cr.len());
         let ad = ConformalADist::new(&dist, n1, cr.len());
         let local = twod_body(&gc.slice, &dist, &ad, a_col, &slice_spec)?;
-        // Lines 4–5: Reduce-Scatter the partial C_k across Π_{k*}. The
-        // payloads are built straight from the block storage (no flat
-        // concatenation) and handed to the segment-based collective, which
-        // moves exactly the same words as the block interface.
+        // Lines 4–5: Reduce-Scatter the partial C_k across Π_{k*} with the
+        // spec's algorithm. The payloads are built straight from the block
+        // storage (no flat concatenation) and handed to the segment-based
+        // collective, which moves exactly the same words as the block
+        // interface.
         let _span = comm.phase(PHASE_REDUCE_SCATTER_C);
         let layout = CkLayout::new(&dist, &rows, gc.k);
         let seg = Partition1D::new(layout.total, p2);
-        let mine = gc
-            .row
-            .try_reduce_scatter(layout.segments(&local, &seg.lens()))?;
+        let segments = layout.segments(&local, &seg.lens());
+        let mine = gc.row.try_reduce_scatter_with(segments, spec.rs_alg)?;
         Ok((gc.k, gc.l, mine))
     })?;
 
@@ -217,10 +218,12 @@ pub(crate) fn run_3d(
 
 #[cfg(test)]
 mod tests {
-    use crate::bounds::alg3d_predicted_cost;
-    use crate::{syrk_2d, syrk_3d};
+    use super::*;
+    use crate::attribution::PHASE_ALLGATHER_A;
+    use crate::bounds::{alg3d_a_term, alg3d_predicted_cost};
+    use crate::{run, try_syrk_2d, try_syrk_3d, Plan};
     use syrk_dense::{max_abs_diff, seeded_int_matrix, seeded_matrix, syrk_full_reference};
-    use syrk_machine::CostModel;
+    use syrk_machine::{CostModel, ReduceScatterAlg};
 
     #[test]
     fn correct_small_grids() {
@@ -232,7 +235,7 @@ mod tests {
             (10, 10, 2, 4), // c² ∤ n1 and p2 ∤ n2
         ] {
             let a = seeded_matrix::<f64>(n1, n2, (n1 * 7 + n2 * 3 + c) as u64);
-            let run = syrk_3d(&a, c, p2, CostModel::bandwidth_only());
+            let run = try_syrk_3d(&a, c, p2, CostModel::bandwidth_only(), None).unwrap();
             let err = max_abs_diff(&run.c, &syrk_full_reference(&a));
             assert!(err < 1e-10, "({n1},{n2},c={c},p2={p2}): err {err}");
         }
@@ -243,8 +246,8 @@ mod tests {
         // With p2 = 1 the slice is the whole machine and the final
         // Reduce-Scatter is over one rank (free): identical to Alg. 2.
         let a = seeded_int_matrix::<f64>(12, 5, 4, 5);
-        let run3 = syrk_3d(&a, 2, 1, CostModel::bandwidth_only());
-        let run2 = syrk_2d(&a, 2, CostModel::bandwidth_only());
+        let run3 = try_syrk_3d(&a, 2, 1, CostModel::bandwidth_only(), None).unwrap();
+        let run2 = try_syrk_2d(&a, 2, CostModel::bandwidth_only(), None).unwrap();
         assert_eq!(max_abs_diff(&run3.c, &run2.c), 0.0);
         assert_eq!(run3.cost.max_words_sent(), run2.cost.max_words_sent());
     }
@@ -252,7 +255,7 @@ mod tests {
     #[test]
     fn integer_inputs_are_exact() {
         let a = seeded_int_matrix::<f64>(16, 12, 4, 21);
-        let run = syrk_3d(&a, 2, 3, CostModel::bandwidth_only());
+        let run = try_syrk_3d(&a, 2, 3, CostModel::bandwidth_only(), None).unwrap();
         assert_eq!(max_abs_diff(&run.c, &syrk_full_reference(&a)), 0.0);
     }
 
@@ -263,7 +266,7 @@ mod tests {
         // A term scaled by c/(c+1), within rounding.
         let (n1, n2, c, p2) = (36, 24, 3, 4);
         let a = seeded_matrix::<f64>(n1, n2, 6);
-        let run = syrk_3d(&a, c, p2, CostModel::bandwidth_only());
+        let run = try_syrk_3d(&a, c, p2, CostModel::bandwidth_only(), None).unwrap();
         let measured = run.cost.max_words_sent() as f64;
         let padded = alg3d_predicted_cost(n1, n2, c, p2);
         // Tight A-term: n1·(n2/p2)/(c+1); C-term as in eq. (12) but with
@@ -278,13 +281,51 @@ mod tests {
         );
     }
 
+    /// Algorithm 3 at (36, 24, c = 3, p2 = 4) under `spec`.
+    fn run_3d_spec(a: &Matrix<f64>, f: impl FnOnce(&mut RunSpec)) -> SyrkRunResult {
+        let mut spec = RunSpec::new(Plan::ThreeD { c: 3, p2: 4 }, CostModel::bandwidth_only());
+        f(&mut spec);
+        run(a, &spec).unwrap().result
+    }
+
+    #[test]
+    fn padded_slices_ship_the_eq12_a_term_exactly() {
+        let a = seeded_matrix::<f64>(36, 24, 6);
+        let padded = run_3d_spec(&a, |s| s.padded = true);
+        let words = padded.cost.phase_max_words_sent(PHASE_ALLGATHER_A);
+        assert_eq!(words as f64, alg3d_a_term(36, 24, 3, 4));
+        assert_eq!(words, 66);
+        assert!(max_abs_diff(&padded.c, &syrk_full_reference(&a)) < 1e-10);
+        let tight = run_3d_spec(&a, |_| {});
+        assert!(tight.cost.phase_max_words_sent(PHASE_ALLGATHER_A) < words);
+    }
+
+    #[test]
+    fn recursive_halving_row_reduce_scatter_takes_log_p2_messages() {
+        let a = seeded_int_matrix::<f64>(36, 24, 4, 9);
+        let pairwise = run_3d_spec(&a, |_| {});
+        let halving = run_3d_spec(&a, |s| s.rs_alg = ReduceScatterAlg::RecursiveHalving);
+        let row = |r: &SyrkRunResult| {
+            let table = r.cost.phase_table();
+            let row = table.row(PHASE_REDUCE_SCATTER_C).unwrap();
+            (row.max_msgs, row.max_words_sent)
+        };
+        let (pw_msgs, pw_words) = row(&pairwise);
+        let (rh_msgs, rh_words) = row(&halving);
+        assert_eq!((pw_msgs, rh_msgs), (3, 2));
+        assert_eq!(rh_words, pw_words);
+        let bits = |m: &Matrix<f64>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&halving.c), bits(&pairwise.c));
+        assert_eq!(max_abs_diff(&halving.c, &syrk_full_reference(&a)), 0.0);
+    }
+
     #[test]
     fn both_a_and_c_move() {
         // Unlike 1D (C only) and 2D (A only), the 3D algorithm moves both:
         // words exceed either single-phase total.
         let (n1, n2, c, p2) = (24, 12, 2, 2);
         let a = seeded_matrix::<f64>(n1, n2, 13);
-        let run = syrk_3d(&a, c, p2, CostModel::bandwidth_only());
+        let run = try_syrk_3d(&a, c, p2, CostModel::bandwidth_only(), None).unwrap();
         let a_words_per_slice_rank = n1 * (n2 / p2) / (c + 1);
         assert!(run.cost.max_words_sent() > a_words_per_slice_rank as u64);
     }

@@ -16,12 +16,13 @@ use syrk_dense::{
 };
 use syrk_machine::{Comm, MachineError};
 
-use super::common::{assemble_c, DiagBlock, LocalOutput, OffDiagBlock, SyrkRunResult};
+use super::common::{
+    assemble_c, check_shape, triangle_dist, DiagBlock, LocalOutput, OffDiagBlock, SyrkRunResult,
+};
 use super::run::{machine_for, RunSpec, SyrkRun};
 use crate::attribution::{PHASE_ALLGATHER_A, PHASE_LOCAL_GEMM, PHASE_LOCAL_SYRK};
 use crate::dist::{ConformalADist, TriangleBlockDist};
 use crate::error::SyrkError;
-use crate::planner::PlanError;
 
 /// The SPMD body of Algorithm 2, reused verbatim by each slice of the 3D
 /// algorithm (Alg. 3 line 3). `a_slice` is the `n1 × n2_local` input this
@@ -286,11 +287,9 @@ pub(crate) fn gather_row_blocks<const N: usize>(
 
 /// Run Algorithm 2 on a simulated machine with `P = c(c+1)` ranks.
 pub(crate) fn run_2d(a: &Matrix<f64>, c: usize, spec: &RunSpec) -> Result<SyrkRun, SyrkError> {
-    let dist = TriangleBlockDist::for_order(c).ok_or(PlanError::UnsupportedOrder { c })?;
+    let dist = triangle_dist(c)?;
     let (n1, n2) = a.shape();
-    if n1 == 0 || n2 == 0 {
-        return Err(PlanError::EmptyMatrix { n1, n2 }.into());
-    }
+    check_shape(n1, n2)?;
     let ad = ConformalADist::new(&dist, n1, n2);
 
     let out =
@@ -308,7 +307,7 @@ pub(crate) fn run_2d(a: &Matrix<f64>, c: usize, spec: &RunSpec) -> Result<SyrkRu
 #[cfg(test)]
 mod tests {
     use crate::bounds::{alg2d_predicted_cost, alg2d_tight_cost};
-    use crate::{run, syrk_2d, Plan, RunSpec};
+    use crate::{run, try_syrk_2d, Plan, RunSpec};
     use syrk_dense::{gemm_flops, syrk_flops};
     use syrk_dense::{max_abs_diff, seeded_int_matrix, seeded_matrix, syrk_full_reference};
     use syrk_machine::CostModel;
@@ -323,7 +322,7 @@ mod tests {
             (10, 3, 3), // c² ∤ n1: uneven row blocks
         ] {
             let a = seeded_matrix::<f64>(n1, n2, (n1 * 13 + n2) as u64);
-            let run = syrk_2d(&a, c, CostModel::bandwidth_only());
+            let run = try_syrk_2d(&a, c, CostModel::bandwidth_only(), None).unwrap();
             let err = max_abs_diff(&run.c, &syrk_full_reference(&a));
             assert!(err < 1e-10, "({n1},{n2},c={c}): err {err}");
         }
@@ -333,7 +332,7 @@ mod tests {
     fn correct_for_c5() {
         // P = 30 ranks, 25 row blocks.
         let a = seeded_int_matrix::<f64>(50, 6, 4, 77);
-        let run = syrk_2d(&a, 5, CostModel::bandwidth_only());
+        let run = try_syrk_2d(&a, 5, CostModel::bandwidth_only(), None).unwrap();
         assert_eq!(max_abs_diff(&run.c, &syrk_full_reference(&a)), 0.0);
     }
 
@@ -343,7 +342,7 @@ mod tests {
         // (= W − n1n2/P, slightly under the padded eq. (10) analysis).
         let (n1, n2, c) = (36, 8, 3); // blocks of 4 rows, chunks of 8 words
         let a = seeded_matrix::<f64>(n1, n2, 4);
-        let run = syrk_2d(&a, c, CostModel::bandwidth_only());
+        let run = try_syrk_2d(&a, c, CostModel::bandwidth_only(), None).unwrap();
         let tight = alg2d_tight_cost(n1, n2, c);
         let measured = run.cost.max_words_sent() as f64;
         assert!(
@@ -368,7 +367,7 @@ mod tests {
         // the chunk sizes divide evenly.
         let (n1, n2, c) = (36, 8, 3);
         let a = seeded_matrix::<f64>(n1, n2, 8);
-        let run = syrk_2d(&a, c, CostModel::bandwidth_only());
+        let run = try_syrk_2d(&a, c, CostModel::bandwidth_only(), None).unwrap();
         let expect = dist_p(c) * n1 * n2 / (c + 1);
         assert_eq!(run.cost.total_words(), expect as u64);
     }
@@ -379,7 +378,7 @@ mod tests {
         // the ratio (off+diag)/off = 1 + O(1/c) (§5.2.3).
         let (n1, n2, c) = (36, 10, 3);
         let a = seeded_matrix::<f64>(n1, n2, 2);
-        let run = syrk_2d(&a, c, CostModel::bandwidth_only());
+        let run = try_syrk_2d(&a, c, CostModel::bandwidth_only(), None).unwrap();
         let imb = run.cost.flop_imbalance();
         // Off-diagonal work per rank: c(c−1)/2 gemms = 3 gemms of
         // 2·12²·10; diagonal adds ≤ one syrk of 12·13·10.
@@ -393,7 +392,7 @@ mod tests {
         // and diagonal syrks the intra-block triangles.
         let (n1, n2, c) = (8, 6, 2);
         let a = seeded_matrix::<f64>(n1, n2, 1);
-        let run = syrk_2d(&a, c, CostModel::bandwidth_only());
+        let run = try_syrk_2d(&a, c, CostModel::bandwidth_only(), None).unwrap();
         let b = n1 / (c * c); // rows per block
         let c2 = c * c;
         let off = (c2 * (c2 - 1) / 2) as u64 * gemm_flops(b, b, n2);
@@ -421,7 +420,7 @@ mod tests {
             "measured {measured} vs eq(10) {eq10}"
         );
         // And strictly more than the unpadded variant.
-        let lean = syrk_2d(&a, c, CostModel::bandwidth_only());
+        let lean = try_syrk_2d(&a, c, CostModel::bandwidth_only(), None).unwrap();
         assert!(run.cost.max_words_sent() > lean.cost.max_words_sent());
     }
 }

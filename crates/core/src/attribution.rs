@@ -172,7 +172,7 @@ pub fn attribute_bounds(n1: usize, n2: usize, plan: Plan, cost: &CostReport) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{syrk_1d, syrk_2d, syrk_3d};
+    use crate::algorithms::{try_syrk_1d, try_syrk_2d, try_syrk_3d};
     use syrk_dense::seeded_matrix;
     use syrk_machine::CostModel;
 
@@ -181,7 +181,7 @@ mod tests {
         // The ISSUE acceptance shape: (36, 8, c=3), P = 12.
         let (n1, n2, c) = (36, 8, 3);
         let a = seeded_matrix::<f64>(n1, n2, 4);
-        let run = syrk_2d(&a, c, CostModel::bandwidth_only());
+        let run = try_syrk_2d(&a, c, CostModel::bandwidth_only(), None).unwrap();
         let plan = Plan::TwoD { c };
         let report = attribute_bounds(n1, n2, plan, &run.cost);
         let row = report.row(PHASE_ALLGATHER_A).expect("2D pays the A term");
@@ -205,7 +205,7 @@ mod tests {
     fn one_d_reduction_matches_eq3() {
         let (n1, n2, p) = (20, 40, 5);
         let a = seeded_matrix::<f64>(n1, n2, 3);
-        let run = syrk_1d(&a, p, CostModel::bandwidth_only());
+        let run = try_syrk_1d(&a, p, CostModel::bandwidth_only(), None).unwrap();
         let report = attribute_bounds(n1, n2, Plan::OneD { p }, &run.cost);
         let row = report.row(PHASE_REDUCE_SCATTER_C).unwrap();
         assert!(row.measured > 0);
@@ -216,7 +216,7 @@ mod tests {
     fn three_d_pays_both_terms() {
         let (n1, n2, c, p2) = (36, 24, 3, 4);
         let a = seeded_matrix::<f64>(n1, n2, 6);
-        let run = syrk_3d(&a, c, p2, CostModel::bandwidth_only());
+        let run = try_syrk_3d(&a, c, p2, CostModel::bandwidth_only(), None).unwrap();
         let report = attribute_bounds(n1, n2, Plan::ThreeD { c, p2 }, &run.cost);
         let a_row = report.row(PHASE_ALLGATHER_A).unwrap();
         let c_row = report.row(PHASE_REDUCE_SCATTER_C).unwrap();

@@ -31,7 +31,7 @@ pub struct OneDOwner {
 }
 
 impl OneDOwner {
-    /// Owner map for `syrk_1d` with `p` ranks on an `n1 × n2` input.
+    /// Owner map for Algorithm 1 with `p` ranks on an `n1 × n2` input.
     pub fn new(n2: usize, p: usize) -> Self {
         OneDOwner {
             cols: Partition1D::new(n2, p),
@@ -56,7 +56,7 @@ pub struct TwoDOwner<'d> {
 }
 
 impl<'d> TwoDOwner<'d> {
-    /// Owner map for `syrk_2d` on an `n1`-row input.
+    /// Owner map for Algorithm 2 on an `n1`-row input.
     pub fn new(dist: &'d TriangleBlockDist, n1: usize) -> Self {
         TwoDOwner {
             dist,
@@ -88,7 +88,7 @@ pub struct ThreeDOwner<'d> {
 }
 
 impl<'d> ThreeDOwner<'d> {
-    /// Owner map for `syrk_3d` (world rank = `k + ℓ·p1`, column-major).
+    /// Owner map for Algorithm 3 (world rank = `k + ℓ·p1`, column-major).
     pub fn new(dist: &'d TriangleBlockDist, n1: usize, n2: usize, p2: usize) -> Self {
         ThreeDOwner {
             two_d: TwoDOwner::new(dist, n1),

@@ -11,12 +11,18 @@
 //! * [`run`] — Algorithms 1–3 on the simulated α-β-γ machine of
 //!   `syrk-machine` with exact word counting. A [`RunSpec`] names the
 //!   grid ([`Plan`]) and everything else a run can vary (faults, tracing,
-//!   ABFT, recovery, the failure-dump path); [`syrk_1d`], [`syrk_2d`],
-//!   [`syrk_3d`] and their `try_` forms are the plain specs spelled as
+//!   ABFT, recovery, the failure-dump path); [`try_syrk_1d`],
+//!   [`try_syrk_2d`] and [`try_syrk_3d`] are the plain specs spelled as
 //!   functions;
 //! * [`gemm_1d`]/[`gemm_2d`]/[`gemm_3d`]/[`scalapack_syrk_2d`] —
 //!   communication-optimal GEMM and a ScaLAPACK-style SYRK baseline;
 //! * [`plan`] — the §5.4 processor-grid selection.
+//!
+//! Every function that builds a simulated machine returns
+//! `Result<_, SyrkError>`: an unusable configuration (zero ranks, a grid
+//! order `c` with no triangle block construction, an empty matrix) is a
+//! [`PlanError`] before any rank starts, and a failed run is the
+//! machine's [`MachineError`](syrk_machine::MachineError).
 //!
 //! ```
 //! use syrk_core::{run, syrk_lower_bound, Plan, RunSpec};
@@ -51,9 +57,8 @@ mod recovery;
 pub use abft::{AbftChecksums, AbftViolation, ABFT_CHECKS, ABFT_DETECTS, PHASE_ABFT};
 pub use algorithms::{
     assemble_c, gemm_1d, gemm_2d, gemm_3d, run, scalapack_syrk_2d, symm_2d, symm_reference,
-    syr2k_1d, syr2k_2d, syrk_1d, syrk_2d, syrk_2d_limited, syrk_3d, try_syrk_1d, try_syrk_2d,
-    try_syrk_3d, DiagBlock, LocalOutput, OffDiagBlock, RunSpec, SymmRunResult, SyrkRun,
-    SyrkRunResult,
+    syr2k_1d, syr2k_2d, syrk_2d_limited, try_syrk_1d, try_syrk_2d, try_syrk_3d, DiagBlock,
+    LocalOutput, OffDiagBlock, RunSpec, SymmRunResult, SyrkRun, SyrkRunResult,
 };
 pub use attribution::{
     attribute_bounds, AttributionReport, TermAttribution, PHASE_ALLGATHER_A, PHASE_LOCAL_GEMM,

@@ -2,8 +2,9 @@
 //!
 //! The portable register-blocked kernel of [`crate::microkernel`] relies
 //! on LLVM's autovectorizer, which tops out well below what explicit f64
-//! FMA units deliver. [`crate::simd`] provides hand-written `std::arch`
-//! kernels per instruction set; this module decides **which one runs**:
+//! FMA units deliver. The private `simd` module provides hand-written
+//! `std::arch` kernels per instruction set; this module decides **which
+//! one runs**:
 //!
 //! 1. an in-process override installed by [`force_isa`] (an RAII guard,
 //!    used by the forced-ISA test matrix),

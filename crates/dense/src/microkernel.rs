@@ -10,8 +10,9 @@
 //!   packed mul/add instructions on every target (a call into a fused
 //!   `mul_add` libm routine would serialize the loop on targets without
 //!   a hardware FMA mapping);
-//! * the **explicit SIMD** f64 kernels of [`crate::simd`] — 8×6 AVX2,
-//!   16×14 AVX-512, 8×6 NEON — selected at runtime by [`crate::isa`].
+//! * the **explicit SIMD** f64 kernels of the private `simd` module —
+//!   8×6 AVX2, 16×14 AVX-512, 8×6 NEON — selected at runtime by
+//!   [`crate::isa`].
 //!
 //! The tile geometry is therefore no longer a compile-time constant:
 //! every driver resolves a [`Dispatch`] (a [`KernelSpec`] plus a kernel

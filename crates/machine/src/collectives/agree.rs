@@ -115,11 +115,12 @@ mod tests {
     #[test]
     fn healthy_world_agrees_on_union_of_suspects() {
         let p = 4usize;
-        let out = Machine::new(p).run(|comm| {
-            // Each rank suspects a different id; all must converge.
-            let mine = [10 + comm.rank()];
-            comm.try_agree_on_failures(&mine).unwrap()
-        });
+        let out = Machine::new(p)
+            .try_run(|comm| {
+                // Each rank suspects a different id; all must converge.
+                comm.try_agree_on_failures(&[10 + comm.rank()])
+            })
+            .unwrap();
         for agreed in &out.results {
             assert_eq!(agreed, &vec![10, 11, 12, 13]);
         }
@@ -136,7 +137,9 @@ mod tests {
 
     #[test]
     fn empty_suspicion_agrees_on_empty_set() {
-        let out = Machine::new(3).run(|comm| comm.try_agree_on_failures(&[]).unwrap());
+        let out = Machine::new(3)
+            .try_run(|comm| comm.try_agree_on_failures(&[]))
+            .unwrap();
         for agreed in &out.results {
             assert!(agreed.is_empty());
         }
@@ -144,7 +147,9 @@ mod tests {
 
     #[test]
     fn single_rank_agrees_with_itself() {
-        let out = Machine::new(1).run(|comm| comm.try_agree_on_failures(&[7]).unwrap());
+        let out = Machine::new(1)
+            .try_run(|comm| comm.try_agree_on_failures(&[7]))
+            .unwrap();
         assert_eq!(out.results[0], vec![7]);
     }
 }

@@ -7,12 +7,6 @@ use crate::error::MachineError;
 impl Comm {
     /// Element-wise sum of every rank's `data`, delivered to every rank.
     /// All ranks must pass equal-length buffers.
-    pub fn all_reduce(&self, data: &[f64]) -> Vec<f64> {
-        self.try_all_reduce(data).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`all_reduce`](Comm::all_reduce): transport
-    /// failures surface as [`MachineError`] instead of panicking.
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_all_reduce(&self, data: &[f64]) -> Result<Vec<f64>, MachineError> {
         crate::metrics::ALL_REDUCE.record(data.len());
@@ -40,10 +34,12 @@ mod tests {
     fn all_reduce_sums_everywhere() {
         for p in [1, 2, 3, 5, 8] {
             for n in [0, 1, 3, 17] {
-                let out = Machine::new(p).run(|comm| {
-                    let data: Vec<f64> = (0..n).map(|i| (comm.rank() * n + i) as f64).collect();
-                    comm.all_reduce(&data)
-                });
+                let out = Machine::new(p)
+                    .try_run(|comm| {
+                        let data: Vec<f64> = (0..n).map(|i| (comm.rank() * n + i) as f64).collect();
+                        comm.try_all_reduce(&data)
+                    })
+                    .unwrap();
                 for res in &out.results {
                     for (i, &x) in res.iter().enumerate() {
                         let expected: f64 = (0..p).map(|r| (r * n + i) as f64).sum();
@@ -57,9 +53,9 @@ mod tests {
     #[test]
     fn bandwidth_is_twice_reduce_scatter() {
         let (p, n) = (4, 100);
-        let out = Machine::new(p).run(|comm| {
-            comm.all_reduce(&vec![1.0; n]);
-        });
+        let out = Machine::new(p)
+            .try_run(|comm| comm.try_all_reduce(&vec![1.0; n]).map(drop))
+            .unwrap();
         // 2·(1 − 1/P)·n = 2 · 75 = 150 words per rank.
         for r in &out.cost.ranks {
             assert_eq!(r.words_sent, (2 * (n - n / p)) as u64);

@@ -16,26 +16,15 @@ impl Comm {
     /// i.e. `(1 − 1/P)·w` when all blocks have equal size `w/P`.
     ///
     /// ```
-    /// use syrk_machine::Machine;
-    /// let out = Machine::new(3).run(|comm| {
+    /// use syrk_machine::{Machine, MachineError};
+    /// let out = Machine::new(3).try_run(|comm| {
     ///     let blocks: Vec<Vec<f64>> =
     ///         (0..3).map(|q| vec![(comm.rank() * 3 + q) as f64]).collect();
-    ///     comm.all_to_all(blocks)[2][0] // what rank 2 sent me
-    /// });
+    ///     Ok(comm.try_all_to_all(blocks)?[2][0]) // what rank 2 sent me
+    /// })?;
     /// assert_eq!(out.results[1], 7.0); // rank 2's block for rank 1
+    /// # Ok::<(), MachineError>(())
     /// ```
-    pub fn all_to_all(&self, blocks: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-        self.all_to_all_with(blocks, CollectiveAlg::PairwiseExchange)
-    }
-
-    /// All-to-all with an explicit algorithm choice.
-    pub fn all_to_all_with(&self, blocks: Vec<Vec<f64>>, alg: CollectiveAlg) -> Vec<Vec<f64>> {
-        self.try_all_to_all_with(blocks, alg)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`all_to_all`](Comm::all_to_all): transport
-    /// failures surface as [`MachineError`] instead of panicking.
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_all_to_all(&self, blocks: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>, MachineError> {
         self.try_all_to_all_with(blocks, CollectiveAlg::PairwiseExchange)
@@ -151,7 +140,7 @@ impl Comm {
             .collect())
     }
 
-    /// Fallible form of [`all_to_all_with`](Comm::all_to_all_with).
+    /// All-to-all with an explicit algorithm choice.
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_all_to_all_with(
         &self,
@@ -237,24 +226,27 @@ mod tests {
 
     use crate::collectives::CollectiveAlg;
     use crate::envelope::Payload;
+    use crate::error::MachineError;
     use crate::fault::FaultPlan;
     use crate::machine::{Machine, RunOutput};
 
     /// The canonical all-to-all check: rank r sends `[r*P + q]` to rank q;
     /// afterwards rank q holds `[r*P + q]` from every r.
     fn check_alltoall(p: usize, alg: CollectiveAlg) {
-        let out = Machine::new(p).run(|comm| {
-            let me = comm.rank();
-            let blocks: Vec<Vec<f64>> = (0..p)
-                .map(|q| vec![(me * p + q) as f64, 1000.0 + me as f64])
-                .collect();
-            let recv = comm.all_to_all_with(blocks, alg);
-            for (r, blk) in recv.iter().enumerate() {
-                assert_eq!(blk[0], (r * p + me) as f64, "P={p} rank {me} from {r}");
-                assert_eq!(blk[1], 1000.0 + r as f64);
-            }
-            true
-        });
+        let out = Machine::new(p)
+            .try_run(|comm| {
+                let me = comm.rank();
+                let blocks: Vec<Vec<f64>> = (0..p)
+                    .map(|q| vec![(me * p + q) as f64, 1000.0 + me as f64])
+                    .collect();
+                let recv = comm.try_all_to_all_with(blocks, alg)?;
+                for (r, blk) in recv.iter().enumerate() {
+                    assert_eq!(blk[0], (r * p + me) as f64, "P={p} rank {me} from {r}");
+                    assert_eq!(blk[1], 1000.0 + r as f64);
+                }
+                Ok(true)
+            })
+            .unwrap();
         assert!(out.results.iter().all(|&ok| ok));
     }
 
@@ -277,10 +269,9 @@ mod tests {
         // Uniform blocks of size b: each rank sends (P-1)·b words in P-1
         // messages — the (1 − 1/P)·w cost from §3.2 with w = P·b.
         let (p, b) = (6, 10);
-        let out = Machine::new(p).run(|comm| {
-            let blocks = vec![vec![0.0; b]; p];
-            comm.all_to_all(blocks);
-        });
+        let out = Machine::new(p)
+            .try_run(|comm| comm.try_all_to_all(vec![vec![0.0; b]; p]).map(drop))
+            .unwrap();
         for r in &out.cost.ranks {
             assert_eq!(r.words_sent, ((p - 1) * b) as u64);
             assert_eq!(r.msgs_sent, (p - 1) as u64);
@@ -290,17 +281,19 @@ mod tests {
     #[test]
     fn pairwise_supports_nonuniform_blocks() {
         let p = 4;
-        let out = Machine::new(p).run(|comm| {
-            let me = comm.rank();
-            // Block for rank q has length q+1 and is filled with me.
-            let blocks: Vec<Vec<f64>> = (0..p).map(|q| vec![me as f64; q + 1]).collect();
-            let recv = comm.all_to_all(blocks);
-            for (r, blk) in recv.iter().enumerate() {
-                assert_eq!(blk.len(), me + 1);
-                assert!(blk.iter().all(|&x| x == r as f64));
-            }
-            true
-        });
+        let out = Machine::new(p)
+            .try_run(|comm| {
+                let me = comm.rank();
+                // Block for rank q has length q+1 and is filled with me.
+                let blocks: Vec<Vec<f64>> = (0..p).map(|q| vec![me as f64; q + 1]).collect();
+                let recv = comm.try_all_to_all(blocks)?;
+                for (r, blk) in recv.iter().enumerate() {
+                    assert_eq!(blk.len(), me + 1);
+                    assert!(blk.iter().all(|&x| x == r as f64));
+                }
+                Ok(true)
+            })
+            .unwrap();
         assert!(out.results.iter().all(|&ok| ok));
     }
 
@@ -309,19 +302,21 @@ mod tests {
         // Ranks exchange only with their ring neighbors; every other pair
         // is zero-word in both directions and must cost no messages.
         let p = 6;
-        let out = Machine::new(p).run(|comm| {
-            let me = comm.rank();
-            let (right, left) = ((me + 1) % p, (me + p - 1) % p);
-            let sends = vec![(right, vec![me as f64; 3]), (left, vec![me as f64; 3])];
-            let got: Vec<Vec<f64>> = comm
-                .try_all_to_all_sparse(sends, &[(right, 3), (left, 3)])
-                .unwrap();
-            assert_eq!(
-                got,
-                [vec![right as f64; 3], vec![left as f64; 3]],
-                "rank {me}"
-            );
-        });
+        let out = Machine::new(p)
+            .try_run(|comm| {
+                let me = comm.rank();
+                let (right, left) = ((me + 1) % p, (me + p - 1) % p);
+                let sends = vec![(right, vec![me as f64; 3]), (left, vec![me as f64; 3])];
+                let got: Vec<Vec<f64>> =
+                    comm.try_all_to_all_sparse(sends, &[(right, 3), (left, 3)])?;
+                assert_eq!(
+                    got,
+                    [vec![right as f64; 3], vec![left as f64; 3]],
+                    "rank {me}"
+                );
+                Ok(())
+            })
+            .unwrap();
         for r in &out.cost.ranks {
             assert_eq!(r.msgs_sent, 2);
             assert_eq!(r.words_sent, 6);
@@ -334,21 +329,23 @@ mod tests {
         // exchange: identical results, words, messages, and clocks.
         let (p, b) = (5, 3);
         let body = move |sparse: bool| {
-            Machine::new(p).run(move |comm| {
-                let me = comm.rank();
-                let block = |q: usize| vec![(me * p + q) as f64; b];
-                let recv: Vec<Vec<f64>> = if sparse {
-                    let others = (0..p).filter(|&q| q != me);
-                    let sends = others.clone().map(|q| (q, block(q))).collect();
-                    let recvs: Vec<(usize, usize)> = others.map(|q| (q, b)).collect();
-                    let mut got = comm.try_all_to_all_sparse(sends, &recvs).unwrap();
-                    got.insert(me, block(me));
-                    got
-                } else {
-                    comm.try_all_to_all((0..p).map(block).collect()).unwrap()
-                };
-                recv.iter().map(|blk| blk[0]).sum::<f64>()
-            })
+            Machine::new(p)
+                .try_run(move |comm| {
+                    let me = comm.rank();
+                    let block = |q: usize| vec![(me * p + q) as f64; b];
+                    let recv: Vec<Vec<f64>> = if sparse {
+                        let others = (0..p).filter(|&q| q != me);
+                        let sends = others.clone().map(|q| (q, block(q))).collect();
+                        let recvs: Vec<(usize, usize)> = others.map(|q| (q, b)).collect();
+                        let mut got = comm.try_all_to_all_sparse(sends, &recvs)?;
+                        got.insert(me, block(me));
+                        got
+                    } else {
+                        comm.try_all_to_all((0..p).map(block).collect())?
+                    };
+                    Ok(recv.iter().map(|blk| blk[0]).sum::<f64>())
+                })
+                .unwrap()
         };
         let dense = body(false);
         let sparse = body(true);
@@ -367,22 +364,25 @@ mod tests {
         // one from `recvs[i].0` either way, and the costs do not move.
         let p = 5;
         let run = |reverse: bool| {
-            Machine::new(p).run(move |comm| {
-                let me = comm.rank();
-                let sends = (1..=3)
-                    .map(|d| ((me + d) % p, vec![me as f64; d]))
-                    .collect();
-                let mut recvs: Vec<(usize, usize)> =
-                    (1..=3).map(|d| ((me + p - d) % p, d)).collect();
-                if reverse {
-                    recvs.reverse();
-                }
-                let got: Vec<Vec<f64>> = comm.try_all_to_all_sparse(sends, &recvs).unwrap();
-                assert_eq!(got.len(), recvs.len());
-                for (block, &(src, words)) in got.iter().zip(&recvs) {
-                    assert_eq!(block, &vec![src as f64; words], "rank {me} from {src}");
-                }
-            })
+            Machine::new(p)
+                .try_run(move |comm| {
+                    let me = comm.rank();
+                    let sends = (1..=3)
+                        .map(|d| ((me + d) % p, vec![me as f64; d]))
+                        .collect();
+                    let mut recvs: Vec<(usize, usize)> =
+                        (1..=3).map(|d| ((me + p - d) % p, d)).collect();
+                    if reverse {
+                        recvs.reverse();
+                    }
+                    let got: Vec<Vec<f64>> = comm.try_all_to_all_sparse(sends, &recvs)?;
+                    assert_eq!(got.len(), recvs.len());
+                    for (block, &(src, words)) in got.iter().zip(&recvs) {
+                        assert_eq!(block, &vec![src as f64; words], "rank {me} from {src}");
+                    }
+                    Ok(())
+                })
+                .unwrap()
         };
         let (forward, reversed) = (run(false), run(true));
         assert_eq!(forward.cost.ranks, reversed.cost.ranks);
@@ -393,16 +393,18 @@ mod tests {
         // Rank r sends r + 1 words to every higher rank: rank 0 only
         // sends, the last rank only receives, and no step is duplex.
         let p = 4;
-        let out = Machine::new(p).run(|comm| {
-            let me = comm.rank();
-            let sends = (me + 1..p).map(|q| (q, vec![me as f64; me + 1])).collect();
-            let recvs: Vec<(usize, usize)> = (0..me).map(|q| (q, q + 1)).collect();
-            let got: Vec<Vec<f64>> = comm.try_all_to_all_sparse(sends, &recvs).unwrap();
-            for (q, block) in got.iter().enumerate() {
-                assert_eq!(block, &vec![q as f64; q + 1], "rank {me} from {q}");
-            }
-            got.len()
-        });
+        let out = Machine::new(p)
+            .try_run(|comm| {
+                let me = comm.rank();
+                let sends = (me + 1..p).map(|q| (q, vec![me as f64; me + 1])).collect();
+                let recvs: Vec<(usize, usize)> = (0..me).map(|q| (q, q + 1)).collect();
+                let got: Vec<Vec<f64>> = comm.try_all_to_all_sparse(sends, &recvs)?;
+                for (q, block) in got.iter().enumerate() {
+                    assert_eq!(block, &vec![q as f64; q + 1], "rank {me} from {q}");
+                }
+                Ok(got.len())
+            })
+            .unwrap();
         assert_eq!(out.results, [0, 1, 2, 3]);
         for (r, cost) in out.cost.ranks.iter().enumerate() {
             assert_eq!(cost.msgs_sent, (p - 1 - r) as u64, "rank {r}");
@@ -415,12 +417,18 @@ mod tests {
     fn sparse_list_form_rejects_a_destination_listed_twice() {
         // A real assert, release builds included: the second envelope
         // would carry the same `(src, tag)` and nobody would receive it.
-        Machine::new(3).run(|comm| {
-            let next = (comm.rank() + 1) % 3;
-            let prev = (comm.rank() + 2) % 3;
-            let sends = vec![(next, vec![1.0]), (next, vec![2.0])];
-            comm.try_all_to_all_sparse(sends, &[(prev, 1)]).map(drop)
-        });
+        // The first rank to trip it fails the run; its message is raised
+        // here.
+        let err = Machine::new(3)
+            .try_run(|comm| {
+                let next = (comm.rank() + 1) % 3;
+                let prev = (comm.rank() + 2) % 3;
+                let sends = vec![(next, vec![1.0]), (next, vec![2.0])];
+                comm.try_all_to_all_sparse(sends, &[(prev, 1)]).map(drop)
+            })
+            .unwrap_err();
+        assert!(matches!(err, MachineError::RankPanicked { .. }));
+        panic!("{err}");
     }
 
     /// A 6-rank exchange of payload type `T` under drops, duplicates and
@@ -432,17 +440,20 @@ mod tests {
     {
         let p = 6;
         let plan = FaultPlan::seeded(11).duplicate(0.2).corrupt(0.1).drop(0.2);
-        Machine::new(p).with_faults(plan).run(move |comm| {
-            let me = comm.rank();
-            let chunk = T::from(vec![me as f64 + 0.5; me % 3 + 1]);
-            let sends = (1..=3).map(|d| ((me + d) % p, chunk.clone())).collect();
-            let recvs: Vec<(usize, usize)> = (1..=3)
-                .map(|d| (me + p - d) % p)
-                .map(|src| (src, src % 3 + 1))
-                .collect();
-            let got: Vec<T> = comm.try_all_to_all_sparse(sends, &recvs).unwrap();
-            got.iter().map(|block| block.to_vec()).collect()
-        })
+        Machine::new(p)
+            .with_faults(plan)
+            .try_run(move |comm| {
+                let me = comm.rank();
+                let chunk = T::from(vec![me as f64 + 0.5; me % 3 + 1]);
+                let sends = (1..=3).map(|d| ((me + d) % p, chunk.clone())).collect();
+                let recvs: Vec<(usize, usize)> = (1..=3)
+                    .map(|d| (me + p - d) % p)
+                    .map(|src| (src, src % 3 + 1))
+                    .collect();
+                let got: Vec<T> = comm.try_all_to_all_sparse(sends, &recvs)?;
+                Ok(got.iter().map(|block| block.to_vec()).collect())
+            })
+            .unwrap()
     }
 
     #[test]
@@ -472,9 +483,11 @@ mod tests {
         let (p, b) = (16, 100);
         let run = |alg| {
             Machine::new(p)
-                .run(move |comm| {
-                    comm.all_to_all_with(vec![vec![0.0; b]; p], alg);
+                .try_run(move |comm| {
+                    comm.try_all_to_all_with(vec![vec![0.0; b]; p], alg)
+                        .map(drop)
                 })
+                .unwrap()
                 .cost
         };
         let pw = run(CollectiveAlg::PairwiseExchange);

@@ -8,12 +8,6 @@ impl Comm {
     /// Synchronize all ranks: no rank returns before every rank has
     /// entered. Dissemination algorithm: `⌈log₂ P⌉` rounds of zero-word
     /// exchanges, so only latency is charged.
-    pub fn barrier(&self) {
-        self.try_barrier().unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible form of [`barrier`](Comm::barrier): transport failures
-    /// surface as [`MachineError`] instead of panicking.
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_barrier(&self) -> Result<(), MachineError> {
         crate::metrics::BARRIER.record(0);
@@ -42,17 +36,19 @@ mod tests {
         // ranks must observe the full count.
         let p = 8;
         let counter = AtomicUsize::new(0);
-        let out = Machine::new(p).run(|comm| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            comm.barrier();
-            counter.load(Ordering::SeqCst)
-        });
+        let out = Machine::new(p)
+            .try_run(|comm| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                comm.try_barrier()?;
+                Ok(counter.load(Ordering::SeqCst))
+            })
+            .unwrap();
         assert!(out.results.iter().all(|&c| c == p));
     }
 
     #[test]
     fn barrier_charges_no_bandwidth() {
-        let out = Machine::new(16).run(|comm| comm.barrier());
+        let out = Machine::new(16).try_run(|comm| comm.try_barrier()).unwrap();
         assert_eq!(out.cost.total_words(), 0);
         // Dissemination: log2(16) = 4 rounds.
         assert_eq!(out.cost.max_messages(), 4);
@@ -60,7 +56,7 @@ mod tests {
 
     #[test]
     fn barrier_on_single_rank_is_noop() {
-        let out = Machine::new(1).run(|comm| comm.barrier());
+        let out = Machine::new(1).try_run(|comm| comm.try_barrier()).unwrap();
         assert_eq!(out.cost.total_words(), 0);
         assert_eq!(out.cost.max_messages(), 0);
     }

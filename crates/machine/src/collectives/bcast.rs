@@ -10,14 +10,7 @@ impl Comm {
     /// it to at most `⌈log₂ P⌉` children.
     ///
     /// Only `root` needs to supply `Some(data)`; other ranks pass `None`.
-    pub fn broadcast(&self, root: usize, data: Option<Vec<f64>>) -> Vec<f64> {
-        self.try_broadcast(root, data)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`broadcast`](Comm::broadcast): transport failures
-    /// surface as [`MachineError`] instead of panicking. Passing `None` on
-    /// the root remains a programmer error and still panics.
+    /// Passing `None` on the root is a programmer error and panics.
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_broadcast(
         &self,
@@ -61,16 +54,19 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
+    use crate::error::MachineError;
     use crate::machine::Machine;
 
     #[test]
     fn broadcast_reaches_all_ranks_any_root() {
         for p in [1, 2, 3, 5, 8, 13] {
             for root in [0, p / 2, p - 1] {
-                let out = Machine::new(p).run(|comm| {
-                    let data = (comm.rank() == root).then(|| vec![3.25, -1.0, root as f64]);
-                    comm.broadcast(root, data)
-                });
+                let out = Machine::new(p)
+                    .try_run(|comm| {
+                        let data = (comm.rank() == root).then(|| vec![3.25, -1.0, root as f64]);
+                        comm.try_broadcast(root, data)
+                    })
+                    .unwrap();
                 for res in &out.results {
                     assert_eq!(res, &vec![3.25, -1.0, root as f64], "P={p} root={root}");
                 }
@@ -81,9 +77,12 @@ mod tests {
     #[test]
     fn latency_is_logarithmic() {
         let p = 16;
-        let out = Machine::new(p).run(|comm| {
-            comm.broadcast(0, (comm.rank() == 0).then(|| vec![1.0; 8]));
-        });
+        let out = Machine::new(p)
+            .try_run(|comm| {
+                let data = (comm.rank() == 0).then(|| vec![1.0; 8]);
+                comm.try_broadcast(0, data).map(drop)
+            })
+            .unwrap();
         // Root sends log2(16) = 4 messages; no rank sends more.
         assert_eq!(out.cost.max_messages(), 4);
         assert_eq!(out.cost.ranks[0].msgs_sent, 4);
@@ -94,8 +93,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "root must provide")]
     fn missing_root_data_panics() {
-        Machine::new(2).run(|comm| {
-            let _ = comm.broadcast(0, None);
-        });
+        // The root's panic is the run's typed first error; its message is
+        // raised here.
+        let err = Machine::new(2)
+            .try_run(|comm| comm.try_broadcast(0, None).map(drop))
+            .unwrap_err();
+        assert!(matches!(err, MachineError::RankPanicked { rank: 0, .. }));
+        panic!("{err}");
     }
 }

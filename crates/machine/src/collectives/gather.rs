@@ -8,13 +8,6 @@ impl Comm {
     /// Gather every rank's `mine` at `root`. Returns `Some(blocks)` on the
     /// root (indexed by rank) and `None` elsewhere. Blocks may differ in
     /// size. Direct algorithm: the root receives `P − 1` messages.
-    pub fn gather(&self, root: usize, mine: Vec<f64>) -> Option<Vec<Vec<f64>>> {
-        self.try_gather(root, mine)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`gather`](Comm::gather): transport failures
-    /// surface as [`MachineError`] instead of panicking.
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_gather(
         &self,
@@ -41,12 +34,6 @@ impl Comm {
 
     /// Scatter `blocks[q]` from `root` to each rank `q`. Only the root
     /// supplies `Some(blocks)`. Returns this rank's block.
-    pub fn scatter(&self, root: usize, blocks: Option<Vec<Vec<f64>>>) -> Vec<f64> {
-        self.try_scatter(root, blocks)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`scatter`](Comm::scatter).
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_scatter(
         &self,
@@ -83,10 +70,9 @@ mod tests {
     fn gather_collects_blocks_at_root() {
         let p = 5;
         let root = 2;
-        let out = Machine::new(p).run(|comm| {
-            let mine = vec![comm.rank() as f64; comm.rank() + 1];
-            comm.gather(root, mine)
-        });
+        let out = Machine::new(p)
+            .try_run(|comm| comm.try_gather(root, vec![comm.rank() as f64; comm.rank() + 1]))
+            .unwrap();
         for (r, res) in out.results.iter().enumerate() {
             if r == root {
                 let blocks = res.as_ref().unwrap();
@@ -102,11 +88,13 @@ mod tests {
     #[test]
     fn scatter_distributes_blocks() {
         let p = 4;
-        let out = Machine::new(p).run(|comm| {
-            let blocks = (comm.rank() == 0)
-                .then(|| (0..p).map(|q| vec![q as f64 * 2.0]).collect::<Vec<_>>());
-            comm.scatter(0, blocks)
-        });
+        let out = Machine::new(p)
+            .try_run(|comm| {
+                let blocks = (comm.rank() == 0)
+                    .then(|| (0..p).map(|q| vec![q as f64 * 2.0]).collect::<Vec<_>>());
+                comm.try_scatter(0, blocks)
+            })
+            .unwrap();
         for (q, blk) in out.results.iter().enumerate() {
             assert_eq!(blk, &vec![q as f64 * 2.0]);
         }
@@ -115,11 +103,12 @@ mod tests {
     #[test]
     fn gather_then_scatter_roundtrip() {
         let p = 6;
-        let out = Machine::new(p).run(|comm| {
-            let mine = vec![comm.rank() as f64 + 0.5];
-            let gathered = comm.gather(0, mine);
-            comm.scatter(0, gathered)
-        });
+        let out = Machine::new(p)
+            .try_run(|comm| {
+                let gathered = comm.try_gather(0, vec![comm.rank() as f64 + 0.5])?;
+                comm.try_scatter(0, gathered)
+            })
+            .unwrap();
         for (q, blk) in out.results.iter().enumerate() {
             assert_eq!(blk, &vec![q as f64 + 0.5]);
         }

@@ -8,13 +8,6 @@ impl Comm {
     /// Element-wise sum of every rank's `data` delivered to `root`.
     /// Binomial tree: `⌈log₂ P⌉` rounds; returns `Some(sum)` on the root
     /// and `None` elsewhere. All ranks must pass equal-length buffers.
-    pub fn reduce(&self, root: usize, data: &[f64]) -> Option<Vec<f64>> {
-        self.try_reduce(root, data)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`reduce`](Comm::reduce): transport failures
-    /// surface as [`MachineError`] instead of panicking.
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_reduce(&self, root: usize, data: &[f64]) -> Result<Option<Vec<f64>>, MachineError> {
         crate::metrics::REDUCE.record(data.len());
@@ -62,10 +55,9 @@ mod tests {
     fn reduce_sums_to_root_any_root() {
         for p in [1, 2, 3, 6, 9, 16] {
             for root in [0, p - 1] {
-                let out = Machine::new(p).run(|comm| {
-                    let data = vec![comm.rank() as f64, 1.0];
-                    comm.reduce(root, &data)
-                });
+                let out = Machine::new(p)
+                    .try_run(|comm| comm.try_reduce(root, &[comm.rank() as f64, 1.0]))
+                    .unwrap();
                 let expected: f64 = (0..p).map(|r| r as f64).sum();
                 for (r, res) in out.results.iter().enumerate() {
                     if r == root {
@@ -81,9 +73,9 @@ mod tests {
     #[test]
     fn every_nonroot_sends_exactly_once() {
         let p = 8;
-        let out = Machine::new(p).run(|comm| {
-            comm.reduce(0, &[1.0; 5]);
-        });
+        let out = Machine::new(p)
+            .try_run(|comm| comm.try_reduce(0, &[1.0; 5]).map(drop))
+            .unwrap();
         for (r, c) in out.cost.ranks.iter().enumerate() {
             assert_eq!(c.msgs_sent, u64::from(r != 0));
         }

@@ -12,7 +12,7 @@ use crate::collectives::TAG_REDUCE_SCATTER;
 use crate::comm::Comm;
 use crate::error::MachineError;
 
-/// Algorithm selector for [`Comm::reduce_scatter_with`].
+/// Algorithm selector for [`Comm::try_reduce_scatter_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReduceScatterAlg {
     /// `P − 1` rounds, bandwidth-optimal — the paper's §3.2 assumption.
@@ -41,20 +41,14 @@ impl Comm {
     /// and flops when all segments have equal size `w/P`.
     ///
     /// ```
-    /// use syrk_machine::Machine;
-    /// let out = Machine::new(4).run(|comm| {
+    /// use syrk_machine::{Machine, MachineError};
+    /// let out = Machine::new(4).try_run(|comm| {
     ///     // Everyone contributes 1.0 to every rank's segment.
-    ///     comm.reduce_scatter(vec![vec![1.0]; 4])[0]
-    /// });
+    ///     Ok(comm.try_reduce_scatter(vec![vec![1.0]; 4])?[0])
+    /// })?;
     /// assert!(out.results.iter().all(|&x| x == 4.0));
+    /// # Ok::<(), MachineError>(())
     /// ```
-    pub fn reduce_scatter(&self, segments: Vec<Vec<f64>>) -> Vec<f64> {
-        self.try_reduce_scatter(segments)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`reduce_scatter`](Comm::reduce_scatter): transport
-    /// failures surface as [`MachineError`] instead of panicking.
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_reduce_scatter(
         &self,
@@ -90,12 +84,6 @@ impl Comm {
     }
 
     /// Reduce-scatter with an explicit algorithm choice.
-    pub fn reduce_scatter_with(&self, segments: Vec<Vec<f64>>, alg: ReduceScatterAlg) -> Vec<f64> {
-        self.try_reduce_scatter_with(segments, alg)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`reduce_scatter_with`](Comm::reduce_scatter_with).
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_reduce_scatter_with(
         &self,
@@ -191,12 +179,6 @@ impl Comm {
     /// Reduce-scatter over a contiguous buffer split into `counts[q]`-sized
     /// segments (an `MPI_Reduce_scatter`-style interface). Returns this
     /// rank's reduced segment of length `counts[rank]`.
-    pub fn reduce_scatter_block(&self, data: &[f64], counts: &[usize]) -> Vec<f64> {
-        self.try_reduce_scatter_block(data, counts)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`reduce_scatter_block`](Comm::reduce_scatter_block).
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_reduce_scatter_block(
         &self,
@@ -222,19 +204,22 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
+    use crate::error::MachineError;
     use crate::machine::Machine;
 
     #[test]
     fn reduce_scatter_sums_contributions() {
         for p in [1, 2, 3, 5, 8] {
-            let out = Machine::new(p).run(|comm| {
-                let me = comm.rank();
-                // Contribution to rank q's segment: [me + q, 10*me].
-                let segments: Vec<Vec<f64>> = (0..p)
-                    .map(|q| vec![(me + q) as f64, (10 * me) as f64])
-                    .collect();
-                comm.reduce_scatter(segments)
-            });
+            let out = Machine::new(p)
+                .try_run(|comm| {
+                    let me = comm.rank();
+                    // Contribution to rank q's segment: [me + q, 10*me].
+                    let segments: Vec<Vec<f64>> = (0..p)
+                        .map(|q| vec![(me + q) as f64, (10 * me) as f64])
+                        .collect();
+                    comm.try_reduce_scatter(segments)
+                })
+                .unwrap();
             let rank_sum: usize = (0..p).sum();
             for (q, seg) in out.results.iter().enumerate() {
                 // Σ_me (me + q) = rank_sum + P·q ; Σ_me 10·me = 10·rank_sum.
@@ -249,9 +234,9 @@ mod tests {
         // With w total words per rank split evenly, bandwidth is
         // (1 − 1/P)·w words and (1 − 1/P)·w additions (§3.2).
         let (p, seg) = (5, 12);
-        let out = Machine::new(p).run(|comm| {
-            comm.reduce_scatter(vec![vec![1.0; seg]; p]);
-        });
+        let out = Machine::new(p)
+            .try_run(|comm| comm.try_reduce_scatter(vec![vec![1.0; seg]; p]).map(drop))
+            .unwrap();
         let w = (p * seg) as u64;
         for r in &out.cost.ranks {
             assert_eq!(r.words_sent, w - seg as u64); // (1 - 1/P)·w
@@ -263,11 +248,12 @@ mod tests {
     #[test]
     fn block_interface_respects_counts() {
         let p = 4;
-        let out = Machine::new(p).run(|comm| {
-            let counts = vec![1, 2, 3, 4];
-            let data: Vec<f64> = (0..10).map(|i| i as f64).collect();
-            comm.reduce_scatter_block(&data, &counts)
-        });
+        let out = Machine::new(p)
+            .try_run(|comm| {
+                let data: Vec<f64> = (0..10).map(|i| i as f64).collect();
+                comm.try_reduce_scatter_block(&data, &[1, 2, 3, 4])
+            })
+            .unwrap();
         // Every rank contributed the same buffer, so rank q's segment is
         // P × the q-th slice of 0..10.
         assert_eq!(out.results[0], vec![0.0 * 4.0]);
@@ -279,12 +265,14 @@ mod tests {
     #[test]
     fn empty_segments_are_fine() {
         let p = 3;
-        let out = Machine::new(p).run(|comm| {
-            let segments: Vec<Vec<f64>> = (0..p)
-                .map(|q| if q == 1 { vec![2.0] } else { vec![] })
-                .collect();
-            comm.reduce_scatter(segments)
-        });
+        let out = Machine::new(p)
+            .try_run(|comm| {
+                let segments: Vec<Vec<f64>> = (0..p)
+                    .map(|q| if q == 1 { vec![2.0] } else { vec![] })
+                    .collect();
+                comm.try_reduce_scatter(segments)
+            })
+            .unwrap();
         assert!(out.results[0].is_empty());
         assert_eq!(out.results[1], vec![6.0]);
         assert!(out.results[2].is_empty());
@@ -293,14 +281,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "disagrees on the length")]
     fn mismatched_segment_lengths_panic() {
-        Machine::new(2).run(|comm| {
-            let segments = if comm.rank() == 0 {
-                vec![vec![1.0], vec![1.0]]
-            } else {
-                vec![vec![1.0, 2.0], vec![1.0]]
-            };
-            comm.reduce_scatter(segments);
-        });
+        // The rank that detects the disagreement fails the run; its
+        // message is raised here.
+        let err = Machine::new(2)
+            .try_run(|comm| {
+                let segments = if comm.rank() == 0 {
+                    vec![vec![1.0], vec![1.0]]
+                } else {
+                    vec![vec![1.0, 2.0], vec![1.0]]
+                };
+                comm.try_reduce_scatter(segments).map(drop)
+            })
+            .unwrap_err();
+        assert!(matches!(err, MachineError::RankPanicked { .. }));
+        panic!("{err}");
     }
 
     #[test]
@@ -309,12 +303,13 @@ mod tests {
         for p in [2usize, 4, 8, 16] {
             let run = |alg| {
                 Machine::new(p)
-                    .run(move |comm| {
+                    .try_run(move |comm| {
                         let me = comm.rank();
                         let segments: Vec<Vec<f64>> =
                             (0..p).map(|q| vec![(me * p + q) as f64, 1.0]).collect();
-                        comm.reduce_scatter_with(segments, alg)
+                        comm.try_reduce_scatter_with(segments, alg)
                     })
+                    .unwrap()
                     .results
             };
             let pw = run(ReduceScatterAlg::PairwiseExchange);
@@ -329,9 +324,11 @@ mod tests {
         let (p, seg) = (8usize, 32usize);
         let run = |alg| {
             Machine::new(p)
-                .run(move |comm| {
-                    comm.reduce_scatter_with(vec![vec![1.0; seg]; p], alg);
+                .try_run(move |comm| {
+                    let segments = vec![vec![1.0; seg]; p];
+                    comm.try_reduce_scatter_with(segments, alg).map(drop)
                 })
+                .unwrap()
                 .cost
         };
         let pw = run(ReduceScatterAlg::PairwiseExchange);
@@ -346,11 +343,13 @@ mod tests {
     fn tree_then_scatter_correct_any_p() {
         use super::ReduceScatterAlg;
         for p in [1usize, 3, 5, 8] {
-            let out = Machine::new(p).run(move |comm| {
-                let me = comm.rank();
-                let segments: Vec<Vec<f64>> = (0..p).map(|q| vec![(me + q) as f64]).collect();
-                comm.reduce_scatter_with(segments, ReduceScatterAlg::TreeThenScatter)
-            });
+            let out = Machine::new(p)
+                .try_run(move |comm| {
+                    let me = comm.rank();
+                    let segments: Vec<Vec<f64>> = (0..p).map(|q| vec![(me + q) as f64]).collect();
+                    comm.try_reduce_scatter_with(segments, ReduceScatterAlg::TreeThenScatter)
+                })
+                .unwrap();
             let rank_sum: usize = (0..p).sum();
             for (q, seg) in out.results.iter().enumerate() {
                 assert_eq!(seg[0], (rank_sum + p * q) as f64, "P={p} q={q}");
@@ -364,9 +363,11 @@ mod tests {
         let (p, seg) = (8usize, 64usize);
         let run = |alg| {
             Machine::new(p)
-                .run(move |comm| {
-                    comm.reduce_scatter_with(vec![vec![1.0; seg]; p], alg);
+                .try_run(move |comm| {
+                    let segments = vec![vec![1.0; seg]; p];
+                    comm.try_reduce_scatter_with(segments, alg).map(drop)
                 })
+                .unwrap()
                 .cost
         };
         let pw = run(ReduceScatterAlg::PairwiseExchange);

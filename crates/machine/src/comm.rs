@@ -233,8 +233,8 @@ impl Drop for RecvSpan {
 /// A communicator handle held by a single simulated rank.
 ///
 /// The world communicator is handed to the SPMD closure by
-/// [`Machine::run`](crate::machine::Machine::run); sub-communicators are
-/// created collectively with [`Comm::split`]. Group ranks (`0..size`) are
+/// [`Machine::try_run`](crate::machine::Machine::try_run);
+/// sub-communicators are created collectively with [`Comm::split`]. Group ranks (`0..size`) are
 /// always used in the public API; translation to world ranks is internal.
 pub struct Comm {
     world: Arc<World>,
@@ -370,10 +370,11 @@ impl Comm {
     ///
     /// ```
     /// # use syrk_machine::Machine;
-    /// # Machine::new(1).run(|comm| {
+    /// # Machine::new(1).try_run(|comm| {
     /// let _span = comm.phase("local-syrk");
     /// comm.add_flops(100); // attributed to "local-syrk"
-    /// # });
+    /// # Ok(())
+    /// # }).unwrap();
     /// ```
     pub fn phase(&self, name: &'static str) -> PhaseScope<'_> {
         self.push_phase(name);
@@ -658,17 +659,8 @@ impl Comm {
 
     /// Send `payload` to group rank `dst` with `tag`. Blocking-send
     /// semantics are simulated for cost purposes only; the transport is
-    /// buffered, so `send` never deadlocks.
-    ///
-    /// Panics on injected crash faults; see [`try_send`](Comm::try_send)
-    /// for the `Result` form.
-    pub fn send<T: Payload>(&self, dst: usize, tag: u64, payload: T) {
-        self.try_send(dst, tag, payload)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible form of [`send`](Comm::send): returns an error instead of
-    /// panicking when this rank is crashed by the fault plan.
+    /// buffered, so a send never deadlocks. Fails when the fault plan
+    /// crashes this rank.
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_send<T: Payload>(
         &self,
@@ -687,18 +679,9 @@ impl Comm {
         Ok(())
     }
 
-    /// Receive a `T` from group rank `src` with `tag`.
-    ///
-    /// Panics if the next matching message does not contain a `T`, or if
-    /// the run fails while this rank waits (a deadlock is diagnosed, not
-    /// hung on). See [`try_recv`](Comm::try_recv) for the `Result` form.
-    pub fn recv<T: Payload>(&self, src: usize, tag: u64) -> T {
-        self.try_recv(src, tag).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`recv`](Comm::recv): a peer failure, an injected
-    /// crash, a deadlock or a payload type mismatch is returned as a
-    /// [`MachineError`] instead of panicking.
+    /// Receive a `T` from group rank `src` with `tag`. A peer failure, an
+    /// injected crash, a deadlock (diagnosed, not hung on) or a matching
+    /// message that does not hold a `T` is a [`MachineError`].
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_recv<T: Payload>(&self, src: usize, tag: u64) -> Result<T, MachineError> {
         assert!(
@@ -718,16 +701,10 @@ impl Comm {
         })
     }
 
-    /// Simultaneously send `payload` to `dst` and receive a `T` from `src`
+    /// Simultaneously send `out` to `dst` and receive a `U` from `src`
     /// (both group ranks). Under the bidirectional-link assumption of §3.2
     /// the step is charged once at `α + β·max(w_out, w_in)`, which is what
     /// makes pairwise-exchange collectives cost `(1 − 1/P)·w`.
-    pub fn exchange<T: Payload, U: Payload>(&self, dst: usize, out: T, src: usize, tag: u64) -> U {
-        self.try_exchange(dst, out, src, tag)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`exchange`](Comm::exchange).
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_exchange<T: Payload, U: Payload>(
         &self,
@@ -889,15 +866,17 @@ mod tests {
 
     #[test]
     fn send_recv_roundtrip() {
-        let out = Machine::new(2).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 7, vec![1.0f64, 2.0, 3.0]);
-                0.0
-            } else {
-                let v: Vec<f64> = comm.recv(0, 7);
-                v.iter().sum()
-            }
-        });
+        let out = Machine::new(2)
+            .try_run(|comm| {
+                if comm.rank() == 0 {
+                    comm.try_send(1, 7, vec![1.0f64, 2.0, 3.0])?;
+                    Ok(0.0)
+                } else {
+                    let v: Vec<f64> = comm.try_recv(0, 7)?;
+                    Ok(v.iter().sum())
+                }
+            })
+            .unwrap();
         assert_eq!(out.results[1], 6.0);
         assert_eq!(out.cost.ranks[0].words_sent, 3);
         assert_eq!(out.cost.ranks[1].words_recv, 3);
@@ -905,29 +884,33 @@ mod tests {
 
     #[test]
     fn out_of_order_tags_are_matched() {
-        let out = Machine::new(2).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 1, vec![10.0f64]);
-                comm.send(1, 2, vec![20.0f64]);
-                0.0
-            } else {
-                // Receive in the opposite order of sending.
-                let b: Vec<f64> = comm.recv(0, 2);
-                let a: Vec<f64> = comm.recv(0, 1);
-                a[0] - b[0]
-            }
-        });
+        let out = Machine::new(2)
+            .try_run(|comm| {
+                if comm.rank() == 0 {
+                    comm.try_send(1, 1, vec![10.0f64])?;
+                    comm.try_send(1, 2, vec![20.0f64])?;
+                    Ok(0.0)
+                } else {
+                    // Receive in the opposite order of sending.
+                    let b: Vec<f64> = comm.try_recv(0, 2)?;
+                    let a: Vec<f64> = comm.try_recv(0, 1)?;
+                    Ok(a[0] - b[0])
+                }
+            })
+            .unwrap();
         assert_eq!(out.results[1], -10.0);
     }
 
     #[test]
     fn exchange_is_duplex_charged() {
-        let out = Machine::new(2).run(|comm| {
-            let partner = 1 - comm.rank();
-            let mine = vec![comm.rank() as f64; 5];
-            let theirs: Vec<f64> = comm.exchange(partner, mine, partner, 3);
-            theirs[0]
-        });
+        let out = Machine::new(2)
+            .try_run(|comm| {
+                let partner = 1 - comm.rank();
+                let mine = vec![comm.rank() as f64; 5];
+                let theirs: Vec<f64> = comm.try_exchange(partner, mine, partner, 3)?;
+                Ok(theirs[0])
+            })
+            .unwrap();
         assert_eq!(out.results[0], 1.0);
         assert_eq!(out.results[1], 0.0);
         // One duplex step: each rank sent 5 and received 5 words but the
@@ -939,19 +922,20 @@ mod tests {
 
     #[test]
     fn split_creates_disjoint_groups() {
-        let out = Machine::new(6).run(|comm| {
-            let color = (comm.rank() % 2) as u64;
-            let mut comm = comm;
-            let sub = comm.split(color, comm.rank());
-            // Even ranks {0,2,4} form one comm, odd ranks {1,3,5} another.
-            assert_eq!(sub.size(), 3);
-            // Exchange ranks within the subgroup to prove isolation.
-            let next = (sub.rank() + 1) % sub.size();
-            let prev = (sub.rank() + sub.size() - 1) % sub.size();
-            sub.send(next, 9, vec![comm.rank() as f64]);
-            let v: Vec<f64> = sub.recv(prev, 9);
-            v[0]
-        });
+        let out = Machine::new(6)
+            .try_run(|mut comm| {
+                let color = (comm.rank() % 2) as u64;
+                let sub = comm.split(color, comm.rank());
+                // Even ranks {0,2,4} form one comm, odd ranks {1,3,5} another.
+                assert_eq!(sub.size(), 3);
+                // Exchange ranks within the subgroup to prove isolation.
+                let next = (sub.rank() + 1) % sub.size();
+                let prev = (sub.rank() + sub.size() - 1) % sub.size();
+                sub.try_send(next, 9, vec![comm.rank() as f64])?;
+                let v: Vec<f64> = sub.try_recv(prev, 9)?;
+                Ok(v[0])
+            })
+            .unwrap();
         // rank 2's predecessor in the even group is rank 0, etc.
         assert_eq!(out.results[2], 0.0);
         assert_eq!(out.results[4], 2.0);
@@ -961,36 +945,44 @@ mod tests {
 
     #[test]
     fn split_respects_key_ordering() {
-        let out = Machine::new(4).run(|comm| {
-            // Reverse the ordering via key.
-            let mut comm = comm;
-            let sub = comm.split(0, 100 - comm.rank());
-            sub.rank()
-        });
+        let out = Machine::new(4)
+            .try_run(|mut comm| {
+                // Reverse the ordering via key.
+                let sub = comm.split(0, 100 - comm.rank());
+                Ok(sub.rank())
+            })
+            .unwrap();
         assert_eq!(out.results, vec![3, 2, 1, 0]);
     }
 
     #[test]
     fn flops_are_charged() {
-        let out = Machine::new(3).run(|comm| {
-            comm.add_flops(10 * (comm.rank() as u64 + 1));
-        });
+        let out = Machine::new(3)
+            .try_run(|comm| {
+                comm.add_flops(10 * (comm.rank() as u64 + 1));
+                Ok(())
+            })
+            .unwrap();
         assert_eq!(out.cost.total_flops(), 60);
         assert_eq!(out.cost.max_flops(), 30);
     }
 
     #[test]
     fn phases_attribute_deltas_and_events() {
-        let out = Machine::new(2).with_tracing().run(|comm| {
-            let partner = 1 - comm.rank();
-            {
-                let _span = comm.phase("ring");
-                comm.send(partner, 1, vec![1.0f64; 4]);
-                let _: Vec<f64> = comm.recv(partner, 1);
-            }
-            assert_eq!(comm.current_phase(), None);
-            comm.add_flops(50);
-        });
+        let out = Machine::new(2)
+            .with_tracing()
+            .try_run(|comm| {
+                let partner = 1 - comm.rank();
+                {
+                    let _span = comm.phase("ring");
+                    comm.try_send(partner, 1, vec![1.0f64; 4])?;
+                    let _: Vec<f64> = comm.try_recv(partner, 1)?;
+                }
+                assert_eq!(comm.current_phase(), None);
+                comm.add_flops(50);
+                Ok(())
+            })
+            .unwrap();
         for r in 0..2 {
             let ring = out.cost.phase_cost(r, "ring").unwrap();
             assert_eq!(ring.words_sent, 4);
@@ -1012,15 +1004,17 @@ mod tests {
 
     #[test]
     fn phases_survive_split() {
-        let out = Machine::new(4).run(|comm| {
-            let mut comm = comm;
-            comm.push_phase("sub");
-            let sub = comm.split((comm.rank() % 2) as u64, comm.rank());
-            let partner = 1 - sub.rank();
-            sub.send(partner, 5, vec![0.0f64; 3]);
-            let _: Vec<f64> = sub.recv(partner, 5);
-            comm.pop_phase();
-        });
+        let out = Machine::new(4)
+            .try_run(|mut comm| {
+                comm.push_phase("sub");
+                let sub = comm.split((comm.rank() % 2) as u64, comm.rank());
+                let partner = 1 - sub.rank();
+                sub.try_send(partner, 5, vec![0.0f64; 3])?;
+                let _: Vec<f64> = sub.try_recv(partner, 5)?;
+                comm.pop_phase();
+                Ok(())
+            })
+            .unwrap();
         for r in 0..4 {
             let c = out.cost.phase_cost(r, "sub").unwrap();
             assert_eq!(c.words_sent, 3);
@@ -1030,33 +1024,56 @@ mod tests {
     #[test]
     #[should_panic(expected = "pop_phase without a matching push_phase")]
     fn unbalanced_pop_panics() {
-        Machine::new(1).run(|comm| comm.pop_phase());
+        // The rank's panic is the run's typed first error; its message is
+        // raised here.
+        let err = Machine::new(1)
+            .try_run(|comm| {
+                comm.pop_phase();
+                Ok(())
+            })
+            .unwrap_err();
+        assert!(matches!(err, MachineError::RankPanicked { rank: 0, .. }));
+        panic!("{err}");
     }
 
     #[test]
     #[should_panic(expected = "type mismatch")]
     fn type_mismatch_panics() {
-        Machine::new(2).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 0, vec![1.0f64]);
-            } else {
-                let _: Vec<u64> = comm.recv(0, 0);
-            }
-        });
+        // A payload of the wrong type is a typed error, not a rank panic;
+        // its message is raised here.
+        let err = Machine::new(2)
+            .try_run(|comm| {
+                if comm.rank() == 0 {
+                    comm.try_send(1, 0, vec![1.0f64])?;
+                } else {
+                    let _: Vec<u64> = comm.try_recv(0, 0)?;
+                }
+                Ok(())
+            })
+            .unwrap_err();
+        let want = MachineError::TypeMismatch {
+            rank: 1,
+            src: 0,
+            tag: 0,
+        };
+        assert_eq!(err, want);
+        panic!("{err}");
     }
 
     #[test]
     fn shared_payload_roundtrips_and_never_converts() {
         let words = [3.0f64, 4.0, 5.0];
-        let out = Machine::new(2).run(move |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 1, Arc::<[f64]>::from(&words[..]));
-                0.0
-            } else {
-                let v: Arc<[f64]> = comm.recv(0, 1);
-                v.iter().sum()
-            }
-        });
+        let out = Machine::new(2)
+            .try_run(move |comm| {
+                if comm.rank() == 0 {
+                    comm.try_send(1, 1, Arc::<[f64]>::from(&words[..]))?;
+                    Ok(0.0)
+                } else {
+                    let v: Arc<[f64]> = comm.try_recv(0, 1)?;
+                    Ok(v.iter().sum())
+                }
+            })
+            .unwrap();
         assert_eq!(out.results[1], 12.0);
         assert_eq!(out.cost.ranks[0].words_sent, 3);
         assert_eq!(out.cost.ranks[1].words_recv, 3);

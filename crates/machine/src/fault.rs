@@ -100,20 +100,21 @@ pub(crate) struct MessageFaults {
 /// A seeded, deterministic fault-injection plan for a machine run.
 ///
 /// ```
-/// use syrk_machine::{FaultPlan, Machine};
+/// use syrk_machine::{FaultPlan, Machine, MachineError};
 ///
 /// let plan = FaultPlan::seeded(42).drop(0.2).duplicate(0.1).corrupt(0.05);
-/// let out = Machine::new(2).with_faults(plan).run(|comm| {
+/// let out = Machine::new(2).with_faults(plan).try_run(|comm| {
 ///     if comm.rank() == 0 {
-///         comm.send(1, 0, vec![1.0f64; 8]);
-///         0.0
+///         comm.try_send(1, 0, vec![1.0f64; 8])?;
+///         Ok(0.0)
 ///     } else {
-///         let v: Vec<f64> = comm.recv(0, 0);
-///         v.iter().sum()
+///         let v: Vec<f64> = comm.try_recv(0, 0)?;
+///         Ok(v.iter().sum())
 ///     }
-/// });
+/// })?;
 /// // Payloads always survive the faults; only retry:* phases record them.
 /// assert_eq!(out.results[1], 8.0);
+/// # Ok::<(), MachineError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {

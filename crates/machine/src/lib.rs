@@ -11,7 +11,7 @@
 //! * collectives (`All-to-All`, `Reduce-Scatter`) use pairwise-exchange
 //!   algorithms with latency `P − 1` and bandwidth `(1 − 1/P)·w`.
 //!
-//! [`Machine::run`] executes an SPMD closure on every rank, as
+//! [`Machine::try_run`] executes an SPMD closure on every rank, as
 //! cooperatively scheduled contexts on a deterministic discrete-event
 //! loop (scaling to 10⁵ ranks in one process where the target has a
 //! native context switch); ranks communicate through [`Comm`] (typed
@@ -21,19 +21,31 @@
 //! word is metered, so measured communication can be compared directly
 //! against the paper's lower bounds.
 //!
-//! ```
-//! use syrk_machine::Machine;
+//! There is one API and it returns `Result`: every communication method
+//! (`try_send`, `try_recv`, `try_exchange` and the `try_*` collectives)
+//! and the runner itself fail with a typed [`MachineError`] — an injected
+//! crash, a deadlock with its wait-for graph, a payload of the wrong type,
+//! a failed peer. A rank that panics on a broken caller contract (a
+//! destination out of range, segment lengths the ranks disagree on) is
+//! caught and reported as [`MachineError::RankPanicked`] instead of
+//! taking the process down. [`Comm::split`] is the one communicator
+//! method without a `Result`: it panics if the run fails while the rank
+//! waits for its membership, and that panic is reported the same way.
 //!
-//! let out = Machine::new(3).run(|comm| {
+//! ```
+//! use syrk_machine::{Machine, MachineError};
+//!
+//! let out = Machine::new(3).try_run(|comm| {
 //!     let blocks: Vec<Vec<f64>> = (0..comm.size())
 //!         .map(|q| vec![(comm.rank() * 10 + q) as f64])
 //!         .collect();
-//!     let recv = comm.all_to_all(blocks);
-//!     recv.iter().map(|b| b[0]).sum::<f64>()
-//! });
+//!     let recv = comm.try_all_to_all(blocks)?;
+//!     Ok(recv.iter().map(|b| b[0]).sum::<f64>())
+//! })?;
 //! // Rank 1 receives 01, 11, 21.
 //! assert_eq!(out.results[1], 1.0 + 11.0 + 21.0);
 //! assert_eq!(out.cost.max_words_sent(), 2); // (1 - 1/P)·w with w = 3
+//! # Ok::<(), MachineError>(())
 //! ```
 
 #![warn(missing_docs)]

@@ -55,15 +55,16 @@ pub struct RunOutput<R> {
 /// (§3.2 of the paper).
 ///
 /// ```
-/// use syrk_machine::{Machine, CostModel};
+/// use syrk_machine::{Machine, MachineError};
 ///
-/// let out = Machine::new(4).run(|comm| {
+/// let out = Machine::new(4).try_run(|comm| {
 ///     // Each rank contributes its rank; ranks all-reduce the sum.
 ///     let mine = vec![comm.rank() as f64];
-///     let total = comm.all_reduce(&mine);
-///     total[0]
-/// });
+///     let total = comm.try_all_reduce(&mine)?;
+///     Ok(total[0])
+/// })?;
 /// assert!(out.results.iter().all(|&r| r == 6.0));
+/// # Ok::<(), MachineError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct Machine {
@@ -207,30 +208,15 @@ impl Machine {
         }
     }
 
-    /// Run `f` in SPMD fashion on every rank and collect results and costs.
+    /// Run `f` in SPMD fashion on every rank and collect results and
+    /// costs, or the run's first failure as a [`MachineError`].
     ///
-    /// If any rank fails (panic, injected crash, deadlock), the *first*
-    /// failure is reported by panicking with its message; cascade failures
-    /// on other ranks are suppressed.
-    pub fn run<R, F>(&self, f: F) -> RunOutput<R>
-    where
-        R: Send,
-        F: Fn(Comm) -> R + Sync,
-    {
-        match self.try_run(|comm| Ok(f(comm))) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Run `f` in SPMD fashion, returning the first failure as a
-    /// [`MachineError`] instead of panicking.
-    ///
-    /// The closure returns `Result`, so fallible communication (the
-    /// `try_*` methods on [`Comm`]) composes with `?`. A rank that
-    /// panics is reported as [`MachineError::RankPanicked`]; the first
-    /// failure wins and later cascades (ranks aborting because a peer
-    /// already failed) are suppressed.
+    /// The closure returns `Result`, so communication on [`Comm`]
+    /// composes with `?`. A rank that panics is reported as
+    /// [`MachineError::RankPanicked`]; an injected crash, a deadlock or a
+    /// rank's own error is reported as itself. The first failure wins and
+    /// later cascades (ranks aborting because a peer already failed) are
+    /// suppressed.
     ///
     /// ```
     /// use syrk_machine::{Machine, MachineError};
@@ -352,18 +338,22 @@ mod tests {
 
     #[test]
     fn single_rank_runs() {
-        let out = Machine::new(1).run(|comm| {
-            assert_eq!(comm.rank(), 0);
-            assert_eq!(comm.size(), 1);
-            42
-        });
+        let out = Machine::new(1)
+            .try_run(|comm| {
+                assert_eq!(comm.rank(), 0);
+                assert_eq!(comm.size(), 1);
+                Ok(42)
+            })
+            .unwrap();
         assert_eq!(out.results, vec![42]);
         assert_eq!(out.cost.total_words(), 0);
     }
 
     #[test]
     fn results_are_indexed_by_rank() {
-        let out = Machine::new(8).run(|comm| comm.rank() * 10);
+        let out = Machine::new(8)
+            .try_run(|comm| Ok(comm.rank() * 10))
+            .unwrap();
         assert_eq!(out.results, vec![0, 10, 20, 30, 40, 50, 60, 70]);
     }
 
@@ -371,7 +361,7 @@ mod tests {
     fn many_ranks_spawn() {
         // The simulator must scale to the processor counts used in the
         // experiments (e.g. P = c(c+1) up to 110 or more).
-        let out = Machine::new(110).run(|comm| comm.size());
+        let out = Machine::new(110).try_run(|comm| Ok(comm.size())).unwrap();
         assert!(out.results.iter().all(|&s| s == 110));
     }
 
@@ -384,11 +374,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "deliberate")]
     fn rank_panic_propagates() {
-        Machine::new(3).run(|comm| {
-            if comm.rank() == 2 {
-                panic!("deliberate");
-            }
-        });
+        // The rank's panic is the run's typed first error; its message is
+        // raised here.
+        let err = Machine::new(3)
+            .try_run(|comm| {
+                if comm.rank() == 2 {
+                    panic!("deliberate");
+                }
+                Ok(())
+            })
+            .unwrap_err();
+        let want = MachineError::RankPanicked {
+            rank: 2,
+            message: "deliberate".to_string(),
+        };
+        assert_eq!(err, want);
+        panic!("{err}");
     }
 
     #[test]
@@ -450,13 +451,16 @@ mod tests {
             beta: 2.0,
             gamma: 0.0,
         };
-        let out = Machine::new(2).with_model(model).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 0, vec![1.0f64; 4]);
-            } else {
-                let _: Vec<f64> = comm.recv(0, 0);
-            }
-        });
+        let out = Machine::new(2)
+            .with_model(model)
+            .try_run(|comm| {
+                if comm.rank() == 0 {
+                    comm.try_send(1, 0, vec![1.0f64; 4])
+                } else {
+                    comm.try_recv::<Vec<f64>>(0, 0).map(drop)
+                }
+            })
+            .unwrap();
         // Sender clock: α + β·4 = 18.
         assert!((out.cost.ranks[0].clock - 18.0).abs() < 1e-12);
         assert!((out.cost.elapsed() - 18.0).abs() < 1e-12);
@@ -572,19 +576,20 @@ mod tests {
         // More ranks than any reasonable thread budget, one process, and
         // an actual data dependency chain across all of them.
         let p = 3000;
-        let out = Machine::new(p).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 0, vec![1.0f64]);
-                0.0
-            } else {
-                let v: Vec<f64> = comm.recv(comm.rank() - 1, 0);
+        let out = Machine::new(p)
+            .try_run(|comm| {
+                if comm.rank() == 0 {
+                    comm.try_send(1, 0, vec![1.0f64])?;
+                    return Ok(0.0);
+                }
+                let v: Vec<f64> = comm.try_recv(comm.rank() - 1, 0)?;
                 let acc = v[0] + 1.0;
                 if comm.rank() + 1 < comm.size() {
-                    comm.send(comm.rank() + 1, 0, vec![acc]);
+                    comm.try_send(comm.rank() + 1, 0, vec![acc])?;
                 }
-                acc
-            }
-        });
+                Ok(acc)
+            })
+            .unwrap();
         assert_eq!(out.results[p - 1], p as f64);
     }
 
@@ -615,11 +620,13 @@ mod tests {
         // The large-P stack policy (64 KiB) must be enough for the
         // communication paths; the canary turns an overflow into a
         // loud failure rather than corruption.
-        let out = Machine::new(64).with_rank_stack_kb(64).run(|comm| {
-            let mine = vec![comm.rank() as f64; 4];
-            let sum: f64 = comm.all_reduce(&mine).iter().sum();
-            sum
-        });
+        let out = Machine::new(64)
+            .with_rank_stack_kb(64)
+            .try_run(|comm| {
+                let mine = vec![comm.rank() as f64; 4];
+                Ok(comm.try_all_reduce(&mine)?.iter().sum::<f64>())
+            })
+            .unwrap();
         let expect = (0..64).sum::<usize>() as f64 * 4.0;
         assert!(out.results.iter().all(|&r| r == expect));
     }

@@ -71,9 +71,9 @@ mod tests {
         let snap0 = registry::snapshot();
         let calls0 = snap0.counter("syrk_coll_all_gather_calls").unwrap_or(0);
         let p = 4usize;
-        Machine::new(p).run(|comm| {
-            comm.all_gather(vec![comm.rank() as f64; 5]);
-        });
+        Machine::new(p)
+            .try_run(|comm| comm.try_all_gather(vec![comm.rank() as f64; 5]).map(drop))
+            .unwrap();
         let snap = registry::snapshot();
         // Every rank records its own invocation.
         assert!(snap.counter("syrk_coll_all_gather_calls").unwrap() >= calls0 + p as u64);

@@ -80,6 +80,7 @@ pub struct GridComms {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::MachineError;
     use crate::machine::Machine;
 
     #[test]
@@ -97,14 +98,16 @@ mod tests {
     #[test]
     fn split_builds_slice_and_row_comms() {
         let g = ProcessGrid::new(2, 3);
-        let out = Machine::new(6).run(|mut comm| {
-            let gc = g.split(&mut comm);
-            // Sum ranks within the slice: slices are {0,1}, {2,3}, {4,5}.
-            let s = gc.slice.all_reduce(&[comm.rank() as f64]);
-            // Sum ranks within the row: rows are {0,2,4} and {1,3,5}.
-            let r = gc.row.all_reduce(&[comm.rank() as f64]);
-            (gc.k, gc.l, s[0], r[0])
-        });
+        let out = Machine::new(6)
+            .try_run(|mut comm| {
+                let gc = g.split(&mut comm);
+                // Sum ranks within the slice: slices are {0,1}, {2,3}, {4,5}.
+                let s = gc.slice.try_all_reduce(&[comm.rank() as f64])?;
+                // Sum ranks within the row: rows are {0,2,4} and {1,3,5}.
+                let r = gc.row.try_all_reduce(&[comm.rank() as f64])?;
+                Ok((gc.k, gc.l, s[0], r[0]))
+            })
+            .unwrap();
         assert_eq!(out.results[0], (0, 0, 1.0, 6.0));
         assert_eq!(out.results[3], (1, 1, 5.0, 9.0));
         assert_eq!(out.results[4], (0, 2, 9.0, 6.0));
@@ -113,8 +116,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not tile")]
     fn wrong_grid_size_panics() {
-        Machine::new(5).run(|mut comm| {
-            ProcessGrid::new(2, 2).split(&mut comm);
-        });
+        // Every rank's split panics; the first is the run's typed error,
+        // whose message is raised here.
+        let err = Machine::new(5)
+            .try_run(|mut comm| {
+                ProcessGrid::new(2, 2).split(&mut comm);
+                Ok(())
+            })
+            .unwrap_err();
+        assert!(matches!(err, MachineError::RankPanicked { .. }));
+        panic!("{err}");
     }
 }

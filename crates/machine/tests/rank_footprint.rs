@@ -66,18 +66,18 @@ fn peak_resident_set_does_not_climb_across_runs() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let before = vm_hwm_mb();
     for _ in 0..12 {
-        let out = Machine::new(RANKS).run(|comm| {
-            let (me, p) = (comm.rank(), comm.size());
-            let sends = (1..=PARTNERS)
-                .map(|s| ((me + s) % p, vec![me as f64; WORDS]))
-                .collect();
-            let recvs: Vec<(usize, usize)> =
-                (1..=PARTNERS).map(|s| ((me + p - s) % p, WORDS)).collect();
-            let got = comm
-                .try_all_to_all_sparse(sends, &recvs)
-                .expect("a clean exchange");
-            got.iter().map(|b| b[0]).sum::<f64>()
-        });
+        let out = Machine::new(RANKS)
+            .try_run(|comm| {
+                let (me, p) = (comm.rank(), comm.size());
+                let sends = (1..=PARTNERS)
+                    .map(|s| ((me + s) % p, vec![me as f64; WORDS]))
+                    .collect();
+                let recvs: Vec<(usize, usize)> =
+                    (1..=PARTNERS).map(|s| ((me + p - s) % p, WORDS)).collect();
+                let got: Vec<Vec<f64>> = comm.try_all_to_all_sparse(sends, &recvs)?;
+                Ok(got.iter().map(|b| b[0]).sum::<f64>())
+            })
+            .expect("a clean exchange");
         let want = |me: usize| {
             (1..=PARTNERS)
                 .map(|s| ((me + RANKS - s) % RANKS) as f64)
@@ -103,7 +103,7 @@ fn stacks_are_a_few_large_allocations_freed_with_the_run() {
         LARGE_ALLOCS.load(Ordering::Relaxed),
         LARGE_FREES.load(Ordering::Relaxed),
     );
-    Machine::new(RANKS).run(|_| ());
+    Machine::new(RANKS).try_run(|_| Ok(())).unwrap();
     let allocs = LARGE_ALLOCS.load(Ordering::Relaxed) - allocs;
     let frees = LARGE_FREES.load(Ordering::Relaxed) - frees;
     println!("{allocs} allocations and {frees} frees of {LARGE}+ bytes");
@@ -131,10 +131,11 @@ fn a_stack_overflow_inside_a_chunk_trips_the_canary() {
     // the last rank runs 24 KiB down from the top of the chunk it buries
     // its own canary and the upper half of a stack nobody will use again.
     let failure = std::panic::catch_unwind(|| {
-        Machine::new(10).with_rank_stack_kb(16).run(|comm| {
+        Machine::new(10).with_rank_stack_kb(16).try_run(|comm| {
             if comm.rank() == 9 {
                 overrun();
             }
+            Ok(())
         })
     })
     .expect_err("the overflow must not go unnoticed");

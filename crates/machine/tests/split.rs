@@ -59,18 +59,20 @@ fn split_and_split_of_a_split_match_a_brute_force_sort() {
         let (c1, k1) = draw(&mut rng, p);
         let (c2, k2) = draw(&mut rng, p);
         let (c1, k1, c2, k2) = (&c1, &k1, &c2, &k2);
-        let out = Machine::new(p).run(|mut comm| {
-            let me = comm.rank();
-            let mut sub = comm.split(c1[me], k1[me]);
-            // Ring within the child: the predecessor's world rank arrives.
-            let (r, n) = (sub.rank(), sub.size());
-            sub.send((r + 1) % n, 1, me);
-            let got_prev: usize = sub.recv((r + n - 1) % n, 1);
-            let first = (sub.rank(), sub.size(), got_prev);
-            // The grandchild splits the child by the second draw.
-            let subsub = sub.split(c2[me], k2[me]);
-            (first, subsub.rank(), subsub.size(), sub.rank())
-        });
+        let out = Machine::new(p)
+            .try_run(|mut comm| {
+                let me = comm.rank();
+                let mut sub = comm.split(c1[me], k1[me]);
+                // Ring within the child: the predecessor's world rank arrives.
+                let (r, n) = (sub.rank(), sub.size());
+                sub.try_send((r + 1) % n, 1, me)?;
+                let got_prev: usize = sub.try_recv((r + n - 1) % n, 1)?;
+                let first = (sub.rank(), sub.size(), got_prev);
+                // The grandchild splits the child by the second draw.
+                let subsub = sub.split(c2[me], k2[me]);
+                Ok((first, subsub.rank(), subsub.size(), sub.rank()))
+            })
+            .unwrap();
         let want1 = brute_force(c1, k1);
         for (me, got) in out.results.iter().enumerate() {
             assert_eq!(got.0, want1[me], "P = {p}: first split, world rank {me}");
@@ -107,10 +109,12 @@ fn a_grid_split_costs_a_linear_number_of_resumes() {
     let p = 4096;
     let grid = ProcessGrid::new(64, 64);
     let before = resumes();
-    let out = Machine::new(p).run(|mut comm| {
-        let gc = grid.split(&mut comm);
-        (gc.k, gc.l, gc.slice.size(), gc.row.size())
-    });
+    let out = Machine::new(p)
+        .try_run(|mut comm| {
+            let gc = grid.split(&mut comm);
+            Ok((gc.k, gc.l, gc.slice.size(), gc.row.size()))
+        })
+        .unwrap();
     let spent = resumes() - before;
     assert!(
         spent <= 4 * p as u64,

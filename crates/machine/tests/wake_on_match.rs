@@ -28,19 +28,24 @@ fn a_parked_rank_sleeps_through_messages_it_did_not_ask_for() {
     // rank 0 parks on (last, 7), ranks 1..=EARLY each mail it one message
     // under another tag — one resume apiece, so rank 0 could be woken in
     // between — and the last rank sends the one it waits for.
-    let out = Machine::new(last + 1).run(|comm| {
-        if comm.rank() == 0 {
-            let asked: Vec<f64> = comm.recv(last, 7);
-            let early: f64 = (1..=EARLY).map(|r| comm.recv::<Vec<f64>>(r, 1)[0]).sum();
-            return (asked, early);
-        }
-        if comm.rank() == last {
-            comm.send(0, 7, vec![7.0; 3]);
-        } else {
-            comm.send(0, 1, vec![comm.rank() as f64]);
-        }
-        (Vec::new(), 0.0)
-    });
+    let out = Machine::new(last + 1)
+        .try_run(|comm| {
+            if comm.rank() == 0 {
+                let asked: Vec<f64> = comm.try_recv(last, 7)?;
+                let mut early = 0.0;
+                for r in 1..=EARLY {
+                    early += comm.try_recv::<Vec<f64>>(r, 1)?[0];
+                }
+                return Ok((asked, early));
+            }
+            if comm.rank() == last {
+                comm.try_send(0, 7, vec![7.0; 3])?;
+            } else {
+                comm.try_send(0, 1, vec![comm.rank() as f64])?;
+            }
+            Ok((Vec::new(), 0.0))
+        })
+        .unwrap();
     // One resume to start each rank, and one more for rank 0 — not one per
     // arrival.
     assert_eq!(resumes() - before, (last + 1) as u64 + 1);

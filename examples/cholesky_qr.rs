@@ -14,6 +14,7 @@
 //! cargo run --release --example cholesky_qr
 //! ```
 
+use syrk_repro::core::SyrkError;
 use syrk_repro::dense::{max_abs_diff, mul_nn, seeded_matrix, Matrix};
 use syrk_repro::{run_auto, CostModel};
 
@@ -56,7 +57,7 @@ fn trsm_right_upper(b: &Matrix<f64>, l: &Matrix<f64>) -> Matrix<f64> {
     x
 }
 
-fn main() {
+fn main() -> Result<(), SyrkError> {
     // Tall-skinny M: 4096 × 32 on 16 processors.
     let (m, n, p) = (4096usize, 32usize, 16usize);
     let mm = seeded_matrix::<f64>(m, n, 99);
@@ -68,7 +69,7 @@ fn main() {
 
     // Step 1 (distributed): G = Mᵀ·M = A·Aᵀ with A = Mᵀ (n × m).
     let a = mm.transpose();
-    let (plan, run) = run_auto(&a, p, CostModel::bandwidth_only());
+    let (plan, run) = run_auto(&a, p, CostModel::bandwidth_only())?;
     println!("CholeskyQR of a {m}×{n} matrix on P = {p}");
     println!(
         "Gram SYRK planned as {plan:?}; moved {} words at the busiest rank",
@@ -101,4 +102,5 @@ fn main() {
     println!("‖QᵀQ − I‖_max       = {worst:.2e}");
     assert!(worst < 1e-6, "CholeskyQR orthogonality failed: {worst}");
     println!("CholeskyQR OK — the SYRK was the only distributed step.");
+    Ok(())
 }

@@ -9,11 +9,11 @@
 //! cargo run --release --example gram_covariance
 //! ```
 
-use syrk_repro::core::{gemm_1d, gemm_lower_bound, syrk_1d, syrk_lower_bound};
+use syrk_repro::core::{gemm_1d, gemm_lower_bound, syrk_lower_bound, try_syrk_1d, SyrkError};
 use syrk_repro::dense::{max_abs_diff, seeded_matrix, syrk_full_reference};
 use syrk_repro::machine::CostModel;
 
-fn main() {
+fn main() -> Result<(), SyrkError> {
     // 128 features, 8192 observations, 32 processors.
     let (features, samples, p) = (128usize, 8192usize, 32usize);
     let mut a = seeded_matrix::<f64>(features, samples, 7);
@@ -35,9 +35,9 @@ fn main() {
     );
 
     // The paper's algorithm: symmetric, 1D.
-    let syrk = syrk_1d(&a, p, CostModel::bandwidth_only());
+    let syrk = try_syrk_1d(&a, p, CostModel::bandwidth_only(), None)?;
     // The conventional route: same product, full GEMM output.
-    let gemm = gemm_1d(&a, p, CostModel::bandwidth_only());
+    let gemm = gemm_1d(&a, p, CostModel::bandwidth_only())?;
 
     let err = max_abs_diff(&syrk.c, &syrk_full_reference(&a));
     assert!(err < 1e-6, "covariance mismatch: {err}");
@@ -71,4 +71,5 @@ fn main() {
     // correlation of feature 0 with itself is exactly 1.
     let corr00 = syrk.c[(0, 0)] / (variances[0].sqrt() * variances[0].sqrt());
     assert!((corr00 - 1.0).abs() < 1e-12);
+    Ok(())
 }

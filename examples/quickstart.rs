@@ -6,16 +6,17 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use syrk_repro::core::SyrkError;
 use syrk_repro::dense::{max_abs_diff, seeded_matrix, syrk_full_reference};
 use syrk_repro::{run_auto, syrk_lower_bound, CostModel};
 
-fn main() {
+fn main() -> Result<(), SyrkError> {
     // A 96 × 768 input (short and wide — the covariance/normal-equations
     // shape) on 16 simulated processors.
     let (n1, n2, p) = (96, 768, 16);
     let a = seeded_matrix::<f64>(n1, n2, 2023);
 
-    let (plan, run) = run_auto(&a, p, CostModel::bandwidth_only());
+    let (plan, run) = run_auto(&a, p, CostModel::bandwidth_only())?;
 
     // The algorithms compute real numbers: check them.
     let err = max_abs_diff(&run.c, &syrk_full_reference(&a));
@@ -42,4 +43,5 @@ fn main() {
     println!("flop imbalance:    {:.3}", run.cost.flop_imbalance());
 
     assert!(err < 1e-9, "distributed result must match the reference");
+    Ok(())
 }

@@ -6,10 +6,11 @@
 //! cargo run --release --example strong_scaling
 //! ```
 
+use syrk_repro::core::SyrkError;
 use syrk_repro::dense::{max_abs_diff, seeded_matrix, syrk_full_reference};
 use syrk_repro::{run_auto, syrk_lower_bound, CostModel};
 
-fn main() {
+fn main() -> Result<(), SyrkError> {
     // A square-ish 120 × 240 input; boundary P = n2/√(n1(n1−1)) ≈ 2, so
     // the 3D regime arrives quickly as P grows.
     let (n1, n2) = (120usize, 240usize);
@@ -22,7 +23,7 @@ fn main() {
         "P", "plan", "ranks", "words", "bound", "ratio", "max err"
     );
     for p in [1usize, 2, 4, 8, 12, 24, 30, 60, 90] {
-        let (plan, run) = run_auto(&a, p, CostModel::bandwidth_only());
+        let (plan, run) = run_auto(&a, p, CostModel::bandwidth_only())?;
         let err = max_abs_diff(&run.c, &reference);
         assert!(err < 1e-9, "P={p}: wrong result");
         let ranks = run.cost.num_ranks();
@@ -42,4 +43,5 @@ fn main() {
     }
     println!("\nratio stays O(1) across three algorithm families — the bound is attained");
     println!("(small grids carry O(1/c) constants; the paper's asymptotics need large c)");
+    Ok(())
 }

@@ -3,8 +3,8 @@
 //! claims, checked end-to-end on the simulated machine.
 
 use syrk_repro::core::{
-    alg1d_predicted_cost, alg2d_tight_cost, gemm_2d, syrk_1d, syrk_2d, syrk_3d, syrk_lower_bound,
-    BoundCase,
+    alg1d_predicted_cost, alg2d_tight_cost, gemm_2d, syrk_lower_bound, try_syrk_1d, try_syrk_2d,
+    try_syrk_3d, BoundCase,
 };
 use syrk_repro::dense::seeded_matrix;
 use syrk_repro::machine::CostModel;
@@ -15,7 +15,7 @@ fn case1_1d_attains_within_diagonal_slack() {
     // diagonal is its only excess over the strict-triangle bound).
     for (n1, n2, p) in [(40usize, 400usize, 4usize), (80, 1200, 8)] {
         let a = seeded_matrix::<f64>(n1, n2, 3);
-        let run = syrk_1d(&a, p, CostModel::bandwidth_only());
+        let run = try_syrk_1d(&a, p, CostModel::bandwidth_only(), None).unwrap();
         let b = syrk_lower_bound(n1, n2, p);
         assert_eq!(b.case, BoundCase::Case1);
         let measured = run.cost.max_words_sent() as f64;
@@ -38,7 +38,7 @@ fn case1_1d_attains_within_diagonal_slack() {
 fn case2_2d_attains_the_tight_cost() {
     for (n1, n2, c) in [(120usize, 4usize, 2usize), (180, 5, 3), (300, 6, 5)] {
         let a = seeded_matrix::<f64>(n1, n2, 4);
-        let run = syrk_2d(&a, c, CostModel::bandwidth_only());
+        let run = try_syrk_2d(&a, c, CostModel::bandwidth_only(), None).unwrap();
         let p = c * (c + 1);
         let b = syrk_lower_bound(n1, n2, p);
         assert_eq!(b.case, BoundCase::Case2, "({n1},{n2},{c})");
@@ -59,7 +59,7 @@ fn case2_2d_attains_the_tight_cost() {
 fn case3_3d_tracks_bound_within_small_grid_constants() {
     for (n1, n2, c, p2) in [(48usize, 96usize, 2usize, 4usize), (90, 90, 3, 3)] {
         let a = seeded_matrix::<f64>(n1, n2, 5);
-        let run = syrk_3d(&a, c, p2, CostModel::bandwidth_only());
+        let run = try_syrk_3d(&a, c, p2, CostModel::bandwidth_only(), None).unwrap();
         let p = c * (c + 1) * p2;
         let b = syrk_lower_bound(n1, n2, p);
         assert_eq!(b.case, BoundCase::Case3, "({n1},{n2},{c},{p2})");
@@ -76,8 +76,8 @@ fn syrk_beats_gemm_by_factor_two_in_case2() {
     // The headline, as an assertion: normalized communication constants.
     let (n1, n2) = (840usize, 8usize);
     let a = seeded_matrix::<f64>(n1, n2, 6);
-    let s = syrk_2d(&a, 5, CostModel::bandwidth_only()); // P = 30
-    let g = gemm_2d(&a, 6, CostModel::bandwidth_only()); // P = 36
+    let s = try_syrk_2d(&a, 5, CostModel::bandwidth_only(), None).unwrap(); // P = 30
+    let g = gemm_2d(&a, 6, CostModel::bandwidth_only()).unwrap(); // P = 36
     let sc = s.cost.max_words_sent() as f64 * 30f64.sqrt() / (n1 * n2) as f64;
     let gc = g.cost.max_words_sent() as f64 * 6.0 / (n1 * n2) as f64;
     assert!(sc < 1.1, "SYRK constant {sc} should be ~1");

@@ -7,7 +7,7 @@
 //! values below were printed by this file's test body run against the
 //! commit before the change (PR 24).
 
-use syrk_repro::core::{symm_2d, syr2k_1d, syr2k_2d, syrk_2d, syrk_2d_limited};
+use syrk_repro::core::{symm_2d, syr2k_1d, syr2k_2d, syrk_2d_limited, try_syrk_2d};
 use syrk_repro::dense::{seeded_int_matrix, Matrix};
 use syrk_repro::machine::CostReport;
 use syrk_repro::CostModel;
@@ -76,7 +76,7 @@ fn msgs(cost: &CostReport) -> Vec<u64> {
 fn syr2k_drivers_are_pinned() {
     let model = CostModel::typical();
     let (a, b) = (input(48, 480, 1), input(48, 480, 2));
-    let run = syr2k_1d(&a, &b, 8, model);
+    let run = syr2k_1d(&a, &b, 8, model).unwrap();
     check(
         "syr2k_1d 48x480 p=8",
         &run.c,
@@ -109,7 +109,7 @@ fn syr2k_drivers_are_pinned() {
         ),
     ] {
         let (a, b) = (input(n1, n2, 3), input(n1, n2, 4));
-        let run = syr2k_2d(&a, &b, 5, model);
+        let run = syr2k_2d(&a, &b, 5, model).unwrap();
         check(
             &format!("syr2k_2d {n1}x{n2} c=5"),
             &run.c,
@@ -124,7 +124,7 @@ fn syr2k_drivers_are_pinned() {
 fn symm_and_limited_are_pinned() {
     let model = CostModel::typical();
     let (a, b) = (symmetric(72), input(72, 8, 5));
-    let run = symm_2d(&a, &b, 3, model);
+    let run = symm_2d(&a, &b, 3, model).unwrap();
     check(
         "symm_2d 72x8 c=3",
         &run.c,
@@ -173,7 +173,7 @@ fn symm_and_limited_are_pinned() {
             [0xcfb8_0dd0_a173_2c59, 0x8008_8e3c_e272_ba97, 48, 48, 15],
         ),
     ] {
-        let run = syrk_2d_limited(&input(n1, n2, 6), c, rounds, model);
+        let run = syrk_2d_limited(&input(n1, n2, 6), c, rounds, model).unwrap();
         let label = format!("syrk_2d_limited {n1}x{n2} c={c} rounds={rounds}");
         check(&label, &run.c, &run.cost, false, want);
     }
@@ -187,19 +187,23 @@ fn symm_and_limited_are_pinned() {
 #[test]
 fn extension_messages_are_syrk_2d_messages() {
     let model = CostModel::typical();
-    let syrk = |n1, n2, c| msgs(&syrk_2d(&input(n1, n2, 6), c, model).cost);
+    let syrk = |n1, n2, c| msgs(&try_syrk_2d(&input(n1, n2, 6), c, model, None).unwrap().cost);
     for (n1, n2) in [(360, 8), (10, 3)] {
         let (a, b) = (input(n1, n2, 3), input(n1, n2, 4));
-        let got = msgs(&syr2k_2d(&a, &b, 5, model).cost);
+        let got = msgs(&syr2k_2d(&a, &b, 5, model).unwrap().cost);
         assert_eq!(got, syrk(n1, n2, 5), "syr2k_2d {n1}x{n2}");
     }
     for (n1, n2, c, rounds) in [(72, 96, 3, 1), (72, 96, 3, 4), (3, 4, 4, 1)] {
-        let got = msgs(&syrk_2d_limited(&input(n1, n2, 6), c, rounds, model).cost);
+        let got = msgs(
+            &syrk_2d_limited(&input(n1, n2, 6), c, rounds, model)
+                .unwrap()
+                .cost,
+        );
         let want: Vec<u64> = syrk(n1, n2, c).iter().map(|m| rounds as u64 * m).collect();
         assert_eq!(got, want, "syrk_2d_limited {n1}x{n2} c={c} rounds={rounds}");
     }
     let (a, b) = (symmetric(72), input(72, 8, 5));
-    let got = msgs(&symm_2d(&a, &b, 3, model).cost);
+    let got = msgs(&symm_2d(&a, &b, 3, model).unwrap().cost);
     let want: Vec<u64> = syrk(72, 8, 3).iter().map(|m| 2 * m).collect();
     assert_eq!(got, want, "symm_2d 72x8 c=3");
 }

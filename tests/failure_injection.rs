@@ -3,9 +3,7 @@
 //! stay correct and (b) the cost reporting exposes the imbalance instead
 //! of hiding it.
 
-use syrk_repro::core::{
-    syrk_1d, syrk_2d, syrk_3d, try_syrk_1d, try_syrk_2d, try_syrk_3d, SyrkError, SyrkRunResult,
-};
+use syrk_repro::core::{try_syrk_1d, try_syrk_2d, try_syrk_3d, SyrkError, SyrkRunResult};
 use syrk_repro::dense::{
     limit_threads, max_abs_diff, seeded_matrix, syrk_full_reference, syrk_tolerance, Matrix,
 };
@@ -16,7 +14,7 @@ fn extreme_aspect_ratios_stay_correct() {
     // 2×4096 and 200×1.
     for (n1, n2, p) in [(2usize, 4096usize, 8usize), (200, 1, 6), (3, 1, 7)] {
         let a = seeded_matrix::<f64>(n1, n2, 1);
-        let run = syrk_1d(&a, p, CostModel::bandwidth_only());
+        let run = try_syrk_1d(&a, p, CostModel::bandwidth_only(), None).unwrap();
         let err = max_abs_diff(&run.c, &syrk_full_reference(&a));
         assert!(
             err <= syrk_tolerance::<f64>(n2, 1.0),
@@ -38,7 +36,7 @@ fn pathological_magnitudes_survive() {
             *x *= scale;
         }
     }
-    let run = syrk_2d(&a, 2, CostModel::bandwidth_only());
+    let run = try_syrk_2d(&a, 2, CostModel::bandwidth_only(), None).unwrap();
     let want = syrk_full_reference(&a);
     for i in 0..n1 {
         for j in 0..n1 {
@@ -57,8 +55,8 @@ fn zero_matrix_moves_the_same_words() {
     let (n1, n2, c) = (24usize, 8usize, 2usize);
     let dense = seeded_matrix::<f64>(n1, n2, 4);
     let zero = syrk_repro::dense::Matrix::<f64>::zeros(n1, n2);
-    let r1 = syrk_2d(&dense, c, CostModel::bandwidth_only());
-    let r0 = syrk_2d(&zero, c, CostModel::bandwidth_only());
+    let r1 = try_syrk_2d(&dense, c, CostModel::bandwidth_only(), None).unwrap();
+    let r0 = try_syrk_2d(&zero, c, CostModel::bandwidth_only(), None).unwrap();
     assert_eq!(r1.cost.max_words_sent(), r0.cost.max_words_sent());
     assert_eq!(r0.c.max_abs(), 0.0);
 }
@@ -70,7 +68,7 @@ fn uneven_column_split_shows_flop_imbalance() {
     // Reduce-Scatter flops damp it).
     let (n1, p) = (32usize, 8usize);
     let a = seeded_matrix::<f64>(n1, p + 1, 5);
-    let run = syrk_1d(&a, p, CostModel::bandwidth_only());
+    let run = try_syrk_1d(&a, p, CostModel::bandwidth_only(), None).unwrap();
     let imb = run.cost.flop_imbalance();
     assert!(imb > 1.3, "imbalance must be visible: {imb}");
     // And the result is still right.
@@ -81,7 +79,7 @@ fn uneven_column_split_shows_flop_imbalance() {
 fn ranks_with_no_work_are_handled() {
     // P greater than n2: most ranks own zero columns in the 1D algorithm.
     let a = seeded_matrix::<f64>(10, 3, 6);
-    let run = syrk_1d(&a, 9, CostModel::bandwidth_only());
+    let run = try_syrk_1d(&a, 9, CostModel::bandwidth_only(), None).unwrap();
     assert!(max_abs_diff(&run.c, &syrk_full_reference(&a)) < 1e-12);
     // Idle ranks still participate in the Reduce-Scatter.
     assert!(run.cost.ranks.iter().all(|r| r.msgs_sent > 0));
@@ -92,7 +90,7 @@ fn three_d_with_p2_larger_than_n2() {
     // Some slices own zero columns; their 2D bodies compute zero blocks
     // but must still reduce correctly.
     let a = seeded_matrix::<f64>(8, 3, 7);
-    let run = syrk_3d(&a, 2, 5, CostModel::bandwidth_only());
+    let run = try_syrk_3d(&a, 2, 5, CostModel::bandwidth_only(), None).unwrap();
     assert!(max_abs_diff(&run.c, &syrk_full_reference(&a)) < 1e-12);
 }
 
@@ -101,16 +99,17 @@ fn poisoned_run_does_not_hang_the_whole_machine() {
     // One rank panics mid-collective; the run must abort promptly (the
     // poison flag) rather than waiting out the full deadlock timeout.
     let t0 = std::time::Instant::now();
-    let result = std::panic::catch_unwind(|| {
-        Machine::new(4).run(|comm| {
-            if comm.rank() == 2 {
-                panic!("injected fault");
-            }
-            // The others enter a collective that can never complete.
-            comm.all_reduce(&[1.0]);
-        });
+    let result = Machine::new(4).try_run(|comm| {
+        if comm.rank() == 2 {
+            panic!("injected fault");
+        }
+        // The others enter a collective that can never complete.
+        comm.try_all_reduce(&[1.0]).map(drop)
     });
-    assert!(result.is_err());
+    assert!(matches!(
+        result,
+        Err(MachineError::RankPanicked { rank: 2, .. })
+    ));
     assert!(
         t0.elapsed() < std::time::Duration::from_secs(30),
         "poisoning should abort well before the 120 s timeout"

@@ -102,7 +102,7 @@ fn experiment_harness_regenerates_every_artifact() {
     // syrk-bench.
     for slug in ["fig1", "table1", "fig3", "bounds", "lemma6"] {
         let e = all.iter().find(|e| e.slug == slug).unwrap();
-        let tables = (e.run)();
+        let tables = (e.run)().unwrap();
         assert!(!tables.is_empty(), "{slug}");
         for t in tables {
             assert!(!t.rows.is_empty(), "{slug}: empty table");

@@ -4,7 +4,7 @@
 //! build (c = 4 → P = 20, c = 8 → P = 72, c = 9 → P = 90).
 
 use syrk_repro::core::{
-    candidate_plans, constructible_orders, syrk_2d, syrk_3d, Plan, TriangleBlockDist,
+    candidate_plans, constructible_orders, try_syrk_2d, try_syrk_3d, Plan, TriangleBlockDist,
 };
 use syrk_repro::dense::{max_abs_diff, seeded_matrix, syrk_full_reference, syrk_tolerance};
 use syrk_repro::machine::CostModel;
@@ -34,7 +34,7 @@ fn syrk_2d_runs_on_a_c4_grid() {
     // P = 20 ranks — impossible with the paper's prime-only scheme.
     let (n1, n2) = (64usize, 6usize);
     let a = seeded_matrix::<f64>(n1, n2, 44);
-    let run = syrk_2d(&a, 4, CostModel::bandwidth_only());
+    let run = try_syrk_2d(&a, 4, CostModel::bandwidth_only(), None).unwrap();
     let err = max_abs_diff(&run.c, &syrk_full_reference(&a));
     assert!(err <= syrk_tolerance::<f64>(n2, 1.0), "err {err}");
     // Communication shape unchanged: n1·n2/(c+1) words per rank.
@@ -49,7 +49,7 @@ fn syrk_2d_runs_on_a_c4_grid() {
 #[test]
 fn syrk_3d_runs_on_a_c4_grid() {
     let a = seeded_matrix::<f64>(32, 24, 45);
-    let run = syrk_3d(&a, 4, 2, CostModel::bandwidth_only()); // P = 40
+    let run = try_syrk_3d(&a, 4, 2, CostModel::bandwidth_only(), None).unwrap(); // P = 40
     let err = max_abs_diff(&run.c, &syrk_full_reference(&a));
     assert!(err <= syrk_tolerance::<f64>(24, 1.0), "err {err}");
 }
@@ -59,7 +59,7 @@ fn syrk_2d_runs_on_c8_and_c9_grids() {
     for c in [8usize, 9] {
         let n1 = c * c; // one row per block
         let a = seeded_matrix::<f64>(n1, 4, c as u64);
-        let run = syrk_2d(&a, c, CostModel::bandwidth_only());
+        let run = try_syrk_2d(&a, c, CostModel::bandwidth_only(), None).unwrap();
         let err = max_abs_diff(&run.c, &syrk_full_reference(&a));
         assert!(err <= syrk_tolerance::<f64>(4, 1.0), "c={c}: err {err}");
         assert_eq!(run.cost.num_ranks(), c * (c + 1));

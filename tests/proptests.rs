@@ -174,17 +174,19 @@ fn reduce_scatter_matches_direct_sum() {
         let p = rng.gen_range(1, 6);
         let seg = rng.gen_range(0, 8);
         let seed = rng.gen_range(0, 100) as u64;
-        let out = Machine::new(p).run(move |comm| {
-            let me = comm.rank();
-            let segments: Vec<Vec<f64>> = (0..p)
-                .map(|q| {
-                    (0..seg)
-                        .map(|t| ((me * 31 + q * 7 + t) as f64) + seed as f64)
-                        .collect()
-                })
-                .collect();
-            comm.reduce_scatter(segments)
-        });
+        let out = Machine::new(p)
+            .try_run(move |comm| {
+                let me = comm.rank();
+                let segments: Vec<Vec<f64>> = (0..p)
+                    .map(|q| {
+                        (0..seg)
+                            .map(|t| ((me * 31 + q * 7 + t) as f64) + seed as f64)
+                            .collect()
+                    })
+                    .collect();
+                comm.try_reduce_scatter(segments)
+            })
+            .unwrap();
         for (q, got) in out.results.iter().enumerate() {
             for (t, &x) in got.iter().enumerate() {
                 let want: f64 = (0..p)
@@ -228,72 +230,139 @@ fn planned_syrk_fuzz() {
         let p = rng.gen_range(1, 14);
         let seed = rng.gen_range(0, 50) as u64;
         let a = syrk_repro::dense::seeded_matrix::<f64>(n1, n2, seed);
-        let (_, run) = syrk_repro::run_auto(&a, p, syrk_repro::CostModel::bandwidth_only());
+        let (_, run) =
+            syrk_repro::run_auto(&a, p, syrk_repro::CostModel::bandwidth_only()).unwrap();
         let want = syrk_repro::dense::syrk_full_reference(&a);
         let err = syrk_repro::dense::max_abs_diff(&run.c, &want);
         assert!(err < 1e-9, "case {case} ({n1},{n2},{p},{seed}): {err}");
     }
 }
 
-/// The `try_syrk_*` entry points are total: every small configuration —
-/// empty matrices, zero rank counts, and grid orders with no triangle
-/// block construction — yields `Ok` or a typed [`SyrkError`], never a
-/// panic, and every `Ok` is numerically correct. So is
-/// `run_with_recovery` on one or two rows with rank 1 crashing at its
-/// first operation: with one row the replanned attempt plans for an
-/// empty strict triangle.
+/// Every entry point that builds a machine is total: every small
+/// configuration — empty matrices, zero rank counts, and grid orders with
+/// no triangle block construction — yields `Ok` or a typed [`SyrkError`],
+/// never a panic, and every `Ok` is numerically correct. That covers the
+/// `try_syrk_*` wrappers, the §6 drivers (SYR2K, SYMM, the panel
+/// variant) and the GEMM/ScaLAPACK baselines, which take the grid order
+/// `c` as their side `r`. So is `run_with_recovery` on one or two rows
+/// with rank 1 crashing at its first operation: with one row the
+/// replanned attempt plans for an empty strict triangle.
 #[test]
 fn try_api_is_total_over_random_configs() {
     use syrk_repro::core::{
-        run_with_recovery, try_syrk_1d, try_syrk_2d, try_syrk_3d, Plan, RecoveryPolicy,
+        gemm_1d, gemm_2d, gemm_3d, run_with_recovery, scalapack_syrk_2d, symm_2d, symm_reference,
+        syr2k_1d, syr2k_2d, syrk_2d_limited, try_syrk_1d, try_syrk_2d, try_syrk_3d, Plan,
+        RecoveryPolicy, SyrkError,
+    };
+    use syrk_repro::dense::{
+        max_abs_diff, seeded_matrix, syr2k_full_reference, syrk_full_reference, Matrix,
     };
     use syrk_repro::machine::FaultPlan;
+
+    /// Tally one outcome: an `Ok` must match `want`, an error must
+    /// display a cause.
+    fn check(
+        tally: &mut (usize, usize),
+        what: &str,
+        res: Result<Matrix<f64>, SyrkError>,
+        want: impl FnOnce() -> Matrix<f64>,
+    ) {
+        match res {
+            Ok(got) => {
+                tally.0 += 1;
+                let err = max_abs_diff(&got, &want());
+                assert!(err < 1e-9, "{what}: {err}");
+            }
+            Err(e) => {
+                tally.1 += 1;
+                assert!(!e.to_string().is_empty(), "{what}");
+            }
+        }
+    }
+
     let mut rng = DetRng::seed_from_u64(0x5afe);
     let model = syrk_repro::CostModel::bandwidth_only();
-    let mut oks = 0usize;
-    let mut errs = 0usize;
+    let mut tally = (0usize, 0usize);
     for case in 0..40 {
         let n1 = rng.gen_range(0, 10);
         let n2 = rng.gen_range(0, 10);
         let p = rng.gen_range(0, 8);
         let c = rng.gen_range(0, 7); // 0, 1, 6 have no construction
         let p2 = rng.gen_range(0, 4);
-        let a = syrk_repro::dense::seeded_matrix::<f64>(n1, n2, case as u64);
+        let a = seeded_matrix::<f64>(n1, n2, case as u64);
+        let b = seeded_matrix::<f64>(n1, n2, 100 + case as u64);
+        let raw = seeded_matrix::<f64>(n1, n1, 200 + case as u64);
+        let sym = Matrix::from_fn(n1, n1, |i, j| raw[(i, j)] + raw[(j, i)]);
+        let rounds = 1 + case % 3;
         let rows = 1 + case % 2;
-        let thin = syrk_repro::dense::seeded_matrix::<f64>(rows, n2, case as u64);
+        let thin = seeded_matrix::<f64>(rows, n2, case as u64);
         let crash = FaultPlan::seeded(case as u64).crash_rank(1, 1);
         let recovered = |plan| {
             run_with_recovery(&thin, plan, model, Some(&crash), &RecoveryPolicy::default())
-                .map(|(run, _)| run)
+                .map(|(run, _)| run.c)
         };
-        for (alg, input, res) in [
-            ("1d", &a, try_syrk_1d(&a, p, model, None)),
-            ("2d", &a, try_syrk_2d(&a, c, model, None)),
-            ("3d", &a, try_syrk_3d(&a, c, p2, model, None)),
-            ("1d+crash", &thin, recovered(Plan::OneD { p })),
-            ("2d+crash", &thin, recovered(Plan::TwoD { c })),
-            ("3d+crash", &thin, recovered(Plan::ThreeD { c, p2 })),
-        ] {
-            match res {
-                Ok(run) => {
-                    oks += 1;
-                    let want = syrk_repro::dense::syrk_full_reference(input);
-                    let err = syrk_repro::dense::max_abs_diff(&run.c, &want);
-                    let n1 = input.rows();
-                    assert!(
-                        err < 1e-9,
-                        "case {case} {alg} ({n1},{n2},{p},{c},{p2}): {err}"
-                    );
-                }
-                Err(e) => {
-                    errs += 1;
-                    // The error is typed and displays a cause.
-                    assert!(!e.to_string().is_empty());
-                }
-            }
-        }
+        let t = &mut tally;
+        let at = |alg: &str| format!("case {case} {alg} ({n1},{n2},{p},{c},{p2})");
+        let syrk_a = || syrk_full_reference(&a);
+        let syrk_thin = || syrk_full_reference(&thin);
+        let c_of = |r: syrk_repro::SyrkRunResult| r.c;
+        check(
+            t,
+            &at("1d"),
+            try_syrk_1d(&a, p, model, None).map(c_of),
+            syrk_a,
+        );
+        check(
+            t,
+            &at("2d"),
+            try_syrk_2d(&a, c, model, None).map(c_of),
+            syrk_a,
+        );
+        check(
+            t,
+            &at("3d"),
+            try_syrk_3d(&a, c, p2, model, None).map(c_of),
+            syrk_a,
+        );
+        check(t, &at("1d+crash"), recovered(Plan::OneD { p }), syrk_thin);
+        check(t, &at("2d+crash"), recovered(Plan::TwoD { c }), syrk_thin);
+        check(
+            t,
+            &at("3d+crash"),
+            recovered(Plan::ThreeD { c, p2 }),
+            syrk_thin,
+        );
+        let syr2k = || syr2k_full_reference(&a, &b);
+        check(
+            t,
+            &at("syr2k_1d"),
+            syr2k_1d(&a, &b, p, model).map(c_of),
+            syr2k,
+        );
+        check(
+            t,
+            &at("syr2k_2d"),
+            syr2k_2d(&a, &b, c, model).map(c_of),
+            syr2k,
+        );
+        let symm = symm_2d(&sym, &a, c, model).map(|r| r.c);
+        check(t, &at("symm_2d"), symm, || symm_reference(&sym, &a));
+        let limited = syrk_2d_limited(&a, c, rounds, model).map(c_of);
+        check(t, &at("limited"), limited, syrk_a);
+        // The baselines take the grid order as their side r.
+        check(t, &at("gemm_1d"), gemm_1d(&a, p, model).map(c_of), syrk_a);
+        check(t, &at("gemm_2d"), gemm_2d(&a, c, model).map(c_of), syrk_a);
+        check(
+            t,
+            &at("gemm_3d"),
+            gemm_3d(&a, c, p2, model).map(c_of),
+            syrk_a,
+        );
+        let scalapack = scalapack_syrk_2d(&a, c, model).map(c_of);
+        check(t, &at("scalapack"), scalapack, syrk_a);
     }
     // The domain must exercise both outcomes, or the test is vacuous.
+    let (oks, errs) = tally;
     assert!(oks > 0, "no configuration succeeded");
     assert!(errs > 0, "no configuration was rejected");
 }

@@ -61,11 +61,13 @@ fn collective_invocations_and_payloads_are_metered() {
     let _g = lock();
     let before = registry::snapshot();
     let p = 4;
-    Machine::new(p).run(|comm| {
-        let _ = comm.all_gather(vec![comm.rank() as f64; 3]);
-        let _ = comm.all_reduce(&[1.0, 2.0]);
-        comm.barrier();
-    });
+    Machine::new(p)
+        .try_run(|comm| {
+            comm.try_all_gather(vec![comm.rank() as f64; 3])?;
+            comm.try_all_reduce(&[1.0, 2.0])?;
+            comm.try_barrier()
+        })
+        .unwrap();
     let after = registry::snapshot();
     let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
     // all_gather is invoked once per rank directly, and once more per
@@ -114,9 +116,9 @@ fn fault_injection_and_retry_handling_are_metered() {
 fn exporters_render_the_live_registry() {
     let _g = lock();
     // Ensure at least one counter, gauge, and histogram exist.
-    Machine::new(2).run(|comm| {
-        let _ = comm.all_gather(vec![1.0]);
-    });
+    Machine::new(2)
+        .try_run(|comm| comm.try_all_gather(vec![1.0]).map(drop))
+        .unwrap();
     let snap = registry::snapshot();
     let text = prometheus_text(&snap);
     assert!(text.contains("# TYPE syrk_coll_all_gather_calls counter"));
