@@ -1,7 +1,7 @@
 //! `docs/PAPER_MAP.md` stays true to the tree: every Rust path in a
-//! *Code* column names a `pub` item of the workspace, and every
+//! *Code* column names a `pub` item of the workspace, every
 //! ``experiment `slug` `` in a *Checked by* column is a slug of
-//! `experiments::all()`.
+//! `experiments::all()`, and every other identifier there names a `fn`.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -35,6 +35,33 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
             out.push(path);
         }
     }
+}
+
+/// Every `.rs` file of the workspace: the crates, the root package, its
+/// tests and examples, and the `benchmark/` package.
+fn all_rust_files() -> Vec<PathBuf> {
+    let root = workspace_root();
+    let mut files = Vec::new();
+    for dir in [
+        "src",
+        "tests",
+        "examples",
+        "benchmark/src",
+        "benchmark/tests",
+    ] {
+        if root.join(dir).is_dir() {
+            rust_files(&root.join(dir), &mut files);
+        }
+    }
+    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
+        let krate = krate.expect("crate dir").path();
+        for dir in ["src", "tests", "benches", "examples"] {
+            if krate.join(dir).is_dir() {
+                rust_files(&krate.join(dir), &mut files);
+            }
+        }
+    }
+    files
 }
 
 fn leading_ident(s: &str) -> &str {
@@ -229,6 +256,29 @@ fn every_code_path_names_a_pub_item() {
     );
 }
 
+/// The name of every `fn` in the tree, tests and private helpers included.
+fn fn_names() -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    for file in all_rust_files() {
+        let text = fs::read_to_string(&file).expect("source file");
+        for line in text.lines() {
+            let code = line.trim_start();
+            if code.starts_with("//") {
+                continue;
+            }
+            let mut rest = code;
+            while let Some(at) = rest.find("fn ") {
+                let starts_word = at == 0 || !rest.as_bytes()[at - 1].is_ascii_alphanumeric();
+                rest = &rest[at + 3..];
+                if starts_word && !leading_ident(rest).is_empty() {
+                    names.insert(leading_ident(rest).to_string());
+                }
+            }
+        }
+    }
+    names
+}
+
 #[test]
 fn every_named_experiment_exists() {
     let slugs: Vec<&str> = experiments::all().iter().map(|e| e.slug).collect();
@@ -266,5 +316,43 @@ fn every_named_experiment_exists() {
     assert!(
         unknown.is_empty(),
         "PAPER_MAP.md names experiments that do not exist: {unknown:?}"
+    );
+}
+
+/// A backticked identifier in a *Checked by* cell that is not an
+/// experiment slug is a test or check: some `fn` of the tree has that
+/// name, or, for a `prefix_*` glob, starts with the prefix. File names
+/// (`prism.rs`) and formulas are not identifiers and are skipped.
+#[test]
+fn every_named_check_is_a_fn() {
+    let slugs: Vec<&str> = experiments::all().iter().map(|e| e.slug).collect();
+    let fns = fn_names();
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for (column, cell) in table_cells() {
+        if column != "Checked by" {
+            continue;
+        }
+        for (span, _) in spans(&cell) {
+            let name = span.strip_suffix("()").unwrap_or(span);
+            let found = match name.strip_suffix('*') {
+                _ if slugs.contains(&name) => continue,
+                Some(prefix) if is_ident(prefix) => fns.iter().any(|f| f.starts_with(prefix)),
+                None if is_ident(name) => fns.contains(name),
+                _ => continue,
+            };
+            checked += 1;
+            if !found {
+                missing.push(span.to_string());
+            }
+        }
+    }
+    assert!(
+        checked > 10,
+        "only {checked} check names found: is the map parsed?"
+    );
+    assert!(
+        missing.is_empty(),
+        "PAPER_MAP.md names checks that are no fn of the tree: {missing:?}"
     );
 }

@@ -82,28 +82,19 @@ impl Comm {
             });
             Ok(suspects)
         } else {
-            self.exchange_suspects(suspects)
+            // A real pairwise all-gather of suspect ids over the network.
+            let mine: Vec<u64> = suspects.iter().map(|&s| s as u64).collect();
+            let sends = self.peers().map(|q| (q, mine.clone())).collect();
+            let mut agreed = suspects;
+            let on_recv =
+                |_, _, theirs: Vec<u64>| agreed.extend(theirs.iter().map(|&s| s as usize));
+            let exchanged = self.pairwise(TAG_AGREE, sends, self.peers(), on_recv);
+            agreed.sort_unstable();
+            agreed.dedup();
+            exchanged.map(|()| agreed)
         };
         self.pop_phase();
         result
-    }
-
-    /// Healthy-fabric agreement round: a real pairwise all-gather of
-    /// suspect ids over the network, unioned at each member.
-    fn exchange_suspects(&self, suspects: Vec<usize>) -> Result<Vec<usize>, MachineError> {
-        let p = self.size();
-        let me = self.rank();
-        let mine: Vec<u64> = suspects.iter().map(|&s| s as u64).collect();
-        let mut agreed = suspects;
-        for step in 1..p {
-            let dst = (me + step) % p;
-            let src = (me + p - step) % p;
-            let theirs: Vec<u64> = self.try_exchange(dst, mine.clone(), src, TAG_AGREE)?;
-            agreed.extend(theirs.iter().map(|&s| s as usize));
-        }
-        agreed.sort_unstable();
-        agreed.dedup();
-        Ok(agreed)
     }
 }
 

@@ -1,8 +1,11 @@
 //! All-Gather: every rank ends with every rank's block.
 
+use std::sync::Arc;
+
 use crate::collectives::TAG_ALLGATHER;
 use crate::comm::Comm;
 use crate::error::MachineError;
+use crate::metrics::ALL_GATHER;
 
 impl Comm {
     /// All-gather with the pairwise-exchange algorithm.
@@ -12,17 +15,15 @@ impl Comm {
     /// (`(1 − 1/P)·W` with `W = P·|mine|` the gathered size).
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_all_gather(&self, mine: Vec<f64>) -> Result<Vec<Vec<f64>>, MachineError> {
-        crate::metrics::ALL_GATHER.record(mine.len());
-        let _span = self.collective_phase("coll:all-gather");
-        let p = self.size();
-        let me = self.rank();
-        self.note_buffer(mine.len() * p);
-        let mut blocks: Vec<Vec<f64>> = vec![Vec::new(); p];
-        for step in 1..p {
-            let dst = (me + step) % p;
-            let src = (me + p - step) % p;
-            blocks[src] = self.try_exchange(dst, mine.clone(), src, TAG_ALLGATHER)?;
-        }
+        let (p, me) = (self.size(), self.rank());
+        let _span =
+            self.enter_collective(&ALL_GATHER, mine.len(), "coll:all-gather", mine.len() * p);
+        // One buffer, a handle per destination.
+        let shared: Arc<[f64]> = mine.as_slice().into();
+        let sends = self.peers().map(|q| (q, Arc::clone(&shared))).collect();
+        let mut blocks = vec![Vec::new(); p];
+        let deliver = |_, src: usize, b: Arc<[f64]>| blocks[src] = b.to_vec();
+        self.pairwise(TAG_ALLGATHER, sends, self.peers(), deliver)?;
         blocks[me] = mine;
         Ok(blocks)
     }

@@ -1,9 +1,10 @@
 //! All-to-All (personalized exchange).
 
-use crate::collectives::{CollectiveAlg, TAG_ALLTOALL};
+use crate::collectives::{split_own, CollectiveAlg, TAG_ALLTOALL};
 use crate::comm::Comm;
 use crate::envelope::Payload;
 use crate::error::MachineError;
+use crate::metrics::ALL_TO_ALL;
 
 impl Comm {
     /// Personalized all-to-all with the pairwise-exchange algorithm.
@@ -31,113 +32,42 @@ impl Comm {
     }
 
     /// Sparse all-to-all over explicit partner lists (the
-    /// `MPI_Alltoallv` shape) — the form Algorithm 2's row-block exchange
-    /// uses at 10⁴⁺ ranks.
+    /// `MPI_Alltoallv` shape): Algorithm 2's row-block exchange, where
+    /// dense `P`-length vectors would cost O(P²) bytes machine-wide.
     ///
-    /// Dense `P`-length vectors would cost every rank O(P) memory even
-    /// when it talks to a handful of partners; machine-wide that is O(P²)
-    /// bytes, and at 10⁴ ranks the resulting multi-GB working set turns
-    /// every coroutine resume into a cache-cold stall. This form takes
-    /// only the live traffic: `sends` is `(dst, payload)` per outgoing
-    /// block (payloads must be non-empty, destinations distinct), and
-    /// `recvs` is `(src, words)` per expected incoming block (sources
-    /// distinct, `words > 0`); both in any order. The payload is any one
-    /// [`Payload`] type — `Vec<f64>`, or `Arc<[f64]>` when one buffer
-    /// goes to many destinations — and every partner must send the same
-    /// type. Returns the received blocks parallel to `recvs`: block `i`
-    /// is the one from `recvs[i].0`.
+    /// `sends` is `(dst, payload)` per outgoing block and `recvs` is
+    /// `(src, words)` per expected block, both non-empty, distinct and in
+    /// any order. The payload is one [`Payload`] type for every partner:
+    /// `Vec<f64>`, or `Arc<[f64]>` when one buffer goes to many
+    /// destinations. Returns the received blocks parallel to `recvs`.
     ///
-    /// Messages are issued in the dense pairwise schedule's step order —
-    /// at step `s` rank `r` sends to `(r + s) % P` and receives from
-    /// `(r + P − s) % P` — so the simulated clocks, message counts, and
-    /// word counts are *identical* to the dense pairwise schedule's with
-    /// the same traffic, minus its zero-word lockstep messages: a step
-    /// where neither direction moves data is skipped outright, and a step
-    /// with traffic in one direction is a plain send or receive instead
-    /// of a duplex exchange. Both lists are sorted by
-    /// step up front and walked front to back: the loop reads rank-local
-    /// memory sequentially, which matters because every blocking step
-    /// comes back from a context switch with its lines cold.
-    ///
-    /// Contract (as for `MPI_Alltoallv` counts): `recvs` must list
-    /// exactly the `(src, len)` pairs matching what each `src` sends
-    /// here. Disagreement strands a rank in a receive that can never
-    /// match: an exact deadlock diagnostic.
+    /// Clocks, messages and words are *identical* to the dense pairwise
+    /// form's with the same traffic, minus its zero-word lockstep
+    /// messages. `recvs` must match what each `src` sends here (as
+    /// `MPI_Alltoallv` counts): a missing pair is an exact deadlock
+    /// diagnostic, and a block of another length panics, release builds
+    /// included.
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_all_to_all_sparse<T: Payload>(
         &self,
-        mut sends: Vec<(usize, T)>,
+        sends: Vec<(usize, T)>,
         recvs: &[(usize, usize)],
     ) -> Result<Vec<T>, MachineError> {
         let words = sends.iter().map(|(_, b)| b.words()).sum();
-        crate::metrics::ALL_TO_ALL.record(words);
-        let _span = self.collective_phase("coll:all-to-all");
-        let p = self.size();
-        let me = self.rank();
-        self.note_buffer(words);
-        // Order both sides by pairwise step; merging the two sorted lists
-        // then replays the dense schedule, skipping idle steps for free.
-        let send_step = |dst: usize| (dst + p - me) % p;
-        for (dst, payload) in &sends {
-            assert!(
-                *dst < p && *dst != me,
-                "sparse all-to-all: bad destination {dst}"
-            );
-            assert!(
-                payload.words() > 0,
-                "sparse all-to-all: empty payload for {dst}"
-            );
+        let _span = self.enter_collective(&ALL_TO_ALL, words, "coll:all-to-all", words);
+        let nonempty = sends.iter().all(|(_, b)| b.words() > 0) && recvs.iter().all(|r| r.1 > 0);
+        assert!(nonempty, "sparse all-to-all: a listed block is empty");
+        // Arrival order, sorted into `recvs` order after the walk: a step,
+        // resumed with its cache lines cold, touches only `got`'s tail.
+        let mut got: Vec<(usize, T)> = Vec::with_capacity(recvs.len());
+        let arrive = |i, _: usize, block: T| got.push((i, block));
+        self.pairwise(TAG_ALLTOALL, sends, recvs.iter().map(|r| r.0), arrive)?;
+        got.sort_unstable_by_key(|g| g.0);
+        for ((_, block), (src, words)) in got.iter().zip(recvs) {
+            let ok = block.words() == *words;
+            assert!(ok, "sparse all-to-all: wrong length from {src}");
         }
-        sends.sort_unstable_by_key(|&(dst, _)| send_step(dst));
-        assert!(
-            sends.windows(2).all(|w| w[0].0 != w[1].0),
-            "sparse all-to-all: duplicate destination"
-        );
-        // (step, src, position in `recvs`)
-        let mut rx: Vec<(usize, usize, usize)> = (recvs.iter().enumerate())
-            .map(|(idx, &(src, words))| {
-                assert!(src < p && src != me, "sparse all-to-all: bad source {src}");
-                assert!(words > 0, "sparse all-to-all: zero-word receive from {src}");
-                ((me + p - src) % p, src, idx)
-            })
-            .collect();
-        rx.sort_unstable();
-        assert!(
-            rx.windows(2).all(|w| w[0].0 != w[1].0),
-            "sparse all-to-all: duplicate source"
-        );
-        let mut sends = sends.into_iter().peekable();
-        let mut rx_due = rx.iter().peekable();
-        // Received blocks in step order, i.e. parallel to `rx`.
-        let mut got: Vec<T> = Vec::with_capacity(rx.len());
-        loop {
-            let ts = sends.peek().map_or(usize::MAX, |&(dst, _)| send_step(dst));
-            let rs = rx_due.peek().map_or(usize::MAX, |r| r.0);
-            let out = if ts <= rs { sends.next() } else { None };
-            let src = if rs <= ts { rx_due.next() } else { None }.map(|r| r.1);
-            match (out, src) {
-                (Some((dst, out)), Some(src)) => {
-                    got.push(self.try_exchange(dst, out, src, TAG_ALLTOALL)?)
-                }
-                (Some((dst, out)), None) => self.try_send(dst, TAG_ALLTOALL, out)?,
-                (None, Some(src)) => got.push(self.try_recv(src, TAG_ALLTOALL)?),
-                (None, None) => break,
-            }
-        }
-        // One pass from step order into the caller's order.
-        let mut out: Vec<Option<T>> = (0..rx.len()).map(|_| None).collect();
-        for (block, &(_, src, idx)) in got.into_iter().zip(&rx) {
-            debug_assert_eq!(
-                block.words(),
-                recvs[idx].1,
-                "block from {src} has the wrong length"
-            );
-            out[idx] = Some(block);
-        }
-        Ok(out
-            .into_iter()
-            .map(|b| b.expect("`rx` holds every position of `recvs` once"))
-            .collect())
+        Ok(got.into_iter().map(|(_, block)| block).collect())
     }
 
     /// All-to-all with an explicit algorithm choice.
@@ -147,28 +77,18 @@ impl Comm {
         blocks: Vec<Vec<f64>>,
         alg: CollectiveAlg,
     ) -> Result<Vec<Vec<f64>>, MachineError> {
-        crate::metrics::ALL_TO_ALL.record(blocks.iter().map(Vec::len).sum());
-        let _span = self.collective_phase("coll:all-to-all");
-        let p = self.size();
+        let (p, me) = (self.size(), self.rank());
         assert_eq!(blocks.len(), p, "all_to_all needs one block per rank");
-        self.note_buffer(blocks.iter().map(Vec::len).sum());
-        match alg {
-            CollectiveAlg::PairwiseExchange => self.a2a_pairwise(blocks),
-            CollectiveAlg::Bruck => self.a2a_bruck(blocks),
+        let words = blocks.iter().map(Vec::len).sum();
+        let _span = self.enter_collective(&ALL_TO_ALL, words, "coll:all-to-all", words);
+        if alg == CollectiveAlg::Bruck {
+            return self.a2a_bruck(blocks);
         }
-    }
-
-    fn a2a_pairwise(&self, mut blocks: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>, MachineError> {
-        let p = self.size();
-        let me = self.rank();
-        let mut recv: Vec<Vec<f64>> = vec![Vec::new(); p];
-        recv[me] = std::mem::take(&mut blocks[me]);
-        for step in 1..p {
-            let dst = (me + step) % p;
-            let src = (me + p - step) % p;
-            let out = std::mem::take(&mut blocks[dst]);
-            recv[src] = self.try_exchange(dst, out, src, TAG_ALLTOALL)?;
-        }
+        let (own, sends) = split_own(blocks, me);
+        let mut recv = vec![Vec::new(); p];
+        recv[me] = own;
+        let deliver = |_, src: usize, block| recv[src] = block;
+        self.pairwise(TAG_ALLTOALL, sends, self.peers(), deliver)?;
         Ok(recv)
     }
 
@@ -179,8 +99,7 @@ impl Comm {
     /// `⌈P/2⌉` blocks: latency `O(log P)`, bandwidth `≈ (w/2)·log₂ P`
     /// (the factor-`(log P)/2` inflation discussed in §6).
     fn a2a_bruck(&self, blocks: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>, MachineError> {
-        let p = self.size();
-        let me = self.rank();
+        let (p, me) = (self.size(), self.rank());
         let b = blocks.first().map(Vec::len).unwrap_or(0);
         assert!(
             blocks.iter().all(|blk| blk.len() == b),
@@ -425,6 +344,21 @@ mod tests {
                 let prev = (comm.rank() + 2) % 3;
                 let sends = vec![(next, vec![1.0]), (next, vec![2.0])];
                 comm.try_all_to_all_sparse(sends, &[(prev, 1)]).map(drop)
+            })
+            .unwrap_err();
+        assert!(matches!(err, MachineError::RankPanicked { .. }));
+        panic!("{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong length from")]
+    fn sparse_list_form_rejects_a_block_of_the_wrong_length() {
+        // Release builds too: callers slice each block by its listed length.
+        let err = Machine::new(2)
+            .try_run(|comm| {
+                let peer = 1 - comm.rank();
+                let sends = vec![(peer, vec![1.0; 2])];
+                comm.try_all_to_all_sparse(sends, &[(peer, 3)]).map(drop)
             })
             .unwrap_err();
         assert!(matches!(err, MachineError::RankPanicked { .. }));

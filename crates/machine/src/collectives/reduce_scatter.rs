@@ -8,9 +8,10 @@
 //! | recursive halving  | `log₂ P`      | `(1 − 1/P)·w`        | `P = 2^k`   |
 //! | reduce + scatter   | `log₂ P` tree + `P−1` root sends | up to `w·log₂ P` at the root | none |
 
-use crate::collectives::TAG_REDUCE_SCATTER;
+use crate::collectives::{split_own, TAG_REDUCE_SCATTER};
 use crate::comm::Comm;
 use crate::error::MachineError;
+use crate::metrics::REDUCE_SCATTER;
 
 /// Algorithm selector for [`Comm::try_reduce_scatter_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,37 +51,8 @@ impl Comm {
     /// # Ok::<(), MachineError>(())
     /// ```
     #[must_use = "the Result carries transport failures that must be handled"]
-    pub fn try_reduce_scatter(
-        &self,
-        mut segments: Vec<Vec<f64>>,
-    ) -> Result<Vec<f64>, MachineError> {
-        crate::metrics::REDUCE_SCATTER.record(segments.iter().map(Vec::len).sum());
-        let _span = self.collective_phase("coll:reduce-scatter");
-        let p = self.size();
-        let me = self.rank();
-        assert_eq!(
-            segments.len(),
-            p,
-            "reduce_scatter needs one segment per rank"
-        );
-        self.note_buffer(segments.iter().map(Vec::len).sum());
-        let mut acc = std::mem::take(&mut segments[me]);
-        for step in 1..p {
-            let dst = (me + step) % p;
-            let src = (me + p - step) % p;
-            let out = std::mem::take(&mut segments[dst]);
-            let inc: Vec<f64> = self.try_exchange(dst, out, src, TAG_REDUCE_SCATTER)?;
-            assert_eq!(
-                inc.len(),
-                acc.len(),
-                "reduce_scatter: rank {src} disagrees on the length of rank {me}'s segment"
-            );
-            for (a, b) in acc.iter_mut().zip(&inc) {
-                *a += b;
-            }
-            self.add_flops(acc.len() as u64);
-        }
-        Ok(acc)
+    pub fn try_reduce_scatter(&self, segments: Vec<Vec<f64>>) -> Result<Vec<f64>, MachineError> {
+        self.try_reduce_scatter_with(segments, ReduceScatterAlg::PairwiseExchange)
     }
 
     /// Reduce-scatter with an explicit algorithm choice.
@@ -90,35 +62,39 @@ impl Comm {
         segments: Vec<Vec<f64>>,
         alg: ReduceScatterAlg,
     ) -> Result<Vec<f64>, MachineError> {
-        let _span = self.collective_phase("coll:reduce-scatter");
+        let p = self.size();
+        assert_eq!(
+            segments.len(),
+            p,
+            "reduce_scatter needs one segment per rank"
+        );
+        let words = segments.iter().map(Vec::len).sum();
+        let _span = self.enter_collective(&REDUCE_SCATTER, words, "coll:reduce-scatter", words);
         match alg {
-            ReduceScatterAlg::PairwiseExchange => self.try_reduce_scatter(segments),
-            ReduceScatterAlg::RecursiveHalving => {
-                if self.size().is_power_of_two() {
-                    self.rs_recursive_halving(segments)
-                } else {
-                    self.try_reduce_scatter(segments)
-                }
+            ReduceScatterAlg::RecursiveHalving if p.is_power_of_two() => {
+                self.rs_recursive_halving(segments)
             }
             ReduceScatterAlg::TreeThenScatter => self.rs_tree_then_scatter(segments),
+            _ => self.rs_pairwise(segments),
         }
+    }
+
+    fn rs_pairwise(&self, segments: Vec<Vec<f64>>) -> Result<Vec<f64>, MachineError> {
+        let (mut acc, sends) = split_own(segments, self.rank());
+        let absorb = |_, src, inc: Vec<f64>| self.absorb(&mut acc, &inc, src);
+        self.pairwise(TAG_REDUCE_SCATTER, sends, self.peers(), absorb)?;
+        Ok(acc)
     }
 
     /// Recursive halving: `log₂ P` rounds. In round `r` the group splits
     /// in half; each rank ships its partial sums for the *other* half's
     /// segments to its mirror partner and accumulates the incoming ones.
     fn rs_recursive_halving(&self, segments: Vec<Vec<f64>>) -> Result<Vec<f64>, MachineError> {
-        crate::metrics::REDUCE_SCATTER.record(segments.iter().map(Vec::len).sum());
-        let p = self.size();
-        let me = self.rank();
-        assert!(p.is_power_of_two());
-        assert_eq!(segments.len(), p);
-        self.note_buffer(segments.iter().map(Vec::len).sum());
+        let (p, me) = (self.size(), self.rank());
         // acc[q] = my current partial sum of rank q's segment, for q in
         // the still-active range [lo, lo + span).
         let mut acc = segments;
-        let mut lo = 0usize;
-        let mut span = p;
+        let (mut lo, mut span) = (0, p);
         while span > 1 {
             let half = span / 2;
             let in_low = me < lo + half;
@@ -129,23 +105,13 @@ impl Comm {
             } else {
                 (lo + half, lo)
             };
-            let mut out = Vec::new();
-            for seg in &acc[send_lo..send_lo + half] {
-                out.extend_from_slice(seg);
-            }
+            let out = acc[send_lo..send_lo + half].concat();
             let inc: Vec<f64> = self.try_exchange(partner, out, partner, TAG_REDUCE_SCATTER)?;
             let mut off = 0;
             for seg in &mut acc[keep_lo..keep_lo + half] {
-                let len = seg.len();
-                assert!(
-                    inc.len() >= off + len,
-                    "recursive halving: partner disagrees on segment sizes"
-                );
-                for (a, b) in seg.iter_mut().zip(&inc[off..off + len]) {
-                    *a += b;
-                }
-                off += len;
-                self.add_flops(len as u64);
+                let end = (off + seg.len()).min(inc.len());
+                self.absorb(seg, &inc[off..end], partner);
+                off = end;
             }
             assert_eq!(off, inc.len(), "recursive halving: length mismatch");
             lo = keep_lo;
@@ -155,25 +121,53 @@ impl Comm {
     }
 
     /// Binomial reduce of the concatenated buffer to rank 0, then a
-    /// direct scatter of the reduced segments.
+    /// direct scatter of the reduced segments: rank 0 sends each rank its
+    /// segment, in the pairwise schedule's step order.
     fn rs_tree_then_scatter(&self, segments: Vec<Vec<f64>>) -> Result<Vec<f64>, MachineError> {
-        crate::metrics::REDUCE_SCATTER.record(segments.iter().map(Vec::len).sum());
-        let p = self.size();
-        assert_eq!(segments.len(), p);
         let lens: Vec<usize> = segments.iter().map(Vec::len).collect();
-        let flat: Vec<f64> = segments.into_iter().flatten().collect();
-        self.note_buffer(flat.len());
-        let reduced = self.try_reduce(0, &flat)?;
-        let blocks = reduced.map(|r| {
-            let mut out = Vec::with_capacity(p);
-            let mut off = 0;
-            for &l in &lens {
-                out.push(r[off..off + l].to_vec());
-                off += l;
+        let (mut mine, sends, root) = match self.reduce_to_root(segments.concat())? {
+            Some(sum) => {
+                let (own, sends) = split_own(cut(&sum, &lens), 0);
+                (own, sends, None)
             }
-            out
-        });
-        self.try_scatter(0, blocks)
+            None => (Vec::new(), Vec::new(), Some(0)),
+        };
+        self.pairwise(TAG_REDUCE_SCATTER, sends, root, |_, _, seg| mine = seg)?;
+        Ok(mine)
+    }
+
+    /// Binomial-tree sum of every rank's `acc`: each rank absorbs its
+    /// children, then sends once to its parent. `Some(sum)` on rank 0.
+    fn reduce_to_root(&self, mut acc: Vec<f64>) -> Result<Option<Vec<f64>>, MachineError> {
+        let (p, me) = (self.size(), self.rank());
+        let mut mask = 1usize;
+        while mask < p {
+            if me & mask != 0 {
+                self.try_send(me - mask, TAG_REDUCE_SCATTER, acc)?;
+                return Ok(None);
+            }
+            if me + mask < p {
+                let inc: Vec<f64> = self.try_recv(me + mask, TAG_REDUCE_SCATTER)?;
+                self.absorb(&mut acc, &inc, me + mask);
+            }
+            mask <<= 1;
+        }
+        Ok(Some(acc))
+    }
+
+    /// `acc += inc` element-wise, charged as `|acc|` flops; `src` sent
+    /// `inc`, and must agree on its length.
+    fn absorb(&self, acc: &mut [f64], inc: &[f64], src: usize) {
+        assert_eq!(
+            inc.len(),
+            acc.len(),
+            "reduce_scatter: rank {src} disagrees on the length of rank {}'s segment",
+            self.rank()
+        );
+        for (a, b) in acc.iter_mut().zip(inc) {
+            *a += b;
+        }
+        self.add_flops(acc.len() as u64);
     }
 
     /// Reduce-scatter over a contiguous buffer split into `counts[q]`-sized
@@ -185,21 +179,25 @@ impl Comm {
         data: &[f64],
         counts: &[usize],
     ) -> Result<Vec<f64>, MachineError> {
-        let p = self.size();
-        assert_eq!(counts.len(), p);
+        assert_eq!(counts.len(), self.size());
         assert_eq!(
             data.len(),
             counts.iter().sum::<usize>(),
             "counts must tile the buffer"
         );
-        let mut segments = Vec::with_capacity(p);
-        let mut off = 0;
-        for &c in counts {
-            segments.push(data[off..off + c].to_vec());
-            off += c;
-        }
-        self.try_reduce_scatter(segments)
+        self.try_reduce_scatter(cut(data, counts))
     }
+}
+
+/// `data` cut into consecutive pieces of `counts[q]` words.
+fn cut(data: &[f64], counts: &[usize]) -> Vec<Vec<f64>> {
+    let starts = counts
+        .iter()
+        .scan(0, |off, &c| Some(std::mem::replace(off, *off + c)));
+    starts
+        .zip(counts)
+        .map(|(s, &c)| data[s..s + c].to_vec())
+        .collect()
 }
 
 #[cfg(test)]
@@ -376,5 +374,30 @@ mod tests {
         assert!(tr.max_messages() <= 2 * 3 + 1);
         // ...but the root receives ~w log P and sends ~w: more total words.
         assert!(tr.max_words_total() > pw.max_words_total());
+    }
+
+    #[test]
+    fn binomial_reduce_sums_to_rank_0() {
+        for p in [1, 2, 3, 6, 9, 16] {
+            let out = Machine::new(p)
+                .try_run(|comm| comm.reduce_to_root(vec![comm.rank() as f64, 1.0]))
+                .unwrap();
+            let expected: f64 = (0..p).map(|r| r as f64).sum();
+            assert_eq!(out.results[0], Some(vec![expected, p as f64]), "P={p}");
+            assert!(out.results[1..].iter().all(Option::is_none), "P={p}");
+        }
+    }
+
+    #[test]
+    fn binomial_reduce_every_nonroot_sends_exactly_once() {
+        for p in [1, 2, 3, 6, 9, 16] {
+            let out = Machine::new(p)
+                .try_run(|comm| comm.reduce_to_root(vec![1.0; 5]).map(drop))
+                .unwrap();
+            let sent = out.cost.ranks.iter().map(|c| c.msgs_sent);
+            assert!(sent.eq((0..p).map(|r| u64::from(r != 0))), "P={p}");
+            // Flops: P − 1 partial-sum merges of 5 elements across the tree.
+            assert_eq!(out.cost.total_flops(), 5 * (p as u64 - 1), "P={p}");
+        }
     }
 }

@@ -58,9 +58,10 @@ pub struct RunOutput<R> {
 /// use syrk_machine::{Machine, MachineError};
 ///
 /// let out = Machine::new(4).try_run(|comm| {
-///     // Each rank contributes its rank; ranks all-reduce the sum.
-///     let mine = vec![comm.rank() as f64];
-///     let total = comm.try_all_reduce(&mine)?;
+///     // Each rank contributes its rank to every rank's segment;
+///     // Reduce-Scatter leaves each rank its segment of the sum.
+///     let mine = vec![vec![comm.rank() as f64]; comm.size()];
+///     let total = comm.try_reduce_scatter(mine)?;
 ///     Ok(total[0])
 /// })?;
 /// assert!(out.results.iter().all(|&r| r == 6.0));
@@ -505,10 +506,10 @@ mod tests {
 
         // A collective over enough ranks to interleave many parks.
         let sums = on_both_backends(&Machine::new(64), |comm| {
-            let mine = vec![comm.rank() as f64; 4];
-            Ok(comm.try_all_reduce(&mine)?.iter().sum::<f64>())
+            let mine = vec![vec![comm.rank() as f64; 4]; comm.size()];
+            Ok(comm.try_reduce_scatter(mine)?.iter().sum::<f64>())
         })
-        .expect("all_reduce");
+        .expect("reduce_scatter");
         let expect = (0..64).sum::<usize>() as f64 * 4.0;
         assert!(sums.results.iter().all(|&r| r == expect));
 
@@ -623,8 +624,8 @@ mod tests {
         let out = Machine::new(64)
             .with_rank_stack_kb(64)
             .try_run(|comm| {
-                let mine = vec![comm.rank() as f64; 4];
-                Ok(comm.try_all_reduce(&mine)?.iter().sum::<f64>())
+                let mine = vec![vec![comm.rank() as f64; 4]; comm.size()];
+                Ok(comm.try_reduce_scatter(mine)?.iter().sum::<f64>())
             })
             .unwrap();
         let expect = (0..64).sum::<usize>() as f64 * 4.0;

@@ -36,24 +36,10 @@ pub(crate) static ALL_GATHER: CollMetrics = CollMetrics::new(
     "syrk_coll_all_gather_calls",
     "syrk_coll_all_gather_payload_words",
 );
-pub(crate) static ALL_REDUCE: CollMetrics = CollMetrics::new(
-    "syrk_coll_all_reduce_calls",
-    "syrk_coll_all_reduce_payload_words",
-);
 pub(crate) static ALL_TO_ALL: CollMetrics = CollMetrics::new(
     "syrk_coll_all_to_all_calls",
     "syrk_coll_all_to_all_payload_words",
 );
-pub(crate) static BARRIER: CollMetrics =
-    CollMetrics::new("syrk_coll_barrier_calls", "syrk_coll_barrier_payload_words");
-pub(crate) static BCAST: CollMetrics =
-    CollMetrics::new("syrk_coll_bcast_calls", "syrk_coll_bcast_payload_words");
-pub(crate) static GATHER: CollMetrics =
-    CollMetrics::new("syrk_coll_gather_calls", "syrk_coll_gather_payload_words");
-pub(crate) static SCATTER: CollMetrics =
-    CollMetrics::new("syrk_coll_scatter_calls", "syrk_coll_scatter_payload_words");
-pub(crate) static REDUCE: CollMetrics =
-    CollMetrics::new("syrk_coll_reduce_calls", "syrk_coll_reduce_payload_words");
 pub(crate) static REDUCE_SCATTER: CollMetrics = CollMetrics::new(
     "syrk_coll_reduce_scatter_calls",
     "syrk_coll_reduce_scatter_payload_words",

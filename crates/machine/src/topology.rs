@@ -101,11 +101,13 @@ mod tests {
         let out = Machine::new(6)
             .try_run(|mut comm| {
                 let gc = g.split(&mut comm);
-                // Sum ranks within the slice: slices are {0,1}, {2,3}, {4,5}.
-                let s = gc.slice.try_all_reduce(&[comm.rank() as f64])?;
-                // Sum ranks within the row: rows are {0,2,4} and {1,3,5}.
-                let r = gc.row.try_all_reduce(&[comm.rank() as f64])?;
-                Ok((gc.k, gc.l, s[0], r[0]))
+                // Sum world ranks within a group, gathered from every member.
+                let sum = |group: &crate::comm::Comm| -> Result<f64, MachineError> {
+                    let all = group.try_all_gather(vec![comm.rank() as f64])?;
+                    Ok(all.iter().map(|b| b[0]).sum())
+                };
+                // Slices are {0,1}, {2,3}, {4,5}; rows are {0,2,4} and {1,3,5}.
+                Ok((gc.k, gc.l, sum(&gc.slice)?, sum(&gc.row)?))
             })
             .unwrap();
         assert_eq!(out.results[0], (0, 0, 1.0, 6.0));

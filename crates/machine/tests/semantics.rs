@@ -2,7 +2,12 @@
 //! sub-communicators, clock/critical-path behaviour, and collectives on
 //! sub-communicators.
 
-use syrk_machine::{CostModel, Machine};
+use syrk_machine::{Comm, CostModel, Machine, MachineError};
+
+/// The sum of every member's `x`, gathered pairwise by every member.
+fn gathered_sum(comm: &Comm, x: f64) -> Result<f64, MachineError> {
+    Ok(comm.try_all_gather(vec![x])?.iter().map(|b| b[0]).sum())
+}
 
 #[test]
 fn send_to_self_is_legal() {
@@ -30,9 +35,8 @@ fn nested_splits_isolate_traffic() {
             let quarter = sub.rank() / 2;
             let subsub = sub.split(quarter as u64, sub.rank());
             assert_eq!(subsub.size(), 2);
-            // All-reduce world ranks within the pair.
-            let sum = subsub.try_all_reduce(&[comm.rank() as f64])?;
-            Ok(sum[0])
+            // Sum world ranks within the pair.
+            gathered_sum(&subsub, comm.rank() as f64)
         })
         .unwrap();
     // Pairs are (0,1), (2,3), (4,5), (6,7).
@@ -44,9 +48,9 @@ fn split_then_collective_on_parent_still_works() {
     let out = Machine::new(4)
         .try_run(|mut comm| {
             let sub = comm.split((comm.rank() % 2) as u64, 0);
-            let sub_sum = sub.try_all_reduce(&[1.0])?[0];
+            let sub_sum = gathered_sum(&sub, 1.0)?;
             // Parent communicator remains fully functional after splitting.
-            Ok(comm.try_all_reduce(&[sub_sum])?[0])
+            gathered_sum(&comm, sub_sum)
         })
         .unwrap();
     assert!(out.results.iter().all(|&x| x == 8.0)); // 4 ranks × subgroup size 2
@@ -116,16 +120,17 @@ fn collectives_work_on_subcommunicators() {
                 .map(|q| vec![(comm.rank() * 10 + q) as f64])
                 .collect();
             let recv = sub.try_all_to_all(blocks)?;
-            // gather at sub-root.
-            let g = sub.try_gather(0, vec![comm.rank() as f64])?;
-            Ok((recv[1 - sub.rank()][0], g.map(|v| v.len())))
+            // reduce-scatter of world ranks within the pair.
+            let sum = sub.try_reduce_scatter(vec![vec![comm.rank() as f64]; 2])?;
+            Ok((recv[1 - sub.rank()][0], sum[0]))
         })
         .unwrap();
     // Pairs by color: {0,3}, {1,4}, {2,5}. Rank 0 receives 3's block 0.
     assert_eq!(out.results[0].0, 30.0);
     assert_eq!(out.results[3].0, 1.0); // rank 3 receives 0's block 1
-    assert_eq!(out.results[0].1, Some(2));
-    assert_eq!(out.results[3].1, None);
+    assert_eq!(out.results[0].1, 3.0);
+    assert_eq!(out.results[3].1, 3.0);
+    assert_eq!(out.results[2].1, 7.0);
 }
 
 #[test]
@@ -175,9 +180,18 @@ fn broadcast_on_subcommunicator_uses_group_ranks() {
     let out = Machine::new(6)
         .try_run(|mut comm| {
             let sub = comm.split((comm.rank() / 3) as u64, comm.rank());
-            // Root 2 *within the group* = world rank 2 or 5.
-            let data = (sub.rank() == 2).then(|| vec![comm.rank() as f64]);
-            Ok(sub.try_broadcast(2, data)?[0])
+            // Root 2 *within the group* = world rank 2 or 5 sends its
+            // world rank to the other members: a flat broadcast.
+            let root = 2;
+            if sub.rank() == root {
+                let sends = (0..sub.size())
+                    .filter(|&q| q != root)
+                    .map(|q| (q, vec![comm.rank() as f64]))
+                    .collect();
+                sub.try_all_to_all_sparse::<Vec<f64>>(sends, &[])?;
+                return Ok(comm.rank() as f64);
+            }
+            Ok(sub.try_all_to_all_sparse::<Vec<f64>>(Vec::new(), &[(root, 1)])?[0][0])
         })
         .unwrap();
     assert_eq!(out.results[..3], [2.0, 2.0, 2.0]);
@@ -213,7 +227,9 @@ fn tracing_records_the_timeline() {
 
 #[test]
 fn tracing_off_by_default() {
-    let out = Machine::new(2).try_run(|comm| comm.try_barrier()).unwrap();
+    let out = Machine::new(2)
+        .try_run(|comm| comm.try_all_gather(Vec::new()).map(drop))
+        .unwrap();
     assert!(out.traces.is_none());
 }
 

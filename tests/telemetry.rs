@@ -64,30 +64,30 @@ fn collective_invocations_and_payloads_are_metered() {
     Machine::new(p)
         .try_run(|comm| {
             comm.try_all_gather(vec![comm.rank() as f64; 3])?;
-            comm.try_all_reduce(&[1.0, 2.0])?;
-            comm.try_barrier()
+            comm.try_reduce_scatter(vec![vec![1.0, 2.0]; p]).map(drop)
         })
         .unwrap();
     let after = registry::snapshot();
     let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
-    // all_gather is invoked once per rank directly, and once more per
-    // rank inside all_reduce (which composes over all_gather_concat) —
-    // the metric counts invocations, including internal composition.
-    assert_eq!(delta("syrk_coll_all_gather_calls"), 2 * p as u64);
-    assert_eq!(delta("syrk_coll_all_reduce_calls"), p as u64);
-    assert_eq!(delta("syrk_coll_barrier_calls"), p as u64);
-    // Payload histograms: the direct all_gather observed 3 words on each
-    // of the P ranks; the one inside all_reduce observed each rank's
-    // reduce-scattered segment, which across ranks partitions the
-    // 2-element buffer.
-    let (cb, sb) = before
-        .histogram("syrk_coll_all_gather_payload_words")
-        .unwrap_or((0, 0));
-    let (ca, sa) = after
-        .histogram("syrk_coll_all_gather_payload_words")
-        .unwrap();
-    assert_eq!(ca - cb, 2 * p as u64);
-    assert_eq!(sa - sb, (p * 3 + 2) as u64);
+    // Every rank records its own invocation of each collective.
+    assert_eq!(delta("syrk_coll_all_gather_calls"), p as u64);
+    assert_eq!(delta("syrk_coll_reduce_scatter_calls"), p as u64);
+    // Payload histograms observe each rank's input: 3 words to gather,
+    // P segments of 2 words to reduce-scatter.
+    let hist_delta = |name: &str| {
+        let (cb, sb) = before.histogram(name).unwrap_or((0, 0));
+        let (ca, sa) = after.histogram(name).unwrap();
+        (ca - cb, sa - sb)
+    };
+    let p64 = p as u64;
+    assert_eq!(
+        hist_delta("syrk_coll_all_gather_payload_words"),
+        (p64, 3 * p64)
+    );
+    assert_eq!(
+        hist_delta("syrk_coll_reduce_scatter_payload_words"),
+        (p64, 2 * p64 * p64)
+    );
 }
 
 #[test]
