@@ -12,8 +12,11 @@
 //! Like [`run`](crate::run), each rejects zero ranks (`p`, `r` or `p2`)
 //! and an empty `A` with a [`PlanError`](crate::PlanError).
 
-use syrk_dense::{gemm_flops, mul_nt, syrk_flops, syrk_packed_new, Diag, Matrix, Partition1D};
-use syrk_machine::{CostModel, Machine, ProcessGrid};
+use syrk_dense::{
+    gemm_flops, mul_nt, syrk_flops, syrk_packed_new, Diag, Matrix, MatrixView, PackedLower,
+    Partition1D,
+};
+use syrk_machine::{Comm, CostModel, Machine, MachineError, ProcessGrid};
 
 use super::common::{
     assemble_c, check_ranks, check_shape, DiagBlock, LocalOutput, OffDiagBlock, SyrkRunResult,
@@ -69,69 +72,61 @@ fn summa_like(
     let out = machine.try_run(|mut comm| {
         let gc = grid.split(&mut comm);
         let (big_i, big_j) = (gc.k, gc.l);
-        // My chunks: 1/r of A_I (by flattened elements, chunk index J)
-        // and 1/r of A_J (chunk index I).
-        let chunk = |blk: usize, idx: usize| -> Vec<f64> {
-            let rr = rows.range(blk);
-            let flat = a.block_owned(rr.start, 0, rr.len(), n2l).into_vec();
-            let part = Partition1D::new(flat.len(), r);
-            flat[part.range(idx)].to_vec()
-        };
-        // All-gather A_I along my process row (the p2-direction comm is
-        // `row` in grid terms — ranks sharing I). Our grid names: `slice`
-        // spans ranks with equal ℓ (= J) and `row` spans equal k (= I).
-        let a_i_flat = gc.row.try_all_gather_concat(chunk(big_i, big_j))?;
-        let rr = rows.range(big_i);
-        let a_i = Matrix::from_vec(rr.len(), n2l, a_i_flat);
-        // All-gather A_J along my process column (ranks sharing J).
-        let a_j_flat = gc.slice.try_all_gather_concat(chunk(big_j, big_i))?;
-        let rj = rows.range(big_j);
-        let a_j = Matrix::from_vec(rj.len(), n2l, a_j_flat);
+        // Our grid names: `row` spans ranks with equal k (= I) and
+        // `slice` ranks with equal ℓ (= J).
+        let [a_i, a_j] = gather_operands(a.view(), &rows, (big_i, big_j), &gc.row, &gc.slice)?;
 
         // Compute the owned block. ScaLAPACK-style SYRK computes only the
-        // lower triangle (I ≥ J): upper ranks idle after communicating.
+        // lower triangle (I ≥ J), the diagonal block by a SYRK: upper ranks
+        // idle after communicating. Full GEMM computes every block and
+        // charges the full 2n1²n2l flops; A·Aᵀ is symmetric, so its lower
+        // blocks are all of C and the upper ones are discarded.
         let mut out = LocalOutput::default();
-        if syrk_mode {
-            if big_i > big_j {
-                out.offdiag.push(OffDiagBlock {
-                    i: big_i,
-                    j: big_j,
-                    data: mul_nt(&a_i, &a_j),
-                });
-                comm.add_flops(gemm_flops(a_i.rows(), a_j.rows(), n2l));
-            } else if big_i == big_j {
-                out.diag.push(DiagBlock {
-                    i: big_i,
-                    data: syrk_packed_new(&a_i, Diag::Inclusive),
-                });
-                comm.add_flops(syrk_flops(a_i.rows(), n2l));
-            }
-        } else {
-            // Full GEMM: every rank computes its block; represent upper
-            // blocks implicitly by transposing into the lower triangle
-            // (values are identical by symmetry of A·Aᵀ, so assembly
-            // stays exact while flops count the full 2n1²n2l).
+        if big_i > big_j || !syrk_mode {
             comm.add_flops(gemm_flops(a_i.rows(), a_j.rows(), n2l));
+            let data = mul_nt(&a_i, &a_j);
             if big_i > big_j {
                 out.offdiag.push(OffDiagBlock {
                     i: big_i,
                     j: big_j,
-                    data: mul_nt(&a_i, &a_j),
+                    data,
                 });
             } else if big_i == big_j {
-                let full = mul_nt(&a_i, &a_i);
-                out.diag.push(DiagBlock {
-                    i: big_i,
-                    data: syrk_dense::PackedLower::from_matrix(&full, Diag::Inclusive),
-                });
-            } else {
-                let _ = mul_nt(&a_i, &a_j); // computed and discarded (upper half)
+                let data = PackedLower::from_matrix(&data, Diag::Inclusive);
+                out.diag.push(DiagBlock { i: big_i, data });
             }
+        } else if big_i == big_j {
+            comm.add_flops(syrk_flops(a_i.rows(), n2l));
+            let data = syrk_packed_new(&a_i, Diag::Inclusive);
+            out.diag.push(DiagBlock { i: big_i, data });
         }
         Ok(out)
     })?;
     let c = assemble_c(n1, &rows, &out.results);
     Ok(SyrkRunResult { c, cost: out.cost })
+}
+
+/// The SUMMA operand gather of an `r × r` grid over the columns of `a`:
+/// rank `(I, J)` holds chunk `J` of `A_I` and chunk `I` of `A_J` (by
+/// flattened elements, read where they lie in `a`); an all-gather along
+/// `row` (the ranks sharing `I`, ordered by `J`) rebuilds `A_I` and one
+/// along `col` (sharing `J`, ordered by `I`) rebuilds `A_J`.
+fn gather_operands(
+    a: MatrixView<'_, f64>,
+    rows: &Partition1D,
+    (big_i, big_j): (usize, usize),
+    row: &Comm,
+    col: &Comm,
+) -> Result<[Matrix<f64>; 2], MachineError> {
+    let r = row.size();
+    let gather = |blk: usize, idx: usize, comm: &Comm| {
+        let rr = rows.range(blk);
+        let block = a.sub(rr.start, 0, rr.len(), a.cols());
+        let chunk = block.flat_range_to_vec(Partition1D::new(rr.len() * a.cols(), r).range(idx));
+        let flat = comm.try_all_gather_concat(chunk)?;
+        Ok(Matrix::from_vec(rr.len(), a.cols(), flat))
+    };
+    Ok([gather(big_i, big_j, row)?, gather(big_j, big_i, col)?])
 }
 
 /// 2D GEMM baseline (SUMMA-style, Case 2 regime) on an `r × r` grid:
@@ -176,27 +171,12 @@ pub fn gemm_3d(
         let cr = cols.range(gc.l);
         let n2l = cr.len();
 
-        // 2D SUMMA within the slice (inlined: the slice communicator must
-        // be subdivided again into its own rows/columns).
+        // 2D SUMMA within the slice, on its own rows and columns.
         let mut slice = gc.slice;
         let row_comm = slice.split(big_i as u64, big_j); // ranks sharing I
         let col_comm = slice.split((r + big_j) as u64, big_i); // sharing J
-        let chunk = |blk: usize, idx: usize| -> Vec<f64> {
-            let rr = rows.range(blk);
-            let flat = a.block_owned(rr.start, cr.start, rr.len(), n2l).into_vec();
-            let part = Partition1D::new(flat.len(), r);
-            flat[part.range(idx)].to_vec()
-        };
-        let a_i = Matrix::from_vec(
-            rows.len(big_i),
-            n2l,
-            row_comm.try_all_gather_concat(chunk(big_i, big_j))?,
-        );
-        let a_j = Matrix::from_vec(
-            rows.len(big_j),
-            n2l,
-            col_comm.try_all_gather_concat(chunk(big_j, big_i))?,
-        );
+        let a_col = a.block(0, cr.start, n1, n2l);
+        let [a_i, a_j] = gather_operands(a_col, &rows, (big_i, big_j), &row_comm, &col_comm)?;
         let c_blk = mul_nt(&a_i, &a_j);
         comm.add_flops(gemm_flops(a_i.rows(), a_j.rows(), n2l));
 

@@ -7,7 +7,8 @@
 //! blocks at once, each rank processes the columns in `rounds` panels —
 //! gather a panel with Algorithm 2's exchange (`gather_row_blocks`, the
 //! one `run` executes for `Plan::TwoD`), accumulate its contribution
-//! into the locally owned `C` blocks, discard the panel, repeat.
+//! into the locally owned `C` blocks with Algorithm 2's local step
+//! (`local_step`), discard the panel, repeat.
 //!
 //! * **Communication volume for `A` is unchanged** (every chunk still
 //!   crosses the network exactly once): `n1n2/(c+1)` words per rank.
@@ -21,15 +22,11 @@
 //! it lets the per-rank footprint be driven down toward the
 //! `O((n1²/2 + n1n2)/P)` balanced-data budget.
 
-use syrk_dense::{
-    gemm_flops, gemm_nt, syrk_flops, syrk_packed, Diag, Matrix, PackedLower, Partition1D,
-};
+use syrk_dense::{gemm_nt, syrk_packed, Matrix, Partition1D};
 use syrk_machine::{CostModel, Machine};
 
-use super::common::{
-    assemble_c, check_shape, triangle_dist, DiagBlock, LocalOutput, OffDiagBlock, SyrkRunResult,
-};
-use super::twod::gather_row_blocks;
+use super::common::{assemble_c, check_shape, triangle_dist, SyrkRunResult};
+use super::twod::{gather_row_blocks, local_step, owned_blocks};
 use crate::dist::ConformalADist;
 use crate::error::SyrkError;
 
@@ -57,27 +54,13 @@ pub fn syrk_2d_limited(
 
     let machine = Machine::new(dist.p()).with_model(model);
     let out = machine.try_run(|comm| {
-        let k = comm.rank();
-        let live = whole.live_blocks(k);
-        // Owned output blocks, accumulated across panels: pairs of
-        // positions in `live`, in `blocks_of(k)` order.
-        let pairs: Vec<(usize, usize)> = (0..live.len())
-            .flat_map(|x| (0..x).map(move |y| (x, y)))
-            .collect();
-        let mut off_blocks: Vec<OffDiagBlock> = (pairs.iter())
-            .map(|&(x, y)| {
-                let (i, j) = (live[x], live[y]);
-                let data = Matrix::zeros(rows.len(i), rows.len(j));
-                OffDiagBlock { i, j, data }
-            })
-            .collect();
-        let mut diag_block: Option<(usize, DiagBlock)> = dist.d_block(k).and_then(|i| {
-            let data = PackedLower::zeros(rows.len(i), Diag::Inclusive);
-            Some((live.binary_search(&i).ok()?, DiagBlock { i, data }))
-        });
+        // Owned output blocks, accumulated across panels.
+        let mut owned = owned_blocks(&dist, &whole, comm.rank());
         // Persistent output footprint.
-        let out_words: usize = off_blocks.iter().map(|b| b.data.len()).sum::<usize>()
-            + diag_block.as_ref().map_or(0, |(_, d)| d.data.len());
+        let out = &owned.out;
+        let out_words = (out.offdiag.iter().map(|b| b.data.len()))
+            .chain(out.diag.iter().map(|d| d.data.len()))
+            .sum::<usize>();
         comm.note_buffer(out_words);
 
         for round in 0..rounds {
@@ -85,28 +68,21 @@ pub fn syrk_2d_limited(
             if pr.is_empty() {
                 continue;
             }
-            // Algorithm 2's exchange, panel width only.
+            // Algorithm 2's exchange and local step, panel width only.
             let a_panel = a.block(0, pr.start, n1, pr.len());
             let ad = ConformalADist::new(&dist, n1, pr.len());
-            let gathered = gather_row_blocks(&comm, &dist, &ad, &live, [a_panel], false)?;
-            let gathered: Vec<Matrix<f64>> = gathered.into_iter().map(|[ai]| ai).collect();
-            comm.note_buffer(out_words + gathered.iter().map(Matrix::len).sum::<usize>());
-            // Accumulate this panel's contribution.
-            for (blk, &(x, y)) in off_blocks.iter_mut().zip(&pairs) {
-                let (ai, aj) = (&gathered[x], &gathered[y]);
-                gemm_nt(&mut blk.data, ai, aj);
-                comm.add_flops(gemm_flops(ai.rows(), aj.rows(), pr.len()));
-            }
-            if let Some((x, d)) = &mut diag_block {
-                let ai = &gathered[*x];
-                syrk_packed(&mut d.data, ai);
-                comm.add_flops(syrk_flops(ai.rows(), pr.len()));
-            }
+            let gathered = gather_row_blocks(&comm, &dist, &ad, &owned.live, [a_panel], false)?;
+            comm.note_buffer(out_words + gathered.iter().map(|[ai]| ai.len()).sum::<usize>());
+            local_step(
+                &comm,
+                &mut owned,
+                &gathered,
+                |cij, [ai], [aj]| gemm_nt(cij, ai, aj),
+                |cii, [ai]| syrk_packed(cii, ai),
+                false,
+            );
         }
-        Ok(LocalOutput {
-            offdiag: off_blocks,
-            diag: diag_block.into_iter().map(|(_, d)| d).collect(),
-        })
+        Ok(owned.out)
     })?;
     Ok(SyrkRunResult {
         c: assemble_c(n1, rows, &out.results),

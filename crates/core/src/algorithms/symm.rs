@@ -24,7 +24,7 @@ use syrk_dense::{gemm_flops, mul_nn, Matrix};
 use syrk_machine::{CostModel, CostReport, Machine};
 
 use super::common::{check_shape, triangle_dist};
-use super::twod::gather_row_blocks;
+use super::twod::{gather_row_blocks, owned_blocks};
 use crate::dist::ConformalADist;
 use crate::error::SyrkError;
 
@@ -60,11 +60,13 @@ pub fn symm_2d(
     let machine = Machine::new(dist.p()).with_model(model);
     let out = machine.try_run(|comm| {
         let k = comm.rank();
-        // Blocks by position in `live`, as in Algorithm 2.
-        let live = bd.live_blocks(k);
+        // Rank k's blocks of A are the blocks of C it would own in
+        // Algorithm 2, addressed by position in `live` the same way.
+        let owned = owned_blocks(&dist, &bd, k);
+        let live = &owned.live;
 
         // Phase 1: gather B_j for j ∈ R_k.
-        let b_blocks = gather_row_blocks(&comm, &dist, &bd, &live, [b.view()], false)?;
+        let b_blocks = gather_row_blocks(&comm, &dist, &bd, live, [b.view()], false)?;
         let b_blocks: Vec<Matrix<f64>> = b_blocks.into_iter().map(|[bj]| bj).collect();
 
         // Phase 2: local compute. partial[x] accumulates this rank's
@@ -77,21 +79,18 @@ pub fn symm_2d(
             let (ri, rj) = (rows.range(bi), rows.range(bj));
             a_sym.block_owned(ri.start, rj.start, ri.len(), rj.len())
         };
-        // The pairs of `blocks_of(k)` that have rows, in its order.
-        for x in 0..live.len() {
-            for y in 0..x {
-                let aij = a_block(live[x], live[y]);
-                // C_i += A_ij · B_j.
-                partial[x].add_assign(&mul_nn(&aij, &b_blocks[y]));
-                // C_j += A_ijᵀ · B_i  (= A_ji · B_i by symmetry): compute as
-                // (B_iᵀ · A_ij)ᵀ without forming A_ijᵀ: use gemm_nt with
-                // operands transposed — simplest is explicit transpose (the
-                // block is small).
-                partial[y].add_assign(&mul_nn(&aij.transpose(), &b_blocks[x]));
-                comm.add_flops(2 * gemm_flops(aij.rows(), m, aij.cols()));
-            }
+        for &(x, y) in &owned.pairs {
+            let aij = a_block(live[x], live[y]);
+            // C_i += A_ij · B_j.
+            partial[x].add_assign(&mul_nn(&aij, &b_blocks[y]));
+            // C_j += A_ijᵀ · B_i  (= A_ji · B_i by symmetry): compute as
+            // (B_iᵀ · A_ij)ᵀ without forming A_ijᵀ: use gemm_nt with
+            // operands transposed — simplest is explicit transpose (the
+            // block is small).
+            partial[y].add_assign(&mul_nn(&aij.transpose(), &b_blocks[x]));
+            comm.add_flops(2 * gemm_flops(aij.rows(), m, aij.cols()));
         }
-        if let Some(x) = dist.d_block(k).and_then(|i| live.binary_search(&i).ok()) {
+        if let Some(x) = owned.diag {
             let aii = a_block(live[x], live[x]);
             // The diagonal block is symmetric; only its lower triangle is
             // authoritative, so symmetrize before multiplying.

@@ -10,16 +10,13 @@
 //! `4·n1n2/√P` a GEMM-style evaluation of the two products would move).
 
 use syrk_dense::{
-    gemm_flops, mirror_lower_to_upper, mul_nt, syr2k_flops, syr2k_packed, syr2k_packed_new,
-    write_packed_lower, Diag, Matrix, PackedLower, Partition1D,
+    gemm_nt, mirror_lower_to_upper, mul_nt, syr2k_flops, syr2k_packed, write_packed_lower, Diag,
+    Matrix, PackedLower, Partition1D,
 };
 use syrk_machine::{CostModel, Machine};
 
-use super::common::{
-    assemble_c, check_ranks, check_shape, triangle_dist, DiagBlock, LocalOutput, OffDiagBlock,
-    SyrkRunResult,
-};
-use super::twod::gather_row_blocks;
+use super::common::{assemble_c, check_ranks, check_shape, triangle_dist, SyrkRunResult};
+use super::twod::{gather_row_blocks, local_step, owned_blocks};
 use crate::dist::ConformalADist;
 use crate::error::SyrkError;
 
@@ -69,9 +66,10 @@ pub fn syr2k_1d(
 
 /// 2D SYR2K on the Triangle Block Distribution: Algorithm 2's exchange
 /// gathers the `R_k` row blocks of *both* inputs (both chunks in one
-/// message per partner: SYRK's latency, twice its bandwidth), then each
-/// off-diagonal block is `C_ij = A_i·B_jᵀ + B_i·A_jᵀ` and each diagonal
-/// block a local SYR2K. Errors as [`run`](crate::run); `A` and `B` of
+/// message per partner: SYRK's latency, twice its bandwidth), then
+/// Algorithm 2's local step makes each off-diagonal block
+/// `C_ij = A_i·B_jᵀ + B_i·A_jᵀ` and the diagonal block a local SYR2K.
+/// Errors as [`run`](crate::run); `A` and `B` of
 /// different shapes panic.
 pub fn syr2k_2d(
     a: &Matrix<f64>,
@@ -91,34 +89,24 @@ pub fn syr2k_2d(
 
     let machine = Machine::new(dist.p()).with_model(model);
     let out = machine.try_run(|comm| {
-        let k = comm.rank();
-        let live = ad.live_blocks(k);
-        let gathered = gather_row_blocks(&comm, &dist, &ad, &live, [a.view(), b.view()], false)?;
-
-        // Blocks by position in `live`, pairs in `blocks_of(k)` order.
-        let mut out = LocalOutput::default();
-        for (x, [ai, bi]) in gathered.iter().enumerate() {
-            for (y, [aj, bj]) in gathered[..x].iter().enumerate() {
-                // C_ij = A_i·B_jᵀ + B_i·A_jᵀ.
-                let mut blk = mul_nt(ai, bj);
-                blk.add_assign(&mul_nt(bi, aj));
-                comm.add_flops(2 * gemm_flops(ai.rows(), aj.rows(), n2));
-                let (i, j) = (live[x], live[y]);
-                out.offdiag.push(OffDiagBlock { i, j, data: blk });
-            }
-        }
-        let diag = dist
-            .d_block(k)
-            .and_then(|i| Some((i, live.binary_search(&i).ok()?)));
-        if let Some((i, x)) = diag {
-            let [ai, bi] = &gathered[x];
-            out.diag.push(DiagBlock {
-                i,
-                data: syr2k_packed_new(ai, bi, Diag::Inclusive),
-            });
-            comm.add_flops(syr2k_flops(ai.rows(), n2));
-        }
-        Ok(out)
+        let mut owned = owned_blocks(&dist, &ad, comm.rank());
+        let operands = [a.view(), b.view()];
+        let gathered = gather_row_blocks(&comm, &dist, &ad, &owned.live, operands, false)?;
+        // C_ij = A_i·B_jᵀ + B_i·A_jᵀ as two products and one add: folding
+        // the second product into the first's accumulation would round
+        // differently.
+        local_step(
+            &comm,
+            &mut owned,
+            &gathered,
+            |cij, [ai, bi], [aj, bj]| {
+                gemm_nt(cij, ai, bj);
+                cij.add_assign(&mul_nt(bi, aj));
+            },
+            |cii, [ai, bi]| syr2k_packed(cii, ai.view(), bi.view()),
+            false,
+        );
+        Ok(owned.out)
     })?;
     Ok(SyrkRunResult {
         c: assemble_c(n1, &ad.rows, &out.results),

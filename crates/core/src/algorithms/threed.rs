@@ -9,144 +9,77 @@
 //! Bandwidth cost (eq. (12)): `n1n2/(√p1·p2) + n1²/(2p1)` to leading
 //! order.
 
-use syrk_dense::{Diag, Matrix, PackedLower, Partition1D};
+use syrk_dense::{Matrix, Partition1D};
 use syrk_machine::ProcessGrid;
 
 use super::common::{
-    assemble_c, check_ranks, check_shape, triangle_dist, DiagBlock, LocalOutput, OffDiagBlock,
-    SyrkRunResult,
+    assemble_c, check_ranks, check_shape, triangle_dist, LocalOutput, SyrkRunResult,
 };
 use super::run::{machine_for, RunSpec, SyrkRun};
-use super::twod::twod_body;
+use super::twod::{owned_blocks, twod_body};
 use crate::attribution::PHASE_REDUCE_SCATTER_C;
 use crate::dist::{ConformalADist, TriangleBlockDist};
 use crate::error::SyrkError;
 
-/// The canonical flat layout of a rank's `C_k` data: its off-diagonal
-/// blocks in `blocks_of(k)` order (each row-major), followed by the
-/// packed inclusive diagonal block if one is assigned. The layout is a
-/// pure function of `(dist, rows, k)`, so all `p2` ranks of a grid row
-/// agree on it — the precondition for reduce-scattering `C_k`.
-struct CkLayout {
-    offdiag: Vec<(usize, usize, usize, usize)>, // (i, j, rows, cols)
-    diag: Option<(usize, usize)>,               // (i, n)
-    total: usize,
+/// The words of a `LocalOutput` in `C_k` order: the off-diagonal blocks
+/// as listed, each row-major, then the packed diagonal block. Every rank
+/// of grid row `k` and the host list the same blocks (`owned_blocks(k)`),
+/// so they agree on this order — the precondition for reduce-scattering
+/// `C_k`.
+fn ck_words(out: &LocalOutput) -> impl Iterator<Item = &[f64]> {
+    let off = out.offdiag.iter().map(|b| b.data.as_slice());
+    off.chain(out.diag.iter().map(|d| d.data.as_slice()))
 }
 
-impl CkLayout {
-    fn new(dist: &TriangleBlockDist, rows: &Partition1D, k: usize) -> Self {
-        let mut total = 0;
-        // Zero-sized blocks are omitted, mirroring `twod_body`'s output
-        // convention (they carry no data and would only bloat the layout
-        // when n1 < c² leaves most row blocks empty).
-        let offdiag: Vec<_> = dist
-            .blocks_of(k)
-            .into_iter()
-            .filter_map(|(i, j)| {
-                let (ri, rj) = (rows.len(i), rows.len(j));
-                if ri * rj == 0 {
-                    return None;
-                }
-                total += ri * rj;
-                Some((i, j, ri, rj))
-            })
-            .collect();
-        let diag = dist.d_block(k).and_then(|i| {
-            let n = rows.len(i);
-            if n == 0 {
-                return None;
+/// Copy the concatenation of `src` into the concatenation of `dst`,
+/// piece by piece across the boundaries of both; the two totals must
+/// agree.
+fn copy_across<'s, 'd>(
+    src: impl IntoIterator<Item = &'s [f64]>,
+    dst: impl IntoIterator<Item = &'d mut [f64]>,
+) {
+    let mut src = src.into_iter();
+    let mut from: &[f64] = &[];
+    for mut to in dst {
+        while !to.is_empty() {
+            while from.is_empty() {
+                from = src.next().expect("C_k source shorter than its blocks");
             }
-            total += Diag::Inclusive.packed_len(n);
-            Some((i, n))
-        });
-        CkLayout {
-            offdiag,
-            diag,
-            total,
+            let n = to.len().min(from.len());
+            let (head, tail) = std::mem::take(&mut to).split_at_mut(n);
+            head.copy_from_slice(&from[..n]);
+            (to, from) = (tail, &from[n..]);
         }
     }
+    assert!(
+        from.is_empty() && src.all(<[f64]>::is_empty),
+        "C_k source longer than its blocks"
+    );
+}
 
-    /// Build the per-destination Reduce-Scatter payloads directly from the
-    /// block storage: each of the `lens[q]`-sized segments is filled by
-    /// walking the blocks in layout order, so the data is copied exactly
-    /// once (block → segment) with no intermediate flat buffer.
-    fn segments(&self, out: &LocalOutput, lens: &[usize]) -> Vec<Vec<f64>> {
-        let mut srcs: Vec<&[f64]> = Vec::with_capacity(self.offdiag.len() + 1);
-        for (idx, &(i, j, ri, rj)) in self.offdiag.iter().enumerate() {
-            let blk = &out.offdiag[idx];
-            assert_eq!((blk.i, blk.j), (i, j), "layout order mismatch");
-            assert_eq!(blk.data.shape(), (ri, rj));
-            srcs.push(blk.data.as_slice());
-        }
-        if let Some((i, n)) = self.diag {
-            let blk = &out.diag[0];
-            assert_eq!(blk.i, i);
-            assert_eq!(blk.data.n(), n);
-            srcs.push(blk.data.as_slice());
-        }
-        debug_assert_eq!(srcs.iter().map(|s| s.len()).sum::<usize>(), self.total);
-        assert_eq!(lens.iter().sum::<usize>(), self.total);
-        let mut segs: Vec<Vec<f64>> = lens.iter().map(|&l| Vec::with_capacity(l)).collect();
-        let mut q = 0;
-        for mut src in srcs {
-            while !src.is_empty() {
-                while segs[q].len() == lens[q] {
-                    q += 1;
-                }
-                let take = src.len().min(lens[q] - segs[q].len());
-                let (head, tail) = src.split_at(take);
-                segs[q].extend_from_slice(head);
-                src = tail;
-            }
-        }
-        segs
-    }
+/// Rank side of Alg. 3 lines 4–5: `local`'s words in `C_k` order, cut
+/// into `p2` near-even Reduce-Scatter segments.
+fn ck_segments(local: &LocalOutput, p2: usize) -> Vec<Vec<f64>> {
+    let total = ck_words(local).map(<[f64]>::len).sum();
+    let lens = Partition1D::new(total, p2).lens();
+    let mut segs: Vec<Vec<f64>> = lens.iter().map(|&l| vec![0.0; l]).collect();
+    copy_across(ck_words(local), segs.iter_mut().map(Vec::as_mut_slice));
+    segs
+}
 
-    /// Rebuild a `LocalOutput` from the reduced segments (in ℓ order),
-    /// reading across segment boundaries with a cursor — the inverse of
-    /// [`CkLayout::segments`], again with a single block-sized copy and no
-    /// concatenated flat buffer.
-    fn assemble(&self, segs: &[Vec<f64>]) -> LocalOutput {
-        assert_eq!(
-            segs.iter().map(Vec::len).sum::<usize>(),
-            self.total,
-            "C_k segments have the wrong total length"
-        );
-        let (mut q, mut off) = (0usize, 0usize);
-        let mut take = |len: usize| -> Vec<f64> {
-            let mut buf = Vec::with_capacity(len);
-            while buf.len() < len {
-                if off == segs[q].len() {
-                    q += 1;
-                    off = 0;
-                    continue;
-                }
-                let n = (len - buf.len()).min(segs[q].len() - off);
-                buf.extend_from_slice(&segs[q][off..off + n]);
-                off += n;
-            }
-            buf
-        };
-        let mut out = LocalOutput::default();
-        for &(i, j, ri, rj) in &self.offdiag {
-            out.offdiag.push(OffDiagBlock {
-                i,
-                j,
-                data: Matrix::from_vec(ri, rj, take(ri * rj)),
-            });
-        }
-        if let Some((i, n)) = self.diag {
-            out.diag.push(DiagBlock {
-                i,
-                data: PackedLower::from_vec(
-                    n,
-                    Diag::Inclusive,
-                    take(Diag::Inclusive.packed_len(n)),
-                ),
-            });
-        }
-        out
-    }
+/// Host side: grid row `k`'s reduced `C_k`, from its segments in ℓ
+/// order, as the blocks `owned_blocks` lists for `k`.
+fn ck_blocks(
+    dist: &TriangleBlockDist,
+    ad: &ConformalADist,
+    k: usize,
+    segs: &[Vec<f64>],
+) -> LocalOutput {
+    let mut out = owned_blocks(dist, ad, k).out;
+    let off = out.offdiag.iter_mut().map(|b| b.data.as_mut_slice());
+    let dst = off.chain(out.diag.iter_mut().map(|d| d.data.as_mut_slice()));
+    copy_across(segs.iter().map(Vec::as_slice), dst);
+    out
 }
 
 /// Run Algorithm 3 on a simulated machine with `P = c(c+1)·p2` ranks.
@@ -161,7 +94,6 @@ pub(crate) fn run_3d(
     let p1 = dist.p();
     let (n1, n2) = a.shape();
     check_shape(n1, n2)?;
-    let rows = Partition1D::new(n1, dist.num_blocks());
     let cols = Partition1D::new(n2, p2);
     let grid = ProcessGrid::new(p1, p2);
 
@@ -187,28 +119,24 @@ pub(crate) fn run_3d(
         // collective, which moves exactly the same words as the block
         // interface.
         let _span = comm.phase(PHASE_REDUCE_SCATTER_C);
-        let layout = CkLayout::new(&dist, &rows, gc.k);
-        let seg = Partition1D::new(layout.total, p2);
-        let segments = layout.segments(&local, &seg.lens());
+        let segments = ck_segments(&local, p2);
         let mine = gc.row.try_reduce_scatter_with(segments, spec.rs_alg)?;
         Ok((gc.k, gc.l, mine))
     })?;
 
-    // Assembly: for each grid row k, concatenate the p2 final segments in
-    // ℓ order to recover the summed flat C_k, then unflatten.
-    let mut per_k: Vec<Vec<(usize, Vec<f64>)>> = vec![Vec::new(); p1];
+    // Assembly: for each grid row k, the p2 final segments in ℓ order
+    // are the summed C_k.
+    let mut per_k: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); p2]; p1];
     for (k, l, seg) in out.results {
-        per_k[k].push((l, seg));
+        per_k[k][l] = seg;
     }
-    let mut outputs = Vec::with_capacity(p1);
-    for (k, mut segs) in per_k.into_iter().enumerate() {
-        segs.sort_by_key(|&(l, _)| l);
-        let segs: Vec<Vec<f64>> = segs.into_iter().map(|(_, s)| s).collect();
-        outputs.push(CkLayout::new(&dist, &rows, k).assemble(&segs));
-    }
+    let whole = ConformalADist::new(&dist, n1, n2);
+    let outputs: Vec<LocalOutput> = (per_k.iter().enumerate())
+        .map(|(k, segs)| ck_blocks(&dist, &whole, k, segs))
+        .collect();
     Ok(SyrkRun {
         result: SyrkRunResult {
-            c: assemble_c(n1, &rows, &outputs),
+            c: assemble_c(n1, &whole.rows, &outputs),
             cost: out.cost,
         },
         traces: out.traces,
@@ -224,6 +152,63 @@ mod tests {
     use crate::{run, try_syrk_2d, try_syrk_3d, Plan};
     use syrk_dense::{max_abs_diff, seeded_int_matrix, seeded_matrix, syrk_full_reference};
     use syrk_machine::{CostModel, ReduceScatterAlg};
+
+    /// Every word of `out` in `C_k` order, as bits.
+    fn ck_bits(out: &LocalOutput) -> Vec<u64> {
+        ck_words(out).flatten().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn c_k_segments_round_trip_over_the_owned_block_list() {
+        // Rank-side segments back to host-side blocks, over every rank of
+        // c = 3 at n1 ∈ {4, 10, 36} (n1 = 4 < c² leaves five of nine row
+        // blocks dead) and p2 up to 40, above every C_k word count here.
+        let dist = TriangleBlockDist::new(3);
+        let (mut crossed, mut empty, mut no_diag) = (false, false, false);
+        for n1 in [4, 10, 36] {
+            let ad = ConformalADist::new(&dist, n1, 1);
+            for k in 0..dist.p() {
+                let mut out = owned_blocks(&dist, &ad, k).out;
+                let off = out.offdiag.iter_mut().map(|b| b.data.as_mut_slice());
+                let words = off.chain(out.diag.iter_mut().map(|d| d.data.as_mut_slice()));
+                for (w, x) in words.flatten().zip(1..) {
+                    *w = f64::from(x);
+                }
+                no_diag |= out.diag.is_empty();
+                let mut block_end = 0;
+                let block_ends: Vec<usize> = (ck_words(&out).map(<[f64]>::len))
+                    .map(|len| {
+                        block_end += len;
+                        block_end
+                    })
+                    .collect();
+                for p2 in [1, 2, 3, 5, 7, 40] {
+                    let segs = ck_segments(&out, p2);
+                    assert_eq!(segs.len(), p2);
+                    empty |= segs.iter().any(Vec::is_empty);
+                    // A segment that ends inside a block splits it.
+                    let mut end = 0;
+                    for seg in &segs {
+                        end += seg.len();
+                        crossed |= !seg.is_empty() && !block_ends.contains(&end);
+                    }
+                    let back = ck_blocks(&dist, &ad, k, &segs);
+                    assert_eq!(ck_bits(&back), ck_bits(&out), "n1={n1} k={k} p2={p2}");
+                }
+            }
+        }
+        assert!(crossed && empty && no_diag);
+    }
+
+    #[test]
+    #[should_panic(expected = "longer than its blocks")]
+    fn c_k_segments_of_the_wrong_total_are_rejected() {
+        let dist = TriangleBlockDist::new(2);
+        let ad = ConformalADist::new(&dist, 8, 1);
+        let mut segs = ck_segments(&owned_blocks(&dist, &ad, 0).out, 2);
+        segs[1].push(0.0);
+        let _ = ck_blocks(&dist, &ad, 0, &segs);
+    }
 
     #[test]
     fn correct_small_grids() {

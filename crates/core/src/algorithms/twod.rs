@@ -11,8 +11,8 @@
 use std::sync::Arc;
 
 use syrk_dense::{
-    balanced_chunks_by_cost, gemm_flops, mul_nt, par_for_each_task, steal_task_count, syrk_flops,
-    syrk_packed_new, workers_for_flops, Diag, Matrix, MatrixView,
+    balanced_chunks_by_cost, gemm_flops, gemm_nt, par_for_each_task, steal_task_count, syrk_flops,
+    syrk_packed, workers_for_flops, Diag, Matrix, MatrixView, PackedLower,
 };
 use syrk_machine::{Comm, MachineError};
 
@@ -35,8 +35,8 @@ use crate::error::SyrkError;
 /// `⌈n1·n2/(c²(c+1))⌉` words, exactly as Algorithm 2's pseudocode
 /// allocates it — reproducing the eq. (10) cost analysis verbatim (the
 /// unpadded variant is slightly cheaper; see `alg2d_tight_cost`). The
-/// exchange itself is [`gather_row_blocks`], which the §6 extension
-/// drivers call too.
+/// exchange itself is [`gather_row_blocks`] and the local step
+/// [`local_step`], which the §6 extension drivers call too.
 pub(crate) fn twod_body(
     comm: &Comm,
     dist: &TriangleBlockDist,
@@ -48,93 +48,31 @@ pub(crate) fn twod_body(
     let k = comm.rank();
     let n2l = a_slice.cols();
 
-    // The row blocks of R_k that exist. Everything below — exchange,
-    // pair list, diagonal — is derived from this list by position, so a
-    // rank's host time follows its live blocks instead of c or c². A dead
-    // block moves and computes nothing in either variant (padded partners
-    // get zeros for it, as they do for a pair that shares no block).
-    let live = ad.live_blocks(k);
-
     // Lines 3–14: gather every live A_i. The exchange-and-reassemble of A
     // is the phase Theorem 1's Case-2 `n1·n2/√P` term charges.
     let ag_span = comm.phase(PHASE_ALLGATHER_A);
-    let gathered: Vec<Matrix<f64>> =
-        gather_row_blocks(comm, dist, ad, &live, [a_slice], spec.padded)?
-            .into_iter()
-            .map(|[ai]| ai)
-            .collect();
+    let live = ad.live_blocks(k);
+    let gathered = gather_row_blocks(comm, dist, ad, &live, [a_slice], spec.padded)?;
     comm.note_buffer(
-        gathered.iter().map(Matrix::len).sum::<usize>()
+        gathered.iter().map(|[ai]| ai.len()).sum::<usize>()
             + live.iter().map(|&i| ad.chunk_len(i, k)).sum::<usize>(),
     );
     drop(ag_span);
+    // The owned blocks (from the same `live` list) are allocated only
+    // now, so that with 10³ ranks in one process no rank's blocks are
+    // alive through every other rank's exchange.
+    let mut owned = owned_blocks(dist, ad, k);
 
-    // Lines 15–17: off-diagonal blocks C_ij = A_i · A_jᵀ over the pairs of
-    // live blocks (positions in `live`, in `blocks_of(k)` order — the 3D
-    // algorithm's C_k layout depends on `out.offdiag` keeping it),
-    // computed in flop-balanced chunks over the rank's thread budget, or
-    // on this thread when the whole list is too small to pay for a
-    // worker. Pairs with a zero-sized block (n1 < c² leaves row blocks
-    // empty) never appear, matching `CkLayout`'s convention: at 10⁴ ranks
-    // the c(c−1)/2 pairs per rank are dominated by empty ones, and
-    // materializing ~P·c²/2 zero-sized outputs costs more than the whole
-    // exchange. Flops are charged up front, outside the worker closure, to
-    // keep the cost report deterministic.
-    let mut out = LocalOutput::default();
-    let gemm_span = comm.phase(PHASE_LOCAL_GEMM);
-    let pairs: Vec<(usize, usize)> = (0..live.len())
-        .flat_map(|a| (0..a).map(move |b| (a, b)))
-        .collect();
-    let costs: Vec<u64> = pairs
-        .iter()
-        .map(|&(a, b)| gemm_flops(gathered[a].rows(), gathered[b].rows(), n2l))
-        .collect();
-    for &f in &costs {
-        comm.add_flops(f);
-    }
-    let mut results: Vec<Option<OffDiagBlock>> = (0..pairs.len()).map(|_| None).collect();
-    // Oversubscribe chunks past the worker count so the work-stealing
-    // runtime can rebalance uneven block sizes.
-    let workers = workers_for_flops(costs.iter().sum());
-    let chunks = balanced_chunks_by_cost(&costs, steal_task_count(workers), 1);
-    let mut tasks: Vec<(std::ops::Range<usize>, &mut [Option<OffDiagBlock>])> = Vec::new();
-    let mut rest = results.as_mut_slice();
-    for r in &chunks {
-        let (head, tail) = rest.split_at_mut(r.len());
-        tasks.push((r.clone(), head));
-        rest = tail;
-    }
-    par_for_each_task(tasks, |_, (range, slots)| {
-        for (slot, bi) in slots.iter_mut().zip(range) {
-            let (a, b) = pairs[bi];
-            *slot = Some(OffDiagBlock {
-                i: live[a],
-                j: live[b],
-                data: mul_nt(&gathered[a], &gathered[b]),
-            });
-        }
-    });
-    out.offdiag.extend(
-        results
-            .into_iter()
-            .map(|r| r.expect("every block computed")),
+    // Lines 15–20: C_ij = A_i · A_jᵀ for every owned pair, then the
+    // diagonal block's SYRK.
+    local_step(
+        comm,
+        &mut owned,
+        &gathered,
+        |cij, [ai], [aj]| gemm_nt(cij, ai, aj),
+        |cii, [ai]| syrk_packed(cii, ai),
+        true,
     );
-    drop(gemm_span);
-
-    // Lines 18–20: the diagonal block, if assigned and live (`D_k` may
-    // name a dead block — the same zero-sized-block convention as the
-    // off-diagonal list).
-    let diag = dist
-        .d_block(k)
-        .and_then(|i| Some((i, &gathered[live.binary_search(&i).ok()?])));
-    if let Some((i, ai)) = diag {
-        let _span = comm.phase(PHASE_LOCAL_SYRK);
-        out.diag.push(DiagBlock {
-            i,
-            data: syrk_packed_new(ai, Diag::Inclusive),
-        });
-        comm.add_flops(syrk_flops(ai.rows(), n2l));
-    }
 
     // ABFT: verify every produced block against its row checksums,
     // computed independently from the gathered A blocks, before the
@@ -145,17 +83,123 @@ pub(crate) fn twod_body(
             rank: comm.world_rank(),
             detail,
         };
-        for (blk, &(a, b)) in out.offdiag.iter().zip(&pairs) {
-            let (ai, aj) = (&gathered[a], &gathered[b]);
+        for (blk, &(x, y)) in owned.out.offdiag.iter().zip(&owned.pairs) {
+            let ([ai], [aj]) = (&gathered[x], &gathered[y]);
             comm.add_flops(crate::abft::block_check_flops(ai.rows(), aj.rows(), n2l));
             crate::abft::verify_offdiag_block(ai, aj, &blk.data, blk.i, blk.j).map_err(&corrupt)?;
         }
-        if let (Some((i, ai)), Some(blk)) = (diag, out.diag.first()) {
+        if let (Some(x), Some(blk)) = (owned.diag, owned.out.diag.first()) {
+            let [ai] = &gathered[x];
             comm.add_flops(crate::abft::block_check_flops(ai.rows(), ai.rows(), n2l));
-            crate::abft::verify_diag_block(ai, &blk.data, i).map_err(&corrupt)?;
+            crate::abft::verify_diag_block(ai, &blk.data, blk.i).map_err(&corrupt)?;
         }
     }
-    Ok(out)
+    Ok(owned.out)
+}
+
+/// The blocks of `C` rank `k` owns (§5.2, Alg. 2 lines 15–20), which are
+/// also the `C_k` Algorithm 3 reduce-scatters (§5.3 lines 3–5).
+pub(crate) struct OwnedBlocks {
+    /// The row blocks of `R_k` that have rows (`live_blocks`), which the
+    /// other fields address by position.
+    pub(crate) live: Vec<usize>,
+    /// Each block of `out.offdiag` as the positions `(x, y)`, `y < x`, of
+    /// its row blocks in `live`.
+    pub(crate) pairs: Vec<(usize, usize)>,
+    /// The position of `D_k` in `live`, when `D_k` is assigned and live.
+    pub(crate) diag: Option<usize>,
+    /// The blocks, zero-filled: `offdiag` in `blocks_of(k)` order, then
+    /// `diag` with the diagonal block, if any.
+    pub(crate) out: LocalOutput,
+}
+
+/// The one enumeration of what rank `k` owns. A pair or a diagonal with a
+/// block without rows is dropped (`n1 < c²` leaves most row blocks empty,
+/// and `D_k` may name one): at 10⁴ ranks materializing the ~`P·c²/2`
+/// zero-sized pairs would cost more than the whole exchange. Live means
+/// rows, not words, and the list depends on `ad` only through its rows,
+/// so the `p2` slices of a 3D grid row (one may have no columns) and the
+/// host assembling their `C_k` all see the same blocks in one order.
+pub(crate) fn owned_blocks(dist: &TriangleBlockDist, ad: &ConformalADist, k: usize) -> OwnedBlocks {
+    let live = ad.live_blocks(k);
+    let rows = &ad.rows;
+    let pairs: Vec<(usize, usize)> = (0..live.len())
+        .flat_map(|x| (0..x).map(move |y| (x, y)))
+        .collect();
+    let offdiag = (pairs.iter())
+        .map(|&(x, y)| {
+            let (i, j) = (live[x], live[y]);
+            let data = Matrix::zeros(rows.len(i), rows.len(j));
+            OffDiagBlock { i, j, data }
+        })
+        .collect();
+    let diag = dist.d_block(k).and_then(|i| live.binary_search(&i).ok());
+    let diag_block = diag.map(|x| DiagBlock {
+        i: live[x],
+        data: PackedLower::zeros(rows.len(live[x]), Diag::Inclusive),
+    });
+    let out = LocalOutput {
+        offdiag,
+        diag: diag_block.into_iter().collect(),
+    };
+    OwnedBlocks {
+        live,
+        pairs,
+        diag,
+        out,
+    }
+}
+
+/// Algorithm 2's local step (lines 15–20) into `owned`'s blocks: `pair`
+/// adds into each off-diagonal block from the operands of its two row
+/// blocks, `diag` into the diagonal block; `gathered` is parallel to
+/// `owned.live`. A block takes `N` rank-`n2` updates (SYRK's `A_i·A_jᵀ`,
+/// SYR2K's `A_i·B_jᵀ + B_i·A_jᵀ`), charged as `N·gemm_flops` per pair in
+/// pair order before the products run, then `N·syrk_flops` for the
+/// diagonal. The pairs run as flop-balanced, stealable chunks, or on this
+/// thread when the list is too small to pay for a worker. With `phases`
+/// they run in the `local-gemm` phase and the diagonal in `local-syrk`.
+pub(crate) fn local_step<const N: usize>(
+    comm: &Comm,
+    owned: &mut OwnedBlocks,
+    gathered: &[[Matrix<f64>; N]],
+    pair: impl Fn(&mut Matrix<f64>, &[Matrix<f64>; N], &[Matrix<f64>; N]) + Sync,
+    diag: impl FnOnce(&mut PackedLower<f64>, &[Matrix<f64>; N]),
+    phases: bool,
+) {
+    let updates = N as u64;
+    let gemm_span = phases.then(|| comm.phase(PHASE_LOCAL_GEMM));
+    let costs: Vec<u64> = (owned.out.offdiag.iter().zip(&owned.pairs))
+        .map(|(blk, &(x, _))| {
+            let (ri, rj) = blk.data.shape();
+            updates * gemm_flops(ri, rj, gathered[x][0].cols())
+        })
+        .collect();
+    for &f in &costs {
+        comm.add_flops(f);
+    }
+    // Oversubscribe chunks past the worker count so the work-stealing
+    // runtime can rebalance uneven block sizes.
+    let workers = workers_for_flops(costs.iter().sum());
+    let mut rest = owned.out.offdiag.as_mut_slice();
+    let mut tasks = Vec::new();
+    for r in balanced_chunks_by_cost(&costs, steal_task_count(workers), 1) {
+        let (head, tail) = rest.split_at_mut(r.len());
+        tasks.push((&owned.pairs[r], head));
+        rest = tail;
+    }
+    par_for_each_task(tasks, |_, (pairs, blocks)| {
+        for (blk, &(x, y)) in blocks.iter_mut().zip(pairs) {
+            pair(&mut blk.data, &gathered[x], &gathered[y]);
+        }
+    });
+    drop(gemm_span);
+
+    if let (Some(x), Some(blk)) = (owned.diag, owned.out.diag.first_mut()) {
+        let _span = phases.then(|| comm.phase(PHASE_LOCAL_SYRK));
+        diag(&mut blk.data, &gathered[x]);
+        comm.add_flops(updates * syrk_flops(blk.data.n(), gathered[x][0].cols()));
+    }
 }
 
 /// Algorithm 2's exchange (§5.2 lines 3–14), the one place it is

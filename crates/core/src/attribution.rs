@@ -129,40 +129,47 @@ impl fmt::Display for AttributionReport {
 
 /// Build the per-term residual table for a measured run of `plan` on an
 /// `(n1, n2)` instance: each analytic term the plan pays is paired with
-/// the measured `max_words_sent` of the phase that pays it.
+/// the measured `max_words_sent` of the phase that pays it. This is the
+/// one table of which Theorem 1 term each algorithm pays in which phase:
+/// with an empty report (`CostReport::untagged(model, Vec::new())`) every
+/// `measured` is 0 and the rows are the analytic table alone, which is how
+/// the server renders it for `/plan`, `/bounds` and `/run`.
 pub fn attribute_bounds(n1: usize, n2: usize, plan: Plan, cost: &CostReport) -> AttributionReport {
+    let row = |phase, term, bound_term, predicted| TermAttribution {
+        phase,
+        term,
+        bound_term,
+        predicted,
+        measured: cost.phase_max_words_sent(phase),
+    };
     let rows = match plan {
-        Plan::OneD { p } => vec![TermAttribution {
-            phase: PHASE_REDUCE_SCATTER_C,
-            term: "n1(n1-1)/2",
-            bound_term: thm1_case1_c_term(n1),
-            predicted: alg1d_predicted_cost(n1, p),
-            measured: cost.phase_max_words_sent(PHASE_REDUCE_SCATTER_C),
-        }],
-        Plan::TwoD { c } => vec![TermAttribution {
-            phase: PHASE_ALLGATHER_A,
-            term: "n1*n2/sqrt(P)",
-            bound_term: thm1_case2_a_term(n1, n2, plan.ranks()),
-            predicted: alg2d_tight_cost(n1, n2, c),
-            measured: cost.phase_max_words_sent(PHASE_ALLGATHER_A),
-        }],
+        Plan::OneD { p } => vec![row(
+            PHASE_REDUCE_SCATTER_C,
+            "n1(n1-1)/2",
+            thm1_case1_c_term(n1),
+            alg1d_predicted_cost(n1, p),
+        )],
+        Plan::TwoD { c } => vec![row(
+            PHASE_ALLGATHER_A,
+            "n1*n2/sqrt(P)",
+            thm1_case2_a_term(n1, n2, plan.ranks()),
+            alg2d_tight_cost(n1, n2, c),
+        )],
         Plan::ThreeD { c, p2 } => {
             let p1 = c * (c + 1);
             vec![
-                TermAttribution {
-                    phase: PHASE_ALLGATHER_A,
-                    term: "n1n2/(sqrt(p1)p2)",
-                    bound_term: alg3d_leading_a_term(n1, n2, p1, p2),
-                    predicted: alg3d_a_term(n1, n2, c, p2),
-                    measured: cost.phase_max_words_sent(PHASE_ALLGATHER_A),
-                },
-                TermAttribution {
-                    phase: PHASE_REDUCE_SCATTER_C,
-                    term: "n1^2/(2p1)",
-                    bound_term: alg3d_leading_c_term(n1, p1),
-                    predicted: alg3d_c_term(n1, c, p2),
-                    measured: cost.phase_max_words_sent(PHASE_REDUCE_SCATTER_C),
-                },
+                row(
+                    PHASE_ALLGATHER_A,
+                    "n1n2/(sqrt(p1)p2)",
+                    alg3d_leading_a_term(n1, n2, p1, p2),
+                    alg3d_a_term(n1, n2, c, p2),
+                ),
+                row(
+                    PHASE_REDUCE_SCATTER_C,
+                    "n1^2/(2p1)",
+                    alg3d_leading_c_term(n1, p1),
+                    alg3d_c_term(n1, c, p2),
+                ),
             ]
         }
     };

@@ -13,13 +13,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use syrk_core::{
-    alg1d_predicted_cost, alg2d_tight_cost, alg3d_a_term, alg3d_c_term, alg3d_leading_a_term,
-    alg3d_leading_c_term, candidate_plans, gemm_lower_bound, plan, predicted_cost, run,
-    syrk_lower_bound, thm1_case1_c_term, thm1_case2_a_term, AttemptOutcome, Plan, RankedPlan,
-    RecoveryPolicy, RecoveryReport, RunSpec, SyrkBound, SyrkRunResult,
+    attribute_bounds, candidate_plans, gemm_lower_bound, plan, predicted_cost, run,
+    syrk_lower_bound, AttemptOutcome, Plan, RankedPlan, RecoveryPolicy, RecoveryReport, RunSpec,
+    SyrkBound, SyrkRunResult,
 };
 use syrk_dense::seeded_matrix;
-use syrk_machine::{CostModel, FaultPlan};
+use syrk_machine::{CostModel, CostReport, FaultPlan};
 use syrk_telemetry::{escape_json, registry};
 
 use crate::http::{Request, Response};
@@ -220,49 +219,20 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// The analytic per-term table for `plan` — the same (phase, term,
-/// bound, prediction) rows `syrk_core::attribute_bounds` pairs with
-/// measurements, rendered without a run.
+/// The analytic per-term table for `plan`: the (phase, term, bound,
+/// prediction) rows of `syrk_core::attribute_bounds`, rendered without a
+/// run (an empty report leaves every `measured` at 0).
 fn json_terms(n1: usize, n2: usize, plan: Plan) -> String {
-    let rows: Vec<(&str, &str, f64, f64)> = match plan {
-        Plan::OneD { p } => vec![(
-            "reduce-scatter-C",
-            "n1(n1-1)/2",
-            thm1_case1_c_term(n1),
-            alg1d_predicted_cost(n1, p),
-        )],
-        Plan::TwoD { c } => vec![(
-            "allgather-A",
-            "n1*n2/sqrt(P)",
-            thm1_case2_a_term(n1, n2, plan.ranks()),
-            alg2d_tight_cost(n1, n2, c),
-        )],
-        Plan::ThreeD { c, p2 } => {
-            let p1 = c * (c + 1);
-            vec![
-                (
-                    "allgather-A",
-                    "n1n2/(sqrt(p1)p2)",
-                    alg3d_leading_a_term(n1, n2, p1, p2),
-                    alg3d_a_term(n1, n2, c, p2),
-                ),
-                (
-                    "reduce-scatter-C",
-                    "n1^2/(2p1)",
-                    alg3d_leading_c_term(n1, p1),
-                    alg3d_c_term(n1, c, p2),
-                ),
-            ]
-        }
-    };
-    let body: Vec<String> = rows
-        .iter()
-        .map(|(phase, term, bound, predicted)| {
+    let no_run = CostReport::untagged(CostModel::default(), Vec::new());
+    let body: Vec<String> = (attribute_bounds(n1, n2, plan, &no_run).rows.iter())
+        .map(|r| {
             format!(
-                "{{\"phase\": \"{phase}\", \"term\": \"{term}\", \"bound_term\": {}, \
+                "{{\"phase\": \"{}\", \"term\": \"{}\", \"bound_term\": {}, \
                  \"predicted\": {}}}",
-                json_f64(*bound),
-                json_f64(*predicted)
+                r.phase,
+                r.term,
+                json_f64(r.bound_term),
+                json_f64(r.predicted)
             )
         })
         .collect();

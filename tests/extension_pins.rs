@@ -6,8 +6,15 @@
 //! message schedule does not change, every rank's clock too. The expected
 //! values below were printed by this file's test body run against the
 //! commit before the change (PR 24).
+//!
+//! The GEMM and ScaLAPACK baselines are pinned the same way, clocks
+//! included, with values printed before their operand gathers were
+//! shared (PR 31's tree).
 
-use syrk_repro::core::{symm_2d, syr2k_1d, syr2k_2d, syrk_2d_limited, try_syrk_2d};
+use syrk_repro::core::{
+    gemm_1d, gemm_2d, gemm_3d, scalapack_syrk_2d, symm_2d, syr2k_1d, syr2k_2d, syrk_2d_limited,
+    try_syrk_2d,
+};
 use syrk_repro::dense::{seeded_int_matrix, Matrix};
 use syrk_repro::machine::CostReport;
 use syrk_repro::CostModel;
@@ -206,4 +213,82 @@ fn extension_messages_are_syrk_2d_messages() {
     let got = msgs(&symm_2d(&a, &b, 3, model).unwrap().cost);
     let want: Vec<u64> = syrk(72, 8, 3).iter().map(|m| 2 * m).collect();
     assert_eq!(got, want, "symm_2d 72x8 c=3");
+}
+
+#[test]
+fn gemm_baselines_are_pinned() {
+    let model = CostModel::typical();
+    let a = input(24, 40, 7);
+    let run = gemm_1d(&a, 4, model).unwrap();
+    check(
+        "gemm_1d 24x40 p=4",
+        &run.c,
+        &run.cost,
+        true,
+        [
+            0x2b4b_57f8_ffe1_998d,
+            0x51a1_0196_47dc_e6d1,
+            1728,
+            47_808,
+            576,
+        ],
+    );
+    // An even split, then one where neither the row blocks nor the
+    // flattened chunks divide evenly.
+    for (n1, n2, r, want_gemm, want_scalapack) in [
+        (
+            24,
+            10,
+            3,
+            [
+                0xad8a_17f8_ffe1_998d,
+                0x5200_9b48_605c_0e00,
+                960,
+                11_520,
+                81,
+            ],
+            [0xad8a_17f8_ffe1_998d, 0x3645_d757_e8ca_a1c1, 960, 6000, 81],
+        ),
+        (
+            11,
+            7,
+            3,
+            [0x1a87_b7ad_a960_1a29, 0x032a_2faa_5071_91a6, 308, 1694, 30],
+            [0x1a87_b7ad_a960_1a29, 0xd350_3532_98b4_2a75, 308, 924, 30],
+        ),
+    ] {
+        let a = input(n1, n2, 8);
+        let run = gemm_2d(&a, r, model).unwrap();
+        let label = format!("gemm_2d {n1}x{n2} r={r}");
+        check(&label, &run.c, &run.cost, true, want_gemm);
+        let run = scalapack_syrk_2d(&a, r, model).unwrap();
+        let label = format!("scalapack_syrk_2d {n1}x{n2} r={r}");
+        check(&label, &run.c, &run.cost, true, want_scalapack);
+    }
+    for (n1, n2, r, p2, want) in [
+        (
+            20,
+            12,
+            2,
+            3,
+            [
+                0x8277_e381_0571_2315,
+                0x750a_8310_e971_14d9,
+                1280,
+                10_400,
+                100,
+            ],
+        ),
+        (
+            11,
+            7,
+            3,
+            2,
+            [0x325a_b7ad_a960_1a29, 0x67e4_5929_d87d_0ddc, 429, 1815, 18],
+        ),
+    ] {
+        let run = gemm_3d(&input(n1, n2, 9), r, p2, model).unwrap();
+        let label = format!("gemm_3d {n1}x{n2} r={r} p2={p2}");
+        check(&label, &run.c, &run.cost, true, want);
+    }
 }

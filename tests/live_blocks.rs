@@ -180,3 +180,15 @@ fn sim_ranks_shape_is_pinned() {
     let want = [848_256, 4418, 2209, 4606, 3_411_072, 0xaae1_449a_07c5_ad63];
     check("2d c=47 188x96", &a, run, want);
 }
+
+#[test]
+fn threed_c_k_marshalling_edge_shape_is_pinned() {
+    // n1 = 4 < c² = 9 leaves five of nine row blocks dead; p2 = 5 exceeds
+    // the C_k word count of the ranks that own one or two live blocks, so
+    // their reduce-scatter segments include empty ones; and the grid rows
+    // whose D_k is dead or absent carry no diagonal block.
+    let a = input(4, 7);
+    let run = try_syrk_3d(&a, 3, 5, CostModel::typical(), None).unwrap();
+    let want = [124, 7, 10, 6, 180, 0x5bd1_8e3f_7c0e_2499];
+    check("3d c=3 p2=5 n1=4 n2=7", &a, run, want);
+}
