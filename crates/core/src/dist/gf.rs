@@ -29,6 +29,13 @@ fn irreducible_tail(p: usize, k: usize) -> Option<&'static [usize]> {
     }
 }
 
+/// Whether [`Gf::new`] builds GF(q): `q` is prime, or a prime power
+/// with an entry in [`irreducible_tail`]. Answers without building the
+/// field's tables.
+pub(crate) fn field_exists(q: usize) -> bool {
+    is_prime(q) || factor_prime_power(q).is_some_and(|(p, k)| irreducible_tail(p, k).is_some())
+}
+
 /// The finite field GF(q), `q = p^k`, with precomputed operation tables.
 #[derive(Debug, Clone)]
 pub struct Gf {
@@ -42,7 +49,7 @@ impl Gf {
     /// entry in the irreducible table (4, 8, 9, 16, 25, 27, 32, 49).
     /// Returns `None` for non-prime-powers or unsupported sizes.
     pub fn new(q: usize) -> Option<Gf> {
-        if q < 2 {
+        if !field_exists(q) {
             return None;
         }
         if is_prime(q) {

@@ -8,5 +8,6 @@ mod triangle;
 
 pub use affine::{affine_plane_lines, match_diagonals};
 pub use chunks::ConformalADist;
+pub(crate) use gf::field_exists;
 pub use gf::Gf;
 pub use triangle::TriangleBlockDist;

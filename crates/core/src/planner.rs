@@ -16,8 +16,7 @@
 use crate::bounds::{
     alg1d_predicted_cost, alg2d_tight_cost, alg3d_predicted_cost, syrk_lower_bound,
 };
-use crate::dist::Gf;
-use crate::primes::is_prime;
+use crate::dist::field_exists;
 
 /// Why a requested algorithm/grid configuration is invalid — detected
 /// before any simulated rank starts, so the fallible entry points
@@ -126,11 +125,9 @@ pub fn predicted_cost(n1: usize, n2: usize, plan: Plan) -> f64 {
 
 /// All orders `c ≤ cmax` with a known triangle block construction:
 /// primes (the paper's cyclic scheme) and supported prime powers
-/// (affine planes over GF(c)).
+/// (affine planes over GF(c)), without building any field.
 pub fn constructible_orders(cmax: usize) -> Vec<usize> {
-    (2..=cmax)
-        .filter(|&c| is_prime(c) || Gf::new(c).is_some())
-        .collect()
+    (2..=cmax).filter(|&c| field_exists(c)).collect()
 }
 
 /// Enumerate every feasible plan within a budget of `p` ranks.
@@ -150,7 +147,7 @@ pub fn candidate_plans(p: usize) -> Vec<Plan> {
 }
 
 /// Memoized [`plan`] results. Planning is a pure function of
-/// `(n1, n2, p)` but enumerates O(√p·p) candidates; large-P regime
+/// `(n1, n2, p)` but prices ~0.4·p candidates; large-P regime
 /// sweeps (the event engine makes 10⁴–10⁵-rank runs routine) and the
 /// serving path hammer the same keys across experiment points.
 ///
@@ -316,9 +313,10 @@ pub fn plan(n1: usize, n2: usize, p: usize) -> RankedPlan {
                         .map
                         .insert(key, Slot::Pending(std::sync::Arc::clone(&pending)));
                     drop(cache);
-                    // Compute outside the lock: planning can take
-                    // milliseconds at large p, and concurrent queries for
-                    // different keys shouldn't serialize.
+                    // Compute outside the lock: a miss prices every
+                    // candidate (~8 µs at p = 1200, ~6.5 ms at p = 10⁶),
+                    // and concurrent queries for different keys
+                    // shouldn't serialize.
                     PLAN_CACHE_MISSES.inc();
                     let mut guard = PendingGuard {
                         key,
@@ -437,6 +435,41 @@ mod tests {
             direct.predicted_cost.to_bits(),
             warm.predicted_cost.to_bits()
         );
+    }
+
+    #[test]
+    fn orders_without_tables_match_the_fields_gf_builds() {
+        // The oracle is the table-building definition: an order is
+        // constructible when `Gf::new` builds GF(c).
+        let oracle: Vec<bool> = (0..=1024).map(|q| crate::Gf::new(q).is_some()).collect();
+        for (q, &builds) in oracle.iter().enumerate() {
+            assert_eq!(field_exists(q), builds, "q = {q}");
+        }
+        let oracle_orders =
+            |cmax: usize| -> Vec<usize> { (2..=cmax).filter(|&c| oracle[c]).collect() };
+        for cmax in 0..=64 {
+            assert_eq!(
+                constructible_orders(cmax),
+                oracle_orders(cmax),
+                "cmax = {cmax}"
+            );
+        }
+        // `Gf::new` gates on the same predicate, so pin the prime powers
+        // it builds on their own as well.
+        let prime_powers: Vec<usize> = (constructible_orders(64).into_iter())
+            .filter(|&c| !crate::is_prime(c))
+            .collect();
+        assert_eq!(prime_powers, [4, 8, 9, 16, 25, 27, 32, 49]);
+        for p in [1, 2, 12, 48, 181, 1200, 10302] {
+            let mut want = vec![Plan::OneD { p }];
+            for c in oracle_orders(((p as f64).sqrt() as usize) + 2) {
+                if c * (c + 1) <= p {
+                    want.push(Plan::TwoD { c });
+                    want.extend((2..=p / (c * (c + 1))).map(|p2| Plan::ThreeD { c, p2 }));
+                }
+            }
+            assert_eq!(candidate_plans(p), want, "p = {p}");
+        }
     }
 
     #[test]

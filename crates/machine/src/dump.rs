@@ -31,7 +31,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::error::MachineError;
-use syrk_telemetry::{escape_json, flight, registry, wall_trace_events};
+use crate::export::push_str_or_null;
+use syrk_telemetry::{escape_json_into, flight, registry, wall_trace_events};
 
 fn error_kind(err: &MachineError) -> &'static str {
     match err {
@@ -50,29 +51,30 @@ fn error_kind(err: &MachineError) -> &'static str {
 pub fn failure_dump_string(err: &MachineError) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"kind\": \"{}\",", error_kind(err));
-    let _ = writeln!(out, "  \"error\": \"{}\",", escape_json(&err.to_string()));
+    out.push_str("  \"error\": \"");
+    escape_json_into(&mut out, &err.to_string());
+    out.push_str("\",\n");
     if let MachineError::Deadlock(info) = err {
         out.push_str("  \"wait_for\": [");
         for (i, e) in info.edges.iter().enumerate() {
             let sep = if i == 0 { "" } else { ", " };
-            let phase = match e.phase {
-                Some(p) => format!("\"{}\"", escape_json(p)),
-                None => "null".to_string(),
-            };
             let _ = write!(
                 out,
-                "{sep}{{\"from\": {}, \"to\": {}, \"op\": \"{}\", \"tag\": [{}, {}], \
-                 \"phase\": {phase}}}",
-                e.from,
-                e.to,
-                escape_json(e.op),
-                e.tag.0,
-                e.tag.1
+                "{sep}{{\"from\": {}, \"to\": {}, \"op\": \"",
+                e.from, e.to
             );
+            escape_json_into(&mut out, e.op);
+            let _ = write!(out, "\", \"tag\": [{}, {}], \"phase\": ", e.tag.0, e.tag.1);
+            push_str_or_null(&mut out, e.phase);
+            out.push('}');
         }
         out.push_str("],\n");
-        let finished: Vec<String> = info.finished.iter().map(|r| r.to_string()).collect();
-        let _ = writeln!(out, "  \"finished\": [{}],", finished.join(", "));
+        out.push_str("  \"finished\": [");
+        for (i, r) in info.finished.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            let _ = write!(out, "{sep}{r}");
+        }
+        out.push_str("],\n");
     }
     let metrics = syrk_telemetry::snapshot_json(&registry::snapshot());
     let _ = writeln!(out, "  \"metrics\": {},", metrics.trim_end());

@@ -17,7 +17,7 @@
 use crate::trace::{Event, EventKind, Timeline};
 use std::fmt::Write as _;
 use syrk_telemetry::export::WALL_PID;
-use syrk_telemetry::{escape_json, wall_trace_events, FlightRecording};
+use syrk_telemetry::{escape_json_into, wall_trace_events, FlightRecording};
 
 /// Scale from model time to trace-event microseconds.
 const TS_SCALE: f64 = 1e6;
@@ -32,31 +32,37 @@ fn kind_label(kind: EventKind) -> &'static str {
 }
 
 fn push_event(out: &mut String, e: &Event, rank: usize, prev_clock: f64) {
-    let name = e.phase.unwrap_or_else(|| kind_label(e.kind));
     let ts = prev_clock * TS_SCALE;
     let dur = ((e.clock - prev_clock) * TS_SCALE).max(0.0);
-    let peer = if e.peer == usize::MAX {
-        "null".to_string()
-    } else {
-        e.peer.to_string()
-    };
-    let phase = match e.phase {
-        Some(p) => format!("\"{}\"", escape_json(p)),
-        None => "null".to_string(),
-    };
+    out.push_str("{\"name\":\"");
+    escape_json_into(out, e.phase.unwrap_or_else(|| kind_label(e.kind)));
     let _ = write!(
         out,
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":0,\"tid\":{},\
-         \"args\":{{\"amount\":{},\"peer\":{},\"phase\":{}}}}}",
-        escape_json(name),
+        "\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{ts:.3},\"dur\":{dur:.3},\"pid\":0,\"tid\":{rank},\
+         \"args\":{{\"amount\":{},\"peer\":",
         kind_label(e.kind),
-        ts,
-        dur,
-        rank,
         e.amount,
-        peer,
-        phase,
     );
+    if e.peer == usize::MAX {
+        out.push_str("null");
+    } else {
+        let _ = write!(out, "{}", e.peer);
+    }
+    out.push_str(",\"phase\":");
+    push_str_or_null(out, e.phase);
+    out.push_str("}}");
+}
+
+/// Append `s` as a quoted, escaped JSON string, or `null` when absent.
+pub(crate) fn push_str_or_null(out: &mut String, s: Option<&str>) {
+    match s {
+        Some(s) => {
+            out.push('"');
+            escape_json_into(out, s);
+            out.push('"');
+        }
+        None => out.push_str("null"),
+    }
 }
 
 /// Render per-rank timelines as a Chrome trace-event JSON document

@@ -19,7 +19,7 @@ use syrk_core::{
 };
 use syrk_dense::seeded_matrix;
 use syrk_machine::{CostModel, CostReport, FaultPlan};
-use syrk_telemetry::{escape_json, registry};
+use syrk_telemetry::{escape_json_into, registry};
 
 use crate::http::{Request, Response};
 use crate::json::{self, Json};
@@ -44,15 +44,15 @@ fn route(state: &Arc<SharedState>, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/plan") => {
             state::PLAN_REQUESTS.inc();
-            handle_plan(state, req)
+            handle_plan(state, req).unwrap_or_else(|err| err)
         }
         ("GET", "/bounds") => {
             state::BOUNDS_REQUESTS.inc();
-            handle_bounds(state, req)
+            handle_bounds(state, req).unwrap_or_else(|err| err)
         }
         ("POST", "/run") => {
             state::RUN_REQUESTS.inc();
-            handle_run(state, req)
+            handle_run(state, req).unwrap_or_else(|err| err)
         }
         ("GET", "/metrics") => {
             state::METRICS_REQUESTS.inc();
@@ -175,80 +175,93 @@ fn problem_params(state: &SharedState, req: &Request) -> Result<(usize, usize, u
 }
 
 // ---------------------------------------------------------------------------
-// JSON rendering helpers
+// JSON writers: every body is appended into one `String`.
 
-fn json_plan(plan: Plan) -> String {
-    match plan {
-        Plan::OneD { p } => format!("{{\"algorithm\": \"1d\", \"p\": {p}, \"ranks\": {p}}}"),
-        Plan::TwoD { c } => format!(
-            "{{\"algorithm\": \"2d\", \"c\": {c}, \"ranks\": {}}}",
-            plan.ranks()
+fn write_plan(out: &mut String, plan: Plan) {
+    let ranks = plan.ranks();
+    let _ = match plan {
+        Plan::OneD { p } => write!(out, "{{\"algorithm\": \"1d\", \"p\": {p}, \"ranks\": {p}}}"),
+        Plan::TwoD { c } => write!(
+            out,
+            "{{\"algorithm\": \"2d\", \"c\": {c}, \"ranks\": {ranks}}}"
         ),
-        Plan::ThreeD { c, p2 } => format!(
-            "{{\"algorithm\": \"3d\", \"c\": {c}, \"p2\": {p2}, \"ranks\": {}}}",
-            plan.ranks()
+        Plan::ThreeD { c, p2 } => write!(
+            out,
+            "{{\"algorithm\": \"3d\", \"c\": {c}, \"p2\": {p2}, \"ranks\": {ranks}}}"
         ),
-    }
+    };
 }
 
-fn json_ranked(r: &RankedPlan) -> String {
-    format!(
-        "{{\"plan\": {}, \"predicted_cost\": {}, \"bound\": {}}}",
-        json_plan(r.plan),
-        json_f64(r.predicted_cost),
-        json_f64(r.bound)
-    )
+fn write_ranked(out: &mut String, r: &RankedPlan) {
+    out.push_str("{\"plan\": ");
+    write_plan(out, r.plan);
+    out.push_str(", \"predicted_cost\": ");
+    write_f64(out, r.predicted_cost);
+    out.push_str(", \"bound\": ");
+    write_f64(out, r.bound);
+    out.push('}');
 }
 
-fn json_bound(b: &SyrkBound) -> String {
-    format!(
-        "{{\"case\": \"{:?}\", \"w\": {}, \"resident\": {}, \"communicated\": {}}}",
-        b.case,
-        json_f64(b.w),
-        json_f64(b.resident),
-        json_f64(b.communicated())
-    )
+fn write_bound(out: &mut String, b: &SyrkBound) {
+    let _ = write!(out, "{{\"case\": \"{:?}\", \"w\": ", b.case);
+    write_f64(out, b.w);
+    out.push_str(", \"resident\": ");
+    write_f64(out, b.resident);
+    out.push_str(", \"communicated\": ");
+    write_f64(out, b.communicated());
+    out.push('}');
 }
 
 /// Finite floats in plain notation (strict JSON has no NaN/inf tokens).
-fn json_f64(v: f64) -> String {
+fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
+}
+
+/// A JSON array of `items`, each appended by `write_item`.
+fn write_list<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut write_item: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write_item(out, item);
+    }
+    out.push(']');
 }
 
 /// The analytic per-term table for `plan`: the (phase, term, bound,
 /// prediction) rows of `syrk_core::attribute_bounds`, rendered without a
 /// run (an empty report leaves every `measured` at 0).
-fn json_terms(n1: usize, n2: usize, plan: Plan) -> String {
+fn write_terms(out: &mut String, n1: usize, n2: usize, plan: Plan) {
     let no_run = CostReport::untagged(CostModel::default(), Vec::new());
-    let body: Vec<String> = (attribute_bounds(n1, n2, plan, &no_run).rows.iter())
-        .map(|r| {
-            format!(
-                "{{\"phase\": \"{}\", \"term\": \"{}\", \"bound_term\": {}, \
-                 \"predicted\": {}}}",
-                r.phase,
-                r.term,
-                json_f64(r.bound_term),
-                json_f64(r.predicted)
-            )
-        })
-        .collect();
-    format!("[{}]", body.join(", "))
+    let table = attribute_bounds(n1, n2, plan, &no_run);
+    write_list(out, &table.rows, |out, r| {
+        let _ = write!(
+            out,
+            "{{\"phase\": \"{}\", \"term\": \"{}\", \"bound_term\": ",
+            r.phase, r.term
+        );
+        write_f64(out, r.bound_term);
+        out.push_str(", \"predicted\": ");
+        write_f64(out, r.predicted);
+        out.push('}');
+    });
 }
 
 // ---------------------------------------------------------------------------
 // GET /plan
 
-fn handle_plan(state: &Arc<SharedState>, req: &Request) -> Response {
-    let (n1, n2, p) = match problem_params(state, req) {
-        Ok(t) => t,
-        Err(resp) => return resp,
-    };
+fn handle_plan(state: &Arc<SharedState>, req: &Request) -> Result<Response, Response> {
+    let (n1, n2, p) = problem_params(state, req)?;
     let best = plan(n1, n2, p);
-    let bound = syrk_lower_bound(n1, n2, p);
     let mut ranked: Vec<RankedPlan> = candidate_plans(p)
         .into_iter()
         .map(|pl| RankedPlan {
@@ -258,26 +271,25 @@ fn handle_plan(state: &Arc<SharedState>, req: &Request) -> Response {
         })
         .collect();
     ranked.sort_by(|a, b| a.predicted_cost.total_cmp(&b.predicted_cost));
-    let candidates: Vec<String> = ranked.iter().map(json_ranked).collect();
-    let body = format!(
-        "{{\"n1\": {n1}, \"n2\": {n2}, \"p\": {p}, \"best\": {}, \"terms\": {}, \
-         \"bound\": {}, \"candidates\": [{}]}}\n",
-        json_ranked(&best),
-        json_terms(n1, n2, best.plan),
-        json_bound(&bound),
-        candidates.join(", ")
-    );
-    Response::json(200, body)
+    // A candidate renders to ~130 bytes.
+    let mut body = String::with_capacity(1024 + 136 * ranked.len());
+    let _ = write!(body, "{{\"n1\": {n1}, \"n2\": {n2}, \"p\": {p}, \"best\": ");
+    write_ranked(&mut body, &best);
+    body.push_str(", \"terms\": ");
+    write_terms(&mut body, n1, n2, best.plan);
+    body.push_str(", \"bound\": ");
+    write_bound(&mut body, &syrk_lower_bound(n1, n2, p));
+    body.push_str(", \"candidates\": ");
+    write_list(&mut body, &ranked, write_ranked);
+    body.push_str("}\n");
+    Ok(Response::json(200, body))
 }
 
 // ---------------------------------------------------------------------------
 // GET /bounds
 
-fn handle_bounds(state: &Arc<SharedState>, req: &Request) -> Response {
-    let (n1, n2, p) = match problem_params(state, req) {
-        Ok(t) => t,
-        Err(resp) => return resp,
-    };
+fn handle_bounds(state: &Arc<SharedState>, req: &Request) -> Result<Response, Response> {
+    let (n1, n2, p) = problem_params(state, req)?;
     let syrk = syrk_lower_bound(n1, n2, p);
     let gemm = gemm_lower_bound(n1, n2, p);
     let ratio = if syrk.communicated() > 0.0 {
@@ -299,98 +311,76 @@ fn handle_bounds(state: &Arc<SharedState>, req: &Request) -> Response {
             best_of[family] = Some((cost, pl));
         }
     }
-    let tables: Vec<String> = best_of
-        .iter()
-        .flatten()
-        .map(|&(cost, pl)| {
-            format!(
-                "{{\"plan\": {}, \"predicted_cost\": {}, \"terms\": {}}}",
-                json_plan(pl),
-                json_f64(cost),
-                json_terms(n1, n2, pl)
-            )
-        })
-        .collect();
-    let body = format!(
-        "{{\"n1\": {n1}, \"n2\": {n2}, \"p\": {p}, \"syrk\": {}, \"gemm\": {}, \
-         \"gemm_over_syrk\": {}, \"attribution\": [{}]}}\n",
-        json_bound(&syrk),
-        json_bound(&gemm),
-        json_f64(ratio),
-        tables.join(", ")
-    );
-    Response::json(200, body)
+    let mut body = String::with_capacity(2048);
+    let _ = write!(body, "{{\"n1\": {n1}, \"n2\": {n2}, \"p\": {p}, \"syrk\": ");
+    write_bound(&mut body, &syrk);
+    body.push_str(", \"gemm\": ");
+    write_bound(&mut body, &gemm);
+    body.push_str(", \"gemm_over_syrk\": ");
+    write_f64(&mut body, ratio);
+    body.push_str(", \"attribution\": ");
+    write_list(&mut body, best_of.iter().flatten(), |out, &(cost, pl)| {
+        out.push_str("{\"plan\": ");
+        write_plan(out, pl);
+        out.push_str(", \"predicted_cost\": ");
+        write_f64(out, cost);
+        out.push_str(", \"terms\": ");
+        write_terms(out, n1, n2, pl);
+        out.push('}');
+    });
+    body.push_str("}\n");
+    Ok(Response::json(200, body))
 }
 
 // ---------------------------------------------------------------------------
 // POST /run
 
-fn handle_run(state: &Arc<SharedState>, req: &Request) -> Response {
+fn handle_run(state: &Arc<SharedState>, req: &Request) -> Result<Response, Response> {
     // Validate everything before asking admission for a slot, so
     // malformed requests never occupy run capacity.
-    let n1 = match required_usize(req, "n1") {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let n2 = match required_usize(req, "n2") {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
+    let n1 = required_usize(req, "n1")?;
+    let n2 = required_usize(req, "n2")?;
     if n1 < 2 {
-        return Response::json_error(422, "n1 must be at least 2");
+        return Err(Response::json_error(422, "n1 must be at least 2"));
     }
-    let seed = match optional_u64(req, "seed", 0) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let body = match parse_body(req) {
-        Ok(b) => b,
-        Err(resp) => return resp,
-    };
+    let seed = optional_u64(req, "seed", 0)?;
+    let body = parse_body(req)?;
     for section in ["recovery", "faults"] {
         if let Some(v) = body.as_ref().and_then(|b| b.get(section)) {
             if !matches!(v, Json::Obj(_)) {
-                return Response::json_error(
+                return Err(Response::json_error(
                     400,
                     &format!("body field {section:?} must be an object"),
-                );
+                ));
             }
         }
     }
     // Fault injection: a deterministic crash of one rank, from the body
     // (`"faults": {"seed": S, "crash_rank": R, "crash_op": OP}`) or the
     // equivalent query parameters.
-    let crash_rank =
-        match body_or_query_u64(body.as_ref(), "faults", "crash_rank", req, "crash_rank") {
-            Ok(v) => v,
-            Err(resp) => return resp,
-        };
-    let crash_op = match body_or_query_u64(body.as_ref(), "faults", "crash_op", req, "crash_op") {
-        Ok(v) => v.unwrap_or(1),
-        Err(resp) => return resp,
-    };
-    let fault_seed = match body_or_query_u64(body.as_ref(), "faults", "seed", req, "fault_seed") {
-        Ok(v) => v.unwrap_or(0),
-        Err(resp) => return resp,
-    };
+    let crash_rank = body_or_query_u64(body.as_ref(), "faults", "crash_rank", req, "crash_rank")?;
+    let crash_op =
+        body_or_query_u64(body.as_ref(), "faults", "crash_op", req, "crash_op")?.unwrap_or(1);
+    let fault_seed =
+        body_or_query_u64(body.as_ref(), "faults", "seed", req, "fault_seed")?.unwrap_or(0);
     let faults: Option<FaultPlan> =
         crash_rank.map(|r| FaultPlan::seeded(fault_seed).crash_rank(r as usize, crash_op));
     // Recovery: `"recovery": {"max_attempts": N}` (or ?max_attempts=N)
     // routes the run through the shrink-and-replan driver; an injected
     // crash without it gets the driver's default budget, so faulted runs
     // recover instead of 500ing.
-    let max_attempts = match body_or_query_u64(
+    let max_attempts = body_or_query_u64(
         body.as_ref(),
         "recovery",
         "max_attempts",
         req,
         "max_attempts",
-    ) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
+    )?;
     if max_attempts == Some(0) {
-        return Response::json_error(400, "recovery.max_attempts must be at least 1");
+        return Err(Response::json_error(
+            400,
+            "recovery.max_attempts must be at least 1",
+        ));
     }
     let policy = max_attempts
         .map(|n| RecoveryPolicy {
@@ -398,73 +388,64 @@ fn handle_run(state: &Arc<SharedState>, req: &Request) -> Response {
             ..RecoveryPolicy::default()
         })
         .or_else(|| faults.is_some().then(RecoveryPolicy::default));
-    let alg = req.query_param("alg").unwrap_or("auto");
-    let chosen: Plan = match alg {
-        "1d" => match required_usize(req, "p") {
-            Ok(p) => Plan::OneD { p },
-            Err(resp) => return resp,
+    let chosen: Plan = match req.query_param("alg").unwrap_or("auto") {
+        "1d" => Plan::OneD {
+            p: required_usize(req, "p")?,
         },
-        "2d" => match required_usize(req, "c") {
-            Ok(c) => Plan::TwoD { c },
-            Err(resp) => return resp,
+        "2d" => Plan::TwoD {
+            c: required_usize(req, "c")?,
         },
-        "3d" => match (required_usize(req, "c"), required_usize(req, "p2")) {
-            (Ok(c), Ok(p2)) => Plan::ThreeD { c, p2 },
-            (Err(resp), _) | (_, Err(resp)) => return resp,
+        "3d" => Plan::ThreeD {
+            c: required_usize(req, "c")?,
+            p2: required_usize(req, "p2")?,
         },
-        "auto" => match problem_params(state, req) {
-            Ok((_, _, p)) => plan(n1, n2, p).plan,
-            Err(resp) => return resp,
-        },
+        "auto" => plan(n1, n2, problem_params(state, req)?.2).plan,
         other => {
-            return Response::json_error(
+            return Err(Response::json_error(
                 400,
                 &format!("alg must be one of 1d, 2d, 3d, auto; got {other:?}"),
-            )
+            ))
         }
     };
     let cells = n1.saturating_mul(n2);
     if cells > state.config.max_run_cells {
-        return Response::json_error(
+        return Err(Response::json_error(
             413,
             &format!(
                 "n1*n2 = {cells} exceeds this server's run cap of {} cells",
                 state.config.max_run_cells
             ),
-        );
+        ));
     }
     if chosen.ranks() > state.config.max_run_ranks {
-        return Response::json_error(
+        return Err(Response::json_error(
             413,
             &format!(
                 "plan needs {} ranks, over this server's run cap of {}",
                 chosen.ranks(),
                 state.config.max_run_ranks
             ),
-        );
+        ));
     }
 
     // Admission: bounded concurrency, bounded queue, reject beyond.
-    let permit = match state.gate.admit(&state.running) {
-        Ok(p) => p,
-        Err(AdmitError::QueueFull) => {
-            state::RUN_REJECTED.inc();
-            return Response::json_error(429, "run queue is full; retry later");
-        }
-        Err(AdmitError::Draining) => {
-            state::RUN_REJECTED.inc();
-            return Response::json_error(503, "server is draining; not accepting new runs");
-        }
-        Err(AdmitError::QueueTimeout) => {
-            state::RUN_REJECTED.inc();
-            let retry = state.config.queue_wait.as_secs().max(1);
-            return Response::json_error(
+    let permit = state.gate.admit(&state.running).map_err(|err| {
+        state::RUN_REJECTED.inc();
+        match err {
+            AdmitError::QueueFull => Response::json_error(429, "run queue is full; retry later"),
+            AdmitError::Draining => {
+                Response::json_error(503, "server is draining; not accepting new runs")
+            }
+            AdmitError::QueueTimeout => Response::json_error(
                 503,
                 "timed out waiting for a run slot; retry after the indicated delay",
             )
-            .with_header("Retry-After", retry.to_string());
+            .with_header(
+                "Retry-After",
+                state.config.queue_wait.as_secs().max(1).to_string(),
+            ),
         }
-    };
+    })?;
 
     // One spec per request; its failure dumps, if the server was
     // configured with a dump directory, go to a per-run file.
@@ -485,65 +466,69 @@ fn handle_run(state: &Arc<SharedState>, req: &Request) -> Response {
         (Ok(out), _) => {
             let report = out.recovery.as_ref();
             let ran = report.map_or(chosen, |r| r.final_plan);
-            Response::json(200, render_run(n1, n2, seed, ran, &out.result, report))
+            let mut body = String::with_capacity(1024);
+            write_run(&mut body, n1, n2, seed, ran, &out.result, report);
+            Ok(Response::json(200, body))
         }
-        (Err(e), Some(policy)) => Response::json_error(
+        (Err(e), Some(policy)) => Err(Response::json_error(
             422,
             &format!("run failed after {} attempt(s): {e}", policy.max_attempts),
-        ),
-        (Err(e), None) => Response::json_error(422, &format!("run failed: {e}")),
+        )),
+        (Err(e), None) => Err(Response::json_error(422, &format!("run failed: {e}"))),
     }
 }
 
-fn json_outcome(outcome: &AttemptOutcome) -> String {
+fn write_outcome(out: &mut String, outcome: &AttemptOutcome) {
     match outcome {
-        AttemptOutcome::Completed => "{\"kind\": \"completed\"}".to_string(),
+        AttemptOutcome::Completed => out.push_str("{\"kind\": \"completed\"}"),
         AttemptOutcome::Crashed { rank } => {
-            format!("{{\"kind\": \"crashed\", \"rank\": {rank}}}")
+            let _ = write!(out, "{{\"kind\": \"crashed\", \"rank\": {rank}}}");
         }
         AttemptOutcome::Corrupted { detail } => {
-            format!(
-                "{{\"kind\": \"corrupted\", \"detail\": \"{}\"}}",
-                escape_json(detail)
-            )
+            out.push_str("{\"kind\": \"corrupted\", \"detail\": \"");
+            escape_json_into(out, detail);
+            out.push_str("\"}");
         }
     }
 }
 
-fn json_recovery(report: &RecoveryReport) -> String {
-    let attempts: Vec<String> = report
-        .attempts
-        .iter()
-        .map(|a| {
-            format!(
-                "{{\"plan\": {}, \"bound_case\": \"{:?}\", \"outcome\": {}}}",
-                json_plan(a.plan),
-                a.bound_case,
-                json_outcome(&a.outcome)
-            )
-        })
-        .collect();
-    let lost: Vec<String> = report.ranks_lost.iter().map(|r| r.to_string()).collect();
-    format!(
-        "{{\"recovered\": {}, \"attempts\": [{}], \"ranks_lost\": [{}], \
-         \"final_plan\": {}, \"recovery_words\": {}, \"backoff_clock\": {}}}",
-        report.recovered,
-        attempts.join(", "),
-        lost.join(", "),
-        json_plan(report.final_plan),
-        report.recovery_words,
-        json_f64(report.backoff_clock)
-    )
+fn write_recovery(out: &mut String, report: &RecoveryReport) {
+    let _ = write!(out, "{{\"recovered\": {}, \"attempts\": ", report.recovered);
+    write_list(out, &report.attempts, |out, a| {
+        out.push_str("{\"plan\": ");
+        write_plan(out, a.plan);
+        let _ = write!(
+            out,
+            ", \"bound_case\": \"{:?}\", \"outcome\": ",
+            a.bound_case
+        );
+        write_outcome(out, &a.outcome);
+        out.push('}');
+    });
+    out.push_str(", \"ranks_lost\": ");
+    write_list(out, &report.ranks_lost, |out, r| {
+        let _ = write!(out, "{r}");
+    });
+    out.push_str(", \"final_plan\": ");
+    write_plan(out, report.final_plan);
+    let _ = write!(
+        out,
+        ", \"recovery_words\": {}, \"backoff_clock\": ",
+        report.recovery_words
+    );
+    write_f64(out, report.backoff_clock);
+    out.push('}');
 }
 
-fn render_run(
+fn write_run(
+    out: &mut String,
     n1: usize,
     n2: usize,
     seed: u64,
     plan: Plan,
     run: &SyrkRunResult,
     recovery: Option<&RecoveryReport>,
-) -> String {
+) {
     let bound = syrk_lower_bound(n1, n2, plan.ranks());
     let measured = run.cost.max_words_sent();
     let ratio = if bound.communicated() > 0.0 {
@@ -554,27 +539,32 @@ fn render_run(
     // A small output fingerprint so clients can check determinism
     // without shipping the n1×n1 matrix over the wire.
     let checksum: f64 = run.c.as_slice().iter().sum();
-    let recovery_frag = recovery
-        .map(|r| format!(", \"recovery\": {}", json_recovery(r)))
-        .unwrap_or_default();
-    let mut body = String::with_capacity(512);
-    let _ = writeln!(
-        body,
-        "{{\"n1\": {n1}, \"n2\": {n2}, \"seed\": {seed}, \"plan\": {}, \
-         \"cost\": {{\"max_words_sent\": {measured}, \"total_words\": {}, \
-         \"max_flops\": {}, \"elapsed\": {}}}, \
-         \"bound\": {}, \"measured_over_bound\": {}, \"terms\": {}, \
-         \"c_checksum\": {}{recovery_frag}}}",
-        json_plan(plan),
+    let _ = write!(
+        out,
+        "{{\"n1\": {n1}, \"n2\": {n2}, \"seed\": {seed}, \"plan\": "
+    );
+    write_plan(out, plan);
+    let _ = write!(
+        out,
+        ", \"cost\": {{\"max_words_sent\": {measured}, \"total_words\": {}, \
+         \"max_flops\": {}, \"elapsed\": ",
         run.cost.total_words(),
         run.cost.max_flops(),
-        json_f64(run.cost.elapsed()),
-        json_bound(&bound),
-        json_f64(ratio),
-        json_terms(n1, n2, plan),
-        json_f64(checksum)
     );
-    body
+    write_f64(out, run.cost.elapsed());
+    out.push_str("}, \"bound\": ");
+    write_bound(out, &bound);
+    out.push_str(", \"measured_over_bound\": ");
+    write_f64(out, ratio);
+    out.push_str(", \"terms\": ");
+    write_terms(out, n1, n2, plan);
+    out.push_str(", \"c_checksum\": ");
+    write_f64(out, checksum);
+    if let Some(r) = recovery {
+        out.push_str(", \"recovery\": ");
+        write_recovery(out, r);
+    }
+    out.push_str("}\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -596,7 +586,7 @@ fn handle_status(state: &Arc<SharedState>) -> Response {
     let rejected = snap.counter("syrk_server_run_rejected").unwrap_or(0);
     let uptime = state.started.elapsed().as_secs();
     let running = state.running.load(Ordering::Acquire);
-    fn row(html: &mut String, k: &str, v: String) {
+    fn row(html: &mut String, k: &str, v: impl std::fmt::Display) {
         let _ = writeln!(html, "<tr><td>{k}</td><td>{v}</td></tr>");
     }
     let mut html = String::with_capacity(1024);
@@ -605,23 +595,23 @@ fn handle_status(state: &Arc<SharedState>) -> Response {
     row(
         &mut html,
         "state",
-        if running { "running" } else { "draining" }.into(),
+        if running { "running" } else { "draining" },
     );
-    row(&mut html, "uptime_seconds", format!("{uptime}"));
-    row(&mut html, "requests_total", format!("{requests}"));
-    row(&mut html, "inflight_requests", format!("{inflight}"));
-    row(&mut html, "runs_active", format!("{active}"));
-    row(&mut html, "run_queue_depth", format!("{queued}"));
-    row(&mut html, "runs_rejected", format!("{rejected}"));
-    row(&mut html, "plan_cache_hits", format!("{hits}"));
-    row(&mut html, "plan_cache_misses", format!("{misses}"));
-    row(&mut html, "plan_cache_hit_rate", format!("{hit_rate:.4}"));
-    row(&mut html, "plan_cache_evictions", format!("{evictions}"));
+    row(&mut html, "uptime_seconds", uptime);
+    row(&mut html, "requests_total", requests);
+    row(&mut html, "inflight_requests", inflight);
+    row(&mut html, "runs_active", active);
+    row(&mut html, "run_queue_depth", queued);
+    row(&mut html, "runs_rejected", rejected);
+    row(&mut html, "plan_cache_hits", hits);
+    row(&mut html, "plan_cache_misses", misses);
     row(
         &mut html,
-        "plan_cache_len",
-        format!("{}", syrk_core::plan_cache_len()),
+        "plan_cache_hit_rate",
+        format_args!("{hit_rate:.4}"),
     );
+    row(&mut html, "plan_cache_evictions", evictions);
+    row(&mut html, "plan_cache_len", syrk_core::plan_cache_len());
     html.push_str("</table>\n</body></html>\n");
     Response::html(200, html)
 }

@@ -9,10 +9,10 @@
 //! are rejected, malformed syntax becomes a 4xx response, and nothing
 //! in this module panics on wire input.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::TcpStream;
 
-use syrk_telemetry::escape_json;
+use syrk_telemetry::escape_json_into;
 
 /// Cap on the request head (request line + headers). Generous for any
 /// curl/browser query against this API.
@@ -223,42 +223,36 @@ pub struct Response {
 }
 
 impl Response {
-    /// A JSON response.
-    pub fn json(status: u16, body: String) -> Self {
+    fn typed(status: u16, content_type: &'static str, body: String) -> Self {
         Response {
             status,
-            content_type: "application/json",
+            content_type,
             body,
             headers: Vec::new(),
         }
+    }
+
+    /// A JSON response.
+    pub fn json(status: u16, body: String) -> Self {
+        Self::typed(status, "application/json", body)
     }
 
     /// A JSON error document: `{"error": "..."}`.
     pub fn json_error(status: u16, message: &str) -> Self {
-        Self::json(
-            status,
-            format!("{{\"error\": \"{}\"}}\n", escape_json(message)),
-        )
+        let mut body = String::from("{\"error\": \"");
+        escape_json_into(&mut body, message);
+        body.push_str("\"}\n");
+        Self::json(status, body)
     }
 
     /// An HTML response.
     pub fn html(status: u16, body: String) -> Self {
-        Response {
-            status,
-            content_type: "text/html; charset=utf-8",
-            body,
-            headers: Vec::new(),
-        }
+        Self::typed(status, "text/html; charset=utf-8", body)
     }
 
     /// A plain-text response.
     pub fn text(status: u16, body: String) -> Self {
-        Response {
-            status,
-            content_type: "text/plain; charset=utf-8",
-            body,
-            headers: Vec::new(),
-        }
+        Self::typed(status, "text/plain; charset=utf-8", body)
     }
 
     /// Append an extra response header (builder-style).
@@ -267,12 +261,12 @@ impl Response {
         self
     }
 
-    /// Serialize status line, headers, and body onto the socket in a
-    /// single write (two writes would hand Nagle's algorithm a stalled
-    /// small segment per response).
+    /// Send status line, headers and body in one vectored write, without
+    /// copying the body behind the head (two writes would hand Nagle's
+    /// algorithm a stalled small segment per response).
     pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
         use std::fmt::Write as _;
-        let mut wire = format!(
+        let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             reason(self.status),
@@ -280,11 +274,19 @@ impl Response {
             self.body.len()
         );
         for (name, value) in &self.headers {
-            let _ = write!(wire, "{name}: {value}\r\n");
+            let _ = write!(head, "{name}: {value}\r\n");
         }
-        wire.push_str("\r\n");
-        wire.push_str(&self.body);
-        stream.write_all(wire.as_bytes())?;
+        head.push_str("\r\n");
+        let mut slices = [head.as_bytes(), self.body.as_bytes()].map(IoSlice::new);
+        let mut unsent = &mut slices[..];
+        while !unsent.is_empty() {
+            match stream.write_vectored(unsent) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         stream.flush()
     }
 }

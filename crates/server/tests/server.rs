@@ -584,3 +584,92 @@ fn shutdown_drains_in_flight_runs_then_exits_cleanly() {
         }
     );
 }
+
+// ---------------------------------------------------------------------------
+// Response bytes
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn response_bodies_are_pinned_byte_for_byte() {
+    // (request, status, body length, FNV-1a of the body), recorded from
+    // the server before its bodies were appended into one buffer. Any
+    // change to a field, its order or a float's rendering moves a pin.
+    const RECOVERY: &str = r#"{"recovery": {"max_attempts": 3}, "faults": {"seed": 5, "crash_rank": 1, "crash_op": 1}}"#;
+    let pins: [(&str, u16, usize, u64); 8] = [
+        (
+            "GET /plan?n1=1000&n2=250&p=48",
+            200,
+            2363,
+            0x8698_2ad5_5e26_8f11,
+        ),
+        (
+            "GET /plan?n1=10000&n2=250&p=1200",
+            200,
+            62215,
+            0x9a06_be36_73bd_b4d4,
+        ),
+        (
+            "GET /bounds?n1=1000&n2=250&p=48",
+            200,
+            1041,
+            0x1a86_7def_c48d_a598,
+        ),
+        (
+            "POST /run?alg=2d&n1=36&n2=8&c=3",
+            200,
+            460,
+            0x940b_a124_9792_0a4b,
+        ),
+        (
+            "POST /run?alg=2d&n1=36&n2=8&c=3&seed=7",
+            200,
+            853,
+            0x7e5a_b2f1_a184_969a,
+        ),
+        (
+            "GET /plan?n1=abc&n2=250&p=48",
+            400,
+            76,
+            0x8a0f_3339_a37e_620d,
+        ),
+        ("GET /nope", 404, 36, 0x0a11_4fbf_6374_74c7),
+        (
+            "GET /plan?n1=1000&n2=250&p=1000001",
+            413,
+            71,
+            0xdce2_2394_b288_d133,
+        ),
+    ];
+    let srv = TestServer::start_default();
+    let mut moved = Vec::new();
+    for (request, want_status, want_len, want_digest) in pins {
+        let (method, path) = request.split_once(' ').unwrap();
+        let (status, body) = match (method, path.contains("seed=7")) {
+            ("GET", _) => get(srv.addr, path),
+            (_, false) => post(srv.addr, path),
+            (_, true) => {
+                let (status, _, body) = post_json(srv.addr, path, RECOVERY);
+                (status, body)
+            }
+        };
+        let got = (status, body.len(), fnv1a(body.as_bytes()));
+        if got != (want_status, want_len, want_digest) {
+            moved.push(format!(
+                "(\"{request}\", {}, {}, {:#018x}),",
+                got.0, got.1, got.2
+            ));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "pinned bodies moved:\n{}",
+        moved.join("\n")
+    );
+    srv.shutdown();
+}

@@ -16,10 +16,17 @@ use crate::registry::{bucket_bound, MetricValue, MetricsSnapshot, HISTOGRAM_BUCK
 
 /// Escape a string for embedding inside JSON double quotes: `"`, `\\`
 /// and every control character below U+0020, everything else verbatim.
-/// The one escaper of the workspace — the machine's trace and dump
-/// writers and the server's responses all call it.
+/// [`escape_json_into`] is the appending form.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_json_into(&mut out, s);
+    out
+}
+
+/// Append `s` to `out` escaped as [`escape_json`] escapes it. The one
+/// escaper of the workspace — the machine's trace and dump writers and
+/// the server's responses all call it.
+pub fn escape_json_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -33,7 +40,6 @@ pub fn escape_json(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Render a snapshot in the Prometheus text exposition format (one
@@ -204,6 +210,9 @@ mod tests {
         assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape_json("\r\t\u{1}"), "\\r\\t\\u0001");
         assert_eq!(escape_json("é 😀"), "é 😀");
+        let mut out = String::from("\"");
+        escape_json_into(&mut out, "a\"b");
+        assert_eq!(out, "\"a\\\"b");
     }
 
     #[test]

@@ -41,7 +41,10 @@ pub mod export;
 pub mod flight;
 pub mod registry;
 
-pub use export::{escape_json, prometheus_text, snapshot_json, wall_trace_events, wall_trace_json};
+pub use export::{
+    escape_json, escape_json_into, prometheus_text, snapshot_json, wall_trace_events,
+    wall_trace_json,
+};
 pub use flight::{FlightEvent, FlightKind, FlightRecording};
 pub use registry::{
     Counter, Gauge, Histogram, LazyCounter, LazyGauge, LazyHistogram, MetricValue, MetricsSnapshot,
