@@ -7,7 +7,7 @@
 //! Prints the bound case, the chosen algorithm/grid, the predicted
 //! bandwidth cost, the Theorem 1 bound, and the runner-up plans.
 
-use syrk_core::{candidate_plans, plan, predicted_cost, syrk_lower_bound};
+use syrk_core::{ranked_plans, syrk_lower_bound};
 
 fn main() {
     let args: Vec<usize> = std::env::args()
@@ -37,7 +37,8 @@ fn main() {
         bound.communicated()
     );
 
-    let chosen = plan(n1, n2, p);
+    let ranked = ranked_plans(n1, n2, p);
+    let chosen = &ranked[0];
     println!("\nchosen plan:     {:?}", chosen.plan);
     println!("ranks used:      {}", chosen.plan.ranks());
     println!("predicted words: {:.1}", chosen.predicted_cost);
@@ -47,13 +48,13 @@ fn main() {
         chosen.predicted_cost / chosen.bound.max(1.0)
     );
 
-    let mut ranked: Vec<_> = candidate_plans(p)
-        .into_iter()
-        .map(|pl| (predicted_cost(n1, n2, pl), pl))
-        .collect();
-    ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
     println!("\ntop candidates:");
-    for (cost, pl) in ranked.iter().take(8) {
-        println!("  {:>12.1}  {:?} (ranks {})", cost, pl, pl.ranks());
+    for r in ranked.iter().take(8) {
+        println!(
+            "  {:>12.1}  {:?} (ranks {})",
+            r.predicted_cost,
+            r.plan,
+            r.plan.ranks()
+        );
     }
 }

@@ -23,8 +23,13 @@ pub(crate) fn check_shape(n1: usize, n2: usize) -> Result<(), PlanError> {
 }
 
 /// The triangle block distribution of order `c`, if one is constructible.
+/// An order whose `c(c+1)` ranks overflow `usize` is rejected before its
+/// primality is tested.
 pub(crate) fn triangle_dist(c: usize) -> Result<TriangleBlockDist, PlanError> {
-    TriangleBlockDist::for_order(c).ok_or(PlanError::UnsupportedOrder { c })
+    c.checked_add(1)
+        .and_then(|c1| c.checked_mul(c1))
+        .and_then(|_| TriangleBlockDist::for_order(c))
+        .ok_or(PlanError::UnsupportedOrder { c })
 }
 
 /// An off-diagonal block of `C` produced by a rank: block indices
@@ -250,5 +255,24 @@ mod tests {
             diag: vec![],
         };
         let _ = assemble_c(4, &rows, &[out]);
+    }
+
+    #[test]
+    fn grid_orders_whose_rank_count_overflows_are_unsupported() {
+        // 2⁶⁴ − 59 is prime: its c(c+1) overflows, and trial division
+        // would take 2³¹ steps to say so.
+        let a = seeded_matrix::<f64>(36, 8, 0);
+        for c in [18_446_744_073_709_551_557, usize::MAX] {
+            let spec = crate::RunSpec::new(
+                crate::Plan::TwoD { c },
+                syrk_machine::CostModel::bandwidth_only(),
+            );
+            match crate::run(&a, &spec) {
+                Err(crate::SyrkError::Plan(PlanError::UnsupportedOrder { c: got })) => {
+                    assert_eq!(got, c)
+                }
+                other => panic!("c = {c}: {:?}", other.map(|_| ())),
+            }
+        }
     }
 }

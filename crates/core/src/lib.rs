@@ -75,7 +75,7 @@ pub use dist::{affine_plane_lines, match_diagonals, ConformalADist, Gf, Triangle
 pub use error::SyrkError;
 pub use planner::{
     candidate_plans, constructible_orders, ideal_case3_grid, nearest_triangle_c, plan,
-    plan_cache_len, predicted_cost, Plan, PlanError, RankedPlan, PLAN_CACHE_CAP,
+    predicted_cost, ranked_plans, Plan, PlanError, RankedPlan, PLAN_CACHE_CAP,
 };
 pub use primes::{is_prime, largest_triangle_c_at_most, triangle_c_for};
 pub use recovery::{

@@ -94,11 +94,13 @@ pub enum Plan {
 
 impl Plan {
     /// Ranks the plan actually uses (≤ the budget it was planned for).
+    /// Saturates at `usize::MAX`, so a grid too large to count is still
+    /// over every rank cap.
     pub fn ranks(&self) -> usize {
         match *self {
             Plan::OneD { p } => p,
-            Plan::TwoD { c } => c * (c + 1),
-            Plan::ThreeD { c, p2 } => c * (c + 1) * p2,
+            Plan::TwoD { c } => c.saturating_mul(c.saturating_add(1)),
+            Plan::ThreeD { c, p2 } => Plan::TwoD { c }.ranks().saturating_mul(p2),
         }
     }
 }
@@ -146,148 +148,26 @@ pub fn candidate_plans(p: usize) -> Vec<Plan> {
     plans
 }
 
-/// Memoized [`plan`] results. Planning is a pure function of
-/// `(n1, n2, p)` but prices ~0.4·p candidates; large-P regime
-/// sweeps (the event engine makes 10⁴–10⁵-rank runs routine) and the
-/// serving path hammer the same keys across experiment points.
-///
-/// Two properties matter under concurrent traffic:
-///
-/// * **Incremental eviction.** The cache is bounded at
-///   [`PLAN_CACHE_CAP`] ready entries, and crossing the cap evicts only
-///   the oldest quarter (FIFO over insertion order) instead of wiping
-///   everything — a sustained varied sweep keeps a warm working set and
-///   never triggers a whole-cache recompute storm. Evicted-entry counts
-///   land on `syrk_plan_cache_evictions`.
-/// * **Miss coalescing.** Concurrent misses for the same key are
-///   stampede-safe: the first thread inserts a pending slot and
-///   computes; later arrivals block on that slot and are served the
-///   published result. Exactly one miss is counted per cold key;
-///   coalesced waiters count as hits (they are served without
-///   recomputing).
-///
-/// Hit/miss/eviction counts land on the telemetry registry
-/// (`syrk_plan_cache_{hits,misses,evictions}`).
-type PlanKey = (usize, usize, usize);
-
-enum Slot {
-    /// A published result.
-    Ready(RankedPlan),
-    /// A miss in flight: the first thread computes, the rest wait here.
-    Pending(std::sync::Arc<Pending>),
-}
-
-enum PendingState {
-    Computing,
-    Done(RankedPlan),
-    /// The computing thread unwound before publishing; waiters retry.
-    Abandoned,
-}
-
-struct Pending {
-    state: std::sync::Mutex<PendingState>,
-    cv: std::sync::Condvar,
-}
-
-impl Pending {
-    fn new() -> Self {
-        Pending {
-            state: std::sync::Mutex::new(PendingState::Computing),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    fn publish(&self, state: PendingState) {
-        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = state;
-        self.cv.notify_all();
-    }
-
-    /// Block until the computing thread publishes; `None` means it
-    /// abandoned the slot (the caller should retry the whole lookup).
-    fn wait(&self) -> Option<RankedPlan> {
-        let mut guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            match *guard {
-                PendingState::Computing => {
-                    guard = self.cv.wait(guard).unwrap_or_else(|e| e.into_inner());
-                }
-                PendingState::Done(v) => return Some(v),
-                PendingState::Abandoned => return None,
-            }
-        }
-    }
-}
-
-struct PlanCache {
-    map: std::collections::HashMap<PlanKey, Slot>,
-    /// Ready keys in publication order — the FIFO eviction queue.
-    /// Invariant: `order` holds exactly the `Ready` keys, each once.
-    order: std::collections::VecDeque<PlanKey>,
-}
-
-static PLAN_CACHE: std::sync::OnceLock<std::sync::Mutex<PlanCache>> = std::sync::OnceLock::new();
-
-/// Entry cap for the plan cache; a full sweep over every (n1, n2, P)
-/// point in the repo's experiments is a few hundred keys.
+/// A plan-cache size with no cache behind it: [`plan`] memoizes nothing.
+/// The frozen `syrkbench` workload (`benchmark/src/workloads/serve_plan.rs`)
+/// is its only reader; it goes when the harness stops asking.
+#[doc(hidden)]
 pub const PLAN_CACHE_CAP: usize = 4096;
 
-static PLAN_CACHE_HITS: syrk_machine::telemetry::LazyCounter =
-    syrk_machine::telemetry::LazyCounter::new("syrk_plan_cache_hits");
-static PLAN_CACHE_MISSES: syrk_machine::telemetry::LazyCounter =
-    syrk_machine::telemetry::LazyCounter::new("syrk_plan_cache_misses");
-static PLAN_CACHE_EVICTIONS: syrk_machine::telemetry::LazyCounter =
-    syrk_machine::telemetry::LazyCounter::new("syrk_plan_cache_evictions");
-
-fn plan_cache() -> &'static std::sync::Mutex<PlanCache> {
-    PLAN_CACHE.get_or_init(|| {
-        std::sync::Mutex::new(PlanCache {
-            map: std::collections::HashMap::new(),
-            order: std::collections::VecDeque::new(),
-        })
-    })
-}
-
-/// Number of ready (published) entries currently cached. Exposed for
-/// the eviction regression tests and the server status page.
-#[doc(hidden)]
-pub fn plan_cache_len() -> usize {
-    plan_cache()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .order
-        .len()
-}
-
-/// Removes the pending slot again if the computing thread unwinds
-/// before publishing, so coalesced waiters never hang on a dead miss.
-struct PendingGuard {
-    key: PlanKey,
-    pending: std::sync::Arc<Pending>,
-    published: bool,
-}
-
-impl Drop for PendingGuard {
-    fn drop(&mut self) {
-        if self.published {
-            return;
-        }
-        let mut cache = plan_cache().lock().unwrap_or_else(|e| e.into_inner());
-        if matches!(cache.map.get(&self.key), Some(Slot::Pending(p)) if std::sync::Arc::ptr_eq(p, &self.pending))
-        {
-            cache.map.remove(&self.key);
-        }
-        drop(cache);
-        self.pending.publish(PendingState::Abandoned);
+/// Theorem 1's communicated bound at `plan`'s rank count; 0 when fewer
+/// than two rows leave the strict lower triangle empty.
+fn bound_at(n1: usize, n2: usize, plan: Plan) -> f64 {
+    if n1 < 2 {
+        0.0
+    } else {
+        syrk_lower_bound(n1, n2, plan.ranks()).communicated()
     }
 }
 
 /// Pick the feasible plan with the lowest predicted cost for
-/// `(n1, n2)` on at most `p` ranks.
-///
-/// Results are memoized process-wide: planning is pure, so a repeat
-/// query returns the cached [`RankedPlan`] (it is `Copy`) without
-/// re-enumerating candidates. Concurrent cold lookups of the same key
-/// coalesce onto one computation (see the cache docs above).
+/// `(n1, n2)` on at most `p` ranks: one scan over [`candidate_plans`]
+/// that keeps the first minimum, so the pick is always
+/// `ranked_plans(n1, n2, p)[0]`.
 ///
 /// With `n1 < 2` the strict lower triangle Theorem 1 speaks about is
 /// empty: the plan is still the cheapest, and its `bound` is 0.
@@ -296,84 +176,38 @@ impl Drop for PendingGuard {
 ///
 /// If `p = 0` or `n2 = 0`.
 pub fn plan(n1: usize, n2: usize, p: usize) -> RankedPlan {
-    let key = (n1, n2, p);
-    loop {
-        let waiter = {
-            let mut cache = plan_cache().lock().unwrap_or_else(|e| e.into_inner());
-            match cache.map.get(&key) {
-                Some(Slot::Ready(hit)) => {
-                    let hit = *hit;
-                    PLAN_CACHE_HITS.inc();
-                    return hit;
-                }
-                Some(Slot::Pending(pending)) => std::sync::Arc::clone(pending),
-                None => {
-                    let pending = std::sync::Arc::new(Pending::new());
-                    cache
-                        .map
-                        .insert(key, Slot::Pending(std::sync::Arc::clone(&pending)));
-                    drop(cache);
-                    // Compute outside the lock: a miss prices every
-                    // candidate (~8 µs at p = 1200, ~6.5 ms at p = 10⁶),
-                    // and concurrent queries for different keys
-                    // shouldn't serialize.
-                    PLAN_CACHE_MISSES.inc();
-                    let mut guard = PendingGuard {
-                        key,
-                        pending,
-                        published: false,
-                    };
-                    let ranked = plan_uncached(n1, n2, p);
-                    let mut cache = plan_cache().lock().unwrap_or_else(|e| e.into_inner());
-                    if cache.order.len() >= PLAN_CACHE_CAP {
-                        // Evict the oldest quarter in one deterministic
-                        // batch: bounded work, and the newest 3/4 of the
-                        // working set stays warm.
-                        let batch = PLAN_CACHE_CAP / 4;
-                        for _ in 0..batch {
-                            if let Some(old) = cache.order.pop_front() {
-                                cache.map.remove(&old);
-                            }
-                        }
-                        PLAN_CACHE_EVICTIONS.add(batch as u64);
-                    }
-                    cache.map.insert(key, Slot::Ready(ranked));
-                    cache.order.push_back(key);
-                    drop(cache);
-                    guard.published = true;
-                    guard.pending.publish(PendingState::Done(ranked));
-                    return ranked;
-                }
-            }
-        };
-        // Wait outside the cache lock; a served waiter is a hit (the
-        // coalesced miss was already counted by the computing thread).
-        if let Some(ranked) = waiter.wait() {
-            PLAN_CACHE_HITS.inc();
-            return ranked;
-        }
-    }
-}
-
-/// The uncached planner: enumerate every feasible candidate and rank by
-/// predicted cost.
-fn plan_uncached(n1: usize, n2: usize, p: usize) -> RankedPlan {
     assert!(n2 >= 1 && p >= 1, "plan needs n2 ≥ 1 and P ≥ 1");
-    let best = candidate_plans(p)
+    let (best, cost) = candidate_plans(p)
         .into_iter()
         .map(|pl| (pl, predicted_cost(n1, n2, pl)))
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .expect("at least the 1D plan is always feasible");
-    let bound = if n1 < 2 {
-        0.0
-    } else {
-        syrk_lower_bound(n1, n2, best.0.ranks()).communicated()
-    };
     RankedPlan {
-        plan: best.0,
-        predicted_cost: best.1,
-        bound,
+        plan: best,
+        predicted_cost: cost,
+        bound: bound_at(n1, n2, best),
     }
+}
+
+/// Every feasible plan within a budget of `p` ranks, priced and bounded,
+/// cheapest first; equal costs keep [`candidate_plans`] order (a stable
+/// sort), so the first element is [`plan`]'s pick.
+///
+/// # Panics
+///
+/// If `p = 0` or `n2 = 0`.
+pub fn ranked_plans(n1: usize, n2: usize, p: usize) -> Vec<RankedPlan> {
+    assert!(n2 >= 1 && p >= 1, "plan needs n2 ≥ 1 and P ≥ 1");
+    let mut ranked: Vec<RankedPlan> = candidate_plans(p)
+        .into_iter()
+        .map(|pl| RankedPlan {
+            plan: pl,
+            predicted_cost: predicted_cost(n1, n2, pl),
+            bound: bound_at(n1, n2, pl),
+        })
+        .collect();
+    ranked.sort_by(|a, b| a.predicted_cost.total_cmp(&b.predicted_cost));
+    ranked
 }
 
 /// The paper's closed-form §5.4 grid for Case 3 (before prime rounding):
@@ -407,34 +241,53 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plan_cache_returns_identical_plans_and_counts() {
-        // A key unlikely to collide with other tests, so the first query
-        // is a genuine miss even when the process-wide cache is warm.
-        let (n1, n2, p) = (7919, 6007, 97);
-        let cold = plan(n1, n2, p);
-        let before = syrk_machine::telemetry::registry::snapshot();
-        let warm = plan(n1, n2, p);
-        let after = syrk_machine::telemetry::registry::snapshot();
-        // Bitwise-identical ranked plan from the cache.
-        assert_eq!(cold.plan, warm.plan);
-        assert_eq!(cold.predicted_cost.to_bits(), warm.predicted_cost.to_bits());
-        assert_eq!(cold.bound.to_bits(), warm.bound.to_bits());
-        // The warm query hit (other tests may hit concurrently, so the
-        // counter moves by at least one and misses don't move for this
-        // key — asserted as monotone non-decreasing overall).
-        let hits_before = before.counter("syrk_plan_cache_hits").unwrap_or(0);
-        let hits_after = after.counter("syrk_plan_cache_hits").unwrap_or(0);
-        assert!(
-            hits_after > hits_before,
-            "warm plan() query must hit the cache"
-        );
-        // And the cache genuinely matches the uncached computation.
-        let direct = plan_uncached(n1, n2, p);
-        assert_eq!(direct.plan, warm.plan);
-        assert_eq!(
-            direct.predicted_cost.to_bits(),
-            warm.predicted_cost.to_bits()
-        );
+    fn plan_is_the_first_ranked_plan_and_repeats_bitwise() {
+        let same = |a: &RankedPlan, b: &RankedPlan| {
+            a.plan == b.plan
+                && a.predicted_cost.to_bits() == b.predicted_cost.to_bits()
+                && a.bound.to_bits() == b.bound.to_bits()
+        };
+        let n2 = 250;
+        let mut probes = Vec::new();
+        for n1 in [2, 3, 100, 1000, 4096, 10000] {
+            probes.extend([1, 2, 12, 48, 181, 1200, 10302].map(|p| (n1, n2, p)));
+            // Both sides of every Theorem 1 case boundary and of every
+            // change of the chosen family, up to P = 1700.
+            let key = |p| {
+                let family = std::mem::discriminant(&plan(n1, n2, p).plan);
+                (syrk_lower_bound(n1, n2, p).case, family)
+            };
+            let mut prev = key(1);
+            for p in 2..=1700 {
+                let cur = key(p);
+                if cur != prev {
+                    probes.extend([(n1, n2, p - 1), (n1, n2, p)]);
+                }
+                prev = cur;
+            }
+        }
+        // Exact ties at the minimum, where candidate order decides.
+        probes.extend((12..=17).map(|p| (2, 3, p)));
+        probes.push((2, 12, 24));
+        probes.extend((140..=143).map(|p| (11, 9, p)));
+        probes.extend((192..=199).map(|p| (3, 10, p)));
+        let mut tied = 0;
+        for (n1, n2, p) in probes {
+            let ranked = ranked_plans(n1, n2, p);
+            assert_eq!(ranked.len(), candidate_plans(p).len(), "({n1}, {n2}, {p})");
+            assert!(ranked
+                .windows(2)
+                .all(|w| w[0].predicted_cost <= w[1].predicted_cost));
+            let runner_up = ranked.get(1).map(|r| r.predicted_cost.to_bits());
+            tied += usize::from(runner_up == Some(ranked[0].predicted_cost.to_bits()));
+            let pick = plan(n1, n2, p);
+            let ctx = format!("({n1}, {n2}, {p}): {pick:?} vs {:?}", ranked[0]);
+            assert!(same(&pick, &ranked[0]), "{ctx}");
+            assert!(same(&pick, &plan(n1, n2, p)), "{ctx}");
+            let again = ranked_plans(n1, n2, p);
+            assert!(ranked.iter().zip(&again).all(|(a, b)| same(a, b)), "{ctx}");
+        }
+        assert_eq!(tied, 19);
     }
 
     #[test]

@@ -14,7 +14,7 @@ pub fn is_prime(n: usize) -> bool {
         return n == 2;
     }
     let mut d = 3;
-    while d * d <= n {
+    while d <= n / d {
         if n.is_multiple_of(d) {
             return false;
         }

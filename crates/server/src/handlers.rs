@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use syrk_core::{
-    attribute_bounds, candidate_plans, gemm_lower_bound, plan, predicted_cost, run,
+    attribute_bounds, candidate_plans, gemm_lower_bound, plan, predicted_cost, ranked_plans, run,
     syrk_lower_bound, AttemptOutcome, Plan, RankedPlan, RecoveryPolicy, RecoveryReport, RunSpec,
     SyrkBound, SyrkRunResult,
 };
@@ -261,20 +261,12 @@ fn write_terms(out: &mut String, n1: usize, n2: usize, plan: Plan) {
 
 fn handle_plan(state: &Arc<SharedState>, req: &Request) -> Result<Response, Response> {
     let (n1, n2, p) = problem_params(state, req)?;
-    let best = plan(n1, n2, p);
-    let mut ranked: Vec<RankedPlan> = candidate_plans(p)
-        .into_iter()
-        .map(|pl| RankedPlan {
-            plan: pl,
-            predicted_cost: predicted_cost(n1, n2, pl),
-            bound: syrk_lower_bound(n1, n2, pl.ranks()).communicated(),
-        })
-        .collect();
-    ranked.sort_by(|a, b| a.predicted_cost.total_cmp(&b.predicted_cost));
+    let ranked = ranked_plans(n1, n2, p);
+    let best = &ranked[0];
     // A candidate renders to ~130 bytes.
     let mut body = String::with_capacity(1024 + 136 * ranked.len());
     let _ = write!(body, "{{\"n1\": {n1}, \"n2\": {n2}, \"p\": {p}, \"best\": ");
-    write_ranked(&mut body, &best);
+    write_ranked(&mut body, best);
     body.push_str(", \"terms\": ");
     write_terms(&mut body, n1, n2, best.plan);
     body.push_str(", \"bound\": ");
@@ -399,7 +391,11 @@ fn handle_run(state: &Arc<SharedState>, req: &Request) -> Result<Response, Respo
             c: required_usize(req, "c")?,
             p2: required_usize(req, "p2")?,
         },
-        "auto" => plan(n1, n2, problem_params(state, req)?.2).plan,
+        "auto" => {
+            let p = problem_params(state, req)?.2;
+            check_run_cells(state, n1, n2)?;
+            plan(n1, n2, p).plan
+        }
         other => {
             return Err(Response::json_error(
                 400,
@@ -407,16 +403,7 @@ fn handle_run(state: &Arc<SharedState>, req: &Request) -> Result<Response, Respo
             ))
         }
     };
-    let cells = n1.saturating_mul(n2);
-    if cells > state.config.max_run_cells {
-        return Err(Response::json_error(
-            413,
-            &format!(
-                "n1*n2 = {cells} exceeds this server's run cap of {} cells",
-                state.config.max_run_cells
-            ),
-        ));
-    }
+    check_run_cells(state, n1, n2)?;
     if chosen.ranks() > state.config.max_run_ranks {
         return Err(Response::json_error(
             413,
@@ -567,19 +554,26 @@ fn write_run(
     out.push_str("}\n");
 }
 
+/// The 413 owed to a `/run` whose `n1·n2` input is over the cell cap.
+fn check_run_cells(state: &SharedState, n1: usize, n2: usize) -> Result<(), Response> {
+    let cells = n1.saturating_mul(n2);
+    if cells > state.config.max_run_cells {
+        return Err(Response::json_error(
+            413,
+            &format!(
+                "n1*n2 = {cells} exceeds this server's run cap of {} cells",
+                state.config.max_run_cells
+            ),
+        ));
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // GET /status
 
 fn handle_status(state: &Arc<SharedState>) -> Response {
     let snap = registry::snapshot();
-    let hits = snap.counter("syrk_plan_cache_hits").unwrap_or(0);
-    let misses = snap.counter("syrk_plan_cache_misses").unwrap_or(0);
-    let evictions = snap.counter("syrk_plan_cache_evictions").unwrap_or(0);
-    let hit_rate = if hits + misses > 0 {
-        hits as f64 / (hits + misses) as f64
-    } else {
-        0.0
-    };
     let (active, queued) = state.gate.depth();
     let inflight = snap.gauge("syrk_server_inflight").unwrap_or(0);
     let requests = snap.counter("syrk_server_requests").unwrap_or(0);
@@ -603,15 +597,6 @@ fn handle_status(state: &Arc<SharedState>) -> Response {
     row(&mut html, "runs_active", active);
     row(&mut html, "run_queue_depth", queued);
     row(&mut html, "runs_rejected", rejected);
-    row(&mut html, "plan_cache_hits", hits);
-    row(&mut html, "plan_cache_misses", misses);
-    row(
-        &mut html,
-        "plan_cache_hit_rate",
-        format_args!("{hit_rate:.4}"),
-    );
-    row(&mut html, "plan_cache_evictions", evictions);
-    row(&mut html, "plan_cache_len", syrk_core::plan_cache_len());
     html.push_str("</table>\n</body></html>\n");
     Response::html(200, html)
 }

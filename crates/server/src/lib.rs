@@ -3,7 +3,7 @@
 //! The rest of the workspace is batch-shaped: a binary plans or runs one
 //! instance and exits. This crate keeps the planner, the Theorem 1 bound
 //! calculators, and the simulated machine resident behind a tiny HTTP/1.1
-//! API, so repeated queries amortize the plan cache and a dashboard can
+//! API, so repeated queries skip process start-up and a dashboard can
 //! watch live telemetry:
 //!
 //! | endpoint | method | body |

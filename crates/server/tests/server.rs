@@ -226,7 +226,7 @@ fn run_executes_and_reports_measured_cost() {
 #[test]
 fn metrics_and_status_expose_live_telemetry() {
     let srv = TestServer::start_default();
-    // Warm the plan cache through the API so hit counters move.
+    let plans_before = scrape_counter(srv.addr, "syrk_server_plan_requests");
     let key = "/plan?n1=321&n2=123&p=20";
     let (s1, _) = get(srv.addr, key);
     let (s2, _) = get(srv.addr, key);
@@ -234,16 +234,20 @@ fn metrics_and_status_expose_live_telemetry() {
     let (status, text) = get(srv.addr, "/metrics");
     assert_eq!(status, 200);
     assert!(
-        text.contains("# TYPE syrk_plan_cache_hits counter"),
+        text.contains("# TYPE syrk_server_plan_requests counter"),
         "{text}"
     );
     assert!(text.contains("syrk_server_requests"), "{text}");
-    assert!(text.contains("syrk_server_plan_requests"), "{text}");
+    let plans_after = scrape_counter(srv.addr, "syrk_server_plan_requests");
+    assert!(
+        plans_after >= plans_before + 2,
+        "plan requests did not move: {plans_before} -> {plans_after}"
+    );
     let (status, html) = get(srv.addr, "/status");
     assert_eq!(status, 200);
     for field in [
         "uptime_seconds",
-        "plan_cache_hit_rate",
+        "requests_total",
         "run_queue_depth",
         "runs_active",
         ">running<",
@@ -424,6 +428,19 @@ fn malformed_requests_get_4xx_and_the_server_keeps_serving() {
         // Bad run parameters.
         (400, post(srv.addr, "/run?alg=warp&n1=10&n2=5")),
         (413, post(srv.addr, "/run?alg=1d&n1=4000&n2=4000&p=2")),
+        // Grids whose rank count overflows: c = 2⁶⁴ − 59 is prime and
+        // c(c+1) wraps to 3422; 12·(2⁶² + 1) wraps to 12.
+        (
+            413,
+            post(srv.addr, "/run?alg=2d&n1=36&n2=8&c=18446744073709551557"),
+        ),
+        (
+            413,
+            post(
+                srv.addr,
+                "/run?alg=3d&n1=36&n2=8&c=3&p2=4611686018427387905",
+            ),
+        ),
         (422, post(srv.addr, "/run?alg=2d&n1=36&n2=8&c=10")),
         // Unparseable request line and oversized head.
         (400, raw(srv.addr, "BOGUS\r\n\r\n")),
@@ -462,16 +479,16 @@ fn malformed_requests_get_4xx_and_the_server_keeps_serving() {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency: warm-cache /plan load and /run admission control
+// Concurrency: /plan load and /run admission control
 
 #[test]
-fn sustains_64_concurrent_plan_queries_with_observable_hit_rate() {
+fn sustains_64_concurrent_plan_queries_with_identical_bodies() {
     let srv = TestServer::start_default();
-    // Unique key for this test; first query warms the process-wide cache.
     let path = "/plan?n1=4321&n2=1234&p=24";
-    let (status, _) = get(srv.addr, path);
+    let (status, warm) = get(srv.addr, path);
     assert_eq!(status, 200);
-    let hits_before = scrape_counter(srv.addr, "syrk_plan_cache_hits");
+    assert!(json::parse(&warm).is_ok(), "non-JSON body {warm}");
+    let plans_before = scrape_counter(srv.addr, "syrk_server_plan_requests");
     let clients = 64;
     let barrier = Barrier::new(clients);
     let failures = AtomicUsize::new(0);
@@ -480,17 +497,17 @@ fn sustains_64_concurrent_plan_queries_with_observable_hit_rate() {
             s.spawn(|| {
                 barrier.wait();
                 let (status, body) = get(srv.addr, path);
-                if status != 200 || json::parse(&body).is_err() {
+                if status != 200 || body != warm {
                     failures.fetch_add(1, Ordering::Relaxed);
                 }
             });
         }
     });
     assert_eq!(failures.load(Ordering::Relaxed), 0);
-    let hits_after = scrape_counter(srv.addr, "syrk_plan_cache_hits");
+    let plans_after = scrape_counter(srv.addr, "syrk_server_plan_requests");
     assert!(
-        hits_after >= hits_before + clients as u64,
-        "warm-cache hits did not move: {hits_before} -> {hits_after}"
+        plans_after >= plans_before + clients as u64,
+        "plan requests did not move: {plans_before} -> {plans_after}"
     );
     srv.shutdown();
 }
