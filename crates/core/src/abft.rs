@@ -14,15 +14,15 @@
 //! `i`'s plain checksum by `δ` and its weighted checksum by `(j+1)·δ`,
 //! so the *ratio of residuals localizes the corrupted column*. The same
 //! identity restricted to a block pair verifies one distributed block:
-//! `C_ij·1 = A_i·(A_jᵀ·1)`, which is what the 1D/2D SYRK bodies check
-//! per-rank before returning their contribution.
+//! `C_ij·1 = A_i·(A_jᵀ·1)`, which is what every slice of the SYRK grid
+//! checks per rank before returning its contribution.
 //!
 //! Checks and detections are metered as `syrk_abft_checks` /
 //! `syrk_abft_detects`; in-run check flops are charged under the
 //! [`PHASE_ABFT`] phase so verification overhead is visible in the phase
 //! table without polluting the Theorem 1 accounting.
 
-use syrk_dense::{Diag, Matrix, PackedLower};
+use syrk_dense::{Diag, Matrix, MatrixView, PackedLower};
 use syrk_telemetry::LazyCounter;
 
 /// Checksum verifications performed (block-level and full-matrix).
@@ -146,7 +146,7 @@ pub(crate) fn block_check_flops(rows_i: usize, rows_j: usize, n2: usize) -> u64 
 
 /// Expected row checksums of the block product `A_i·A_jᵀ`, i.e.
 /// `A_i·(A_jᵀ·1)`.
-fn expected_block_rowsums(ai: &Matrix<f64>, aj: &Matrix<f64>) -> Vec<f64> {
+fn expected_block_rowsums(ai: MatrixView<'_, f64>, aj: MatrixView<'_, f64>) -> Vec<f64> {
     let n2 = ai.cols();
     debug_assert_eq!(aj.cols(), n2);
     let mut s = vec![0.0f64; n2];
@@ -185,8 +185,8 @@ fn check_row(
 
 /// Verify an off-diagonal block `C_ij = A_i·A_jᵀ` row by row.
 pub(crate) fn verify_offdiag_block(
-    ai: &Matrix<f64>,
-    aj: &Matrix<f64>,
+    ai: MatrixView<'_, f64>,
+    aj: MatrixView<'_, f64>,
     cij: &Matrix<f64>,
     bi: usize,
     bj: usize,
@@ -209,7 +209,7 @@ pub(crate) fn verify_offdiag_block(
 /// `s ≤ r` contributes to row `r`'s sum and (if off-diagonal) to row
 /// `s`'s by symmetry.
 pub(crate) fn verify_diag_block(
-    ai: &Matrix<f64>,
+    ai: MatrixView<'_, f64>,
     packed: &PackedLower<f64>,
     bi: usize,
 ) -> Result<(), String> {
@@ -266,17 +266,17 @@ mod tests {
         let ai = a.block_owned(0, 0, 5, 7);
         let aj = a.block_owned(5, 0, 7, 7);
         let mut cij = syrk_dense::mul_nt(&ai, &aj);
-        verify_offdiag_block(&ai, &aj, &cij, 1, 0).expect("honest block");
+        verify_offdiag_block(ai.view(), aj.view(), &cij, 1, 0).expect("honest block");
         cij[(2, 3)] -= 1.0;
-        let detail = verify_offdiag_block(&ai, &aj, &cij, 1, 0).unwrap_err();
+        let detail = verify_offdiag_block(ai.view(), aj.view(), &cij, 1, 0).unwrap_err();
         assert!(detail.contains("row 2"), "{detail}");
 
         let packed = syrk_packed_new(&ai, Diag::Inclusive);
-        verify_diag_block(&ai, &packed, 0).expect("honest diagonal");
+        verify_diag_block(ai.view(), &packed, 0).expect("honest diagonal");
         let mut bad = packed.as_slice().to_vec();
         bad[3] += 2.0;
         let tampered = PackedLower::from_vec(5, Diag::Inclusive, bad);
-        verify_diag_block(&ai, &tampered, 0).unwrap_err();
+        verify_diag_block(ai.view(), &tampered, 0).unwrap_err();
     }
 
     #[test]

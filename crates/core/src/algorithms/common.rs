@@ -262,16 +262,26 @@ mod tests {
         // 2⁶⁴ − 59 is prime: its c(c+1) overflows, and trial division
         // would take 2³¹ steps to say so.
         let a = seeded_matrix::<f64>(36, 8, 0);
+        let run = |plan| {
+            let spec = crate::RunSpec::new(plan, syrk_machine::CostModel::bandwidth_only());
+            crate::run(&a, &spec).map(|_| ())
+        };
         for c in [18_446_744_073_709_551_557, usize::MAX] {
-            let spec = crate::RunSpec::new(
-                crate::Plan::TwoD { c },
-                syrk_machine::CostModel::bandwidth_only(),
-            );
-            match crate::run(&a, &spec) {
+            match run(crate::Plan::TwoD { c }) {
                 Err(crate::SyrkError::Plan(PlanError::UnsupportedOrder { c: got })) => {
                     assert_eq!(got, c)
                 }
-                other => panic!("c = {c}: {:?}", other.map(|_| ())),
+                other => panic!("c = {c}: {other:?}"),
+            }
+        }
+        // A slice order that exists, times a slice count: 12·(2⁶² + 1)
+        // wraps to 12.
+        for (c, p2) in [(3, (1 << 62) + 1), (2, usize::MAX)] {
+            match run(crate::Plan::ThreeD { c, p2 }) {
+                Err(crate::SyrkError::Plan(PlanError::RankCountOverflow { c: gc, p2: gp })) => {
+                    assert_eq!((gc, gp), (c, p2))
+                }
+                other => panic!("c = {c}, p2 = {p2}: {other:?}"),
             }
         }
     }

@@ -76,9 +76,10 @@ pub fn syrk_2d_limited(
             local_step(
                 &comm,
                 &mut owned,
-                &gathered,
-                |cij, [ai], [aj]| gemm_nt(cij, ai, aj),
-                |cii, [ai]| syrk_packed(cii, ai),
+                pr.len(),
+                1,
+                |cij, x, y| gemm_nt(cij, &gathered[x][0], &gathered[y][0]),
+                |cii, x| syrk_packed(cii, &gathered[x][0]),
                 false,
             );
         }

@@ -1,16 +1,15 @@
 //! The distributed SYRK algorithms (§5) and the GEMM/ScaLAPACK baselines.
 //!
 //! Algorithms 1–3 have one entry point, [`run`], taking a [`RunSpec`];
-//! `try_syrk_{1d,2d,3d}` are its plain specs spelled as functions.
-//! `oned`, `twod` and `threed` each hold one rank body and one
-//! `run_{1d,2d,3d}(a, grid, &RunSpec)` that builds the machine with
-//! `machine_for` and assembles `C`. Every entry point, the §6 extension
-//! drivers and the baselines included, returns `Result<_, SyrkError>`.
+//! `try_syrk_{1d,2d,3d}` are its plain specs spelled as functions. `run`
+//! maps each plan to a grid of Algorithm 3 (Algorithms 1 and 2 are its
+//! corners), and `threed::run_grid` runs `twod`'s slice body on each slice
+//! and assembles `C`. Every entry point, the §6 extension drivers and the
+//! baselines included, returns `Result<_, SyrkError>`.
 
 mod baselines;
 mod common;
 mod limited;
-mod oned;
 mod run;
 mod symm;
 mod syr2k;

@@ -12,9 +12,11 @@ use std::path::PathBuf;
 use syrk_dense::Matrix;
 use syrk_machine::{CostModel, FaultPlan, Machine, ReduceScatterAlg, Timeline};
 
-use super::{oned, threed, twod, SyrkRunResult};
+use super::common::{check_ranks, triangle_dist};
+use super::{threed, SyrkRunResult};
+use crate::dist::TriangleBlockDist;
 use crate::error::SyrkError;
-use crate::planner::Plan;
+use crate::planner::{Plan, PlanError};
 use crate::recovery::{self, RecoveryPolicy, RecoveryReport};
 
 /// Everything that parameterises one simulated SYRK run.
@@ -34,22 +36,18 @@ pub struct RunSpec {
     /// before the block leaves the rank, so a corrupt local product
     /// surfaces as `MachineError::DataCorruption` naming the block.
     /// Verification flops are charged under the `abft:verify` phase.
-    /// Implied by [`RecoveryPolicy::verify`]. Algorithm 3 has no
-    /// in-machine checks and ignores it; its recovered runs rely on the
-    /// final full-`C` verification.
+    /// Implied by [`RecoveryPolicy::verify`].
     pub abft: bool,
-    /// The Reduce-Scatter of `C` — Algorithm 1's over all ranks,
-    /// Algorithm 3's over each grid row — and the §6 latency/bandwidth
-    /// trade (pairwise = the paper's analysis; recursive halving =
-    /// log-latency at equal bandwidth for power-of-two P; tree+scatter =
-    /// log-latency, bandwidth-inflated). Algorithm 2 has no
-    /// Reduce-Scatter.
+    /// The Reduce-Scatter of each grid row's `C_k` (Alg. 3 line 5; over
+    /// one-rank slices, Algorithm 1's line 4), which runs iff `p2 > 1`,
+    /// and the §6 latency/bandwidth trade (pairwise = the paper's
+    /// analysis; recursive halving = log-latency at equal bandwidth for
+    /// power-of-two P; tree+scatter = log-latency, bandwidth-inflated).
     pub rs_alg: ReduceScatterAlg,
-    /// The exchange of `A` with the paper's padded buffer `B` (Alg. 2
-    /// lines 3–9 verbatim), in Algorithm 2 and in each slice of
-    /// Algorithm 3: measured bandwidth reproduces eq. (10)'s
-    /// `(n1n2/c)(1 − 1/P)` exactly, at the cost of shipping some zeros.
-    /// Algorithm 1 has no exchange of `A`.
+    /// The exchange of `A` in each slice of more than one rank with the
+    /// paper's padded buffer `B` (Alg. 2 lines 3–9 verbatim): measured
+    /// bandwidth reproduces eq. (10)'s `(n1n2/c)(1 − 1/P)` exactly, at the
+    /// cost of shipping some zeros.
     pub padded: bool,
     /// Survive crashes by shrinking and replanning and detected
     /// corruption by retrying (see [`crate::run_with_recovery`]); `plan`
@@ -95,14 +93,21 @@ pub struct SyrkRun {
 /// (crash, deadlock, detected corruption, …) surface as [`SyrkError`].
 #[must_use = "the Result carries the simulated run's outcome or failure"]
 pub fn run(a: &Matrix<f64>, spec: &RunSpec) -> Result<SyrkRun, SyrkError> {
-    match &spec.recovery {
-        Some(policy) => recovery::recover(a, spec, policy),
-        None => match spec.plan {
-            Plan::OneD { p } => oned::run_1d(a, p, spec),
-            Plan::TwoD { c } => twod::run_2d(a, c, spec),
-            Plan::ThreeD { c, p2 } => threed::run_3d(a, c, p2, spec),
-        },
+    if let Some(policy) = &spec.recovery {
+        return recovery::recover(a, spec, policy);
     }
+    // Algorithms 1 and 2 are the corners of Algorithm 3's grid: one-rank
+    // slices, and one slice.
+    let (dist, p2) = match spec.plan {
+        Plan::OneD { p } => (TriangleBlockDist::one_rank(), p),
+        Plan::TwoD { c } => (triangle_dist(c)?, 1),
+        Plan::ThreeD { c, p2 } => (triangle_dist(c)?, p2),
+    };
+    check_ranks(p2)?;
+    let (c, p1) = (dist.c(), dist.p());
+    p1.checked_mul(p2)
+        .ok_or(PlanError::RankCountOverflow { c, p2 })?;
+    threed::run_grid(a, &dist, p2, spec)
 }
 
 /// The machine every run of `spec` executes on, at `ranks` ranks.

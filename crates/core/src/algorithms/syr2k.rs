@@ -56,7 +56,7 @@ pub fn syr2k_1d(
         comm.try_reduce_scatter_block(cbar.as_slice(), &segments.lens())
     })?;
 
-    // The segments concatenate to the packed triangle, as in `run_1d`.
+    // The segments concatenate to the packed triangle.
     let mut c = Matrix::zeros(n1, n1);
     let segs = out.results.iter().map(Vec::as_slice);
     write_packed_lower(&mut c, 0, n1, Diag::Inclusive, segs);
@@ -98,12 +98,14 @@ pub fn syr2k_2d(
         local_step(
             &comm,
             &mut owned,
-            &gathered,
-            |cij, [ai, bi], [aj, bj]| {
+            n2,
+            2,
+            |cij, x, y| {
+                let ([ai, bi], [aj, bj]) = (&gathered[x], &gathered[y]);
                 gemm_nt(cij, ai, bj);
                 cij.add_assign(&mul_nt(bi, aj));
             },
-            |cii, [ai, bi]| syr2k_packed(cii, ai.view(), bi.view()),
+            |cii, x| syr2k_packed(cii, gathered[x][0].view(), gathered[x][1].view()),
             false,
         );
         Ok(owned.out)

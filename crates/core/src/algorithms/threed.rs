@@ -1,22 +1,21 @@
-//! Algorithm 3: 3D SYRK (§5.3).
+//! Algorithm 3: 3D SYRK (§5.3), the one driver of Algorithms 1–3.
 //!
-//! A `p1 × p2` process grid with `p1 = c(c+1)`: each of the `p2` slices
-//! `Π_{*ℓ}` runs the 2D algorithm on its block column `A_{*ℓ}` (`n2/p2`
-//! columns), producing identically-distributed partial results; a
-//! `Reduce-Scatter` across each row `Π_{k*}` then sums the partial `C_k`
-//! triangle-blocks-of-blocks and leaves the final output evenly spread.
+//! A `p1 × p2` process grid: each of the `p2` slices `Π_{*ℓ}` runs the 2D
+//! body on its block column `A_{*ℓ}` (`n2/p2` columns); a `Reduce-Scatter`
+//! across each row `Π_{k*}` then sums the partial `C_k` and leaves the
+//! final output evenly spread. Algorithm 2 is the `p2 = 1` corner (no
+//! Reduce-Scatter); Algorithm 1 the `p1 = 1` corner, whose one-rank slices
+//! exchange no `A` and whose row Reduce-Scatter is Algorithm 1's line 4.
 //!
 //! Bandwidth cost (eq. (12)): `n1n2/(√p1·p2) + n1²/(2p1)` to leading
-//! order.
+//! order; eqs. (3) and (10) at the corners.
 
 use syrk_dense::{Matrix, Partition1D};
-use syrk_machine::ProcessGrid;
+use syrk_machine::{Comm, MachineError, ProcessGrid};
 
-use super::common::{
-    assemble_c, check_ranks, check_shape, triangle_dist, LocalOutput, SyrkRunResult,
-};
+use super::common::{assemble_c, check_shape, LocalOutput, SyrkRunResult};
 use super::run::{machine_for, RunSpec, SyrkRun};
-use super::twod::{owned_blocks, twod_body};
+use super::twod::{owned_blocks, slice_body};
 use crate::attribution::PHASE_REDUCE_SCATTER_C;
 use crate::dist::{ConformalADist, TriangleBlockDist};
 use crate::error::SyrkError;
@@ -67,73 +66,72 @@ fn ck_segments(local: &LocalOutput, p2: usize) -> Vec<Vec<f64>> {
     segs
 }
 
+/// Rank side of Alg. 3 lines 4–5: reduce-scatter `ck` across the grid
+/// row with `spec.rs_alg`. Out of line: inlined into the rank closure,
+/// its frame sits under every rank's exchange, 5 MB more stack pages
+/// touched across the 2256 ranks of `sim_ranks`.
+#[inline(never)]
+fn reduce_ck(row: &Comm, ck: &LocalOutput, spec: &RunSpec) -> Result<Vec<f64>, MachineError> {
+    let _span = row.phase(PHASE_REDUCE_SCATTER_C);
+    row.try_reduce_scatter_with(ck_segments(ck, row.size()), spec.rs_alg)
+}
+
 /// Host side: grid row `k`'s reduced `C_k`, from its segments in ℓ
 /// order, as the blocks `owned_blocks` lists for `k`.
-fn ck_blocks(
+fn ck_blocks<'s>(
     dist: &TriangleBlockDist,
     ad: &ConformalADist,
     k: usize,
-    segs: &[Vec<f64>],
+    segs: impl IntoIterator<Item = &'s [f64]>,
 ) -> LocalOutput {
     let mut out = owned_blocks(dist, ad, k).out;
     let off = out.offdiag.iter_mut().map(|b| b.data.as_mut_slice());
     let dst = off.chain(out.diag.iter_mut().map(|d| d.data.as_mut_slice()));
-    copy_across(segs.iter().map(Vec::as_slice), dst);
+    copy_across(segs, dst);
     out
 }
 
-/// Run Algorithm 3 on a simulated machine with `P = c(c+1)·p2` ranks.
-pub(crate) fn run_3d(
+/// Run Algorithm 3 on a simulated machine with a `dist.p() × p2` grid of
+/// ranks, a count [`run`](crate::run) has checked. The row Reduce-Scatter
+/// runs iff `p2 > 1`.
+pub(crate) fn run_grid(
     a: &Matrix<f64>,
-    c: usize,
+    dist: &TriangleBlockDist,
     p2: usize,
     spec: &RunSpec,
 ) -> Result<SyrkRun, SyrkError> {
-    let dist = triangle_dist(c)?;
-    check_ranks(p2)?;
-    let p1 = dist.p();
     let (n1, n2) = a.shape();
     check_shape(n1, n2)?;
+    let p1 = dist.p();
     let cols = Partition1D::new(n2, p2);
     let grid = ProcessGrid::new(p1, p2);
 
-    // The slices run the 2D body with the spec's exchange (`padded`) and
-    // no in-machine `abft` (see the `RunSpec` field docs).
-    let slice_spec = RunSpec {
-        padded: spec.padded,
-        ..RunSpec::new(spec.plan, spec.model)
-    };
-    let out = machine_for(spec, p1 * p2).try_run(|mut comm| {
+    let out = machine_for(spec, grid.size()).try_run(|mut comm| {
         let gc = grid.split(&mut comm);
-        // Line 3: run 2D SYRK within the slice on block column A_{*ℓ}.
-        // Phases (allgather-A, local-gemm, local-syrk) are pushed by the
-        // 2D body on the slice communicator; they land on this world
-        // rank's ledger because spans are per-rank, not per-communicator.
+        // Line 3: the slice body on block column A_{*ℓ}, read where it lies;
+        // its phases land on this rank's ledger (spans are per rank).
         let cr = cols.range(gc.l);
         let a_col = a.block(0, cr.start, n1, cr.len());
-        let ad = ConformalADist::new(&dist, n1, cr.len());
-        let local = twod_body(&gc.slice, &dist, &ad, a_col, &slice_spec)?;
-        // Lines 4–5: Reduce-Scatter the partial C_k across Π_{k*} with the
-        // spec's algorithm. The payloads are built straight from the block
-        // storage (no flat concatenation) and handed to the segment-based
-        // collective, which moves exactly the same words as the block
-        // interface.
-        let _span = comm.phase(PHASE_REDUCE_SCATTER_C);
-        let segments = ck_segments(&local, p2);
-        let mine = gc.row.try_reduce_scatter_with(segments, spec.rs_alg)?;
-        Ok((gc.k, gc.l, mine))
+        let ad = ConformalADist::new(dist, n1, cr.len());
+        let local = slice_body(&gc.slice, dist, &ad, a_col, spec)?;
+        // A rank alone in its grid row hands back its C_k blocks; the
+        // others hand back their segment of the row's reduced C_k.
+        if p2 == 1 {
+            return Ok((Some(local), Vec::new()));
+        }
+        Ok((None, reduce_ck(&gc.row, &local, spec)?))
     })?;
 
-    // Assembly: for each grid row k, the p2 final segments in ℓ order
-    // are the summed C_k.
-    let mut per_k: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); p2]; p1];
-    for (k, l, seg) in out.results {
-        per_k[k][l] = seg;
-    }
-    let whole = ConformalADist::new(&dist, n1, n2);
-    let outputs: Vec<LocalOutput> = (per_k.iter().enumerate())
-        .map(|(k, segs)| ck_blocks(&dist, &whole, k, segs))
-        .collect();
+    let whole = ConformalADist::new(dist, n1, n2);
+    let outputs: Vec<LocalOutput> = if p2 == 1 {
+        out.results.into_iter().filter_map(|(b, _)| b).collect()
+    } else {
+        // Grid row k's segments are world ranks k, k + p1, …: ℓ order.
+        let row = |k: usize| out.results[k..].iter().step_by(p1).map(|(_, s)| &s[..]);
+        (0..p1)
+            .map(|k| ck_blocks(dist, &whole, k, row(k)))
+            .collect()
+    };
     Ok(SyrkRun {
         result: SyrkRunResult {
             c: assemble_c(n1, &whole.rows, &outputs),
@@ -149,9 +147,14 @@ mod tests {
     use super::*;
     use crate::attribution::PHASE_ALLGATHER_A;
     use crate::bounds::{alg3d_a_term, alg3d_predicted_cost};
-    use crate::{run, try_syrk_2d, try_syrk_3d, Plan};
+    use crate::{run, try_syrk_3d, Plan};
     use syrk_dense::{max_abs_diff, seeded_int_matrix, seeded_matrix, syrk_full_reference};
     use syrk_machine::{CostModel, ReduceScatterAlg};
+
+    /// Every entry of `m`, as bits.
+    fn bits(m: &Matrix<f64>) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
 
     /// Every word of `out` in `C_k` order, as bits.
     fn ck_bits(out: &LocalOutput) -> Vec<u64> {
@@ -192,7 +195,7 @@ mod tests {
                         end += seg.len();
                         crossed |= !seg.is_empty() && !block_ends.contains(&end);
                     }
-                    let back = ck_blocks(&dist, &ad, k, &segs);
+                    let back = ck_blocks(&dist, &ad, k, segs.iter().map(Vec::as_slice));
                     assert_eq!(ck_bits(&back), ck_bits(&out), "n1={n1} k={k} p2={p2}");
                 }
             }
@@ -207,7 +210,7 @@ mod tests {
         let ad = ConformalADist::new(&dist, 8, 1);
         let mut segs = ck_segments(&owned_blocks(&dist, &ad, 0).out, 2);
         segs[1].push(0.0);
-        let _ = ck_blocks(&dist, &ad, 0, &segs);
+        let _ = ck_blocks(&dist, &ad, 0, segs.iter().map(Vec::as_slice));
     }
 
     #[test]
@@ -228,13 +231,26 @@ mod tests {
 
     #[test]
     fn p2_equals_1_reduces_to_2d() {
-        // With p2 = 1 the slice is the whole machine and the final
-        // Reduce-Scatter is over one rank (free): identical to Alg. 2.
-        let a = seeded_int_matrix::<f64>(12, 5, 4, 5);
-        let run3 = try_syrk_3d(&a, 2, 1, CostModel::bandwidth_only(), None).unwrap();
-        let run2 = try_syrk_2d(&a, 2, CostModel::bandwidth_only(), None).unwrap();
-        assert_eq!(max_abs_diff(&run3.c, &run2.c), 0.0);
-        assert_eq!(run3.cost.max_words_sent(), run2.cost.max_words_sent());
+        // With p2 = 1 the slice is the whole machine and there is no
+        // Reduce-Scatter: Algorithm 2 to the bit, cost report included,
+        // with and without in-machine ABFT.
+        for (n1, n2, c) in [(36, 8, 3), (12, 5, 2), (338, 64, 13), (10, 3, 3)] {
+            let a = seeded_int_matrix::<f64>(n1, n2, 4, 5);
+            for abft in [false, true] {
+                let of = |plan| {
+                    let spec = RunSpec {
+                        abft,
+                        ..RunSpec::new(plan, CostModel::typical())
+                    };
+                    run(&a, &spec).unwrap().result
+                };
+                let (run3, run2) = (of(Plan::ThreeD { c, p2: 1 }), of(Plan::TwoD { c }));
+                let label = format!("{n1}x{n2} c={c} abft={abft}");
+                let report = |r: &SyrkRunResult| (r.cost.ranks.clone(), r.cost.phases.clone());
+                assert_eq!(report(&run3), report(&run2), "{label}");
+                assert_eq!(bits(&run3.c), bits(&run2.c), "{label}");
+            }
+        }
     }
 
     #[test]
@@ -299,7 +315,6 @@ mod tests {
         let (rh_msgs, rh_words) = row(&halving);
         assert_eq!((pw_msgs, rh_msgs), (3, 2));
         assert_eq!(rh_words, pw_words);
-        let bits = |m: &Matrix<f64>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&halving.c), bits(&pairwise.c));
         assert_eq!(max_abs_diff(&halving.c, &syrk_full_reference(&a)), 0.0);
     }
@@ -313,5 +328,86 @@ mod tests {
         let run = try_syrk_3d(&a, c, p2, CostModel::bandwidth_only(), None).unwrap();
         let a_words_per_slice_rank = n1 * (n2 / p2) / (c + 1);
         assert!(run.cost.max_words_sent() > a_words_per_slice_rank as u64);
+    }
+
+    /// Algorithm 1, the grid's one-rank-slice corner.
+    mod oned {
+        use crate::bounds::alg1d_predicted_cost;
+        use crate::try_syrk_1d;
+        use syrk_dense::{max_abs_diff, seeded_int_matrix, seeded_matrix, syrk_full_reference};
+        use syrk_machine::CostModel;
+
+        #[test]
+        fn correct_for_various_shapes_and_p() {
+            for &(n1, n2, p) in &[
+                (1usize, 1usize, 1usize),
+                (4, 8, 2),
+                (6, 24, 4),
+                (9, 10, 3), // P ∤ n2: uneven column blocks
+                (5, 3, 4),  // P > n2: some ranks own no columns
+                (16, 64, 8),
+            ] {
+                let a = seeded_matrix::<f64>(n1, n2, (n1 * 100 + n2) as u64);
+                let run = try_syrk_1d(&a, p, CostModel::bandwidth_only(), None).unwrap();
+                let want = syrk_full_reference(&a);
+                let err = max_abs_diff(&run.c, &want);
+                assert!(err < 1e-10, "({n1},{n2},{p}): err {err}");
+            }
+        }
+
+        #[test]
+        fn integer_inputs_are_exact() {
+            let a = seeded_int_matrix::<f64>(8, 16, 4, 7);
+            let run = try_syrk_1d(&a, 4, CostModel::bandwidth_only(), None).unwrap();
+            assert_eq!(max_abs_diff(&run.c, &syrk_full_reference(&a)), 0.0);
+        }
+
+        #[test]
+        fn bandwidth_matches_eq3_exactly() {
+            // Every rank sends Σ_{q≠me} |segment_q| words; with the even split
+            // of n1(n1+1)/2 this is (1 − 1/P)·n1(n1+1)/2 ± rounding.
+            let (n1, n2, p) = (20, 40, 5);
+            let a = seeded_matrix::<f64>(n1, n2, 3);
+            let run = try_syrk_1d(&a, p, CostModel::bandwidth_only(), None).unwrap();
+            let predicted = alg1d_predicted_cost(n1, p);
+            let measured = run.cost.max_words_sent() as f64;
+            assert!(
+                (measured - predicted).abs() <= 1.0,
+                "measured {measured} vs eq(3) {predicted}"
+            );
+            // Latency: P − 1 messages per rank (pairwise exchange).
+            assert_eq!(run.cost.max_messages(), (p - 1) as u64);
+        }
+
+        #[test]
+        fn no_a_communication() {
+            // The 1D algorithm must move only C contributions: total traffic
+            // equals P·(1−1/P)·packed = (P−1)·packed words.
+            let (n1, n2, p) = (10, 30, 3);
+            let a = seeded_matrix::<f64>(n1, n2, 9);
+            let run = try_syrk_1d(&a, p, CostModel::bandwidth_only(), None).unwrap();
+            let packed = n1 * (n1 + 1) / 2;
+            assert_eq!(run.cost.total_words(), ((p - 1) * packed) as u64);
+        }
+
+        #[test]
+        fn flops_are_load_balanced_when_p_divides_n2() {
+            let (n1, n2, p) = (12, 32, 4);
+            let a = seeded_matrix::<f64>(n1, n2, 11);
+            let run = try_syrk_1d(&a, p, CostModel::bandwidth_only(), None).unwrap();
+            // Local SYRK flops identical across ranks; Reduce-Scatter adds
+            // (P−1)·|segment| flops, and segments differ by at most one word.
+            let fmax = run.cost.ranks.iter().map(|r| r.flops).max().unwrap();
+            let fmin = run.cost.ranks.iter().map(|r| r.flops).min().unwrap();
+            assert!(fmax - fmin <= (p - 1) as u64, "flop spread {}", fmax - fmin);
+        }
+
+        #[test]
+        fn single_rank_does_no_communication() {
+            let a = seeded_matrix::<f64>(7, 5, 2);
+            let run = try_syrk_1d(&a, 1, CostModel::bandwidth_only(), None).unwrap();
+            assert_eq!(run.cost.total_words(), 0);
+            assert!(max_abs_diff(&run.c, &syrk_full_reference(&a)) < 1e-12);
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Algorithm 2: 2D SYRK (§5.2).
+//! Algorithm 2: 2D SYRK (§5.2), the body every slice of the grid runs.
 //!
 //! `C` is laid out by the Triangle Block Distribution; each processor
 //! gathers the `c` row blocks of `A` in its row block set `R_k` via a
@@ -6,92 +6,99 @@
 //! block, so the exchange pattern is exactly personalized all-to-all),
 //! then computes its `c(c−1)/2` off-diagonal blocks with local GEMMs and
 //! its diagonal block (if assigned) with a local SYRK. No contribution to
-//! `C` is ever communicated — only parts of `A`.
+//! `C` is ever communicated — only parts of `A`. The driver that runs this
+//! body on each slice, for all three algorithms, is `threed::run_grid`.
 
 use std::sync::Arc;
 
 use syrk_dense::{
     balanced_chunks_by_cost, gemm_flops, gemm_nt, par_for_each_task, steal_task_count, syrk_flops,
-    syrk_packed, workers_for_flops, Diag, Matrix, MatrixView, PackedLower,
+    syrk_packed_view, workers_for_flops, Diag, Matrix, MatrixView, PackedLower,
 };
 use syrk_machine::{Comm, MachineError};
 
-use super::common::{
-    assemble_c, check_shape, triangle_dist, DiagBlock, LocalOutput, OffDiagBlock, SyrkRunResult,
-};
-use super::run::{machine_for, RunSpec, SyrkRun};
+use super::common::{DiagBlock, LocalOutput, OffDiagBlock};
+use super::run::RunSpec;
+use crate::abft::{block_check_flops, verify_diag_block, verify_offdiag_block, PHASE_ABFT};
 use crate::attribution::{PHASE_ALLGATHER_A, PHASE_LOCAL_GEMM, PHASE_LOCAL_SYRK};
 use crate::dist::{ConformalADist, TriangleBlockDist};
-use crate::error::SyrkError;
 
-/// The SPMD body of Algorithm 2, reused verbatim by each slice of the 3D
-/// algorithm (Alg. 3 line 3). `a_slice` is the `n1 × n2_local` input this
-/// communicator is responsible for — a view, because a 3D slice's column
-/// block stays where it lies in the global `A`; `comm.size()` must be
-/// `c(c+1)`.
+/// The SPMD body of Algorithm 2 on one slice of the grid (Alg. 3 line 3).
+/// `a_slice` is the slice's `n1 × n2_local` block column, read where it
+/// lies in the global `A`; `comm.size()` must be `dist.p()`. Of `spec`
+/// the body reads `padded` and `abft`. The exchange is
+/// [`gather_row_blocks`] and the local step [`local_step`], which the §6
+/// extension drivers call too.
 ///
-/// Of `spec` the body reads `padded` and `abft`. With `padded` the
-/// exchange buffer `B` is padded to `P` equal blocks of
-/// `⌈n1·n2/(c²(c+1))⌉` words, exactly as Algorithm 2's pseudocode
-/// allocates it — reproducing the eq. (10) cost analysis verbatim (the
-/// unpadded variant is slightly cheaper; see `alg2d_tight_cost`). The
-/// exchange itself is [`gather_row_blocks`] and the local step
-/// [`local_step`], which the §6 extension drivers call too.
-pub(crate) fn twod_body(
+/// A one-rank slice (Algorithm 1's) holds its one row block whole: it
+/// exchanges nothing, and its local step is one SYRK of `a_slice`.
+pub(crate) fn slice_body(
     comm: &Comm,
     dist: &TriangleBlockDist,
     ad: &ConformalADist,
     a_slice: MatrixView<'_, f64>,
     spec: &RunSpec,
 ) -> Result<LocalOutput, MachineError> {
-    assert_eq!(comm.size(), dist.p(), "2D body needs exactly c(c+1) ranks");
+    assert_eq!(comm.size(), dist.p(), "a slice has dist.p() ranks");
     let k = comm.rank();
     let n2l = a_slice.cols();
+    let one_rank = dist.p() == 1;
 
     // Lines 3–14: gather every live A_i. The exchange-and-reassemble of A
     // is the phase Theorem 1's Case-2 `n1·n2/√P` term charges.
-    let ag_span = comm.phase(PHASE_ALLGATHER_A);
-    let live = ad.live_blocks(k);
-    let gathered = gather_row_blocks(comm, dist, ad, &live, [a_slice], spec.padded)?;
-    comm.note_buffer(
-        gathered.iter().map(|[ai]| ai.len()).sum::<usize>()
-            + live.iter().map(|&i| ad.chunk_len(i, k)).sum::<usize>(),
-    );
-    drop(ag_span);
+    let gathered = if one_rank {
+        Vec::new()
+    } else {
+        let _span = comm.phase(PHASE_ALLGATHER_A);
+        let live = ad.live_blocks(k);
+        let gathered = gather_row_blocks(comm, dist, ad, &live, [a_slice], spec.padded)?;
+        comm.note_buffer(
+            gathered.iter().map(|[ai]| ai.len()).sum::<usize>()
+                + live.iter().map(|&i| ad.chunk_len(i, k)).sum::<usize>(),
+        );
+        gathered
+    };
+    // A one-rank slice gathers nothing: its one row block is `a_slice`.
+    let block = |x: usize| gathered.get(x).map_or(a_slice, |[ai]| ai.view());
     // The owned blocks (from the same `live` list) are allocated only
     // now, so that with 10³ ranks in one process no rank's blocks are
     // alive through every other rank's exchange.
     let mut owned = owned_blocks(dist, ad, k);
 
-    // Lines 15–20: C_ij = A_i · A_jᵀ for every owned pair, then the
-    // diagonal block's SYRK.
+    // Lines 15–20: C_ij = A_i·A_jᵀ for every owned pair, then the diagonal.
     local_step(
         comm,
         &mut owned,
-        &gathered,
-        |cij, [ai], [aj]| gemm_nt(cij, ai, aj),
-        |cii, [ai]| syrk_packed(cii, ai),
+        n2l,
+        1,
+        |cij, x, y| gemm_nt(cij, &gathered[x][0], &gathered[y][0]),
+        |cii, x| {
+            syrk_packed_view(cii, block(x));
+            if one_rank {
+                // Algorithm 1's footprint: its columns and its triangle.
+                comm.note_buffer(a_slice.rows() * n2l + cii.len());
+            }
+        },
         true,
     );
 
-    // ABFT: verify every produced block against its row checksums,
-    // computed independently from the gathered A blocks, before the
-    // contribution leaves this rank (`C_ij·1 = A_i·(A_jᵀ·1)`).
+    // ABFT: check every produced block against its row checksums,
+    // `C_ij·1 = A_i·(A_jᵀ·1)`, before it leaves this rank.
     if spec.abft {
-        let _span = comm.phase(crate::abft::PHASE_ABFT);
+        let _span = comm.phase(PHASE_ABFT);
         let corrupt = |detail| MachineError::DataCorruption {
             rank: comm.world_rank(),
             detail,
         };
         for (blk, &(x, y)) in owned.out.offdiag.iter().zip(&owned.pairs) {
-            let ([ai], [aj]) = (&gathered[x], &gathered[y]);
-            comm.add_flops(crate::abft::block_check_flops(ai.rows(), aj.rows(), n2l));
-            crate::abft::verify_offdiag_block(ai, aj, &blk.data, blk.i, blk.j).map_err(&corrupt)?;
+            let (ai, aj) = (block(x), block(y));
+            comm.add_flops(block_check_flops(ai.rows(), aj.rows(), n2l));
+            verify_offdiag_block(ai, aj, &blk.data, blk.i, blk.j).map_err(&corrupt)?;
         }
         if let (Some(x), Some(blk)) = (owned.diag, owned.out.diag.first()) {
-            let [ai] = &gathered[x];
-            comm.add_flops(crate::abft::block_check_flops(ai.rows(), ai.rows(), n2l));
-            crate::abft::verify_diag_block(ai, &blk.data, blk.i).map_err(&corrupt)?;
+            let ai = block(x);
+            comm.add_flops(block_check_flops(ai.rows(), ai.rows(), n2l));
+            verify_diag_block(ai, &blk.data, blk.i).map_err(&corrupt)?;
         }
     }
     Ok(owned.out)
@@ -150,29 +157,30 @@ pub(crate) fn owned_blocks(dist: &TriangleBlockDist, ad: &ConformalADist, k: usi
     }
 }
 
-/// Algorithm 2's local step (lines 15–20) into `owned`'s blocks: `pair`
-/// adds into each off-diagonal block from the operands of its two row
-/// blocks, `diag` into the diagonal block; `gathered` is parallel to
-/// `owned.live`. A block takes `N` rank-`n2` updates (SYRK's `A_i·A_jᵀ`,
-/// SYR2K's `A_i·B_jᵀ + B_i·A_jᵀ`), charged as `N·gemm_flops` per pair in
-/// pair order before the products run, then `N·syrk_flops` for the
-/// diagonal. The pairs run as flop-balanced, stealable chunks, or on this
-/// thread when the list is too small to pay for a worker. With `phases`
-/// they run in the `local-gemm` phase and the diagonal in `local-syrk`.
-pub(crate) fn local_step<const N: usize>(
+/// Algorithm 2's local step (lines 15–20) into `owned`'s blocks, whose
+/// row blocks the closures address by position in `owned.live`: `pair`
+/// adds into each off-diagonal block `(x, y)`, `diag` into the diagonal
+/// block `x`. Every operand has `n2` columns, and a block takes `updates`
+/// rank-`n2` updates (SYRK's `A_i·A_jᵀ`, SYR2K's `A_i·B_jᵀ + B_i·A_jᵀ`),
+/// charged as `updates·gemm_flops` per pair in pair order before the
+/// products run, then `updates·syrk_flops` for the diagonal. The pairs
+/// run as flop-balanced, stealable chunks, or on this thread when the
+/// list is too small to pay for a worker. With `phases` they run in the
+/// `local-gemm` phase and the diagonal in `local-syrk`.
+pub(crate) fn local_step(
     comm: &Comm,
     owned: &mut OwnedBlocks,
-    gathered: &[[Matrix<f64>; N]],
-    pair: impl Fn(&mut Matrix<f64>, &[Matrix<f64>; N], &[Matrix<f64>; N]) + Sync,
-    diag: impl FnOnce(&mut PackedLower<f64>, &[Matrix<f64>; N]),
+    n2: usize,
+    updates: u64,
+    pair: impl Fn(&mut Matrix<f64>, usize, usize) + Sync,
+    diag: impl FnOnce(&mut PackedLower<f64>, usize),
     phases: bool,
 ) {
-    let updates = N as u64;
     let gemm_span = phases.then(|| comm.phase(PHASE_LOCAL_GEMM));
-    let costs: Vec<u64> = (owned.out.offdiag.iter().zip(&owned.pairs))
-        .map(|(blk, &(x, _))| {
+    let costs: Vec<u64> = (owned.out.offdiag.iter())
+        .map(|blk| {
             let (ri, rj) = blk.data.shape();
-            updates * gemm_flops(ri, rj, gathered[x][0].cols())
+            updates * gemm_flops(ri, rj, n2)
         })
         .collect();
     for &f in &costs {
@@ -190,15 +198,15 @@ pub(crate) fn local_step<const N: usize>(
     }
     par_for_each_task(tasks, |_, (pairs, blocks)| {
         for (blk, &(x, y)) in blocks.iter_mut().zip(pairs) {
-            pair(&mut blk.data, &gathered[x], &gathered[y]);
+            pair(&mut blk.data, x, y);
         }
     });
     drop(gemm_span);
 
     if let (Some(x), Some(blk)) = (owned.diag, owned.out.diag.first_mut()) {
         let _span = phases.then(|| comm.phase(PHASE_LOCAL_SYRK));
-        diag(&mut blk.data, &gathered[x]);
-        comm.add_flops(updates * syrk_flops(blk.data.n(), gathered[x][0].cols()));
+        diag(&mut blk.data, x);
+        comm.add_flops(updates * syrk_flops(blk.data.n(), n2));
     }
 }
 
@@ -327,25 +335,6 @@ pub(crate) fn gather_row_blocks<const N: usize>(
         })
     });
     Ok(blocks.collect())
-}
-
-/// Run Algorithm 2 on a simulated machine with `P = c(c+1)` ranks.
-pub(crate) fn run_2d(a: &Matrix<f64>, c: usize, spec: &RunSpec) -> Result<SyrkRun, SyrkError> {
-    let dist = triangle_dist(c)?;
-    let (n1, n2) = a.shape();
-    check_shape(n1, n2)?;
-    let ad = ConformalADist::new(&dist, n1, n2);
-
-    let out =
-        machine_for(spec, dist.p()).try_run(|comm| twod_body(&comm, &dist, &ad, a.view(), spec))?;
-    Ok(SyrkRun {
-        result: SyrkRunResult {
-            c: assemble_c(n1, &ad.rows, &out.results),
-            cost: out.cost,
-        },
-        traces: out.traces,
-        recovery: None,
-    })
 }
 
 #[cfg(test)]

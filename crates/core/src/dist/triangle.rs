@@ -153,6 +153,23 @@ impl TriangleBlockDist {
         Some(Self::from_sets(c, r, d, None).expect("an affine plane is a valid distribution"))
     }
 
+    /// The one-rank distribution, Algorithm 1's slice in Algorithm 3's grid
+    /// (`p1 = 1`): one row block, `R_0 = Q_0 = {0}`, `D_0 = 0`. Its order
+    /// is 1 (one row block per rank and no off-diagonal block), but it has
+    /// one rank where every order-`c` distribution has `c(c+1)`;
+    /// [`for_order`](Self::for_order) never builds it.
+    pub(crate) fn one_rank() -> Self {
+        let dist = TriangleBlockDist {
+            c: 1,
+            r: vec![vec![0]],
+            d: vec![Some(0)],
+            q: vec![vec![0]],
+            diag_owner: vec![0],
+        };
+        debug_assert_eq!(dist.validate(), Ok(()));
+        dist
+    }
+
     /// Assemble the distribution from row block sets + diagonal assignment
     /// and validate it. `q_sets`, if given (the cyclic construction's
     /// eq. (8)), is cross-checked against the reverse index of `r` by
@@ -235,9 +252,10 @@ impl TriangleBlockDist {
         self.c
     }
 
-    /// Number of processors `P = c(c+1)`.
+    /// Number of processors `P = c(c+1)` (1 for the one-rank
+    /// distribution).
     pub fn p(&self) -> usize {
-        self.c * (self.c + 1)
+        self.r.len()
     }
 
     /// Number of block rows/columns `c²`.
@@ -482,6 +500,18 @@ mod tests {
         assert_eq!(e, "diagonal block 0 claimed by both 0 and 9");
         let e = corrupted(|_, d, _| d[9] = None, false);
         assert_eq!(e, "diagonal block 0 has no owner");
+    }
+
+    #[test]
+    fn the_one_rank_distribution_is_valid_and_not_an_order() {
+        let d = TriangleBlockDist::one_rank();
+        assert_eq!((d.p(), d.num_blocks(), d.c()), (1, 1, 1));
+        assert_eq!(
+            (d.r_set(0), d.q_set(0), d.d_block(0)),
+            (&[0][..], &[0][..], Some(0))
+        );
+        assert!(d.blocks_of(0).is_empty());
+        assert!(TriangleBlockDist::for_order(1).is_none());
     }
 
     #[test]

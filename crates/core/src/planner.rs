@@ -41,6 +41,13 @@ pub enum PlanError {
     /// A recovery policy with `max_attempts = 0`: not even the first
     /// try is allowed.
     ZeroAttempts,
+    /// A `c(c+1) × p2` grid whose rank count overflows `usize`.
+    RankCountOverflow {
+        /// The grid order of each slice.
+        c: usize,
+        /// The number of slices.
+        p2: usize,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -61,6 +68,12 @@ impl std::fmt::Display for PlanError {
             }
             PlanError::ZeroAttempts => {
                 write!(f, "recovery needs at least one attempt (max_attempts = 0)")
+            }
+            PlanError::RankCountOverflow { c, p2 } => {
+                write!(
+                    f,
+                    "a c(c+1) x p2 grid with c = {c}, p2 = {p2} has too many ranks to count"
+                )
             }
         }
     }

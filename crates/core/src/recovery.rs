@@ -20,8 +20,8 @@
 //!    rank's operand data;
 //! 4. **backoff** — each retry sleeps `backoff_base · 2^(retries−1)`
 //!    simulated seconds under `recover:backoff` before re-executing;
-//! 5. **verification** — with [`RecoveryPolicy::verify`] the 1D/2D
-//!    bodies run their per-block ABFT checks in-machine and the final
+//! 5. **verification** — with [`RecoveryPolicy::verify`] every grid
+//!    slice runs its per-block ABFT checks in-machine and the final
 //!    assembled `C` is checked against [`AbftChecksums`] computed from
 //!    `A`; a corrupt result retries on the *same* grid (corruption does
 //!    not shrink the world).

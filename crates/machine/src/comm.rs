@@ -778,6 +778,35 @@ impl Comm {
         }
     }
 
+    /// A second handle on this communicator: the same members and the
+    /// same context, so a message sent on one is received on the other.
+    /// Splitting both would hand their children the same contexts.
+    pub(crate) fn handle(&self) -> Comm {
+        Comm {
+            world: Arc::clone(&self.world),
+            group: Arc::clone(&self.group),
+            group_rank: self.group_rank,
+            comm_id: self.comm_id,
+            split_seq: self.split_seq,
+        }
+    }
+
+    /// This rank alone, as a communicator of one: what a
+    /// [`split`](Comm::split) hands a color no other member chose, built
+    /// without a message. Like a split it takes the next context of this
+    /// communicator's sequence.
+    pub(crate) fn alone(&mut self) -> Comm {
+        self.split_seq += 1;
+        let comm_id = mix64(self.comm_id ^ mix64(self.split_seq) ^ mix64(u64::MAX));
+        Comm {
+            world: Arc::clone(&self.world),
+            group: Arc::new(vec![self.world_rank()]),
+            group_rank: 0,
+            comm_id,
+            split_seq: 0,
+        }
+    }
+
     /// Group rank 0's side of [`split`](Comm::split): collect the other
     /// members' requests, last member first (when the root resumes, the
     /// earlier ones have usually arrived too, so it parks about once), and

@@ -39,12 +39,18 @@ impl ProcessGrid {
         k + l * self.p1
     }
 
-    /// Collectively split `comm` into this grid's communicators.
+    /// Split `comm` into this grid's communicators.
     ///
     /// Returns `(k, ℓ, slice, row)` where `slice` spans `Π_{*ℓ}` (the p1
     /// ranks sharing this rank's grid column ℓ — the "processor slice" that
     /// runs the 2D algorithm in Alg. 3) and `row` spans `Π_{k*}` (the p2
     /// ranks sharing grid row k — the reduction set in Alg. 3 line 5).
+    ///
+    /// A grid with a unit dimension is split without a message: `comm`
+    /// itself is the slice (`p2 = 1`) or the row (`p1 = 1`) — a second
+    /// handle on it, so split only one of the two afterwards — and the
+    /// other communicator is this rank alone. Otherwise both are
+    /// collective [`Comm::split`]s.
     pub fn split(&self, comm: &mut Comm) -> GridComms {
         assert_eq!(
             comm.size(),
@@ -55,8 +61,13 @@ impl ProcessGrid {
             comm.size()
         );
         let (k, l) = self.coords(comm.rank());
-        let slice = comm.split(l as u64, k);
-        let row = comm.split(k as u64, l);
+        let (slice, row) = if self.p2 == 1 {
+            (comm.handle(), comm.alone())
+        } else if self.p1 == 1 {
+            (comm.alone(), comm.handle())
+        } else {
+            (comm.split(l as u64, k), comm.split(k as u64, l))
+        };
         debug_assert_eq!(slice.size(), self.p1);
         debug_assert_eq!(row.size(), self.p2);
         debug_assert_eq!(slice.rank(), k);

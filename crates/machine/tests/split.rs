@@ -149,3 +149,59 @@ fn a_member_that_never_splits_is_a_deadlock_naming_it() {
         assert!(info.edges.iter().any(|e| e.to == missing), "{info}");
     }
 }
+
+/// A grid with a unit dimension is split without a message: the
+/// communicator is the slice (`p2 = 1`) or the row (`p1 = 1`), and each
+/// rank is alone in the other. The split costs no resume beyond a run
+/// that never splits, and both communicators work.
+#[test]
+fn a_grid_with_a_unit_dimension_splits_without_a_message() {
+    let _turn = turn();
+    let p = 6;
+    let before = resumes();
+    Machine::new(p).try_run(|_| Ok(())).unwrap();
+    let idle = resumes() - before;
+    for grid in [ProcessGrid::new(p, 1), ProcessGrid::new(1, p)] {
+        let before = resumes();
+        Machine::new(p)
+            .try_run(|mut comm| {
+                grid.split(&mut comm);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(resumes() - before, idle, "{grid:?}");
+
+        let out = Machine::new(p)
+            .try_run(|mut comm| {
+                let gc = grid.split(&mut comm);
+                let me = comm.world_rank() as f64;
+                let sum = |c: &syrk_machine::Comm| -> Result<f64, MachineError> {
+                    Ok(c.try_all_gather(vec![me])?.iter().map(|b| b[0]).sum())
+                };
+                Ok((
+                    gc.k,
+                    gc.l,
+                    gc.slice.size(),
+                    gc.row.size(),
+                    sum(&gc.slice)?,
+                    sum(&gc.row)?,
+                ))
+            })
+            .unwrap();
+        let everyone = (0..p).sum::<usize>() as f64;
+        for (r, got) in out.results.iter().enumerate() {
+            let (k, l) = grid.coords(r);
+            let (slice_sum, row_sum) = if grid.p2 == 1 {
+                (everyone, r as f64)
+            } else {
+                (r as f64, everyone)
+            };
+            assert_eq!(
+                *got,
+                (k, l, grid.p1, grid.p2, slice_sum, row_sum),
+                "{grid:?}"
+            );
+        }
+        assert_eq!(out.cost.total_words(), (p * (p - 1)) as u64, "{grid:?}");
+    }
+}

@@ -14,7 +14,7 @@ use std::sync::Mutex;
 use syrk_repro::core::{
     plan, run_with_recovery, syrk_lower_bound, AttemptOutcome, Plan, RecoveryPolicy,
 };
-use syrk_repro::dense::{max_abs_diff, seeded_matrix, syrk_full_reference};
+use syrk_repro::dense::{max_abs_diff, seeded_int_matrix, seeded_matrix, syrk_full_reference};
 use syrk_repro::machine::{
     CollectiveAlg, Comm, CostModel, FaultPlan, Machine, MachineError, ReduceScatterAlg,
     RECOVER_AGREE_PHASE, RECOVER_BACKOFF_PHASE, RECOVER_DETECT_PHASE, RECOVER_REDISTRIBUTE_PHASE,
@@ -279,4 +279,34 @@ fn replanning_across_the_shrink_crosses_plan_families() {
         );
     }
     assert!(max_abs_diff(&run.c, &syrk_full_reference(&a)) < 1e-10);
+}
+
+/// Recovery from a 3D start: a crash on a `ThreeD` grid, whose slices run
+/// the in-machine ABFT of `policy.verify`, shrinks the budget to 11 ranks
+/// and replans like any other, to the exact `C`.
+#[test]
+fn threed_crash_recovery_is_correct() {
+    let a = seeded_int_matrix::<f64>(36, 8, 4, 7);
+    let faults = FaultPlan::seeded(5).crash_rank(1, 1);
+    let initial = Plan::ThreeD { c: 2, p2: 2 };
+    let (run, report) = run_with_recovery(
+        &a,
+        initial,
+        CostModel::bandwidth_only(),
+        Some(&faults),
+        &RecoveryPolicy::default(),
+    )
+    .expect("recovers onto the replanned grid");
+    assert_eq!(report.ranks_lost, [1]);
+    assert_eq!(report.attempts[0].plan, initial);
+    assert_eq!(
+        report.attempts[0].outcome,
+        AttemptOutcome::Crashed { rank: 1 }
+    );
+    assert_eq!(
+        report.attempts.last().map(|a| &a.outcome),
+        Some(&AttemptOutcome::Completed)
+    );
+    assert_eq!(report.final_plan, plan(36, 8, 11).plan);
+    assert_eq!(max_abs_diff(&run.c, &syrk_full_reference(&a)), 0.0);
 }

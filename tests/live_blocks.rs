@@ -11,7 +11,9 @@
 //! separates `rows(i) > 0` from `block_len(i) > 0`), the padded variant,
 //! and the 2256-rank shape of the `sim_ranks` benchmark workload.
 
-use syrk_repro::core::{run, try_syrk_2d, try_syrk_3d, RunSpec, SyrkRunResult, TriangleBlockDist};
+use syrk_repro::core::{
+    run, try_syrk_2d, try_syrk_3d, RunSpec, SyrkRunResult, TriangleBlockDist, PHASE_ABFT,
+};
 use syrk_repro::dense::{seeded_int_matrix, syrk_full_reference, Matrix, Partition1D};
 use syrk_repro::machine::CostReport;
 use syrk_repro::{CostModel, Plan};
@@ -121,6 +123,25 @@ fn twod_abft_cost_reports_are_pinned() {
         };
         let out = run(&a, &spec).unwrap().result;
         check(&format!("2d+abft c=3 n1={n1}"), &a, out, want);
+    }
+    // Algorithm 3's slices check their blocks too, on every rank of both
+    // (values printed when the slices first ran the checks).
+    let want: [(usize, [u64; 6]); 2] = [
+        (8, [156, 11, 10, 12, 1008, 0xe4ba_778c_e275_f110]),
+        (12, [258, 17, 10, 21, 1875, 0x1198_1a9c_cfed_b1c6]),
+    ];
+    for (n1, want) in want {
+        let a = input(n1, 5);
+        let spec = RunSpec {
+            abft: true,
+            ..RunSpec::new(Plan::ThreeD { c: 3, p2: 2 }, CostModel::typical())
+        };
+        let out = run(&a, &spec).unwrap().result;
+        for rank in 0..24 {
+            let abft = out.cost.phase_cost(rank, PHASE_ABFT);
+            assert!(abft.is_some_and(|c| c.flops > 0), "n1={n1} rank {rank}");
+        }
+        check(&format!("3d+abft c=3 p2=2 n1={n1}"), &a, out, want);
     }
 }
 
