@@ -4,7 +4,7 @@
 
 use crate::table::{fnum, Table};
 use syrk_core::{
-    run, symm_2d, symm_reference, syr2k_1d, syr2k_2d, syrk_2d_limited, syrk_lower_bound,
+    run, symm_2d, symm_reference, syr2k, syrk_2d_limited, syrk_lower_bound,
     syrk_memory_dependent_bound, try_syrk_2d, try_syrk_3d, Plan, RunSpec, SyrkError,
 };
 use syrk_dense::{max_abs_diff, seeded_matrix, syr2k_full_reference, syrk_tolerance};
@@ -36,7 +36,7 @@ pub fn syr2k_extension() -> Result<Vec<Table>, SyrkError> {
     let (n1, n2, p) = (48usize, 480usize, 8usize);
     let a = seeded_matrix::<f64>(n1, n2, 1);
     let b = seeded_matrix::<f64>(n1, n2, 2);
-    let s2 = syr2k_1d(&a, &b, p, m())?;
+    let s2 = syr2k(&a, &b, Plan::OneD { p }, m())?;
     let s1 = syrk_core::try_syrk_1d(&a, p, m(), None)?;
     let err = max_abs_diff(&s2.c, &syr2k_full_reference(&a, &b));
     let ok = err <= syrk_tolerance::<f64>(n2, 1.0);
@@ -57,7 +57,7 @@ pub fn syr2k_extension() -> Result<Vec<Table>, SyrkError> {
     let (n1, n2, c) = (360usize, 8usize, 5usize);
     let a = seeded_matrix::<f64>(n1, n2, 3);
     let b = seeded_matrix::<f64>(n1, n2, 4);
-    let s2 = syr2k_2d(&a, &b, c, m())?;
+    let s2 = syr2k(&a, &b, Plan::TwoD { c }, m())?;
     let s1 = try_syrk_2d(&a, c, m(), None)?;
     let err = max_abs_diff(&s2.c, &syr2k_full_reference(&a, &b));
     let ok = err <= syrk_tolerance::<f64>(n2, 1.0);

@@ -8,7 +8,8 @@ use syrk_dense::{
 use syrk_machine::CostReport;
 
 use crate::dist::TriangleBlockDist;
-use crate::planner::PlanError;
+use crate::error::SyrkError;
+use crate::planner::{Plan, PlanError};
 
 /// `Ok` for a run on at least one rank (`p`, `p2` or a grid side `r`).
 pub(crate) fn check_ranks(p: usize) -> Result<(), PlanError> {
@@ -30,6 +31,23 @@ pub(crate) fn triangle_dist(c: usize) -> Result<TriangleBlockDist, PlanError> {
         .and_then(|c1| c.checked_mul(c1))
         .and_then(|_| TriangleBlockDist::for_order(c))
         .ok_or(PlanError::UnsupportedOrder { c })
+}
+
+/// The `p1 × p2` grid of Algorithm 3 that runs `plan`, as its slices'
+/// distribution (`p1 = dist.p()` ranks) and `p2`, with the rank count
+/// checked. Algorithms 1 and 2 are its corners: one-rank slices, and one
+/// slice.
+pub(crate) fn grid(plan: Plan) -> Result<(TriangleBlockDist, usize), SyrkError> {
+    let (dist, p2) = match plan {
+        Plan::OneD { p } => (TriangleBlockDist::one_rank(), p),
+        Plan::TwoD { c } => (triangle_dist(c)?, 1),
+        Plan::ThreeD { c, p2 } => (triangle_dist(c)?, p2),
+    };
+    check_ranks(p2)?;
+    let (c, p1) = (dist.c(), dist.p());
+    p1.checked_mul(p2)
+        .ok_or(PlanError::RankCountOverflow { c, p2 })?;
+    Ok((dist, p2))
 }
 
 /// An off-diagonal block of `C` produced by a rank: block indices

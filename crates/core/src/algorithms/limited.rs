@@ -80,7 +80,6 @@ pub fn syrk_2d_limited(
                 1,
                 |cij, x, y| gemm_nt(cij, &gathered[x][0], &gathered[y][0]),
                 |cii, x| syrk_packed(cii, &gathered[x][0]),
-                false,
             );
         }
         Ok(owned.out)

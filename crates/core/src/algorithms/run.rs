@@ -12,11 +12,10 @@ use std::path::PathBuf;
 use syrk_dense::Matrix;
 use syrk_machine::{CostModel, FaultPlan, Machine, ReduceScatterAlg, Timeline};
 
-use super::common::{check_ranks, triangle_dist};
+use super::common::grid;
 use super::{threed, SyrkRunResult};
-use crate::dist::TriangleBlockDist;
 use crate::error::SyrkError;
-use crate::planner::{Plan, PlanError};
+use crate::planner::Plan;
 use crate::recovery::{self, RecoveryPolicy, RecoveryReport};
 
 /// Everything that parameterises one simulated SYRK run.
@@ -96,18 +95,8 @@ pub fn run(a: &Matrix<f64>, spec: &RunSpec) -> Result<SyrkRun, SyrkError> {
     if let Some(policy) = &spec.recovery {
         return recovery::recover(a, spec, policy);
     }
-    // Algorithms 1 and 2 are the corners of Algorithm 3's grid: one-rank
-    // slices, and one slice.
-    let (dist, p2) = match spec.plan {
-        Plan::OneD { p } => (TriangleBlockDist::one_rank(), p),
-        Plan::TwoD { c } => (triangle_dist(c)?, 1),
-        Plan::ThreeD { c, p2 } => (triangle_dist(c)?, p2),
-    };
-    check_ranks(p2)?;
-    let (c, p1) = (dist.c(), dist.p());
-    p1.checked_mul(p2)
-        .ok_or(PlanError::RankCountOverflow { c, p2 })?;
-    threed::run_grid(a, &dist, p2, spec)
+    let (dist, p2) = grid(spec.plan)?;
+    threed::run_grid([a], &dist, p2, spec)
 }
 
 /// The machine every run of `spec` executes on, at `ranks` ranks.

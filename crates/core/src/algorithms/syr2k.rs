@@ -1,132 +1,64 @@
 //! Distributed SYR2K — the first of the paper's §6 future-work kernels
-//! (`C = A·Bᵀ + B·Aᵀ`, symmetric output), built with the *same* triangle
-//! blocking machinery as SYRK.
+//! (`C = A·Bᵀ + B·Aᵀ`, symmetric output), run by SYRK's one grid driver
+//! with both inputs as its operands.
 //!
 //! The symmetric-iteration-space argument carries over directly: with two
-//! `n1 × n2` inputs, the 1D algorithm still communicates only the packed
+//! `n1 × n2` inputs, the 1D grid still communicates only the packed
 //! output triangle (`(n1(n1+1)/2)(1 − 1/P)` words — unchanged from SYRK),
-//! and the 2D algorithm communicates both inputs' row blocks
-//! (`2·n1n2/(c+1)` words — exactly twice SYRK's input term, half of the
-//! `4·n1n2/√P` a GEMM-style evaluation of the two products would move).
+//! and every slice of more than one rank gathers both inputs' row blocks,
+//! back to back in one message per partner (`2·n1n2/(c+1)` words in 2D —
+//! exactly twice SYRK's input term, half of the `4·n1n2/√P` a GEMM-style
+//! evaluation of the two products would move). A 3D grid moves both.
 
-use syrk_dense::{
-    gemm_nt, mirror_lower_to_upper, mul_nt, syr2k_flops, syr2k_packed, write_packed_lower, Diag,
-    Matrix, PackedLower, Partition1D,
-};
-use syrk_machine::{CostModel, Machine};
+use syrk_dense::Matrix;
+use syrk_machine::CostModel;
 
-use super::common::{assemble_c, check_ranks, check_shape, triangle_dist, SyrkRunResult};
-use super::twod::{gather_row_blocks, local_step, owned_blocks};
-use crate::dist::ConformalADist;
+use super::common::{grid, SyrkRunResult};
+use super::run::RunSpec;
+use super::threed::run_grid;
 use crate::error::SyrkError;
+use crate::planner::Plan;
 
-/// 1D SYR2K: both inputs column-distributed, local SYR2K, Reduce-Scatter
-/// of the packed triangle. Identical communication to Algorithm 1
-/// ([`try_syrk_1d`](crate::try_syrk_1d)) — the output is the only thing
-/// that moves. Errors as [`run`](crate::run); `A` and `B` of different
-/// shapes panic.
-pub fn syr2k_1d(
+/// SYR2K on `plan`'s grid: Algorithm 3's slices gather the row blocks of
+/// both inputs, and each off-diagonal block is `C_ij = A_i·B_jᵀ +
+/// B_i·A_jᵀ` and each diagonal block a local SYR2K. The run is plain: no
+/// faults, ABFT or recovery. Errors as [`run`](crate::run); `A` and `B`
+/// of different shapes panic.
+pub fn syr2k(
     a: &Matrix<f64>,
     b: &Matrix<f64>,
-    p: usize,
+    plan: Plan,
     model: CostModel,
 ) -> Result<SyrkRunResult, SyrkError> {
-    let (n1, n2) = a.shape();
     assert_eq!(
         b.shape(),
-        (n1, n2),
+        a.shape(),
         "syr2k: A and B must have identical shapes"
     );
-    check_ranks(p)?;
-    check_shape(n1, n2)?;
-    let cols = Partition1D::new(n2, p);
-    let segments = Partition1D::new(Diag::Inclusive.packed_len(n1), p);
-
-    let machine = Machine::new(p).with_model(model);
-    let out = machine.try_run(|comm| {
-        // Both column blocks are read where they lie.
-        let r = cols.range(comm.rank());
-        let mut cbar = PackedLower::zeros(n1, Diag::Inclusive);
-        let (a_l, b_l) = (
-            a.block(0, r.start, n1, r.len()),
-            b.block(0, r.start, n1, r.len()),
-        );
-        syr2k_packed(&mut cbar, a_l, b_l);
-        comm.add_flops(syr2k_flops(n1, r.len()));
-        comm.try_reduce_scatter_block(cbar.as_slice(), &segments.lens())
-    })?;
-
-    // The segments concatenate to the packed triangle.
-    let mut c = Matrix::zeros(n1, n1);
-    let segs = out.results.iter().map(Vec::as_slice);
-    write_packed_lower(&mut c, 0, n1, Diag::Inclusive, segs);
-    mirror_lower_to_upper(&mut c);
-    Ok(SyrkRunResult { c, cost: out.cost })
-}
-
-/// 2D SYR2K on the Triangle Block Distribution: Algorithm 2's exchange
-/// gathers the `R_k` row blocks of *both* inputs (both chunks in one
-/// message per partner: SYRK's latency, twice its bandwidth), then
-/// Algorithm 2's local step makes each off-diagonal block
-/// `C_ij = A_i·B_jᵀ + B_i·A_jᵀ` and the diagonal block a local SYR2K.
-/// Errors as [`run`](crate::run); `A` and `B` of
-/// different shapes panic.
-pub fn syr2k_2d(
-    a: &Matrix<f64>,
-    b: &Matrix<f64>,
-    c: usize,
-    model: CostModel,
-) -> Result<SyrkRunResult, SyrkError> {
-    let (n1, n2) = a.shape();
-    assert_eq!(
-        b.shape(),
-        (n1, n2),
-        "syr2k: A and B must have identical shapes"
-    );
-    let dist = triangle_dist(c)?;
-    check_shape(n1, n2)?;
-    let ad = ConformalADist::new(&dist, n1, n2);
-
-    let machine = Machine::new(dist.p()).with_model(model);
-    let out = machine.try_run(|comm| {
-        let mut owned = owned_blocks(&dist, &ad, comm.rank());
-        let operands = [a.view(), b.view()];
-        let gathered = gather_row_blocks(&comm, &dist, &ad, &owned.live, operands, false)?;
-        // C_ij = A_i·B_jᵀ + B_i·A_jᵀ as two products and one add: folding
-        // the second product into the first's accumulation would round
-        // differently.
-        local_step(
-            &comm,
-            &mut owned,
-            n2,
-            2,
-            |cij, x, y| {
-                let ([ai, bi], [aj, bj]) = (&gathered[x], &gathered[y]);
-                gemm_nt(cij, ai, bj);
-                cij.add_assign(&mul_nt(bi, aj));
-            },
-            |cii, x| syr2k_packed(cii, gathered[x][0].view(), gathered[x][1].view()),
-            false,
-        );
-        Ok(owned.out)
-    })?;
-    Ok(SyrkRunResult {
-        c: assemble_c(n1, &ad.rows, &out.results),
-        cost: out.cost,
-    })
+    let (dist, p2) = grid(plan)?;
+    run_grid([a, b], &dist, p2, &RunSpec::new(plan, model)).map(|run| run.result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attribution::{PHASE_ALLGATHER_A, PHASE_REDUCE_SCATTER_C};
     use syrk_dense::{max_abs_diff, seeded_int_matrix, seeded_matrix, syr2k_full_reference};
+
+    fn syr2k_1d(a: &Matrix<f64>, b: &Matrix<f64>, p: usize) -> Result<SyrkRunResult, SyrkError> {
+        syr2k(a, b, Plan::OneD { p }, CostModel::bandwidth_only())
+    }
+
+    fn syr2k_2d(a: &Matrix<f64>, b: &Matrix<f64>, c: usize) -> Result<SyrkRunResult, SyrkError> {
+        syr2k(a, b, Plan::TwoD { c }, CostModel::bandwidth_only())
+    }
 
     #[test]
     fn syr2k_1d_correct() {
         for &(n1, n2, p) in &[(6usize, 12usize, 3usize), (9, 7, 4), (16, 16, 1)] {
             let a = seeded_matrix::<f64>(n1, n2, 1);
             let b = seeded_matrix::<f64>(n1, n2, 2);
-            let run = syr2k_1d(&a, &b, p, CostModel::bandwidth_only()).unwrap();
+            let run = syr2k_1d(&a, &b, p).unwrap();
             let err = max_abs_diff(&run.c, &syr2k_full_reference(&a, &b));
             assert!(err < 1e-10, "({n1},{n2},{p}): {err}");
         }
@@ -137,12 +69,44 @@ mod tests {
         for &(n1, n2, c) in &[(8usize, 5usize, 2usize), (18, 4, 3), (27, 6, 3)] {
             let a = seeded_int_matrix::<f64>(n1, n2, 4, 3);
             let b = seeded_int_matrix::<f64>(n1, n2, 4, 4);
-            let run = syr2k_2d(&a, &b, c, CostModel::bandwidth_only()).unwrap();
+            let run = syr2k_2d(&a, &b, c).unwrap();
             assert_eq!(
                 max_abs_diff(&run.c, &syr2k_full_reference(&a, &b)),
                 0.0,
                 "({n1},{n2},c={c})"
             );
+        }
+    }
+
+    #[test]
+    fn syr2k_3d_is_exact_and_moves_twice_syrks_a() {
+        // Algorithm 3's grid with two operands: each slice gathers both
+        // inputs' row blocks in SYRK's messages, and the row
+        // Reduce-Scatter moves the same C_k as SYRK's.
+        for (n1, n2, c, p2) in [
+            (8, 6, 2, 3),
+            (8, 8, 2, 2),
+            (9, 12, 3, 2),
+            (12, 9, 2, 3),
+            (10, 10, 2, 4),
+            (36, 24, 3, 4),
+        ] {
+            let a = seeded_int_matrix::<f64>(n1, n2, 4, 5);
+            let b = seeded_int_matrix::<f64>(n1, n2, 4, 6);
+            let plan = Plan::ThreeD { c, p2 };
+            let model = CostModel::bandwidth_only();
+            let s2 = syr2k(&a, &b, plan, model).unwrap();
+            let label = format!("({n1},{n2},c={c},p2={p2})");
+            let err = max_abs_diff(&s2.c, &syr2k_full_reference(&a, &b));
+            assert_eq!(err, 0.0, "{label}");
+            let s1 = crate::run(&a, &RunSpec::new(plan, model)).unwrap().result;
+            let words = |r: &SyrkRunResult, phase| r.cost.phase_max_words_sent(phase);
+            let a_words = words(&s1, PHASE_ALLGATHER_A);
+            assert!(a_words > 0, "{label}");
+            assert_eq!(words(&s2, PHASE_ALLGATHER_A), 2 * a_words, "{label}");
+            let c_words = words(&s1, PHASE_REDUCE_SCATTER_C);
+            assert_eq!(words(&s2, PHASE_REDUCE_SCATTER_C), c_words, "{label}");
+            assert_eq!(s2.cost.max_messages(), s1.cost.max_messages(), "{label}");
         }
     }
 
@@ -153,7 +117,7 @@ mod tests {
         let (n1, n2, p) = (20, 40, 5);
         let a = seeded_matrix::<f64>(n1, n2, 5);
         let b = seeded_matrix::<f64>(n1, n2, 6);
-        let s2 = syr2k_1d(&a, &b, p, CostModel::bandwidth_only()).unwrap();
+        let s2 = syr2k_1d(&a, &b, p).unwrap();
         let s1 = crate::try_syrk_1d(&a, p, CostModel::bandwidth_only(), None).unwrap();
         assert_eq!(s2.cost.max_words_sent(), s1.cost.max_words_sent());
         // Local flops double (two rank-k updates); the Reduce-Scatter
@@ -170,7 +134,7 @@ mod tests {
         let (n1, n2, c) = (36, 8, 3);
         let a = seeded_matrix::<f64>(n1, n2, 7);
         let b = seeded_matrix::<f64>(n1, n2, 8);
-        let s2 = syr2k_2d(&a, &b, c, CostModel::bandwidth_only()).unwrap();
+        let s2 = syr2k_2d(&a, &b, c).unwrap();
         let s1 = crate::try_syrk_2d(&a, c, CostModel::bandwidth_only(), None).unwrap();
         assert_eq!(s2.cost.max_words_sent(), 2 * s1.cost.max_words_sent());
         // Same latency: chunks are paired into the same messages.
@@ -182,6 +146,6 @@ mod tests {
     fn shape_mismatch_rejected() {
         let a = Matrix::<f64>::zeros(4, 3);
         let b = Matrix::<f64>::zeros(4, 2);
-        let _ = syr2k_1d(&a, &b, 2, CostModel::bandwidth_only());
+        let _ = syr2k_1d(&a, &b, 2);
     }
 }

@@ -1,4 +1,4 @@
-//! Algorithm 3: 3D SYRK (§5.3), the one driver of Algorithms 1–3.
+//! Algorithm 3: 3D SYRK (§5.3), the one driver of Algorithms 1–3 and SYR2K.
 //!
 //! A `p1 × p2` process grid: each of the `p2` slices `Π_{*ℓ}` runs the 2D
 //! body on its block column `A_{*ℓ}` (`n2/p2` columns); a `Reduce-Scatter`
@@ -92,15 +92,16 @@ fn ck_blocks<'s>(
 }
 
 /// Run Algorithm 3 on a simulated machine with a `dist.p() × p2` grid of
-/// ranks, a count [`run`](crate::run) has checked. The row Reduce-Scatter
-/// runs iff `p2 > 1`.
-pub(crate) fn run_grid(
-    a: &Matrix<f64>,
+/// ranks, a count [`grid`](super::common::grid) has checked. `ops` are
+/// the equally shaped inputs: `[A]` is SYRK and `[A, B]` SYR2K. The row
+/// Reduce-Scatter runs iff `p2 > 1`.
+pub(crate) fn run_grid<const N: usize>(
+    ops: [&Matrix<f64>; N],
     dist: &TriangleBlockDist,
     p2: usize,
     spec: &RunSpec,
 ) -> Result<SyrkRun, SyrkError> {
-    let (n1, n2) = a.shape();
+    let (n1, n2) = ops[0].shape();
     check_shape(n1, n2)?;
     let p1 = dist.p();
     let cols = Partition1D::new(n2, p2);
@@ -108,12 +109,13 @@ pub(crate) fn run_grid(
 
     let out = machine_for(spec, grid.size()).try_run(|mut comm| {
         let gc = grid.split(&mut comm);
-        // Line 3: the slice body on block column A_{*ℓ}, read where it lies;
-        // its phases land on this rank's ledger (spans are per rank).
+        // Line 3: the slice body on block column ℓ of every operand, read
+        // where it lies; its phases land on this rank's ledger (spans are
+        // per rank).
         let cr = cols.range(gc.l);
-        let a_col = a.block(0, cr.start, n1, cr.len());
+        let col_blocks = ops.map(|m| m.block(0, cr.start, n1, cr.len()));
         let ad = ConformalADist::new(dist, n1, cr.len());
-        let local = slice_body(&gc.slice, dist, &ad, a_col, spec)?;
+        let local = slice_body(&gc.slice, dist, &ad, col_blocks, spec)?;
         // A rank alone in its grid row hands back its C_k blocks; the
         // others hand back their segment of the row's reduced C_k.
         if p2 == 1 {

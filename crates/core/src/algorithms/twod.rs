@@ -12,8 +12,9 @@
 use std::sync::Arc;
 
 use syrk_dense::{
-    balanced_chunks_by_cost, gemm_flops, gemm_nt, par_for_each_task, steal_task_count, syrk_flops,
-    syrk_packed_view, workers_for_flops, Diag, Matrix, MatrixView, PackedLower,
+    balanced_chunks_by_cost, gemm_flops, gemm_nt, mul_nt, par_for_each_task, steal_task_count,
+    syr2k_packed, syrk_flops, syrk_packed_view, workers_for_flops, Diag, Matrix, MatrixView,
+    PackedLower,
 };
 use syrk_machine::{Comm, MachineError};
 
@@ -24,62 +25,82 @@ use crate::attribution::{PHASE_ALLGATHER_A, PHASE_LOCAL_GEMM, PHASE_LOCAL_SYRK};
 use crate::dist::{ConformalADist, TriangleBlockDist};
 
 /// The SPMD body of Algorithm 2 on one slice of the grid (Alg. 3 line 3).
-/// `a_slice` is the slice's `n1 × n2_local` block column, read where it
-/// lies in the global `A`; `comm.size()` must be `dist.p()`. Of `spec`
-/// the body reads `padded` and `abft`. The exchange is
-/// [`gather_row_blocks`] and the local step [`local_step`], which the §6
-/// extension drivers call too.
+/// `ops` are the slice's `n1 × n2_local` block columns of the inputs,
+/// read where they lie: `[A]` runs SYRK, `[A, B]` SYR2K. `comm.size()`
+/// must be `dist.p()`. Of `spec` the body reads `padded` and, for SYRK
+/// only, `abft`. The exchange is [`gather_row_blocks`] and the local step
+/// [`local_step`]; `limited.rs` calls both, `symm.rs` the exchange.
 ///
 /// A one-rank slice (Algorithm 1's) holds its one row block whole: it
-/// exchanges nothing, and its local step is one SYRK of `a_slice`.
-pub(crate) fn slice_body(
+/// exchanges nothing, and its local step is one SYRK (or SYR2K) of
+/// `ops`.
+pub(crate) fn slice_body<const N: usize>(
     comm: &Comm,
     dist: &TriangleBlockDist,
     ad: &ConformalADist,
-    a_slice: MatrixView<'_, f64>,
+    ops: [MatrixView<'_, f64>; N],
     spec: &RunSpec,
 ) -> Result<LocalOutput, MachineError> {
     assert_eq!(comm.size(), dist.p(), "a slice has dist.p() ranks");
+    debug_assert!(N == 1 || !spec.abft, "ABFT checks SYRK's blocks only");
     let k = comm.rank();
-    let n2l = a_slice.cols();
+    let n2l = ops[0].cols();
     let one_rank = dist.p() == 1;
 
-    // Lines 3–14: gather every live A_i. The exchange-and-reassemble of A
-    // is the phase Theorem 1's Case-2 `n1·n2/√P` term charges.
+    // Lines 3–14: gather every live row block of each operand. The
+    // exchange-and-reassemble of A is the phase Theorem 1's Case-2
+    // `n1·n2/√P` term charges. A rank notes every operand it holds.
     let gathered = if one_rank {
         Vec::new()
     } else {
         let _span = comm.phase(PHASE_ALLGATHER_A);
         let live = ad.live_blocks(k);
-        let gathered = gather_row_blocks(comm, dist, ad, &live, [a_slice], spec.padded)?;
+        let gathered = gather_row_blocks(comm, dist, ad, &live, ops, spec.padded)?;
         comm.note_buffer(
-            gathered.iter().map(|[ai]| ai.len()).sum::<usize>()
-                + live.iter().map(|&i| ad.chunk_len(i, k)).sum::<usize>(),
+            gathered.iter().flatten().map(Matrix::len).sum::<usize>()
+                + N * live.iter().map(|&i| ad.chunk_len(i, k)).sum::<usize>(),
         );
         gathered
     };
-    // A one-rank slice gathers nothing: its one row block is `a_slice`.
-    let block = |x: usize| gathered.get(x).map_or(a_slice, |[ai]| ai.view());
+    // A one-rank slice gathers nothing: its one row block is `ops`.
+    let block = |x: usize| {
+        gathered
+            .get(x)
+            .map_or(ops, |g| g.each_ref().map(Matrix::view))
+    };
     // The owned blocks (from the same `live` list) are allocated only
     // now, so that with 10³ ranks in one process no rank's blocks are
     // alive through every other rank's exchange.
     let mut owned = owned_blocks(dist, ad, k);
 
-    // Lines 15–20: C_ij = A_i·A_jᵀ for every owned pair, then the diagonal.
+    // Lines 15–20: every owned pair, then the diagonal. SYR2K's
+    // C_ij = A_i·B_jᵀ + B_i·A_jᵀ is two products and one add: folding the
+    // second product into the first's accumulation would round
+    // differently.
     local_step(
         comm,
         &mut owned,
         n2l,
-        1,
-        |cij, x, y| gemm_nt(cij, &gathered[x][0], &gathered[y][0]),
+        N as u64,
+        |cij, x, y| match (&gathered[x][..], &gathered[y][..]) {
+            ([ai], [aj]) => gemm_nt(cij, ai, aj),
+            ([ai, bi], [aj, bj]) => {
+                gemm_nt(cij, ai, bj);
+                cij.add_assign(&mul_nt(bi, aj));
+            }
+            _ => unreachable!("SYRK has one operand, SYR2K two"),
+        },
         |cii, x| {
-            syrk_packed_view(cii, block(x));
+            match block(x).as_slice() {
+                [ai] => syrk_packed_view(cii, *ai),
+                [ai, bi] => syr2k_packed(cii, *ai, *bi),
+                _ => unreachable!("SYRK has one operand, SYR2K two"),
+            }
             if one_rank {
                 // Algorithm 1's footprint: its columns and its triangle.
-                comm.note_buffer(a_slice.rows() * n2l + cii.len());
+                comm.note_buffer(N * ops[0].rows() * n2l + cii.len());
             }
         },
-        true,
     );
 
     // ABFT: check every produced block against its row checksums,
@@ -91,12 +112,12 @@ pub(crate) fn slice_body(
             detail,
         };
         for (blk, &(x, y)) in owned.out.offdiag.iter().zip(&owned.pairs) {
-            let (ai, aj) = (block(x), block(y));
+            let (ai, aj) = (block(x)[0], block(y)[0]);
             comm.add_flops(block_check_flops(ai.rows(), aj.rows(), n2l));
             verify_offdiag_block(ai, aj, &blk.data, blk.i, blk.j).map_err(&corrupt)?;
         }
         if let (Some(x), Some(blk)) = (owned.diag, owned.out.diag.first()) {
-            let ai = block(x);
+            let ai = block(x)[0];
             comm.add_flops(block_check_flops(ai.rows(), ai.rows(), n2l));
             verify_diag_block(ai, &blk.data, blk.i).map_err(&corrupt)?;
         }
@@ -165,8 +186,8 @@ pub(crate) fn owned_blocks(dist: &TriangleBlockDist, ad: &ConformalADist, k: usi
 /// charged as `updates·gemm_flops` per pair in pair order before the
 /// products run, then `updates·syrk_flops` for the diagonal. The pairs
 /// run as flop-balanced, stealable chunks, or on this thread when the
-/// list is too small to pay for a worker. With `phases` they run in the
-/// `local-gemm` phase and the diagonal in `local-syrk`.
+/// list is too small to pay for a worker. They run in the `local-gemm`
+/// phase and the diagonal in `local-syrk`.
 pub(crate) fn local_step(
     comm: &Comm,
     owned: &mut OwnedBlocks,
@@ -174,9 +195,8 @@ pub(crate) fn local_step(
     updates: u64,
     pair: impl Fn(&mut Matrix<f64>, usize, usize) + Sync,
     diag: impl FnOnce(&mut PackedLower<f64>, usize),
-    phases: bool,
 ) {
-    let gemm_span = phases.then(|| comm.phase(PHASE_LOCAL_GEMM));
+    let gemm_span = comm.phase(PHASE_LOCAL_GEMM);
     let costs: Vec<u64> = (owned.out.offdiag.iter())
         .map(|blk| {
             let (ri, rj) = blk.data.shape();
@@ -204,7 +224,7 @@ pub(crate) fn local_step(
     drop(gemm_span);
 
     if let (Some(x), Some(blk)) = (owned.diag, owned.out.diag.first_mut()) {
-        let _span = phases.then(|| comm.phase(PHASE_LOCAL_SYRK));
+        let _span = comm.phase(PHASE_LOCAL_SYRK);
         diag(&mut blk.data, x);
         comm.add_flops(updates * syrk_flops(blk.data.n(), n2));
     }

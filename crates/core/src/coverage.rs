@@ -11,7 +11,10 @@
 
 use std::collections::HashSet;
 
+use crate::algorithms::grid;
 use crate::dist::TriangleBlockDist;
+use crate::error::SyrkError;
+use crate::planner::Plan;
 use syrk_dense::Partition1D;
 
 /// The owner of each strict-lower iteration point under an algorithm's
@@ -24,87 +27,44 @@ pub trait IterationOwner {
     fn owner(&self, i: usize, j: usize, t: usize) -> usize;
 }
 
-/// Algorithm 1: the `n2` dimension is partitioned, so the owner depends
-/// only on the column `t`.
-pub struct OneDOwner {
+/// The owner map of the grid that runs a [`Plan`]: Algorithm 3's
+/// `p1 × p2` grid, of which Algorithms 1 and 2 are the corners. The
+/// column `t` selects the slice `ℓ`, the pair of row blocks of `(i, j)`
+/// the rank `k` within it (Algorithm 2's owner; Algorithm 1's one-rank
+/// slices have one block), and the world rank is `k + ℓ·p1`.
+pub struct GridOwner {
+    dist: TriangleBlockDist,
+    rows: Partition1D,
     cols: Partition1D,
 }
 
-impl OneDOwner {
-    /// Owner map for Algorithm 1 with `p` ranks on an `n1 × n2` input.
-    pub fn new(n2: usize, p: usize) -> Self {
-        OneDOwner {
-            cols: Partition1D::new(n2, p),
-        }
-    }
-}
-
-impl IterationOwner for OneDOwner {
-    fn ranks(&self) -> usize {
-        self.cols.parts()
-    }
-    fn owner(&self, _i: usize, _j: usize, t: usize) -> usize {
-        self.cols.owner(t)
-    }
-}
-
-/// Algorithm 2: both `n1` dimensions partitioned by the triangle blocks;
-/// the owner depends only on `(block(i), block(j))`.
-pub struct TwoDOwner<'d> {
-    dist: &'d TriangleBlockDist,
-    rows: Partition1D,
-}
-
-impl<'d> TwoDOwner<'d> {
-    /// Owner map for Algorithm 2 on an `n1`-row input.
-    pub fn new(dist: &'d TriangleBlockDist, n1: usize) -> Self {
-        TwoDOwner {
-            dist,
+impl GridOwner {
+    /// Owner map for `plan` on an `n1 × n2` input; `plan` is checked as
+    /// [`run`](crate::run) checks it.
+    pub fn new(plan: Plan, n1: usize, n2: usize) -> Result<Self, SyrkError> {
+        let (dist, p2) = grid(plan)?;
+        Ok(GridOwner {
             rows: Partition1D::new(n1, dist.num_blocks()),
-        }
+            cols: Partition1D::new(n2, p2),
+            dist,
+        })
     }
 }
 
-impl IterationOwner for TwoDOwner<'_> {
+impl IterationOwner for GridOwner {
     fn ranks(&self) -> usize {
-        self.dist.p()
+        self.dist.p() * self.cols.parts()
     }
-    fn owner(&self, i: usize, j: usize, _t: usize) -> usize {
+    fn owner(&self, i: usize, j: usize, t: usize) -> usize {
         let (bi, bj) = (self.rows.owner(i), self.rows.owner(j));
-        if bi == bj {
+        let k = if bi == bj {
             self.dist.diag_owner_of(bi)
         } else {
             // j < i does not imply bj < bi across uneven blocks, but the
             // row partition is monotone, so bj ≤ bi here.
             self.dist.owner_of(bi.max(bj), bi.min(bj))
-        }
-    }
-}
-
-/// Algorithm 3: the 2D owner within the slice selected by the column.
-pub struct ThreeDOwner<'d> {
-    two_d: TwoDOwner<'d>,
-    cols: Partition1D,
-}
-
-impl<'d> ThreeDOwner<'d> {
-    /// Owner map for Algorithm 3 (world rank = `k + ℓ·p1`, column-major).
-    pub fn new(dist: &'d TriangleBlockDist, n1: usize, n2: usize, p2: usize) -> Self {
-        ThreeDOwner {
-            two_d: TwoDOwner::new(dist, n1),
-            cols: Partition1D::new(n2, p2),
-        }
-    }
-}
-
-impl IterationOwner for ThreeDOwner<'_> {
-    fn ranks(&self) -> usize {
-        self.two_d.ranks() * self.cols.parts()
-    }
-    fn owner(&self, i: usize, j: usize, t: usize) -> usize {
-        let k = self.two_d.owner(i, j, t);
-        let l = self.cols.owner(t);
-        k + l * self.two_d.ranks()
+        };
+        k + self.cols.owner(t) * self.dist.p()
     }
 }
 
@@ -187,7 +147,8 @@ mod tests {
     #[test]
     fn one_d_covers_everything_exactly_once() {
         for (n1, n2, p) in [(6usize, 8usize, 2usize), (9, 10, 4), (5, 3, 5)] {
-            let fp = footprint(n1, n2, &OneDOwner::new(n2, p));
+            let owner = GridOwner::new(Plan::OneD { p }, n1, n2).unwrap();
+            let fp = footprint(n1, n2, &owner);
             assert_eq!(fp.total_mults(), strict_volume(n1, n2));
             assert!(fp.check_lemma5(n1, n2).is_ok());
         }
@@ -196,8 +157,8 @@ mod tests {
     #[test]
     fn two_d_covers_everything_exactly_once() {
         for (n1, n2, c) in [(8usize, 4usize, 2usize), (9, 5, 3), (10, 3, 3)] {
-            let dist = TriangleBlockDist::new(c);
-            let fp = footprint(n1, n2, &TwoDOwner::new(&dist, n1));
+            let owner = GridOwner::new(Plan::TwoD { c }, n1, n2).unwrap();
+            let fp = footprint(n1, n2, &owner);
             assert_eq!(fp.total_mults(), strict_volume(n1, n2), "({n1},{n2},c={c})");
             assert!(fp.check_lemma5(n1, n2).is_ok(), "({n1},{n2},c={c})");
         }
@@ -206,8 +167,8 @@ mod tests {
     #[test]
     fn three_d_covers_everything_exactly_once() {
         for (n1, n2, c, p2) in [(8usize, 6usize, 2usize, 3usize), (9, 8, 3, 2)] {
-            let dist = TriangleBlockDist::new(c);
-            let fp = footprint(n1, n2, &ThreeDOwner::new(&dist, n1, n2, p2));
+            let owner = GridOwner::new(Plan::ThreeD { c, p2 }, n1, n2).unwrap();
+            let fp = footprint(n1, n2, &owner);
             assert_eq!(fp.total_mults(), strict_volume(n1, n2));
             assert!(fp.check_lemma5(n1, n2).is_ok());
         }
@@ -218,10 +179,10 @@ mod tests {
         // §5.2.3: imbalance comes only from the c ranks without diagonal
         // blocks.
         let (n1, n2, c) = (18usize, 4usize, 3usize);
-        let dist = TriangleBlockDist::new(c);
-        let fp = footprint(n1, n2, &TwoDOwner::new(&dist, n1));
+        let owner = GridOwner::new(Plan::TwoD { c }, n1, n2).unwrap();
+        let fp = footprint(n1, n2, &owner);
         let max = *fp.mults.iter().max().unwrap() as f64;
-        let avg = fp.total_mults() as f64 / dist.p() as f64;
+        let avg = fp.total_mults() as f64 / owner.ranks() as f64;
         assert!(max / avg < 1.4, "imbalance {}", max / avg);
     }
 
@@ -231,8 +192,7 @@ mod tests {
         // elements — the operational-intensity advantage of triangle
         // blocks (§1, Beaumont et al.).
         let (n1, n2, c) = (8usize, 4usize, 2usize);
-        let dist = TriangleBlockDist::new(c);
-        let fp = footprint(n1, n2, &TwoDOwner::new(&dist, n1));
+        let fp = footprint(n1, n2, &GridOwner::new(Plan::TwoD { c }, n1, n2).unwrap());
         let expect = c * (n1 / (c * c)) * n2;
         for (k, &a) in fp.a_elements.iter().enumerate() {
             assert_eq!(a, expect, "rank {k}");

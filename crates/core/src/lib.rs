@@ -56,9 +56,9 @@ mod recovery;
 
 pub use abft::{AbftChecksums, AbftViolation, ABFT_CHECKS, ABFT_DETECTS, PHASE_ABFT};
 pub use algorithms::{
-    assemble_c, gemm_1d, gemm_2d, gemm_3d, run, scalapack_syrk_2d, symm_2d, symm_reference,
-    syr2k_1d, syr2k_2d, syrk_2d_limited, try_syrk_1d, try_syrk_2d, try_syrk_3d, DiagBlock,
-    LocalOutput, OffDiagBlock, RunSpec, SymmRunResult, SyrkRun, SyrkRunResult,
+    assemble_c, gemm_1d, gemm_2d, gemm_3d, run, scalapack_syrk_2d, symm_2d, symm_reference, syr2k,
+    syrk_2d_limited, try_syrk_1d, try_syrk_2d, try_syrk_3d, DiagBlock, LocalOutput, OffDiagBlock,
+    RunSpec, SymmRunResult, SyrkRun, SyrkRunResult,
 };
 pub use attribution::{
     attribute_bounds, AttributionReport, TermAttribution, PHASE_ALLGATHER_A, PHASE_LOCAL_GEMM,
@@ -70,7 +70,7 @@ pub use bounds::{
     gemm_lower_bound, syrk_effective_bound, syrk_lower_bound, syrk_memory_dependent_bound,
     thm1_case1_c_term, thm1_case2_a_term, thm1_case2_c_term, BoundCase, SyrkBound,
 };
-pub use coverage::{footprint, Footprint, IterationOwner, OneDOwner, ThreeDOwner, TwoDOwner};
+pub use coverage::{footprint, Footprint, GridOwner, IterationOwner};
 pub use dist::{affine_plane_lines, match_diagonals, ConformalADist, Gf, TriangleBlockDist};
 pub use error::SyrkError;
 pub use planner::{

@@ -1,7 +1,9 @@
 //! Distribution stress tests: larger primes, prime powers, and the
 //! structural theorems connecting `R_k` / `Q_i` / owner maps.
 
-use syrk_core::{affine_plane_lines, footprint, TriangleBlockDist, TwoDOwner};
+use syrk_core::{
+    affine_plane_lines, footprint, GridOwner, IterationOwner, Plan, TriangleBlockDist,
+};
 
 #[test]
 fn large_prime_distributions_validate() {
@@ -97,13 +99,13 @@ fn affine_lines_have_the_projective_structure() {
 #[test]
 fn affine_footprint_balances_like_cyclic() {
     // Lemma 5 + imbalance bounds hold on an affine-plane distribution
-    // exactly as on the cyclic one.
-    let d = TriangleBlockDist::new_prime_power(4).unwrap();
+    // (c = 4 is a prime power) exactly as on the cyclic one.
     let (n1, n2) = (16usize, 6usize);
-    let fp = footprint(n1, n2, &TwoDOwner::new(&d, n1));
+    let owner = GridOwner::new(Plan::TwoD { c: 4 }, n1, n2).unwrap();
+    let fp = footprint(n1, n2, &owner);
     assert_eq!(fp.total_mults(), (n1 * (n1 - 1) * n2 / 2) as u64);
     assert!(fp.check_lemma5(n1, n2).is_ok());
     let max = *fp.mults.iter().max().unwrap() as f64;
-    let avg = fp.total_mults() as f64 / d.p() as f64;
+    let avg = fp.total_mults() as f64 / owner.ranks() as f64;
     assert!(max / avg < 1.6, "imbalance {}", max / avg);
 }

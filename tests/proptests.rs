@@ -242,8 +242,9 @@ fn planned_syrk_fuzz() {
 /// configuration — empty matrices, zero rank counts, and grid orders with
 /// no triangle block construction — yields `Ok` or a typed [`SyrkError`],
 /// never a panic, and every `Ok` is numerically correct. That covers the
-/// `try_syrk_*` wrappers, the §6 drivers (SYR2K, SYMM, the panel
-/// variant) and the GEMM/ScaLAPACK baselines, which take the grid order
+/// `try_syrk_*` wrappers, the §6 drivers (SYR2K, which fails with
+/// SYRK's cause on every plan, SYMM, the panel variant) and the
+/// GEMM/ScaLAPACK baselines, which take the grid order
 /// `c` as their side `r`. So is `run_with_recovery` on one or two rows
 /// with rank 1 crashing at its first operation: with one row the
 /// replanned attempt plans for an empty strict triangle.
@@ -251,8 +252,8 @@ fn planned_syrk_fuzz() {
 fn try_api_is_total_over_random_configs() {
     use syrk_repro::core::{
         gemm_1d, gemm_2d, gemm_3d, run_with_recovery, scalapack_syrk_2d, symm_2d, symm_reference,
-        syr2k_1d, syr2k_2d, syrk_2d_limited, try_syrk_1d, try_syrk_2d, try_syrk_3d, Plan,
-        RecoveryPolicy, SyrkError,
+        syr2k, syrk_2d_limited, try_syrk_1d, try_syrk_2d, try_syrk_3d, Plan, RecoveryPolicy,
+        SyrkError,
     };
     use syrk_repro::dense::{
         max_abs_diff, seeded_matrix, syr2k_full_reference, syrk_full_reference, Matrix,
@@ -306,24 +307,29 @@ fn try_api_is_total_over_random_configs() {
         let syrk_a = || syrk_full_reference(&a);
         let syrk_thin = || syrk_full_reference(&thin);
         let c_of = |r: syrk_repro::SyrkRunResult| r.c;
-        check(
-            t,
-            &at("1d"),
-            try_syrk_1d(&a, p, model, None).map(c_of),
-            syrk_a,
-        );
-        check(
-            t,
-            &at("2d"),
-            try_syrk_2d(&a, c, model, None).map(c_of),
-            syrk_a,
-        );
-        check(
-            t,
-            &at("3d"),
-            try_syrk_3d(&a, c, p2, model, None).map(c_of),
-            syrk_a,
-        );
+        // SYR2K runs on the grid of the same plan, so it fails exactly
+        // when SYRK does, with the same cause.
+        let syr2k_ref = || syr2k_full_reference(&a, &b);
+        for (alg, plan, syrk_run) in [
+            ("1d", Plan::OneD { p }, try_syrk_1d(&a, p, model, None)),
+            ("2d", Plan::TwoD { c }, try_syrk_2d(&a, c, model, None)),
+            (
+                "3d",
+                Plan::ThreeD { c, p2 },
+                try_syrk_3d(&a, c, p2, model, None),
+            ),
+        ] {
+            let syr2k_run = syr2k(&a, &b, plan, model);
+            let cause = |r: &Result<_, SyrkError>| r.as_ref().err().map(ToString::to_string);
+            assert_eq!(cause(&syr2k_run), cause(&syrk_run), "{}", at(alg));
+            check(t, &at(alg), syrk_run.map(c_of), syrk_a);
+            check(
+                t,
+                &at(&format!("syr2k {alg}")),
+                syr2k_run.map(c_of),
+                syr2k_ref,
+            );
+        }
         check(t, &at("1d+crash"), recovered(Plan::OneD { p }), syrk_thin);
         check(t, &at("2d+crash"), recovered(Plan::TwoD { c }), syrk_thin);
         check(
@@ -331,19 +337,6 @@ fn try_api_is_total_over_random_configs() {
             &at("3d+crash"),
             recovered(Plan::ThreeD { c, p2 }),
             syrk_thin,
-        );
-        let syr2k = || syr2k_full_reference(&a, &b);
-        check(
-            t,
-            &at("syr2k_1d"),
-            syr2k_1d(&a, &b, p, model).map(c_of),
-            syr2k,
-        );
-        check(
-            t,
-            &at("syr2k_2d"),
-            syr2k_2d(&a, &b, c, model).map(c_of),
-            syr2k,
         );
         let symm = symm_2d(&sym, &a, c, model).map(|r| r.c);
         check(t, &at("symm_2d"), symm, || symm_reference(&sym, &a));
