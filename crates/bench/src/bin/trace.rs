@@ -314,6 +314,16 @@ fn main() {
          (wall time of the run / messages sent, tracing on)",
         wall * 1e9 / messages.max(1) as f64,
     );
+    // The process's peak resident set over the simulated ranks: the
+    // bytes of live state a rank costs the host, stacks included.
+    if let Some(kib) = vm_hwm_kib() {
+        let ranks = run.cost.num_ranks();
+        println!(
+            "host memory: VmHWM {:.1} MB, {:.1} kB per rank",
+            kib as f64 * 1.024e-3,
+            kib as f64 * 1.024 / ranks as f64,
+        );
+    }
 
     let dir = std::path::Path::new("target/experiments");
     if let Err(e) = std::fs::create_dir_all(dir) {
@@ -356,6 +366,14 @@ fn main() {
         println!("\n-- metrics ({fmt}) --");
         print_metrics(fmt);
     }
+}
+
+/// Peak resident set of this process (`VmHWM`), in KiB; `None` where
+/// there is no procfs.
+fn vm_hwm_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().trim_end_matches("kB").trim().parse().ok()
 }
 
 /// The retry phase table: traffic the fault plan caused, which is paid

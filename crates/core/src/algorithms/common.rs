@@ -35,8 +35,8 @@ pub(crate) fn triangle_dist(c: usize) -> Result<TriangleBlockDist, PlanError> {
 
 /// The `p1 × p2` grid of Algorithm 3 that runs `plan`, as its slices'
 /// distribution (`p1 = dist.p()` ranks) and `p2`, with the rank count
-/// checked. Algorithms 1 and 2 are its corners: one-rank slices, and one
-/// slice.
+/// checked against the most a machine simulates, `u32::MAX`. Algorithms 1
+/// and 2 are its corners: one-rank slices, and one slice.
 pub(crate) fn grid(plan: Plan) -> Result<(TriangleBlockDist, usize), SyrkError> {
     let (dist, p2) = match plan {
         Plan::OneD { p } => (TriangleBlockDist::one_rank(), p),
@@ -46,6 +46,7 @@ pub(crate) fn grid(plan: Plan) -> Result<(TriangleBlockDist, usize), SyrkError> 
     check_ranks(p2)?;
     let (c, p1) = (dist.c(), dist.p());
     p1.checked_mul(p2)
+        .filter(|&p| u32::try_from(p).is_ok())
         .ok_or(PlanError::RankCountOverflow { c, p2 })?;
     Ok((dist, p2))
 }
@@ -293,13 +294,23 @@ mod tests {
             }
         }
         // A slice order that exists, times a slice count: 12·(2⁶² + 1)
-        // wraps to 12.
-        for (c, p2) in [(3, (1 << 62) + 1), (2, usize::MAX)] {
-            match run(crate::Plan::ThreeD { c, p2 }) {
+        // wraps to 12; 2³² ranks, or 12·2³¹, are more than a machine has.
+        // Algorithm 1's `p` ranks are `c = 1` slices.
+        for (c, p2) in [
+            (3, (1 << 62) + 1),
+            (2, usize::MAX),
+            (1, 1 << 32),
+            (3, 1 << 31),
+        ] {
+            let plan = match c {
+                1 => crate::Plan::OneD { p: p2 },
+                _ => crate::Plan::ThreeD { c, p2 },
+            };
+            match run(plan) {
                 Err(crate::SyrkError::Plan(PlanError::RankCountOverflow { c: gc, p2: gp })) => {
                     assert_eq!((gc, gp), (c, p2))
                 }
-                other => panic!("c = {c}, p2 = {p2}: {other:?}"),
+                other => panic!("{plan:?}: {other:?}"),
             }
         }
     }

@@ -302,8 +302,9 @@ pub(crate) fn gather_row_blocks<const N: usize>(
             .collect();
         by_sender = comm.try_all_to_all(blocks)?;
     } else {
-        let mut sends: Vec<(usize, Arc<[f64]>)> = Vec::new();
-        let mut recvs: Vec<(usize, usize)> = Vec::new();
+        // At most `c` partners per live block: sized once, never doubled.
+        let mut sends: Vec<(usize, Arc<[f64]>)> = Vec::with_capacity(live.len() * dist.c());
+        let mut recvs: Vec<(usize, usize)> = Vec::with_capacity(live.len() * dist.c());
         for (&i, ch) in live.iter().zip(&mine) {
             let part = ad.chunk_partition(i);
             for (pos, &m) in dist.q_set(i).iter().enumerate() {

@@ -41,7 +41,8 @@ pub enum PlanError {
     /// A recovery policy with `max_attempts = 0`: not even the first
     /// try is allowed.
     ZeroAttempts,
-    /// A `c(c+1) × p2` grid whose rank count overflows `usize`.
+    /// A `c(c+1) × p2` grid of more than `u32::MAX` ranks, the most a
+    /// machine simulates (`c = 1` for Algorithm 1's `p2 = p` ranks).
     RankCountOverflow {
         /// The grid order of each slice.
         c: usize,
@@ -72,7 +73,7 @@ impl std::fmt::Display for PlanError {
             PlanError::RankCountOverflow { c, p2 } => {
                 write!(
                     f,
-                    "a c(c+1) x p2 grid with c = {c}, p2 = {p2} has too many ranks to count"
+                    "a c(c+1) x p2 grid with c = {c}, p2 = {p2} has more than u32::MAX ranks"
                 )
             }
         }

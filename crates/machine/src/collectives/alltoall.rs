@@ -57,17 +57,17 @@ impl Comm {
         let _span = self.enter_collective(&ALL_TO_ALL, words, "coll:all-to-all", words);
         let nonempty = sends.iter().all(|(_, b)| b.words() > 0) && recvs.iter().all(|r| r.1 > 0);
         assert!(nonempty, "sparse all-to-all: a listed block is empty");
-        // Arrival order, sorted into `recvs` order after the walk: a step,
-        // resumed with its cache lines cold, touches only `got`'s tail.
-        let mut got: Vec<(usize, T)> = Vec::with_capacity(recvs.len());
-        let arrive = |i, _: usize, block: T| got.push((i, block));
+        // Each arrival goes straight to its position in `recvs`.
+        let mut got: Vec<Option<T>> = std::iter::repeat_with(|| None).take(recvs.len()).collect();
+        let arrive = |i, _: usize, block: T| got[i] = Some(block);
         self.pairwise(TAG_ALLTOALL, sends, recvs.iter().map(|r| r.0), arrive)?;
-        got.sort_unstable_by_key(|g| g.0);
-        for ((_, block), (src, words)) in got.iter().zip(recvs) {
-            let ok = block.words() == *words;
+        let blocks = got.into_iter().zip(recvs).map(|(block, &(src, words))| {
+            let block = block.expect("pairwise receives from every listed source");
+            let ok = block.words() == words;
             assert!(ok, "sparse all-to-all: wrong length from {src}");
-        }
-        Ok(got.into_iter().map(|(_, block)| block).collect())
+            block
+        });
+        Ok(blocks.collect())
     }
 
     /// All-to-all with an explicit algorithm choice.

@@ -54,11 +54,14 @@ fn split_own<T>(blocks: Vec<T>, me: usize) -> (T, Vec<(usize, T)>) {
     (own, rest)
 }
 
-/// Whether a partner list sorted by rank names each partner once, and
-/// only ranks of `0..p` other than `me`.
-fn valid<X>(by_rank: &[(usize, X)], p: usize, me: usize) -> bool {
-    let distinct = by_rank.windows(2).all(|w| w[0].0 != w[1].0);
-    distinct && by_rank.iter().all(|&(q, _)| q < p && q != me)
+/// Whether partners sorted by rank name each partner once, and only
+/// ranks of `0..p` other than `me`.
+fn valid(mut by_rank: impl Iterator<Item = usize> + Clone, p: usize, me: usize) -> bool {
+    let distinct = by_rank
+        .clone()
+        .zip(by_rank.clone().skip(1))
+        .all(|(a, b)| a != b);
+    distinct && by_rank.all(|q| q < p && q != me)
 }
 
 impl Comm {
@@ -107,24 +110,34 @@ impl Comm {
     ) -> Result<(), MachineError> {
         let (p, me) = (self.size(), self.rank());
         let step = |to: usize, from: usize| (to + p - from) % p;
-        // (source, position in `srcs`)
-        let mut rx: Vec<(usize, usize)> = srcs.into_iter().zip(0..).collect();
+        // (source, position in `srcs`), compact: a machine's ranks fit
+        // `u32`, and a source that does not saturates to an invalid one.
+        let mut rx: Vec<(u32, u32)> = (srcs.into_iter())
+            .map(|src| u32::try_from(src).unwrap_or(u32::MAX))
+            .zip(0..)
+            .collect();
         // Sorted by rank, each list is its step order rotated; rotate it
         // to run from the latest step to the next one due, at `last`.
         sends.sort_unstable_by_key(|s| Reverse(s.0));
         rx.sort_unstable();
         let bad = "pairwise: bad or duplicate";
-        assert!(valid(&sends, p, me), "{bad} destination");
-        assert!(valid(&rx, p, me), "{bad} source");
+        assert!(valid(sends.iter().map(|s| s.0), p, me), "{bad} destination");
+        assert!(
+            valid(rx.iter().map(|r| r.0 as usize), p, me),
+            "{bad} source"
+        );
         let ahead = sends.partition_point(|s| s.0 > me);
         sends.rotate_left(ahead);
-        let behind = rx.partition_point(|r| r.0 < me);
+        let behind = rx.partition_point(|r| (r.0 as usize) < me);
         rx.rotate_left(behind);
         loop {
             let ts = sends.last().map_or(usize::MAX, |&(dst, _)| step(dst, me));
-            let rs = rx.last().map_or(usize::MAX, |&(src, _)| step(me, src));
+            let rs = rx
+                .last()
+                .map_or(usize::MAX, |&(src, _)| step(me, src as usize));
             let out = if ts <= rs { sends.pop() } else { None };
-            match (out, if rs <= ts { rx.pop() } else { None }) {
+            let inc = if rs <= ts { rx.pop() } else { None };
+            match (out, inc.map(|(src, i)| (src as usize, i as usize))) {
                 (Some((dst, out)), Some((src, i))) => {
                     on_recv(i, src, self.try_exchange(dst, out, src, tag)?)
                 }

@@ -27,10 +27,18 @@
 //! is recycled into the heap for later runs' envelopes and tables to dirty.
 //! A 10⁵-rank machine is ~100 mappings — neither one multi-GB reservation
 //! nor 10⁵ heap blocks (the kernel caps a process at `vm.max_map_count`
-//! mappings, typically 65530). An idle rank then costs the pages it
-//! touches: the canary's and the frames of `run_body` down to its first
-//! receive, 8–12 KiB; the whole 2256-rank `sim_ranks` run — payloads,
-//! ledgers and the assembled `C` included — peaks at 46 kB per rank.
+//! mappings, typically 65530).
+//!
+//! Stacks are whole pages long and lie back to back, each one's canary at
+//! the top of the one below. A chunk is one page longer than its stacks,
+//! and they start at the offset that puts every stack top [`TOP_SLACK`]
+//! bytes below a page boundary, wherever the allocator placed the chunk.
+//! The next stack's canary then sits in those bytes, in the page its
+//! neighbour's first frames touch anyway. An idle rank costs that one
+//! page — ~5 KiB of resident set with its slot, where a top 16 B into a
+//! page cost ~9 KiB — and the whole 2256-rank `sim_ranks` run, payloads,
+//! ledgers and the assembled `C` included, peaks at 32 kB per rank. With
+//! larger pages than [`PAGE`] the layout is the same and saves less.
 
 use std::alloc::{self, Layout};
 use std::cell::Cell;
@@ -41,6 +49,14 @@ use super::{run_body, Body, Context, Status};
 /// Size of the allocations rank stacks are carved from; the last chunk of
 /// a run is the remainder.
 const STACK_CHUNK_BYTES: usize = 64 << 20;
+
+/// The page size stacks are laid out for.
+const PAGE: usize = 4096;
+
+/// Bytes between a stack's top and the page boundary above it: the
+/// canary word of the stack above, with the top kept 16-aligned. Every
+/// byte of it is a byte less of the top page for a rank's own frames.
+const TOP_SLACK: usize = 16;
 
 /// Magic written at the lowest words of every coroutine stack and checked
 /// after each resume.
@@ -187,18 +203,23 @@ mod arch {
 struct Chunk {
     ptr: *mut u8,
     layout: Layout,
+    /// Where the first stack starts: its top, like every other, is
+    /// [`TOP_SLACK`] bytes below a page boundary.
+    first: usize,
 }
 
 impl Chunk {
-    fn new(bytes: usize) -> Rc<Chunk> {
-        let layout = Layout::from_size_align(bytes, 16).expect("stack chunk layout");
-        // SAFETY: the layout is not zero-sized — a chunk holds at least one
-        // stack of at least 16 KiB.
+    /// Room for `stacks` stacks of `bytes` (a multiple of [`PAGE`]).
+    fn new(stacks: usize, bytes: usize) -> Rc<Chunk> {
+        let layout =
+            Layout::from_size_align(stacks * bytes + PAGE, 16).expect("stack chunk layout");
+        // SAFETY: the layout is not zero-sized — it holds at least a page.
         let ptr = unsafe { alloc::alloc(layout) };
         if ptr.is_null() {
             alloc::handle_alloc_error(layout);
         }
-        Rc::new(Chunk { ptr, layout })
+        let first = (PAGE - TOP_SLACK).wrapping_sub(ptr as usize) % PAGE;
+        Rc::new(Chunk { ptr, layout, first })
     }
 }
 
@@ -220,13 +241,15 @@ struct Stack {
 }
 
 impl Stack {
-    /// The `index`-th stack of `bytes` (a multiple of 16) within `chunk`.
+    /// The `index`-th stack of `bytes` (a multiple of [`PAGE`]) within
+    /// `chunk`.
     fn carve(chunk: &Rc<Chunk>, index: usize, bytes: usize) -> Stack {
-        assert!((index + 1) * bytes <= chunk.layout.size());
-        // SAFETY: in bounds of the chunk by the assertion, 8-aligned since
-        // the chunk is 16-aligned and `bytes` a multiple of 16.
+        let start = chunk.first + index * bytes;
+        assert!(start + bytes <= chunk.layout.size());
+        // SAFETY: in bounds of the chunk by the assertion; 16-aligned, as
+        // every top is and `bytes` is a multiple of the page size.
         let base = unsafe {
-            let base = chunk.ptr.add(index * bytes);
+            let base = chunk.ptr.add(start);
             (base as *mut u64).write(CANARY);
             base
         };
@@ -288,13 +311,13 @@ pub(crate) struct Coroutine {
 
 impl Context for Coroutine {
     fn spawn(stack_bytes: usize, bodies: Vec<Body>) -> Vec<Coroutine> {
-        let stack_bytes = stack_bytes.max(16 * 1024) & !15;
+        let stack_bytes = stack_bytes.max(16 * 1024).next_multiple_of(PAGE);
         let per_chunk = (STACK_CHUNK_BYTES / stack_bytes).max(1);
         let mut coroutines = Vec::with_capacity(bodies.len());
         let mut bodies = bodies.into_iter();
         while bodies.len() > 0 {
             let stacks = per_chunk.min(bodies.len());
-            let chunk = Chunk::new(stacks * stack_bytes);
+            let chunk = Chunk::new(stacks, stack_bytes);
             for (index, body) in bodies.by_ref().take(stacks).enumerate() {
                 coroutines.push(Coroutine {
                     stack: Stack::carve(&chunk, index, stack_bytes),
@@ -348,4 +371,44 @@ pub(super) fn yield_current() -> bool {
     }
     unsafe { arch::ctx_switch(&mut (*inner).coro_sp, &(*inner).sched_sp) };
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{Coroutine, PAGE, STACK_CHUNK_BYTES, TOP_SLACK};
+    use crate::context::{Body, Context};
+    use std::rc::Rc;
+
+    fn spawn_idle(stack_bytes: usize, ranks: usize) -> Vec<Coroutine> {
+        let bodies = (0..ranks).map(|_| Box::new(|| ()) as Body).collect();
+        Coroutine::spawn(stack_bytes, bodies)
+    }
+
+    #[test]
+    fn every_stack_top_is_the_slack_below_a_page_boundary() {
+        // 256 KiB stacks fill a chunk with 256 of them: 300 take two.
+        let bytes = 256 * 1024;
+        let cos = spawn_idle(bytes, STACK_CHUNK_BYTES / bytes + 44);
+        let chunks = cos
+            .windows(2)
+            .filter(|w| !Rc::ptr_eq(&w[0].stack._chunk, &w[1].stack._chunk));
+        assert_eq!(chunks.count(), 1, "two chunks");
+        for (i, co) in cos.iter().enumerate() {
+            assert_eq!(
+                co.stack.top() as usize % PAGE,
+                PAGE - TOP_SLACK,
+                "stack {i}"
+            );
+            assert_eq!(co.stack.bytes, bytes);
+        }
+        for w in cos.windows(2) {
+            if Rc::ptr_eq(&w[0].stack._chunk, &w[1].stack._chunk) {
+                assert_eq!(w[1].stack.base, w[0].stack.top() as *mut u8);
+            }
+        }
+        // 17 KiB rounds up to whole pages.
+        let odd = spawn_idle(17 * 1024, 1);
+        assert_eq!(odd[0].stack.bytes, 20 * 1024);
+        assert_eq!(odd[0].stack.top() as usize % PAGE, PAGE - TOP_SLACK);
+    }
 }

@@ -13,7 +13,7 @@
 //! message it asked for, not once per arrival. With the native context
 //! backend a 10⁵-rank 2D SYRK run therefore fits in one process: memory
 //! is bounded by the touched pages of the rank stacks plus in-flight
-//! envelopes, not by OS threads — 46 kB of peak resident set per rank on
+//! envelopes, not by OS threads — 32 kB of peak resident set per rank on
 //! the 2256-rank `sim_ranks` shape, payloads and the `C` assembly
 //! included. A rank's whole side of the message path — ledger, inbox,
 //! screened-but-unclaimed envelopes, link sequence counters, what it is

@@ -106,8 +106,17 @@ unsafe fn erase_lifetime<'a>(b: Box<dyn FnOnce() + Send + 'a>) -> Body {
 impl Machine {
     /// A machine with `size` processors and bandwidth-only cost accounting
     /// (α = γ = 0, β = 1), so that clocks directly report word counts.
+    ///
+    /// # Panics
+    ///
+    /// If `size` is 0 or above `u32::MAX`: the collectives keep ranks as
+    /// `u32`.
     pub fn new(size: usize) -> Self {
         assert!(size >= 1, "a machine needs at least one processor");
+        assert!(
+            u32::try_from(size).is_ok(),
+            "a machine has at most u32::MAX processors, not {size}"
+        );
         Machine {
             size,
             model: CostModel::bandwidth_only(),
@@ -175,11 +184,12 @@ impl Machine {
 
     /// Per-rank stack in bytes: the builder override, else 256 KiB for
     /// small machines (panic formatting and backtraces want headroom)
-    /// dropping to 64 KiB past 4096 ranks. The size is address space, not
-    /// memory: the native backend carves stacks out of 64 MiB chunks whose
-    /// untouched pages never become resident (see `context/native.rs`), so
-    /// a 10⁵-rank machine reserves 6.4 GB in ~100 mappings and holds a few
-    /// pages per rank.
+    /// dropping to 64 KiB past 4096 ranks. The native backend rounds it up
+    /// to whole 4 KiB pages (a 17 KiB override gets 20 KiB). The size is
+    /// address space, not memory: that backend carves stacks out of 64 MiB
+    /// chunks whose untouched pages never become resident (see
+    /// `context/native.rs`), so a 10⁵-rank machine reserves 6.4 GB in ~100
+    /// mappings and holds one page per idle rank.
     fn rank_stack_bytes(&self) -> usize {
         let kb = self
             .rank_stack_kb
@@ -370,6 +380,13 @@ mod tests {
     #[should_panic(expected = "at least one processor")]
     fn zero_ranks_rejected() {
         let _ = Machine::new(0);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "at most u32::MAX processors")]
+    fn rank_counts_past_u32_rejected() {
+        let _ = Machine::new(1 << 32);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! What a simulated rank costs the host in memory: stacks come out of a
-//! few large allocations that are freed with the run, the process's peak
-//! resident set does not climb from run to run, and a stack carved out of
-//! a chunk is still guarded by its canary.
+//! few large allocations that are freed with the run, an idle rank holds
+//! one stack page, the process's peak resident set does not climb from
+//! run to run, and a stack carved out of a chunk is still guarded by its
+//! canary.
 //!
-//! The peak resident set (`VmHWM`) and the allocation counts are the
+//! The resident set (`VmHWM`, `VmRSS`) and the allocation counts are the
 //! process's, so this file is a process of its own (CI runs it as its own
 //! step) and its tests take turns.
 #![cfg(target_os = "linux")]
@@ -44,15 +45,19 @@ unsafe impl GlobalAlloc for CountLarge {
 #[global_allocator]
 static ALLOCATOR: CountLarge = CountLarge;
 
+/// A `kB` line of this process's `/proc/self/status`, in KiB.
+fn status_kib(field: &str) -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .unwrap_or_else(|| panic!("{field} line"))
+}
+
 /// Peak resident set of this process so far, in MB (10⁶ bytes).
 fn vm_hwm_mb() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
-    let kb: f64 = status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
-        .expect("VmHWM line");
-    kb * 1.024e-3
+    status_kib("VmHWM") as f64 * 1.024e-3
 }
 
 /// The ranks of the `sim_ranks` benchmark shape (c = 47), its exchange
@@ -148,4 +153,36 @@ fn a_stack_overflow_inside_a_chunk_trips_the_canary() {
         message.contains("overflowed") && message.contains("Machine::with_rank_stack_kb"),
         "unexpected panic: {message:?}"
     );
+}
+
+/// 20 000 ranks of a one-round ring, the last of them to finish reading
+/// the resident set while every rank's stack and slot is still live: an
+/// idle rank costs its top stack page, which also holds the canary of the
+/// stack above, and its share of the slot tables — ~5 KiB on x86_64,
+/// where a stack top 16 B into a page cost ~9 KiB. Release only: debug
+/// frames are deeper.
+#[test]
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[cfg_attr(debug_assertions, ignore = "release frames only")]
+fn an_idle_rank_costs_one_stack_page() {
+    const P: usize = 20_000;
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let before = status_kib("VmRSS");
+    let finished = AtomicUsize::new(0);
+    let in_run = AtomicUsize::new(0);
+    Machine::new(P)
+        .try_run(|comm| {
+            let me = comm.rank();
+            comm.try_send((me + 1) % P, 0, me as f64)?;
+            let left: f64 = comm.try_recv((me + P - 1) % P, 0)?;
+            assert_eq!(left as usize, (me + P - 1) % P);
+            if finished.fetch_add(1, Ordering::SeqCst) + 1 == P {
+                in_run.store(status_kib("VmRSS"), Ordering::SeqCst);
+            }
+            Ok(())
+        })
+        .expect("a clean ring");
+    let per_rank = (in_run.load(Ordering::SeqCst) - before) as f64 / P as f64;
+    println!("{per_rank:.2} KiB of resident set per idle rank");
+    assert!(per_rank <= 6.0, "{per_rank:.2} KiB per idle rank");
 }

@@ -37,8 +37,9 @@ fn ring_clock_is_bitwise_reproducible_at_4096_ranks() {
     assert!((first - ROUNDS as f64 * per_round).abs() < 1e-6 * per_round);
 }
 
-/// 10⁵ ranks touch ~1 GB of stack pages for 0.8–4.9 s (2–7 s in debug)
-/// on the 2-vCPU development host, so release only.
+/// 10⁵ ranks peak at ~0.5 GB of resident set — a stack page and a slot
+/// each — for ~0.5 s on the 2-vCPU development host in release; debug
+/// frames are deeper and slower, so release only.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "10^5 ranks: release only")]
 fn ring_clock_does_not_depend_on_the_rank_count_up_to_1e5() {
