@@ -3,10 +3,12 @@
 //! ``experiment `slug` `` in a *Checked by* column is a slug of
 //! `experiments::all()`, and every other identifier there names a `fn`.
 
+mod support;
+
 use std::collections::BTreeSet;
 use std::fs;
-use std::path::{Path, PathBuf};
 
+use support::{all_rust_files, leading_ident, pub_item, rust_files, workspace_root};
 use syrk_bench::experiments;
 
 const MAP: &str = include_str!("../../../docs/PAPER_MAP.md");
@@ -21,55 +23,6 @@ const CRATES: [&str; 7] = [
     "syrk_server",
     "syrk_telemetry",
 ];
-
-fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
-        let path = entry.expect("directory entry").path();
-        if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|x| x == "rs") {
-            out.push(path);
-        }
-    }
-}
-
-/// Every `.rs` file of the workspace: the crates, the root package, its
-/// tests and examples, and the `benchmark/` package.
-fn all_rust_files() -> Vec<PathBuf> {
-    let root = workspace_root();
-    let mut files = Vec::new();
-    for dir in [
-        "src",
-        "tests",
-        "examples",
-        "benchmark/src",
-        "benchmark/tests",
-    ] {
-        if root.join(dir).is_dir() {
-            rust_files(&root.join(dir), &mut files);
-        }
-    }
-    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
-        let krate = krate.expect("crate dir").path();
-        for dir in ["src", "tests", "benches", "examples"] {
-            if krate.join(dir).is_dir() {
-                rust_files(&krate.join(dir), &mut files);
-            }
-        }
-    }
-    files
-}
-
-fn leading_ident(s: &str) -> &str {
-    let end = s
-        .find(|ch: char| !(ch.is_ascii_alphanumeric() || ch == '_'))
-        .unwrap_or(s.len());
-    &s[..end]
-}
 
 /// Every name declared `pub` under `crates/*/src` and `src`: items
 /// (`pub fn`, `pub struct`, …), fields (`pub name:`) and the variants of
@@ -101,24 +54,17 @@ fn pub_names() -> BTreeSet<String> {
             let Some(rest) = body.strip_prefix("pub ") else {
                 continue;
             };
-            let mut words = rest.split_whitespace().peekable();
-            let mut kind = words.next().unwrap_or("");
-            while matches!(kind, "unsafe" | "async" | "extern" | "\"C\"")
-                || (kind == "const" && words.peek() == Some(&"fn"))
-            {
-                kind = words.next().unwrap_or("");
-            }
-            let ident = match kind {
-                "fn" | "struct" | "enum" | "trait" | "mod" | "static" | "type" | "const" => {
-                    leading_ident(words.next().unwrap_or(""))
+            let ident = match pub_item(body) {
+                Some((kind, ident)) => {
+                    if kind == "enum" && body.ends_with('{') {
+                        in_enum = Some(indent);
+                    }
+                    ident
                 }
                 // A field: `pub name: Type`.
-                _ if rest[leading_ident(rest).len()..].starts_with(':') => leading_ident(rest),
-                _ => continue,
+                None if rest[leading_ident(rest).len()..].starts_with(':') => leading_ident(rest),
+                None => continue,
             };
-            if kind == "enum" && body.ends_with('{') {
-                in_enum = Some(indent);
-            }
             names.insert(ident.to_string());
         }
     }

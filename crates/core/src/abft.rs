@@ -26,9 +26,9 @@ use syrk_dense::{Diag, Matrix, MatrixView, PackedLower};
 use syrk_telemetry::LazyCounter;
 
 /// Checksum verifications performed (block-level and full-matrix).
-pub static ABFT_CHECKS: LazyCounter = LazyCounter::new("syrk_abft_checks");
+pub(crate) static ABFT_CHECKS: LazyCounter = LazyCounter::new("syrk_abft_checks");
 /// Checksum verifications that detected corruption.
-pub static ABFT_DETECTS: LazyCounter = LazyCounter::new("syrk_abft_detects");
+pub(crate) static ABFT_DETECTS: LazyCounter = LazyCounter::new("syrk_abft_detects");
 
 /// Phase under which in-run ABFT verification flops are charged.
 pub const PHASE_ABFT: &str = "abft:verify";
@@ -43,7 +43,7 @@ const REL_TOL: f64 = 1e-9;
 /// A detected checksum violation, localized as far as the residuals
 /// allow.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AbftViolation {
+pub(crate) struct AbftViolation {
     /// Row of `C` whose checksum failed.
     pub row: usize,
     /// Column localized from the weighted/plain residual ratio, when the
@@ -67,7 +67,7 @@ impl std::fmt::Display for AbftViolation {
 ///
 /// Build once from the input, verify any claimed `C` against it.
 #[derive(Debug, Clone)]
-pub struct AbftChecksums {
+pub(crate) struct AbftChecksums {
     /// Expected `C·1` (length `n1`).
     row: Vec<f64>,
     /// Expected `C·ω` with `ω_i = i + 1` (length `n1`).
@@ -97,7 +97,7 @@ impl AbftChecksums {
     /// Verify a claimed `C` against the checksums. Returns the first
     /// violating row (lowest index) with its localized column, or `Ok`
     /// when every row checks out.
-    pub fn verify(&self, c: &Matrix<f64>) -> Result<(), AbftViolation> {
+    pub(crate) fn verify(&self, c: &Matrix<f64>) -> Result<(), AbftViolation> {
         assert_eq!(c.rows(), self.row.len(), "C has the wrong dimension");
         ABFT_CHECKS.inc();
         let n = c.rows();

@@ -54,7 +54,7 @@ pub(crate) fn grid(plan: Plan) -> Result<(TriangleBlockDist, usize), SyrkError> 
 /// An off-diagonal block of `C` produced by a rank: block indices
 /// `(i, j)` with `i > j` and the dense block values.
 #[derive(Debug, Clone)]
-pub struct OffDiagBlock {
+pub(crate) struct OffDiagBlock {
     /// Block row index.
     pub i: usize,
     /// Block column index (`j < i`).
@@ -66,7 +66,7 @@ pub struct OffDiagBlock {
 /// A diagonal block of `C` produced by a rank, stored as an inclusive
 /// packed lower triangle (symmetry makes the upper half redundant).
 #[derive(Debug, Clone)]
-pub struct DiagBlock {
+pub(crate) struct DiagBlock {
     /// Block index on the diagonal.
     pub i: usize,
     /// Packed inclusive lower triangle of the block.
@@ -75,7 +75,7 @@ pub struct DiagBlock {
 
 /// Everything a rank contributes to the global output.
 #[derive(Debug, Clone, Default)]
-pub struct LocalOutput {
+pub(crate) struct LocalOutput {
     /// Off-diagonal blocks owned by this rank.
     pub offdiag: Vec<OffDiagBlock>,
     /// Diagonal blocks owned by this rank (at most one for the paper's
@@ -100,7 +100,7 @@ pub struct SyrkRunResult {
 /// appear exactly once across the outputs (a block without rows holds no
 /// words and may be left out). Each block is written once, into the lower
 /// triangle; the strict upper triangle is filled by one mirror pass.
-pub fn assemble_c(n1: usize, rows: &Partition1D, outputs: &[LocalOutput]) -> Matrix<f64> {
+pub(crate) fn assemble_c(n1: usize, rows: &Partition1D, outputs: &[LocalOutput]) -> Matrix<f64> {
     let mut c = Matrix::zeros(n1, n1);
     // One flag per pair `j ≤ i` of the row blocks that have rows, numbered
     // by position in `live`: with n1 < c² that is a few hundred blocks out

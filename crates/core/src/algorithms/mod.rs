@@ -19,7 +19,7 @@ mod twod;
 
 pub use baselines::{gemm_1d, gemm_2d, gemm_3d, scalapack_syrk_2d};
 pub(crate) use common::grid;
-pub use common::{assemble_c, DiagBlock, LocalOutput, OffDiagBlock, SyrkRunResult};
+pub use common::SyrkRunResult;
 pub use limited::syrk_2d_limited;
 pub(crate) use run::machine_for;
 pub use run::{run, try_syrk_1d, try_syrk_2d, try_syrk_3d, RunSpec, SyrkRun};

@@ -35,7 +35,7 @@ pub const PHASE_REDUCE_SCATTER_C: &str = "reduce-scatter-C";
 /// Phase name for local SYRK kernels (1D whole-block, 2D/3D diagonal).
 pub const PHASE_LOCAL_SYRK: &str = "local-syrk";
 /// Phase name for local off-diagonal GEMM kernels (2D/3D).
-pub const PHASE_LOCAL_GEMM: &str = "local-gemm";
+pub(crate) const PHASE_LOCAL_GEMM: &str = "local-gemm";
 
 /// One phase's measured words compared against its analytic terms.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +56,7 @@ pub struct TermAttribution {
 impl TermAttribution {
     /// `measured / bound_term` — how far above (or below: constructions
     /// can undercut a leading-order term) the measurement sits.
-    pub fn ratio_to_bound(&self) -> f64 {
+    pub(crate) fn ratio_to_bound(&self) -> f64 {
         if self.bound_term == 0.0 {
             if self.measured == 0 {
                 1.0
@@ -70,7 +70,7 @@ impl TermAttribution {
 
     /// `measured − predicted`: the residual against the exact analysis
     /// (rounding from uneven block splits, padding, etc.).
-    pub fn residual(&self) -> f64 {
+    pub(crate) fn residual(&self) -> f64 {
         self.measured as f64 - self.predicted
     }
 }

@@ -144,14 +144,14 @@ pub fn alg2d_tight_cost(n1: usize, n2: usize, c: usize) -> f64 {
 /// The `A`-side term of eq. (12) with exact prefactors: the slice-level
 /// All-to-All of `A` chunks (each slice works on `n2/p2` columns),
 /// `n1n2/(c·p2)·(1 − 1/p1)` with `p1 = c(c+1)`.
-pub fn alg3d_a_term(n1: usize, n2: usize, c: usize, p2: usize) -> f64 {
+pub(crate) fn alg3d_a_term(n1: usize, n2: usize, c: usize, p2: usize) -> f64 {
     let p1 = (c * (c + 1)) as f64;
     (n1 * n2) as f64 / (c as f64 * p2 as f64) * (1.0 - 1.0 / p1)
 }
 
 /// The `C`-side term of eq. (12) with exact prefactors: the Reduce-Scatter
 /// of each `C_k` panel across `p2` ranks, `n1²/(2c²)·(1 − 1/p2)`.
-pub fn alg3d_c_term(n1: usize, c: usize, p2: usize) -> f64 {
+pub(crate) fn alg3d_c_term(n1: usize, c: usize, p2: usize) -> f64 {
     let n1f = n1 as f64;
     0.5 * n1f * n1f / (c * c) as f64 * (1.0 - 1.0 / p2 as f64)
 }
@@ -159,32 +159,26 @@ pub fn alg3d_c_term(n1: usize, c: usize, p2: usize) -> f64 {
 /// Predicted bandwidth cost of Algorithm 3 (eq. (12) with exact
 /// prefactors): the slice-level 2D exchange on `n2/p2` columns plus the
 /// Reduce-Scatter of `C_k` across `p2` ranks —
-/// [`alg3d_a_term`] + [`alg3d_c_term`].
+/// `alg3d_a_term` + `alg3d_c_term`.
 pub fn alg3d_predicted_cost(n1: usize, n2: usize, c: usize, p2: usize) -> f64 {
     alg3d_a_term(n1, n2, c, p2) + alg3d_c_term(n1, c, p2)
 }
 
 /// Leading-order `A`-side term of eq. (12): `n1n2/(√p1·p2)`.
-pub fn alg3d_leading_a_term(n1: usize, n2: usize, p1: usize, p2: usize) -> f64 {
+pub(crate) fn alg3d_leading_a_term(n1: usize, n2: usize, p1: usize, p2: usize) -> f64 {
     (n1 * n2) as f64 / ((p1 as f64).sqrt() * p2 as f64)
 }
 
 /// Leading-order `C`-side term of eq. (12): `n1²/(2p1)`.
-pub fn alg3d_leading_c_term(n1: usize, p1: usize) -> f64 {
+pub(crate) fn alg3d_leading_c_term(n1: usize, p1: usize) -> f64 {
     let n1f = n1 as f64;
     n1f * n1f / (2.0 * p1 as f64)
-}
-
-/// Leading-order simplification of eq. (12): `n1n2/(√p1·p2) + n1²/(2p1)` —
-/// [`alg3d_leading_a_term`] + [`alg3d_leading_c_term`].
-pub fn alg3d_leading_cost(n1: usize, n2: usize, p1: usize, p2: usize) -> f64 {
-    alg3d_leading_a_term(n1, n2, p1, p2) + alg3d_leading_c_term(n1, p1)
 }
 
 /// Theorem 1 Case 1's output term `n1(n1−1)/2`: the strict lower triangle
 /// of `C` that must leave whichever processor computes it — the term the
 /// 1D algorithm's Reduce-Scatter of `C` pays.
-pub fn thm1_case1_c_term(n1: usize) -> f64 {
+pub(crate) fn thm1_case1_c_term(n1: usize) -> f64 {
     let n1f = n1 as f64;
     n1f * (n1f - 1.0) / 2.0
 }
@@ -193,18 +187,23 @@ pub fn thm1_case1_c_term(n1: usize) -> f64 {
 /// that any algorithm in the tall-output regime must pay — the term the
 /// 2D algorithm's All-to-All of `A` chunks (its allgather of `A` within
 /// each processor set) pays.
-pub fn thm1_case2_a_term(n1: usize, n2: usize, p: usize) -> f64 {
+pub(crate) fn thm1_case2_a_term(n1: usize, n2: usize, p: usize) -> f64 {
     (n1 * n2) as f64 / (p as f64).sqrt()
-}
-
-/// Theorem 1 Case 2's `C`-side term `n1(n1−1)/2P`.
-pub fn thm1_case2_c_term(n1: usize, p: usize) -> f64 {
-    thm1_case1_c_term(n1) / p as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Leading-order simplification of eq. (12): `n1n2/(√p1·p2) + n1²/(2p1)`.
+    fn alg3d_leading_cost(n1: usize, n2: usize, p1: usize, p2: usize) -> f64 {
+        alg3d_leading_a_term(n1, n2, p1, p2) + alg3d_leading_c_term(n1, p1)
+    }
+
+    /// Theorem 1 Case 2's `C`-side term `n1(n1−1)/2P`.
+    fn thm1_case2_c_term(n1: usize, p: usize) -> f64 {
+        thm1_case1_c_term(n1) / p as f64
+    }
 
     #[test]
     fn bound_case1_formula() {

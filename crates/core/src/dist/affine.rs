@@ -40,7 +40,7 @@ pub fn affine_plane_lines(q: usize) -> Option<Vec<Vec<usize>>> {
 /// algorithm; the incidence structure always admits one by Hall's
 /// theorem since every point lies on `q + 1` lines and every line holds
 /// `q` points).
-pub fn match_diagonals(q: usize, lines: &[Vec<usize>]) -> Vec<Option<usize>> {
+pub(crate) fn match_diagonals(q: usize, lines: &[Vec<usize>]) -> Vec<Option<usize>> {
     let num_points = q * q;
     // lines_of[pt] = indices of lines containing pt.
     let mut lines_of: Vec<Vec<usize>> = vec![Vec::new(); num_points];

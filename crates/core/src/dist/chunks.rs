@@ -28,7 +28,7 @@ impl<'d> ConformalADist<'d> {
     }
 
     /// Dimensions of row block `A_i`.
-    pub fn block_shape(&self, i: usize) -> (usize, usize) {
+    pub(crate) fn block_shape(&self, i: usize) -> (usize, usize) {
         (self.rows.len(i), self.n2)
     }
 
@@ -65,7 +65,7 @@ impl<'d> ConformalADist<'d> {
     /// again. `a` is a view, so a 3D slice passes its column block of the
     /// global matrix as it lies; over a whole matrix the rows of `A_i`
     /// are contiguous and the chunk is one slice of it.
-    pub fn extract_chunk(&self, a: MatrixView<'_, f64>, i: usize, k: usize) -> Arc<[f64]> {
+    pub(crate) fn extract_chunk(&self, a: MatrixView<'_, f64>, i: usize, k: usize) -> Arc<[f64]> {
         assert_eq!(a.cols(), self.n2, "matrix width differs from the layout's");
         let base = self.rows.range(i).start * self.n2;
         let chunk = self.chunk_partition(i).range(self.dist.chunk_index(i, k));
@@ -74,7 +74,7 @@ impl<'d> ConformalADist<'d> {
 
     /// Reassemble the full row block `A_i` from its `c+1` chunks, given in
     /// `Q_i` order.
-    pub fn assemble_block<C: AsRef<[f64]>>(
+    pub(crate) fn assemble_block<C: AsRef<[f64]>>(
         &self,
         i: usize,
         chunks: impl IntoIterator<Item = C>,

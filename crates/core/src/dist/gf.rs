@@ -131,7 +131,7 @@ impl Gf {
 
     /// Field multiplication.
     #[inline]
-    pub fn mul(&self, a: usize, b: usize) -> usize {
+    pub(crate) fn mul(&self, a: usize, b: usize) -> usize {
         self.mul[a * self.q + b]
     }
 }

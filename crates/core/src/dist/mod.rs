@@ -6,7 +6,7 @@ mod chunks;
 mod gf;
 mod triangle;
 
-pub use affine::{affine_plane_lines, match_diagonals};
+pub use affine::affine_plane_lines;
 pub use chunks::ConformalADist;
 pub(crate) use gf::field_exists;
 pub use gf::Gf;

@@ -309,18 +309,11 @@ impl TriangleBlockDist {
 
     /// Position of rank `k` within `Q_i` (its chunk index for `A_i`).
     /// Panics if `k ∉ Q_i`.
-    pub fn chunk_index(&self, i: usize, k: usize) -> usize {
+    pub(crate) fn chunk_index(&self, i: usize, k: usize) -> usize {
         self.q[i]
             .iter()
             .position(|&m| m == k)
             .unwrap_or_else(|| panic!("rank {k} is not in Q_{i}"))
-    }
-
-    /// The unique row block shared by distinct ranks `k` and `k'`
-    /// (`R_k ∩ R_k'`), or `None` if they share none.
-    pub fn common_block(&self, k: usize, k2: usize) -> Option<usize> {
-        debug_assert_ne!(k, k2);
-        sorted_common(&self.r[k], &self.r[k2])
     }
 
     /// Check every structural invariant of the distribution:
@@ -373,6 +366,15 @@ impl TriangleBlockDist {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TriangleBlockDist {
+        /// The unique row block shared by distinct ranks `k` and `k'`
+        /// (`R_k ∩ R_k'`), or `None` if they share none.
+        fn common_block(&self, k: usize, k2: usize) -> Option<usize> {
+            debug_assert_ne!(k, k2);
+            sorted_common(&self.r[k], &self.r[k2])
+        }
+    }
 
     /// Table 1 of the paper, verbatim (c = 3, P = 12).
     #[test]

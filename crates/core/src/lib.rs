@@ -54,31 +54,28 @@ mod planner;
 mod primes;
 mod recovery;
 
-pub use abft::{AbftChecksums, AbftViolation, ABFT_CHECKS, ABFT_DETECTS, PHASE_ABFT};
+pub use abft::PHASE_ABFT;
 pub use algorithms::{
-    assemble_c, gemm_1d, gemm_2d, gemm_3d, run, scalapack_syrk_2d, symm_2d, symm_reference, syr2k,
-    syrk_2d_limited, try_syrk_1d, try_syrk_2d, try_syrk_3d, DiagBlock, LocalOutput, OffDiagBlock,
-    RunSpec, SymmRunResult, SyrkRun, SyrkRunResult,
+    gemm_1d, gemm_2d, gemm_3d, run, scalapack_syrk_2d, symm_2d, symm_reference, syr2k,
+    syrk_2d_limited, try_syrk_1d, try_syrk_2d, try_syrk_3d, RunSpec, SymmRunResult, SyrkRun,
+    SyrkRunResult,
 };
 pub use attribution::{
-    attribute_bounds, AttributionReport, TermAttribution, PHASE_ALLGATHER_A, PHASE_LOCAL_GEMM,
-    PHASE_LOCAL_SYRK, PHASE_REDUCE_SCATTER_C,
+    attribute_bounds, AttributionReport, TermAttribution, PHASE_ALLGATHER_A, PHASE_LOCAL_SYRK,
+    PHASE_REDUCE_SCATTER_C,
 };
 pub use bounds::{
-    alg1d_predicted_cost, alg2d_predicted_cost, alg2d_tight_cost, alg3d_a_term, alg3d_c_term,
-    alg3d_leading_a_term, alg3d_leading_c_term, alg3d_leading_cost, alg3d_predicted_cost,
+    alg1d_predicted_cost, alg2d_predicted_cost, alg2d_tight_cost, alg3d_predicted_cost,
     gemm_lower_bound, syrk_effective_bound, syrk_lower_bound, syrk_memory_dependent_bound,
-    thm1_case1_c_term, thm1_case2_a_term, thm1_case2_c_term, BoundCase, SyrkBound,
+    BoundCase, SyrkBound,
 };
 pub use coverage::{footprint, Footprint, GridOwner, IterationOwner};
-pub use dist::{affine_plane_lines, match_diagonals, ConformalADist, Gf, TriangleBlockDist};
+pub use dist::{affine_plane_lines, ConformalADist, Gf, TriangleBlockDist};
 pub use error::SyrkError;
 pub use planner::{
-    candidate_plans, constructible_orders, ideal_case3_grid, nearest_triangle_c, plan,
-    predicted_cost, ranked_plans, Plan, PlanError, RankedPlan, PLAN_CACHE_CAP,
+    candidate_plans, constructible_orders, plan, predicted_cost, ranked_plans, Plan, PlanError,
+    RankedPlan, PLAN_CACHE_CAP,
 };
-pub use primes::{is_prime, largest_triangle_c_at_most, triangle_c_for};
 pub use recovery::{
     run_with_recovery, AttemptOutcome, RecoveryAttempt, RecoveryPolicy, RecoveryReport,
-    RECOVERY_ATTEMPTS, RECOVERY_RANKS_LOST,
 };

@@ -224,35 +224,19 @@ pub fn ranked_plans(n1: usize, n2: usize, p: usize) -> Vec<RankedPlan> {
     ranked
 }
 
-/// The paper's closed-form §5.4 grid for Case 3 (before prime rounding):
-/// `p1 = (n1/n2)^{2/3}·P^{2/3}`, `p2 = (n2/n1)^{2/3}·P^{1/3}`.
-pub fn ideal_case3_grid(n1: usize, n2: usize, p: usize) -> (f64, f64) {
-    let (n1, n2, p) = (n1 as f64, n2 as f64, p as f64);
-    (
-        (n1 / n2).powf(2.0 / 3.0) * p.powf(2.0 / 3.0),
-        (n2 / n1).powf(2.0 / 3.0) * p.cbrt(),
-    )
-}
-
-/// The constructible `c` whose `c(c+1)` is nearest to a real target from
-/// below or above, restricted to `c(c+1) ≤ cap`.
-pub fn nearest_triangle_c(target: f64, cap: usize) -> Option<usize> {
-    let mut best: Option<(f64, usize)> = None;
-    for c in constructible_orders((cap as f64).sqrt() as usize + 1) {
-        if c * (c + 1) > cap {
-            continue;
-        }
-        let d = ((c * (c + 1)) as f64 - target).abs();
-        if best.is_none_or(|(bd, _)| d < bd) {
-            best = Some((d, c));
-        }
-    }
-    best.map(|(_, c)| c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The paper's closed-form §5.4 grid for Case 3 (before prime rounding):
+    /// `p1 = (n1/n2)^{2/3}·P^{2/3}`, `p2 = (n2/n1)^{2/3}·P^{1/3}`.
+    fn ideal_case3_grid(n1: usize, n2: usize, p: usize) -> (f64, f64) {
+        let (n1, n2, p) = (n1 as f64, n2 as f64, p as f64);
+        (
+            (n1 / n2).powf(2.0 / 3.0) * p.powf(2.0 / 3.0),
+            (n2 / n1).powf(2.0 / 3.0) * p.cbrt(),
+        )
+    }
 
     #[test]
     fn plan_is_the_first_ranked_plan_and_repeats_bitwise() {
@@ -324,7 +308,7 @@ mod tests {
         // `Gf::new` gates on the same predicate, so pin the prime powers
         // it builds on their own as well.
         let prime_powers: Vec<usize> = (constructible_orders(64).into_iter())
-            .filter(|&c| !crate::is_prime(c))
+            .filter(|&c| !crate::primes::is_prime(c))
             .collect();
         assert_eq!(prime_powers, [4, 8, 9, 16, 25, 27, 32, 49]);
         for p in [1, 2, 12, 48, 181, 1200, 10302] {
@@ -409,15 +393,6 @@ mod tests {
         // 7·8 = 56 ≤ 60 but leaves no room for p2 ≥ 2.
         assert!(plans.contains(&Plan::TwoD { c: 7 }));
         assert!(!plans.iter().any(|p| matches!(p, Plan::ThreeD { c: 7, .. })));
-    }
-
-    #[test]
-    fn nearest_prime_grid() {
-        assert_eq!(nearest_triangle_c(12.0, 1000), Some(3));
-        assert_eq!(nearest_triangle_c(40.0, 1000), Some(5)); // 30 vs 56
-        assert_eq!(nearest_triangle_c(50.0, 1000), Some(7)); // 56 beats 30
-        assert_eq!(nearest_triangle_c(100.0, 30), Some(5)); // capped
-        assert_eq!(nearest_triangle_c(100.0, 5), None);
     }
 
     #[test]

@@ -47,9 +47,9 @@ use crate::error::SyrkError;
 use crate::planner::{plan, Plan, PlanError};
 
 /// Recovery attempts started (i.e. retries after a failed attempt).
-pub static RECOVERY_ATTEMPTS: LazyCounter = LazyCounter::new("syrk_recovery_attempts");
+pub(crate) static RECOVERY_ATTEMPTS: LazyCounter = LazyCounter::new("syrk_recovery_attempts");
 /// Ranks lost to crashes across all recovered runs.
-pub static RECOVERY_RANKS_LOST: LazyCounter = LazyCounter::new("syrk_recovery_ranks_lost");
+pub(crate) static RECOVERY_RANKS_LOST: LazyCounter = LazyCounter::new("syrk_recovery_ranks_lost");
 
 /// User tag for the `recover:redistribute` ring shift (kept far below
 /// the collective tag space).

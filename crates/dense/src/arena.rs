@@ -64,7 +64,7 @@ thread_local! {
 /// A packed-panel scratch buffer checked out of the arena. Returns its
 /// storage to the calling thread's cache on drop (or, if the thread is
 /// already tearing down, to the global pool).
-pub struct PackBuf<T: Scalar> {
+pub(crate) struct PackBuf<T: Scalar> {
     vec: Vec<T>,
 }
 
@@ -72,7 +72,7 @@ impl<T: Scalar> PackBuf<T> {
     /// The underlying vector, for pack routines that manage length
     /// themselves (capacity was pre-reserved at checkout, so in the
     /// steady state they never trigger a reallocation).
-    pub fn vec_mut(&mut self) -> &mut Vec<T> {
+    pub(crate) fn vec_mut(&mut self) -> &mut Vec<T> {
         &mut self.vec
     }
 
@@ -80,7 +80,7 @@ impl<T: Scalar> PackBuf<T> {
     /// new storage) or truncating as needed. Existing contents are
     /// **stale** — callers must fully overwrite what they read; the
     /// shared-pack packers do.
-    pub fn resized(&mut self, len: usize) -> &mut [T] {
+    pub(crate) fn resized(&mut self, len: usize) -> &mut [T] {
         if self.vec.len() < len {
             reserve_counted(&mut self.vec, len);
             self.vec.resize(len, T::zero());
@@ -128,7 +128,7 @@ fn reserve_counted<T: Scalar>(vec: &mut Vec<T>, len: usize) {
 /// `T` out of the arena: best-fit from the thread-local cache, then the
 /// global pool, then (a counted miss) a fresh allocation. The buffer's
 /// *contents* are unspecified; only capacity is guaranteed.
-pub fn acquire<T: Scalar>(len: usize) -> PackBuf<T> {
+pub(crate) fn acquire<T: Scalar>(len: usize) -> PackBuf<T> {
     if let Some(vec) = take_best_fit::<T>(len) {
         stats::add_arena_hit();
         let mut vec = vec;

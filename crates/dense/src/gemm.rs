@@ -163,7 +163,7 @@ pub(crate) fn gemm_driver<T: Scalar>(
 }
 
 /// Packed, register-blocked, multi-threaded `C += A·Bᵀ`; a `C` of at most
-/// [`SMALL_OUTPUT_CUTOFF`] entries as direct chains (`crate::direct`).
+/// `SMALL_OUTPUT_CUTOFF` entries as direct chains (`crate::direct`).
 pub fn gemm_nt<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>) {
     let (m, k) = a.shape();
     let (n, k2) = b.shape();
@@ -183,7 +183,7 @@ pub fn gemm_nt<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>) {
 }
 
 /// Packed, register-blocked, multi-threaded `C += A·B`; a `C` of at most
-/// [`SMALL_OUTPUT_CUTOFF`] entries as direct chains (`crate::direct`).
+/// `SMALL_OUTPUT_CUTOFF` entries as direct chains (`crate::direct`).
 pub fn gemm_nn<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>) {
     let (m, k) = a.shape();
     let (k2, n) = b.shape();

@@ -47,7 +47,7 @@ impl Isa {
     pub const COUNT: usize = 4;
 
     /// All variants, in [`Isa::index`] order.
-    pub const ALL: [Isa; Isa::COUNT] = [Isa::Scalar, Isa::Avx2, Isa::Avx512, Isa::Neon];
+    pub(crate) const ALL: [Isa; Isa::COUNT] = [Isa::Scalar, Isa::Avx2, Isa::Avx512, Isa::Neon];
 
     /// Stable index of this ISA into per-ISA counter arrays.
     #[inline]
@@ -72,7 +72,7 @@ impl Isa {
 
     /// Parse a `SYRK_FORCE_ISA` value. `None` for unknown names — the
     /// caller turns that into a hard error listing the valid spellings.
-    pub fn from_name(s: &str) -> Option<Isa> {
+    pub(crate) fn from_name(s: &str) -> Option<Isa> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Isa::Scalar),
             "avx2" => Some(Isa::Avx2),
@@ -83,7 +83,7 @@ impl Isa {
     }
 
     /// Whether the running host can execute this ISA's kernel.
-    pub fn available(self) -> bool {
+    pub(crate) fn available(self) -> bool {
         match self {
             Isa::Scalar => true,
             #[cfg(target_arch = "x86_64")]

@@ -19,8 +19,9 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
-pub mod arena;
+mod arena;
 mod blocking;
 mod direct;
 mod gemm;
@@ -48,16 +49,14 @@ pub use microkernel::{dispatch_f64, Dispatch, KernelSpec};
 pub use norms::{max_abs_diff, syrk_tolerance};
 pub use packed::{mirror_lower_to_upper, write_packed_lower, Diag, PackedLower};
 pub use parallel::{
-    available_threads, hardware_threads, limit_threads, machine_thread_budget, par_for_each_task,
-    steal_task_count, workers_for_flops, SERIAL_FLOP_CUTOFF, SMALL_OUTPUT_CUTOFF,
+    available_threads, limit_threads, machine_thread_budget, par_for_each_task, steal_task_count,
+    workers_for_flops, SERIAL_FLOP_CUTOFF,
 };
 pub use rng::{seeded_int_matrix, seeded_matrix, DetRng};
 pub use scalar::Scalar;
 pub use schedule::{balanced_chunks_by_cost, balanced_triangle_chunks, per_chunk_pack_words};
-pub use stats::{kernel_stats, reset_kernel_stats, KernelStats};
-pub use syr2k::{
-    syr2k_flops, syr2k_full_reference, syr2k_lower_ref, syr2k_packed, syr2k_packed_new,
-};
+pub use stats::{kernel_stats, KernelStats};
+pub use syr2k::{syr2k_flops, syr2k_full_reference, syr2k_packed, syr2k_packed_new};
 pub use syrk::{
     syrk_flops, syrk_full_reference, syrk_lower_ref, syrk_packed, syrk_packed_new,
     syrk_packed_view, syrk_strict_flops,

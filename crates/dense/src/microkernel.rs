@@ -33,12 +33,12 @@ pub const MR: usize = 4;
 pub const NR: usize = 4;
 
 /// Largest `mr` any [`KernelSpec`] uses (the AVX-512 tile height).
-pub const MAX_MR: usize = 16;
+pub(crate) const MAX_MR: usize = 16;
 /// Largest `nr` any [`KernelSpec`] uses (the AVX-512 tile width).
-pub const MAX_NR: usize = 14;
+pub(crate) const MAX_NR: usize = 14;
 /// Scratch size (in scalars) that holds any spec's `mr × nr` tile —
 /// drivers keep one stack buffer of this size per task.
-pub const MAX_ACC: usize = MAX_MR * MAX_NR;
+pub(crate) const MAX_ACC: usize = MAX_MR * MAX_NR;
 
 /// The tile geometry and cache blocking of one dispatched kernel.
 ///
@@ -70,7 +70,7 @@ pub struct KernelSpec {
 }
 
 /// The f64 tile geometry of each ISA.
-pub fn spec_for_isa(isa: Isa) -> KernelSpec {
+pub(crate) fn spec_for_isa(isa: Isa) -> KernelSpec {
     match isa {
         Isa::Scalar => KernelSpec {
             isa,
@@ -104,7 +104,7 @@ pub fn spec_for_isa(isa: Isa) -> KernelSpec {
 /// A dispatchable microkernel: `kernel(kc, ap, bp, acc)` overwrites the
 /// row-major `spec.mr × spec.nr` tile `acc` with the fully accumulated
 /// product of the two packed panels.
-pub type KernelFn<T> = fn(usize, &[T], &[T], &mut [T]);
+pub(crate) type KernelFn<T> = fn(usize, &[T], &[T], &mut [T]);
 
 /// One resolved kernel dispatch: the tile/blocking geometry plus the
 /// kernel function pointer that computes tiles of that shape.
@@ -124,7 +124,7 @@ pub struct Dispatch<T: Scalar> {
 /// The portable kernel behind the dispatchable slice interface: computes
 /// the `MR × NR` tile and copies it row-major into `acc`
 /// (`acc[i · NR + j] = tile[i][j]`).
-pub fn portable_kernel<T: Scalar>(kc: usize, ap: &[T], bp: &[T], acc: &mut [T]) {
+pub(crate) fn portable_kernel<T: Scalar>(kc: usize, ap: &[T], bp: &[T], acc: &mut [T]) {
     let tile = microkernel(kc, ap, bp);
     for (row, dst) in tile.iter().zip(acc.chunks_exact_mut(NR)) {
         dst.copy_from_slice(row);
@@ -132,7 +132,7 @@ pub fn portable_kernel<T: Scalar>(kc: usize, ap: &[T], bp: &[T], acc: &mut [T]) 
 }
 
 /// The f64 dispatch for a specific ISA. The caller must only pass ISAs
-/// the host can execute (see [`crate::isa::Isa::available`]); asking for
+/// the host can execute (see [`available_isas`](crate::available_isas)); asking for
 /// a foreign-architecture ISA panics.
 pub fn dispatch_for_isa_f64(isa: Isa) -> Dispatch<f64> {
     type ChainsFn = fn(&[f64], &[f64], usize, usize, &mut [f64]);
@@ -172,7 +172,7 @@ pub fn dispatch_f64() -> Dispatch<f64> {
 }
 
 /// One fully-accumulated register tile.
-pub type Acc<T> = [[T; NR]; MR];
+pub(crate) type Acc<T> = [[T; NR]; MR];
 
 /// Rank-1 update of the accumulator from one k-step of each panel.
 #[inline(always)]
@@ -217,7 +217,7 @@ pub fn microkernel<T: Scalar>(kc: usize, ap: &[T], bp: &[T]) -> Acc<T> {
 /// `acc` (row stride `nr`) into a row-major destination `dst` with row
 /// stride `stride`, starting at `dst[0]`.
 #[inline]
-pub fn store_add<T: Scalar>(
+pub(crate) fn store_add<T: Scalar>(
     dst: &mut [T],
     stride: usize,
     rows: usize,

@@ -21,10 +21,10 @@
 //!
 //! Two packing surfaces exist:
 //!
-//! * [`pack_rows`] / [`pack_cols`] fill a caller-owned `Vec` (typically
-//!   an arena buffer) — the per-task path for operands only one worker
-//!   reads, and
-//! * [`SharedPack`] — a panel buffer **shared across workers** with
+//! * `pack_rows` fills a caller-owned `Vec` (typically an arena buffer)
+//!   and `pack_cols_into` a caller-owned slice — the per-task path for
+//!   operands only one worker reads, and
+//! * `SharedPack` — a panel buffer **shared across workers** with
 //!   once-cell-style per-block publication: the first worker to need a
 //!   `block_rows`-row block packs it (exactly once), everyone else reads
 //!   the published panels. This is what lets SYRK feed each packed copy
@@ -48,7 +48,7 @@ pub fn packed_panel_len(rows: usize, kc: usize, r: usize) -> usize {
 /// Offset of the micro-panel that starts at local row `row` (a multiple
 /// of `r`) inside a packed buffer with inner length `kc`.
 #[inline]
-pub fn panel_offset(row: usize, kc: usize, r: usize) -> usize {
+pub(crate) fn panel_offset(row: usize, kc: usize, r: usize) -> usize {
     debug_assert_eq!(row % r, 0, "micro-panels start at multiples of R");
     row * kc
 }
@@ -70,7 +70,7 @@ fn set_pack_len<T: Scalar>(buf: &mut Vec<T>, len: usize) {
 /// (arena) buffer across panels to amortize the allocation. The source
 /// is a view, so a caller packs a column block of a larger matrix in
 /// place; the packed values and their order do not depend on the stride.
-pub fn pack_rows<T: Scalar>(
+pub(crate) fn pack_rows<T: Scalar>(
     buf: &mut Vec<T>,
     a: MatrixView<'_, T>,
     rows: Range<usize>,
@@ -85,7 +85,7 @@ pub fn pack_rows<T: Scalar>(
 /// [`packed_panel_len`] elements. Fully initializes `dst` — live lanes
 /// from `a`, padding lanes zero — so the destination's prior contents
 /// (stale arena data, a reused shared buffer) never leak through.
-pub fn pack_rows_into<T: Scalar>(
+pub(crate) fn pack_rows_into<T: Scalar>(
     dst: &mut [T],
     a: MatrixView<'_, T>,
     rows: Range<usize>,
@@ -113,25 +113,13 @@ pub fn pack_rows_into<T: Scalar>(
 }
 
 /// Pack columns `cols` of `b`, restricted to rows `rows` (the inner
-/// dimension), into `r`-column k-major micro-panels — the B-side pack for
+/// dimension), into `r`-column k-major micro-panels of a caller-provided
+/// slice of exactly [`packed_panel_len`] elements — the B-side pack for
 /// `C += A·B` where B is stored `k × n`. Same layout contract as
 /// [`pack_rows`]; copies are contiguous because columns of a row-major
-/// matrix are walked row by row.
-pub fn pack_cols<T: Scalar>(
-    buf: &mut Vec<T>,
-    b: MatrixView<'_, T>,
-    rows: Range<usize>,
-    cols: Range<usize>,
-    r: usize,
-) {
-    set_pack_len(buf, packed_panel_len(cols.len(), rows.len(), r));
-    pack_cols_into(&mut buf[..], b, rows, cols, r);
-}
-
-/// [`pack_cols`] into a caller-provided slice of exactly
-/// [`packed_panel_len`] elements; fully initializes `dst` like
+/// matrix are walked row by row. Fully initializes `dst` like
 /// [`pack_rows_into`].
-pub fn pack_cols_into<T: Scalar>(
+pub(crate) fn pack_cols_into<T: Scalar>(
     dst: &mut [T],
     b: MatrixView<'_, T>,
     rows: Range<usize>,
@@ -180,7 +168,7 @@ const BLOCK_READY: u8 = 2;
 /// the `packing` state, and read only after the acquire-load of
 /// `ready` — the release/acquire pair orders the pack writes before
 /// every read, and disjoint blocks never alias.
-pub struct SharedPack<'a, T: Scalar> {
+pub(crate) struct SharedPack<'a, T: Scalar> {
     cells: &'a [UnsafeCell<T>],
     kc: usize,
     r: usize,
@@ -222,7 +210,7 @@ impl<'a, T: Scalar> SharedPack<'a, T> {
 
     /// The publication block containing logical row `row`.
     #[inline]
-    pub fn block_of(&self, row: usize) -> usize {
+    pub(crate) fn block_of(&self, row: usize) -> usize {
         row / self.block_rows
     }
 
@@ -242,7 +230,7 @@ impl<'a, T: Scalar> SharedPack<'a, T> {
     /// caller wins the publication race. `pack` receives the block's
     /// logical row range and its exactly-sized destination slice, and
     /// must fully initialize it (the `pack_*_into` routines do).
-    pub fn ensure<F: Fn(Range<usize>, &mut [T])>(&self, b: usize, pack: &F) {
+    pub(crate) fn ensure<F: Fn(Range<usize>, &mut [T])>(&self, b: usize, pack: &F) {
         // Fast path: drivers re-ensure blocks once per register-tile
         // group, so the common case must be one acquire load, not a CAS
         // ping-ponging the cache line between workers.
@@ -311,7 +299,7 @@ impl<'a, T: Scalar> SharedPack<'a, T> {
     }
 
     /// Make every block covering logical rows `rows` available.
-    pub fn ensure_rows<F: Fn(Range<usize>, &mut [T])>(&self, rows: Range<usize>, pack: &F) {
+    pub(crate) fn ensure_rows<F: Fn(Range<usize>, &mut [T])>(&self, rows: Range<usize>, pack: &F) {
         if rows.is_empty() {
             return;
         }
@@ -347,6 +335,18 @@ mod tests {
     use crate::matrix::Matrix;
     use crate::rng::seeded_matrix;
     use std::sync::atomic::AtomicUsize;
+
+    /// [`pack_cols_into`] a `Vec`, as [`pack_rows`] packs rows.
+    fn pack_cols(
+        buf: &mut Vec<f64>,
+        b: MatrixView<'_, f64>,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        r: usize,
+    ) {
+        set_pack_len(buf, packed_panel_len(cols.len(), rows.len(), r));
+        pack_cols_into(&mut buf[..], b, rows, cols, r);
+    }
 
     #[test]
     fn pack_rows_layout_and_padding() {

@@ -28,7 +28,7 @@ impl Diag {
 
     /// Number of packed entries of row `i`: columns `0..row_len(i)`.
     #[inline]
-    pub fn row_len(self, i: usize) -> usize {
+    pub(crate) fn row_len(self, i: usize) -> usize {
         match self {
             Diag::Inclusive => i + 1,
             Diag::Strict => i,

@@ -77,7 +77,7 @@ fn env_thread_override() -> Option<usize> {
 /// `available_parallelism` reads the affinity mask and cgroup files on
 /// every call, which outside a [`limit_threads`] budget made a 1 × 96
 /// `mul_nt` take 30 µs instead of 1.2 µs.
-pub fn hardware_threads() -> usize {
+pub(crate) fn hardware_threads() -> usize {
     static HW_THREADS: OnceLock<usize> = OnceLock::new();
     *HW_THREADS.get_or_init(|| {
         std::thread::available_parallelism()
@@ -156,7 +156,7 @@ pub const SERIAL_FLOP_CUTOFF: u64 = 1 << 22;
 /// 2.17 vs 1.69, 8.6 vs 6.2, 136 vs 102 µs). SYRK crosses between 66 and
 /// 78 packed entries. A 2×2×64 product takes 0.23 µs instead of 1.20.
 /// Like the flop cutoff it is a constant, not an option.
-pub const SMALL_OUTPUT_CUTOFF: usize = 64;
+pub(crate) const SMALL_OUTPUT_CUTOFF: usize = 64;
 
 /// Worker threads worth using for a task list of `total_flops`: one
 /// (the caller, no spawn) below [`SERIAL_FLOP_CUTOFF`], else
@@ -173,11 +173,11 @@ pub fn workers_for_flops(total_flops: u64) -> usize {
 /// have granularity to balance with. ×4 keeps chunks large enough that
 /// per-chunk loop overhead stays negligible while a worker that finishes
 /// early still finds work to steal.
-pub const TASKS_PER_WORKER: usize = 4;
+pub(crate) const TASKS_PER_WORKER: usize = 4;
 
 /// How many flop-balanced chunks a driver should create for `workers`
 /// workers under the stealing runtime: oversubscribed by
-/// [`TASKS_PER_WORKER`] when parallel, a single chunk when serial (the
+/// `TASKS_PER_WORKER` when parallel, a single chunk when serial (the
 /// inline path has nobody to steal from).
 pub fn steal_task_count(workers: usize) -> usize {
     if workers > 1 {

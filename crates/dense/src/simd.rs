@@ -50,7 +50,7 @@ pub mod x86 {
     ///
     /// Caller contract: the host supports AVX2 and FMA (guaranteed by the
     /// dispatch table; debug-asserted here).
-    pub fn microkernel_avx2_8x6(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [f64]) {
+    pub(crate) fn microkernel_avx2_8x6(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [f64]) {
         check_panels(kc, ap, bp, acc, 8, 6);
         debug_assert!(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"));
         // SAFETY: feature availability is the dispatch-table invariant;
@@ -88,7 +88,7 @@ pub mod x86 {
     }
 
     /// AVX-512F 16×14 tile of `Ap · Bpᵀ` into row-major `acc`.
-    pub fn microkernel_avx512_16x14(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [f64]) {
+    pub(crate) fn microkernel_avx512_16x14(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [f64]) {
         check_panels(kc, ap, bp, acc, 16, 14);
         debug_assert!(is_x86_feature_detected!("avx512f"));
         // SAFETY: as for AVX2 — dispatch guarantees avx512f; bounds
@@ -98,7 +98,7 @@ pub mod x86 {
 
     /// [`crate::direct::chains`] in AVX2 + FMA arithmetic: one `vfmadd`
     /// per step, as [`microkernel_avx2_8x6`] applies to every tile entry.
-    pub fn chains_avx2(x: &[f64], y: &[f64], rs: usize, ps: usize, acc: &mut [f64]) {
+    pub(crate) fn chains_avx2(x: &[f64], y: &[f64], rs: usize, ps: usize, acc: &mut [f64]) {
         debug_assert!(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"));
         // SAFETY: the dispatch table offers this function only for
         // `Isa::Avx2`, which it selects only when `Isa::available` detected
@@ -113,7 +113,7 @@ pub mod x86 {
 
     /// [`crate::direct::chains`] in AVX-512F arithmetic, the fused
     /// multiply-add of [`microkernel_avx512_16x14`].
-    pub fn chains_avx512(x: &[f64], y: &[f64], rs: usize, ps: usize, acc: &mut [f64]) {
+    pub(crate) fn chains_avx512(x: &[f64], y: &[f64], rs: usize, ps: usize, acc: &mut [f64]) {
         debug_assert!(is_x86_feature_detected!("avx512f"));
         // SAFETY: the dispatch table offers this function only for
         // `Isa::Avx512`, which it selects only when `Isa::available`
@@ -160,7 +160,7 @@ pub mod arm {
     /// NEON 8×6 tile of `Ap · Bpᵀ` into row-major `acc`. NEON (with f64
     /// FMA) is baseline on aarch64, so no runtime feature check is
     /// needed.
-    pub fn microkernel_neon_8x6(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [f64]) {
+    pub(crate) fn microkernel_neon_8x6(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [f64]) {
         check_panels(kc, ap, bp, acc, 8, 6);
         // SAFETY: NEON is mandatory on aarch64; bounds checked above.
         unsafe { neon_8x6(kc, ap.as_ptr(), bp.as_ptr(), acc.as_mut_ptr()) }
@@ -169,7 +169,7 @@ pub mod arm {
     /// [`crate::direct::chains`] in NEON arithmetic, the fused
     /// multiply-add of [`microkernel_neon_8x6`]. The FPU is baseline on
     /// aarch64, so `mul_add` is one `fmadd` without a feature gate.
-    pub fn chains_neon(x: &[f64], y: &[f64], rs: usize, ps: usize, acc: &mut [f64]) {
+    pub(crate) fn chains_neon(x: &[f64], y: &[f64], rs: usize, ps: usize, acc: &mut [f64]) {
         crate::direct::chains::<f64, true>(x, y, rs, ps, acc)
     }
 

@@ -17,8 +17,9 @@
 //! engine-facing façade: the [`KernelStats`] snapshot API is unchanged,
 //! and the hot-path helpers still accumulate locally per task and flush
 //! once, so kernel loops see one relaxed `fetch_add` per flush and no
-//! locks. They are cumulative per process; call [`reset_kernel_stats`]
-//! before the region you want to measure and [`kernel_stats`] after.
+//! locks. They are cumulative per process; take a [`kernel_stats`]
+//! snapshot before the region you want to measure and
+//! [`KernelStats::since`] of it after.
 
 use crate::isa::Isa;
 use syrk_telemetry::{LazyCounter, LazyGauge};
@@ -106,21 +107,6 @@ pub fn kernel_stats() -> KernelStats {
         arena_alloc_bytes: ARENA_ALLOC_BYTES.get().get(),
         steals: STEALS.get().get(),
         isa_calls: std::array::from_fn(|i| ISA_CALLS[i].get().get()),
-    }
-}
-
-/// Zero the kernel-engine counters (the runtime scheduling counters —
-/// `syrk_tasks_*` — are left monotone; they are consistency-checked
-/// against each other, not region-measured).
-pub fn reset_kernel_stats() {
-    PACK_WORDS.get().reset();
-    MICROKERNEL_CALLS.get().reset();
-    ARENA_HITS.get().reset();
-    ARENA_MISSES.get().reset();
-    ARENA_ALLOC_BYTES.get().reset();
-    STEALS.get().reset();
-    for c in &ISA_CALLS {
-        c.get().reset();
     }
 }
 

@@ -17,7 +17,7 @@ pub fn syr2k_flops(n: usize, k: usize) -> u64 {
 }
 
 /// Reference kernel: dense `C += A·Bᵀ + B·Aᵀ` writing only `j ≤ i`.
-pub fn syr2k_lower_ref<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>) {
+pub(crate) fn syr2k_lower_ref<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>) {
     let (n, k) = a.shape();
     assert_eq!(
         b.shape(),

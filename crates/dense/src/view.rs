@@ -73,7 +73,7 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
     }
 
     /// Copy into a new owned matrix.
-    pub fn to_owned_matrix(&self) -> crate::matrix::Matrix<T> {
+    pub(crate) fn to_owned_matrix(self) -> crate::matrix::Matrix<T> {
         let data = self.flat_range_to_vec(0..self.rows * self.cols);
         crate::matrix::Matrix::from_vec(self.rows, self.cols, data)
     }

@@ -6,7 +6,7 @@
 //! * the Loomis–Whitney inequality (Lemma 1) and the paper's symmetric
 //!   extension for `j < i` sets (Lemma 3) as checkable predicates,
 //! * the SYRK iteration space — a triangular prism — with its exact
-//!   volumes and projection sizes (Fig. 1),
+//!   volumes (Fig. 1),
 //! * the constrained optimization problem of Lemma 6 with the analytic
 //!   three-case solution, an independent numerical solver, and a
 //!   machine-checked KKT certificate (Lemma 2/Definition 3), plus the
@@ -39,5 +39,5 @@ pub use loomis_whitney::{
 };
 pub use optimization::quasiconvex;
 pub use optimization::{BoundCase, KktReport, Lemma6Problem, Point};
-pub use points::{Point3, PointSet};
+pub use points::PointSet;
 pub use prism::SyrkIterationSpace;

@@ -51,7 +51,7 @@ impl Lemma6Problem {
     /// Evaluate the KKT residuals at `(x, µ)`. Residuals are normalized by
     /// the natural scale of each row so `holds(1e-9)` is meaningful across
     /// wildly different instance sizes.
-    pub fn kkt_report(&self, x: Point, mu: [f64; 4]) -> KktReport {
+    pub(crate) fn kkt_report(&self, x: Point, mu: [f64; 4]) -> KktReport {
         let g = self.constraints(x);
         let scale_g = self.k().max(self.x2_hi()).max(1.0);
         let primal = g.iter().fold(f64::MIN, |a, &b| a.max(b)) / scale_g;

@@ -71,17 +71,17 @@ impl Lemma6Problem {
     }
 
     /// Lower bound on `x2`: `n1(n1−1)/(2P)`.
-    pub fn x2_lo(&self) -> f64 {
+    pub(crate) fn x2_lo(&self) -> f64 {
         self.t() / (2.0 * self.p as f64)
     }
 
     /// Upper bound on `x2`: `n1(n1−1)/2`.
-    pub fn x2_hi(&self) -> f64 {
+    pub(crate) fn x2_hi(&self) -> f64 {
         self.t() / 2.0
     }
 
     /// The constraint vector `g(x) ≤ 0` at a point.
-    pub fn constraints(&self, pt: Point) -> [f64; 4] {
+    pub(crate) fn constraints(&self, pt: Point) -> [f64; 4] {
         [
             self.k() - pt.x1 * pt.x1 * pt.x2,
             -pt.x1,

@@ -2,12 +2,12 @@
 //! quadrant, as a checkable predicate (Definition 2).
 
 /// Evaluate `g0(x) = L − x1²·x2`.
-pub fn g0(l: f64, x: (f64, f64)) -> f64 {
+pub(crate) fn g0(l: f64, x: (f64, f64)) -> f64 {
     l - x.0 * x.0 * x.1
 }
 
 /// Gradient of `g0`: `(−2·x1·x2, −x1²)`.
-pub fn grad_g0(x: (f64, f64)) -> (f64, f64) {
+pub(crate) fn grad_g0(x: (f64, f64)) -> (f64, f64) {
     (-2.0 * x.0 * x.1, -x.0 * x.0)
 }
 

@@ -4,7 +4,7 @@ use std::collections::HashSet;
 
 /// A point of the 3-D iteration space. For SYRK, `(i, j, k)` indexes the
 /// scalar multiplication `A[i,k]·A[j,k]` contributing to `C[i,j]`.
-pub type Point3 = (i64, i64, i64);
+pub(crate) type Point3 = (i64, i64, i64);
 
 /// A finite set of points in Z³.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -68,7 +68,7 @@ impl PointSet {
 
     /// Whether every point satisfies `j < i` (the strict-lower-triangle
     /// premise of Lemma 3).
-    pub fn is_strictly_lower(&self) -> bool {
+    pub(crate) fn is_strictly_lower(&self) -> bool {
         self.points.iter().all(|&(i, j, _)| j < i)
     }
 

@@ -63,21 +63,6 @@ impl SyrkIterationSpace {
         }
         v
     }
-
-    /// Sizes of the three projections of the *strict* prism:
-    /// `(|φ_i|, |φ_j|, |φ_k|)`. `φ_i` and `φ_j` are the footprints on `A`
-    /// (and `Aᵀ`); `φ_k` is the footprint on the strict lower triangle
-    /// of `C`.
-    pub fn strict_projection_sizes(&self) -> (u64, u64, u64) {
-        let (n1, n2) = (self.n1 as u64, self.n2 as u64);
-        if n1 < 2 {
-            return (0, 0, 0);
-        }
-        // φ_i: pairs (j,k) with j < i for some i, so j ∈ [0, n1−1).
-        // φ_j: pairs (i,k) with i > j for some j, so i ∈ [1, n1).
-        // φ_k: pairs (i,j) with j < i — the strict triangle.
-        ((n1 - 1) * n2, (n1 - 1) * n2, n1 * (n1 - 1) / 2)
-    }
 }
 
 #[cfg(test)]
@@ -111,18 +96,6 @@ mod tests {
     }
 
     #[test]
-    fn projection_sizes_match_enumeration() {
-        for (n1, n2) in [(2, 2), (4, 3), (6, 5), (3, 7)] {
-            let s = SyrkIterationSpace::new(n1, n2);
-            let v = s.enumerate_strict();
-            let (pi, pj, pk) = s.strict_projection_sizes();
-            assert_eq!(v.proj_i().len() as u64, pi, "{n1}x{n2} φi");
-            assert_eq!(v.proj_j().len() as u64, pj, "{n1}x{n2} φj");
-            assert_eq!(v.proj_k().len() as u64, pk, "{n1}x{n2} φk");
-        }
-    }
-
-    #[test]
     fn strict_prism_satisfies_lemma3() {
         for (n1, n2) in [(2, 1), (5, 4), (8, 3)] {
             let v = SyrkIterationSpace::new(n1, n2).enumerate_strict();
@@ -136,7 +109,6 @@ mod tests {
         let s = SyrkIterationSpace::new(1, 10);
         assert_eq!(s.volume_strict(), 0);
         assert_eq!(s.volume_inclusive(), 10);
-        assert_eq!(s.strict_projection_sizes(), (0, 0, 0));
         let s = SyrkIterationSpace::new(0, 0);
         assert_eq!(s.volume_inclusive(), 0);
     }

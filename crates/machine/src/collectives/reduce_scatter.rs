@@ -372,8 +372,13 @@ mod tests {
         let tr = run(ReduceScatterAlg::TreeThenScatter);
         // Latency bounded by 2 log P at any single rank...
         assert!(tr.max_messages() <= 2 * 3 + 1);
-        // ...but the root receives ~w log P and sends ~w: more total words.
-        assert!(tr.max_words_total() > pw.max_words_total());
+        // ...but the root receives ~w log P and sends ~w: more total
+        // words, `max_p (words_sent(p) + words_recv(p))`, at the busiest rank.
+        let max_words_total = |cost: &crate::cost::CostReport| {
+            let total = cost.ranks.iter().map(|r| r.words_sent + r.words_recv);
+            total.max().unwrap_or(0)
+        };
+        assert!(max_words_total(&tr) > max_words_total(&pw));
     }
 
     #[test]

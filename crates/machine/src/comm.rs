@@ -39,11 +39,11 @@ use syrk_telemetry::flight::{self, FlightKind};
 /// deliberately distinct from any algorithm phase so that `retry:*` rows
 /// in a [`CostReport`](crate::CostReport) isolate robustness overhead
 /// from the Theorem 1 accounting.
-pub const RETRY_DROP_PHASE: &str = "retry:drop";
+pub(crate) const RETRY_DROP_PHASE: &str = "retry:drop";
 /// Receive-side cost of discarding a detected duplicate delivery.
-pub const RETRY_DUP_PHASE: &str = "retry:dup";
+pub(crate) const RETRY_DUP_PHASE: &str = "retry:dup";
 /// Receive-side cost of discarding a checksum-failed delivery.
-pub const RETRY_CORRUPT_PHASE: &str = "retry:corrupt";
+pub(crate) const RETRY_CORRUPT_PHASE: &str = "retry:corrupt";
 
 /// Phase names under which crash-recovery costs are recorded. Like the
 /// `retry:*` family they are distinct from every algorithm phase, so
@@ -64,7 +64,7 @@ pub const RECOVER_BACKOFF_PHASE: &str = "recover:backoff";
 /// Model-time a survivor waits on a silent link before declaring the
 /// peer dead, in units of `CostModel::message(1)` (one α + β): the
 /// detector sends this many unanswered heartbeat probes per suspect.
-pub const HEARTBEAT_TIMEOUT_PROBES: u64 = 4;
+pub(crate) const HEARTBEAT_TIMEOUT_PROBES: u64 = 4;
 
 /// Unmatched-envelope buffer indexed by `(src, tag)`. Sparse collectives
 /// at 10⁴ ranks desynchronize the ranks enough that thousands of
@@ -355,14 +355,14 @@ impl Comm {
     /// derived from the same world — is attributed to `name`. Phases nest;
     /// deltas go to the innermost one. Prefer the RAII form
     /// [`Comm::phase`].
-    pub fn push_phase(&self, name: &'static str) {
+    pub(crate) fn push_phase(&self, name: &'static str) {
         self.with_ledger(|l| l.push(name));
     }
 
     /// Close the innermost phase opened by [`push_phase`](Comm::push_phase).
     ///
     /// Panics if no phase is open (unbalanced pop).
-    pub fn pop_phase(&self) {
+    pub(crate) fn pop_phase(&self) {
         self.with_ledger(|l| l.pop());
     }
 
@@ -379,11 +379,6 @@ impl Comm {
     pub fn phase(&self, name: &'static str) -> PhaseScope<'_> {
         self.push_phase(name);
         PhaseScope { comm: self }
-    }
-
-    /// The innermost phase currently open on this rank, if any.
-    pub fn current_phase(&self) -> Option<&'static str> {
-        self.with_ledger(|l| l.active_phase())
     }
 
     /// Collectives call this to self-report under a `coll:*` name when the
@@ -1007,7 +1002,7 @@ mod tests {
                     comm.try_send(partner, 1, vec![1.0f64; 4])?;
                     let _: Vec<f64> = comm.try_recv(partner, 1)?;
                 }
-                assert_eq!(comm.current_phase(), None);
+                assert_eq!(comm.with_ledger(|l| l.active_phase()), None);
                 comm.add_flops(50);
                 Ok(())
             })

@@ -110,6 +110,8 @@ mod arch {
     /// `ctx_switch` into it pops zeros into the callee-saved registers
     /// (except `r12` = `arg`) and returns into `trampoline`.
     pub(super) unsafe fn prepare(top: *mut usize, arg: *mut u8) -> usize {
+        // SAFETY: the caller passes the 16-aligned top of an unused stack,
+        // so the seven words below it are writable and nothing else's.
         unsafe {
             let mut sp = top;
             sp = sp.sub(1);
@@ -188,6 +190,8 @@ mod arch {
     /// the restoring `ctx_switch` pops it, `sp == top` (16-aligned, as
     /// AArch64 requires at all times).
     pub(super) unsafe fn prepare(top: *mut usize, arg: *mut u8) -> usize {
+        // SAFETY: the caller passes the 16-aligned top of an unused stack,
+        // so the 160 bytes below it are writable and nothing else's.
         unsafe {
             let sp = (top as *mut u8).sub(160) as *mut usize;
             std::ptr::write_bytes(sp, 0, 20);
@@ -262,10 +266,14 @@ impl Stack {
 
     /// One past the highest usable word (stacks grow downward).
     fn top(&self) -> *mut usize {
+        // SAFETY: `carve` checked that `base..base + bytes` lies in the
+        // chunk, so its end is at most one past the chunk's last byte.
         unsafe { self.base.add(self.bytes) as *mut usize }
     }
 
     fn canary_intact(&self) -> bool {
+        // SAFETY: `base` is 16-aligned, in bounds and written by `carve`,
+        // and `_chunk` keeps the chunk allocated.
         unsafe { (self.base as *const u64).read() == CANARY }
     }
 }
@@ -293,7 +301,12 @@ thread_local! {
 /// trampoline on the coroutine's own stack. Runs the closure and switches
 /// back to the scheduler for the last time.
 extern "C" fn coroutine_entry(inner: *mut Inner) -> ! {
+    // SAFETY: `inner` is the boxed `Inner` that `resume` handed to
+    // `prepare`; its `Coroutine` owns the box and outlives this frame, and
+    // the scheduler, parked in `ctx_switch`, does not touch it meanwhile.
     run_body(unsafe { (*inner).closure.take().expect("coroutine entered twice") });
+    // SAFETY: as above; `sched_sp` is the stack pointer the parked
+    // scheduler saved in `resume`.
     unsafe {
         (*inner).done = true;
         arch::ctx_switch(&mut (*inner).coro_sp, &(*inner).sched_sp);
@@ -343,9 +356,14 @@ impl Context for Coroutine {
         let inner: *mut Inner = &mut *self.inner;
         if !self.started {
             self.started = true;
+            // SAFETY: the stack is unused until this first resume, and
+            // `inner` is boxed, so it stays put while the coroutine lives.
             self.inner.coro_sp = unsafe { arch::prepare(self.stack.top(), inner as *mut u8) };
         }
         let prev = CURRENT.with(|c| c.replace(inner));
+        // SAFETY: the coroutine is not done, so `coro_sp` is the frame
+        // `prepare` laid out or the one it saved when it last yielded; it
+        // runs on this thread only (`Coroutine` is not `Send`).
         unsafe { arch::ctx_switch(&mut (*inner).sched_sp, &(*inner).coro_sp) };
         CURRENT.with(|c| c.set(prev));
         assert!(
@@ -369,6 +387,8 @@ pub(super) fn yield_current() -> bool {
     if inner.is_null() {
         return false;
     }
+    // SAFETY: a non-null `CURRENT` is the `Inner` of the coroutine running
+    // on this stack, and `sched_sp` is where `resume` parked its scheduler.
     unsafe { arch::ctx_switch(&mut (*inner).coro_sp, &(*inner).sched_sp) };
     true
 }

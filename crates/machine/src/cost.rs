@@ -95,7 +95,7 @@ pub struct RankCost {
 
 impl RankCost {
     /// Record a send of one message with `w` words, advancing the clock.
-    pub fn on_send(&mut self, w: usize, model: &CostModel) {
+    pub(crate) fn on_send(&mut self, w: usize, model: &CostModel) {
         self.msgs_sent += 1;
         self.words_sent += w as u64;
         self.clock += model.message(w);
@@ -103,7 +103,7 @@ impl RankCost {
 
     /// Record a receive of one message with `w` words that the sender
     /// dispatched at time `sender_ready`.
-    pub fn on_recv(&mut self, w: usize, sender_ready: f64, model: &CostModel) {
+    pub(crate) fn on_recv(&mut self, w: usize, sender_ready: f64, model: &CostModel) {
         self.msgs_recv += 1;
         self.words_recv += w as u64;
         self.clock = self.clock.max(sender_ready) + model.message(w);
@@ -112,7 +112,7 @@ impl RankCost {
     /// Record a simultaneous exchange: `w_out` words sent while `w_in` words
     /// are received (bidirectional links, §3.2 — the step costs
     /// `α + β·max(w_out, w_in)`).
-    pub fn on_exchange(
+    pub(crate) fn on_exchange(
         &mut self,
         w_out: usize,
         w_in: usize,
@@ -127,13 +127,13 @@ impl RankCost {
     }
 
     /// Record `n` floating-point operations.
-    pub fn on_flops(&mut self, n: u64, model: &CostModel) {
+    pub(crate) fn on_flops(&mut self, n: u64, model: &CostModel) {
         self.flops += n;
         self.clock += model.gamma * n as f64;
     }
 
     /// Record `w` words of transient buffer space in use.
-    pub fn on_buffer(&mut self, w: usize) {
+    pub(crate) fn on_buffer(&mut self, w: usize) {
         self.peak_buffer_words = self.peak_buffer_words.max(w as u64);
     }
 
@@ -159,7 +159,7 @@ impl RankCost {
 }
 
 /// Name under which cost deltas are recorded while no phase is active.
-pub const UNTAGGED_PHASE: &str = "(untagged)";
+pub(crate) const UNTAGGED_PHASE: &str = "(untagged)";
 
 /// One named phase's accumulated costs on one rank.
 ///
@@ -169,8 +169,8 @@ pub const UNTAGGED_PHASE: &str = "(untagged)";
 /// plain counter deltas, so summing a rank's phases reproduces its totals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseCost {
-    /// Phase name (the static string passed to `Comm::push_phase`), or
-    /// [`UNTAGGED_PHASE`].
+    /// Phase name (the static string passed to [`Comm::phase`](crate::Comm::phase)),
+    /// or `"(untagged)"` for work outside every phase.
     pub name: &'static str,
     /// Counters accumulated while this phase was the innermost span.
     pub cost: RankCost,
@@ -320,16 +320,6 @@ impl CostReport {
     /// sends and receives coincide to leading order).
     pub fn max_words_sent(&self) -> u64 {
         self.ranks.iter().map(|r| r.words_sent).max().unwrap_or(0)
-    }
-
-    /// `max_p (words_sent(p) + words_recv(p))` — total traffic at the
-    /// busiest rank.
-    pub fn max_words_total(&self) -> u64 {
-        self.ranks
-            .iter()
-            .map(|r| r.words_sent + r.words_recv)
-            .max()
-            .unwrap_or(0)
     }
 
     /// Latency cost along the critical path: `max_p msgs_sent(p)`.

@@ -48,7 +48,7 @@ fn error_kind(err: &MachineError) -> &'static str {
 /// Render the full post-mortem document for `err`: the error, the
 /// wait-for graph (for deadlocks), a snapshot of every registered
 /// metric, and the flight recording as Chrome trace events.
-pub fn failure_dump_string(err: &MachineError) -> String {
+pub(crate) fn failure_dump_string(err: &MachineError) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"kind\": \"{}\",", error_kind(err));
     out.push_str("  \"error\": \"");
@@ -82,11 +82,7 @@ pub fn failure_dump_string(err: &MachineError) -> String {
     let _ = writeln!(out, "  \"flight\": {{");
     let _ = writeln!(out, "    \"dropped\": {},", rec.dropped);
     out.push_str("    \"traceEvents\": [");
-    let events = wall_trace_events(&rec, syrk_telemetry::export::WALL_PID);
-    for (i, e) in events.iter().enumerate() {
-        let sep = if i == 0 { "" } else { ", " };
-        let _ = write!(out, "{sep}{e}");
-    }
+    wall_trace_events(&mut out, &rec, syrk_telemetry::export::WALL_PID, ", ");
     out.push_str("]\n  }\n}\n");
     out
 }
@@ -106,7 +102,7 @@ static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
 /// into place under a process-wide write lock: a reader (or a second
 /// concurrent dump) always observes one complete JSON document at
 /// `path`, never a torn or truncated one.
-pub fn write_failure_dump(path: &Path, err: &MachineError) -> std::io::Result<()> {
+pub(crate) fn write_failure_dump(path: &Path, err: &MachineError) -> std::io::Result<()> {
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir)?;
     }

@@ -72,28 +72,7 @@ pub(crate) fn push_str_or_null(out: &mut String, s: Option<&str>) {
 /// one complete event per traced [`Event`]; within a rank, `ts` values are
 /// non-decreasing because the α-β-γ clock is monotone.
 pub fn chrome_trace_json(traces: &[Timeline]) -> String {
-    let mut out = String::new();
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    for (rank, timeline) in traces.iter().enumerate() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{rank},\
-             \"args\":{{\"name\":\"rank {rank}\"}}}}"
-        );
-        let mut prev = 0.0f64;
-        for e in timeline {
-            out.push(',');
-            push_event(&mut out, e, rank, prev);
-            prev = prev.max(e.clock);
-        }
-    }
-    out.push_str("]}");
-    out
+    chrome_trace_json_with_wall(traces, &FlightRecording::default())
 }
 
 /// Render per-rank timelines *and* a wall-clock flight recording as one
@@ -107,27 +86,33 @@ pub fn chrome_trace_json(traces: &[Timeline]) -> String {
 /// show them as separate, independently-zoomable lanes. An empty
 /// recording degrades to exactly [`chrome_trace_json`]'s output.
 pub fn chrome_trace_json_with_wall(traces: &[Timeline], rec: &FlightRecording) -> String {
-    let base = chrome_trace_json(traces);
-    let wall = wall_trace_events(rec, WALL_PID);
-    if wall.is_empty() {
-        return base;
+    let mut out = String::new();
+    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+    for (rank, timeline) in traces.iter().enumerate() {
+        if rank > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{rank},\
+             \"args\":{{\"name\":\"rank {rank}\"}}}}"
+        );
+        let mut prev = 0.0f64;
+        for e in timeline {
+            out.push(',');
+            push_event(&mut out, e, rank, prev);
+            prev = prev.max(e.clock);
+        }
     }
-    // Splice the wall rows in before the closing "]}" of the base doc.
-    let mut out = base;
-    let tail = out.len() - 2;
-    debug_assert_eq!(&out[tail..], "]}");
-    out.truncate(tail);
-    if !traces.is_empty() {
-        out.push(',');
-    }
-    let _ = write!(
-        out,
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-         \"args\":{{\"name\":\"simulated\"}}}}"
-    );
-    for e in &wall {
-        out.push(',');
-        out.push_str(e);
+    if !rec.events.is_empty() {
+        if !traces.is_empty() {
+            out.push(',');
+        }
+        out.push_str(
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
+             \"args\":{\"name\":\"simulated\"}},",
+        );
+        wall_trace_events(&mut out, rec, WALL_PID, ",");
     }
     out.push_str("]}");
     out

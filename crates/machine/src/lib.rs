@@ -49,6 +49,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod collectives;
 mod comm;
@@ -75,12 +76,10 @@ pub use syrk_telemetry as telemetry;
 
 pub use collectives::{CollectiveAlg, ReduceScatterAlg};
 pub use comm::{
-    Comm, PhaseScope, HEARTBEAT_TIMEOUT_PROBES, RECOVER_AGREE_PHASE, RECOVER_BACKOFF_PHASE,
-    RECOVER_DETECT_PHASE, RECOVER_REDISTRIBUTE_PHASE, RETRY_CORRUPT_PHASE, RETRY_DROP_PHASE,
-    RETRY_DUP_PHASE,
+    Comm, PhaseScope, RECOVER_AGREE_PHASE, RECOVER_BACKOFF_PHASE, RECOVER_DETECT_PHASE,
+    RECOVER_REDISTRIBUTE_PHASE,
 };
-pub use cost::{CostModel, CostReport, PhaseCost, PhaseRow, PhaseTable, RankCost, UNTAGGED_PHASE};
-pub use dump::{failure_dump_string, write_failure_dump};
+pub use cost::{CostModel, CostReport, PhaseCost, PhaseRow, PhaseTable, RankCost};
 pub use envelope::Payload;
 pub use error::{DeadlockInfo, MachineError, WaitEdge};
 pub use export::{chrome_trace_json, chrome_trace_json_with_wall, timelines_csv};

@@ -100,6 +100,8 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// end. A portable context consumes its body on the rank's thread before
 /// it reports completion.
 unsafe fn erase_lifetime<'a>(b: Box<dyn FnOnce() + Send + 'a>) -> Body {
+    // SAFETY: the two types differ only in the lifetime bound, so the
+    // layout is the same; the caller keeps the borrows alive (above).
     unsafe { std::mem::transmute(b) }
 }
 
@@ -293,6 +295,9 @@ impl Machine {
                     }
                     world.finished[rank].store(true, Ordering::SeqCst);
                 };
+                // SAFETY: `contexts` runs every body to completion and is
+                // dropped below, before `world` and the result slots the
+                // bodies borrow.
                 unsafe { erase_lifetime(Box::new(body)) }
             })
             .collect();

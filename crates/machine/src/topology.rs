@@ -33,12 +33,6 @@ impl ProcessGrid {
         (rank % self.p1, rank / self.p1)
     }
 
-    /// World rank of grid coordinates `(k, ℓ)`.
-    pub fn rank_of(&self, k: usize, l: usize) -> usize {
-        assert!(k < self.p1 && l < self.p2);
-        k + l * self.p1
-    }
-
     /// Split `comm` into this grid's communicators.
     ///
     /// Returns `(k, ℓ, slice, row)` where `slice` spans `Π_{*ℓ}` (the p1
@@ -94,12 +88,18 @@ mod tests {
     use crate::error::MachineError;
     use crate::machine::Machine;
 
+    /// World rank of grid coordinates `(k, ℓ)`: the inverse of `coords`.
+    fn rank_of(g: &ProcessGrid, k: usize, l: usize) -> usize {
+        assert!(k < g.p1 && l < g.p2);
+        k + l * g.p1
+    }
+
     #[test]
     fn coords_roundtrip() {
         let g = ProcessGrid::new(3, 4);
         for r in 0..12 {
             let (k, l) = g.coords(r);
-            assert_eq!(g.rank_of(k, l), r);
+            assert_eq!(rank_of(&g, k, l), r);
         }
         assert_eq!(g.coords(0), (0, 0));
         assert_eq!(g.coords(1), (1, 0)); // column-major: ranks advance down a slice

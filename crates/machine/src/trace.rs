@@ -32,7 +32,7 @@ pub struct Event {
     /// The rank's α-β-γ clock when the event completed.
     pub clock: f64,
     /// The innermost phase open when the event was recorded (see
-    /// [`Comm::push_phase`](crate::Comm::push_phase)), or `None` when the
+    /// [`Comm::phase`](crate::Comm::phase)), or `None` when the
     /// rank was outside any span.
     pub phase: Option<&'static str>,
 }

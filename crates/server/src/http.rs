@@ -16,14 +16,14 @@ use syrk_telemetry::escape_json_into;
 
 /// Cap on the request head (request line + headers). Generous for any
 /// curl/browser query against this API.
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Cap on a request body. The API carries parameters in the query
 /// string, so bodies are essentially always empty.
-pub const MAX_BODY_BYTES: usize = 64 * 1024;
+pub(crate) const MAX_BODY_BYTES: usize = 64 * 1024;
 
 /// A parsed request: method, decoded path, decoded query parameters.
 #[derive(Debug)]
-pub struct Request {
+pub(crate) struct Request {
     /// Upper-cased method token (`GET`, `POST`, …).
     pub method: String,
     /// The path component of the target, percent-decoded.
@@ -36,7 +36,7 @@ pub struct Request {
 
 impl Request {
     /// First value of query parameter `name`, if present.
-    pub fn query_param(&self, name: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, name: &str) -> Option<&str> {
         self.query
             .iter()
             .find(|(k, _)| k == name)
@@ -46,29 +46,29 @@ impl Request {
 
 /// Why a request could not be parsed; each maps to one 4xx status.
 #[derive(Debug)]
-pub enum ParseError {
+pub(crate) enum ParseError {
     /// Malformed syntax → 400.
     BadRequest(String),
     /// Head or body over the caps → 431 / 413.
     TooLarge(&'static str),
     /// The socket failed mid-read; no response is owed.
-    Io(std::io::Error),
+    Io,
 }
 
 impl ParseError {
     /// Render the error as the HTTP response the client is owed
     /// (`None` for I/O failures, where the connection is just dropped).
-    pub fn to_response(&self) -> Option<Response> {
+    pub(crate) fn to_response(&self) -> Option<Response> {
         match self {
             ParseError::BadRequest(msg) => Some(Response::json_error(400, msg)),
             ParseError::TooLarge(what) => Some(Response::json_error(413, what)),
-            ParseError::Io(_) => None,
+            ParseError::Io => None,
         }
     }
 }
 
 /// Read and parse one request from `stream`.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
+pub(crate) fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
     // Accumulate bytes until the blank line ending the head; anything
     // read past it is the start of the body.
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
@@ -80,7 +80,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
         if buf.len() >= MAX_HEAD_BYTES {
             return Err(ParseError::TooLarge("request head exceeds 16 KiB"));
         }
-        let n = stream.read(&mut chunk).map_err(ParseError::Io)?;
+        let n = stream.read(&mut chunk).map_err(|_| ParseError::Io)?;
         if n == 0 {
             return Err(ParseError::BadRequest(
                 "connection closed before end of request head".into(),
@@ -132,7 +132,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
     // the wire.
     let mut body: Vec<u8> = buf[head_end + 4..].to_vec();
     while body.len() < content_length {
-        let n = stream.read(&mut chunk).map_err(ParseError::Io)?;
+        let n = stream.read(&mut chunk).map_err(|_| ParseError::Io)?;
         if n == 0 {
             return Err(ParseError::BadRequest(
                 "connection closed before end of request body".into(),
@@ -211,7 +211,7 @@ fn percent_decode(s: &str) -> Option<String> {
 /// An HTTP response ready to serialize: status, content type, body,
 /// plus any extra headers (e.g. `Retry-After` on a 503).
 #[derive(Debug)]
-pub struct Response {
+pub(crate) struct Response {
     /// Status code (200, 400, …).
     pub status: u16,
     /// `Content-Type` header value.
@@ -238,7 +238,7 @@ impl Response {
     }
 
     /// A JSON error document: `{"error": "..."}`.
-    pub fn json_error(status: u16, message: &str) -> Self {
+    pub(crate) fn json_error(status: u16, message: &str) -> Self {
         let mut body = String::from("{\"error\": \"");
         escape_json_into(&mut body, message);
         body.push_str("\"}\n");
@@ -256,7 +256,7 @@ impl Response {
     }
 
     /// Append an extra response header (builder-style).
-    pub fn with_header(mut self, name: &'static str, value: String) -> Self {
+    pub(crate) fn with_header(mut self, name: &'static str, value: String) -> Self {
         self.headers.push((name, value));
         self
     }
@@ -264,7 +264,7 @@ impl Response {
     /// Send status line, headers and body in one vectored write, without
     /// copying the body behind the head (two writes would hand Nagle's
     /// algorithm a stalled small segment per response).
-    pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
+    pub(crate) fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
         use std::fmt::Write as _;
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",

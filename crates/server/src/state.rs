@@ -18,33 +18,34 @@ use syrk_telemetry::{LazyCounter, LazyGauge, LazyHistogram};
 /// Total requests served (any endpoint, any status).
 pub static REQUESTS: LazyCounter = LazyCounter::new("syrk_server_requests");
 /// `/plan` requests.
-pub static PLAN_REQUESTS: LazyCounter = LazyCounter::new("syrk_server_plan_requests");
+pub(crate) static PLAN_REQUESTS: LazyCounter = LazyCounter::new("syrk_server_plan_requests");
 /// `/bounds` requests.
-pub static BOUNDS_REQUESTS: LazyCounter = LazyCounter::new("syrk_server_bounds_requests");
+pub(crate) static BOUNDS_REQUESTS: LazyCounter = LazyCounter::new("syrk_server_bounds_requests");
 /// `/run` requests (admitted or not).
-pub static RUN_REQUESTS: LazyCounter = LazyCounter::new("syrk_server_run_requests");
+pub(crate) static RUN_REQUESTS: LazyCounter = LazyCounter::new("syrk_server_run_requests");
 /// `/metrics` requests.
-pub static METRICS_REQUESTS: LazyCounter = LazyCounter::new("syrk_server_metrics_requests");
+pub(crate) static METRICS_REQUESTS: LazyCounter = LazyCounter::new("syrk_server_metrics_requests");
 /// `/status` requests.
-pub static STATUS_REQUESTS: LazyCounter = LazyCounter::new("syrk_server_status_requests");
+pub(crate) static STATUS_REQUESTS: LazyCounter = LazyCounter::new("syrk_server_status_requests");
 /// Responses with a 4xx status.
-pub static RESPONSES_4XX: LazyCounter = LazyCounter::new("syrk_server_responses_4xx");
+pub(crate) static RESPONSES_4XX: LazyCounter = LazyCounter::new("syrk_server_responses_4xx");
 /// Responses with a 5xx status.
-pub static RESPONSES_5XX: LazyCounter = LazyCounter::new("syrk_server_responses_5xx");
+pub(crate) static RESPONSES_5XX: LazyCounter = LazyCounter::new("syrk_server_responses_5xx");
 /// `/run` requests rejected by admission control (queue full/draining).
-pub static RUN_REJECTED: LazyCounter = LazyCounter::new("syrk_server_run_rejected");
+pub(crate) static RUN_REJECTED: LazyCounter = LazyCounter::new("syrk_server_run_rejected");
 /// Connections dropped because the pending-connection queue was full.
-pub static CONN_REJECTED: LazyCounter = LazyCounter::new("syrk_server_conn_rejected");
+pub(crate) static CONN_REJECTED: LazyCounter = LazyCounter::new("syrk_server_conn_rejected");
 /// End-to-end request service time (parse → response written), nanoseconds.
-pub static REQUEST_NANOS: LazyHistogram = LazyHistogram::new("syrk_server_request_nanos");
+pub(crate) static REQUEST_NANOS: LazyHistogram = LazyHistogram::new("syrk_server_request_nanos");
 /// Requests currently being served by workers.
-pub static INFLIGHT: LazyGauge = LazyGauge::new("syrk_server_inflight");
+pub(crate) static INFLIGHT: LazyGauge = LazyGauge::new("syrk_server_inflight");
 /// Simulated runs currently executing.
-pub static RUNS_ACTIVE: LazyGauge = LazyGauge::new("syrk_server_runs_active");
+pub(crate) static RUNS_ACTIVE: LazyGauge = LazyGauge::new("syrk_server_runs_active");
 /// Simulated runs waiting in the admission queue.
-pub static RUN_QUEUE_DEPTH: LazyGauge = LazyGauge::new("syrk_server_run_queue_depth");
+pub(crate) static RUN_QUEUE_DEPTH: LazyGauge = LazyGauge::new("syrk_server_run_queue_depth");
 /// Queued runs that hit the queue-wait deadline and were bounced (503).
-pub static RUN_QUEUE_TIMEOUTS: LazyCounter = LazyCounter::new("syrk_server_run_queue_timeouts");
+pub(crate) static RUN_QUEUE_TIMEOUTS: LazyCounter =
+    LazyCounter::new("syrk_server_run_queue_timeouts");
 
 /// Tunables for one server instance. `Default` is sized so that plan
 /// queries can never be starved: `workers` strictly exceeds
@@ -189,13 +190,13 @@ impl RunGate {
 
     /// Wake queued waiters (used on shutdown so they observe the
     /// cleared running flag and bounce instead of hanging).
-    pub fn wake_all(&self) {
+    pub(crate) fn wake_all(&self) {
         let _guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
         self.cv.notify_all();
     }
 
     /// `(active, queued)` — for the status page.
-    pub fn depth(&self) -> (usize, usize) {
+    pub(crate) fn depth(&self) -> (usize, usize) {
         let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         (state.active, state.queued)
     }

@@ -2,30 +2,21 @@
 //! the repo's hand-rolled JSON style, and Chrome trace-event rendering of
 //! a flight recording.
 //!
-//! Everything returns `String`s built with `std::fmt::Write` — callers
-//! decide where the bytes go (stdout, a file, an HTTP response). The
-//! Chrome-trace renderers come in two shapes: [`wall_trace_events`]
-//! yields the individual event objects so `machine`'s exporter can splice
-//! a wall-clock process row into its simulated-timeline document, and
-//! [`wall_trace_json`] wraps them into a standalone document.
+//! Every renderer appends to one `String` with `std::fmt::Write` —
+//! callers decide where the bytes go (stdout, a file, an HTTP response).
+//! [`wall_trace_events`] writes the event objects into a document the
+//! caller owns: `machine`'s trace exporter and failure dump both put a
+//! wall-clock process row next to their own rows with it.
 
 use std::fmt::Write as _;
 
 use crate::flight::{FlightEvent, FlightKind, FlightRecording};
 use crate::registry::{bucket_bound, MetricValue, MetricsSnapshot, HISTOGRAM_BUCKETS};
 
-/// Escape a string for embedding inside JSON double quotes: `"`, `\\`
-/// and every control character below U+0020, everything else verbatim.
-/// [`escape_json_into`] is the appending form.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_json_into(&mut out, s);
-    out
-}
-
-/// Append `s` to `out` escaped as [`escape_json`] escapes it. The one
-/// escaper of the workspace — the machine's trace and dump writers and
-/// the server's responses all call it.
+/// Append `s` to `out` escaped for embedding inside JSON double quotes:
+/// `"`, `\\` and every control character below U+0020, everything else
+/// verbatim. The one escaper of the workspace — the machine's trace and
+/// dump writers and the server's responses all call it.
 pub fn escape_json_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
@@ -86,124 +77,125 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
 
 /// Render a snapshot as a JSON document:
 /// `{"counters":{…},"gauges":{…},"histograms":{name:{"count":…,"sum":…,"buckets":[…]}}}`.
-/// Histogram buckets are per-bucket (non-cumulative) counts; bucket `i`'s
-/// upper bound is [`bucket_bound`]`(i)`.
+/// Histogram buckets are per-bucket (non-cumulative) counts; bucket 0
+/// holds zeros and bucket `i ≥ 1` values up to `2^i − 1`.
 pub fn snapshot_json(snap: &MetricsSnapshot) -> String {
-    let mut counters = Vec::new();
-    let mut gauges = Vec::new();
-    let mut histograms = Vec::new();
-    for (name, value) in &snap.entries {
-        let key = escape_json(name);
-        match value {
-            MetricValue::Counter(v) => counters.push(format!("\"{key}\": {v}")),
-            MetricValue::Gauge(v) => gauges.push(format!("\"{key}\": {v}")),
-            MetricValue::Histogram {
-                count,
-                sum,
-                buckets,
-            } => {
-                let bs: Vec<String> = buckets.iter().map(|b| b.to_string()).collect();
-                histograms.push(format!(
-                    "\"{key}\": {{\"count\": {count}, \"sum\": {sum}, \"buckets\": [{}]}}",
-                    bs.join(", ")
-                ));
+    let mut out = String::from("{\n");
+    for (section, label) in ["counters", "gauges", "histograms"].into_iter().enumerate() {
+        let _ = write!(out, "  \"{label}\": {{");
+        let mut sep = "";
+        for (name, value) in &snap.entries {
+            let at = match value {
+                MetricValue::Counter(_) => 0,
+                MetricValue::Gauge(_) => 1,
+                MetricValue::Histogram { .. } => 2,
+            };
+            if at != section {
+                continue;
             }
+            out.push_str(sep);
+            sep = ", ";
+            out.push('"');
+            escape_json_into(&mut out, name);
+            out.push_str("\": ");
+            let _ = match value {
+                MetricValue::Counter(v) => write!(out, "{v}"),
+                MetricValue::Gauge(v) => write!(out, "{v}"),
+                MetricValue::Histogram {
+                    count,
+                    sum,
+                    buckets,
+                } => {
+                    let _ = write!(out, "{{\"count\": {count}, \"sum\": {sum}, \"buckets\": [");
+                    for (i, b) in buckets.iter().enumerate() {
+                        let _ = write!(out, "{}{b}", if i == 0 { "" } else { ", " });
+                    }
+                    write!(out, "]}}")
+                }
+            };
         }
+        out.push_str(if section < 2 { "},\n" } else { "}\n" });
     }
-    format!(
-        "{{\n  \"counters\": {{{}}},\n  \"gauges\": {{{}}},\n  \"histograms\": {{{}}}\n}}\n",
-        counters.join(", "),
-        gauges.join(", "),
-        histograms.join(", ")
-    )
+    out.push_str("}\n");
+    out
 }
 
-/// Microseconds (Chrome-trace `ts` unit) from a nanosecond offset.
-fn us(ns: u64) -> String {
-    format!("{:.3}", ns as f64 / 1000.0)
-}
-
-/// Render a flight recording as individual Chrome trace-event JSON
-/// objects under process `pid`: process/thread `M` metadata rows, then
-/// one `X` slice per span (instant events — `start_ns == end_ns` —
-/// become `i` events). Timestamps are re-based to the recording's
-/// earliest event so the wall row starts at ts 0 alongside a simulated
-/// timeline. Returns one JSON object per line-item, ready to be joined
-/// with `,` inside a `traceEvents` array.
-pub fn wall_trace_events(rec: &FlightRecording, pid: u64) -> Vec<String> {
-    let mut out = Vec::new();
+/// Append a flight recording to `out` as Chrome trace-event JSON objects
+/// under process `pid`, joined by `sep`: process/thread `M` metadata
+/// rows, then one `X` slice per span (instant events — `start_ns ==
+/// end_ns` — become `i` events). Timestamps are re-based to the
+/// recording's earliest event so the wall row starts at ts 0 alongside a
+/// simulated timeline. An empty recording appends nothing.
+pub fn wall_trace_events(out: &mut String, rec: &FlightRecording, pid: u64, sep: &str) {
     if rec.events.is_empty() {
-        return out;
+        return;
     }
-    out.push(format!(
+    let _ = write!(
+        out,
         "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \
          \"args\": {{\"name\": \"wall-clock\"}}}}"
-    ));
+    );
     let base = rec.events.iter().map(|e| e.start_ns).min().unwrap_or(0);
     let mut tids: Vec<u64> = rec.events.iter().map(|e| e.tid).collect();
     tids.sort_unstable();
     tids.dedup();
     for tid in &tids {
-        out.push(format!(
-            "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \
+        let _ = write!(
+            out,
+            "{sep}{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \
              \"args\": {{\"name\": \"wall thread {tid}\"}}}}"
-        ));
+        );
     }
     for e in &rec.events {
-        out.push(wall_event_json(e, pid, base));
+        out.push_str(sep);
+        write_wall_event(out, e, pid, base);
     }
-    out
 }
 
-fn wall_event_json(e: &FlightEvent, pid: u64, base: u64) -> String {
-    let name = escape_json(e.kind.name());
-    let ts = us(e.start_ns - base);
+fn write_wall_event(out: &mut String, e: &FlightEvent, pid: u64, base: u64) {
+    // Microseconds, the Chrome-trace `ts` unit, from nanoseconds.
+    let us = |ns: u64| ns as f64 / 1000.0;
+    out.push_str("{\"name\": \"");
+    escape_json_into(out, e.kind.name());
     let arg_key = match e.kind {
         FlightKind::Task => "chunk",
         FlightKind::Steal => "victim",
         FlightKind::PackPublish | FlightKind::PackWait => "block",
         FlightKind::RecvBlock => "src",
     };
-    if e.end_ns == e.start_ns {
-        format!(
-            "{{\"name\": \"{name}\", \"ph\": \"i\", \"s\": \"t\", \"pid\": {pid}, \
-             \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\"{arg_key}\": {arg}}}}}",
-            tid = e.tid,
-            arg = e.arg
+    let (tid, ts) = (e.tid, us(e.start_ns - base));
+    let _ = if e.end_ns == e.start_ns {
+        write!(
+            out,
+            "\", \"ph\": \"i\", \"s\": \"t\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {ts:.3}, \
+             \"args\": {{\"{arg_key}\": {}}}}}",
+            e.arg
         )
     } else {
-        format!(
-            "{{\"name\": \"{name}\", \"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \
-             \"ts\": {ts}, \"dur\": {dur}, \"args\": {{\"{arg_key}\": {arg}}}}}",
-            tid = e.tid,
-            dur = us(e.end_ns - e.start_ns),
-            arg = e.arg
+        write!(
+            out,
+            "\", \"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {ts:.3}, \
+             \"dur\": {:.3}, \"args\": {{\"{arg_key}\": {}}}}}",
+            us(e.end_ns - e.start_ns),
+            e.arg
         )
-    }
+    };
 }
 
 /// Process id used for the wall-clock row when merged next to a
 /// simulated timeline (which renders as pid 0).
 pub const WALL_PID: u64 = 1;
 
-/// Render a flight recording as a standalone Chrome trace-event JSON
-/// document (`{"traceEvents": […]}` under [`WALL_PID`]), loadable in
-/// Perfetto / `chrome://tracing`.
-pub fn wall_trace_json(rec: &FlightRecording) -> String {
-    let events = wall_trace_events(rec, WALL_PID);
-    let mut out = String::from("{\n  \"traceEvents\": [\n");
-    for (i, e) in events.iter().enumerate() {
-        let sep = if i + 1 == events.len() { "" } else { "," };
-        let _ = writeln!(out, "    {e}{sep}");
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::{self};
+
+    fn escape_json(s: &str) -> String {
+        let mut out = String::new();
+        escape_json_into(&mut out, s);
+        out
+    }
 
     #[test]
     fn json_escaping_covers_quotes_and_controls() {
@@ -265,8 +257,9 @@ mod tests {
             ],
             dropped: 0,
         };
-        let doc = wall_trace_json(&rec);
-        assert!(doc.contains("\"traceEvents\""));
+        let mut doc = String::new();
+        wall_trace_events(&mut doc, &rec, WALL_PID, ",");
+        assert!(doc.contains("\"pid\": 1"));
         assert!(doc.contains("\"wall-clock\""));
         assert!(doc.contains("\"thread_name\""));
         // Task: X slice rebased to ts 0, dur 20 µs, chunk arg.
@@ -276,6 +269,8 @@ mod tests {
         // Steal: instant event.
         assert!(doc.contains("\"name\": \"steal\", \"ph\": \"i\""));
         // Empty recording renders no events.
-        assert!(wall_trace_events(&FlightRecording::default(), 1).is_empty());
+        let mut doc = String::new();
+        wall_trace_events(&mut doc, &FlightRecording::default(), 1, ",");
+        assert!(doc.is_empty());
     }
 }

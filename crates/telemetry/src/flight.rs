@@ -3,9 +3,8 @@
 //!
 //! The recorder is compiled in everywhere but costs one relaxed atomic
 //! load per site while disabled. When [`enable`]d, each recording thread
-//! lazily registers a bounded ring buffer (capacity
-//! [`RING_CAPACITY`] events; oldest events are evicted and counted, never
-//! blocking the writer). Spans are paired at record time — the caller
+//! lazily registers a bounded ring buffer (capacity 4096 events; oldest
+//! events are evicted and counted, never blocking the writer). Spans are paired at record time — the caller
 //! reads [`now_ns`] before and after the region — so an event is a single
 //! fixed-size struct and rendering never has to match begin/end pairs.
 //!
@@ -22,7 +21,7 @@ use std::time::Instant;
 /// 40 bytes each bounds a ring at ~160 KiB; a 512×512 SYRK on 8 workers
 /// records a few hundred events per worker, so eviction only bites on
 /// long-running processes — where the newest events are the useful ones.
-pub const RING_CAPACITY: usize = 4096;
+pub(crate) const RING_CAPACITY: usize = 4096;
 
 /// What a recorded span measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -159,7 +158,7 @@ pub fn instant(kind: FlightKind, arg: u64) {
 }
 
 /// A merged capture of every ring: all surviving events sorted by start
-/// time, plus how many were evicted to stay within [`RING_CAPACITY`].
+/// time, plus how many were evicted to stay within a ring's capacity.
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecording {
     /// Surviving events, sorted by `(start_ns, tid)`.

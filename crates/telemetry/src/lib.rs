@@ -16,8 +16,8 @@
 //!   wall-clock-timestamped spans (task execution, steals, pack
 //!   publication, blocked receives), cheap enough to leave compiled in
 //!   and toggle at runtime; and
-//! * renderers that merge a flight recording into the Chrome trace-event
-//!   format, so one Perfetto view shows real elapsed time next to the
+//! * a writer that appends a flight recording to a Chrome trace-event
+//!   document, so one Perfetto view shows real elapsed time next to the
 //!   simulated α-β-γ timeline.
 //!
 //! The hot-path cost model: a disabled flight recorder is one relaxed
@@ -41,10 +41,7 @@ pub mod export;
 pub mod flight;
 pub mod registry;
 
-pub use export::{
-    escape_json, escape_json_into, prometheus_text, snapshot_json, wall_trace_events,
-    wall_trace_json,
-};
+pub use export::{escape_json_into, prometheus_text, snapshot_json, wall_trace_events};
 pub use flight::{FlightEvent, FlightKind, FlightRecording};
 pub use registry::{
     Counter, Gauge, Histogram, LazyCounter, LazyGauge, LazyHistogram, MetricValue, MetricsSnapshot,

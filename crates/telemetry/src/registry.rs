@@ -11,9 +11,7 @@
 //!
 //! [`snapshot`] captures every registered metric at a point in time,
 //! sorted by name, for the exporters in [`crate::export`]. Counters are
-//! monotone between explicit [`Counter::reset`] calls (reset exists so
-//! benches and tests can measure a region; a serving process would never
-//! call it).
+//! monotone: a region is measured as the difference of two snapshots.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -21,7 +19,7 @@ use std::sync::{Mutex, OnceLock};
 /// Number of histogram buckets. Bucket 0 counts zero-valued
 /// observations; bucket `i ≥ 1` counts values in `[2^(i−1), 2^i − 1]`;
 /// the last bucket absorbs everything larger.
-pub const HISTOGRAM_BUCKETS: usize = 33;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 33;
 
 /// A monotone event counter (relaxed atomic `u64`).
 #[derive(Debug, Default)]
@@ -56,13 +54,6 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    /// Zero the counter. Only region-relative tooling (benches, tests,
-    /// `reset_kernel_stats`) calls this; between resets the counter is
-    /// monotone, which is what snapshot consumers assume.
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -133,7 +124,7 @@ pub(crate) fn bucket_index(v: u64) -> usize {
 }
 
 /// Inclusive upper bound of bucket `i` (`u64::MAX` for the last).
-pub fn bucket_bound(i: usize) -> u64 {
+pub(crate) fn bucket_bound(i: usize) -> u64 {
     if i == 0 {
         0
     } else if i >= HISTOGRAM_BUCKETS - 1 {
@@ -174,7 +165,7 @@ impl Histogram {
     }
 
     /// Per-bucket counts (not cumulative).
-    pub fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
+    pub(crate) fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 }
@@ -375,8 +366,9 @@ pub enum MetricValue {
         count: u64,
         /// Sum of observed values.
         sum: u64,
-        /// Per-bucket (non-cumulative) counts; bucket bounds come from
-        /// [`bucket_bound`].
+        /// Per-bucket (non-cumulative) counts: bucket 0 holds zeros,
+        /// bucket `i ≥ 1` values in `[2^(i−1), 2^i − 1]`, the last one
+        /// everything larger.
         buckets: Vec<u64>,
     },
 }
@@ -452,8 +444,6 @@ mod tests {
         a.inc();
         b.add(2);
         assert_eq!(a.get(), 3);
-        a.reset();
-        assert_eq!(b.get(), 0);
     }
 
     #[test]
