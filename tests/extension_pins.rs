@@ -14,11 +14,12 @@
 //!
 //! The GEMM and ScaLAPACK baselines are pinned the same way, clocks
 //! included, with values printed before their operand gathers were
-//! shared.
+//! shared; their messages, phase rows and the tall shapes whose `C`
+//! outgrows `A` were printed before the four ran on one SUMMA grid.
 
 use syrk_repro::core::{
     gemm_1d, gemm_2d, gemm_3d, scalapack_syrk_2d, symm_2d, syr2k, syrk_2d_limited, try_syrk_2d,
-    Plan,
+    Plan, SyrkRunResult,
 };
 use syrk_repro::dense::{seeded_int_matrix, Matrix};
 use syrk_repro::machine::CostReport;
@@ -278,27 +279,65 @@ fn extension_messages_are_syrk_2d_messages() {
     assert_eq!(got, want, "symm_2d 72x8 c=3");
 }
 
+/// Each rank's message count, as a digest.
+fn msgs_digest(cost: &CostReport) -> u64 {
+    fnv(msgs(cost))
+}
+
+/// [`check`] with clocks, plus every rank's messages and the run's phase
+/// rows in order of first use. A grid corner runs no collective over a
+/// unit dimension — not even one that moves nothing, which would still
+/// leave a phase row — and its peak buffer is what its ranks hold, not
+/// a `C` block it never reduces.
+fn check_baseline(label: &str, run: &SyrkRunResult, want: [u64; 5], msgs: u64, phases: &[&str]) {
+    check(label, &run.c, &run.cost, true, want);
+    assert_eq!(msgs_digest(&run.cost), msgs, "{label}: messages moved");
+    assert_eq!(run.cost.phase_names(), phases, "{label}: phase rows moved");
+}
+
 #[test]
 fn gemm_baselines_are_pinned() {
     let model = CostModel::typical();
-    let a = input(24, 40, 7);
-    let run = gemm_1d(&a, 4, model).unwrap();
-    check(
-        "gemm_1d 24x40 p=4",
-        &run.c,
-        &run.cost,
-        true,
-        [
-            0x2b4b_57f8_ffe1_998d,
-            0x51a1_0196_47dc_e6d1,
-            1728,
-            47_808,
-            576,
-        ],
-    );
+    let one_d = ["(untagged)", "coll:reduce-scatter"];
+    let two_d = ["coll:all-gather", "(untagged)"];
+    // A wide input, then a tall one whose n1² words of C outweigh its
+    // columns of A.
+    for (n1, n2, p, want, want_msgs) in [
+        (
+            24,
+            40,
+            4,
+            [
+                0x2b4b_57f8_ffe1_998d,
+                0x51a1_0196_47dc_e6d1,
+                1728,
+                47_808,
+                576,
+            ],
+            0xe46c_7887_ef13_2d79,
+        ),
+        (
+            40,
+            8,
+            5,
+            [
+                0x9a46_d06f_9cdb_6d0d,
+                0x0113_b7a1_a999_f87e,
+                6400,
+                32_000,
+                1600,
+            ],
+            0x0f53_1b50_7530_bd33,
+        ),
+    ] {
+        let run = gemm_1d(&input(n1, n2, 7), p, model).unwrap();
+        let label = format!("gemm_1d {n1}x{n2} p={p}");
+        check_baseline(&label, &run, want, want_msgs, &one_d);
+    }
     // An even split, then one where neither the row blocks nor the
-    // flattened chunks divide evenly.
-    for (n1, n2, r, want_gemm, want_scalapack) in [
+    // flattened chunks divide evenly, then a C block that outgrows the
+    // gathered operands.
+    for (n1, n2, r, want_gemm, want_scalapack, want_msgs) in [
         (
             24,
             10,
@@ -311,6 +350,7 @@ fn gemm_baselines_are_pinned() {
                 81,
             ],
             [0xad8a_17f8_ffe1_998d, 0x3645_d757_e8ca_a1c1, 960, 6000, 81],
+            0x9bec_b701_be5e_1b53,
         ),
         (
             11,
@@ -318,17 +358,32 @@ fn gemm_baselines_are_pinned() {
             3,
             [0x1a87_b7ad_a960_1a29, 0x032a_2faa_5071_91a6, 308, 1694, 30],
             [0x1a87_b7ad_a960_1a29, 0xd350_3532_98b4_2a75, 308, 924, 30],
+            0x9bec_b701_be5e_1b53,
+        ),
+        (
+            60,
+            2,
+            3,
+            [
+                0xa622_7535_127d_6ae5,
+                0xf606_78ff_652a_8696,
+                480,
+                14_400,
+                42,
+            ],
+            [0xa622_7535_127d_6ae5, 0xede8_1af8_d9ad_a571, 480, 7320, 42],
+            0x9bec_b701_be5e_1b53,
         ),
     ] {
         let a = input(n1, n2, 8);
         let run = gemm_2d(&a, r, model).unwrap();
         let label = format!("gemm_2d {n1}x{n2} r={r}");
-        check(&label, &run.c, &run.cost, true, want_gemm);
+        check_baseline(&label, &run, want_gemm, want_msgs, &two_d);
         let run = scalapack_syrk_2d(&a, r, model).unwrap();
         let label = format!("scalapack_syrk_2d {n1}x{n2} r={r}");
-        check(&label, &run.c, &run.cost, true, want_scalapack);
+        check_baseline(&label, &run, want_scalapack, want_msgs, &two_d);
     }
-    for (n1, n2, r, p2, want) in [
+    for (n1, n2, r, p2, want, want_msgs) in [
         (
             20,
             12,
@@ -341,6 +396,7 @@ fn gemm_baselines_are_pinned() {
                 10_400,
                 100,
             ],
+            0x29c2_7163_8f72_0f45,
         ),
         (
             11,
@@ -348,10 +404,12 @@ fn gemm_baselines_are_pinned() {
             3,
             2,
             [0x325a_b7ad_a960_1a29, 0x67e4_5929_d87d_0ddc, 429, 1815, 18],
+            0x1f47_805a_2ac5_496f,
         ),
     ] {
         let run = gemm_3d(&input(n1, n2, 9), r, p2, model).unwrap();
         let label = format!("gemm_3d {n1}x{n2} r={r} p2={p2}");
-        check(&label, &run.c, &run.cost, true, want);
+        let phases = ["coll:all-gather", "(untagged)", "coll:reduce-scatter"];
+        check_baseline(&label, &run, want, want_msgs, &phases);
     }
 }
