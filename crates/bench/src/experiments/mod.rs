@@ -190,11 +190,11 @@ mod tests {
         assert!(!(e.run)().unwrap().is_empty());
     }
 
+    /// E9a–E9c are pinned: the baselines' words and flops beside SYRK's.
     #[test]
     fn run_headlines() {
         for slug in ["headline1", "headline2", "headline3"] {
-            let e = all().into_iter().find(|e| e.slug == slug).unwrap();
-            assert!(!(e.run)().unwrap().is_empty(), "{slug}");
+            run_slug(slug, true);
         }
     }
 
@@ -231,10 +231,10 @@ mod tests {
         }
     }
 
+    /// E18 is pinned.
     #[test]
     fn run_trend() {
-        let e = all().into_iter().find(|e| e.slug == "trend").unwrap();
-        assert!(!(e.run)().unwrap().is_empty());
+        run_slug("trend", true);
     }
 
     #[test]
