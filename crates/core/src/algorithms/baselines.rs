@@ -1,138 +1,133 @@
-//! Baselines for the headline comparison (§1, §6):
+//! Baselines for the headline comparison (§1, §6), all corners of one
+//! SUMMA grid of `r × r × p2` ranks:
 //!
-//! * **Communication-optimal GEMM** (Al Daas et al., SPAA '22): computes
-//!   the *full* `C = A·Aᵀ` without exploiting symmetry. 1D, 2D (SUMMA-
-//!   style all-gather on a square grid), and 3D variants — one per bound
-//!   case. Their leading communication terms are exactly 2× the SYRK
-//!   algorithms'.
-//! * **ScaLAPACK-style SYRK**: same grid and data movement as 2D GEMM,
-//!   but only lower-triangle blocks are computed — "they halve the
-//!   computation but communicate the same amount of data as GEMM".
+//! * **Communication-optimal GEMM** (Al Daas et al., SPAA '22) computes
+//!   the *full* `C = A·Aᵀ`, symmetry unused: 1D is the `r = 1` corner,
+//!   2D (SUMMA-style) the `p2 = 1` corner and 3D the whole grid, one per
+//!   bound case, each communicating 2× the matching SYRK algorithm.
+//! * **ScaLAPACK-style SYRK** is 2D GEMM computing only lower-triangle
+//!   blocks: "they halve the computation but communicate the same amount
+//!   of data as GEMM".
 //!
-//! Like [`run`](crate::run), each rejects zero ranks (`p`, `r` or `p2`)
-//! and an empty `A` with a [`PlanError`](crate::PlanError).
+//! A unit dimension costs nothing: at `r = 1` a rank's operand is its
+//! column block of `A` where it lies, and at `p2 = 1` no Reduce-Scatter
+//! runs. Zero ranks, an empty `A` and more than `u32::MAX` ranks are
+//! [`PlanError`]s, as in [`run`](crate::run).
 
 use syrk_dense::{
-    gemm_flops, mul_nt, syrk_flops, syrk_packed_new, Diag, Matrix, MatrixView, PackedLower,
-    Partition1D,
+    gemm_flops, gemm_nt, mirror_lower_to_upper, syrk_flops, syrk_packed, write_packed_lower, Diag,
+    Matrix, PackedLower, Partition1D,
 };
 use syrk_machine::{Comm, CostModel, Machine, MachineError, ProcessGrid};
 
-use super::common::{
-    assemble_c, check_ranks, check_shape, DiagBlock, LocalOutput, OffDiagBlock, SyrkRunResult,
-};
+use super::common::{check_ranks, check_shape, SyrkRunResult};
 use crate::error::SyrkError;
+use crate::planner::PlanError;
 
-/// 1D GEMM baseline (Case 1 regime): `A` by block columns, local full
-/// product, Reduce-Scatter of all `n1²` words — twice the 1D SYRK's
-/// `n1(n1+1)/2`.
-pub fn gemm_1d(a: &Matrix<f64>, p: usize, model: CostModel) -> Result<SyrkRunResult, SyrkError> {
-    let (n1, n2) = a.shape();
-    check_ranks(p)?;
-    check_shape(n1, n2)?;
-    let cols = Partition1D::new(n2, p);
-    let seg = Partition1D::new(n1 * n1, p);
-
-    let machine = Machine::new(p).with_model(model);
-    let out = machine.try_run(|comm| {
-        let r = cols.range(comm.rank());
-        let a_l = a.block_owned(0, r.start, n1, r.len());
-        let cbar = mul_nt(&a_l, &a_l); // full product: no symmetry savings
-        comm.add_flops(gemm_flops(n1, n1, r.len()));
-        comm.try_reduce_scatter_block(cbar.as_slice(), &seg.lens())
-    })?;
-    let mut flat = Vec::with_capacity(n1 * n1);
-    for s in &out.results {
-        flat.extend_from_slice(s);
-    }
-    Ok(SyrkRunResult {
-        c: Matrix::from_vec(n1, n1, flat),
-        cost: out.cost,
-    })
-}
-
-/// Shared body of the 2D baselines: an `r × r` grid, rank `(I, J)` owns
-/// the `C` block `(I, J)`; `A_I` is spread over process row `I` and `A_J`
-/// over process column `J` (by flattened elements); two all-gathers
-/// reconstruct the operands. `syrk_mode` decides what the rank computes —
-/// that is the *only* difference between GEMM and ScaLAPACK-style SYRK.
-fn summa_like(
+/// The one driver. Each of the `p2` slices runs SUMMA on its `n2/p2`
+/// columns of `A` — rank `(I, J)` all-gathers `A_I` and `A_J` and computes
+/// block `(I, J)` of `C` — and a Reduce-Scatter across slices sums each
+/// block. `syrk_mode`, the only difference between GEMM and ScaLAPACK's
+/// SYRK, computes just the blocks with `I ≥ J`, the diagonal one by a SYRK.
+fn summa(
     a: &Matrix<f64>,
     r: usize,
+    p2: usize,
     model: CostModel,
     syrk_mode: bool,
 ) -> Result<SyrkRunResult, SyrkError> {
-    let (n1, n2l) = a.shape();
-    check_ranks(r)?;
-    check_shape(n1, n2l)?;
-    let rows = Partition1D::new(n1, r);
-    let grid = ProcessGrid::new(r, r);
+    let (n1, n2) = a.shape();
+    check_ranks(r.min(p2))?;
+    check_shape(n1, n2)?;
+    let p = (r.checked_mul(r).and_then(|rr| rr.checked_mul(p2)))
+        .filter(|&p| u32::try_from(p).is_ok())
+        .ok_or(PlanError::SummaGridOverflow { r, p2 })?;
+    let (rows, cols) = (Partition1D::new(n1, r), Partition1D::new(n2, p2));
+    let grid = ProcessGrid::new(r * r, p2);
 
-    let machine = Machine::new(r * r).with_model(model);
-    let out = machine.try_run(|mut comm| {
+    let out = Machine::new(p).with_model(model).try_run(|mut comm| {
         let gc = grid.split(&mut comm);
-        let (big_i, big_j) = (gc.k, gc.l);
-        // Our grid names: `row` spans ranks with equal k (= I) and
-        // `slice` ranks with equal ℓ (= J).
-        let [a_i, a_j] = gather_operands(a.view(), &rows, (big_i, big_j), &gc.row, &gc.slice)?;
-
-        // Compute the owned block. ScaLAPACK-style SYRK computes only the
-        // lower triangle (I ≥ J), the diagonal block by a SYRK: upper ranks
-        // idle after communicating. Full GEMM computes every block and
-        // charges the full 2n1²n2l flops; A·Aᵀ is symmetric, so its lower
-        // blocks are all of C and the upper ones are discarded.
-        let mut out = LocalOutput::default();
-        if big_i > big_j || !syrk_mode {
-            comm.add_flops(gemm_flops(a_i.rows(), a_j.rows(), n2l));
-            let data = mul_nt(&a_i, &a_j);
-            if big_i > big_j {
-                out.offdiag.push(OffDiagBlock {
-                    i: big_i,
-                    j: big_j,
-                    data,
-                });
-            } else if big_i == big_j {
-                let data = PackedLower::from_matrix(&data, Diag::Inclusive);
-                out.diag.push(DiagBlock { i: big_i, data });
+        let (big_i, big_j) = (gc.k % r, gc.k / r);
+        let (cr, mut slice) = (cols.range(gc.l), gc.slice);
+        let a_col = a.block(0, cr.start, n1, cr.len());
+        // The operand gather: rank (I, J) holds chunk J of A_I and chunk I
+        // of A_J (by flattened elements, read where they lie); all-gathers
+        // among the ranks sharing I (in J order) and sharing J (in I order)
+        // rebuild A_I and A_J. At r = 1 both are the column block itself.
+        let gather = |blk: usize, idx: usize, comm: Comm| {
+            let rr = rows.range(blk);
+            let part = Partition1D::new(rr.len() * cr.len(), r).range(idx);
+            let chunk = a_col
+                .sub(rr.start, 0, rr.len(), cr.len())
+                .flat_range_to_vec(part);
+            let flat = comm.try_all_gather_concat(chunk)?;
+            Ok::<_, MachineError>(Matrix::from_vec(rr.len(), cr.len(), flat))
+        };
+        let gathered = match r {
+            1 => None,
+            _ => {
+                let row = slice.split(big_i as u64, big_j);
+                let col = slice.split((r + big_j) as u64, big_i);
+                Some([gather(big_i, big_j, row)?, gather(big_j, big_i, col)?])
             }
-        } else if big_i == big_j {
-            comm.add_flops(syrk_flops(a_i.rows(), n2l));
-            let data = syrk_packed_new(&a_i, Diag::Inclusive);
-            out.diag.push(DiagBlock { i: big_i, data });
+        };
+        let [a_i, a_j] = gathered
+            .as_ref()
+            .map_or([a_col; 2], |g| g.each_ref().map(Matrix::view));
+
+        // In `syrk_mode` no words above the diagonal and a packed triangle
+        // on it; GEMM charges the full 2n1²n2 flops.
+        let (m, n) = (a_i.rows(), a_j.rows());
+        let block = if syrk_mode && big_i < big_j {
+            Vec::new()
+        } else if syrk_mode && big_i == big_j {
+            comm.add_flops(syrk_flops(m, cr.len()));
+            let mut c = PackedLower::zeros(m, Diag::Inclusive);
+            syrk_packed(&mut c, a_i);
+            c.into_vec()
+        } else {
+            comm.add_flops(gemm_flops(m, n, cr.len()));
+            let mut c = Matrix::zeros(m, n);
+            gemm_nt(&mut c, a_i, a_j);
+            c.into_vec()
+        };
+        if p2 == 1 {
+            return Ok(block);
         }
-        Ok(out)
+        let seg = Partition1D::new(block.len(), p2);
+        gc.row.try_reduce_scatter_block(&block, &seg.lens())
     })?;
-    let c = assemble_c(n1, &rows, &out.results);
+
+    // Block (I, J) is the segments of grid row I + J·r: world ranks
+    // I + J·r + ℓ·r², in ℓ order. GEMM writes both triangles as reduced:
+    // the two sums of a mirrored pair need not round alike.
+    let mut c = Matrix::zeros(n1, n1);
+    for k in 0..r * r {
+        let (bi, bj) = (rows.range(k % r), rows.range(k / r));
+        let segs = out.results[k..].iter().step_by(r * r).map(Vec::as_slice);
+        if syrk_mode && k % r == k / r {
+            write_packed_lower(&mut c, bi.start, bi.len(), Diag::Inclusive, segs);
+        } else if !syrk_mode || k % r > k / r {
+            let blk = Matrix::from_vec(bi.len(), bj.len(), segs.flatten().copied().collect());
+            c.set_block(bi.start, bj.start, &blk);
+        }
+    }
+    if syrk_mode {
+        mirror_lower_to_upper(&mut c);
+    }
     Ok(SyrkRunResult { c, cost: out.cost })
 }
 
-/// The SUMMA operand gather of an `r × r` grid over the columns of `a`:
-/// rank `(I, J)` holds chunk `J` of `A_I` and chunk `I` of `A_J` (by
-/// flattened elements, read where they lie in `a`); an all-gather along
-/// `row` (the ranks sharing `I`, ordered by `J`) rebuilds `A_I` and one
-/// along `col` (sharing `J`, ordered by `I`) rebuilds `A_J`.
-fn gather_operands(
-    a: MatrixView<'_, f64>,
-    rows: &Partition1D,
-    (big_i, big_j): (usize, usize),
-    row: &Comm,
-    col: &Comm,
-) -> Result<[Matrix<f64>; 2], MachineError> {
-    let r = row.size();
-    let gather = |blk: usize, idx: usize, comm: &Comm| {
-        let rr = rows.range(blk);
-        let block = a.sub(rr.start, 0, rr.len(), a.cols());
-        let chunk = block.flat_range_to_vec(Partition1D::new(rr.len() * a.cols(), r).range(idx));
-        let flat = comm.try_all_gather_concat(chunk)?;
-        Ok(Matrix::from_vec(rr.len(), a.cols(), flat))
-    };
-    Ok([gather(big_i, big_j, row)?, gather(big_j, big_i, col)?])
+/// 1D GEMM baseline (Case 1 regime), the `r = 1` corner: local full
+/// product, Reduce-Scatter of all `n1²` words — twice the 1D SYRK's.
+pub fn gemm_1d(a: &Matrix<f64>, p: usize, model: CostModel) -> Result<SyrkRunResult, SyrkError> {
+    summa(a, 1, p, model, false)
 }
 
-/// 2D GEMM baseline (SUMMA-style, Case 2 regime) on an `r × r` grid:
-/// `2·n1n2/r·(1 − 1/r)` words per rank — twice the 2D SYRK cost.
+/// 2D GEMM baseline (Case 2 regime), the `p2 = 1` corner: `2·n1n2/r·(1 −
+/// 1/r)` words per rank — twice the 2D SYRK cost.
 pub fn gemm_2d(a: &Matrix<f64>, r: usize, model: CostModel) -> Result<SyrkRunResult, SyrkError> {
-    summa_like(a, r, model, false)
+    summa(a, r, 1, model, false)
 }
 
 /// ScaLAPACK-style 2D SYRK baseline: identical communication to
@@ -142,72 +137,19 @@ pub fn scalapack_syrk_2d(
     r: usize,
     model: CostModel,
 ) -> Result<SyrkRunResult, SyrkError> {
-    summa_like(a, r, model, true)
+    summa(a, r, 1, model, true)
 }
 
-/// 3D GEMM baseline (Case 3 regime): an `r × r × p2` grid; each of the
-/// `p2` slices runs [`gemm_2d`]'s pattern on `n2/p2` columns, then the
-/// per-block contributions are reduce-scattered across slices. Leading
-/// cost `2n1n2/(r·p2) + n1²/r²` — twice the 3D SYRK with the optimal
-/// grids of §5.4.
+/// 3D GEMM baseline (Case 3 regime), the whole grid. Leading cost
+/// `2n1n2/(r·p2) + n1²/r²` — twice the 3D SYRK with the optimal grids of
+/// §5.4.
 pub fn gemm_3d(
     a: &Matrix<f64>,
     r: usize,
     p2: usize,
     model: CostModel,
 ) -> Result<SyrkRunResult, SyrkError> {
-    let (n1, n2) = a.shape();
-    check_ranks(r)?;
-    check_ranks(p2)?;
-    check_shape(n1, n2)?;
-    let rows = Partition1D::new(n1, r);
-    let cols = Partition1D::new(n2, p2);
-    let grid = ProcessGrid::new(r * r, p2);
-
-    let machine = Machine::new(r * r * p2).with_model(model);
-    let out = machine.try_run(|mut comm| {
-        let gc = grid.split(&mut comm);
-        let (big_i, big_j) = (gc.k % r, gc.k / r);
-        let cr = cols.range(gc.l);
-        let n2l = cr.len();
-
-        // 2D SUMMA within the slice, on its own rows and columns.
-        let mut slice = gc.slice;
-        let row_comm = slice.split(big_i as u64, big_j); // ranks sharing I
-        let col_comm = slice.split((r + big_j) as u64, big_i); // sharing J
-        let a_col = a.block(0, cr.start, n1, n2l);
-        let [a_i, a_j] = gather_operands(a_col, &rows, (big_i, big_j), &row_comm, &col_comm)?;
-        let c_blk = mul_nt(&a_i, &a_j);
-        comm.add_flops(gemm_flops(a_i.rows(), a_j.rows(), n2l));
-
-        // Sum the block across slices and scatter evenly.
-        let seg = Partition1D::new(c_blk.len(), p2);
-        let mine = gc
-            .row
-            .try_reduce_scatter_block(c_blk.as_slice(), &seg.lens())?;
-        Ok((big_i, big_j, gc.l, mine))
-    })?;
-
-    // Assemble: concatenate segments per (I, J) and keep the lower half.
-    let mut per_block: Vec<Vec<(usize, Vec<f64>)>> = vec![Vec::new(); r * r];
-    for (bi, bj, l, seg) in out.results {
-        per_block[bi * r + bj].push((l, seg));
-    }
-    let mut c = Matrix::zeros(n1, n1);
-    for bi in 0..r {
-        for bj in 0..r {
-            let mut segs = std::mem::take(&mut per_block[bi * r + bj]);
-            segs.sort_by_key(|&(l, _)| l);
-            let flat: Vec<f64> = segs.into_iter().flat_map(|(_, s)| s).collect();
-            let (ri, rj) = (rows.range(bi), rows.range(bj));
-            c.set_block(
-                ri.start,
-                rj.start,
-                &Matrix::from_vec(ri.len(), rj.len(), flat),
-            );
-        }
-    }
-    Ok(SyrkRunResult { c, cost: out.cost })
+    summa(a, r, p2, model, false)
 }
 
 #[cfg(test)]
@@ -287,10 +229,14 @@ mod tests {
 
     #[test]
     fn gemm_3d_correct() {
+        // The last two leave row blocks empty (n1 < r) and, in the last,
+        // a slice without columns (n2 < p2).
         for &(n1, n2, r, p2) in &[
             (8usize, 6usize, 2usize, 3usize),
             (12, 8, 2, 2),
             (9, 6, 3, 2),
+            (2, 9, 3, 2),
+            (1, 1, 2, 2),
         ] {
             let a = seeded_matrix::<f64>(n1, n2, 23);
             check(
@@ -298,6 +244,30 @@ mod tests {
                 &a,
                 "gemm_3d",
             );
+        }
+    }
+
+    #[test]
+    fn grids_of_more_than_u32_max_ranks_are_rejected() {
+        // 2³³ and 70 000² ranks are more than a machine simulates (it
+        // would panic on them); r·r and r·r·p2 of the last three wrap.
+        // Each call returns before any machine is built.
+        let a = seeded_matrix::<f64>(4, 3, 0);
+        let m = CostModel::bandwidth_only();
+        let r32 = 1usize << 32;
+        for (got, want) in [
+            (gemm_1d(&a, 1 << 33, m), (1, 1 << 33)),
+            (gemm_2d(&a, 70_000, m), (70_000, 1)),
+            (scalapack_syrk_2d(&a, r32, m), (r32, 1)),
+            (gemm_3d(&a, r32, 1, m), (r32, 1)),
+            (gemm_3d(&a, 1 << 16, r32 + 1, m), (1 << 16, r32 + 1)),
+        ] {
+            match got {
+                Err(SyrkError::Plan(PlanError::SummaGridOverflow { r, p2 })) => {
+                    assert_eq!((r, p2), want)
+                }
+                other => panic!("{want:?}: {other:?}"),
+            }
         }
     }
 

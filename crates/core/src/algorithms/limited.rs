@@ -78,8 +78,8 @@ pub fn syrk_2d_limited(
                 &mut owned,
                 pr.len(),
                 1,
-                |cij, x, y| gemm_nt(cij, &gathered[x][0], &gathered[y][0]),
-                |cii, x| syrk_packed(cii, &gathered[x][0]),
+                |cij, x, y| gemm_nt(cij, gathered[x][0].view(), gathered[y][0].view()),
+                |cii, x| syrk_packed(cii, gathered[x][0].view()),
             );
         }
         Ok(owned.out)

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use syrk_dense::{
     balanced_chunks_by_cost, gemm_flops, gemm_nt, mul_nt, par_for_each_task, steal_task_count,
-    syr2k_packed, syrk_flops, syrk_packed_view, workers_for_flops, Diag, Matrix, MatrixView,
+    syr2k_packed, syrk_flops, syrk_packed, workers_for_flops, Diag, Matrix, MatrixView,
     PackedLower,
 };
 use syrk_machine::{Comm, MachineError};
@@ -83,16 +83,16 @@ pub(crate) fn slice_body<const N: usize>(
         n2l,
         N as u64,
         |cij, x, y| match (&gathered[x][..], &gathered[y][..]) {
-            ([ai], [aj]) => gemm_nt(cij, ai, aj),
+            ([ai], [aj]) => gemm_nt(cij, ai.view(), aj.view()),
             ([ai, bi], [aj, bj]) => {
-                gemm_nt(cij, ai, bj);
+                gemm_nt(cij, ai.view(), bj.view());
                 cij.add_assign(&mul_nt(bi, aj));
             }
             _ => unreachable!("SYRK has one operand, SYR2K two"),
         },
         |cii, x| {
             match block(x).as_slice() {
-                [ai] => syrk_packed_view(cii, *ai),
+                [ai] => syrk_packed(cii, *ai),
                 [ai, bi] => syr2k_packed(cii, *ai, *bi),
                 _ => unreachable!("SYRK has one operand, SYR2K two"),
             }

@@ -49,6 +49,14 @@ pub enum PlanError {
         /// The number of slices.
         p2: usize,
     },
+    /// A baseline's `r × r × p2` SUMMA grid of more than `u32::MAX`
+    /// ranks (`r = 1` for 1D GEMM's `p2 = p`, `p2 = 1` in 2D).
+    SummaGridOverflow {
+        /// The side of each slice.
+        r: usize,
+        /// The number of slices.
+        p2: usize,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -74,6 +82,12 @@ impl std::fmt::Display for PlanError {
                 write!(
                     f,
                     "a c(c+1) x p2 grid with c = {c}, p2 = {p2} has more than u32::MAX ranks"
+                )
+            }
+            PlanError::SummaGridOverflow { r, p2 } => {
+                write!(
+                    f,
+                    "an r x r x p2 grid with r = {r}, p2 = {p2} has more than u32::MAX ranks"
                 )
             }
         }

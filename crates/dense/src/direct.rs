@@ -175,7 +175,7 @@ mod tests {
     use crate::rng::seeded_matrix;
     use crate::scalar::Scalar;
     use crate::syrk::triangle_driver;
-    use crate::{gemm_nn, gemm_nt, syr2k_packed, syrk_packed_view};
+    use crate::{gemm_nn, gemm_nt, syr2k_packed, syrk_packed};
 
     fn same_bits(x: &[f64], y: &[f64]) -> bool {
         x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
@@ -207,14 +207,14 @@ mod tests {
                     let c0 = seeded_matrix::<f64>(m, n, seed + 2);
 
                     let (mut direct, mut packed) = (c0.clone(), c0.clone());
-                    gemm_nt(&mut direct, &a, &b);
+                    gemm_nt(&mut direct, a.view(), b.view());
                     gemm_driver(&mut packed, a.view(), |cols, ks, r, dst| {
                         pack_rows_into(dst, b.view(), cols, ks, r)
                     });
                     assert!(same_bits(direct.as_slice(), packed.as_slice()), "nt {ctx}");
 
                     let (mut direct, mut packed) = (c0.clone(), c0);
-                    gemm_nn(&mut direct, &a, &bt);
+                    gemm_nn(&mut direct, a.view(), bt.view());
                     gemm_driver(&mut packed, a.view(), |cols, ks, r, dst| {
                         pack_cols_into(dst, bt.view(), ks, cols, r)
                     });
@@ -232,7 +232,7 @@ mod tests {
                         let c0 = PackedLower::from_vec(n, diag, c0);
 
                         let (mut direct, mut packed) = (c0.clone(), c0.clone());
-                        syrk_packed_view(&mut direct, va);
+                        syrk_packed(&mut direct, va);
                         triangle_driver(&mut packed, va, None);
                         let ok = same_bits(direct.as_slice(), packed.as_slice());
                         assert!(ok, "syrk {diag:?} {ctx}");

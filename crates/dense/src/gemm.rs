@@ -6,9 +6,10 @@
 //! * [`gemm_nt`]: `C += A·Bᵀ`    (`A: m×k`, `B: n×k`, `C: m×n`)
 //!
 //! `gemm_nt` is the shape the SYRK algorithms use for off-diagonal blocks
-//! (`C_ij = A_i · A_jᵀ`, Alg. 2 line 16). Each kernel exists as a simple
-//! reference implementation and a packed, register-blocked variant built
-//! on [`crate::microkernel`]: the operands are packed into k-major
+//! (`C_ij = A_i · A_jᵀ`, Alg. 2 line 16). Both take `MatrixView` operands,
+//! blocks of a larger matrix where they lie ([`mul_nt`] and [`mul_nn`] wrap
+//! owned ones), and have a `_ref` twin. The packed, register-blocked kernel
+//! builds on [`crate::microkernel`]: the operands are packed into k-major
 //! micro-panels per `KC`-wide panel of the inner dimension, and an
 //! `MR × NR` register tile is accumulated per inner call. Parallelism is
 //! over disjoint row chunks of `C`, work-stolen from per-worker deques
@@ -164,9 +165,8 @@ pub(crate) fn gemm_driver<T: Scalar>(
 
 /// Packed, register-blocked, multi-threaded `C += A·Bᵀ`; a `C` of at most
 /// `SMALL_OUTPUT_CUTOFF` entries as direct chains (`crate::direct`).
-pub fn gemm_nt<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>) {
-    let (m, k) = a.shape();
-    let (n, k2) = b.shape();
+pub fn gemm_nt<T: Scalar>(c: &mut Matrix<T>, a: MatrixView<'_, T>, b: MatrixView<'_, T>) {
+    let (m, k, n, k2) = (a.rows(), a.cols(), b.rows(), b.cols());
     assert_eq!(k, k2, "gemm_nt: inner dimensions {k} vs {k2}");
     assert_eq!(c.shape(), (m, n), "gemm_nt: output shape mismatch");
     if m == 0 || n == 0 || k == 0 {
@@ -174,43 +174,40 @@ pub fn gemm_nt<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>) {
     }
     if m * n <= SMALL_OUTPUT_CUTOFF {
         // Column j of Bᵀ is row j of B.
-        return crate::direct::gemm(c, a.view(), b.as_slice(), k, 1);
+        let (y, stride) = b.strided_at(0);
+        return crate::direct::gemm(c, a, y, stride, 1);
     }
     // Bᵀ's columns are B's rows, so the B-side pack is a row pack.
-    gemm_driver(c, a.view(), |cols, ks, r, dst| {
-        pack_rows_into(dst, b.view(), cols, ks, r)
-    });
+    gemm_driver(c, a, |cols, ks, r, dst| pack_rows_into(dst, b, cols, ks, r));
 }
 
 /// Packed, register-blocked, multi-threaded `C += A·B`; a `C` of at most
 /// `SMALL_OUTPUT_CUTOFF` entries as direct chains (`crate::direct`).
-pub fn gemm_nn<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>) {
-    let (m, k) = a.shape();
-    let (k2, n) = b.shape();
+pub fn gemm_nn<T: Scalar>(c: &mut Matrix<T>, a: MatrixView<'_, T>, b: MatrixView<'_, T>) {
+    let (m, k, k2, n) = (a.rows(), a.cols(), b.rows(), b.cols());
     assert_eq!(k, k2, "gemm_nn: inner dimensions {k} vs {k2}");
     assert_eq!(c.shape(), (m, n), "gemm_nn: output shape mismatch");
     if m == 0 || n == 0 || k == 0 {
         return;
     }
     if m * n <= SMALL_OUTPUT_CUTOFF {
-        return crate::direct::gemm(c, a.view(), b.as_slice(), 1, n);
+        let (y, stride) = b.strided_at(0);
+        return crate::direct::gemm(c, a, y, 1, stride);
     }
-    gemm_driver(c, a.view(), |cols, ks, r, dst| {
-        pack_cols_into(dst, b.view(), ks, cols, r)
-    });
+    gemm_driver(c, a, |cols, ks, r, dst| pack_cols_into(dst, b, ks, cols, r));
 }
 
 /// Convenience: `A·Bᵀ` into a fresh matrix.
 pub fn mul_nt<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     let mut c = Matrix::zeros(a.rows(), b.rows());
-    gemm_nt(&mut c, a, b);
+    gemm_nt(&mut c, a.view(), b.view());
     c
 }
 
 /// Convenience: `A·B` into a fresh matrix.
 pub fn mul_nn<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     let mut c = Matrix::zeros(a.rows(), b.cols());
-    gemm_nn(&mut c, a, b);
+    gemm_nn(&mut c, a.view(), b.view());
     c
 }
 
@@ -281,7 +278,7 @@ mod tests {
         let b = seeded_matrix(6, 3, 6);
         let mut c = Matrix::from_fn(4, 6, |i, j| (i + j) as f64);
         let base = c.clone();
-        gemm_nt(&mut c, &a, &b);
+        gemm_nt(&mut c, a.view(), b.view());
         let mut expect = mul_nt(&a, &b);
         expect.add_assign(&base);
         assert_close(&c, &expect, 1e-12);
@@ -292,12 +289,12 @@ mod tests {
         let a = Matrix::<f64>::zeros(0, 5);
         let b = Matrix::<f64>::zeros(3, 5);
         let mut c = Matrix::<f64>::zeros(0, 3);
-        gemm_nt(&mut c, &a, &b); // must not panic
+        gemm_nt(&mut c, a.view(), b.view()); // must not panic
 
         let a = Matrix::<f64>::zeros(2, 0);
         let b = Matrix::<f64>::zeros(3, 0);
         let mut c = Matrix::from_fn(2, 3, |_, _| 1.0);
-        gemm_nt(&mut c, &a, &b);
+        gemm_nt(&mut c, a.view(), b.view());
         assert_eq!(c[(1, 2)], 1.0, "k = 0 leaves C unchanged");
     }
 
@@ -313,7 +310,7 @@ mod tests {
         let a = Matrix::<f64>::zeros(2, 3);
         let b = Matrix::<f64>::zeros(2, 4);
         let mut c = Matrix::<f64>::zeros(2, 2);
-        gemm_nt(&mut c, &a, &b);
+        gemm_nt(&mut c, a.view(), b.view());
     }
 
     #[test]

@@ -59,6 +59,6 @@ pub use stats::{kernel_stats, KernelStats};
 pub use syr2k::{syr2k_flops, syr2k_full_reference, syr2k_packed, syr2k_packed_new};
 pub use syrk::{
     syrk_flops, syrk_full_reference, syrk_lower_ref, syrk_packed, syrk_packed_new,
-    syrk_packed_view, syrk_strict_flops,
+    syrk_strict_flops,
 };
 pub use view::MatrixView;

@@ -145,7 +145,7 @@ pub fn machine_thread_budget(p: usize) -> usize {
 pub const SERIAL_FLOP_CUTOFF: u64 = 1 << 22;
 
 /// Output entries (`m·n`, or a triangle's packed length) at or below which
-/// `gemm_nt`, `gemm_nn`, `syrk_packed(_view)` and `syr2k_packed` skip the
+/// `gemm_nt`, `gemm_nn`, `syrk_packed` and `syr2k_packed` skip the
 /// packed runtime and compute each entry as one direct chain, bitwise the
 /// same `C` (see `crate::direct`).
 ///

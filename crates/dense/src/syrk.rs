@@ -283,23 +283,18 @@ fn split_triangle<'c, T: Scalar>(
 }
 
 /// Packed kernel: accumulate the lower triangle of `A·Aᵀ` into packed
-/// storage via the register-blocked driver.
-pub fn syrk_packed<T: Scalar>(c: &mut PackedLower<T>, a: &Matrix<T>) {
-    syrk_packed_view(c, a.view());
-}
-
-/// [`syrk_packed`] on a borrowed block: a rank runs `Local-SYRK` on its
-/// column block of the global `A` without copying it. Packing visits the
-/// same values in the same ascending-k order as for an owned copy of the
-/// block, so the result is bitwise the same.
-pub fn syrk_packed_view<T: Scalar>(c: &mut PackedLower<T>, a: MatrixView<'_, T>) {
+/// storage via the register-blocked driver. `A` is a view, so a rank runs
+/// `Local-SYRK` on its column block of the global `A` without copying it;
+/// packing visits the same values in the same ascending-k order as for
+/// an owned copy of the block, so the result is bitwise the same.
+pub fn syrk_packed<T: Scalar>(c: &mut PackedLower<T>, a: MatrixView<'_, T>) {
     packed_rank_update(c, a, None);
 }
 
 /// Convenience: the lower triangle of `A·Aᵀ` as packed storage.
 pub fn syrk_packed_new<T: Scalar>(a: &Matrix<T>, diag: Diag) -> PackedLower<T> {
     let mut c = PackedLower::zeros(a.rows(), diag);
-    syrk_packed(&mut c, a);
+    syrk_packed(&mut c, a.view());
     c
 }
 
@@ -377,7 +372,7 @@ mod tests {
     fn packed_accumulates() {
         let a = seeded_matrix::<f64>(5, 3, 11);
         let mut p = syrk_packed_new(&a, Diag::Inclusive);
-        syrk_packed(&mut p, &a); // second accumulation doubles everything
+        syrk_packed(&mut p, a.view()); // second accumulation doubles everything
         let single = syrk_packed_new(&a, Diag::Inclusive);
         for (two, one) in p.as_slice().iter().zip(single.as_slice()) {
             assert!((two - 2.0 * one).abs() < 1e-10);

@@ -64,12 +64,14 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
             row0 + rows <= self.rows && col0 + cols <= self.cols,
             "sub-view out of range"
         );
-        MatrixView::new(
-            &self.data[row0 * self.stride + col0..],
-            rows,
-            cols,
-            self.stride,
-        )
+        // A sub-view without rows reads nothing; on the bottom edge of a
+        // view narrower than its stride its start would lie past the buffer.
+        let start = if rows == 0 {
+            0
+        } else {
+            row0 * self.stride + col0
+        };
+        MatrixView::new(&self.data[start..], rows, cols, self.stride)
     }
 
     /// Copy into a new owned matrix.

@@ -37,7 +37,7 @@ fn gemm_nt_matches_reference_on_edge_shapes() {
                 let mut want = Matrix::zeros(m, n);
                 gemm_nt_ref(&mut want, &a, &b);
                 let mut got = Matrix::zeros(m, n);
-                gemm_nt(&mut got, &a, &b);
+                gemm_nt(&mut got, a.view(), b.view());
                 let err = max_abs(&got, &want);
                 assert!(err < 1e-10, "gemm_nt ({m},{n},{k}): err {err}");
             }
@@ -60,7 +60,7 @@ fn gemm_nt_matches_reference_on_aspect_extremes() {
         let mut want = Matrix::zeros(m, n);
         gemm_nt_ref(&mut want, &a, &b);
         let mut got = Matrix::zeros(m, n);
-        gemm_nt(&mut got, &a, &b);
+        gemm_nt(&mut got, a.view(), b.view());
         let err = max_abs(&got, &want);
         assert!(err < 1e-10, "gemm_nt ({m},{n},{k}): err {err}");
     }
@@ -154,7 +154,7 @@ fn forced_isa_edge_shape_battery() {
                     let mut want = Matrix::zeros(m, n);
                     gemm_nt_ref(&mut want, &a, &b);
                     let mut got = Matrix::zeros(m, n);
-                    gemm_nt(&mut got, &a, &b);
+                    gemm_nt(&mut got, a.view(), b.view());
                     let err = max_abs(&got, &want);
                     assert!(err < 1e-10, "{isa} gemm_nt ({m},{n},{k}): err {err}");
                 }

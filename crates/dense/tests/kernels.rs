@@ -3,9 +3,9 @@
 //! relies on.
 
 use syrk_dense::{
-    gemm_flops, gemm_nn_ref, mul_nn, mul_nt, seeded_matrix, syr2k_flops, syr2k_full_reference,
-    syrk_flops, syrk_full_reference, syrk_packed_new, syrk_packed_view, syrk_strict_flops, Diag,
-    Matrix, PackedLower,
+    gemm_flops, gemm_nn, gemm_nn_ref, gemm_nt, mul_nn, mul_nt, seeded_matrix, syr2k_flops,
+    syr2k_full_reference, syrk_flops, syrk_full_reference, syrk_packed, syrk_packed_new,
+    syrk_strict_flops, Diag, Matrix, PackedLower,
 };
 
 #[test]
@@ -45,10 +45,34 @@ fn syrk_on_a_borrowed_column_block_is_bitwise_the_copy() {
     for (col0, cols) in [(0, 1400), (3, 700), (699, 701), (1399, 1), (1400, 0)] {
         for diag in [Diag::Inclusive, Diag::Strict] {
             let mut borrowed = PackedLower::zeros(70, diag);
-            syrk_packed_view(&mut borrowed, whole.block(0, col0, 70, cols));
+            syrk_packed(&mut borrowed, whole.block(0, col0, 70, cols));
             let copied = syrk_packed_new(&whole.block_owned(0, col0, 70, cols), diag);
             assert_eq!(borrowed, copied, "columns {col0}+{cols} {diag:?}");
         }
+    }
+}
+
+#[test]
+fn gemm_on_borrowed_blocks_is_bitwise_the_copy() {
+    // Strided views of real-valued entries, k past one inner panel. An
+    // `m × n` of at most 64 entries takes the direct path, whose B stride
+    // is the view's, not its width; 40 × 33 takes the packed path.
+    let bits = |c: &Matrix<f64>| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let wide = seeded_matrix::<f64>(90, 1400, 7);
+    let tall = seeded_matrix::<f64>(1400, 90, 8);
+    for (m, n, k) in [(1, 1, 1), (2, 3, 701), (8, 8, 300), (40, 33, 699)] {
+        let a = (wide.block(1, 3, m, k), wide.block_owned(1, 3, m, k));
+        let b = (wide.block(45, 5, n, k), wide.block_owned(45, 5, n, k));
+        let (mut borrowed, mut copied) = (Matrix::zeros(m, n), Matrix::zeros(m, n));
+        gemm_nt(&mut borrowed, a.0, b.0);
+        gemm_nt(&mut copied, a.1.view(), b.1.view());
+        assert_eq!(bits(&borrowed), bits(&copied), "gemm_nt {m}x{n}x{k}");
+
+        let b = (tall.block(2, 7, k, n), tall.block_owned(2, 7, k, n));
+        let (mut borrowed, mut copied) = (Matrix::zeros(m, n), Matrix::zeros(m, n));
+        gemm_nn(&mut borrowed, a.0, b.0);
+        gemm_nn(&mut copied, a.1.view(), b.1.view());
+        assert_eq!(bits(&borrowed), bits(&copied), "gemm_nn {m}x{n}x{k}");
     }
 }
 
