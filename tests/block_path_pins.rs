@@ -27,6 +27,16 @@ const R2D_C_DIGEST: u64 = 0x9a50_02f5_9d4c_cdd5;
 /// counters, the clock bits, and the phase names in first-use order (the
 /// digest of `tests/live_blocks.rs`).
 fn cost_digest(cost: &CostReport) -> u64 {
+    rows_digest(cost, true)
+}
+
+/// [`cost_digest`] without `peak_buffer_words`: what a run costs, without
+/// its footprint convention.
+fn cost_digest_but_peak(cost: &CostReport) -> u64 {
+    rows_digest(cost, false)
+}
+
+fn rows_digest(cost: &CostReport, peak: bool) -> u64 {
     let mut h = FNV_OFFSET;
     let mut eat = |x: u64| {
         for b in x.to_le_bytes() {
@@ -44,9 +54,11 @@ fn cost_digest(cost: &CostReport) -> u64 {
                 c.words_recv,
                 c.flops,
                 c.clock.to_bits(),
-                c.peak_buffer_words,
             ] {
                 eat(x);
+            }
+            if peak {
+                eat(c.peak_buffer_words);
             }
         }
     }
@@ -339,6 +351,76 @@ fn oned_variants_and_padded_3d_are_pinned() {
         );
         let got = run(&a, &spec).expect("fault-free run").result;
         check(&label, &got, want);
+    }
+}
+
+/// Every one-rank-slice run pinned above — Algorithm 1 in the
+/// `sim_blocks` round, the `r1d` class and the four variants — by `C`
+/// and every per-rank and per-phase counter but `peak_buffer_words`,
+/// clock bits and phase names included. Printed before every slice noted
+/// its footprint by one rule, which moved only these runs' peaks.
+#[test]
+fn oned_runs_are_pinned_but_for_their_peaks() {
+    let spec = |plan, model, f: fn(&mut RunSpec)| {
+        let mut spec = RunSpec::new(plan, model);
+        f(&mut spec);
+        spec
+    };
+    let (p4, typical, bw) = (
+        Plan::OneD { p: 4 },
+        CostModel::typical(),
+        CostModel::bandwidth_only(),
+    );
+    let cases: [(usize, usize, RunSpec, [u64; 2]); 6] = [
+        (
+            768,
+            4096,
+            spec(p4, bw, |_| {}),
+            [0x3205_cf6c_684d_fd65, 0x7e9e_f131_b694_41ed],
+        ),
+        (
+            256,
+            2048,
+            spec(Plan::OneD { p: 8 }, bw, |_| {}),
+            [0x359f_fbdc_3663_1445, 0x2de2_26b9_76bd_f9ed],
+        ),
+        (
+            40,
+            24,
+            spec(p4, typical, |s| s.abft = true),
+            [0x32b6_607e_b250_07a5, 0xb0ea_506f_9cdb_6d0d],
+        ),
+        (
+            40,
+            24,
+            spec(p4, typical, |s| {
+                s.rs_alg = ReduceScatterAlg::RecursiveHalving
+            }),
+            [0x5cf9_cb49_a7a4_1c6d, 0xb0ea_506f_9cdb_6d0d],
+        ),
+        (
+            40,
+            24,
+            spec(p4, typical, |s| {
+                s.rs_alg = ReduceScatterAlg::TreeThenScatter
+            }),
+            [0x9a30_2b2f_8f93_29ed, 0xb0ea_506f_9cdb_6d0d],
+        ),
+        (
+            5,
+            3,
+            spec(p4, typical, |_| {}),
+            [0x2856_86e6_556d_7dc4, 0xbb42_140d_d70e_190d],
+        ),
+    ];
+    for (n1, n2, spec, want) in cases {
+        let run = run(&input(n1, n2), &spec).expect("fault-free run").result;
+        let got = [cost_digest_but_peak(&run.cost), c_digest(&run.c)];
+        assert_eq!(
+            got, want,
+            "{n1}x{n2} {:?} abft={} {:?}: moved ({:#018x}, {:#018x})",
+            spec.plan, spec.abft, spec.rs_alg, got[0], got[1]
+        );
     }
 }
 

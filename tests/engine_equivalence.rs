@@ -51,6 +51,10 @@ impl Fnv {
 /// Digest of every rank row and every phase row of the report: all
 /// counters, the clock bits, and the phase names in first-use order.
 fn digest(cost: &CostReport) -> u64 {
+    rows_digest(cost, true)
+}
+
+fn rows_digest(cost: &CostReport, peak: bool) -> u64 {
     let mut h = Fnv::new();
     for (rank, phases) in cost.ranks.iter().zip(&cost.phases) {
         let rows = std::iter::once(("", rank)).chain(phases.iter().map(|p| (p.name, &p.cost)));
@@ -63,9 +67,11 @@ fn digest(cost: &CostReport) -> u64 {
                 c.words_recv,
                 c.flops,
                 c.clock.to_bits(),
-                c.peak_buffer_words,
             ] {
                 h.eat(x);
+            }
+            if peak {
+                h.eat(c.peak_buffer_words);
             }
         }
     }
@@ -219,6 +225,21 @@ fn unfaulted_runs_are_bitwise_identical_across_engines() {
             got[5]
         );
     }
+}
+
+/// The one-rank-slice run above, Algorithm 1, by every per-rank and
+/// per-phase counter but `peak_buffer_words`, clock bits and phase names
+/// included. Printed before every slice noted its footprint by one rule,
+/// which moved only this run's peak.
+#[test]
+fn oned_cost_report_is_pinned_but_for_its_peak() {
+    let a = seeded_matrix::<f64>(12, 8, 3);
+    let run = run_twice("1d", &a, CostModel::typical(), None, "1d");
+    let got = rows_digest(&run.cost, false);
+    assert_eq!(
+        got, 0xd74b_45c9_1e3c_7011,
+        "1d: cost report moved (digest {got:#018x})"
+    );
 }
 
 #[test]

@@ -191,6 +191,80 @@ fn syr2k_traffic_is_pinned() {
     }
 }
 
+/// Every per-rank and per-phase counter but `peak_buffer_words`, clock
+/// bits included, and the phase names in first-use order.
+fn report_digest_but_peak(cost: &CostReport) -> u64 {
+    fnv(cost
+        .ranks
+        .iter()
+        .zip(&cost.phases)
+        .flat_map(|(rank, phases)| {
+            let rows = std::iter::once(("", rank)).chain(phases.iter().map(|p| (p.name, &p.cost)));
+            rows.flat_map(|(name, c)| {
+                let counters = [
+                    c.msgs_sent,
+                    c.msgs_recv,
+                    c.words_sent,
+                    c.words_recv,
+                    c.flops,
+                    c.clock.to_bits(),
+                ];
+                name.bytes().map(u64::from).chain(counters)
+            })
+        }))
+}
+
+/// The one-rank-slice run of `syr2k_drivers_are_pinned`, SYR2K on
+/// Algorithm 1's grid, by `C` and its whole cost report but the peaks.
+/// Printed before every slice noted its footprint by one rule, which
+/// moved only this run's peaks.
+#[test]
+fn syr2k_1d_report_is_pinned_but_for_its_peaks() {
+    let (a, b) = (input(48, 480, 1), input(48, 480, 2));
+    let run = syr2k(&a, &b, Plan::OneD { p: 8 }, CostModel::typical()).unwrap();
+    let got = [c_digest(&run.c), report_digest_but_peak(&run.cost)];
+    assert_eq!(
+        got,
+        [0x547c_b2e8_ca78_762d, 0x65b1_16b5_e127_f1b5],
+        "syr2k_1d 48x480 p=8: moved (report digest {:#018x})",
+        got[1]
+    );
+}
+
+/// The panel variant's `C` and each rank's traffic, flops and clock at
+/// E16's shape and every round count it prints, at `n1 < c²`, and with
+/// more rounds than columns. Printed while the variant had a driver of
+/// its own; only its peaks and phase rows may move when it runs on the
+/// grid driver.
+#[test]
+fn limited_traffic_is_pinned() {
+    let model = CostModel::typical();
+    for (n1, n2, c, rounds, want) in [
+        (72, 96, 3, 1, [0xa39f_f3af_54c3_6acd, 0xa67d_33fa_1e09_9b81]),
+        (72, 96, 3, 2, [0xa39f_f3af_54c3_6acd, 0x14c1_190e_7a11_1346]),
+        (72, 96, 3, 4, [0xa39f_f3af_54c3_6acd, 0xea32_f1ac_3a6a_8291]),
+        (72, 96, 3, 8, [0xa39f_f3af_54c3_6acd, 0x460c_6543_9aa5_4538]),
+        (
+            72,
+            96,
+            3,
+            16,
+            [0xa39f_f3af_54c3_6acd, 0x02dd_84f1_369c_e5fd],
+        ),
+        (3, 4, 4, 1, [0xcfb8_0dd0_a173_2c59, 0x3782_26d0_88b6_e8bd]),
+        (3, 4, 4, 4, [0xcfb8_0dd0_a173_2c59, 0x54ec_3bbd_13ba_62c7]),
+        (8, 3, 2, 10, [0xf18d_f3f8_6fef_23cd, 0x52d2_19d9_fc1d_454f]),
+    ] {
+        let run = syrk_2d_limited(&input(n1, n2, 6), c, rounds, model).unwrap();
+        let got = [c_digest(&run.c), traffic_digest(&run.cost)];
+        assert_eq!(
+            got, want,
+            "syrk_2d_limited {n1}x{n2} c={c} rounds={rounds}: moved ({:#018x}, {:#018x})",
+            got[0], got[1]
+        );
+    }
+}
+
 #[test]
 fn symm_and_limited_are_pinned() {
     let model = CostModel::typical();
