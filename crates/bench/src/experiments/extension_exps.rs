@@ -194,8 +194,8 @@ pub fn latency_1d() -> Result<Vec<Table>, SyrkError> {
 
 /// E16 — the limited-memory panel variant (§6 future work): stream the
 /// columns in `rounds` panels. A-volume is invariant; latency grows
-/// linearly with rounds; the peak transient buffer shrinks toward the
-/// owned-output footprint. The memory-dependent trade, measured.
+/// linearly with rounds; the peak buffer, the operands a panel reads,
+/// falls with the panel width. The memory-dependent trade, measured.
 pub fn limited_memory() -> Result<Vec<Table>, SyrkError> {
     let mut t = Table::new(
         "E16 / §6 extension — panel-streamed 2D SYRK (limited memory)",
@@ -229,7 +229,8 @@ pub fn limited_memory() -> Result<Vec<Table>, SyrkError> {
         ]);
     }
     t.note("words constant (each chunk crosses the network once); msgs = rounds × the c² partners that share a row block");
-    t.note("peak buffer -> owned-output footprint as rounds grow; W_mem rises as M falls - the s6 trade");
+    t.note("peak buffer = a panel's gathered row blocks + staged chunks, falling with the panel width; W_mem rises as M falls - the s6 trade");
+    t.note("the owned C blocks (up to 228 words per rank here) are not in the peak, so at 16 rounds M=peak understates a rank's memory and W_mem exceeds the words moved");
     Ok(vec![t])
 }
 

@@ -96,7 +96,7 @@ pub fn run(a: &Matrix<f64>, spec: &RunSpec) -> Result<SyrkRun, SyrkError> {
         return recovery::recover(a, spec, policy);
     }
     let (dist, p2) = grid(spec.plan)?;
-    threed::run_grid([a], &dist, p2, spec)
+    threed::run_grid([a], &dist, p2, spec, 1)
 }
 
 /// The machine every run of `spec` executes on, at `ranks` ranks.
@@ -149,6 +149,24 @@ pub fn try_syrk_2d(
     faults: Option<&FaultPlan>,
 ) -> Result<SyrkRunResult, SyrkError> {
     faulted(a, Plan::TwoD { c }, model, faults)
+}
+
+/// Algorithm 2 with each rank's columns streamed in `rounds` panels (§6:
+/// the 3D algorithm may not fit in limited memory): every chunk still
+/// crosses the network once, each rank sends `rounds` times Algorithm
+/// 2's messages, and its peak buffer falls with the panel width.
+/// `rounds = 1` is [`try_syrk_2d`], cost report included. Errors as
+/// [`run`]; `rounds = 0` panics.
+pub fn syrk_2d_limited(
+    a: &Matrix<f64>,
+    c: usize,
+    rounds: usize,
+    model: CostModel,
+) -> Result<SyrkRunResult, SyrkError> {
+    assert!(rounds >= 1, "need at least one panel round");
+    let (dist, p2) = grid(Plan::TwoD { c })?;
+    let spec = RunSpec::new(Plan::TwoD { c }, model);
+    threed::run_grid([a], &dist, p2, &spec, rounds).map(|run| run.result)
 }
 
 /// Algorithm 3 (§5.3) on `P = c(c+1)·p2` ranks: [`run`] of

@@ -62,8 +62,8 @@ pub fn symm_2d(
         let k = comm.rank();
         // Rank k's blocks of A are the blocks of C it would own in
         // Algorithm 2, addressed by position in `live` the same way.
-        let owned = owned_blocks(&dist, &bd, k);
-        let live = &owned.live;
+        let live = &bd.live_blocks(k);
+        let owned = owned_blocks(&dist, &bd, k, live);
 
         // Phase 1: gather B_j for j ∈ R_k.
         let b_blocks = gather_row_blocks(&comm, &dist, &bd, live, [b.view()], false)?;

@@ -36,7 +36,7 @@ pub fn syr2k(
         "syr2k: A and B must have identical shapes"
     );
     let (dist, p2) = grid(plan)?;
-    run_grid([a, b], &dist, p2, &RunSpec::new(plan, model)).map(|run| run.result)
+    run_grid([a, b], &dist, p2, &RunSpec::new(plan, model), 1).map(|run| run.result)
 }
 
 #[cfg(test)]

@@ -84,7 +84,7 @@ fn ck_blocks<'s>(
     k: usize,
     segs: impl IntoIterator<Item = &'s [f64]>,
 ) -> LocalOutput {
-    let mut out = owned_blocks(dist, ad, k).out;
+    let mut out = owned_blocks(dist, ad, k, &ad.live_blocks(k)).out;
     let off = out.offdiag.iter_mut().map(|b| b.data.as_mut_slice());
     let dst = off.chain(out.diag.iter_mut().map(|d| d.data.as_mut_slice()));
     copy_across(segs, dst);
@@ -93,13 +93,15 @@ fn ck_blocks<'s>(
 
 /// Run Algorithm 3 on a simulated machine with a `dist.p() × p2` grid of
 /// ranks, a count [`grid`](super::common::grid) has checked. `ops` are
-/// the equally shaped inputs: `[A]` is SYRK and `[A, B]` SYR2K. The row
-/// Reduce-Scatter runs iff `p2 > 1`.
+/// the equally shaped inputs: `[A]` is SYRK and `[A, B]` SYR2K. Each
+/// slice streams its columns in `panels` panels (1 but for the panel
+/// variant). The row Reduce-Scatter runs iff `p2 > 1`.
 pub(crate) fn run_grid<const N: usize>(
     ops: [&Matrix<f64>; N],
     dist: &TriangleBlockDist,
     p2: usize,
     spec: &RunSpec,
+    panels: usize,
 ) -> Result<SyrkRun, SyrkError> {
     let (n1, n2) = ops[0].shape();
     check_shape(n1, n2)?;
@@ -114,8 +116,7 @@ pub(crate) fn run_grid<const N: usize>(
         // per rank).
         let cr = cols.range(gc.l);
         let col_blocks = ops.map(|m| m.block(0, cr.start, n1, cr.len()));
-        let ad = ConformalADist::new(dist, n1, cr.len());
-        let local = slice_body(&gc.slice, dist, &ad, col_blocks, spec)?;
+        let local = slice_body(&gc.slice, dist, col_blocks, spec, panels)?;
         // A rank alone in its grid row hands back its C_k blocks; the
         // others hand back their segment of the row's reduced C_k.
         if p2 == 1 {
@@ -173,7 +174,7 @@ mod tests {
         for n1 in [4, 10, 36] {
             let ad = ConformalADist::new(&dist, n1, 1);
             for k in 0..dist.p() {
-                let mut out = owned_blocks(&dist, &ad, k).out;
+                let mut out = owned_blocks(&dist, &ad, k, &ad.live_blocks(k)).out;
                 let off = out.offdiag.iter_mut().map(|b| b.data.as_mut_slice());
                 let words = off.chain(out.diag.iter_mut().map(|d| d.data.as_mut_slice()));
                 for (w, x) in words.flatten().zip(1..) {
@@ -210,7 +211,7 @@ mod tests {
     fn c_k_segments_of_the_wrong_total_are_rejected() {
         let dist = TriangleBlockDist::new(2);
         let ad = ConformalADist::new(&dist, 8, 1);
-        let mut segs = ck_segments(&owned_blocks(&dist, &ad, 0).out, 2);
+        let mut segs = ck_segments(&owned_blocks(&dist, &ad, 0, &ad.live_blocks(0)).out, 2);
         segs[1].push(0.0);
         let _ = ck_blocks(&dist, &ad, 0, segs.iter().map(Vec::as_slice));
     }

@@ -7,14 +7,16 @@
 //! then computes its `c(c−1)/2` off-diagonal blocks with local GEMMs and
 //! its diagonal block (if assigned) with a local SYRK. No contribution to
 //! `C` is ever communicated — only parts of `A`. The driver that runs this
-//! body on each slice, for all three algorithms, is `threed::run_grid`.
+//! body on each slice, for all three algorithms, is `threed::run_grid`;
+//! §6's panel variant, `syrk_2d_limited`, streams it over the columns.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use syrk_dense::{
     balanced_chunks_by_cost, gemm_flops, gemm_nt, mul_nt, par_for_each_task, steal_task_count,
     syr2k_packed, syrk_flops, syrk_packed, workers_for_flops, Diag, Matrix, MatrixView,
-    PackedLower,
+    PackedLower, Partition1D,
 };
 use syrk_machine::{Comm, MachineError};
 
@@ -29,58 +31,88 @@ use crate::dist::{ConformalADist, TriangleBlockDist};
 /// read where they lie: `[A]` runs SYRK, `[A, B]` SYR2K. `comm.size()`
 /// must be `dist.p()`. Of `spec` the body reads `padded` and, for SYRK
 /// only, `abft`. The exchange is [`gather_row_blocks`] and the local step
-/// [`local_step`]; `limited.rs` calls both, `symm.rs` the exchange.
+/// [`local_step`]; `symm.rs` calls the exchange too.
 ///
-/// A one-rank slice (Algorithm 1's) holds its one row block whole: it
-/// exchanges nothing, and its local step is one SYRK (or SYR2K) of
-/// `ops`.
+/// The columns stream in `panels` near-even panels (1 for every `Plan`),
+/// each one exchange and one local step into the same owned blocks; only
+/// several panels skip an empty one, so a 3D slice with no columns still
+/// runs its exchange. A one-rank slice (Algorithm 1's) holds its one row
+/// block whole: it exchanges nothing, and its local step is one SYRK (or
+/// SYR2K) of `ops`.
 pub(crate) fn slice_body<const N: usize>(
     comm: &Comm,
     dist: &TriangleBlockDist,
-    ad: &ConformalADist,
     ops: [MatrixView<'_, f64>; N],
     spec: &RunSpec,
+    panels: usize,
 ) -> Result<LocalOutput, MachineError> {
     assert_eq!(comm.size(), dist.p(), "a slice has dist.p() ranks");
     debug_assert!(N == 1 || !spec.abft, "ABFT checks SYRK's blocks only");
-    let k = comm.rank();
-    let n2l = ops[0].cols();
-    let one_rank = dist.p() == 1;
+    debug_assert!(panels == 1 || !spec.abft, "ABFT checks whole blocks only");
+    let (k, n1, one_rank) = (comm.rank(), ops[0].rows(), dist.p() == 1);
+    let widths = Partition1D::new(ops[0].cols(), panels);
+    let (mut live, mut owned) = (Vec::new(), None);
+    let runs = |cols: &Range<usize>| panels == 1 || !cols.is_empty();
+    for cols in (0..panels).map(|q| widths.range(q)).filter(runs) {
+        let ad = ConformalADist::new(dist, n1, cols.len());
+        let ops = ops.map(|m| m.sub(0, cols.start, n1, cols.len()));
+        if owned.is_none() {
+            live = ad.live_blocks(k);
+        }
+        // Lines 3–14, the phase Theorem 1's Case-2 `n1·n2/√P` term charges.
+        // A rank notes what its local step reads, gathered blocks plus own
+        // staged chunks, never its outputs; a one-rank slice gathers
+        // nothing, and notes its one chunk, its columns, under `local-syrk`.
+        let gathered = {
+            let _span = comm.phase(if one_rank {
+                PHASE_LOCAL_SYRK
+            } else {
+                PHASE_ALLGATHER_A
+            });
+            let gathered = if one_rank {
+                Vec::new()
+            } else {
+                gather_row_blocks(comm, dist, &ad, &live, ops, spec.padded)?
+            };
+            comm.note_buffer(
+                gathered.iter().flatten().map(Matrix::len).sum::<usize>()
+                    + N * live.iter().map(|&i| ad.chunk_len(i, k)).sum::<usize>(),
+            );
+            gathered
+        };
+        // Allocated after the first exchange: with 10³ ranks in one process
+        // no rank's blocks live through every other rank's exchange.
+        let owned = owned.get_or_insert_with(|| owned_blocks(dist, &ad, k, &live));
+        panel_step(comm, owned, &gathered, ops, spec)?;
+    }
+    Ok(owned.expect("a slice runs at least one panel").out)
+}
 
-    // Lines 3–14: gather every live row block of each operand. The
-    // exchange-and-reassemble of A is the phase Theorem 1's Case-2
-    // `n1·n2/√P` term charges. A rank notes every operand it holds.
-    let gathered = if one_rank {
-        Vec::new()
-    } else {
-        let _span = comm.phase(PHASE_ALLGATHER_A);
-        let live = ad.live_blocks(k);
-        let gathered = gather_row_blocks(comm, dist, ad, &live, ops, spec.padded)?;
-        comm.note_buffer(
-            gathered.iter().flatten().map(Matrix::len).sum::<usize>()
-                + N * live.iter().map(|&i| ad.chunk_len(i, k)).sum::<usize>(),
-        );
-        gathered
-    };
-    // A one-rank slice gathers nothing: its one row block is `ops`.
+/// One panel's local step (lines 15–20) and ABFT checks; a one-rank
+/// slice gathers nothing and its row block is `ops`. Out of line, to keep
+/// the frame under every exchange small: on `sim_ranks` most of the 2256
+/// rank stacks end a few bytes short of a second page.
+#[inline(never)]
+fn panel_step<const N: usize>(
+    comm: &Comm,
+    owned: &mut OwnedBlocks,
+    gathered: &[[Matrix<f64>; N]],
+    ops: [MatrixView<'_, f64>; N],
+    spec: &RunSpec,
+) -> Result<(), MachineError> {
+    let n2 = ops[0].cols();
     let block = |x: usize| {
         gathered
             .get(x)
             .map_or(ops, |g| g.each_ref().map(Matrix::view))
     };
-    // The owned blocks (from the same `live` list) are allocated only
-    // now, so that with 10³ ranks in one process no rank's blocks are
-    // alive through every other rank's exchange.
-    let mut owned = owned_blocks(dist, ad, k);
-
-    // Lines 15–20: every owned pair, then the diagonal. SYR2K's
-    // C_ij = A_i·B_jᵀ + B_i·A_jᵀ is two products and one add: folding the
-    // second product into the first's accumulation would round
-    // differently.
+    // SYR2K's C_ij = A_i·B_jᵀ + B_i·A_jᵀ is two products and one add:
+    // folding the second product into the first's accumulation would
+    // round differently.
     local_step(
         comm,
-        &mut owned,
-        n2l,
+        owned,
+        n2,
         N as u64,
         |cij, x, y| match (&gathered[x][..], &gathered[y][..]) {
             ([ai], [aj]) => gemm_nt(cij, ai.view(), aj.view()),
@@ -90,16 +122,10 @@ pub(crate) fn slice_body<const N: usize>(
             }
             _ => unreachable!("SYRK has one operand, SYR2K two"),
         },
-        |cii, x| {
-            match block(x).as_slice() {
-                [ai] => syrk_packed(cii, *ai),
-                [ai, bi] => syr2k_packed(cii, *ai, *bi),
-                _ => unreachable!("SYRK has one operand, SYR2K two"),
-            }
-            if one_rank {
-                // Algorithm 1's footprint: its columns and its triangle.
-                comm.note_buffer(N * ops[0].rows() * n2l + cii.len());
-            }
+        |cii, x| match block(x).as_slice() {
+            [ai] => syrk_packed(cii, *ai),
+            [ai, bi] => syr2k_packed(cii, *ai, *bi),
+            _ => unreachable!("SYRK has one operand, SYR2K two"),
         },
     );
 
@@ -113,24 +139,21 @@ pub(crate) fn slice_body<const N: usize>(
         };
         for (blk, &(x, y)) in owned.out.offdiag.iter().zip(&owned.pairs) {
             let (ai, aj) = (block(x)[0], block(y)[0]);
-            comm.add_flops(block_check_flops(ai.rows(), aj.rows(), n2l));
+            comm.add_flops(block_check_flops(ai.rows(), aj.rows(), n2));
             verify_offdiag_block(ai, aj, &blk.data, blk.i, blk.j).map_err(&corrupt)?;
         }
         if let (Some(x), Some(blk)) = (owned.diag, owned.out.diag.first()) {
             let ai = block(x)[0];
-            comm.add_flops(block_check_flops(ai.rows(), ai.rows(), n2l));
+            comm.add_flops(block_check_flops(ai.rows(), ai.rows(), n2));
             verify_diag_block(ai, &blk.data, blk.i).map_err(&corrupt)?;
         }
     }
-    Ok(owned.out)
+    Ok(())
 }
 
 /// The blocks of `C` rank `k` owns (§5.2, Alg. 2 lines 15–20), which are
 /// also the `C_k` Algorithm 3 reduce-scatters (§5.3 lines 3–5).
 pub(crate) struct OwnedBlocks {
-    /// The row blocks of `R_k` that have rows (`live_blocks`), which the
-    /// other fields address by position.
-    pub(crate) live: Vec<usize>,
     /// Each block of `out.offdiag` as the positions `(x, y)`, `y < x`, of
     /// its row blocks in `live`.
     pub(crate) pairs: Vec<(usize, usize)>,
@@ -141,15 +164,21 @@ pub(crate) struct OwnedBlocks {
     pub(crate) out: LocalOutput,
 }
 
-/// The one enumeration of what rank `k` owns. A pair or a diagonal with a
-/// block without rows is dropped (`n1 < c²` leaves most row blocks empty,
-/// and `D_k` may name one): at 10⁴ ranks materializing the ~`P·c²/2`
-/// zero-sized pairs would cost more than the whole exchange. Live means
-/// rows, not words, and the list depends on `ad` only through its rows,
-/// so the `p2` slices of a 3D grid row (one may have no columns) and the
-/// host assembling their `C_k` all see the same blocks in one order.
-pub(crate) fn owned_blocks(dist: &TriangleBlockDist, ad: &ConformalADist, k: usize) -> OwnedBlocks {
-    let live = ad.live_blocks(k);
+/// The one enumeration of what rank `k` owns, by position in `live`, its
+/// row blocks that have rows (`ad.live_blocks(k)`). A pair or a diagonal
+/// with a block without rows is dropped (`n1 < c²` leaves most row blocks
+/// empty, and `D_k` may name one): at 10⁴ ranks materializing the
+/// ~`P·c²/2` zero-sized pairs would cost more than the whole exchange.
+/// Live means rows, not words, and the list depends on `ad` only through
+/// its rows, so the `p2` slices of a 3D grid row (one may have no
+/// columns) and the host assembling their `C_k` all see the same blocks
+/// in one order.
+pub(crate) fn owned_blocks(
+    dist: &TriangleBlockDist,
+    ad: &ConformalADist,
+    k: usize,
+    live: &[usize],
+) -> OwnedBlocks {
     let rows = &ad.rows;
     let pairs: Vec<(usize, usize)> = (0..live.len())
         .flat_map(|x| (0..x).map(move |y| (x, y)))
@@ -170,16 +199,11 @@ pub(crate) fn owned_blocks(dist: &TriangleBlockDist, ad: &ConformalADist, k: usi
         offdiag,
         diag: diag_block.into_iter().collect(),
     };
-    OwnedBlocks {
-        live,
-        pairs,
-        diag,
-        out,
-    }
+    OwnedBlocks { pairs, diag, out }
 }
 
 /// Algorithm 2's local step (lines 15–20) into `owned`'s blocks, whose
-/// row blocks the closures address by position in `owned.live`: `pair`
+/// row blocks the closures address by position in the live list: `pair`
 /// adds into each off-diagonal block `(x, y)`, `diag` into the diagonal
 /// block `x`. Every operand has `n2` columns, and a block takes `updates`
 /// rank-`n2` updates (SYRK's `A_i·A_jᵀ`, SYR2K's `A_i·B_jᵀ + B_i·A_jᵀ`),
@@ -235,8 +259,8 @@ pub(crate) fn local_step(
 /// `i ∈ R_k`, to the other `c` members of `Q_i`, then reassembles each
 /// `A_i` from the chunks of `Q_i`. `live` is `ad.live_blocks(k)`; the
 /// result is parallel to it, one block per operand. Each operand is
-/// distributed conformally by `ad`: SYRK passes `A`, SYMM its `B`, the
-/// panel variant one panel of `A`, and SYR2K both `A` and `B`, whose
+/// distributed conformally by `ad`: SYRK passes `A` (or one panel of
+/// it), SYMM its `B`, and SYR2K both `A` and `B`, whose
 /// chunks for a partner travel back to back in one message. A single
 /// operand's chunk ships as `extract_chunk` staged it — one buffer, `c`
 /// handles, reused in the reassembly.
@@ -361,8 +385,8 @@ pub(crate) fn gather_row_blocks<const N: usize>(
 #[cfg(test)]
 mod tests {
     use crate::bounds::{alg2d_predicted_cost, alg2d_tight_cost};
-    use crate::{run, try_syrk_2d, Plan, RunSpec};
-    use syrk_dense::{gemm_flops, syrk_flops};
+    use crate::{run, syrk_2d_limited, try_syrk_2d, Plan, RunSpec};
+    use syrk_dense::{gemm_flops, syrk_flops, Matrix};
     use syrk_dense::{max_abs_diff, seeded_int_matrix, seeded_matrix, syrk_full_reference};
     use syrk_machine::CostModel;
 
@@ -476,5 +500,67 @@ mod tests {
         // And strictly more than the unpadded variant.
         let lean = try_syrk_2d(&a, c, CostModel::bandwidth_only(), None).unwrap();
         assert!(run.cost.max_words_sent() > lean.cost.max_words_sent());
+    }
+
+    #[test]
+    fn limited_is_correct_for_any_round_count() {
+        let (n1, n2, c) = (18usize, 24usize, 3usize);
+        let a = seeded_matrix::<f64>(n1, n2, 31);
+        let want = syrk_full_reference(&a);
+        for rounds in [1usize, 2, 3, 5, 24, 30] {
+            let run = syrk_2d_limited(&a, c, rounds, CostModel::bandwidth_only()).unwrap();
+            let err = max_abs_diff(&run.c, &want);
+            assert!(err < 1e-10, "rounds={rounds}: err {err}");
+        }
+    }
+
+    #[test]
+    fn one_panel_is_algorithm_2() {
+        // `C` to the bit and the whole cost report: every per-rank and
+        // per-phase counter, the clocks and the phase names — at a full
+        // shape, at n1 < c² (most blocks dead) and at E16's shape.
+        let bits = |m: &Matrix<f64>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for model in [CostModel::bandwidth_only(), CostModel::typical()] {
+            for (n1, n2, c) in [(16, 10, 2), (3, 4, 4), (72, 96, 3)] {
+                let a = seeded_int_matrix::<f64>(n1, n2, 4, 7);
+                let lim = syrk_2d_limited(&a, c, 1, model).unwrap();
+                let two = run(&a, &RunSpec::new(Plan::TwoD { c }, model))
+                    .unwrap()
+                    .result;
+                let label = format!("{n1}x{n2} c={c} {model:?}");
+                assert_eq!(bits(&lim.c), bits(&two.c), "{label}");
+                assert_eq!(lim.cost.ranks, two.cost.ranks, "{label}");
+                assert_eq!(lim.cost.phases, two.cost.phases, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn words_constant_latency_grows_memory_shrinks() {
+        // The memory-dependent trade, measured: A-volume invariant,
+        // messages ×rounds, peak transient buffer ↓.
+        let (n1, n2, c) = (36usize, 48usize, 3usize);
+        let a = seeded_matrix::<f64>(n1, n2, 8);
+        let one = syrk_2d_limited(&a, c, 1, CostModel::bandwidth_only()).unwrap();
+        let four = syrk_2d_limited(&a, c, 4, CostModel::bandwidth_only()).unwrap();
+        // Same total A words (each chunk crosses once).
+        assert_eq!(one.cost.total_words(), four.cost.total_words());
+        // Latency multiplied by the round count.
+        assert_eq!(four.cost.max_messages(), 4 * one.cost.max_messages());
+        // Peak buffer strictly smaller.
+        assert!(
+            four.cost.max_peak_buffer() < one.cost.max_peak_buffer(),
+            "{} !< {}",
+            four.cost.max_peak_buffer(),
+            one.cost.max_peak_buffer()
+        );
+    }
+
+    #[test]
+    fn more_rounds_than_columns_is_fine() {
+        // Empty panels are skipped (no phantom messages or flops).
+        let a = seeded_matrix::<f64>(8, 3, 9);
+        let run = syrk_2d_limited(&a, 2, 10, CostModel::bandwidth_only()).unwrap();
+        assert!(max_abs_diff(&run.c, &syrk_full_reference(&a)) < 1e-12);
     }
 }

@@ -37,10 +37,10 @@ impl<'d> ConformalADist<'d> {
         self.rows.len(i) * self.n2
     }
 
-    /// The element partition of `A_i` among its `c+1` owners, in `Q_i`
-    /// order (chunk `pos` belongs to the `pos`-th member of `Q_i`).
+    /// The element partition of `A_i` among the members of `Q_i`, in `Q_i`
+    /// order (chunk `pos` belongs to the `pos`-th member).
     pub fn chunk_partition(&self, i: usize) -> Partition1D {
-        Partition1D::new(self.block_len(i), self.dist.c() + 1)
+        Partition1D::new(self.block_len(i), self.dist.q_set(i).len())
     }
 
     /// The row blocks of `R_k` that have rows, in `R_k` order. With
@@ -92,7 +92,7 @@ impl<'d> ConformalADist<'d> {
             flat.extend_from_slice(ch);
             count += 1;
         }
-        assert_eq!(count, self.dist.c() + 1, "need one chunk per member of Q_i");
+        assert_eq!(count, part.parts(), "need one chunk per member of Q_i");
         let (r, c) = self.block_shape(i);
         Matrix::from_vec(r, c, flat)
     }

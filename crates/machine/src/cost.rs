@@ -702,8 +702,12 @@ mod tests {
     fn ledger_merges_equal_names_at_distinct_addresses() {
         // The same phase named from two crates is two statics; the pointer
         // compare misses and the content compare must still find the row.
-        let (a, b): (&'static str, &'static str) =
-            (String::from("gram").leak(), String::from("gram").leak());
+        static A: [u8; 4] = *b"gram";
+        static B: [u8; 4] = *b"gram";
+        let (a, b) = (
+            std::str::from_utf8(&A).unwrap(),
+            std::str::from_utf8(&B).unwrap(),
+        );
         assert!(!std::ptr::eq(a, b));
         let model = CostModel::bandwidth_only();
         let mut l = RankLedger::default();

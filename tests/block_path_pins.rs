@@ -116,9 +116,9 @@ fn sim_blocks_round_is_pinned() {
                 885_888,
                 221_472,
                 3,
-                1_081_728,
+                786_432,
                 2_419_950_720,
-                0xef49_6437_1ef8_e95d,
+                0x4641_60b2_dfce_ae3d,
                 0x7e9e_f131_b694_41ed,
             ],
         ),
@@ -170,9 +170,9 @@ fn serve_mixed_classes_are_pinned() {
                 230_272,
                 28_784,
                 7,
-                98_432,
+                65_536,
                 134_972_288,
-                0x13dc_ae2a_cb58_1745,
+                0x0d7e_2a3c_f90e_5e45,
                 0x2de2_26b9_76bd_f9ed,
             ],
         ),
@@ -277,9 +277,9 @@ fn oned_variants_and_padded_3d_are_pinned() {
                 2460,
                 615,
                 3,
-                1060,
+                820,
                 51_100,
-                0x6024_8eb9_8cfc_bc9d,
+                0x3431_f63b_a5ad_5425,
                 0xb0ea_506f_9cdb_6d0d,
             ],
         ),
@@ -291,9 +291,9 @@ fn oned_variants_and_padded_3d_are_pinned() {
                 2460,
                 615,
                 2,
-                1060,
+                820,
                 41_820,
-                0x2002_5d45_ccb3_2ff5,
+                0x6b0a_c249_bec0_117d,
                 0xb0ea_506f_9cdb_6d0d,
             ],
         ),
@@ -305,9 +305,9 @@ fn oned_variants_and_padded_3d_are_pinned() {
                 3075,
                 820,
                 3,
-                1060,
+                820,
                 41_820,
-                0xa744_38e8_f0d2_1eed,
+                0x14d6_3dc6_df74_ea0d,
                 0xb0ea_506f_9cdb_6d0d,
             ],
         ),
@@ -319,9 +319,9 @@ fn oned_variants_and_padded_3d_are_pinned() {
                 45,
                 12,
                 3,
-                20,
+                15,
                 135,
-                0x8452_a899_6957_9f7c,
+                0xcb2e_c6bc_55b4_4815,
                 0xbb42_140d_d70e_190d,
             ],
         ),

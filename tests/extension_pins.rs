@@ -12,6 +12,15 @@
 //! digest) moved, because a rank now notes every operand it holds: both
 //! column blocks in 1D, both inputs' gathered blocks and chunks in 2D.
 //!
+//! Then every slice came to note its footprint by one rule, and the
+//! panel variant moved onto the grid driver. That moved peaks only: the
+//! panel variant's (and with them its rank digests), which now count the
+//! operands each panel reads instead of the owned output, and SYR2K 1D's,
+//! whose one-rank slices no longer count their output triangle.
+//! `limited_traffic_is_pinned` and
+//! `syr2k_1d_report_is_pinned_but_for_its_peaks` were printed before that
+//! change and hold after it.
+//!
 //! The GEMM and ScaLAPACK baselines are pinned the same way, clocks
 //! included, with values printed before their operand gathers were
 //! shared; their messages, phase rows and the tall shapes whose `C`
@@ -97,10 +106,10 @@ fn syr2k_drivers_are_pinned() {
         true,
         [
             0x547c_b2e8_ca78_762d,
-            0x434e_56a9_41b7_ccd5,
+            0x2399_8915_d01b_5fb5,
             8232,
             2_266_152,
-            6936,
+            5760,
         ],
     );
     for (n1, n2, want) in [
@@ -291,10 +300,10 @@ fn symm_and_limited_are_pinned() {
             1,
             [
                 0xa39f_f3af_54c3_6acd,
-                0x567b_faf4_556d_2179,
+                0x60aa_59f7_4d4f_f2e5,
                 20_736,
                 504_576,
-                2532,
+                2880,
             ],
         ),
         (
@@ -304,10 +313,10 @@ fn symm_and_limited_are_pinned() {
             4,
             [
                 0xa39f_f3af_54c3_6acd,
-                0x968a_df93_6d9b_c579,
+                0xca6f_bed7_89b1_dfa5,
                 20_736,
                 504_576,
-                804,
+                720,
             ],
         ),
         (
@@ -315,7 +324,7 @@ fn symm_and_limited_are_pinned() {
             4,
             4,
             1,
-            [0xcfb8_0dd0_a173_2c59, 0x8008_8e3c_e272_ba97, 48, 48, 15],
+            [0xcfb8_0dd0_a173_2c59, 0xf6ed_a53a_dbbe_03a5, 48, 48, 12],
         ),
     ] {
         let run = syrk_2d_limited(&input(n1, n2, 6), c, rounds, model).unwrap();
