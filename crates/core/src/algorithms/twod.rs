@@ -515,6 +515,36 @@ mod tests {
     }
 
     #[test]
+    fn rounds_1_matches_plain_2d() {
+        // Rank by rank: the same messages, words and flops, and `C` to the
+        // bit, against the direct entry point — at a full shape and at
+        // n1 < c² (most blocks dead).
+        let bits = |m: &Matrix<f64>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (n1, n2, c) in [(16, 10, 2), (3, 4, 4)] {
+            let a = seeded_int_matrix::<f64>(n1, n2, 4, 7);
+            let lim = syrk_2d_limited(&a, c, 1, CostModel::bandwidth_only()).unwrap();
+            let std = try_syrk_2d(&a, c, CostModel::bandwidth_only(), None).unwrap();
+            assert_eq!(bits(&lim.c), bits(&std.c), "{n1}x{n2} c={c}");
+            for (rank, (l, s)) in lim.cost.ranks.iter().zip(&std.cost.ranks).enumerate() {
+                let counts =
+                    |r: &syrk_machine::RankCost| [r.words_sent, r.words_recv, r.msgs_sent, r.flops];
+                assert_eq!(counts(l), counts(s), "{n1}x{n2} c={c} rank {rank}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_panel_peak_buffer_is_algorithm_2s() {
+        // At E16's shape one panel stages the same chunks as Algorithm 2,
+        // so both count the same peak transient buffer.
+        let a = seeded_matrix::<f64>(72, 96, 14);
+        let lim = syrk_2d_limited(&a, 3, 1, CostModel::bandwidth_only()).unwrap();
+        let std = try_syrk_2d(&a, 3, CostModel::bandwidth_only(), None).unwrap();
+        assert_eq!(lim.cost.max_peak_buffer(), 2880);
+        assert_eq!(std.cost.max_peak_buffer(), 2880);
+    }
+
+    #[test]
     fn one_panel_is_algorithm_2() {
         // `C` to the bit and the whole cost report: every per-rank and
         // per-phase counter, the clocks and the phase names — at a full
