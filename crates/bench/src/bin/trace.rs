@@ -286,8 +286,8 @@ fn main() {
         format_time(wall),
     );
     println!(
-        "kernel runtime: {} steals, arena {} hits / {} misses / {} bytes allocated",
-        kernels.steals, kernels.arena_hits, kernels.arena_misses, kernels.arena_alloc_bytes,
+        "kernel runtime: arena {} hits / {} misses / {} bytes allocated",
+        kernels.arena_hits, kernels.arena_misses, kernels.arena_alloc_bytes,
     );
     let per_isa = kernels
         .isa_calls_by_name()

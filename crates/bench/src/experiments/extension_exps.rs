@@ -6,9 +6,48 @@ use crate::table::{fnum, Table};
 use syrk_core::{
     run, symm_2d, symm_reference, syr2k, syrk_2d_limited, syrk_lower_bound,
     syrk_memory_dependent_bound, try_syrk_2d, try_syrk_3d, Plan, RunSpec, SyrkError,
+    TriangleBlockDist,
 };
-use syrk_dense::{max_abs_diff, seeded_matrix, syr2k_full_reference, syrk_tolerance};
-use syrk_machine::{CostModel, ReduceScatterAlg};
+use syrk_dense::{
+    max_abs_diff, seeded_matrix, syr2k_full_reference, syrk_tolerance, Diag, Partition1D,
+};
+use syrk_machine::{CostModel, CostReport, ReduceScatterAlg};
+
+/// `M` for the memory-dependent bound on a triangle-block grid of order
+/// `c` over `n1` rows: the largest per-rank sum of peak buffer and the
+/// `C` words the rank owns (its `blocks_of(k)` pairs and its
+/// `d_block(k)` triangle, over the row partition), which the peak leaves
+/// out. World rank `r` is grid row `k = r % P1`. A grid of several
+/// slices notes all of `C_k` as its Reduce-Scatter's peak, so there the
+/// sum is exact only where a rank's peak is larger than its `C_k`: that
+/// is asserted.
+fn memory_with_owned_c(cost: &CostReport, c: usize, n1: usize) -> u64 {
+    let dist = TriangleBlockDist::for_order(c).expect("a constructible order");
+    let rows = Partition1D::new(n1, dist.num_blocks());
+    let owned = |k: usize| {
+        let pairs: usize = dist
+            .blocks_of(k)
+            .iter()
+            .map(|&(i, j)| rows.len(i) * rows.len(j))
+            .sum();
+        let diag = dist
+            .d_block(k)
+            .map_or(0, |i| Diag::Inclusive.packed_len(rows.len(i)));
+        (pairs + diag) as u64
+    };
+    let sliced = cost.ranks.len() > dist.p();
+    cost.ranks
+        .iter()
+        .enumerate()
+        .map(|(r, rank)| {
+            let c_k = owned(r % dist.p());
+            let peak = rank.peak_buffer_words;
+            assert!(!sliced || peak > c_k, "rank {r}: the peak is C_k itself");
+            peak + c_k
+        })
+        .max()
+        .unwrap_or(0)
+}
 
 /// E13 — SYR2K (`C = A·Bᵀ + B·Aᵀ`): the paper's first §6 future-work
 /// kernel, built on the same triangle blocking. Expected shape: the 1D
@@ -93,16 +132,18 @@ pub fn memory_footprint() -> Result<Vec<Table>, SyrkError> {
             "peak buffer",
             "budget (n1^2/2+n1n2)/P",
             "peak/budget",
-            "W_mem(M=peak)",
+            "M",
+            "W_mem(M)",
             "Thm1 bound",
         ],
     );
     let m = CostModel::bandwidth_only;
-    let mut push = |name: &str, n1: usize, n2: usize, p: usize, peak: u64| {
+    let mut push = |name: &str, n1: usize, n2: usize, p: usize, peak: u64, mem: u64| {
         let budget = ((n1 * n1) as f64 / 2.0 + (n1 * n2) as f64) / p as f64;
-        // If local memory were capped at exactly this algorithm's peak,
-        // the §6 memory-dependent bound would demand this much traffic:
-        let w_mem = syrk_memory_dependent_bound(n1, n2, p, peak.max(1) as usize);
+        // If local memory were capped at exactly this algorithm's
+        // footprint, the §6 memory-dependent bound would demand this much
+        // traffic:
+        let w_mem = syrk_memory_dependent_bound(n1, n2, p, mem.max(1) as usize);
         let thm1 = syrk_lower_bound(n1, n2, p).communicated();
         t.row(vec![
             name.into(),
@@ -112,6 +153,7 @@ pub fn memory_footprint() -> Result<Vec<Table>, SyrkError> {
             peak.to_string(),
             fnum(budget),
             fnum(peak as f64 / budget),
+            mem.to_string(),
             fnum(w_mem),
             fnum(thm1),
         ]);
@@ -120,17 +162,26 @@ pub fn memory_footprint() -> Result<Vec<Table>, SyrkError> {
     let (n1, n2) = (72usize, 144usize);
     let a = seeded_matrix::<f64>(n1, n2, 9);
     let r1 = syrk_core::try_syrk_1d(&a, 8, m(), None)?;
-    push("syrk_1d", n1, n2, 8, r1.cost.max_peak_buffer());
-    let r2 = try_syrk_2d(&a, 2, m(), None)?;
-    push("syrk_2d c=2", n1, n2, 6, r2.cost.max_peak_buffer());
-    let r3 = try_syrk_3d(&a, 2, 4, m(), None)?;
-    push("syrk_3d c=2,p2=4", n1, n2, 24, r3.cost.max_peak_buffer());
-    let r3b = try_syrk_3d(&a, 3, 2, m(), None)?;
-    push("syrk_3d c=3,p2=2", n1, n2, 24, r3b.cost.max_peak_buffer());
+    let peak = r1.cost.max_peak_buffer();
+    push("syrk_1d", n1, n2, 8, peak, peak);
+    for (name, c, p2) in [
+        ("syrk_2d c=2", 2, 1),
+        ("syrk_3d c=2,p2=4", 2, 4),
+        ("syrk_3d c=3,p2=2", 3, 2),
+    ] {
+        let r = if p2 == 1 {
+            try_syrk_2d(&a, c, m(), None)?
+        } else {
+            try_syrk_3d(&a, c, p2, m(), None)?
+        };
+        let (p, peak) = (r.cost.ranks.len(), r.cost.max_peak_buffer());
+        push(name, n1, n2, p, peak, memory_with_owned_c(&r.cost, c, n1));
+    }
 
     t.note("1D needs the full n1(n1+1)/2 output resident per rank: the classic memory/comm trade");
     t.note("peak/budget >> 1 marks where the paper's 'sufficient memory' assumption binds (§6)");
-    t.note("W_mem(M=peak) < Thm1 bound everywhere: at these peaks the memory-independent regime governs,");
+    t.note("M = max over ranks of peak + owned C words on the triangle grids; 1D's peak already is its Reduce-Scatter's C, so there M = peak");
+    t.note("W_mem(M) < Thm1 bound everywhere: at these footprints the memory-independent regime governs,");
     t.note("i.e. each algorithm carries enough memory that Theorem 1 is the binding constraint");
     Ok(vec![t])
 }
@@ -205,7 +256,7 @@ pub fn limited_memory() -> Result<Vec<Table>, SyrkError> {
             "words",
             "msgs",
             "peak buffer",
-            "W_mem(M=peak)",
+            "W_mem(M=peak+C_k)",
             "correct",
         ],
     );
@@ -218,19 +269,20 @@ pub fn limited_memory() -> Result<Vec<Table>, SyrkError> {
         let ok = max_abs_diff(&run.c, &reference) <= syrk_tolerance::<f64>(n2, 1.0);
         assert!(ok, "rounds={rounds}");
         let peak = run.cost.max_peak_buffer();
+        let mem = memory_with_owned_c(&run.cost, c, n1);
         t.row(vec![
             rounds.to_string(),
             p.to_string(),
             run.cost.max_words_sent().to_string(),
             run.cost.max_messages().to_string(),
             peak.to_string(),
-            fnum(syrk_memory_dependent_bound(n1, n2, p, peak.max(1) as usize)),
+            fnum(syrk_memory_dependent_bound(n1, n2, p, mem as usize)),
             ok.to_string(),
         ]);
     }
     t.note("words constant (each chunk crosses the network once); msgs = rounds × the c² partners that share a row block");
     t.note("peak buffer = a panel's gathered row blocks + staged chunks, falling with the panel width; W_mem rises as M falls - the s6 trade");
-    t.note("the owned C blocks (up to 228 words per rank here) are not in the peak, so at 16 rounds M=peak understates a rank's memory and W_mem exceeds the words moved");
+    t.note("M = max over ranks of peak buffer + owned C words (up to 228 here); every W_mem stays below the words moved");
     Ok(vec![t])
 }
 

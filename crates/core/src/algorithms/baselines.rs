@@ -15,7 +15,7 @@
 //! [`PlanError`]s, as in [`run`](crate::run).
 
 use syrk_dense::{
-    gemm_flops, gemm_nt, mirror_lower_to_upper, syrk_flops, syrk_packed, write_packed_lower, Diag,
+    gemm_flops, gemm_nt, mirror_lower_to_upper, syrk_flops, syrk_packed, write_packed_lower,
     Matrix, PackedLower, Partition1D,
 };
 use syrk_machine::{Comm, CostModel, Machine, MachineError, ProcessGrid};
@@ -82,7 +82,7 @@ fn summa(
             Vec::new()
         } else if syrk_mode && big_i == big_j {
             comm.add_flops(syrk_flops(m, cr.len()));
-            let mut c = PackedLower::zeros(m, Diag::Inclusive);
+            let mut c = PackedLower::zeros(m);
             syrk_packed(&mut c, a_i);
             c.into_vec()
         } else {
@@ -106,7 +106,7 @@ fn summa(
         let (bi, bj) = (rows.range(k % r), rows.range(k / r));
         let segs = out.results[k..].iter().step_by(r * r).map(Vec::as_slice);
         if syrk_mode && k % r == k / r {
-            write_packed_lower(&mut c, bi.start, bi.len(), Diag::Inclusive, segs);
+            write_packed_lower(&mut c, bi.start, bi.len(), segs);
         } else if !syrk_mode || k % r > k / r {
             let blk = Matrix::from_vec(bi.len(), bj.len(), segs.flatten().copied().collect());
             c.set_block(bi.start, bj.start, &blk);

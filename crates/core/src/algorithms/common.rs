@@ -2,9 +2,7 @@
 //! global assembly, the run result bundling output with costs, and the
 //! configuration checks every driver makes before a rank starts.
 
-use syrk_dense::{
-    mirror_lower_to_upper, write_packed_lower, Diag, Matrix, PackedLower, Partition1D,
-};
+use syrk_dense::{mirror_lower_to_upper, write_packed_lower, Matrix, PackedLower, Partition1D};
 use syrk_machine::CostReport;
 
 use crate::dist::TriangleBlockDist;
@@ -136,14 +134,7 @@ pub(crate) fn assemble_c(n1: usize, rows: &Partition1D, outputs: &[LocalOutput])
             );
             let r = rows.range(blk.i);
             assert_eq!(blk.data.n(), r.len(), "diagonal block size mismatch");
-            assert_eq!(blk.data.diag(), Diag::Inclusive);
-            write_packed_lower(
-                &mut c,
-                r.start,
-                r.len(),
-                Diag::Inclusive,
-                [blk.data.as_slice()],
-            );
+            write_packed_lower(&mut c, r.start, r.len(), [blk.data.as_slice()]);
         }
     }
     for (a, &i) in live.iter().enumerate() {
@@ -203,7 +194,7 @@ mod tests {
                     let data = Matrix::zeros(2, 2);
                     out.offdiag.push(OffDiagBlock { i, j, data });
                 } else {
-                    let data = PackedLower::zeros(2, Diag::Inclusive);
+                    let data = PackedLower::zeros(2);
                     out.diag.push(DiagBlock { i, data });
                 }
             }
@@ -230,7 +221,7 @@ mod tests {
         // n1 = 2 over 3 row blocks: block 2 has no rows and no block.
         let rows = Partition1D::new(2, 3);
         let mut out = LocalOutput::default();
-        let one = |v: f64| PackedLower::from_vec(1, Diag::Inclusive, vec![v]);
+        let one = |v: f64| PackedLower::from_vec(1, vec![v]);
         out.diag.push(DiagBlock {
             i: 0,
             data: one(1.0),

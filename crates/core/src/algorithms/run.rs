@@ -35,7 +35,7 @@ pub struct RunSpec {
     /// before the block leaves the rank, so a corrupt local product
     /// surfaces as `MachineError::DataCorruption` naming the block.
     /// Verification flops are charged under the `abft:verify` phase.
-    /// Implied by [`RecoveryPolicy::verify`].
+    /// Implied by [`RunSpec::recovery`].
     pub abft: bool,
     /// The Reduce-Scatter of each grid row's `C_k` (Alg. 3 line 5; over
     /// one-rank slices, Algorithm 1's line 4), which runs iff `p2 > 1`,

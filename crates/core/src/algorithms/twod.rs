@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use syrk_dense::{
     balanced_chunks_by_cost, gemm_flops, gemm_nt, mul_nt, par_for_each_task, steal_task_count,
-    syr2k_packed, syrk_flops, syrk_packed, workers_for_flops, Diag, Matrix, MatrixView,
-    PackedLower, Partition1D,
+    syr2k_packed, syrk_flops, syrk_packed, workers_for_flops, Matrix, MatrixView, PackedLower,
+    Partition1D,
 };
 use syrk_machine::{Comm, MachineError};
 
@@ -193,7 +193,7 @@ pub(crate) fn owned_blocks(
     let diag = dist.d_block(k).and_then(|i| live.binary_search(&i).ok());
     let diag_block = diag.map(|x| DiagBlock {
         i: live[x],
-        data: PackedLower::zeros(rows.len(live[x]), Diag::Inclusive),
+        data: PackedLower::zeros(rows.len(live[x])),
     });
     let out = LocalOutput {
         offdiag,
@@ -209,9 +209,9 @@ pub(crate) fn owned_blocks(
 /// rank-`n2` updates (SYRK's `A_i·A_jᵀ`, SYR2K's `A_i·B_jᵀ + B_i·A_jᵀ`),
 /// charged as `updates·gemm_flops` per pair in pair order before the
 /// products run, then `updates·syrk_flops` for the diagonal. The pairs
-/// run as flop-balanced, stealable chunks, or on this thread when the
-/// list is too small to pay for a worker. They run in the `local-gemm`
-/// phase and the diagonal in `local-syrk`.
+/// run as flop-balanced chunks on the kernel runtime, or on this thread
+/// when the list is too small to pay for a worker. They run in the
+/// `local-gemm` phase and the diagonal in `local-syrk`.
 pub(crate) fn local_step(
     comm: &Comm,
     owned: &mut OwnedBlocks,
@@ -230,8 +230,8 @@ pub(crate) fn local_step(
     for &f in &costs {
         comm.add_flops(f);
     }
-    // Oversubscribe chunks past the worker count so the work-stealing
-    // runtime can rebalance uneven block sizes.
+    // Oversubscribe chunks past the worker count so the runtime's task
+    // cursor can even out uneven block sizes.
     let workers = workers_for_flops(costs.iter().sum());
     let mut rest = owned.out.offdiag.as_mut_slice();
     let mut tasks = Vec::new();

@@ -18,10 +18,10 @@
 //!    share of the flattened `A` (`≈ n1·n2/P′` words each) under
 //!    `recover:redistribute`, modeling the re-layout of the crashed
 //!    rank's operand data;
-//! 4. **backoff** — each retry sleeps `backoff_base · 2^(retries−1)`
+//! 4. **backoff** — each retry sleeps `BACKOFF_BASE · 2^(retries−1)`
 //!    simulated seconds under `recover:backoff` before re-executing;
-//! 5. **verification** — with [`RecoveryPolicy::verify`] every grid
-//!    slice runs its per-block ABFT checks in-machine and the final
+//! 5. **verification** — every grid slice runs its per-block ABFT
+//!    checks in-machine and the final
 //!    assembled `C` is checked against [`AbftChecksums`] computed from
 //!    `A`; a corrupt result retries on the *same* grid (corruption does
 //!    not shrink the world).
@@ -55,27 +55,23 @@ pub(crate) static RECOVERY_RANKS_LOST: LazyCounter = LazyCounter::new("syrk_reco
 /// the collective tag space).
 const TAG_REDISTRIBUTE: u64 = 77;
 
-/// Knobs of a recovered run ([`RunSpec::recovery`]).
+/// Simulated-clock backoff before the first retry; doubles on each
+/// further retry.
+const BACKOFF_BASE: f64 = 64.0;
+
+/// The one knob of a recovered run ([`RunSpec::recovery`]). Every
+/// recovered run also verifies: in-machine per-block ABFT checks plus a
+/// final full-`C` check, retrying on detected corruption.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPolicy {
     /// Total execution attempts allowed (first try included). Zero is
     /// rejected with [`PlanError::ZeroAttempts`].
     pub max_attempts: usize,
-    /// Simulated-clock backoff before the first retry; doubles on each
-    /// further retry.
-    pub backoff_base: f64,
-    /// Run ABFT checksum verification (in-machine per-block checks plus
-    /// a final full-`C` check) and retry on detected corruption.
-    pub verify: bool,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        RecoveryPolicy {
-            max_attempts: 3,
-            backoff_base: 64.0,
-            verify: true,
-        }
+        RecoveryPolicy { max_attempts: 3 }
     }
 }
 
@@ -163,12 +159,12 @@ pub(crate) fn recover(
     if n1 == 0 || n2 == 0 {
         return Err(PlanError::EmptyMatrix { n1, n2 }.into());
     }
-    let checks = policy.verify.then(|| AbftChecksums::new(a));
+    let checks = AbftChecksums::new(a);
 
     // One attempt is `spec` without the policy, on the current grid with
     // the faults still pending.
     let mut attempt_spec = RunSpec {
-        abft: spec.abft || policy.verify,
+        abft: true,
         recovery: None,
         ..spec.clone()
     };
@@ -184,7 +180,7 @@ pub(crate) fn recover(
     for attempt in 1..=policy.max_attempts {
         if attempt > 1 {
             RECOVERY_ATTEMPTS.inc();
-            let backoff = policy.backoff_base * 2f64.powi(attempt as i32 - 2);
+            let backoff = BACKOFF_BASE * 2f64.powi(attempt as i32 - 2);
             let pro = recovery_prologue(a, &attempt_spec, &ranks_lost, backoff)?;
             recovery_words += pro.total_words();
             backoff_clock += backoff;
@@ -204,21 +200,19 @@ pub(crate) fn recover(
         };
         match run(a, &attempt_spec) {
             Ok(mut out) => {
-                if let Some(checks) = &checks {
-                    if let Err(v) = checks.verify(&out.result.c) {
-                        attempts.push(RecoveryAttempt {
-                            plan: cur_plan,
-                            bound_case: bound_case(),
-                            outcome: AttemptOutcome::Corrupted {
-                                detail: v.to_string(),
-                            },
-                        });
-                        last_err = SyrkError::Machine(MachineError::DataCorruption {
-                            rank: 0,
+                if let Err(v) = checks.verify(&out.result.c) {
+                    attempts.push(RecoveryAttempt {
+                        plan: cur_plan,
+                        bound_case: bound_case(),
+                        outcome: AttemptOutcome::Corrupted {
                             detail: v.to_string(),
-                        });
-                        continue;
-                    }
+                        },
+                    });
+                    last_err = SyrkError::Machine(MachineError::DataCorruption {
+                        rank: 0,
+                        detail: v.to_string(),
+                    });
+                    continue;
                 }
                 if let Some(mut pro) = prologue.take() {
                     pro.absorb(&out.result.cost);
@@ -364,7 +358,7 @@ mod tests {
         assert_eq!(report.attempts[1].outcome, AttemptOutcome::Completed);
         assert!(report.final_plan.ranks() <= 4);
         assert!(report.recovery_words > 0);
-        assert_eq!(report.backoff_clock, policy.backoff_base);
+        assert_eq!(report.backoff_clock, BACKOFF_BASE);
         assert!(max_abs_diff(&run.c, &syrk_full_reference(&a)) < 1e-10);
         // The merged cost report carries the recover:* phases.
         let p = report.final_plan.ranks();
@@ -380,10 +374,7 @@ mod tests {
             .crash_rank(0, 1)
             .crash_rank(1, 1)
             .crash_rank(2, 1);
-        let policy = RecoveryPolicy {
-            max_attempts: 2,
-            ..RecoveryPolicy::default()
-        };
+        let policy = RecoveryPolicy { max_attempts: 2 };
         let err = run_with_recovery(&a, Plan::OneD { p: 4 }, model(), Some(&faults), &policy)
             .unwrap_err();
         assert!(
@@ -391,10 +382,7 @@ mod tests {
             "{err}"
         );
         // No budget at all is a typed rejection, not a panic.
-        let policy = RecoveryPolicy {
-            max_attempts: 0,
-            ..policy
-        };
+        let policy = RecoveryPolicy { max_attempts: 0 };
         let err = run_with_recovery(&a, Plan::OneD { p: 4 }, model(), Some(&faults), &policy)
             .unwrap_err();
         assert_eq!(err, SyrkError::Plan(PlanError::ZeroAttempts));
@@ -405,17 +393,13 @@ mod tests {
     fn backoff_doubles_per_retry() {
         let a = seeded_matrix::<f64>(10, 12, 3);
         let faults = FaultPlan::seeded(4).crash_rank(0, 1).crash_rank(1, 1);
-        let policy = RecoveryPolicy {
-            max_attempts: 4,
-            backoff_base: 8.0,
-            verify: true,
-        };
+        let policy = RecoveryPolicy { max_attempts: 4 };
         let (_, report) =
             run_with_recovery(&a, Plan::OneD { p: 4 }, model(), Some(&faults), &policy)
                 .expect("recovers after two crashes");
         assert_eq!(report.ranks_lost, vec![0, 1]);
-        // 8 + 16: two retries with doubling backoff.
-        assert_eq!(report.backoff_clock, 24.0);
+        // 64 + 128: two retries with doubling backoff.
+        assert_eq!(report.backoff_clock, 192.0);
     }
 
     #[test]

@@ -7,14 +7,12 @@
 //! worker; in the simulated-machine runs the same shapes recur thousands
 //! of times, so the steady state should allocate **nothing**.
 //!
-//! The arena is two-tiered because the runtime's workers are *scoped*
-//! threads that die at the end of every parallel region:
-//!
-//! * a **thread-local cache** serves checkouts and check-ins with no
-//!   synchronization (the hot path), and
-//! * a **process-global pool** backs it: when a scoped worker exits, its
-//!   thread-local destructor drains the cache into the pool, and the
-//!   next region's fresh workers pull those buffers back out.
+//! The arena is one capped, process-global pool. A [`PackBuf`] checks a
+//! buffer out of it and hands the buffer back when it drops — inside the
+//! task that used it, so every buffer a parallel region touched is back
+//! in the pool before the region joins, and the next region's workers
+//! find it there. A checkout takes one lock; a kernel call makes a
+//! handful, against thousands of microkernel tiles.
 //!
 //! Buffers are grow-only and reset-not-freed: a checkout guarantees
 //! *capacity*, never zeroes contents (the pack routines fully initialize
@@ -26,7 +24,6 @@
 use crate::scalar::Scalar;
 use crate::stats;
 use std::any::Any;
-use std::cell::RefCell;
 use std::sync::Mutex;
 
 /// Cap on pooled buffers so pathological workloads (many distinct huge
@@ -34,36 +31,18 @@ use std::sync::Mutex;
 /// are simply freed.
 const GLOBAL_POOL_CAP: usize = 64;
 
-/// Buffers surrendered by exiting worker threads, type-erased (checkout
-/// takes only a `Vec<T>` of the requested element type, by downcast).
+/// Buffers not checked out, type-erased (checkout takes only a `Vec<T>`
+/// of the requested element type, by downcast).
 static GLOBAL_POOL: Mutex<Vec<Box<dyn Any + Send>>> = Mutex::new(Vec::new());
 
-struct LocalArena {
-    slots: Vec<Box<dyn Any + Send>>,
-}
-
-impl Drop for LocalArena {
-    fn drop(&mut self) {
-        // Scoped workers die at the end of every parallel region; park
-        // their cached buffers in the process pool so the next region's
-        // workers start warm instead of re-allocating.
-        let mut pool = GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner());
-        while pool.len() < GLOBAL_POOL_CAP {
-            match self.slots.pop() {
-                Some(b) => pool.push(b),
-                None => break,
-            }
-        }
-    }
-}
-
-thread_local! {
-    static LOCAL: RefCell<LocalArena> = RefCell::new(LocalArena { slots: Vec::new() });
+/// The pool, locked. No user code runs under the lock, so a poisoned
+/// mutex still guards a consistent list.
+fn pool() -> std::sync::MutexGuard<'static, Vec<Box<dyn Any + Send>>> {
+    GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A packed-panel scratch buffer checked out of the arena. Returns its
-/// storage to the calling thread's cache on drop (or, if the thread is
-/// already tearing down, to the global pool).
+/// storage to the pool on drop.
 pub(crate) struct PackBuf<T: Scalar> {
     vec: Vec<T>,
 }
@@ -97,19 +76,10 @@ impl<T: Scalar> Drop for PackBuf<T> {
         if vec.capacity() == 0 {
             return;
         }
-        let mut slot: Option<Box<dyn Any + Send>> = Some(Box::new(vec));
-        // `try_with` because a PackBuf may be dropped while the thread's
-        // TLS is being destroyed; fall back to the global pool directly.
-        let _ = LOCAL.try_with(|l| {
-            if let Some(b) = slot.take() {
-                l.borrow_mut().slots.push(b);
-            }
-        });
-        if let Some(b) = slot {
-            let mut pool = GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner());
-            if pool.len() < GLOBAL_POOL_CAP {
-                pool.push(b);
-            }
+        let buf: Box<dyn Any + Send> = Box::new(vec);
+        let mut pool = pool();
+        if pool.len() < GLOBAL_POOL_CAP {
+            pool.push(buf);
         }
     }
 }
@@ -125,37 +95,24 @@ fn reserve_counted<T: Scalar>(vec: &mut Vec<T>, len: usize) {
 }
 
 /// Check a scratch buffer with capacity for at least `len` elements of
-/// `T` out of the arena: best-fit from the thread-local cache, then the
-/// global pool, then (a counted miss) a fresh allocation. The buffer's
-/// *contents* are unspecified; only capacity is guaranteed.
+/// `T` out of the arena: best-fit from the pool, else (a counted miss) a
+/// fresh allocation. The buffer's *contents* are unspecified; only
+/// capacity is guaranteed.
 pub(crate) fn acquire<T: Scalar>(len: usize) -> PackBuf<T> {
-    if let Some(vec) = take_best_fit::<T>(len) {
+    let cached = take_from::<T>(&mut pool(), len);
+    if cached.is_some() {
         stats::add_arena_hit();
-        let mut vec = vec;
-        reserve_counted(&mut vec, len);
-        return PackBuf { vec };
+    } else {
+        stats::add_arena_miss();
     }
-    stats::add_arena_miss();
-    let mut vec = Vec::new();
+    let mut vec = cached.unwrap_or_default();
     reserve_counted(&mut vec, len);
     PackBuf { vec }
 }
 
-/// Best-fit extraction: the smallest cached `Vec<T>` whose capacity
+/// Best-fit extraction: the smallest pooled `Vec<T>` whose capacity
 /// covers `len`, else the largest available (it will grow once and then
-/// stick). Local cache first, global pool second.
-fn take_best_fit<T: Scalar>(len: usize) -> Option<Vec<T>> {
-    let local = LOCAL
-        .try_with(|l| take_from(&mut l.borrow_mut().slots, len))
-        .ok()
-        .flatten();
-    if local.is_some() {
-        return local;
-    }
-    let mut pool = GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner());
-    take_from(&mut pool, len)
-}
-
+/// stick).
 fn take_from<T: Scalar>(slots: &mut Vec<Box<dyn Any + Send>>, len: usize) -> Option<Vec<T>> {
     let mut best: Option<(usize, usize, bool)> = None; // (idx, cap, fits)
     for (i, slot) in slots.iter().enumerate() {
@@ -191,8 +148,8 @@ mod tests {
 
     #[test]
     fn second_checkout_reuses_storage() {
-        // Use a size no other test plausibly uses so the concurrent test
-        // harness cannot steal the buffer between our two checkouts.
+        // Use a size no other test plausibly uses, so a concurrent test
+        // is unlikely to check this buffer out between our two checkouts.
         const LEN: usize = 12_345;
         {
             let mut b = acquire::<f64>(LEN);

@@ -127,7 +127,6 @@ pub(crate) fn rank_update<T: Scalar>(
     b: Option<MatrixView<'_, T>>,
 ) {
     let d = T::dispatch();
-    let diag = c.diag();
     let (mut acc, mut acc2) = (
         [T::zero(); SMALL_OUTPUT_CUTOFF],
         [T::zero(); SMALL_OUTPUT_CUTOFF],
@@ -137,7 +136,7 @@ pub(crate) fn rank_update<T: Scalar>(
         let (ya, rs) = a.strided_at(p0);
         let mut rows = c.as_mut_slice();
         for i in 0..a.rows() {
-            let len = diag.row_len(i);
+            let len = i + 1;
             let (row, rest) = rows.split_at_mut(len);
             rows = rest;
             let acc = &mut acc[..len];
@@ -170,7 +169,7 @@ mod tests {
     use crate::gemm::gemm_driver;
     use crate::isa::{available_isas, force_isa, test_lock};
     use crate::pack::{pack_cols_into, pack_rows_into};
-    use crate::packed::{Diag, PackedLower};
+    use crate::packed::{packed_len, PackedLower};
     use crate::parallel::SMALL_OUTPUT_CUTOFF;
     use crate::rng::seeded_matrix;
     use crate::scalar::Scalar;
@@ -226,23 +225,20 @@ mod tests {
                     let wide_a = seeded_matrix::<f64>(n, k + 3, seed);
                     let wide_b = seeded_matrix::<f64>(n, k + 3, seed + 1);
                     let (va, vb) = (wide_a.block(0, 1, n, k), wide_b.block(0, 1, n, k));
-                    for diag in [Diag::Inclusive, Diag::Strict] {
-                        let len = diag.packed_len(n);
-                        let c0 = seeded_matrix::<f64>(1, len, seed + 2).into_vec();
-                        let c0 = PackedLower::from_vec(n, diag, c0);
+                    let c0 = seeded_matrix::<f64>(1, packed_len(n), seed + 2).into_vec();
+                    let c0 = PackedLower::from_vec(n, c0);
 
-                        let (mut direct, mut packed) = (c0.clone(), c0.clone());
-                        syrk_packed(&mut direct, va);
-                        triangle_driver(&mut packed, va, None);
-                        let ok = same_bits(direct.as_slice(), packed.as_slice());
-                        assert!(ok, "syrk {diag:?} {ctx}");
+                    let (mut direct, mut packed) = (c0.clone(), c0.clone());
+                    syrk_packed(&mut direct, va);
+                    triangle_driver(&mut packed, va, None);
+                    let ok = same_bits(direct.as_slice(), packed.as_slice());
+                    assert!(ok, "syrk {ctx}");
 
-                        let (mut direct, mut packed) = (c0.clone(), c0);
-                        syr2k_packed(&mut direct, va, vb);
-                        triangle_driver(&mut packed, va, Some(vb));
-                        let ok = same_bits(direct.as_slice(), packed.as_slice());
-                        assert!(ok, "syr2k {diag:?} {ctx}");
-                    }
+                    let (mut direct, mut packed) = (c0.clone(), c0);
+                    syr2k_packed(&mut direct, va, vb);
+                    triangle_driver(&mut packed, va, Some(vb));
+                    let ok = same_bits(direct.as_slice(), packed.as_slice());
+                    assert!(ok, "syr2k {ctx}");
                 }
             }
         }

@@ -17,8 +17,8 @@
 //! [`SharedPack`] published `NC`-column block by block, each packed
 //! exactly once by whichever worker first sweeps it, while A row blocks
 //! are packed per task into [`crate::arena`] buffers. Every `C` element
-//! is accumulated in ascending-k order regardless of blocking, stealing,
-//! or thread count, so results are deterministic. A `C` of at most
+//! is accumulated in ascending-k order regardless of blocking, task
+//! placement or thread count, so results are deterministic. A `C` of at most
 //! [`SMALL_OUTPUT_CUTOFF`] entries skips all of this: its entries are
 //! direct chains with the same op sequence ([`crate::direct`]).
 
@@ -80,7 +80,7 @@ pub fn gemm_nt_ref<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>) {
 }
 
 /// Evenly sized `mr`-aligned row chunks of `m` rows, at most `parts` of
-/// them (callers oversubscribe the worker count so stealing has slack).
+/// them (callers oversubscribe the worker count so load evens out).
 fn row_chunks(m: usize, parts: usize, mr: usize) -> Vec<Range<usize>> {
     balanced_chunks_by_cost(&vec![1u64; m], parts, mr)
 }
@@ -122,8 +122,8 @@ pub(crate) fn gemm_driver<T: Scalar>(
     let n = c.cols();
     let kc_cap = kc.min(k);
     // One task list per inner panel, so that panel's flops decide whether
-    // workers are worth spawning. Row chunks are oversubscribed so idle
-    // workers can steal; which chunk a tile lands in never affects its
+    // workers are worth spawning. Row chunks are oversubscribed so a
+    // worker that finishes early finds another; which chunk a tile lands in never affects its
     // value (chunk boundaries stay on the global mr-tile grid).
     let workers = workers_for_flops(gemm_flops(m, n, kc_cap));
     let chunks = row_chunks(m, steal_task_count(workers), mr);

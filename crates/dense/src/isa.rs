@@ -21,7 +21,7 @@
 //! [`crate::microkernel`]; every dense driver resolves its
 //! [`crate::microkernel::KernelSpec`] from it once per kernel call.
 //! Results are **bitwise deterministic for a fixed ISA** across thread
-//! counts and steal schedules (each output element accumulates in the
+//! counts and task placements (each output element accumulates in the
 //! same ascending-k op sequence regardless of scheduling), but *different
 //! ISAs round differently* (FMA fuses the multiply-add), so anything
 //! asserting bitwise equality must pin the ISA first.

@@ -160,7 +160,7 @@ const BLOCK_READY: u8 = 2;
 /// published with release ordering, then read the panels through
 /// [`panel`](SharedPack::panel). Packed content is a pure function of
 /// the source matrix, so *who* packs is immaterial — results are
-/// deterministic under any steal schedule.
+/// deterministic however the tasks are placed.
 ///
 /// Safety model: the storage is borrowed exclusively (`&mut [T]`) for
 /// the lifetime of the `SharedPack` and re-exposed through

@@ -1,39 +1,31 @@
 //! Packed storage for the lower triangle of a symmetric matrix.
 //!
 //! SYRK's output `C = A·Aᵀ` is symmetric, so algorithms store and
-//! communicate only its lower triangle. The paper's bounds distinguish the
-//! *strict* lower triangle (`n(n−1)/2` entries, Theorem 1) from the
-//! inclusive one (`n(n+1)/2` entries, communicated by Algorithm 1).
+//! communicate only its lower triangle, diagonal included: `n(n+1)/2`
+//! entries, as Algorithm 1 communicates it.
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 
-/// Which diagonal convention a packed triangle uses.
+/// The diagonal convention of a packed triangle. There is one: entries
+/// with `j ≤ i` are stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Diag {
     /// Entries with `j ≤ i` are stored: `n(n+1)/2` elements.
     Inclusive,
-    /// Entries with `j < i` are stored: `n(n−1)/2` elements.
-    Strict,
 }
 
 impl Diag {
     /// Number of packed entries for an `n × n` triangle.
     pub fn packed_len(self, n: usize) -> usize {
-        match self {
-            Diag::Inclusive => n * (n + 1) / 2,
-            Diag::Strict => n * (n.saturating_sub(1)) / 2,
-        }
+        packed_len(n)
     }
+}
 
-    /// Number of packed entries of row `i`: columns `0..row_len(i)`.
-    #[inline]
-    pub(crate) fn row_len(self, i: usize) -> usize {
-        match self {
-            Diag::Inclusive => i + 1,
-            Diag::Strict => i,
-        }
-    }
+/// Number of packed entries for an `n × n` triangle, `n(n+1)/2`; also
+/// the packed offset of row `n`.
+pub(crate) fn packed_len(n: usize) -> usize {
+    n * (n + 1) / 2
 }
 
 /// Write a packed `n × n` lower triangle into the lower triangle of the
@@ -42,13 +34,11 @@ impl Diag {
 /// state of a reduce-scatter, or one slice for a whole [`PackedLower`] —
 /// and each is copied row piece by row piece straight to its place, with
 /// no concatenated buffer and no full-block temporary. Segment
-/// boundaries may fall anywhere, and segments may be empty. A strict
-/// triangle leaves the diagonal as it was.
+/// boundaries may fall anywhere, and segments may be empty.
 pub fn write_packed_lower<'s, T: Scalar>(
     c: &mut Matrix<T>,
     at: usize,
     n: usize,
-    diag: Diag,
     segments: impl IntoIterator<Item = &'s [T]>,
 ) {
     assert!(
@@ -58,22 +48,18 @@ pub fn write_packed_lower<'s, T: Scalar>(
     let (mut i, mut j, mut written) = (0, 0, 0);
     for mut seg in segments {
         written += seg.len();
-        assert!(
-            written <= diag.packed_len(n),
-            "packed buffer length mismatch"
-        );
+        assert!(written <= packed_len(n), "packed buffer length mismatch");
         while !seg.is_empty() {
-            // Row 0 of a strict triangle holds nothing.
-            while j == diag.row_len(i) {
+            if j == i + 1 {
                 (i, j) = (i + 1, 0);
             }
-            let (piece, rest) = seg.split_at(seg.len().min(diag.row_len(i) - j));
+            let (piece, rest) = seg.split_at(seg.len().min(i + 1 - j));
             c.row_mut(at + i)[at + j..at + j + piece.len()].copy_from_slice(piece);
             j += piece.len();
             seg = rest;
         }
     }
-    assert_eq!(written, diag.packed_len(n), "packed buffer length mismatch");
+    assert_eq!(written, packed_len(n), "packed buffer length mismatch");
 }
 
 /// Rows [`mirror_lower_to_upper`] reads at a time: their lines stay in
@@ -115,51 +101,38 @@ pub fn mirror_lower_to_upper<T: Scalar>(c: &mut Matrix<T>) {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedLower<T = f64> {
     n: usize,
-    diag: Diag,
     data: Vec<T>,
 }
 
 impl<T: Scalar> PackedLower<T> {
     /// A packed triangle of zeros.
-    pub fn zeros(n: usize, diag: Diag) -> Self {
+    pub fn zeros(n: usize) -> Self {
         PackedLower {
             n,
-            diag,
-            data: vec![T::zero(); diag.packed_len(n)],
+            data: vec![T::zero(); packed_len(n)],
         }
     }
 
     /// Wrap an existing packed buffer.
-    pub fn from_vec(n: usize, diag: Diag, data: Vec<T>) -> Self {
-        assert_eq!(
-            data.len(),
-            diag.packed_len(n),
-            "packed buffer length mismatch"
-        );
-        PackedLower { n, diag, data }
+    pub fn from_vec(n: usize, data: Vec<T>) -> Self {
+        assert_eq!(data.len(), packed_len(n), "packed buffer length mismatch");
+        PackedLower { n, data }
     }
 
     /// Pack the lower triangle of a square matrix.
-    pub fn from_matrix(m: &Matrix<T>, diag: Diag) -> Self {
+    pub fn from_matrix(m: &Matrix<T>) -> Self {
         assert_eq!(m.rows(), m.cols(), "packed triangle needs a square matrix");
         let n = m.rows();
-        let mut data = Vec::with_capacity(diag.packed_len(n));
+        let mut data = Vec::with_capacity(packed_len(n));
         for i in 0..n {
-            for j in 0..diag.row_len(i) {
-                data.push(m[(i, j)]);
-            }
+            data.extend_from_slice(&m.row(i)[..=i]);
         }
-        PackedLower { n, diag, data }
+        PackedLower { n, data }
     }
 
     /// Matrix dimension `n`.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Diagonal convention.
-    pub fn diag(&self) -> Diag {
-        self.diag
     }
 
     /// Number of packed entries.
@@ -187,20 +160,11 @@ impl<T: Scalar> PackedLower<T> {
         self.data
     }
 
-    /// Index of entry `(i, j)` in the packed buffer. Requires `j ≤ i`
-    /// (inclusive) or `j < i` (strict).
+    /// Index of entry `(i, j)` in the packed buffer. Requires `j ≤ i`.
     #[inline]
     pub fn idx(&self, i: usize, j: usize) -> usize {
-        match self.diag {
-            Diag::Inclusive => {
-                debug_assert!(j <= i && i < self.n);
-                i * (i + 1) / 2 + j
-            }
-            Diag::Strict => {
-                debug_assert!(j < i && i < self.n);
-                i * (i - 1) / 2 + j
-            }
-        }
+        debug_assert!(j <= i && i < self.n);
+        packed_len(i) + j
     }
 
     /// Entry `(i, j)` of the triangle.
@@ -223,11 +187,10 @@ impl<T: Scalar> PackedLower<T> {
         self.data[k] += v;
     }
 
-    /// Expand to a full symmetric matrix (the strict variant leaves the
-    /// diagonal zero).
+    /// Expand to a full symmetric matrix.
     pub fn to_full_symmetric(&self) -> Matrix<T> {
         let mut m = Matrix::zeros(self.n, self.n);
-        write_packed_lower(&mut m, 0, self.n, self.diag, [self.as_slice()]);
+        write_packed_lower(&mut m, 0, self.n, [self.as_slice()]);
         mirror_lower_to_upper(&mut m);
         m
     }
@@ -235,7 +198,6 @@ impl<T: Scalar> PackedLower<T> {
     /// `self += other` element-wise.
     pub fn add_assign(&mut self, other: &PackedLower<T>) {
         assert_eq!(self.n, other.n, "dimension mismatch");
-        assert_eq!(self.diag, other.diag, "diagonal convention mismatch");
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += *b;
         }
@@ -249,15 +211,13 @@ mod tests {
     #[test]
     fn packed_lengths() {
         assert_eq!(Diag::Inclusive.packed_len(4), 10);
-        assert_eq!(Diag::Strict.packed_len(4), 6);
-        assert_eq!(Diag::Strict.packed_len(0), 0);
-        assert_eq!(Diag::Strict.packed_len(1), 0);
         assert_eq!(Diag::Inclusive.packed_len(1), 1);
+        assert_eq!(Diag::Inclusive.packed_len(0), 0);
     }
 
     #[test]
     fn idx_is_dense_and_ordered() {
-        let p = PackedLower::<f64>::zeros(5, Diag::Inclusive);
+        let p = PackedLower::<f64>::zeros(5);
         let mut expect = 0;
         for i in 0..5 {
             for j in 0..=i {
@@ -266,22 +226,12 @@ mod tests {
             }
         }
         assert_eq!(expect, p.len());
-
-        let s = PackedLower::<f64>::zeros(5, Diag::Strict);
-        let mut expect = 0;
-        for i in 0..5 {
-            for j in 0..i {
-                assert_eq!(s.idx(i, j), expect);
-                expect += 1;
-            }
-        }
-        assert_eq!(expect, s.len());
     }
 
     #[test]
     fn matrix_roundtrip_inclusive() {
         let m = Matrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
-        let p = PackedLower::from_matrix(&m, Diag::Inclusive);
+        let p = PackedLower::from_matrix(&m);
         let full = p.to_full_symmetric();
         for i in 0..4 {
             for j in 0..=i {
@@ -291,24 +241,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn matrix_roundtrip_strict_zeroes_diagonal() {
-        let m = Matrix::from_fn(3, 3, |i, j| (1 + i + j) as f64);
-        let p = PackedLower::from_matrix(&m, Diag::Strict);
-        let full = p.to_full_symmetric();
-        assert_eq!(full[(0, 0)], 0.0);
-        assert_eq!(full[(2, 2)], 0.0);
-        assert_eq!(full[(2, 1)], m[(2, 1)]);
-        assert_eq!(full[(1, 2)], m[(2, 1)]);
-    }
-
     const SIZES: [usize; 8] = [0, 1, 2, 31, 32, 33, 97, 257];
 
     /// The element loop `to_full_symmetric` used to be.
     fn naive_full(p: &PackedLower<f64>) -> Matrix<f64> {
         let mut m = Matrix::zeros(p.n(), p.n());
         for i in 0..p.n() {
-            for j in 0..p.diag().row_len(i) {
+            for j in 0..=i {
                 m[(i, j)] = p.get(i, j);
                 m[(j, i)] = p.get(i, j);
             }
@@ -328,11 +267,9 @@ mod tests {
             }
             mirror_lower_to_upper(&mut c);
             assert_eq!(c, want, "mirror, n = {n}");
-            for diag in [Diag::Inclusive, Diag::Strict] {
-                let data = (0..diag.packed_len(n)).map(|x| 1.0 + x as f64).collect();
-                let p = PackedLower::from_vec(n, diag, data);
-                assert_eq!(p.to_full_symmetric(), naive_full(&p), "n = {n} {diag:?}");
-            }
+            let data = (0..packed_len(n)).map(|x| 1.0 + x as f64).collect();
+            let p = PackedLower::from_vec(n, data);
+            assert_eq!(p.to_full_symmetric(), naive_full(&p), "n = {n}");
         }
     }
 
@@ -342,26 +279,24 @@ mod tests {
         // boundaries fall mid-row, and with more ranks than words most
         // segments hold one word or none.
         for n in SIZES {
-            for diag in [Diag::Inclusive, Diag::Strict] {
-                let len = diag.packed_len(n);
-                let data: Vec<f64> = (0..len).map(|x| 1.0 + x as f64).collect();
-                let p = PackedLower::from_vec(n, diag, data.clone());
-                // Into an offset diagonal block of a bigger matrix of
-                // sentinels: nothing outside the triangle may change.
-                let at = 3;
-                let mut want = Matrix::from_fn(n + 5, n + 5, |_, _| -1.0);
-                for i in 0..n {
-                    for j in 0..diag.row_len(i) {
-                        want[(at + i, at + j)] = p.get(i, j);
-                    }
+            let len = packed_len(n);
+            let data: Vec<f64> = (0..len).map(|x| 1.0 + x as f64).collect();
+            let p = PackedLower::from_vec(n, data.clone());
+            // Into an offset diagonal block of a bigger matrix of
+            // sentinels: nothing outside the triangle may change.
+            let at = 3;
+            let mut want = Matrix::from_fn(n + 5, n + 5, |_, _| -1.0);
+            for i in 0..n {
+                for j in 0..=i {
+                    want[(at + i, at + j)] = p.get(i, j);
                 }
-                for parts in [1, 2, 3, 7, len + 3] {
-                    let cuts = crate::blocking::Partition1D::new(len, parts);
-                    let segs = (0..parts).map(|q| &data[cuts.range(q)]);
-                    let mut c = Matrix::from_fn(n + 5, n + 5, |_, _| -1.0);
-                    write_packed_lower(&mut c, at, n, diag, segs);
-                    assert_eq!(c, want, "n = {n} {diag:?} parts = {parts}");
-                }
+            }
+            for parts in [1, 2, 3, 7, len + 3] {
+                let cuts = crate::blocking::Partition1D::new(len, parts);
+                let segs = (0..parts).map(|q| &data[cuts.range(q)]);
+                let mut c = Matrix::from_fn(n + 5, n + 5, |_, _| -1.0);
+                write_packed_lower(&mut c, at, n, segs);
+                assert_eq!(c, want, "n = {n} parts = {parts}");
             }
         }
     }
@@ -370,19 +305,19 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn short_stream_panics() {
         let mut c = Matrix::<f64>::zeros(3, 3);
-        write_packed_lower(&mut c, 0, 3, Diag::Inclusive, [&[1.0, 2.0][..], &[3.0][..]]);
+        write_packed_lower(&mut c, 0, 3, [&[1.0, 2.0][..], &[3.0][..]]);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn long_stream_panics() {
         let mut c = Matrix::<f64>::zeros(2, 2);
-        write_packed_lower(&mut c, 0, 2, Diag::Strict, [&[1.0, 2.0][..]]);
+        write_packed_lower(&mut c, 0, 2, [&[1.0, 2.0, 3.0, 4.0][..]]);
     }
 
     #[test]
     fn set_get_add() {
-        let mut p = PackedLower::<f64>::zeros(3, Diag::Strict);
+        let mut p = PackedLower::<f64>::zeros(3);
         p.set(2, 1, 5.0);
         p.add(2, 1, 1.5);
         assert_eq!(p.get(2, 1), 6.5);
@@ -391,8 +326,8 @@ mod tests {
 
     #[test]
     fn add_assign_sums() {
-        let mut a = PackedLower::from_vec(3, Diag::Strict, vec![1.0, 2.0, 3.0]);
-        let b = PackedLower::from_vec(3, Diag::Strict, vec![10.0, 20.0, 30.0]);
+        let mut a = PackedLower::from_vec(2, vec![1.0, 2.0, 3.0]);
+        let b = PackedLower::from_vec(2, vec![10.0, 20.0, 30.0]);
         a.add_assign(&b);
         assert_eq!(a.as_slice(), &[11.0, 22.0, 33.0]);
     }
@@ -400,6 +335,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn bad_packed_len_panics() {
-        let _ = PackedLower::from_vec(3, Diag::Strict, vec![1.0, 2.0]);
+        let _ = PackedLower::from_vec(3, vec![1.0, 2.0]);
     }
 }

@@ -1,30 +1,24 @@
-//! Work-stealing kernel runtime for the dense kernels.
+//! Kernel runtime for the dense kernels: one task list, one cursor.
 //!
 //! The workspace builds without external crates, so the rayon layer the
-//! kernels used to sit on is replaced by an in-repo runtime. Earlier
-//! revisions drained one `Mutex<VecDeque>` shared by every worker, which
-//! serialized task handout exactly when the flop-balanced chunks of
-//! [`crate::schedule`] were supposed to scale; the current runtime uses
-//! **per-worker deques with work stealing**:
+//! kernels used to sit on is replaced by an in-repo runtime. A region is
+//! a list of at most `4 × workers` flop-balanced chunks from
+//! [`crate::schedule`], and no task spawns another, so the runtime is a
+//! shared atomic cursor over that list:
 //!
-//! * tasks are dealt to per-worker deques up front (contiguous blocks,
-//!   so neighbouring chunks stay on one worker's cache),
-//! * each worker pops its own deque **LIFO** (newest first, cache-warm),
-//! * an idle worker picks a victim by an atomic round-robin counter and
-//!   steals **FIFO** (oldest first — the task its owner would reach
-//!   last, and the coarsest remaining granularity),
+//! * each worker takes the next task with one `fetch_add` and runs it,
+//!   until the cursor passes the end of the list; the cursor visits the
+//!   list as a deal of `workers` contiguous blocks would run it, so tasks
+//!   that run together lie far apart,
 //! * the caller participates as worker 0, so a `workers == 1` run stays
 //!   on the calling thread with no handoff at all.
 //!
-//! Tasks never spawn subtasks, so termination is simple: a worker exits
-//! after a full sweep finds every deque empty. Steal counts are flushed
-//! to [`crate::stats`] for the trace binary; every run also meters
-//! `syrk_tasks_scheduled` / `syrk_tasks_run` and the `syrk_queue_depth`
-//! gauge on the telemetry registry, and — when the flight recorder is
-//! enabled — records a wall-clock span per task and an instant event per
-//! steal. This runtime has no parker: idle workers exit after one empty
-//! sweep instead of blocking, so there are no park/unpark events to meter
-//! (DESIGN.md §9 records the deviation from the issue's wish list).
+//! Every run meters `syrk_tasks_scheduled` / `syrk_tasks_run` and the
+//! `syrk_queue_depth` gauge on the telemetry registry, and — when the
+//! flight recorder is enabled — records a wall-clock span per task.
+//! This runtime has no parker: a worker exits when the cursor runs out
+//! instead of blocking, so there are no park/unpark events to meter
+//! (DESIGN.md §9).
 //!
 //! Two knobs control the thread count:
 //!
@@ -36,7 +30,6 @@
 //!   (each of `P` rank threads runs kernels with `available/P` workers
 //!   instead of oversubscribing `P × available`).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use syrk_telemetry::flight::{self, FlightKind};
@@ -169,16 +162,14 @@ pub fn workers_for_flops(total_flops: u64) -> usize {
     }
 }
 
-/// Stealable-task oversubscription: chunks created per worker so thieves
-/// have granularity to balance with. ×4 keeps chunks large enough that
-/// per-chunk loop overhead stays negligible while a worker that finishes
-/// early still finds work to steal.
+/// Task-list oversubscription: chunks created per worker, so a worker
+/// that finishes early still finds a chunk left at the cursor. ×4 keeps
+/// chunks large enough that per-chunk loop overhead stays negligible.
 pub(crate) const TASKS_PER_WORKER: usize = 4;
 
 /// How many flop-balanced chunks a driver should create for `workers`
-/// workers under the stealing runtime: oversubscribed by
-/// `TASKS_PER_WORKER` when parallel, a single chunk when serial (the
-/// inline path has nobody to steal from).
+/// workers: oversubscribed by `TASKS_PER_WORKER` when parallel, a single
+/// chunk when serial (the inline path has nobody to balance against).
 pub fn steal_task_count(workers: usize) -> usize {
     if workers > 1 {
         workers * TASKS_PER_WORKER
@@ -187,39 +178,14 @@ pub fn steal_task_count(workers: usize) -> usize {
     }
 }
 
-/// One worker's end of the task pool: a deque the owner pops LIFO and
-/// thieves pop FIFO. A `Mutex<VecDeque>` per worker (instead of one
-/// global lock) keeps the common case — owner popping its own work —
-/// contention-free; steals are rare and touch one victim at a time.
-struct WorkerDeque<T> {
-    tasks: Mutex<VecDeque<(usize, T)>>,
-}
-
-impl<T> WorkerDeque<T> {
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<(usize, T)>> {
-        // A panicking worker never holds the lock across user code, so a
-        // poisoned mutex still guards a consistent deque.
-        self.tasks.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Owner path: newest task first.
-    fn pop_own(&self) -> Option<(usize, T)> {
-        self.lock().pop_back()
-    }
-
-    /// Thief path: oldest task first.
-    fn steal(&self) -> Option<(usize, T)> {
-        self.lock().pop_front()
-    }
-}
-
 /// Run `f(index, task)` for every task on up to [`available_threads`]
-/// work-stealing workers (the caller is worker 0). With one worker or
-/// one task everything runs inline on the caller's thread. Which worker
-/// runs which task is nondeterministic under stealing; callers must make
-/// task *results* placement-determined (disjoint `&mut` output chunks,
-/// fixed per-element accumulation order), which every kernel driver in
-/// this crate does. Panics in workers propagate to the caller.
+/// workers (the caller is worker 0), each taking the next index from one
+/// shared cursor. With one worker or one task everything runs inline on
+/// the caller's thread. Which worker runs which task is
+/// nondeterministic; callers must make task *results*
+/// placement-determined (disjoint `&mut` output chunks, fixed
+/// per-element accumulation order), which every kernel driver in this
+/// crate does. Panics in workers propagate to the caller.
 pub fn par_for_each_task<T, F>(tasks: Vec<T>, f: F)
 where
     T: Send,
@@ -248,56 +214,29 @@ where
         return;
     }
 
-    // Deal contiguous blocks of tasks to the worker deques, pushed in
-    // reverse so the owner's LIFO pop walks its block front-to-back and
-    // a thief's FIFO steal takes the block's tail first.
+    // The cursor walks the list as if it were dealt in `workers`
+    // contiguous blocks, one index of each block per round, so tasks
+    // that run at the same time lie far apart: neighbouring triangle
+    // chunks would wait on each other's shared-pack blocks.
     let total = tasks.len();
-    let mut deques: Vec<WorkerDeque<T>> = (0..workers)
-        .map(|_| WorkerDeque {
-            tasks: Mutex::new(VecDeque::new()),
-        })
-        .collect();
-    for (i, t) in tasks.into_iter().enumerate().rev() {
-        let w = i * workers / total;
-        deques[w].tasks.get_mut().unwrap().push_back((i, t));
-    }
-    let deques = &deques;
-    let steal_hint = AtomicUsize::new(0);
-    let steal_hint = &steal_hint;
-    let run_task = &run_task;
-
-    let run_worker = move |me: usize| {
-        let mut steals = 0u64;
-        'work: loop {
-            // Drain own deque LIFO.
-            while let Some((i, t)) = deques[me].pop_own() {
-                run_task(i, t);
-            }
-            // Steal FIFO from a round-robin victim. Tasks never spawn
-            // subtasks, so a full empty sweep means the pool is drained.
-            let start = steal_hint.fetch_add(1, Ordering::Relaxed);
-            for off in 0..workers {
-                let victim = (start + off) % workers;
-                if victim == me {
-                    continue;
-                }
-                if let Some((i, t)) = deques[victim].steal() {
-                    steals += 1;
-                    flight::instant(FlightKind::Steal, victim as u64);
-                    run_task(i, t);
-                    continue 'work;
-                }
-            }
-            break;
+    let block = |i: usize| i * workers / total;
+    let mut order: Vec<usize> = (0..total).collect();
+    order.sort_by_key(|&i| (i - (block(i) * total).div_ceil(workers), block(i)));
+    // The cursor hands each index to exactly one worker, so each slot's
+    // lock is taken once and never contended. The cursor publishes no
+    // data (each slot's mutex orders its task), so `Relaxed` suffices.
+    let slots: Vec<Mutex<Option<T>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let cursor = AtomicUsize::new(0);
+    let run_worker = || {
+        while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let task = slots[i].lock().unwrap_or_else(|e| e.into_inner()).take();
+            run_task(i, task.expect("the cursor hands out each index once"));
         }
-        crate::stats::add_steals(steals);
     };
 
     std::thread::scope(|s| {
-        let handles: Vec<_> = (1..workers)
-            .map(|w| s.spawn(move || run_worker(w)))
-            .collect();
-        run_worker(0);
+        let handles: Vec<_> = (1..workers).map(|_| s.spawn(run_worker)).collect();
+        run_worker();
         // Join explicitly so a worker's panic payload reaches the caller
         // (scope's implicit join replaces it with a generic message).
         let mut first_panic = None;
@@ -394,15 +333,15 @@ mod tests {
 
     #[test]
     fn par_for_each_runs_every_task_once_under_stealing() {
-        // Uneven task durations force steals; every index must still be
-        // executed exactly once.
+        // Uneven task durations on four workers; every index must still
+        // be executed exactly once.
         let _g = limit_threads(4);
         let counts: Vec<AtomicU64> = (0..64).map(|_| AtomicU64::new(0)).collect();
         let tasks: Vec<usize> = (0..64).collect();
         par_for_each_task(tasks, |i, t| {
             assert_eq!(i, t);
             if t % 7 == 0 {
-                // Skewed work so fast workers go stealing.
+                // Skewed work so workers finish out of step.
                 std::hint::black_box((0..20_000).sum::<u64>());
             }
             counts[t].fetch_add(1, Ordering::Relaxed);

@@ -7,7 +7,6 @@
 //! boundaries rounded to a register-tile multiple so every chunk starts
 //! on a micro-panel boundary of the packed kernels.
 
-use crate::packed::Diag;
 use std::ops::Range;
 
 /// Split `0..costs.len()` into at most `parts` contiguous ranges of
@@ -48,20 +47,10 @@ pub fn balanced_chunks_by_cost(costs: &[u64], parts: usize, align: usize) -> Vec
 }
 
 /// Flop-balanced row chunks for a packed `n × n` lower triangle: row `i`
-/// holds `i+1` (inclusive) or `i` (strict) entries, each costing the same
-/// `2k` flops, so entry counts are the cost weights.
-pub fn balanced_triangle_chunks(
-    n: usize,
-    diag: Diag,
-    parts: usize,
-    align: usize,
-) -> Vec<Range<usize>> {
-    let costs: Vec<u64> = (0..n)
-        .map(|i| match diag {
-            Diag::Inclusive => i as u64 + 1,
-            Diag::Strict => i as u64,
-        })
-        .collect();
+/// holds `i+1` entries, each costing the same `2k` flops, so entry counts
+/// are the cost weights.
+pub fn balanced_triangle_chunks(n: usize, parts: usize, align: usize) -> Vec<Range<usize>> {
+    let costs: Vec<u64> = (1..=n as u64).collect();
     balanced_chunks_by_cost(&costs, parts, align)
 }
 
@@ -102,23 +91,20 @@ mod tests {
     fn chunks_tile_and_balance() {
         for n in [1usize, 4, 7, 64, 257, 1000] {
             for parts in [1usize, 2, 3, 8] {
-                for diag in [Diag::Inclusive, Diag::Strict] {
-                    let chunks = balanced_triangle_chunks(n, diag, parts, 4);
-                    check_tiling(&chunks, n, 4);
-                    // Each chunk's cost is within one aligned row-group of
-                    // the ideal share (loose check: no chunk more than
-                    // twice the ideal once n is large enough).
-                    if n >= 64 && parts > 1 {
-                        let total = diag.packed_len(n) as f64;
-                        let cost = |r: &Range<usize>| {
-                            diag.packed_len(r.end) as f64 - diag.packed_len(r.start) as f64
-                        };
-                        for c in &chunks {
-                            assert!(
-                                cost(c) < 2.0 * total / parts as f64 + (4 * n) as f64,
-                                "n={n} parts={parts} chunk {c:?} too heavy"
-                            );
-                        }
+                let chunks = balanced_triangle_chunks(n, parts, 4);
+                check_tiling(&chunks, n, 4);
+                // Each chunk's cost is within one aligned row-group of
+                // the ideal share (loose check: no chunk more than twice
+                // the ideal once n is large enough).
+                if n >= 64 && parts > 1 {
+                    let len = crate::packed::packed_len;
+                    let total = len(n) as f64;
+                    let cost = |r: &Range<usize>| len(r.end) as f64 - len(r.start) as f64;
+                    for c in &chunks {
+                        assert!(
+                            cost(c) < 2.0 * total / parts as f64 + (4 * n) as f64,
+                            "n={n} parts={parts} chunk {c:?} too heavy"
+                        );
                     }
                 }
             }
@@ -128,7 +114,7 @@ mod tests {
     #[test]
     fn balanced_beats_even_split() {
         // The whole point: equal-cost chunks give earlier rows more rows.
-        let chunks = balanced_triangle_chunks(1024, Diag::Inclusive, 4, 4);
+        let chunks = balanced_triangle_chunks(1024, 4, 4);
         assert_eq!(chunks.len(), 4);
         assert!(
             chunks[0].len() > chunks[3].len(),
@@ -140,7 +126,7 @@ mod tests {
 
     #[test]
     fn more_parts_than_rows_degrades_gracefully() {
-        let chunks = balanced_triangle_chunks(3, Diag::Inclusive, 16, 4);
+        let chunks = balanced_triangle_chunks(3, 16, 4);
         check_tiling(&chunks, 3, 4);
         assert_eq!(chunks.len(), 1, "alignment collapses tiny splits");
     }
@@ -151,7 +137,7 @@ mod tests {
         // ≈3× the words of the one shared pack (chunk ends near n/2,
         // n/√2, n·(3/4)^½… sum ≈ 3.07·n).
         let n = 512usize;
-        let chunks = balanced_triangle_chunks(n, Diag::Inclusive, 4, 4);
+        let chunks = balanced_triangle_chunks(n, 4, 4);
         let per_chunk = per_chunk_pack_words(&chunks, 256, 4);
         let shared = (n.div_ceil(4) * 4 * 256) as u64;
         assert!(
@@ -165,7 +151,7 @@ mod tests {
 
     #[test]
     fn zero_rows_zero_chunks() {
-        assert!(balanced_triangle_chunks(0, Diag::Strict, 4, 4).is_empty());
+        assert!(balanced_triangle_chunks(0, 4, 4).is_empty());
         assert!(balanced_chunks_by_cost(&[], 4, 1).is_empty());
     }
 

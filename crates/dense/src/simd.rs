@@ -21,7 +21,7 @@
 //! Determinism: every kernel accumulates in ascending-k order with a
 //! fixed per-element op sequence (one fused multiply-add per k-step), so
 //! for a fixed ISA the result is bitwise independent of how drivers
-//! block, chunk, or steal. Across ISAs the *rounding* differs — FMA
+//! block, chunk, or place tasks. Across ISAs the *rounding* differs — FMA
 //! skips the intermediate rounding the portable kernel's separate `*`
 //! and `+` perform — which is why the dispatch is pinned per process
 //! (see [`crate::isa`]) and tests compare ISAs by norm tolerance, never

@@ -4,22 +4,21 @@
 //! cost ledger; these counters meter the *local* engine underneath — how
 //! many words the packing routines staged into micro-panels, how many
 //! register-blocked microkernel tiles ran, how the workspace arena is
-//! behaving (buffer reuse vs fresh allocation), and how the
-//! work-stealing runtime scheduled and migrated tasks. The `trace` binary
-//! reports them next to the per-phase communication table so one run
-//! shows both sides of the α-β-γ model (network words and γ-side kernel
-//! work), and `tests/runtime.rs` uses the arena counters to prove the
-//! steady state allocates nothing.
+//! behaving (buffer reuse vs fresh allocation), and how many tasks the
+//! runtime scheduled and ran. The `trace` binary reports them next to
+//! the per-phase communication table so one run shows both sides of the
+//! α-β-γ model (network words and γ-side kernel work), and
+//! `tests/runtime.rs` uses the arena counters to prove the steady state
+//! allocates nothing.
 //!
-//! Since the telemetry layer landed, the counters live on the process
-//! [`syrk_telemetry::registry`] under `syrk_*` names (so a Prometheus
-//! scrape or `--metrics` dump sees them), and this module is the
-//! engine-facing façade: the [`KernelStats`] snapshot API is unchanged,
-//! and the hot-path helpers still accumulate locally per task and flush
-//! once, so kernel loops see one relaxed `fetch_add` per flush and no
-//! locks. They are cumulative per process; take a [`kernel_stats`]
-//! snapshot before the region you want to measure and
-//! [`KernelStats::since`] of it after.
+//! The counters live on the process [`syrk_telemetry::registry`] under
+//! `syrk_*` names (so a Prometheus scrape or `--metrics` dump sees them),
+//! and this module is the engine-facing façade: [`kernel_stats`]
+//! snapshots them into a [`KernelStats`]. The hot-path helpers
+//! accumulate locally per task and flush once, so kernel loops see one
+//! relaxed `fetch_add` per flush and no locks. They are cumulative per
+//! process; take a [`kernel_stats`] snapshot before the region you want
+//! to measure and [`KernelStats::since`] of it after.
 
 use crate::isa::Isa;
 use syrk_telemetry::{LazyCounter, LazyGauge};
@@ -29,7 +28,6 @@ static MICROKERNEL_CALLS: LazyCounter = LazyCounter::new("syrk_microkernel_calls
 static ARENA_HITS: LazyCounter = LazyCounter::new("syrk_arena_hits");
 static ARENA_MISSES: LazyCounter = LazyCounter::new("syrk_arena_misses");
 static ARENA_ALLOC_BYTES: LazyCounter = LazyCounter::new("syrk_arena_alloc_bytes");
-static STEALS: LazyCounter = LazyCounter::new("syrk_steals");
 /// Microkernel calls per dispatched ISA, indexed by [`Isa::index`].
 static ISA_CALLS: [LazyCounter; Isa::COUNT] = [
     LazyCounter::new("syrk_microkernel_calls_scalar"),
@@ -56,8 +54,6 @@ pub struct KernelStats {
     /// Zero over a region means the packed-panel working set ran entirely
     /// out of reused buffers — the steady state the arena exists for.
     pub arena_alloc_bytes: u64,
-    /// Tasks executed by a worker other than the one they were dealt to.
-    pub steals: u64,
     /// Microkernel calls attributed to each dispatched ISA, indexed by
     /// [`Isa::index`] (sums to `microkernel_calls`). Shows which kernel
     /// actually ran — a forced-scalar run and an AVX-512 run are
@@ -79,7 +75,6 @@ impl KernelStats {
             arena_alloc_bytes: self
                 .arena_alloc_bytes
                 .saturating_sub(earlier.arena_alloc_bytes),
-            steals: self.steals.saturating_sub(earlier.steals),
             isa_calls: std::array::from_fn(|i| {
                 self.isa_calls[i].saturating_sub(earlier.isa_calls[i])
             }),
@@ -105,7 +100,6 @@ pub fn kernel_stats() -> KernelStats {
         arena_hits: ARENA_HITS.get().get(),
         arena_misses: ARENA_MISSES.get().get(),
         arena_alloc_bytes: ARENA_ALLOC_BYTES.get().get(),
-        steals: STEALS.get().get(),
         isa_calls: std::array::from_fn(|i| ISA_CALLS[i].get().get()),
     }
 }
@@ -131,11 +125,7 @@ pub(crate) fn add_arena_alloc_bytes(n: usize) {
     ARENA_ALLOC_BYTES.add(n as u64);
 }
 
-pub(crate) fn add_steals(n: u64) {
-    STEALS.add(n);
-}
-
-/// `n` tasks were dealt to the runtime (inline or stealing path alike).
+/// `n` tasks were handed to the runtime (inline or parallel path alike).
 pub(crate) fn add_tasks_scheduled(n: u64) {
     TASKS_SCHEDULED.add(n);
     QUEUE_DEPTH.add(n as i64);
@@ -162,7 +152,6 @@ mod tests {
         add_arena_hit();
         add_arena_miss();
         add_arena_alloc_bytes(4096);
-        add_steals(2);
         let after = kernel_stats();
         let delta = after.since(&before);
         assert!(delta.pack_words >= 128);
@@ -170,7 +159,6 @@ mod tests {
         assert!(delta.arena_hits >= 1);
         assert!(delta.arena_misses >= 1);
         assert!(delta.arena_alloc_bytes >= 4096);
-        assert!(delta.steals >= 2);
         assert!(delta.isa_calls[Isa::Scalar.index()] >= 3);
         assert!(delta
             .isa_calls_by_name()
@@ -186,7 +174,6 @@ mod tests {
             arena_hits: 0,
             arena_misses: 0,
             arena_alloc_bytes: 0,
-            steals: 0,
             isa_calls: [1, 0, 0, 0],
         };
         let b = KernelStats {
@@ -195,7 +182,6 @@ mod tests {
             arena_hits: 7,
             arena_misses: 7,
             arena_alloc_bytes: 7,
-            steals: 7,
             isa_calls: [7, 7, 7, 7],
         };
         let d = a.since(&b);

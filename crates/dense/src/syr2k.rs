@@ -6,7 +6,7 @@
 //! instead of GEMM's `4n²k` for the same product.
 
 use crate::matrix::Matrix;
-use crate::packed::{mirror_lower_to_upper, Diag, PackedLower};
+use crate::packed::{mirror_lower_to_upper, PackedLower};
 use crate::scalar::Scalar;
 use crate::view::MatrixView;
 
@@ -42,7 +42,7 @@ pub(crate) fn syr2k_lower_ref<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &M
 /// Packed SYR2K: accumulate the lower triangle of `A·Bᵀ + B·Aᵀ` into
 /// packed storage, via the register-blocked driver shared with
 /// [`crate::syrk_packed`]: both operands are full-height shared packs
-/// published cooperatively across the work-stealing workers (per side of
+/// published cooperatively across the workers (per side of
 /// the tile when the dispatched kernel is rectangular), and each
 /// register tile fuses two microkernel calls before the store. The
 /// operands are views, so a rank passes its column blocks of the global
@@ -53,8 +53,8 @@ pub fn syr2k_packed<T: Scalar>(c: &mut PackedLower<T>, a: MatrixView<'_, T>, b: 
 }
 
 /// Convenience: packed lower triangle of `A·Bᵀ + B·Aᵀ`.
-pub fn syr2k_packed_new<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, diag: Diag) -> PackedLower<T> {
-    let mut c = PackedLower::zeros(a.rows(), diag);
+pub fn syr2k_packed_new<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> PackedLower<T> {
+    let mut c = PackedLower::zeros(a.rows());
     syr2k_packed(&mut c, a.view(), b.view());
     c
 }
@@ -110,7 +110,7 @@ mod tests {
     fn packed_agrees_with_dense() {
         let a = seeded_matrix::<f64>(8, 5, 9);
         let b = seeded_matrix::<f64>(8, 5, 10);
-        let p = syr2k_packed_new(&a, &b, Diag::Inclusive);
+        let p = syr2k_packed_new(&a, &b);
         let full = syr2k_full_reference(&a, &b);
         for i in 0..8 {
             for j in 0..=i {

@@ -16,12 +16,12 @@
 //! dispatched tile is square (`mr == nr`, the scalar spec) *one* shared
 //! pack feeds both operands of every register tile; rectangular SIMD
 //! tiles keep a second pack at lane width `nr` for the column side.
-//! Threads work-steal flop-balanced row chunks of the packed triangle
+//! Workers take flop-balanced row chunks of the packed triangle
 //! (see [`crate::schedule`] — row `i` costs `Θ(i·k)`, so an even row
 //! split would be badly skewed), pulling pack buffers from the workspace
 //! [`crate::arena`] so the steady state allocates nothing. Diagonal
-//! register tiles are computed in full and stored clamped to `j ≤ i`
-//! (or `j < i`). A triangle of at most [`SMALL_OUTPUT_CUTOFF`] packed
+//! register tiles are computed in full and stored clamped to `j ≤ i`.
+//! A triangle of at most [`SMALL_OUTPUT_CUTOFF`] packed
 //! entries skips all of this: its entries are direct chains with the same
 //! op sequence ([`crate::direct`]).
 
@@ -29,7 +29,7 @@ use crate::arena;
 use crate::matrix::Matrix;
 use crate::microkernel::MAX_ACC;
 use crate::pack::{pack_rows_into, packed_panel_len, SharedPack};
-use crate::packed::{mirror_lower_to_upper, Diag, PackedLower};
+use crate::packed::{mirror_lower_to_upper, packed_len, Diag, PackedLower};
 use crate::parallel::{
     par_for_each_task, steal_task_count, workers_for_flops, SMALL_OUTPUT_CUTOFF,
 };
@@ -68,22 +68,11 @@ pub fn syrk_lower_ref<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>) {
     }
 }
 
-/// Offset of packed row `i` for `diag`.
-#[inline]
-fn row_off(diag: Diag, i: usize) -> usize {
-    match diag {
-        Diag::Inclusive => i * (i + 1) / 2,
-        Diag::Strict => i * i.saturating_sub(1) / 2,
-    }
-}
-
 /// Add the leading `rr` rows of the row-major `acc` tile (row stride
 /// `nr`) into the packed chunk slice `cbuf` (whose first element is
-/// packed offset `base`), clamping each row to its `diag` column bound.
+/// packed offset `base`), clamping each row to the diagonal.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 fn store_packed_tile<T: Scalar>(
-    diag: Diag,
     base: usize,
     cbuf: &mut [T],
     acc: &[T],
@@ -96,11 +85,11 @@ fn store_packed_tile<T: Scalar>(
     // the diagonal clamp to the row's column bound.
     for u in 0..rr {
         let i = it + u;
-        let jend = (j0 + nr).min(diag.row_len(i));
+        let jend = (j0 + nr).min(i + 1);
         if jend <= j0 {
             continue;
         }
-        let off = row_off(diag, i) - base + j0;
+        let off = packed_len(i) - base + j0;
         let dst = &mut cbuf[off..off + jend - j0];
         for (d, &v) in dst.iter_mut().zip(&acc[u * nr..]) {
             *d += v;
@@ -137,7 +126,7 @@ pub(crate) fn packed_rank_update<T: Scalar>(
 }
 
 /// The packed-triangle driver behind [`packed_rank_update`]. `kc`-panel
-/// loop outside, flop-balanced work-stolen row chunks inside; every packed
+/// loop outside, flop-balanced row chunks inside; every packed
 /// entry is accumulated in ascending-k order independent of the chunking,
 /// and each row block of a shared pack is packed exactly once per panel by
 /// whichever worker first needs it. Square tiles (`mr == nr`) alias one
@@ -156,16 +145,15 @@ pub(crate) fn triangle_driver<T: Scalar>(
     // Column-side publication granularity: the smallest nr-multiple
     // covering an mc-row block (SharedPack blocks must align to lanes).
     let col_block = mc.div_ceil(nr) * nr;
-    let diag = c.diag();
     let kc_cap = kc.min(k);
     // One task list per inner panel, so that panel's flops (twice over
     // for SYR2K's fused pair of products) decide whether workers are
-    // worth spawning. Chunks are oversubscribed so idle workers always
-    // find something to steal; the chunk a tile lands in never affects
-    // its value.
+    // worth spawning. Chunks are oversubscribed so a worker that
+    // finishes early finds another; the chunk a tile lands in never
+    // affects its value.
     let panel_flops = syrk_flops(n, kc_cap) * if b.is_some() { 2 } else { 1 };
     let workers = workers_for_flops(panel_flops);
-    let chunks = balanced_triangle_chunks(n, diag, steal_task_count(workers), mr);
+    let chunks = balanced_triangle_chunks(n, steal_task_count(workers), mr);
     let mut a_row_buf = arena::acquire::<T>(packed_panel_len(n, kc_cap, mr));
     let mut a_col_buf = (!square).then(|| arena::acquire::<T>(packed_panel_len(n, kc_cap, nr)));
     let mut b_row_buf = b.map(|_| arena::acquire::<T>(packed_panel_len(n, kc_cap, mr)));
@@ -226,13 +214,13 @@ pub(crate) fn triangle_driver<T: Scalar>(
             if square { &pack_b_row } else { &pack_b_col };
         let tasks = split_triangle(c, &chunks);
         par_for_each_task(tasks, |_, (rows, cbuf)| {
-            let base = row_off(diag, rows.start);
+            let base = packed_len(rows.start);
             let mut acc = [T::zero(); MAX_ACC];
             let mut acc2 = [T::zero(); MAX_ACC];
             let mut tiles = 0u64;
             for it in rows.clone().step_by(mr) {
                 let take = mr.min(rows.end - it);
-                let colmax = diag.row_len(it + take - 1);
+                let colmax = it + take;
                 a_row.ensure_rows(it..it + take, &pack_a_row);
                 acol.ensure_rows(0..colmax, &pack_acol);
                 if let Some(brow) = &b_row {
@@ -256,7 +244,7 @@ pub(crate) fn triangle_driver<T: Scalar>(
                         (d.kernel)(pb, a_row.panel(it), acol.panel(j0), &mut acc[..mr * nr]);
                         tiles += 1;
                     }
-                    store_packed_tile(diag, base, cbuf, &acc[..mr * nr], nr, it, take, j0);
+                    store_packed_tile(base, cbuf, &acc[..mr * nr], nr, it, take, j0);
                 }
             }
             crate::stats::add_microkernel_calls(d.spec.isa, tiles);
@@ -270,11 +258,10 @@ fn split_triangle<'c, T: Scalar>(
     c: &'c mut PackedLower<T>,
     chunks: &[Range<usize>],
 ) -> Vec<(Range<usize>, &'c mut [T])> {
-    let diag = c.diag();
     let mut rest = c.as_mut_slice();
     let mut out = Vec::with_capacity(chunks.len());
     for r in chunks {
-        let len = row_off(diag, r.end) - row_off(diag, r.start);
+        let len = packed_len(r.end) - packed_len(r.start);
         let (head, tail) = rest.split_at_mut(len);
         out.push((r.clone(), head));
         rest = tail;
@@ -291,9 +278,10 @@ pub fn syrk_packed<T: Scalar>(c: &mut PackedLower<T>, a: MatrixView<'_, T>) {
     packed_rank_update(c, a, None);
 }
 
-/// Convenience: the lower triangle of `A·Aᵀ` as packed storage.
-pub fn syrk_packed_new<T: Scalar>(a: &Matrix<T>, diag: Diag) -> PackedLower<T> {
-    let mut c = PackedLower::zeros(a.rows(), diag);
+/// Convenience: the lower triangle of `A·Aᵀ` as packed storage, in the
+/// one [`Diag`] convention.
+pub fn syrk_packed_new<T: Scalar>(a: &Matrix<T>, _: Diag) -> PackedLower<T> {
+    let mut c = PackedLower::zeros(a.rows());
     syrk_packed(&mut c, a.view());
     c
 }
@@ -355,20 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_strict_skips_diagonal() {
-        let a = seeded_matrix::<f64>(6, 4, 3);
-        let p = syrk_packed_new(&a, Diag::Strict);
-        assert_eq!(p.len(), 15);
-        let mut dense = Matrix::zeros(6, 6);
-        syrk_lower_ref(&mut dense, &a);
-        for i in 0..6 {
-            for j in 0..i {
-                assert!((p.get(i, j) - dense[(i, j)]).abs() < 1e-10);
-            }
-        }
-    }
-
-    #[test]
     fn packed_accumulates() {
         let a = seeded_matrix::<f64>(5, 3, 11);
         let mut p = syrk_packed_new(&a, Diag::Inclusive);
@@ -419,16 +393,14 @@ mod tests {
         // would change rounding, so serialize against the force tests.
         let _serial = crate::isa::test_lock::serial();
         let a = seeded_matrix::<f64>(101, 67, 13);
-        for diag in [Diag::Inclusive, Diag::Strict] {
-            let one = {
-                let _g = crate::parallel::limit_threads(1);
-                syrk_packed_new(&a, diag)
-            };
-            let many = {
-                let _g = crate::parallel::limit_threads(5);
-                syrk_packed_new(&a, diag)
-            };
-            assert_eq!(one, many, "accumulation order must not depend on chunking");
-        }
+        let one = {
+            let _g = crate::parallel::limit_threads(1);
+            syrk_packed_new(&a, Diag::Inclusive)
+        };
+        let many = {
+            let _g = crate::parallel::limit_threads(5);
+            syrk_packed_new(&a, Diag::Inclusive)
+        };
+        assert_eq!(one, many, "accumulation order must not depend on chunking");
     }
 }

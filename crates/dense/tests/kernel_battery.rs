@@ -66,40 +66,28 @@ fn gemm_nt_matches_reference_on_aspect_extremes() {
     }
 }
 
-fn syrk_reference_packed(a: &Matrix<f64>, diag: Diag) -> PackedLower<f64> {
+fn syrk_reference_packed(a: &Matrix<f64>) -> PackedLower<f64> {
     let n = a.rows();
     let mut full = Matrix::zeros(n, n);
     syrk_lower_ref(&mut full, a);
-    let mut out = PackedLower::zeros(n, diag);
-    for i in 0..n {
-        let jmax = match diag {
-            Diag::Inclusive => i + 1,
-            Diag::Strict => i,
-        };
-        for j in 0..jmax {
-            out.set(i, j, full[(i, j)]);
-        }
-    }
-    out
+    PackedLower::from_matrix(&full)
 }
 
 #[test]
 fn syrk_packed_matches_reference_on_edge_shapes() {
     for &n in &EDGE {
         for &k in &EDGE {
-            for diag in [Diag::Inclusive, Diag::Strict] {
-                let a = seeded_matrix::<f64>(n, k, (n * 13 + k) as u64 + 3);
-                let want = syrk_reference_packed(&a, diag);
-                let got = syrk_packed_new(&a, diag);
-                assert_eq!(got.len(), want.len());
-                let err = want
-                    .as_slice()
-                    .iter()
-                    .zip(got.as_slice())
-                    .map(|(x, y)| (x - y).abs())
-                    .fold(0.0, f64::max);
-                assert!(err < 1e-10, "syrk_packed (n={n},k={k},{diag:?}): err {err}");
-            }
+            let a = seeded_matrix::<f64>(n, k, (n * 13 + k) as u64 + 3);
+            let want = syrk_reference_packed(&a);
+            let got = syrk_packed_new(&a, Diag::Inclusive);
+            assert_eq!(got.len(), want.len());
+            let err = want
+                .as_slice()
+                .iter()
+                .zip(got.as_slice())
+                .map(|(x, y)| (x - y).abs())
+                .fold(0.0, f64::max);
+            assert!(err < 1e-10, "syrk_packed (n={n},k={k}): err {err}");
         }
     }
 }
@@ -107,18 +95,16 @@ fn syrk_packed_matches_reference_on_edge_shapes() {
 #[test]
 fn syrk_packed_matches_reference_on_aspect_extremes() {
     for &(n, k) in &[(130usize, 5usize), (5, 700), (130, 130)] {
-        for diag in [Diag::Inclusive, Diag::Strict] {
-            let a = seeded_matrix::<f64>(n, k, 7);
-            let want = syrk_reference_packed(&a, diag);
-            let got = syrk_packed_new(&a, diag);
-            let err = want
-                .as_slice()
-                .iter()
-                .zip(got.as_slice())
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0, f64::max);
-            assert!(err < 1e-10, "syrk_packed (n={n},k={k},{diag:?}): err {err}");
-        }
+        let a = seeded_matrix::<f64>(n, k, 7);
+        let want = syrk_reference_packed(&a);
+        let got = syrk_packed_new(&a, Diag::Inclusive);
+        let err = want
+            .as_slice()
+            .iter()
+            .zip(got.as_slice())
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f64::max);
+        assert!(err < 1e-10, "syrk_packed (n={n},k={k}): err {err}");
     }
 }
 
@@ -162,18 +148,16 @@ fn forced_isa_edge_shape_battery() {
         }
         for &n in &edges {
             for &k in &[1usize, 7, 65] {
-                for diag in [Diag::Inclusive, Diag::Strict] {
-                    let a = seeded_matrix::<f64>(n, k, (n * 13 + k) as u64 + 3);
-                    let want = syrk_reference_packed(&a, diag);
-                    let got = syrk_packed_new(&a, diag);
-                    let err = want
-                        .as_slice()
-                        .iter()
-                        .zip(got.as_slice())
-                        .map(|(x, y)| (x - y).abs())
-                        .fold(0.0, f64::max);
-                    assert!(err < 1e-10, "{isa} syrk (n={n},k={k},{diag:?}): err {err}");
-                }
+                let a = seeded_matrix::<f64>(n, k, (n * 13 + k) as u64 + 3);
+                let want = syrk_reference_packed(&a);
+                let got = syrk_packed_new(&a, Diag::Inclusive);
+                let err = want
+                    .as_slice()
+                    .iter()
+                    .zip(got.as_slice())
+                    .map(|(x, y)| (x - y).abs())
+                    .fold(0.0, f64::max);
+                assert!(err < 1e-10, "{isa} syrk (n={n},k={k}): err {err}");
             }
         }
     }
@@ -185,38 +169,33 @@ fn forced_isa_edge_shape_battery() {
 #[test]
 fn balanced_chunks_cover_packed_triangle_exactly_once() {
     for &n in &[1usize, 4, 7, 64, 257] {
-        for diag in [Diag::Inclusive, Diag::Strict] {
-            for parts in [1usize, 2, 3, 8] {
-                let chunks = balanced_triangle_chunks(n, diag, parts, MR.min(NR));
-                let mut touched = vec![0u32; diag.packed_len(n)];
-                let mut covered_rows = 0;
-                for r in &chunks {
-                    assert!(
-                        r.start == covered_rows,
-                        "gap or overlap at row {covered_rows}"
-                    );
-                    assert!(
-                        r.start % MR == 0,
-                        "chunk start {} not aligned to MR={MR}",
-                        r.start
-                    );
-                    covered_rows = r.end;
-                    for i in r.clone() {
-                        let (off, len) = match diag {
-                            Diag::Inclusive => (i * (i + 1) / 2, i + 1),
-                            Diag::Strict => (i * i.saturating_sub(1) / 2, i),
-                        };
-                        for w in &mut touched[off..off + len] {
-                            *w += 1;
-                        }
+        for parts in [1usize, 2, 3, 8] {
+            let chunks = balanced_triangle_chunks(n, parts, MR.min(NR));
+            let mut touched = vec![0u32; Diag::Inclusive.packed_len(n)];
+            let mut covered_rows = 0;
+            for r in &chunks {
+                assert!(
+                    r.start == covered_rows,
+                    "gap or overlap at row {covered_rows}"
+                );
+                assert!(
+                    r.start % MR == 0,
+                    "chunk start {} not aligned to MR={MR}",
+                    r.start
+                );
+                covered_rows = r.end;
+                for i in r.clone() {
+                    let off = i * (i + 1) / 2;
+                    for w in &mut touched[off..=off + i] {
+                        *w += 1;
                     }
                 }
-                assert_eq!(covered_rows, n, "chunks must tile all {n} rows");
-                assert!(
-                    touched.iter().all(|&w| w == 1),
-                    "n={n} {diag:?} parts={parts}: some packed word not covered exactly once"
-                );
             }
+            assert_eq!(covered_rows, n, "chunks must tile all {n} rows");
+            assert!(
+                touched.iter().all(|&w| w == 1),
+                "n={n} parts={parts}: some packed word not covered exactly once"
+            );
         }
     }
 }

@@ -43,12 +43,10 @@ fn syrk_on_a_borrowed_column_block_is_bitwise_the_copy() {
     // order of accumulation would show in the last bits.
     let whole = seeded_matrix::<f64>(70, 1400, 6);
     for (col0, cols) in [(0, 1400), (3, 700), (699, 701), (1399, 1), (1400, 0)] {
-        for diag in [Diag::Inclusive, Diag::Strict] {
-            let mut borrowed = PackedLower::zeros(70, diag);
-            syrk_packed(&mut borrowed, whole.block(0, col0, 70, cols));
-            let copied = syrk_packed_new(&whole.block_owned(0, col0, 70, cols), diag);
-            assert_eq!(borrowed, copied, "columns {col0}+{cols} {diag:?}");
-        }
+        let mut borrowed = PackedLower::zeros(70);
+        syrk_packed(&mut borrowed, whole.block(0, col0, 70, cols));
+        let copied = syrk_packed_new(&whole.block_owned(0, col0, 70, cols), Diag::Inclusive);
+        assert_eq!(borrowed, copied, "columns {col0}+{cols}");
     }
 }
 
@@ -109,27 +107,12 @@ fn flop_identities() {
 }
 
 #[test]
-fn packed_strict_and_inclusive_interconvert() {
-    let a = seeded_matrix::<f64>(9, 6, 10);
-    let incl = syrk_packed_new(&a, Diag::Inclusive);
-    let strict = syrk_packed_new(&a, Diag::Strict);
-    // The strict entries are embedded in the inclusive packing.
-    for i in 0..9 {
-        for j in 0..i {
-            assert_eq!(incl.get(i, j), strict.get(i, j));
-        }
-    }
-    // Lengths: n(n+1)/2 vs n(n−1)/2.
-    assert_eq!(incl.len() - strict.len(), 9);
-}
-
-#[test]
 fn packed_from_vec_and_back() {
     let data: Vec<f64> = (0..10).map(|x| x as f64).collect();
-    let p = PackedLower::from_vec(4, Diag::Inclusive, data.clone());
+    let p = PackedLower::from_vec(4, data.clone());
     assert_eq!(p.as_slice(), &data[..]);
     assert_eq!(p.clone().into_vec(), data);
     let full = p.to_full_symmetric();
-    let back = PackedLower::from_matrix(&full, Diag::Inclusive);
+    let back = PackedLower::from_matrix(&full);
     assert_eq!(back.as_slice(), &data[..]);
 }

@@ -167,7 +167,8 @@ mod tests {
         // Put at least one flight event in the rings so the wall row is
         // non-trivial.
         flight::enable();
-        flight::instant(flight::FlightKind::Steal, 1);
+        let t = flight::now_ns();
+        flight::record(flight::FlightKind::PackWait, t, t, 1);
         let doc = failure_dump_string(&deadlock_error());
         flight::disable();
         flight::clear();

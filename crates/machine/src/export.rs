@@ -246,7 +246,7 @@ mod tests {
         let rec = FlightRecording {
             events: vec![FlightEvent {
                 tid: 2,
-                kind: FlightKind::Steal,
+                kind: FlightKind::PackWait,
                 start_ns: 5,
                 end_ns: 5,
                 arg: 1,

@@ -38,7 +38,7 @@ fn recording() -> FlightRecording {
             },
             FlightEvent {
                 tid: 3,
-                kind: FlightKind::Steal,
+                kind: FlightKind::PackWait,
                 start_ns: 15_250,
                 end_ns: 15_250,
                 arg: 1,
@@ -93,7 +93,7 @@ const MERGED: &str = concat!(
     r#"{"name": "thread_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "wall thread 0"}},"#,
     r#"{"name": "thread_name", "ph": "M", "pid": 1, "tid": 3, "args": {"name": "wall thread 3"}},"#,
     r#"{"name": "task", "ph": "X", "pid": 1, "tid": 0, "ts": 0.000, "dur": 21.500, "args": {"chunk": 2}},"#,
-    r#"{"name": "steal", "ph": "i", "s": "t", "pid": 1, "tid": 3, "ts": 5.250, "args": {"victim": 1}}]}"#,
+    r#"{"name": "pack:wait", "ph": "i", "s": "t", "pid": 1, "tid": 3, "ts": 5.250, "args": {"block": 1}}]}"#,
 );
 
 const SNAPSHOT: &str = concat!(

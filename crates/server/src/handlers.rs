@@ -377,7 +377,6 @@ fn handle_run(state: &Arc<SharedState>, req: &Request) -> Result<Response, Respo
     let policy = max_attempts
         .map(|n| RecoveryPolicy {
             max_attempts: n as usize,
-            ..RecoveryPolicy::default()
         })
         .or_else(|| faults.is_some().then(RecoveryPolicy::default));
     let chosen: Plan = match req.query_param("alg").unwrap_or("auto") {

@@ -159,7 +159,6 @@ fn write_wall_event(out: &mut String, e: &FlightEvent, pid: u64, base: u64) {
     escape_json_into(out, e.kind.name());
     let arg_key = match e.kind {
         FlightKind::Task => "chunk",
-        FlightKind::Steal => "victim",
         FlightKind::PackPublish | FlightKind::PackWait => "block",
         FlightKind::RecvBlock => "src",
     };
@@ -249,7 +248,7 @@ mod tests {
                 },
                 FlightEvent {
                     tid: 1,
-                    kind: FlightKind::Steal,
+                    kind: FlightKind::PackWait,
                     start_ns: 15_000,
                     end_ns: 15_000,
                     arg: 0,
@@ -266,8 +265,8 @@ mod tests {
         assert!(doc.contains("\"name\": \"task\", \"ph\": \"X\""));
         assert!(doc.contains("\"ts\": 0.000, \"dur\": 20.000"));
         assert!(doc.contains("\"chunk\": 2"));
-        // Steal: instant event.
-        assert!(doc.contains("\"name\": \"steal\", \"ph\": \"i\""));
+        // A zero-length wait: instant event.
+        assert!(doc.contains("\"name\": \"pack:wait\", \"ph\": \"i\""));
         // Empty recording renders no events.
         let mut doc = String::new();
         wall_trace_events(&mut doc, &FlightRecording::default(), 1, ",");

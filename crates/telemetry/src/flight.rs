@@ -26,10 +26,8 @@ pub(crate) const RING_CAPACITY: usize = 4096;
 /// What a recorded span measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlightKind {
-    /// A work-stealing task executing (arg = chunk index).
+    /// A kernel-runtime task executing (arg = chunk index).
     Task,
-    /// A successful steal (instant; arg = victim worker).
-    Steal,
     /// Packing and publishing a shared panel (arg = block index).
     PackPublish,
     /// Spinning for another worker's panel publication (arg = block index).
@@ -43,7 +41,6 @@ impl FlightKind {
     pub fn name(self) -> &'static str {
         match self {
             FlightKind::Task => "task",
-            FlightKind::Steal => "steal",
             FlightKind::PackPublish => "pack:publish",
             FlightKind::PackWait => "pack:wait",
             FlightKind::RecvBlock => "recv:block",
@@ -65,7 +62,7 @@ pub struct FlightEvent {
     pub start_ns: u64,
     /// Span end, ns since the recording epoch.
     pub end_ns: u64,
-    /// Kind-specific payload (chunk index, victim worker, block, rank).
+    /// Kind-specific payload (chunk index, block, rank).
     pub arg: u64,
 }
 
@@ -147,16 +144,6 @@ pub fn record(kind: FlightKind, start_ns: u64, end_ns: u64, arg: u64) {
     });
 }
 
-/// Record an instant event (`start == end == now`). No-op while disabled.
-#[inline]
-pub fn instant(kind: FlightKind, arg: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let t = now_ns();
-    record(kind, t, t, arg);
-}
-
 /// A merged capture of every ring: all surviving events sorted by start
 /// time, plus how many were evicted to stay within a ring's capacity.
 #[derive(Debug, Clone, Default)]
@@ -218,39 +205,44 @@ mod tests {
     #[test]
     fn record_collect_clear_roundtrip() {
         // Disabled recorder records nothing.
+        // A zero-length span is an instant: `start == end`.
+        let instant = |i| {
+            let t = now_ns();
+            record(FlightKind::PackWait, t, t, i);
+        };
         disable();
         clear();
-        instant(FlightKind::Steal, 1);
+        instant(1);
         assert!(collect().is_empty());
 
         // Enabled recorder captures spans from multiple threads.
         enable();
         let t0 = now_ns();
-        instant(FlightKind::Steal, 7);
+        instant(7);
         record(FlightKind::Task, t0, now_ns(), 3);
         std::thread::spawn(|| {
             let s = now_ns();
-            record(FlightKind::PackWait, s, now_ns(), 9);
+            record(FlightKind::PackPublish, s, now_ns(), 9);
         })
         .join()
         .unwrap();
         let rec = collect();
-        assert_eq!(rec.count(FlightKind::Steal), 1);
-        assert_eq!(rec.count(FlightKind::Task), 1);
         assert_eq!(rec.count(FlightKind::PackWait), 1);
+        assert_eq!(rec.count(FlightKind::Task), 1);
+        assert_eq!(rec.count(FlightKind::PackPublish), 1);
         assert_eq!(rec.dropped, 0);
         // Events from the dead thread survive; tids differ.
-        let wait = rec
+        let publish = rec
             .events
             .iter()
-            .find(|e| e.kind == FlightKind::PackWait)
+            .find(|e| e.kind == FlightKind::PackPublish)
             .unwrap();
         let task = rec
             .events
             .iter()
             .find(|e| e.kind == FlightKind::Task)
             .unwrap();
-        assert_ne!(wait.tid, task.tid);
+        assert_ne!(publish.tid, task.tid);
         assert_eq!(task.arg, 3);
         assert!(task.end_ns >= task.start_ns);
         // Sorted by start time.
@@ -262,7 +254,7 @@ mod tests {
         // Ring is bounded: overflow evicts oldest and counts drops.
         clear();
         for i in 0..(RING_CAPACITY as u64 + 10) {
-            instant(FlightKind::Steal, i);
+            instant(i);
         }
         let rec = collect();
         assert_eq!(rec.events.len(), RING_CAPACITY);

@@ -13,7 +13,7 @@
 //!   time, with Prometheus text exposition and JSON exporters
 //!   ([`export`]);
 //! * a [`flight`] recorder: bounded per-thread ring buffers of
-//!   wall-clock-timestamped spans (task execution, steals, pack
+//!   wall-clock-timestamped spans (task execution, pack
 //!   publication, blocked receives), cheap enough to leave compiled in
 //!   and toggle at runtime; and
 //! * a writer that appends a flight recording to a Chrome trace-event

@@ -282,7 +282,7 @@ fn replanning_across_the_shrink_crosses_plan_families() {
 }
 
 /// Recovery from a 3D start: a crash on a `ThreeD` grid, whose slices run
-/// the in-machine ABFT of `policy.verify`, shrinks the budget to 11 ranks
+/// the in-machine ABFT every recovered run carries, shrinks the budget to 11 ranks
 /// and replans like any other, to the exact `C`.
 #[test]
 fn threed_crash_recovery_is_correct() {

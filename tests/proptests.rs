@@ -9,7 +9,7 @@
 //! inputs, which is all shrinking bought us for these small domains.
 
 use syrk_repro::core::{syrk_lower_bound, TriangleBlockDist};
-use syrk_repro::dense::{DetRng, Diag, PackedLower, Partition1D};
+use syrk_repro::dense::{DetRng, PackedLower, Partition1D};
 use syrk_repro::geometry::{
     check_lemma3_proof_steps, check_loomis_whitney, check_symmetric_lw, quasiconvex, Lemma6Problem,
     PointSet,
@@ -152,7 +152,7 @@ fn packed_roundtrip() {
         let n = rng.gen_range(1, 20);
         let seed = rng.next_u64();
         let m = syrk_repro::dense::seeded_matrix::<f64>(n, n, seed);
-        let p = PackedLower::from_matrix(&m, Diag::Inclusive);
+        let p = PackedLower::from_matrix(&m);
         let full = p.to_full_symmetric();
         for i in 0..n {
             for j in 0..=i {
@@ -160,7 +160,7 @@ fn packed_roundtrip() {
                 assert_eq!(full[(j, i)], m[(i, j)], "case {case} n={n}");
             }
         }
-        let p2 = PackedLower::from_matrix(&full, Diag::Inclusive);
+        let p2 = PackedLower::from_matrix(&full);
         assert_eq!(p.as_slice(), p2.as_slice(), "case {case} n={n}");
     }
 }

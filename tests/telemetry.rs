@@ -39,7 +39,7 @@ fn kernel_runtime_counters_stay_consistent_across_a_run() {
     assert!(out.result.cost.elapsed() > 0.0);
     let after = registry::snapshot();
 
-    // Every task the work-stealing runtime scheduled was run, and the
+    // Every task the kernel runtime scheduled was run, and the
     // queue-depth gauge drained back to zero.
     let scheduled = after.counter("syrk_tasks_scheduled").unwrap();
     let run_count = after.counter("syrk_tasks_run").unwrap();
