@@ -2,10 +2,9 @@
 //! experiments.
 
 use crate::table::{fnum, Table};
-use syrk_core::SyrkError;
-use syrk_geometry::{
+use syrk_core::{
     check_lemma3_proof_steps, loomis_whitney_sides, symmetric_lw_sides, Lemma6Problem, PointSet,
-    SyrkIterationSpace,
+    SyrkError, SyrkIterationSpace,
 };
 
 /// E1 — Figure 1: the SYRK iteration space (triangular prism), its exact

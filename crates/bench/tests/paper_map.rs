@@ -14,10 +14,9 @@ use syrk_bench::experiments;
 const MAP: &str = include_str!("../../../docs/PAPER_MAP.md");
 
 /// Crate names a path may start with; they are not items themselves.
-const CRATES: [&str; 7] = [
+const CRATES: [&str; 6] = [
     "syrk_core",
     "syrk_dense",
-    "syrk_geometry",
     "syrk_machine",
     "syrk_repro",
     "syrk_server",

@@ -2,8 +2,32 @@
 //! bounds of Al Daas et al. (SPAA '22) for comparison, and the predicted
 //! costs of Algorithms 1–3 (eqs. (3), (10)–(12)).
 
-pub use syrk_geometry::BoundCase;
-use syrk_geometry::Lemma6Problem;
+/// Which of Theorem 1's (and Lemma 6's) three cases an instance falls in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BoundCase {
+    /// `n1 ≤ n2` and `P ≤ n2/√(n1(n1−1))`: short-wide `A`, few processors.
+    Case1,
+    /// `n1 > n2` and `P ≤ n1(n1−1)/n2²`: tall-skinny `A`, few processors.
+    Case2,
+    /// Everything else: enough processors that all three dimensions of the
+    /// iteration space must be partitioned.
+    Case3,
+}
+
+/// The trichotomy of Lemma 6 and Theorem 1 for `(n1, n2, P)`. With
+/// `n1 < 2` the strict lower triangle is empty and Case 1's threshold
+/// `n2/√(n1(n1−1))` is infinite: Case 1.
+pub(crate) fn bound_case(n1: usize, n2: usize, p: usize) -> BoundCase {
+    let t = (n1 * n1.saturating_sub(1)) as f64;
+    let (n1, n2, p) = (n1 as f64, n2 as f64, p as f64);
+    if n1 < 2.0 || (n1 <= n2 && p <= n2 / t.sqrt()) {
+        BoundCase::Case1
+    } else if n1 > n2 && p <= t / (n2 * n2) {
+        BoundCase::Case2
+    } else {
+        BoundCase::Case3
+    }
+}
 
 /// The Theorem 1 lower bound for an `(n1, n2, P)` SYRK instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,6 +56,9 @@ impl SyrkBound {
 /// * Case 2: `W = n1n2/√P + n1(n1−1)/2P`
 /// * Case 3: `W = (3/2)·(n1(n1−1)n2/P)^(2/3)`
 ///
+/// With `n1 < 2` there is no strict lower triangle: Case 1, and nothing
+/// to communicate.
+///
 /// ```
 /// use syrk_core::{syrk_lower_bound, BoundCase};
 /// let b = syrk_lower_bound(10_000, 50, 400); // tall-skinny, P = 400
@@ -39,21 +66,17 @@ impl SyrkBound {
 /// assert!(b.communicated() > 0.0);
 /// ```
 pub fn syrk_lower_bound(n1: usize, n2: usize, p: usize) -> SyrkBound {
-    assert!(n1 >= 2 && n2 >= 1 && p >= 1, "need n1 ≥ 2, n2 ≥ 1, P ≥ 1");
-    let problem = Lemma6Problem::new(n1 as u64, n2 as u64, p as u64);
+    assert!(n2 >= 1 && p >= 1, "need n2 ≥ 1, P ≥ 1");
+    let case = bound_case(n1, n2, p);
     let (n1f, n2f, pf) = (n1 as f64, n2 as f64, p as f64);
     let t = n1f * (n1f - 1.0);
-    let w = match problem.case() {
+    let w = match case {
         BoundCase::Case1 => n1f * n2f / pf + t / 2.0,
         BoundCase::Case2 => n1f * n2f / pf.sqrt() + t / (2.0 * pf),
         BoundCase::Case3 => 1.5 * (t * n2f / pf).powf(2.0 / 3.0),
     };
     let resident = (t / 2.0 + n1f * n2f) / pf;
-    SyrkBound {
-        w,
-        resident,
-        case: problem.case(),
-    }
+    SyrkBound { w, resident, case }
 }
 
 /// The matching memory-independent GEMM lower bound (Al Daas et al.,

@@ -9,12 +9,12 @@
 //! `φ_i(F) ∪ φ_j(F)` (elements of `A` accessed) and `φ_k(F)` (entries of
 //! `C` contributed to) are measured directly.
 
-use std::collections::HashSet;
-
 use crate::algorithms::grid;
 use crate::dist::TriangleBlockDist;
 use crate::error::SyrkError;
 use crate::planner::Plan;
+use crate::points::PointSet;
+use crate::prism::SyrkIterationSpace;
 use syrk_dense::Partition1D;
 
 /// The owner of each strict-lower iteration point under an algorithm's
@@ -82,29 +82,21 @@ pub struct Footprint {
     pub c_entries: Vec<usize>,
 }
 
-/// Enumerate the strict prism and attribute every point to its owner.
-/// Panics if an owner is out of range. Exhaustive — use small sizes.
+/// Attribute every point of the strict prism to its owner, and measure
+/// each rank's set `F` through the projections that Lemma 3's checks
+/// read. Panics if an owner is out of range. Exhaustive — use small
+/// sizes.
 pub fn footprint(n1: usize, n2: usize, owner: &impl IterationOwner) -> Footprint {
-    let p = owner.ranks();
-    let mut mults = vec![0u64; p];
-    let mut a_sets: Vec<HashSet<(usize, usize)>> = vec![HashSet::new(); p];
-    let mut c_sets: Vec<HashSet<(usize, usize)>> = vec![HashSet::new(); p];
-    for i in 0..n1 {
-        for j in 0..i {
-            for t in 0..n2 {
-                let k = owner.owner(i, j, t);
-                assert!(k < p, "owner {k} out of range at ({i},{j},{t})");
-                mults[k] += 1;
-                a_sets[k].insert((i, t));
-                a_sets[k].insert((j, t));
-                c_sets[k].insert((i, j));
-            }
-        }
+    let mut sets = vec![PointSet::new(); owner.ranks()];
+    for (i, j, t) in SyrkIterationSpace::new(n1, n2).points(false) {
+        let k = owner.owner(i as usize, j as usize, t as usize);
+        assert!(k < sets.len(), "owner {k} out of range at ({i},{j},{t})");
+        sets[k].insert((i, j, t));
     }
     Footprint {
-        mults,
-        a_elements: a_sets.into_iter().map(|s| s.len()).collect(),
-        c_entries: c_sets.into_iter().map(|s| s.len()).collect(),
+        mults: sets.iter().map(|f| f.len() as u64).collect(),
+        a_elements: sets.iter().map(|f| f.proj_ij().len()).collect(),
+        c_entries: sets.iter().map(|f| f.proj_k().len()).collect(),
     }
 }
 

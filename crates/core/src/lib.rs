@@ -6,6 +6,10 @@
 //! * [`syrk_lower_bound`] — Theorem 1's three-case memory-independent
 //!   bound, plus the matching GEMM bound ([`gemm_lower_bound`]) for the
 //!   headline factor-of-2 comparison;
+//! * the proof made executable: point sets and projections
+//!   ([`PointSet`], [`SyrkIterationSpace`]), Lemmas 1 and 3 as predicates,
+//!   Lemma 5 on real assignments ([`footprint`]), and Lemma 6
+//!   ([`Lemma6Problem`]) with its KKT certificate;
 //! * [`TriangleBlockDist`] — the triangle block distribution of the
 //!   symmetric output (§5.2.1, eqs. (4)–(8)), with runtime validation;
 //! * [`run`] — Algorithms 1–3 on the simulated α-β-γ machine of
@@ -40,6 +44,20 @@
 //! let measured = out.cost.max_words_sent() as f64;
 //! assert!(measured < 1.3 * bound.max(1.0) + 36.0);
 //! ```
+//!
+//! ```
+//! use syrk_core::{check_symmetric_lw, Lemma6Problem, SyrkIterationSpace};
+//!
+//! // Lemma 3 holds on the strict SYRK prism…
+//! let v = SyrkIterationSpace::new(6, 4).enumerate_strict();
+//! assert!(check_symmetric_lw(&v));
+//!
+//! // …and the analytic optimum of Lemma 6 agrees with an independent
+//! // numerical solve.
+//! let pr = Lemma6Problem::new(100, 4, 100);
+//! let (a, n) = (pr.analytic_solution(), pr.numeric_solution());
+//! assert!((a.objective() - n.objective()).abs() < 1e-6 * a.objective());
+//! ```
 
 #![warn(missing_docs)]
 
@@ -50,8 +68,12 @@ mod bounds;
 mod coverage;
 mod dist;
 mod error;
+mod loomis_whitney;
+mod optimization;
 mod planner;
+mod points;
 mod primes;
+mod prism;
 mod recovery;
 
 pub use abft::PHASE_ABFT;
@@ -72,10 +94,17 @@ pub use bounds::{
 pub use coverage::{footprint, Footprint, GridOwner, IterationOwner};
 pub use dist::{affine_plane_lines, ConformalADist, Gf, TriangleBlockDist};
 pub use error::SyrkError;
+pub use loomis_whitney::{
+    check_lemma3_proof_steps, check_loomis_whitney, check_symmetric_lw, loomis_whitney_sides,
+    symmetric_lw_sides,
+};
+pub use optimization::{quasiconvex, KktReport, Lemma6Problem, Point};
 pub use planner::{
     candidate_plans, constructible_orders, plan, predicted_cost, ranked_plans, Plan, PlanError,
     RankedPlan, PLAN_CACHE_CAP,
 };
+pub use points::PointSet;
+pub use prism::SyrkIterationSpace;
 pub use recovery::{
     run_with_recovery, AttemptOutcome, RecoveryAttempt, RecoveryPolicy, RecoveryReport,
 };

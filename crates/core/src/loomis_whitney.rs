@@ -28,8 +28,7 @@ pub fn symmetric_lw_sides(v: &PointSet) -> (f64, f64) {
         "Lemma 3 requires j < i for every point"
     );
     let lhs = 2.0 * v.len() as f64;
-    let union: std::collections::HashSet<_> = v.proj_i().union(&v.proj_j()).copied().collect();
-    let rhs = union.len() as f64 * (2.0 * v.proj_k().len() as f64).sqrt();
+    let rhs = v.proj_ij().len() as f64 * (2.0 * v.proj_k().len() as f64).sqrt();
     (lhs, rhs)
 }
 
@@ -51,7 +50,7 @@ pub fn check_lemma3_proof_steps(v: &PointSet) -> bool {
         "Lemma 3 requires j < i for every point"
     );
     let vt = v.symmetric_closure();
-    let union: std::collections::HashSet<_> = v.proj_i().union(&v.proj_j()).copied().collect();
+    let union = v.proj_ij();
     vt.len() == 2 * v.len()
         && vt.proj_i() == union
         && vt.proj_j() == union

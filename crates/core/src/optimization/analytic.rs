@@ -1,6 +1,7 @@
 //! The closed-form optimal solution of Lemma 6 (three cases).
 
-use crate::optimization::problem::{BoundCase, Lemma6Problem, Point};
+use crate::bounds::BoundCase;
+use crate::optimization::problem::{Lemma6Problem, Point};
 
 impl Lemma6Problem {
     /// The optimal solution `x*` of Lemma 6, by the paper's case analysis:
@@ -27,8 +28,9 @@ impl Lemma6Problem {
         }
     }
 
-    /// The optimal objective value `x1* + x2*` — the data-access lower
-    /// bound `W` of Theorem 1 before subtracting the resident data.
+    /// The optimal objective value `x1* + x2*`. Theorem 1's `W` equals it
+    /// in Case 3 and exceeds it by `n2·(n1 − √(n1(n1−1)))` over `P` in
+    /// Case 1 and over `√P` in Case 2.
     pub fn optimal_value(&self) -> f64 {
         self.analytic_solution().objective()
     }

@@ -7,7 +7,8 @@
 //! and verifies the four KKT conditions numerically — i.e. it machine-
 //! checks the proof of Lemma 6 for concrete instances.
 
-use crate::optimization::problem::{BoundCase, Lemma6Problem, Point};
+use crate::bounds::BoundCase;
+use crate::optimization::problem::{Lemma6Problem, Point};
 
 /// The four KKT residuals for a primal/dual pair.
 #[derive(Debug, Clone, Copy)]

@@ -1,7 +1,7 @@
 //! The constrained optimization machinery behind the lower bound (§4.3).
 //!
-//! * [`problem`] — the Lemma 6 problem statement (objective, constraints,
-//!   case trichotomy).
+//! * [`problem`] — the Lemma 6 problem statement (objective, constraints;
+//!   its case is Theorem 1's, `bounds::bound_case`).
 //! * [`analytic`] — the paper's closed-form solution.
 //! * [`numeric`] — an independent golden-section solve (cross-check, E11).
 //! * [`kkt`] — machine-checking the KKT certificate with the paper's dual
@@ -15,4 +15,4 @@ mod problem;
 pub mod quasiconvex;
 
 pub use kkt::KktReport;
-pub use problem::{BoundCase, Lemma6Problem, Point};
+pub use problem::{Lemma6Problem, Point};

@@ -47,11 +47,8 @@ impl Lemma6Problem {
         let k = self.k();
         let (lo, hi) = (self.x2_lo(), self.x2_hi());
         let g = |x2: f64| (k / x2).sqrt() + x2;
-        let x2 = if hi <= lo {
-            lo
-        } else {
-            golden_section(lo, hi, g, 200)
-        };
+        // With P = 1 the interval is one point, and the search returns it.
+        let x2 = golden_section(lo, hi, g, 200);
         Point {
             x1: (k / x2).sqrt(),
             x2,

@@ -1,5 +1,7 @@
 //! The constrained optimization problem of Lemma 6.
 
+use crate::bounds::{bound_case, BoundCase};
+
 /// An instance of the Lemma 6 problem:
 ///
 /// ```text
@@ -20,18 +22,6 @@ pub struct Lemma6Problem {
     pub n2: u64,
     /// Number of processors.
     pub p: u64,
-}
-
-/// Which of the three analytic cases an instance falls in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BoundCase {
-    /// `n1 ≤ n2` and `P ≤ n2/√(n1(n1−1))`: short-wide `A`, few processors.
-    Case1,
-    /// `n1 > n2` and `P ≤ n1(n1−1)/n2²`: tall-skinny `A`, few processors.
-    Case2,
-    /// Everything else: enough processors that all three dimensions of the
-    /// iteration space must be partitioned.
-    Case3,
 }
 
 /// A candidate point for the problem.
@@ -96,20 +86,10 @@ impl Lemma6Problem {
         self.constraints(pt).iter().all(|&g| g <= tol * scale)
     }
 
-    /// Which analytic case this instance falls in (Lemma 6's trichotomy).
+    /// Which analytic case this instance falls in: Theorem 1's case rule,
+    /// `bound_case`.
     pub fn case(&self) -> BoundCase {
-        let (n1, n2, p) = (self.n1 as f64, self.n2 as f64, self.p as f64);
-        if n1 <= n2 {
-            if p <= n2 / self.t().sqrt() {
-                BoundCase::Case1
-            } else {
-                BoundCase::Case3
-            }
-        } else if p <= self.t() / (n2 * n2) {
-            BoundCase::Case2
-        } else {
-            BoundCase::Case3
-        }
+        bound_case(self.n1 as usize, self.n2 as usize, self.p as usize)
     }
 }
 

@@ -182,14 +182,9 @@ pub fn candidate_plans(p: usize) -> Vec<Plan> {
 #[doc(hidden)]
 pub const PLAN_CACHE_CAP: usize = 4096;
 
-/// Theorem 1's communicated bound at `plan`'s rank count; 0 when fewer
-/// than two rows leave the strict lower triangle empty.
+/// Theorem 1's communicated bound at `plan`'s rank count.
 fn bound_at(n1: usize, n2: usize, plan: Plan) -> f64 {
-    if n1 < 2 {
-        0.0
-    } else {
-        syrk_lower_bound(n1, n2, plan.ranks()).communicated()
-    }
+    syrk_lower_bound(n1, n2, plan.ranks()).communicated()
 }
 
 /// Pick the feasible plan with the lowest predicted cost for

@@ -66,6 +66,12 @@ impl PointSet {
         self.points.iter().map(|&(i, j, _)| (i, j)).collect()
     }
 
+    /// `φ_i(V) ∪ φ_j(V)`: for SYRK, the elements `(row, k)` of `A` that
+    /// the multiplications of `V` read.
+    pub(crate) fn proj_ij(&self) -> HashSet<(i64, i64)> {
+        self.proj_i().union(&self.proj_j()).copied().collect()
+    }
+
     /// Whether every point satisfies `j < i` (the strict-lower-triangle
     /// premise of Lemma 3).
     pub(crate) fn is_strictly_lower(&self) -> bool {

@@ -1,6 +1,6 @@
 //! The SYRK iteration space: a triangular prism (Fig. 1 of the paper).
 
-use crate::points::PointSet;
+use crate::points::{Point3, PointSet};
 
 /// The iteration space of `C = A·Aᵀ` with `A: n1 × n2`.
 ///
@@ -37,31 +37,24 @@ impl SyrkIterationSpace {
         n1 * n1.saturating_sub(1) * n2 / 2
     }
 
+    /// The prism's points in `(i, j, k)` order: `j < i`, and `j = i` too
+    /// when `diagonal`.
+    pub(crate) fn points(&self, diagonal: bool) -> impl Iterator<Item = Point3> {
+        let (n1, n2) = (self.n1 as i64, self.n2 as i64);
+        (0..n1).flat_map(move |i| {
+            (0..i + diagonal as i64).flat_map(move |j| (0..n2).map(move |k| (i, j, k)))
+        })
+    }
+
     /// Enumerate the strict prism `{(i,j,k) : 0 ≤ j < i < n1, 0 ≤ k < n2}`.
     /// Only sensible for small sizes (used in tests and E1).
     pub fn enumerate_strict(&self) -> PointSet {
-        let mut v = PointSet::new();
-        for i in 0..self.n1 as i64 {
-            for j in 0..i {
-                for k in 0..self.n2 as i64 {
-                    v.insert((i, j, k));
-                }
-            }
-        }
-        v
+        PointSet::from_iter(self.points(false))
     }
 
     /// Enumerate the inclusive prism (`j ≤ i`).
     pub fn enumerate_inclusive(&self) -> PointSet {
-        let mut v = PointSet::new();
-        for i in 0..self.n1 as i64 {
-            for j in 0..=i {
-                for k in 0..self.n2 as i64 {
-                    v.insert((i, j, k));
-                }
-            }
-        }
-        v
+        PointSet::from_iter(self.points(true))
     }
 }
 

@@ -12,8 +12,8 @@
 //!    `recover:detect` and the suspect exchange under `recover:agree`;
 //! 2. **shrink and replan** — the rank budget drops by one per crash and
 //!    the §5.4 planner picks the best grid for `P′ = P − f`, which may
-//!    cross a Theorem 1 bound case (each attempt records the case via
-//!    [`syrk_lower_bound`]);
+//!    cross a Theorem 1 bound case (each attempt records its
+//!    [`BoundCase`]);
 //! 3. **redistribution** — survivors ring-shift their `Partition1D`
 //!    share of the flattened `A` (`≈ n1·n2/P′` words each) under
 //!    `recover:redistribute`, modeling the re-layout of the crashed
@@ -42,7 +42,7 @@ use syrk_telemetry::LazyCounter;
 
 use crate::abft::AbftChecksums;
 use crate::algorithms::{machine_for, run, RunSpec, SyrkRun, SyrkRunResult};
-use crate::bounds::{syrk_lower_bound, BoundCase};
+use crate::bounds::{bound_case, BoundCase};
 use crate::error::SyrkError;
 use crate::planner::{plan, Plan, PlanError};
 
@@ -187,27 +187,17 @@ pub(crate) fn recover(
             prologue = Some(pro);
         }
         let cur_plan = attempt_spec.plan;
-        // Asked only of a plan `run` accepted (a rejected one, e.g. zero
-        // ranks, returns below unrecorded). One row leaves the strict
-        // triangle empty: Lemma 6's Case 1 threshold `P ≤ n2/√(n1(n1−1))`
-        // is then infinite.
-        let bound_case = || {
-            if n1 < 2 {
-                BoundCase::Case1
-            } else {
-                syrk_lower_bound(n1, n2, cur_plan.ranks()).case
-            }
+        let attempt = |outcome| RecoveryAttempt {
+            plan: cur_plan,
+            bound_case: bound_case(n1, n2, cur_plan.ranks()),
+            outcome,
         };
         match run(a, &attempt_spec) {
             Ok(mut out) => {
                 if let Err(v) = checks.verify(&out.result.c) {
-                    attempts.push(RecoveryAttempt {
-                        plan: cur_plan,
-                        bound_case: bound_case(),
-                        outcome: AttemptOutcome::Corrupted {
-                            detail: v.to_string(),
-                        },
-                    });
+                    attempts.push(attempt(AttemptOutcome::Corrupted {
+                        detail: v.to_string(),
+                    }));
                     last_err = SyrkError::Machine(MachineError::DataCorruption {
                         rank: 0,
                         detail: v.to_string(),
@@ -218,11 +208,7 @@ pub(crate) fn recover(
                     pro.absorb(&out.result.cost);
                     out.result.cost = pro;
                 }
-                attempts.push(RecoveryAttempt {
-                    plan: cur_plan,
-                    bound_case: bound_case(),
-                    outcome: AttemptOutcome::Completed,
-                });
+                attempts.push(attempt(AttemptOutcome::Completed));
                 out.recovery = Some(RecoveryReport {
                     recovered: attempts.len() > 1,
                     attempts,
@@ -234,11 +220,7 @@ pub(crate) fn recover(
                 return Ok(out);
             }
             Err(SyrkError::Machine(MachineError::RankCrashed { rank, after_ops })) => {
-                attempts.push(RecoveryAttempt {
-                    plan: cur_plan,
-                    bound_case: bound_case(),
-                    outcome: AttemptOutcome::Crashed { rank },
-                });
+                attempts.push(attempt(AttemptOutcome::Crashed { rank }));
                 ranks_lost.push(rank);
                 RECOVERY_RANKS_LOST.inc();
                 last_err = SyrkError::Machine(MachineError::RankCrashed { rank, after_ops });
@@ -253,13 +235,9 @@ pub(crate) fn recover(
                 attempt_spec.plan = plan(n1, n2, p_budget).plan;
             }
             Err(SyrkError::Machine(MachineError::DataCorruption { rank, detail })) => {
-                attempts.push(RecoveryAttempt {
-                    plan: cur_plan,
-                    bound_case: bound_case(),
-                    outcome: AttemptOutcome::Corrupted {
-                        detail: detail.clone(),
-                    },
-                });
+                attempts.push(attempt(AttemptOutcome::Corrupted {
+                    detail: detail.clone(),
+                }));
                 // Corruption does not shrink the world: same grid retries.
                 last_err = SyrkError::Machine(MachineError::DataCorruption { rank, detail });
             }

@@ -2,13 +2,13 @@
 //! sets (the shapes the algorithms actually generate) for Lemma 3, and a
 //! dense instance grid for Lemma 6 / KKT.
 
-use syrk_geometry::{
+use syrk_core::{
     check_lemma3_proof_steps, check_symmetric_lw, symmetric_lw_sides, Lemma6Problem, PointSet,
     SyrkIterationSpace,
 };
 
-/// Minimal deterministic RNG (splitmix64) — this crate builds with no
-/// dependencies, so the battery carries its own generator.
+/// Minimal deterministic RNG (splitmix64): the battery's own stream, so
+/// its point sets do not move with another generator.
 struct TestRng(u64);
 
 impl TestRng {

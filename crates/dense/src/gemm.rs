@@ -12,8 +12,8 @@
 //! builds on [`crate::microkernel`]: the operands are packed into k-major
 //! micro-panels per `KC`-wide panel of the inner dimension, and an
 //! `MR × NR` register tile is accumulated per inner call. Parallelism is
-//! over disjoint row chunks of `C`, work-stolen from per-worker deques
-//! (see [`crate::parallel`]); the B-side pack of each inner panel is a
+//! over disjoint row chunks of `C`, handed out from one shared task
+//! cursor (see [`crate::parallel`]); the B-side pack of each inner panel is a
 //! [`SharedPack`] published `NC`-column block by block, each packed
 //! exactly once by whichever worker first sweeps it, while A row blocks
 //! are packed per task into [`crate::arena`] buffers. Every `C` element

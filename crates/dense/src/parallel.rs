@@ -332,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn par_for_each_runs_every_task_once_under_stealing() {
+    fn par_for_each_runs_every_task_once_under_skewed_work() {
         // Uneven task durations on four workers; every index must still
         // be executed exactly once.
         let _g = limit_threads(4);

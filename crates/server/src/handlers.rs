@@ -44,11 +44,11 @@ fn route(state: &Arc<SharedState>, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/plan") => {
             state::PLAN_REQUESTS.inc();
-            handle_plan(state, req).unwrap_or_else(|err| err)
+            handle_plan(req).unwrap_or_else(|err| err)
         }
         ("GET", "/bounds") => {
             state::BOUNDS_REQUESTS.inc();
-            handle_bounds(state, req).unwrap_or_else(|err| err)
+            handle_bounds(req).unwrap_or_else(|err| err)
         }
         ("POST", "/run") => {
             state::RUN_REQUESTS.inc();
@@ -152,7 +152,7 @@ fn body_or_query_u64(
 
 /// Parse the common `(n1, n2, p)` triple and enforce the planner's
 /// domain (`n1 ≥ 2` for Theorem 1) and the CPU cap on `p`.
-fn problem_params(state: &SharedState, req: &Request) -> Result<(usize, usize, usize), Response> {
+fn problem_params(req: &Request) -> Result<(usize, usize, usize), Response> {
     let n1 = required_usize(req, "n1")?;
     let n2 = required_usize(req, "n2")?;
     let p = required_usize(req, "p")?;
@@ -162,12 +162,12 @@ fn problem_params(state: &SharedState, req: &Request) -> Result<(usize, usize, u
             "n1 must be at least 2 (Theorem 1 needs a nontrivial symmetric output)",
         ));
     }
-    if p > state.config.max_plan_ranks {
+    if p > state::MAX_PLAN_RANKS {
         return Err(Response::json_error(
             413,
             &format!(
                 "p = {p} exceeds this server's planning cap of {}",
-                state.config.max_plan_ranks
+                state::MAX_PLAN_RANKS
             ),
         ));
     }
@@ -259,8 +259,8 @@ fn write_terms(out: &mut String, n1: usize, n2: usize, plan: Plan) {
 // ---------------------------------------------------------------------------
 // GET /plan
 
-fn handle_plan(state: &Arc<SharedState>, req: &Request) -> Result<Response, Response> {
-    let (n1, n2, p) = problem_params(state, req)?;
+fn handle_plan(req: &Request) -> Result<Response, Response> {
+    let (n1, n2, p) = problem_params(req)?;
     let ranked = ranked_plans(n1, n2, p);
     let best = &ranked[0];
     // A candidate renders to ~130 bytes.
@@ -280,8 +280,8 @@ fn handle_plan(state: &Arc<SharedState>, req: &Request) -> Result<Response, Resp
 // ---------------------------------------------------------------------------
 // GET /bounds
 
-fn handle_bounds(state: &Arc<SharedState>, req: &Request) -> Result<Response, Response> {
-    let (n1, n2, p) = problem_params(state, req)?;
+fn handle_bounds(req: &Request) -> Result<Response, Response> {
+    let (n1, n2, p) = problem_params(req)?;
     let syrk = syrk_lower_bound(n1, n2, p);
     let gemm = gemm_lower_bound(n1, n2, p);
     let ratio = if syrk.communicated() > 0.0 {
@@ -391,8 +391,8 @@ fn handle_run(state: &Arc<SharedState>, req: &Request) -> Result<Response, Respo
             p2: required_usize(req, "p2")?,
         },
         "auto" => {
-            let p = problem_params(state, req)?.2;
-            check_run_cells(state, n1, n2)?;
+            let p = problem_params(req)?.2;
+            check_run_cells(n1, n2)?;
             plan(n1, n2, p).plan
         }
         other => {
@@ -402,14 +402,14 @@ fn handle_run(state: &Arc<SharedState>, req: &Request) -> Result<Response, Respo
             ))
         }
     };
-    check_run_cells(state, n1, n2)?;
-    if chosen.ranks() > state.config.max_run_ranks {
+    check_run_cells(n1, n2)?;
+    if chosen.ranks() > state::MAX_RUN_RANKS {
         return Err(Response::json_error(
             413,
             &format!(
                 "plan needs {} ranks, over this server's run cap of {}",
                 chosen.ranks(),
-                state.config.max_run_ranks
+                state::MAX_RUN_RANKS
             ),
         ));
     }
@@ -554,14 +554,14 @@ fn write_run(
 }
 
 /// The 413 owed to a `/run` whose `n1·n2` input is over the cell cap.
-fn check_run_cells(state: &SharedState, n1: usize, n2: usize) -> Result<(), Response> {
+fn check_run_cells(n1: usize, n2: usize) -> Result<(), Response> {
     let cells = n1.saturating_mul(n2);
-    if cells > state.config.max_run_cells {
+    if cells > state::MAX_RUN_CELLS {
         return Err(Response::json_error(
             413,
             &format!(
                 "n1*n2 = {cells} exceeds this server's run cap of {} cells",
-                state.config.max_run_cells
+                state::MAX_RUN_CELLS
             ),
         ));
     }

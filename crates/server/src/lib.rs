@@ -148,7 +148,7 @@ impl Server {
     /// the running flag clears. In-flight and already-queued requests
     /// complete before this returns.
     pub fn run(self) -> io::Result<()> {
-        let queue = Arc::new(ConnQueue::new(self.state.config.max_pending_connections));
+        let queue = Arc::new(ConnQueue::new(state::MAX_PENDING_CONNECTIONS));
         let workers: Vec<_> = (0..self.state.config.workers.max(1))
             .map(|i| {
                 let queue = Arc::clone(&queue);

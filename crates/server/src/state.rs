@@ -47,6 +47,17 @@ pub(crate) static RUN_QUEUE_DEPTH: LazyGauge = LazyGauge::new("syrk_server_run_q
 pub(crate) static RUN_QUEUE_TIMEOUTS: LazyCounter =
     LazyCounter::new("syrk_server_run_queue_timeouts");
 
+/// Accepted connections allowed to queue for a worker before the accept
+/// loop sheds load with an immediate 503.
+pub(crate) const MAX_PENDING_CONNECTIONS: usize = 1024;
+/// Cap on `n1 * n2` for a `/run` request (413 above).
+pub(crate) const MAX_RUN_CELLS: usize = 1 << 20;
+/// Cap on simulated ranks for a `/run` request (413 above).
+pub(crate) const MAX_RUN_RANKS: usize = 4096;
+/// Cap on the rank budget `p` for `/plan` and `/bounds` queries —
+/// candidate enumeration is O(p), so unbounded p is a CPU DoS.
+pub(crate) const MAX_PLAN_RANKS: usize = 1_000_000;
+
 /// Tunables for one server instance. `Default` is sized so that plan
 /// queries can never be starved: `workers` strictly exceeds
 /// `max_concurrent_runs + max_queued_runs`, so even with every run slot
@@ -62,16 +73,6 @@ pub struct ServerConfig {
     /// How long a queued run may wait for a slot before it is bounced
     /// with a 503 + `Retry-After` instead of pinning its HTTP worker.
     pub queue_wait: Duration,
-    /// Accepted connections allowed to queue for a worker before the
-    /// accept loop sheds load with an immediate 503.
-    pub max_pending_connections: usize,
-    /// Cap on `n1 * n2` for a `/run` request (413 above).
-    pub max_run_cells: usize,
-    /// Cap on simulated ranks for a `/run` request (413 above).
-    pub max_run_ranks: usize,
-    /// Cap on the rank budget `p` for `/plan` and `/bounds` queries —
-    /// candidate enumeration is O(p), so unbounded p is a CPU DoS.
-    pub max_plan_ranks: usize,
     /// When set, each `/run` carries a per-run failure-dump path
     /// `run_<seq>.json` under this directory in its `RunSpec::dump`; the
     /// sequence counts every admitted run, and only a failing machine
@@ -86,10 +87,6 @@ impl Default for ServerConfig {
             max_concurrent_runs: 2,
             max_queued_runs: 4,
             queue_wait: Duration::from_secs(3),
-            max_pending_connections: 1024,
-            max_run_cells: 1 << 20,
-            max_run_ranks: 4096,
-            max_plan_ranks: 1_000_000,
             dump_dir: None,
         }
     }

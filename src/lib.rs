@@ -20,7 +20,6 @@
 
 pub use syrk_core as core;
 pub use syrk_dense as dense;
-pub use syrk_geometry as geometry;
 pub use syrk_machine as machine;
 
 pub use syrk_core::{plan, run, syrk_lower_bound, Plan, RunSpec, SyrkRunResult};

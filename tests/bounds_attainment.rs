@@ -4,7 +4,7 @@
 
 use syrk_repro::core::{
     alg1d_predicted_cost, alg2d_tight_cost, gemm_2d, syrk_lower_bound, try_syrk_1d, try_syrk_2d,
-    try_syrk_3d, BoundCase,
+    try_syrk_3d, BoundCase, Lemma6Problem,
 };
 use syrk_repro::dense::seeded_matrix;
 use syrk_repro::machine::CostModel;
@@ -86,19 +86,43 @@ fn syrk_beats_gemm_by_factor_two_in_case2() {
 }
 
 #[test]
-fn bound_case_boundaries_match_lemma6_cases() {
-    // The Theorem 1 case classifier is exactly Lemma 6's trichotomy.
-    use syrk_repro::geometry::Lemma6Problem;
-    for (n1, n2, p) in [
-        (16usize, 4096usize, 8usize),
-        (16, 4096, 2048),
-        (4096, 16, 64),
-        (4096, 16, 100_000),
-        (512, 512, 12),
+fn theorem1_w_is_lemma6_optimum_plus_the_case_gap() {
+    // Both sides read one case rule; what separates them is Theorem 1's
+    // A-side term n1·n2, where Lemma 6's optimum has n2·√(n1(n1−1)):
+    // W − (x1* + x2*) = n2·(n1 − √(n1(n1−1))) over P in Case 1, over √P
+    // in Case 2, and 0 in Case 3.
+    use BoundCase::{Case1, Case2, Case3};
+    for (n1, n2, p, case) in [
+        (16usize, 4096usize, 8usize, Case1),
+        (16, 4096, 2048, Case3),
+        (4096, 16, 64, Case2),
+        (4096, 16, 100_000, Case3),
+        (512, 512, 12, Case3),
+        // Case 1 | 3 at P = n2/√(n1(n1−1)) ≈ 264.4.
+        (16, 4096, 264, Case1),
+        (16, 4096, 265, Case3),
+        // Case 2 | 3 at P = n1(n1−1)/n2² = 65520, which Case 2 includes.
+        (4096, 16, 65_520, Case2),
+        (4096, 16, 65_521, Case3),
+        // Case 1 | 2 where n1 passes n2.
+        (512, 512, 1, Case1),
+        (513, 512, 1, Case2),
     ] {
         let b = syrk_lower_bound(n1, n2, p);
         let pr = Lemma6Problem::new(n1 as u64, n2 as u64, p as u64);
-        assert_eq!(b.case, pr.case(), "({n1},{n2},{p})");
+        assert_eq!((b.case, pr.case()), (case, case), "({n1},{n2},{p})");
+        let (n1f, n2f, pf) = (n1 as f64, n2 as f64, p as f64);
+        let a_gap = n2f * (n1f - (n1f * (n1f - 1.0)).sqrt());
+        let gap = match case {
+            Case1 => a_gap / pf,
+            Case2 => a_gap / pf.sqrt(),
+            Case3 => 0.0,
+        };
+        let got = b.w - pr.optimal_value();
+        assert!(
+            (got - gap).abs() <= 1e-9 * b.w,
+            "({n1},{n2},{p}) {case:?}: W − (x1* + x2*) = {got}, expected {gap}"
+        );
     }
 }
 

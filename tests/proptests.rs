@@ -8,12 +8,11 @@
 //! exercises the same case set, and a failure message pins the exact
 //! inputs, which is all shrinking bought us for these small domains.
 
-use syrk_repro::core::{syrk_lower_bound, TriangleBlockDist};
-use syrk_repro::dense::{DetRng, PackedLower, Partition1D};
-use syrk_repro::geometry::{
-    check_lemma3_proof_steps, check_loomis_whitney, check_symmetric_lw, quasiconvex, Lemma6Problem,
-    PointSet,
+use syrk_repro::core::{
+    check_lemma3_proof_steps, check_loomis_whitney, check_symmetric_lw, quasiconvex,
+    syrk_lower_bound, Lemma6Problem, PointSet, TriangleBlockDist,
 };
+use syrk_repro::dense::{DetRng, PackedLower, Partition1D};
 use syrk_repro::machine::Machine;
 
 /// A random set of strictly-lower points (j < i) in a small box.
