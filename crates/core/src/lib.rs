@@ -44,20 +44,6 @@
 //! let measured = out.cost.max_words_sent() as f64;
 //! assert!(measured < 1.3 * bound.max(1.0) + 36.0);
 //! ```
-//!
-//! ```
-//! use syrk_core::{check_symmetric_lw, Lemma6Problem, SyrkIterationSpace};
-//!
-//! // Lemma 3 holds on the strict SYRK prism…
-//! let v = SyrkIterationSpace::new(6, 4).enumerate_strict();
-//! assert!(check_symmetric_lw(&v));
-//!
-//! // …and the analytic optimum of Lemma 6 agrees with an independent
-//! // numerical solve.
-//! let pr = Lemma6Problem::new(100, 4, 100);
-//! let (a, n) = (pr.analytic_solution(), pr.numeric_solution());
-//! assert!((a.objective() - n.objective()).abs() < 1e-6 * a.objective());
-//! ```
 
 #![warn(missing_docs)]
 

@@ -7,6 +7,20 @@
 //! * [`kkt`] — machine-checking the KKT certificate with the paper's dual
 //!   variables.
 //! * [`quasiconvex`] — Lemma 4's quasiconvexity predicate.
+//!
+//! ```
+//! use syrk_core::{check_symmetric_lw, Lemma6Problem, SyrkIterationSpace};
+//!
+//! // Lemma 3 holds on the strict SYRK prism…
+//! let v = SyrkIterationSpace::new(6, 4).enumerate_strict();
+//! assert!(check_symmetric_lw(&v));
+//!
+//! // …and the analytic optimum of Lemma 6 agrees with an independent
+//! // numerical solve.
+//! let pr = Lemma6Problem::new(100, 4, 100);
+//! let (a, n) = (pr.analytic_solution(), pr.numeric_solution());
+//! assert!((a.objective() - n.objective()).abs() < 1e-6 * a.objective());
+//! ```
 
 mod analytic;
 mod kkt;
