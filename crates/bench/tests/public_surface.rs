@@ -5,15 +5,18 @@
 //! `pub(crate)`, where the compiler sees whether anything uses it at all.
 //!
 //! Items are the `pub fn`, `struct`, `enum`, `trait`, `const`, `type`
-//! and `static` declarations; fields and variants are out of scope. A
-//! name counts as used when it is an identifier, outside `//` comments,
-//! of some other `.rs` file, is named in `docs/PAPER_MAP.md` (whose
-//! *Code* paths must be `pub`), or is a type that a used item's
-//! signature exposes.
+//! and `static` declarations; fields and variants are out of scope. An
+//! item counts as used when some other `.rs` file names it outside `//`
+//! comments — a `fn` only in call or path position: a free `fn` as
+//! `f(` or `::f`, a method (an indented `fn`) as `.f(` or `::f`, so a
+//! field read `.f` is no use; any other item as any identifier — when
+//! `docs/PAPER_MAP.md` names it
+//! (its *Code* paths must be `pub`), or when it is a type that a used
+//! item's signature exposes.
 
 mod support;
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 
 use support::{all_rust_files, pub_item, rust_files, workspace_root};
@@ -53,37 +56,98 @@ const ALLOWED: [(&str, &str, &str); 22] = [
     ("server", "RunPermit", SIGNATURE),
 ];
 
-/// Adds every identifier of `text` outside `//` comments (doc comments
-/// included: prose that names an item is no use of it) to `out`.
-fn idents(text: &str, out: &mut BTreeSet<String>) {
-    let word = |ch: char| ch.is_ascii_alphanumeric() || ch == '_';
-    for line in text.lines() {
-        let code = line.split("//").next().unwrap_or("");
-        for token in code.split(|ch: char| !word(ch)) {
-            if token.starts_with(|ch: char| ch.is_ascii_alphabetic() || ch == '_') {
-                out.insert(token.to_string());
+/// Where a declared name must appear to count as used.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Use {
+    /// A type, trait, const or static: anywhere, as an identifier.
+    Named,
+    /// A free `fn`: called as `f(` or on a path as `::f`.
+    Called,
+    /// A method: called as `.f(` or on a path as `::f`.
+    Method,
+}
+
+/// The identifiers of one text outside `//` comments (doc comments
+/// included: prose that names an item is no use of it).
+#[derive(Default)]
+struct Words {
+    /// Every identifier.
+    all: BTreeSet<String>,
+    /// Identifiers right after `::`.
+    path: BTreeSet<String>,
+    /// Identifiers right before `(` or a turbofish `::<`.
+    call: BTreeSet<String>,
+    /// Calls right after `.`.
+    method: BTreeSet<String>,
+}
+
+impl Words {
+    fn of(text: &str) -> Words {
+        let word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+        let mut out = Words::default();
+        for line in text.lines() {
+            let code = line.split("//").next().unwrap_or("");
+            let bytes = code.as_bytes();
+            let mut end = 0;
+            while end < bytes.len() {
+                let start = end;
+                while end < bytes.len() && word(bytes[end]) {
+                    end += 1;
+                }
+                if start == end {
+                    end += 1;
+                    continue;
+                }
+                let token = &code[start..end];
+                if !token.starts_with(|ch: char| ch.is_ascii_alphabetic() || ch == '_') {
+                    continue;
+                }
+                let (before, after) = (code[..start].trim_end(), code[end..].trim_start());
+                let called = after.starts_with('(') || after.starts_with("::<");
+                if before.ends_with("::") {
+                    out.path.insert(token.to_string());
+                }
+                if called {
+                    out.call.insert(token.to_string());
+                }
+                if called && before.ends_with('.') {
+                    out.method.insert(token.to_string());
+                }
+                out.all.insert(token.to_string());
             }
+        }
+        out
+    }
+
+    fn uses(&self, name: &str, how: Use) -> bool {
+        match how {
+            Use::Named => self.all.contains(name),
+            Use::Called => self.path.contains(name) || self.call.contains(name),
+            Use::Method => self.path.contains(name) || self.method.contains(name),
         }
     }
 }
 
-/// The names declared by a `pub` item under `crates/<krate>/src`.
-fn pub_items(krate: &str) -> BTreeSet<String> {
+/// The names declared by a `pub` item under `crates/<krate>/src`, each
+/// with the strictest use any of its declarations asks for.
+fn pub_items(krate: &str) -> BTreeMap<String, Use> {
     let mut files = Vec::new();
     rust_files(
         &workspace_root().join("crates").join(krate).join("src"),
         &mut files,
     );
-    let mut names = BTreeSet::new();
+    let mut names = BTreeMap::new();
     for file in files {
         let text = fs::read_to_string(&file).expect("source file");
         for line in text.lines() {
-            match pub_item(line.trim_start()) {
-                Some(("mod", _)) | None => {}
-                Some((_, name)) => {
-                    names.insert(name.to_string());
-                }
-            }
+            let how = match pub_item(line.trim_start()) {
+                Some(("mod", _)) | None => continue,
+                Some(("fn", name)) if line.starts_with(char::is_whitespace) => (name, Use::Method),
+                Some(("fn", name)) => (name, Use::Called),
+                Some((_, name)) => (name, Use::Named),
+            };
+            let strictest = names.entry(how.0.to_string()).or_insert(how.1);
+            *strictest = (*strictest).max(how.1);
         }
     }
     names
@@ -92,9 +156,9 @@ fn pub_items(krate: &str) -> BTreeSet<String> {
 #[test]
 fn every_pub_item_has_a_user_outside_its_crate() {
     let root = workspace_root();
-    // Each file's identifiers, read once, with the crate whose `src/` holds
-    // it. This file is left out: its allowlist names what it exempts.
-    let files: Vec<(Option<&str>, BTreeSet<String>)> = all_rust_files()
+    // Each file's words, read once, with the crate whose `src/` holds it.
+    // This file is left out: its allowlist names what it exempts.
+    let files: Vec<(Option<&str>, Words)> = all_rust_files()
         .into_iter()
         .filter(|path| !path.ends_with("crates/bench/tests/public_surface.rs"))
         .map(|path| {
@@ -105,39 +169,37 @@ fn every_pub_item_has_a_user_outside_its_crate() {
             let owner = CRATES
                 .into_iter()
                 .find(|krate| rel.starts_with(format!("crates/{krate}/src")));
-            let mut words = BTreeSet::new();
-            idents(&fs::read_to_string(&path).expect("source file"), &mut words);
+            let words = Words::of(&fs::read_to_string(&path).expect("source file"));
             (owner, words)
         })
         .collect();
     // The map's code spans: the odd pieces between backticks.
-    let mut mapped = BTreeSet::new();
-    for span in MAP.split('`').skip(1).step_by(2) {
-        idents(span, &mut mapped);
-    }
+    let spans: Vec<&str> = MAP.split('`').skip(1).step_by(2).collect();
+    let mapped = Words::of(&spans.join("\n")).all;
 
     let mut checked = 0;
     let mut unused = Vec::new();
     let mut stale = Vec::new();
     for krate in CRATES {
-        let outside: BTreeSet<&String> = files
-            .iter()
-            .filter(|(owner, _)| *owner != Some(krate))
-            .flat_map(|(_, words)| words)
-            .collect();
         let items = pub_items(krate);
         checked += items.len();
-        for name in &items {
-            let allowed = ALLOWED.iter().any(|&(k, n, _)| k == krate && n == name);
-            if !outside.contains(name) && !mapped.contains(name) && !allowed {
+        let unseen: BTreeSet<&str> = items
+            .iter()
+            .filter(|&(name, &how)| {
+                !mapped.contains(name)
+                    && !files
+                        .iter()
+                        .any(|(owner, words)| *owner != Some(krate) && words.uses(name, how))
+            })
+            .map(|(name, _)| name.as_str())
+            .collect();
+        for name in &unseen {
+            if !ALLOWED.iter().any(|&(k, n, _)| k == krate && n == *name) {
                 unused.push(format!("{krate}::{name}"));
             }
         }
         for &(k, name, reason) in &ALLOWED {
-            let needed = items.contains(name)
-                && !outside.contains(&name.to_string())
-                && !mapped.contains(name);
-            if k == krate && (!needed || reason != SIGNATURE) {
+            if k == krate && (!unseen.contains(name) || reason != SIGNATURE) {
                 stale.push(format!("{k}::{name} ({reason})"));
             }
         }
@@ -148,7 +210,7 @@ fn every_pub_item_has_a_user_outside_its_crate() {
     );
     assert!(
         unused.is_empty(),
-        "pub items nothing outside their crate names (make them pub(crate)): {unused:?}"
+        "pub items nothing outside their crate uses (make them pub(crate)): {unused:?}"
     );
     assert!(
         stale.is_empty(),

@@ -23,12 +23,12 @@
 //! table without polluting the Theorem 1 accounting.
 
 use syrk_dense::{Matrix, MatrixView, PackedLower};
-use syrk_telemetry::LazyCounter;
+use syrk_telemetry::Counter;
 
 /// Checksum verifications performed (block-level and full-matrix).
-pub(crate) static ABFT_CHECKS: LazyCounter = LazyCounter::new("syrk_abft_checks");
+pub(crate) static ABFT_CHECKS: Counter = Counter::new("syrk_abft_checks");
 /// Checksum verifications that detected corruption.
-pub(crate) static ABFT_DETECTS: LazyCounter = LazyCounter::new("syrk_abft_detects");
+pub(crate) static ABFT_DETECTS: Counter = Counter::new("syrk_abft_detects");
 
 /// Phase under which in-run ABFT verification flops are charged.
 pub const PHASE_ABFT: &str = "abft:verify";
@@ -77,21 +77,10 @@ pub(crate) struct AbftChecksums {
 impl AbftChecksums {
     /// Compute both checksum vectors from `A` in `O(n1·n2)`.
     pub fn new(a: &Matrix<f64>) -> Self {
-        let (n1, n2) = a.shape();
-        // s1 = Aᵀ·1, s2 = Aᵀ·ω.
-        let mut s1 = vec![0.0f64; n2];
-        let mut s2 = vec![0.0f64; n2];
-        for i in 0..n1 {
-            let w = (i + 1) as f64;
-            for (j, &v) in a.row(i).iter().enumerate() {
-                s1[j] += v;
-                s2[j] += w * v;
-            }
+        AbftChecksums {
+            row: weighted_rowsums(a.view(), a.view(), |_| 1.0),
+            weighted: weighted_rowsums(a.view(), a.view(), |i| (i + 1) as f64),
         }
-        let dot = |row: &[f64], s: &[f64]| row.iter().zip(s).map(|(&x, &y)| x * y).sum::<f64>();
-        let row = (0..n1).map(|i| dot(a.row(i), &s1)).collect();
-        let weighted = (0..n1).map(|i| dot(a.row(i), &s2)).collect();
-        AbftChecksums { row, weighted }
     }
 
     /// Verify a claimed `C` against the checksums. Returns the first
@@ -110,10 +99,7 @@ impl AbftChecksums {
                 weighted += (j + 1) as f64 * v;
                 scale += v.abs();
             }
-            let residual = plain - self.row[i];
-            let tol = REL_TOL * scale.max(self.row[i].abs()).max(1.0);
-            if residual.abs() > tol {
-                ABFT_DETECTS.inc();
+            if let Some(residual) = off_by(plain, self.row[i], scale) {
                 let wres = weighted - self.weighted[i];
                 let col = localize(wres, residual, n);
                 return Err(AbftViolation {
@@ -144,15 +130,20 @@ pub(crate) fn block_check_flops(rows_i: usize, rows_j: usize, n2: usize) -> u64 
     (rows_j * n2 + 2 * rows_i * n2 + rows_i * rows_j) as u64
 }
 
-/// Expected row checksums of the block product `A_i·A_jᵀ`, i.e.
-/// `A_i·(A_jᵀ·1)`.
-fn expected_block_rowsums(ai: MatrixView<'_, f64>, aj: MatrixView<'_, f64>) -> Vec<f64> {
-    let n2 = ai.cols();
-    debug_assert_eq!(aj.cols(), n2);
-    let mut s = vec![0.0f64; n2];
+/// Row checksums of the product `A_i·A_jᵀ` under the row weights `w` of
+/// `A_j`: `A_i·(A_jᵀ·w)`, the column sums of `A_j` accumulated in row
+/// order, then one dot product per row of `A_i`.
+fn weighted_rowsums(
+    ai: MatrixView<'_, f64>,
+    aj: MatrixView<'_, f64>,
+    w: impl Fn(usize) -> f64,
+) -> Vec<f64> {
+    debug_assert_eq!(aj.cols(), ai.cols());
+    let mut s = vec![0.0f64; ai.cols()];
     for r in 0..aj.rows() {
+        let wr = w(r);
         for (j, &v) in aj.row(r).iter().enumerate() {
-            s[j] += v;
+            s[j] += wr * v;
         }
     }
     (0..ai.rows())
@@ -160,8 +151,20 @@ fn expected_block_rowsums(ai: MatrixView<'_, f64>, aj: MatrixView<'_, f64>) -> V
         .collect()
 }
 
-/// Check one row's sum against its expectation with a scale-aware
-/// tolerance; `Err` carries a human-readable detail string.
+/// The one checksum rule: a sum `got`, whose terms' magnitudes sum to
+/// `scale`, passes when it lies within `REL_TOL·max(scale, |want|, 1)`
+/// of `want`. A miss is metered as a detection and returns the residual.
+fn off_by(got: f64, want: f64, scale: f64) -> Option<f64> {
+    let residual = got - want;
+    let detected = residual.abs() > REL_TOL * scale.max(want.abs()).max(1.0);
+    if detected {
+        ABFT_DETECTS.inc();
+    }
+    detected.then_some(residual)
+}
+
+/// Check one row's sum of a block against its expectation; `Err`
+/// carries a human-readable detail string.
 fn check_row(
     what: &str,
     block: (usize, usize),
@@ -170,16 +173,12 @@ fn check_row(
     scale: f64,
     expect: f64,
 ) -> Result<(), String> {
-    let residual = got - expect;
-    let tol = REL_TOL * scale.max(expect.abs()).max(1.0);
-    if residual.abs() > tol {
-        ABFT_DETECTS.inc();
-        Err(format!(
+    match off_by(got, expect, scale) {
+        Some(residual) => Err(format!(
             "{what} block ({}, {}) row {row} checksum off by {residual:.3e}",
             block.0, block.1
-        ))
-    } else {
-        Ok(())
+        )),
+        None => Ok(()),
     }
 }
 
@@ -192,7 +191,7 @@ pub(crate) fn verify_offdiag_block(
     bj: usize,
 ) -> Result<(), String> {
     ABFT_CHECKS.inc();
-    let expect = expected_block_rowsums(ai, aj);
+    let expect = weighted_rowsums(ai, aj, |_| 1.0);
     for (r, &want) in expect.iter().enumerate().take(cij.rows()) {
         let (mut sum, mut scale) = (0.0f64, 0.0f64);
         for &v in cij.row(r) {
@@ -215,7 +214,7 @@ pub(crate) fn verify_diag_block(
 ) -> Result<(), String> {
     ABFT_CHECKS.inc();
     let n = packed.n();
-    let expect = expected_block_rowsums(ai, ai);
+    let expect = weighted_rowsums(ai, ai, |_| 1.0);
     let mut sums = vec![0.0f64; n];
     let mut scales = vec![0.0f64; n];
     let mut it = packed.as_slice().iter();

@@ -118,11 +118,6 @@ impl Gf {
         Some(Gf { q, add, mul })
     }
 
-    /// Field size `q`.
-    pub fn q(&self) -> usize {
-        self.q
-    }
-
     /// Field addition.
     #[inline]
     pub fn add(&self, a: usize, b: usize) -> usize {
@@ -163,7 +158,7 @@ mod tests {
     use super::*;
 
     fn check_field_axioms(gf: &Gf) {
-        let q = gf.q();
+        let q = gf.q;
         // Additive and multiplicative identities.
         for a in 0..q {
             assert_eq!(gf.add(a, 0), a);

@@ -50,12 +50,12 @@ impl Lemma6Problem {
     }
 
     /// `n1(n1−1)` as `f64` — appears throughout the formulas.
-    pub fn t(&self) -> f64 {
+    pub(crate) fn t(&self) -> f64 {
         (self.n1 * (self.n1 - 1)) as f64
     }
 
     /// The constant `K = (n1(n1−1)·n2 / (√2·P))²` of constraint g1.
-    pub fn k(&self) -> f64 {
+    pub(crate) fn k(&self) -> f64 {
         let l = self.t() * self.n2 as f64 / (2f64.sqrt() * self.p as f64);
         l * l
     }

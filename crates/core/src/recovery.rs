@@ -38,7 +38,7 @@ use syrk_machine::{
     CostModel, CostReport, FaultPlan, MachineError, RECOVER_BACKOFF_PHASE,
     RECOVER_REDISTRIBUTE_PHASE,
 };
-use syrk_telemetry::LazyCounter;
+use syrk_telemetry::Counter;
 
 use crate::abft::AbftChecksums;
 use crate::algorithms::{machine_for, run, RunSpec, SyrkRun, SyrkRunResult};
@@ -47,9 +47,9 @@ use crate::error::SyrkError;
 use crate::planner::{plan, Plan, PlanError};
 
 /// Recovery attempts started (i.e. retries after a failed attempt).
-pub(crate) static RECOVERY_ATTEMPTS: LazyCounter = LazyCounter::new("syrk_recovery_attempts");
+pub(crate) static RECOVERY_ATTEMPTS: Counter = Counter::new("syrk_recovery_attempts");
 /// Ranks lost to crashes across all recovered runs.
-pub(crate) static RECOVERY_RANKS_LOST: LazyCounter = LazyCounter::new("syrk_recovery_ranks_lost");
+pub(crate) static RECOVERY_RANKS_LOST: Counter = Counter::new("syrk_recovery_ranks_lost");
 
 /// User tag for the `recover:redistribute` ring shift (kept far below
 /// the collective tag space).

@@ -89,7 +89,7 @@ impl<T: Scalar> Drop for PackBuf<T> {
 /// full new size, so the whole target is charged, not the increment.)
 fn reserve_counted<T: Scalar>(vec: &mut Vec<T>, len: usize) {
     if vec.capacity() < len {
-        stats::add_arena_alloc_bytes(len * std::mem::size_of::<T>());
+        stats::ARENA_ALLOC_BYTES.add((len * std::mem::size_of::<T>()) as u64);
         vec.reserve_exact(len - vec.len());
     }
 }
@@ -101,9 +101,9 @@ fn reserve_counted<T: Scalar>(vec: &mut Vec<T>, len: usize) {
 pub(crate) fn acquire<T: Scalar>(len: usize) -> PackBuf<T> {
     let cached = take_from::<T>(&mut pool(), len);
     if cached.is_some() {
-        stats::add_arena_hit();
+        stats::ARENA_HITS.inc();
     } else {
-        stats::add_arena_miss();
+        stats::ARENA_MISSES.inc();
     }
     let mut vec = cached.unwrap_or_default();
     reserve_counted(&mut vec, len);

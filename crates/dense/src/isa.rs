@@ -51,7 +51,7 @@ impl Isa {
 
     /// Stable index of this ISA into per-ISA counter arrays.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Isa::Scalar => 0,
             Isa::Avx2 => 1,

@@ -109,7 +109,7 @@ pub(crate) fn pack_rows_into<T: Scalar>(
             }
         }
     }
-    crate::stats::add_pack_words(dst.len());
+    crate::stats::PACK_WORDS.add(dst.len() as u64);
 }
 
 /// Pack columns `cols` of `b`, restricted to rows `rows` (the inner
@@ -141,7 +141,7 @@ pub(crate) fn pack_cols_into<T: Scalar>(
             chunk[p * r..p * r + live].copy_from_slice(src);
         }
     }
-    crate::stats::add_pack_words(dst.len());
+    crate::stats::PACK_WORDS.add(dst.len() as u64);
 }
 
 const BLOCK_EMPTY: u8 = 0;
@@ -312,7 +312,7 @@ impl<'a, T: Scalar> SharedPack<'a, T> {
     /// (`row` must be a multiple of `r` and inside an ensured block).
     /// Returns exactly `r · kc` scalars.
     #[inline]
-    pub fn panel(&self, row: usize) -> &[T] {
+    pub(crate) fn panel(&self, row: usize) -> &[T] {
         debug_assert_eq!(row % self.r, 0);
         debug_assert!(row < self.rows);
         debug_assert_eq!(

@@ -162,7 +162,7 @@ impl<T: Scalar> PackedLower<T> {
 
     /// Index of entry `(i, j)` in the packed buffer. Requires `j ≤ i`.
     #[inline]
-    pub fn idx(&self, i: usize, j: usize) -> usize {
+    pub(crate) fn idx(&self, i: usize, j: usize) -> usize {
         debug_assert!(j <= i && i < self.n);
         packed_len(i) + j
     }

@@ -69,7 +69,7 @@ impl Comm {
     /// caller has a phase open, and note `buffer` words of footprint.
     fn enter_collective(
         &self,
-        metrics: &CollMetrics,
+        metrics: &'static CollMetrics,
         words: usize,
         name: &'static str,
         buffer: usize,

@@ -275,11 +275,6 @@ impl Comm {
         self.group[self.group_rank]
     }
 
-    /// The cost model the run is charged under.
-    pub fn model(&self) -> CostModel {
-        self.world.model
-    }
-
     fn with_ledger<R>(&self, f: impl FnOnce(&mut RankLedger) -> R) -> R {
         f(&mut self.world.event.slots[self.world_rank()].lock().ledger)
     }

@@ -50,11 +50,11 @@ use crate::cost::RankLedger;
 use crate::envelope::Envelope;
 use crate::error::MachineError;
 use crate::sync::Mutex;
-use syrk_telemetry::LazyCounter;
+use syrk_telemetry::Counter;
 
-static RESUMES: LazyCounter = LazyCounter::new("syrk_engine_resumes");
-static WAKES: LazyCounter = LazyCounter::new("syrk_engine_wakes");
-static EVENT_RUNS: LazyCounter = LazyCounter::new("syrk_engine_event_runs");
+static RESUMES: Counter = Counter::new("syrk_engine_resumes");
+static WAKES: Counter = Counter::new("syrk_engine_wakes");
+static EVENT_RUNS: Counter = Counter::new("syrk_engine_event_runs");
 
 /// What a parked rank waits for: `(src world rank, tag, operation)`.
 pub(crate) type Parked = (usize, (u64, u64), &'static str);

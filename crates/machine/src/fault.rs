@@ -31,16 +31,16 @@
 //! non-retry phase.
 
 use syrk_dense::DetRng;
-use syrk_telemetry::LazyCounter;
+use syrk_telemetry::Counter;
 
-static DROPS_INJECTED: LazyCounter = LazyCounter::new("syrk_fault_drops_injected");
-static DUPS_INJECTED: LazyCounter = LazyCounter::new("syrk_fault_dups_injected");
-static CORRUPTS_INJECTED: LazyCounter = LazyCounter::new("syrk_fault_corrupts_injected");
-static DELAYS_INJECTED: LazyCounter = LazyCounter::new("syrk_fault_delays_injected");
-static CRASHES_INJECTED: LazyCounter = LazyCounter::new("syrk_fault_crashes_injected");
-static RETRY_DROP: LazyCounter = LazyCounter::new("syrk_retry_drop_handled");
-static RETRY_DUP: LazyCounter = LazyCounter::new("syrk_retry_dup_handled");
-static RETRY_CORRUPT: LazyCounter = LazyCounter::new("syrk_retry_corrupt_handled");
+static DROPS_INJECTED: Counter = Counter::new("syrk_fault_drops_injected");
+static DUPS_INJECTED: Counter = Counter::new("syrk_fault_dups_injected");
+static CORRUPTS_INJECTED: Counter = Counter::new("syrk_fault_corrupts_injected");
+static DELAYS_INJECTED: Counter = Counter::new("syrk_fault_delays_injected");
+static CRASHES_INJECTED: Counter = Counter::new("syrk_fault_crashes_injected");
+static RETRY_DROP: Counter = Counter::new("syrk_retry_drop_handled");
+static RETRY_DUP: Counter = Counter::new("syrk_retry_dup_handled");
+static RETRY_CORRUPT: Counter = Counter::new("syrk_retry_corrupt_handled");
 
 /// Meter one message's injected faults on the telemetry registry
 /// (`syrk_fault_*_injected`). Called by the transmit path once per

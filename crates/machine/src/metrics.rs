@@ -8,25 +8,25 @@
 //! sizes it is being asked to move. Names follow the
 //! `syrk_coll_<op>_calls` / `syrk_coll_<op>_payload_words` scheme.
 
-use syrk_telemetry::{LazyCounter, LazyHistogram};
+use syrk_telemetry::{Counter, Histogram};
 
 /// One collective's call counter and payload-size histogram.
 pub(crate) struct CollMetrics {
-    calls: LazyCounter,
-    payload_words: LazyHistogram,
+    calls: Counter,
+    payload_words: Histogram,
 }
 
 impl CollMetrics {
     const fn new(calls: &'static str, payload_words: &'static str) -> Self {
         CollMetrics {
-            calls: LazyCounter::new(calls),
-            payload_words: LazyHistogram::new(payload_words),
+            calls: Counter::new(calls),
+            payload_words: Histogram::new(payload_words),
         }
     }
 
     /// Record one invocation with a per-rank input payload of `words`
     /// words.
-    pub(crate) fn record(&self, words: usize) {
+    pub(crate) fn record(&'static self, words: usize) {
         self.calls.inc();
         self.payload_words.observe(words as u64);
     }

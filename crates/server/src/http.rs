@@ -246,12 +246,12 @@ impl Response {
     }
 
     /// An HTML response.
-    pub fn html(status: u16, body: String) -> Self {
+    pub(crate) fn html(status: u16, body: String) -> Self {
         Self::typed(status, "text/html; charset=utf-8", body)
     }
 
     /// A plain-text response.
-    pub fn text(status: u16, body: String) -> Self {
+    pub(crate) fn text(status: u16, body: String) -> Self {
         Self::typed(status, "text/plain; charset=utf-8", body)
     }
 
@@ -292,7 +292,7 @@ impl Response {
 }
 
 /// Reason phrase for the status codes this server emits.
-pub fn reason(status: u16) -> &'static str {
+fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",

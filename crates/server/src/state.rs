@@ -13,39 +13,38 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use syrk_telemetry::{LazyCounter, LazyGauge, LazyHistogram};
+use syrk_telemetry::{Counter, Gauge, Histogram};
 
 /// Total requests served (any endpoint, any status).
-pub static REQUESTS: LazyCounter = LazyCounter::new("syrk_server_requests");
+pub static REQUESTS: Counter = Counter::new("syrk_server_requests");
 /// `/plan` requests.
-pub(crate) static PLAN_REQUESTS: LazyCounter = LazyCounter::new("syrk_server_plan_requests");
+pub(crate) static PLAN_REQUESTS: Counter = Counter::new("syrk_server_plan_requests");
 /// `/bounds` requests.
-pub(crate) static BOUNDS_REQUESTS: LazyCounter = LazyCounter::new("syrk_server_bounds_requests");
+pub(crate) static BOUNDS_REQUESTS: Counter = Counter::new("syrk_server_bounds_requests");
 /// `/run` requests (admitted or not).
-pub(crate) static RUN_REQUESTS: LazyCounter = LazyCounter::new("syrk_server_run_requests");
+pub(crate) static RUN_REQUESTS: Counter = Counter::new("syrk_server_run_requests");
 /// `/metrics` requests.
-pub(crate) static METRICS_REQUESTS: LazyCounter = LazyCounter::new("syrk_server_metrics_requests");
+pub(crate) static METRICS_REQUESTS: Counter = Counter::new("syrk_server_metrics_requests");
 /// `/status` requests.
-pub(crate) static STATUS_REQUESTS: LazyCounter = LazyCounter::new("syrk_server_status_requests");
+pub(crate) static STATUS_REQUESTS: Counter = Counter::new("syrk_server_status_requests");
 /// Responses with a 4xx status.
-pub(crate) static RESPONSES_4XX: LazyCounter = LazyCounter::new("syrk_server_responses_4xx");
+pub(crate) static RESPONSES_4XX: Counter = Counter::new("syrk_server_responses_4xx");
 /// Responses with a 5xx status.
-pub(crate) static RESPONSES_5XX: LazyCounter = LazyCounter::new("syrk_server_responses_5xx");
+pub(crate) static RESPONSES_5XX: Counter = Counter::new("syrk_server_responses_5xx");
 /// `/run` requests rejected by admission control (queue full/draining).
-pub(crate) static RUN_REJECTED: LazyCounter = LazyCounter::new("syrk_server_run_rejected");
+pub(crate) static RUN_REJECTED: Counter = Counter::new("syrk_server_run_rejected");
 /// Connections dropped because the pending-connection queue was full.
-pub(crate) static CONN_REJECTED: LazyCounter = LazyCounter::new("syrk_server_conn_rejected");
+pub(crate) static CONN_REJECTED: Counter = Counter::new("syrk_server_conn_rejected");
 /// End-to-end request service time (parse → response written), nanoseconds.
-pub(crate) static REQUEST_NANOS: LazyHistogram = LazyHistogram::new("syrk_server_request_nanos");
+pub(crate) static REQUEST_NANOS: Histogram = Histogram::new("syrk_server_request_nanos");
 /// Requests currently being served by workers.
-pub(crate) static INFLIGHT: LazyGauge = LazyGauge::new("syrk_server_inflight");
+pub(crate) static INFLIGHT: Gauge = Gauge::new("syrk_server_inflight");
 /// Simulated runs currently executing.
-pub(crate) static RUNS_ACTIVE: LazyGauge = LazyGauge::new("syrk_server_runs_active");
+pub(crate) static RUNS_ACTIVE: Gauge = Gauge::new("syrk_server_runs_active");
 /// Simulated runs waiting in the admission queue.
-pub(crate) static RUN_QUEUE_DEPTH: LazyGauge = LazyGauge::new("syrk_server_run_queue_depth");
+pub(crate) static RUN_QUEUE_DEPTH: Gauge = Gauge::new("syrk_server_run_queue_depth");
 /// Queued runs that hit the queue-wait deadline and were bounced (503).
-pub(crate) static RUN_QUEUE_TIMEOUTS: LazyCounter =
-    LazyCounter::new("syrk_server_run_queue_timeouts");
+pub(crate) static RUN_QUEUE_TIMEOUTS: Counter = Counter::new("syrk_server_run_queue_timeouts");
 
 /// Accepted connections allowed to queue for a worker before the accept
 /// loop sheds load with an immediate 503.

@@ -188,7 +188,7 @@ pub const WALL_PID: u64 = 1;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{self};
+    use crate::registry::{self, Counter, Gauge, Histogram};
 
     fn escape_json(s: &str) -> String {
         let mut out = String::new();
@@ -208,11 +208,13 @@ mod tests {
 
     #[test]
     fn prometheus_text_exposes_all_kinds() {
-        registry::counter("test_export_ctr").add(3);
-        registry::gauge("test_export_gauge").set(-4);
-        let h = registry::histogram("test_export_hist");
-        h.observe(1);
-        h.observe(100);
+        static CTR: Counter = Counter::new("test_export_ctr");
+        static GAUGE: Gauge = Gauge::new("test_export_gauge");
+        static HIST: Histogram = Histogram::new("test_export_hist");
+        CTR.add(3);
+        GAUGE.sub(4);
+        HIST.observe(1);
+        HIST.observe(100);
         let text = prometheus_text(&registry::snapshot());
         assert!(text.contains("# TYPE test_export_ctr counter"));
         assert!(text.contains("test_export_ctr 3"));
@@ -227,7 +229,8 @@ mod tests {
 
     #[test]
     fn snapshot_json_has_three_sections() {
-        registry::counter("test_export_json_ctr").add(1);
+        static CTR: Counter = Counter::new("test_export_json_ctr");
+        CTR.inc();
         let json = snapshot_json(&registry::snapshot());
         assert!(json.contains("\"counters\""));
         assert!(json.contains("\"gauges\""));

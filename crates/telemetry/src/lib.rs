@@ -9,7 +9,7 @@
 //! dependencies (the workspace builds on a bare toolchain):
 //!
 //! * a [`registry`] of atomic [`Counter`]s, [`Gauge`]s, and fixed-bucket
-//!   log₂ [`Histogram`]s, registered by static name, snapshot-able at any
+//!   log₂ [`Histogram`]s, each a named `static`, snapshot-able at any
 //!   time, with Prometheus text exposition and JSON exporters
 //!   ([`export`]);
 //! * a [`flight`] recorder: bounded per-thread ring buffers of
@@ -22,14 +22,14 @@
 //!
 //! The hot-path cost model: a disabled flight recorder is one relaxed
 //! atomic load per site; an enabled one is two `Instant` reads and one
-//! uncontended mutex push per recorded span. Counters are single relaxed
-//! `fetch_add`s. Nothing here takes a lock that a kernel inner loop can
-//! reach.
+//! uncontended mutex push per recorded span. A counter touch is one
+//! acquire load and one relaxed `fetch_add`. Nothing here takes a lock
+//! that a kernel inner loop can reach.
 //!
 //! ```
-//! use syrk_telemetry::{LazyCounter, registry};
+//! use syrk_telemetry::{registry, Counter};
 //!
-//! static REQUESTS: LazyCounter = LazyCounter::new("doc_requests");
+//! static REQUESTS: Counter = Counter::new("doc_requests");
 //! REQUESTS.inc();
 //! let snap = registry::snapshot();
 //! assert!(snap.counter("doc_requests").unwrap() >= 1);
@@ -43,6 +43,4 @@ pub mod registry;
 
 pub use export::{escape_json_into, prometheus_text, snapshot_json, wall_trace_events};
 pub use flight::{FlightEvent, FlightKind, FlightRecording};
-pub use registry::{
-    Counter, Gauge, Histogram, LazyCounter, LazyGauge, LazyHistogram, MetricValue, MetricsSnapshot,
-};
+pub use registry::{Counter, Gauge, Histogram, LazyCounter, MetricValue, MetricsSnapshot};

@@ -1,50 +1,68 @@
-//! Lock-light metrics registry: counters, gauges, and log₂ histograms
-//! registered by static name.
+//! Lock-light metrics registry: counters, gauges, and log₂ histograms,
+//! each a `static` that carries its own name.
 //!
-//! Metrics are interned process-wide: the first use of a name creates
-//! (and leaks — metrics live for the process) the backing atomics; every
-//! later lookup of the same name returns the same `&'static` metric. Call
-//! sites cache the lookup in a [`LazyCounter`] / [`LazyGauge`] /
-//! [`LazyHistogram`], so the steady-state cost of an increment is one
-//! relaxed `fetch_add` and zero locks — the registry mutex is touched
-//! once per call site per process.
+//! A metric is declared once, as a `static` built by its `const fn
+//! new(name)`. Its first touch — any read or write — lists it on one
+//! process-wide list, behind the metric's own [`Once`]; every later
+//! touch is that `Once`'s acquire load plus one relaxed atomic op, and
+//! no lock. Names are code-owned literals, so two metrics of one name
+//! are a programming error: the second one's first touch panics.
 //!
-//! [`snapshot`] captures every registered metric at a point in time,
-//! sorted by name, for the exporters in [`crate::export`]. Counters are
+//! [`snapshot`] captures every listed metric at a point in time, sorted
+//! by name, for the exporters in [`crate::export`]. Counters are
 //! monotone: a region is measured as the difference of two snapshots.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, Once, PoisonError};
 
 /// Number of histogram buckets. Bucket 0 counts zero-valued
 /// observations; bucket `i ≥ 1` counts values in `[2^(i−1), 2^i − 1]`;
 /// the last bucket absorbs everything larger.
 pub(crate) const HISTOGRAM_BUCKETS: usize = 33;
 
+/// What identifies a metric: its name, and whether it is listed yet. It
+/// fills a cache line of its own, so the atomic ops a hot metric takes
+/// from many threads never evict the `Once` that every touch reads.
+#[derive(Debug)]
+#[repr(align(64))]
+struct Head {
+    name: &'static str,
+    listed: Once,
+}
+
 /// A monotone event counter (relaxed atomic `u64`).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Counter {
+    head: Head,
     value: AtomicU64,
 }
 
+/// An alias of [`Counter`], kept because `benchmark/src/replay.rs`
+/// declares its probe counter as a `LazyCounter`.
+pub type LazyCounter = Counter;
+
 impl Counter {
-    /// A zeroed counter (for direct embedding; registered counters come
-    /// from [`counter`] / [`LazyCounter`]).
-    pub const fn new() -> Self {
+    /// A zeroed counter named `name`, listed on its first touch.
+    pub const fn new(name: &'static str) -> Self {
         Counter {
+            head: Head {
+                name,
+                listed: Once::new(),
+            },
             value: AtomicU64::new(0),
         }
     }
 
     /// Add one.
     #[inline]
-    pub fn inc(&self) {
+    pub fn inc(&'static self) {
         self.add(1);
     }
 
     /// Add `n`.
     #[inline]
-    pub fn add(&self, n: u64) {
+    pub fn add(&'static self, n: u64) {
+        Metric::Counter(self).touch();
         if n != 0 {
             self.value.fetch_add(n, Ordering::Relaxed);
         }
@@ -52,65 +70,57 @@ impl Counter {
 
     /// Current value.
     #[inline]
-    pub fn get(&self) -> u64 {
+    pub fn get(&'static self) -> u64 {
+        Metric::Counter(self).touch();
         self.value.load(Ordering::Relaxed)
     }
 }
 
 /// An instantaneous level (relaxed atomic `i64`): queue depths, live
 /// worker counts. Unlike a [`Counter`] it goes both ways.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Gauge {
+    head: Head,
     value: AtomicI64,
 }
 
 impl Gauge {
-    /// A zeroed gauge.
-    pub const fn new() -> Self {
+    /// A zeroed gauge named `name`, listed on its first touch.
+    pub const fn new(name: &'static str) -> Self {
         Gauge {
+            head: Head {
+                name,
+                listed: Once::new(),
+            },
             value: AtomicI64::new(0),
         }
     }
 
-    /// Set the level.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
     /// Add `n` (may be negative).
     #[inline]
-    pub fn add(&self, n: i64) {
+    pub fn add(&'static self, n: i64) {
+        Metric::Gauge(self).touch();
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Subtract `n`.
     #[inline]
-    pub fn sub(&self, n: i64) {
+    pub fn sub(&'static self, n: i64) {
+        Metric::Gauge(self).touch();
         self.value.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    #[inline]
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
     }
 }
 
 /// A fixed-bucket log₂ histogram of `u64` observations (payload sizes,
 /// durations in nanoseconds). Buckets are powers of two, so `observe` is
-/// a `leading_zeros` and two `fetch_add`s — no float math, no allocation.
+/// a `leading_zeros` and three `fetch_add`s — no float math, no
+/// allocation.
 #[derive(Debug)]
 pub struct Histogram {
+    head: Head,
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     sum: AtomicU64,
     count: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Bucket index for an observed value (see [`HISTOGRAM_BUCKETS`]).
@@ -135,12 +145,14 @@ pub(crate) fn bucket_bound(i: usize) -> u64 {
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub const fn new() -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
+    /// An empty histogram named `name`, listed on its first touch.
+    pub const fn new(name: &'static str) -> Self {
         Histogram {
-            buckets: [ZERO; HISTOGRAM_BUCKETS],
+            head: Head {
+                name,
+                listed: Once::new(),
+            },
+            buckets: [const { AtomicU64::new(0) }; HISTOGRAM_BUCKETS],
             sum: AtomicU64::new(0),
             count: AtomicU64::new(0),
         }
@@ -148,210 +160,74 @@ impl Histogram {
 
     /// Record one observation.
     #[inline]
-    pub fn observe(&self, v: u64) {
+    pub fn observe(&'static self, v: u64) {
+        Metric::Histogram(self).touch();
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observed values.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Per-bucket counts (not cumulative).
-    pub(crate) fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
-    }
 }
 
-/// One registered metric (name plus a reference to its live atomics).
-enum Registered {
+/// One listed metric.
+#[derive(Clone, Copy)]
+enum Metric {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
     Histogram(&'static Histogram),
 }
 
-struct Entry {
-    name: &'static str,
-    metric: Registered,
-}
-
-fn registry() -> &'static Mutex<Vec<Entry>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Entry>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn with_registry<R>(f: impl FnOnce(&mut Vec<Entry>) -> R) -> R {
-    let mut guard = registry().lock().unwrap_or_else(|e| e.into_inner());
-    f(&mut guard)
-}
-
-/// Intern the counter named `name`: the first caller creates it, every
-/// caller gets the same `&'static`. Panics if `name` is already
-/// registered as a different metric kind (metric names are code-owned
-/// constants, so a clash is a programming error).
-pub fn counter(name: &'static str) -> &'static Counter {
-    with_registry(|entries| {
-        for e in entries.iter() {
-            if e.name == name {
-                match e.metric {
-                    Registered::Counter(c) => return c,
-                    _ => panic!("metric {name:?} is already registered with a different kind"),
-                }
-            }
+impl Metric {
+    fn head(self) -> &'static Head {
+        match self {
+            Metric::Counter(c) => &c.head,
+            Metric::Gauge(g) => &g.head,
+            Metric::Histogram(h) => &h.head,
         }
-        let c: &'static Counter = Box::leak(Box::new(Counter::new()));
-        entries.push(Entry {
-            name,
-            metric: Registered::Counter(c),
+    }
+
+    /// List the metric on its first touch. The check is one acquire load;
+    /// the listing stays out of line, off every hot path.
+    #[inline]
+    fn touch(self) {
+        if !self.head().listed.is_completed() {
+            self.list();
+        }
+    }
+
+    /// Push the metric onto the process list, once. Panics when another
+    /// metric of the same name is listed already.
+    #[cold]
+    #[inline(never)]
+    fn list(self) {
+        self.head().listed.call_once(|| {
+            let mut all = LISTED.lock().unwrap_or_else(PoisonError::into_inner);
+            let name = self.head().name;
+            assert!(
+                all.iter().all(|m| m.head().name != name),
+                "metric {name:?} is declared twice"
+            );
+            all.push(self);
         });
-        c
-    })
-}
+    }
 
-/// Intern the gauge named `name` (see [`counter`] for the contract).
-pub fn gauge(name: &'static str) -> &'static Gauge {
-    with_registry(|entries| {
-        for e in entries.iter() {
-            if e.name == name {
-                match e.metric {
-                    Registered::Gauge(g) => return g,
-                    _ => panic!("metric {name:?} is already registered with a different kind"),
-                }
-            }
-        }
-        let g: &'static Gauge = Box::leak(Box::new(Gauge::new()));
-        entries.push(Entry {
-            name,
-            metric: Registered::Gauge(g),
-        });
-        g
-    })
-}
-
-/// Intern the histogram named `name` (see [`counter`] for the contract).
-pub fn histogram(name: &'static str) -> &'static Histogram {
-    with_registry(|entries| {
-        for e in entries.iter() {
-            if e.name == name {
-                match e.metric {
-                    Registered::Histogram(h) => return h,
-                    _ => panic!("metric {name:?} is already registered with a different kind"),
-                }
-            }
-        }
-        let h: &'static Histogram = Box::leak(Box::new(Histogram::new()));
-        entries.push(Entry {
-            name,
-            metric: Registered::Histogram(h),
-        });
-        h
-    })
-}
-
-/// A call-site cache for a registered [`Counter`]: `const`-constructible
-/// so it can live in a `static`, resolving the registry lookup once on
-/// first use.
-pub struct LazyCounter {
-    name: &'static str,
-    cell: OnceLock<&'static Counter>,
-}
-
-impl LazyCounter {
-    /// A lazy handle to the counter registered as `name`.
-    pub const fn new(name: &'static str) -> Self {
-        LazyCounter {
-            name,
-            cell: OnceLock::new(),
+    /// The metric's value now, read straight off its atomics (it is
+    /// listed, so there is nothing to touch).
+    fn read(self) -> MetricValue {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        match self {
+            Metric::Counter(c) => MetricValue::Counter(load(&c.value)),
+            Metric::Gauge(g) => MetricValue::Gauge(g.value.load(Ordering::Relaxed)),
+            Metric::Histogram(h) => MetricValue::Histogram {
+                count: load(&h.count),
+                sum: load(&h.sum),
+                buckets: h.buckets.iter().map(load).collect(),
+            },
         }
     }
-
-    /// The interned counter (registering it on first call).
-    #[inline]
-    pub fn get(&self) -> &'static Counter {
-        self.cell.get_or_init(|| counter(self.name))
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn inc(&self) {
-        self.get().inc();
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.get().add(n);
-    }
 }
 
-/// A call-site cache for a registered [`Gauge`] (see [`LazyCounter`]).
-pub struct LazyGauge {
-    name: &'static str,
-    cell: OnceLock<&'static Gauge>,
-}
-
-impl LazyGauge {
-    /// A lazy handle to the gauge registered as `name`.
-    pub const fn new(name: &'static str) -> Self {
-        LazyGauge {
-            name,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// The interned gauge (registering it on first call).
-    #[inline]
-    pub fn get(&self) -> &'static Gauge {
-        self.cell.get_or_init(|| gauge(self.name))
-    }
-
-    /// Add `n` (may be negative).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.get().add(n);
-    }
-
-    /// Subtract `n`.
-    #[inline]
-    pub fn sub(&self, n: i64) {
-        self.get().sub(n);
-    }
-}
-
-/// A call-site cache for a registered [`Histogram`] (see [`LazyCounter`]).
-pub struct LazyHistogram {
-    name: &'static str,
-    cell: OnceLock<&'static Histogram>,
-}
-
-impl LazyHistogram {
-    /// A lazy handle to the histogram registered as `name`.
-    pub const fn new(name: &'static str) -> Self {
-        LazyHistogram {
-            name,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// The interned histogram (registering it on first call).
-    #[inline]
-    pub fn get(&self) -> &'static Histogram {
-        self.cell.get_or_init(|| histogram(self.name))
-    }
-
-    /// Record one observation.
-    #[inline]
-    pub fn observe(&self, v: u64) {
-        self.get().observe(v);
-    }
-}
+/// Every metric touched so far, in order of first touch.
+static LISTED: Mutex<Vec<Metric>> = Mutex::new(Vec::new());
 
 /// The captured value of one metric (see [`MetricsSnapshot`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -373,7 +249,7 @@ pub enum MetricValue {
     },
 }
 
-/// A point-in-time capture of every registered metric, sorted by name.
+/// A point-in-time capture of every listed metric, sorted by name.
 ///
 /// The capture is not atomic across metrics (each atomic is read
 /// independently), but each counter read is itself consistent and
@@ -385,7 +261,7 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The value of counter `name`, if registered.
+    /// The value of counter `name`, if listed.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.entries.iter().find_map(|(n, v)| match v {
             MetricValue::Counter(c) if *n == name => Some(*c),
@@ -393,7 +269,7 @@ impl MetricsSnapshot {
         })
     }
 
-    /// The level of gauge `name`, if registered.
+    /// The level of gauge `name`, if listed.
     pub fn gauge(&self, name: &str) -> Option<i64> {
         self.entries.iter().find_map(|(n, v)| match v {
             MetricValue::Gauge(g) if *n == name => Some(*g),
@@ -401,7 +277,7 @@ impl MetricsSnapshot {
         })
     }
 
-    /// `(count, sum)` of histogram `name`, if registered.
+    /// `(count, sum)` of histogram `name`, if listed.
     pub fn histogram(&self, name: &str) -> Option<(u64, u64)> {
         self.entries.iter().find_map(|(n, v)| match v {
             MetricValue::Histogram { count, sum, .. } if *n == name => Some((*count, *sum)),
@@ -410,24 +286,11 @@ impl MetricsSnapshot {
     }
 }
 
-/// Snapshot every registered metric (sorted by name).
+/// Snapshot every listed metric (sorted by name).
 pub fn snapshot() -> MetricsSnapshot {
-    let mut entries: Vec<(&'static str, MetricValue)> = with_registry(|es| {
-        es.iter()
-            .map(|e| {
-                let v = match e.metric {
-                    Registered::Counter(c) => MetricValue::Counter(c.get()),
-                    Registered::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Registered::Histogram(h) => MetricValue::Histogram {
-                        count: h.count(),
-                        sum: h.sum(),
-                        buckets: h.bucket_counts().to_vec(),
-                    },
-                };
-                (e.name, v)
-            })
-            .collect()
-    });
+    let listed = LISTED.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut entries: Vec<_> = listed.iter().map(|&m| (m.head().name, m.read())).collect();
+    drop(listed);
     entries.sort_by_key(|&(name, _)| name);
     MetricsSnapshot { entries }
 }
@@ -436,23 +299,41 @@ pub fn snapshot() -> MetricsSnapshot {
 mod tests {
     use super::*;
 
+    fn value_of(name: &str) -> Option<MetricValue> {
+        snapshot()
+            .entries
+            .into_iter()
+            .find_map(|(n, v)| (n == name).then_some(v))
+    }
+
     #[test]
-    fn counters_intern_by_name() {
-        let a = counter("test_registry_intern");
-        let b = counter("test_registry_intern");
-        assert!(std::ptr::eq(a, b));
-        a.inc();
-        b.add(2);
-        assert_eq!(a.get(), 3);
+    fn a_metric_is_listed_on_its_first_touch() {
+        static READ: Counter = Counter::new("test_registry_first_read");
+        static ADDED: Counter = Counter::new("test_registry_first_add");
+        assert_eq!(value_of("test_registry_first_read"), None);
+        // A read is a touch, and so is adding zero.
+        assert_eq!(READ.get(), 0);
+        assert_eq!(
+            value_of("test_registry_first_read"),
+            Some(MetricValue::Counter(0))
+        );
+        ADDED.add(0);
+        assert_eq!(
+            value_of("test_registry_first_add"),
+            Some(MetricValue::Counter(0))
+        );
+        ADDED.inc();
+        ADDED.add(2);
+        assert_eq!(ADDED.get(), 3);
+        assert_eq!(snapshot().counter("test_registry_first_add"), Some(3));
     }
 
     #[test]
     fn gauge_moves_both_ways() {
-        let g = gauge("test_registry_gauge");
-        g.set(5);
-        g.add(3);
-        g.sub(10);
-        assert_eq!(g.get(), -2);
+        static G: Gauge = Gauge::new("test_registry_gauge");
+        G.add(3);
+        G.sub(5);
+        assert_eq!(snapshot().gauge("test_registry_gauge"), Some(-2));
     }
 
     #[test]
@@ -474,29 +355,38 @@ mod tests {
 
     #[test]
     fn histogram_observes() {
-        let h = histogram("test_registry_hist");
+        static H: Histogram = Histogram::new("test_registry_hist");
         for v in [0u64, 1, 5, 5, 1000] {
-            h.observe(v);
+            H.observe(v);
         }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1011);
-        let b = h.bucket_counts();
-        assert_eq!(b[0], 1); // 0
-        assert_eq!(b[1], 1); // 1
-        assert_eq!(b[3], 2); // 4..7 holds both 5s
-        assert_eq!(b[10], 1); // 512..1023 holds 1000
+        let Some(MetricValue::Histogram {
+            count,
+            sum,
+            buckets,
+        }) = value_of("test_registry_hist")
+        else {
+            panic!("the histogram is listed");
+        };
+        assert_eq!((count, sum), (5, 1011));
+        assert_eq!(buckets.len(), HISTOGRAM_BUCKETS);
+        assert_eq!(buckets[0], 1); // 0
+        assert_eq!(buckets[1], 1); // 1
+        assert_eq!(buckets[3], 2); // 4..7 holds both 5s
+        assert_eq!(buckets[10], 1); // 512..1023 holds 1000
     }
 
     #[test]
     fn snapshot_contains_registered_metrics_sorted() {
-        counter("test_snapshot_b").add(7);
-        gauge("test_snapshot_a").set(-1);
-        histogram("test_snapshot_c").observe(3);
+        static B: Counter = Counter::new("test_snapshot_b");
+        static A: Gauge = Gauge::new("test_snapshot_a");
+        static C: Histogram = Histogram::new("test_snapshot_c");
+        B.add(7);
+        A.sub(1);
+        C.observe(3);
         let s = snapshot();
         assert_eq!(s.counter("test_snapshot_b"), Some(7));
         assert_eq!(s.gauge("test_snapshot_a"), Some(-1));
-        let (count, sum) = s.histogram("test_snapshot_c").unwrap();
-        assert!(count >= 1 && sum >= 3);
+        assert_eq!(s.histogram("test_snapshot_c"), Some((1, 3)));
         let names: Vec<_> = s.entries.iter().map(|(n, _)| *n).collect();
         let mut sorted = names.clone();
         sorted.sort();
@@ -504,18 +394,11 @@ mod tests {
     }
 
     #[test]
-    fn lazy_handles_resolve_once() {
-        static LAZY: LazyCounter = LazyCounter::new("test_registry_lazy");
-        LAZY.inc();
-        LAZY.add(4);
-        assert_eq!(LAZY.get().get(), 5);
-        assert!(std::ptr::eq(LAZY.get(), counter("test_registry_lazy")));
-    }
-
-    #[test]
-    #[should_panic(expected = "different kind")]
+    #[should_panic(expected = "declared twice")]
     fn kind_clash_panics() {
-        counter("test_registry_clash");
-        let _ = gauge("test_registry_clash");
+        static FIRST: Counter = Counter::new("test_registry_clash");
+        static SECOND: Gauge = Gauge::new("test_registry_clash");
+        FIRST.inc();
+        SECOND.add(1);
     }
 }
