@@ -4,9 +4,8 @@
 
 use crate::table::{fnum, Table};
 use syrk_core::{
-    run, symm_2d, symm_reference, syr2k, syrk_2d_limited, syrk_lower_bound,
-    syrk_memory_dependent_bound, try_syrk_2d, try_syrk_3d, Plan, RunSpec, SyrkError,
-    TriangleBlockDist,
+    run, syr2k, syrk_2d_limited, syrk_lower_bound, syrk_memory_dependent_bound, try_syrk_2d,
+    try_syrk_3d, Plan, RunSpec, SyrkError, TriangleBlockDist,
 };
 use syrk_dense::{
     max_abs_diff, seeded_matrix, syr2k_full_reference, syrk_tolerance, Diag, Partition1D,
@@ -283,56 +282,5 @@ pub fn limited_memory() -> Result<Vec<Table>, SyrkError> {
     t.note("words constant (each chunk crosses the network once); msgs = rounds × the c² partners that share a row block");
     t.note("peak buffer = a panel's gathered row blocks + staged chunks, falling with the panel width; W_mem rises as M falls - the s6 trade");
     t.note("M = max over ranks of peak buffer + owned C words (up to 228 here); every W_mem stays below the words moved");
-    Ok(vec![t])
-}
-
-/// E17 — SYMM with the triangle blocking on the symmetric *input*: the
-/// n×n operand never moves; communication is `2nm/(c+1)` — independent
-/// of n². A dense-layout route would have to circulate A itself.
-pub fn symm_extension() -> Result<Vec<Table>, SyrkError> {
-    let mut t = Table::new(
-        "E17 / §6 extension — SYMM (C = A_sym · B), symmetric operand pinned in place",
-        &[
-            "n",
-            "m",
-            "c",
-            "P",
-            "words",
-            "2nm/(c+1)",
-            "A words if circulated (n^2/(c+1))",
-            "ok",
-        ],
-    );
-    for (n, m, c) in [
-        (48usize, 8usize, 2usize),
-        (72, 8, 3),
-        (144, 8, 3),
-        (288, 8, 3),
-    ] {
-        let raw = seeded_matrix::<f64>(n, n, n as u64);
-        let mut a = syrk_dense::Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                a[(i, j)] = raw[(i, j)] + raw[(j, i)];
-            }
-        }
-        let b = seeded_matrix::<f64>(n, m, 3);
-        let run = symm_2d(&a, &b, c, CostModel::bandwidth_only())?;
-        let err = max_abs_diff(&run.c, &symm_reference(&a, &b));
-        let ok = err <= syrk_tolerance::<f64>(n, 4.0);
-        assert!(ok, "(n={n},c={c}): {err}");
-        t.row(vec![
-            n.to_string(),
-            m.to_string(),
-            c.to_string(),
-            (c * (c + 1)).to_string(),
-            run.cost.max_words_sent().to_string(),
-            fnum(2.0 * (n * m) as f64 / (c + 1) as f64),
-            fnum((n * n) as f64 / (c + 1) as f64),
-            ok.to_string(),
-        ]);
-    }
-    t.note("doubling n doubles SYMM words (linear: only B and C move) while the dense-A column grows 4x");
-    t.note("the symmetric operand is pinned by the triangle blocks - the paper's s6 SYMM conjecture, exhibited");
     Ok(vec![t])
 }

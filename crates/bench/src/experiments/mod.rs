@@ -119,11 +119,6 @@ pub fn all() -> Vec<Experiment> {
             run: extension_exps::limited_memory,
         },
         Experiment {
-            slug: "symm",
-            artifact: "§6 future work: SYMM",
-            run: extension_exps::symm_extension,
-        },
-        Experiment {
             slug: "trend",
             artifact: "abstract: constants are tight (ratio -> 1)",
             run: trend_exps::attainment_trend,
@@ -222,11 +217,11 @@ mod tests {
         run_slug("collectives", true);
     }
 
-    /// E13, E15, E16 and E17 are pinned; E15 is the only caller of
+    /// E13, E15 and E16 are pinned; E15 is the only caller of
     /// recursive halving and tree + scatter.
     #[test]
     fn run_extensions() {
-        for slug in ["syr2k", "memory", "latency1d", "limited", "symm"] {
+        for slug in ["syr2k", "memory", "latency1d", "limited"] {
             run_slug(slug, slug != "memory");
         }
     }

@@ -1,7 +1,10 @@
-//! The source walk that `paper_map.rs` and `public_surface.rs` share.
+//! The source walk and the `docs/PAPER_MAP.md` table parser that
+//! `paper_map.rs` and `public_surface.rs` share.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+
+const MAP: &str = include_str!("../../../../docs/PAPER_MAP.md");
 
 pub fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -70,4 +73,94 @@ pub fn pub_item(line: &str) -> Option<(&str, &str)> {
         }
         _ => None,
     }
+}
+
+/// The cells of a table row, split on `|` outside backticks.
+fn cells(row: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut cell = String::new();
+    let mut code = false;
+    for ch in row.trim().trim_matches('|').chars() {
+        match ch {
+            '`' => {
+                code = !code;
+                cell.push(ch);
+            }
+            '|' if !code => out.push(std::mem::take(&mut cell)),
+            _ => cell.push(ch),
+        }
+    }
+    out.push(cell);
+    out.into_iter().map(|c| c.trim().to_string()).collect()
+}
+
+/// The backticked spans of `text`, each with the text that follows it.
+pub fn spans(text: &str) -> Vec<(&str, &str)> {
+    let mut out = Vec::new();
+    let mut rest = text;
+    while let Some(open) = rest.find('`') {
+        let Some(len) = rest[open + 1..].find('`') else {
+            break;
+        };
+        let span = &rest[open + 1..open + 1 + len];
+        rest = &rest[open + len + 2..];
+        out.push((span, rest));
+    }
+    out
+}
+
+/// `(column name, cell)` for every body row of every table in the map.
+pub fn table_cells() -> Vec<(String, String)> {
+    let lines: Vec<&str> = MAP.lines().collect();
+    let mut out = Vec::new();
+    let mut header: Option<Vec<String>> = None;
+    for (i, line) in lines.iter().enumerate() {
+        if !line.starts_with('|') {
+            header = None;
+            continue;
+        }
+        let is_rule = |l: &str| l.starts_with("|---");
+        if is_rule(line) {
+            continue;
+        }
+        if lines.get(i + 1).is_some_and(|next| is_rule(next)) {
+            header = Some(cells(line));
+            continue;
+        }
+        let names = header.as_ref().expect("a table row under a header");
+        for (name, cell) in names.iter().zip(cells(line)) {
+            out.push((name.clone(), cell));
+        }
+    }
+    out
+}
+
+/// The paths a *Code* span stands for, or `None` for a span that is not
+/// written as a Rust path (a file name, an expression). `a::{b, c}`
+/// stands for `a::b` and `a::c`; a trailing call `(..)` is dropped.
+pub fn rust_paths(span: &str) -> Option<Vec<Vec<String>>> {
+    let pathlike = |ch: char| ch.is_ascii_alphanumeric() || "_:{}, ()*/".contains(ch);
+    if !span.chars().all(pathlike) || !span.starts_with(|ch: char| ch.is_ascii_alphabetic()) {
+        return None;
+    }
+    let span = match span.find('(') {
+        Some(at) if span.ends_with(')') => &span[..at],
+        _ => span,
+    };
+    let (stem, group) = match span.find("::{") {
+        Some(at) if span.ends_with('}') => (&span[..at], Some(&span[at + 3..span.len() - 1])),
+        _ => (span, None),
+    };
+    let base: Vec<String> = stem.split("::").map(str::to_string).collect();
+    Some(match group {
+        None => vec![base],
+        Some(list) => list
+            .split(',')
+            .map(|leaf| {
+                let mut path = base.clone();
+                path.push(leaf.trim().to_string());
+                path
+            })
+            .collect(),
+    })
 }

@@ -24,7 +24,7 @@ pub(crate) fn check_shape(n1: usize, n2: usize) -> Result<(), PlanError> {
 /// The triangle block distribution of order `c`, if one is constructible.
 /// An order whose `c(c+1)` ranks overflow `usize` is rejected before its
 /// primality is tested.
-pub(crate) fn triangle_dist(c: usize) -> Result<TriangleBlockDist, PlanError> {
+fn triangle_dist(c: usize) -> Result<TriangleBlockDist, PlanError> {
     c.checked_add(1)
         .and_then(|c1| c.checked_mul(c1))
         .and_then(|_| TriangleBlockDist::for_order(c))

@@ -12,7 +12,6 @@
 mod baselines;
 mod common;
 mod run;
-mod symm;
 mod syr2k;
 mod threed;
 mod twod;
@@ -22,5 +21,4 @@ pub(crate) use common::grid;
 pub use common::SyrkRunResult;
 pub(crate) use run::machine_for;
 pub use run::{run, syrk_2d_limited, try_syrk_1d, try_syrk_2d, try_syrk_3d, RunSpec, SyrkRun};
-pub use symm::{symm_2d, symm_reference, SymmRunResult};
 pub use syr2k::syr2k;

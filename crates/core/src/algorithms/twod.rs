@@ -31,7 +31,7 @@ use crate::dist::{ConformalADist, TriangleBlockDist};
 /// read where they lie: `[A]` runs SYRK, `[A, B]` SYR2K. `comm.size()`
 /// must be `dist.p()`. Of `spec` the body reads `padded` and, for SYRK
 /// only, `abft`. The exchange is [`gather_row_blocks`] and the local step
-/// [`local_step`]; `symm.rs` calls the exchange too.
+/// [`local_step`].
 ///
 /// The columns stream in `panels` near-even panels (1 for every `Plan`),
 /// each one exchange and one local step into the same owned blocks; only
@@ -260,8 +260,8 @@ pub(crate) fn local_step(
 /// `A_i` from the chunks of `Q_i`. `live` is `ad.live_blocks(k)`; the
 /// result is parallel to it, one block per operand. Each operand is
 /// distributed conformally by `ad`: SYRK passes `A` (or one panel of
-/// it), SYMM its `B`, and SYR2K both `A` and `B`, whose
-/// chunks for a partner travel back to back in one message. A single
+/// it), and SYR2K both `A` and `B`, whose chunks for a partner travel
+/// back to back in one message. A single
 /// operand's chunk ships as `extract_chunk` staged it — one buffer, `c`
 /// handles, reused in the reassembly.
 ///
@@ -275,7 +275,7 @@ pub(crate) fn local_step(
 /// partner (even a partnerless pair) gets the paper's fixed-size block of
 /// `B`, `⌈n1·n2/(c²(c+1))⌉` words per operand, so that variant keeps the
 /// dense schedule and reproduces eq. (10) verbatim.
-pub(crate) fn gather_row_blocks<const N: usize>(
+fn gather_row_blocks<const N: usize>(
     comm: &Comm,
     dist: &TriangleBlockDist,
     ad: &ConformalADist,

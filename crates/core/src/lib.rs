@@ -64,9 +64,8 @@ mod recovery;
 
 pub use abft::PHASE_ABFT;
 pub use algorithms::{
-    gemm_1d, gemm_2d, gemm_3d, run, scalapack_syrk_2d, symm_2d, symm_reference, syr2k,
-    syrk_2d_limited, try_syrk_1d, try_syrk_2d, try_syrk_3d, RunSpec, SymmRunResult, SyrkRun,
-    SyrkRunResult,
+    gemm_1d, gemm_2d, gemm_3d, run, scalapack_syrk_2d, syr2k, syrk_2d_limited, try_syrk_1d,
+    try_syrk_2d, try_syrk_3d, RunSpec, SyrkRun, SyrkRunResult,
 };
 pub use attribution::{
     attribute_bounds, AttributionReport, TermAttribution, PHASE_ALLGATHER_A, PHASE_LOCAL_SYRK,

@@ -160,13 +160,6 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Scale every element by `s`.
-    pub fn scale(&mut self, s: T) {
-        for a in &mut self.data {
-            *a *= s;
-        }
-    }
-
     /// Maximum absolute element, as `f64`.
     pub fn max_abs(&self) -> f64 {
         self.data
@@ -219,6 +212,16 @@ impl<T: Scalar> fmt::Debug for Matrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Only this crate's tests scale a matrix.
+    impl<T: Scalar> Matrix<T> {
+        /// Scale every element by `s`.
+        pub(crate) fn scale(&mut self, s: T) {
+            for a in &mut self.data {
+                *a *= s;
+            }
+        }
+    }
 
     #[test]
     fn construction_and_indexing() {

@@ -14,9 +14,9 @@
 //! cargo run --release --example cholesky_qr
 //! ```
 
-use syrk_repro::core::SyrkError;
-use syrk_repro::dense::{max_abs_diff, mul_nn, seeded_matrix, Matrix};
-use syrk_repro::{run_auto, CostModel};
+use syrk_core::{plan, run, RunSpec, SyrkError};
+use syrk_dense::{max_abs_diff, mul_nn, seeded_matrix, Matrix};
+use syrk_machine::CostModel;
 
 /// Dense Cholesky factorization `G = L·Lᵀ` (lower). Sequential: `G` is
 /// the small n×n Gram matrix, not distributed data.
@@ -69,7 +69,8 @@ fn main() -> Result<(), SyrkError> {
 
     // Step 1 (distributed): G = Mᵀ·M = A·Aᵀ with A = Mᵀ (n × m).
     let a = mm.transpose();
-    let (plan, run) = run_auto(&a, p, CostModel::bandwidth_only())?;
+    let plan = plan(n, m, p).plan;
+    let run = run(&a, &RunSpec::new(plan, CostModel::bandwidth_only()))?.result;
     println!("CholeskyQR of a {m}×{n} matrix on P = {p}");
     println!(
         "Gram SYRK planned as {plan:?}; moved {} words at the busiest rank",

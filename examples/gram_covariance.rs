@@ -9,9 +9,9 @@
 //! cargo run --release --example gram_covariance
 //! ```
 
-use syrk_repro::core::{gemm_1d, gemm_lower_bound, syrk_lower_bound, try_syrk_1d, SyrkError};
-use syrk_repro::dense::{max_abs_diff, seeded_matrix, syrk_full_reference};
-use syrk_repro::machine::CostModel;
+use syrk_core::{gemm_1d, gemm_lower_bound, syrk_lower_bound, try_syrk_1d, SyrkError};
+use syrk_dense::{max_abs_diff, seeded_matrix, syrk_full_reference};
+use syrk_machine::CostModel;
 
 fn main() -> Result<(), SyrkError> {
     // 128 features, 8192 observations, 32 processors.

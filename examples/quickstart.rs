@@ -6,9 +6,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use syrk_repro::core::SyrkError;
-use syrk_repro::dense::{max_abs_diff, seeded_matrix, syrk_full_reference};
-use syrk_repro::{run_auto, syrk_lower_bound, CostModel};
+use syrk_core::{plan, run, syrk_lower_bound, RunSpec, SyrkError};
+use syrk_dense::{max_abs_diff, seeded_matrix, syrk_full_reference};
+use syrk_machine::CostModel;
 
 fn main() -> Result<(), SyrkError> {
     // A 96 × 768 input (short and wide — the covariance/normal-equations
@@ -16,7 +16,8 @@ fn main() -> Result<(), SyrkError> {
     let (n1, n2, p) = (96, 768, 16);
     let a = seeded_matrix::<f64>(n1, n2, 2023);
 
-    let (plan, run) = run_auto(&a, p, CostModel::bandwidth_only())?;
+    let plan = plan(n1, n2, p).plan;
+    let run = run(&a, &RunSpec::new(plan, CostModel::bandwidth_only()))?.result;
 
     // The algorithms compute real numbers: check them.
     let err = max_abs_diff(&run.c, &syrk_full_reference(&a));

@@ -6,9 +6,9 @@
 //! cargo run --release --example strong_scaling
 //! ```
 
-use syrk_repro::core::SyrkError;
-use syrk_repro::dense::{max_abs_diff, seeded_matrix, syrk_full_reference};
-use syrk_repro::{run_auto, syrk_lower_bound, CostModel};
+use syrk_core::{plan, run, syrk_lower_bound, RunSpec, SyrkError};
+use syrk_dense::{max_abs_diff, seeded_matrix, syrk_full_reference};
+use syrk_machine::CostModel;
 
 fn main() -> Result<(), SyrkError> {
     // A square-ish 120 × 240 input; boundary P = n2/√(n1(n1−1)) ≈ 2, so
@@ -23,7 +23,8 @@ fn main() -> Result<(), SyrkError> {
         "P", "plan", "ranks", "words", "bound", "ratio", "max err"
     );
     for p in [1usize, 2, 4, 8, 12, 24, 30, 60, 90] {
-        let (plan, run) = run_auto(&a, p, CostModel::bandwidth_only())?;
+        let plan = plan(n1, n2, p).plan;
+        let run = run(&a, &RunSpec::new(plan, CostModel::bandwidth_only()))?.result;
         let err = max_abs_diff(&run.c, &reference);
         assert!(err < 1e-9, "P={p}: wrong result");
         let ranks = run.cost.num_ranks();

@@ -9,13 +9,12 @@
 //! `sim_blocks` round and the five `/run` classes of `serve_mixed`
 //! (`rcrash` crashes rank 3 on its second operation, shrinks and replans).
 
-use syrk_repro::core::{
-    plan, run, run_with_recovery, try_syrk_1d, try_syrk_2d, try_syrk_3d, RecoveryPolicy, RunSpec,
-    SyrkRunResult, PHASE_ABFT,
+use syrk_core::{
+    plan, run, run_with_recovery, try_syrk_1d, try_syrk_2d, try_syrk_3d, Plan, RecoveryPolicy,
+    RunSpec, SyrkRunResult, PHASE_ABFT,
 };
-use syrk_repro::dense::{seeded_int_matrix, Matrix};
-use syrk_repro::machine::{CostReport, EventKind, FaultPlan, ReduceScatterAlg};
-use syrk_repro::{run_auto, CostModel, Plan};
+use syrk_dense::{seeded_int_matrix, Matrix};
+use syrk_machine::{CostModel, CostReport, EventKind, FaultPlan, ReduceScatterAlg};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0100_0000_01b3;
@@ -521,8 +520,10 @@ fn wrappers_equal_run_of_their_spec() {
             recovered,
         ),
         (
-            "run_auto",
-            run_auto(&a, 12, model).unwrap().1,
+            "planned",
+            run(&a, &RunSpec::new(plan(36, 8, 12).plan, model))
+                .unwrap()
+                .result,
             RunSpec::new(auto, model),
         ),
     ];

@@ -2,12 +2,12 @@
 //! Theorem 1 lower bound in its own regime — the paper's optimality
 //! claims, checked end-to-end on the simulated machine.
 
-use syrk_repro::core::{
+use syrk_core::{
     alg1d_predicted_cost, alg2d_tight_cost, gemm_2d, syrk_lower_bound, try_syrk_1d, try_syrk_2d,
     try_syrk_3d, BoundCase, Lemma6Problem,
 };
-use syrk_repro::dense::seeded_matrix;
-use syrk_repro::machine::CostModel;
+use syrk_dense::seeded_matrix;
+use syrk_machine::CostModel;
 
 #[test]
 fn case1_1d_attains_within_diagonal_slack() {

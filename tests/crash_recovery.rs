@@ -11,11 +11,9 @@
 //! the crashed rank, not just the machine-level first failure.
 
 use std::sync::Mutex;
-use syrk_repro::core::{
-    plan, run_with_recovery, syrk_lower_bound, AttemptOutcome, Plan, RecoveryPolicy,
-};
-use syrk_repro::dense::{max_abs_diff, seeded_int_matrix, seeded_matrix, syrk_full_reference};
-use syrk_repro::machine::{
+use syrk_core::{plan, run_with_recovery, syrk_lower_bound, AttemptOutcome, Plan, RecoveryPolicy};
+use syrk_dense::{max_abs_diff, seeded_int_matrix, seeded_matrix, syrk_full_reference};
+use syrk_machine::{
     CollectiveAlg, Comm, CostModel, FaultPlan, Machine, MachineError, ReduceScatterAlg,
     RECOVER_AGREE_PHASE, RECOVER_BACKOFF_PHASE, RECOVER_DETECT_PHASE, RECOVER_REDISTRIBUTE_PHASE,
 };
@@ -309,4 +307,122 @@ fn threed_crash_recovery_is_correct() {
     );
     assert_eq!(report.final_plan, plan(36, 8, 11).plan);
     assert_eq!(max_abs_diff(&run.c, &syrk_full_reference(&a)), 0.0);
+}
+
+/// One crash's recovery cost, pinned before agreement and replanning
+/// change: rank 1 crashes at its second operation and `run_with_recovery`
+/// (three attempts) shrinks and replans. Each row is `(n1, n2, start,
+/// final plan, max words of recover:agree, of recover:redistribute, the
+/// run's max words sent)`, the maxima over ranks of the final cost
+/// report, which includes the recovery prologue.
+fn one_crash_costs_are(rows: &[(usize, usize, Plan, Plan, u64, u64, u64)]) {
+    let policy = RecoveryPolicy { max_attempts: 3 };
+    let faults = FaultPlan::seeded(0).crash_rank(1, 2);
+    for &(n1, n2, start, want_plan, agree, redistribute, max_words) in rows {
+        let a = seeded_matrix::<f64>(n1, n2, 1);
+        let (run, report) = run_with_recovery(
+            &a,
+            start,
+            CostModel::bandwidth_only(),
+            Some(&faults),
+            &policy,
+        )
+        .unwrap_or_else(|e| panic!("{n1}x{n2} from {start:?}: {e}"));
+        let got = (
+            report.final_plan,
+            run.cost.phase_max_words_sent(RECOVER_AGREE_PHASE),
+            run.cost.phase_max_words_sent(RECOVER_REDISTRIBUTE_PHASE),
+            run.cost.max_words_sent(),
+        );
+        assert_eq!(
+            got,
+            (want_plan, agree, redistribute, max_words),
+            "{n1}x{n2} from {start:?}"
+        );
+        assert_eq!(report.ranks_lost, [1], "{n1}x{n2} from {start:?}");
+    }
+}
+
+#[test]
+fn one_crash_recovery_costs_are_pinned() {
+    one_crash_costs_are(&[
+        (
+            64,
+            1024,
+            Plan::OneD { p: 96 },
+            Plan::OneD { p: 95 },
+            94,
+            690,
+            2843,
+        ),
+        (
+            240,
+            64,
+            Plan::TwoD { c: 9 },
+            Plan::TwoD { c: 8 },
+            71,
+            214,
+            2077,
+        ),
+        (
+            480,
+            32,
+            Plan::TwoD { c: 11 },
+            Plan::TwoD { c: 9 },
+            89,
+            171,
+            1881,
+        ),
+        (
+            256,
+            64,
+            Plan::TwoD { c: 7 },
+            Plan::TwoD { c: 5 },
+            29,
+            547,
+            3501,
+        ),
+        (
+            96,
+            96,
+            Plan::TwoD { c: 3 },
+            Plan::TwoD { c: 2 },
+            5,
+            1536,
+            4614,
+        ),
+        (
+            200,
+            200,
+            Plan::ThreeD { c: 7, p2: 7 },
+            Plan::ThreeD { c: 8, p2: 5 },
+            359,
+            112,
+            1918,
+        ),
+        (
+            96,
+            96,
+            Plan::TwoD { c: 23 },
+            Plan::ThreeD { c: 9, p2: 6 },
+            539,
+            18,
+            920,
+        ),
+    ]);
+}
+
+/// The `sim_ranks` shape: 2255 survivors agree pairwise.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "2256 ranks: release only")]
+fn one_crash_recovery_cost_at_sim_ranks_is_pinned() {
+    one_crash_costs_are(&[(
+        188,
+        96,
+        Plan::TwoD { c: 47 },
+        Plan::ThreeD { c: 16, p2: 8 },
+        2175,
+        9,
+        2435,
+    )]);
 }

@@ -2,13 +2,14 @@
 //! the same (correct) product across shapes, and the auto-planner always
 //! delivers a verified result.
 
-use syrk_repro::core::{
-    gemm_1d, gemm_2d, gemm_3d, scalapack_syrk_2d, try_syrk_1d, try_syrk_2d, try_syrk_3d,
+use syrk_core::{
+    gemm_1d, gemm_2d, gemm_3d, plan, run, scalapack_syrk_2d, try_syrk_1d, try_syrk_2d, try_syrk_3d,
+    RunSpec,
 };
-use syrk_repro::dense::{
+use syrk_dense::{
     max_abs_diff, seeded_int_matrix, seeded_matrix, syrk_full_reference, syrk_tolerance,
 };
-use syrk_repro::{run_auto, CostModel};
+use syrk_machine::CostModel;
 
 #[test]
 fn every_algorithm_agrees_with_the_reference() {
@@ -56,7 +57,10 @@ fn auto_planner_verified_across_a_grid_of_instances() {
     for (n1, n2) in [(12usize, 96usize), (96, 12), (30, 30)] {
         for p in [1usize, 3, 6, 12, 20] {
             let a = seeded_matrix::<f64>(n1, n2, (n1 * 1000 + n2 + p) as u64);
-            let (plan, run) = run_auto(&a, p, CostModel::bandwidth_only()).unwrap();
+            let plan = plan(n1, n2, p).plan;
+            let run = run(&a, &RunSpec::new(plan, CostModel::bandwidth_only()))
+                .unwrap()
+                .result;
             let err = max_abs_diff(&run.c, &syrk_full_reference(&a));
             assert!(
                 err <= syrk_tolerance::<f64>(n2, 1.0),
@@ -65,6 +69,24 @@ fn auto_planner_verified_across_a_grid_of_instances() {
             assert!(run.cost.num_ranks() <= p);
         }
     }
+}
+
+#[test]
+fn planned_run_executes_each_family() {
+    // Short-wide → 1D; tall-skinny → 2D; square with many ranks → 3D.
+    let cases = [(16usize, 256usize, 4usize), (256, 6, 12), (48, 48, 24)];
+    let mut seen = Vec::new();
+    for (n1, n2, p) in cases {
+        let a = seeded_matrix::<f64>(n1, n2, 1);
+        let plan = plan(n1, n2, p).plan;
+        let run = run(&a, &RunSpec::new(plan, CostModel::bandwidth_only()))
+            .unwrap()
+            .result;
+        assert!(max_abs_diff(&run.c, &syrk_full_reference(&a)) < 1e-9);
+        seen.push(std::mem::discriminant(&plan));
+    }
+    seen.dedup();
+    assert_eq!(seen.len(), 3, "expected three distinct algorithm families");
 }
 
 #[test]

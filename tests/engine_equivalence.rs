@@ -23,11 +23,11 @@
 //! `C` itself is compared against a second run, not pinned: the inputs are
 //! not integers, so its low bits legitimately differ between ISAs.
 
-use syrk_repro::core::{
+use syrk_core::{
     run, try_syrk_1d, try_syrk_2d, try_syrk_3d, Plan, RunSpec, SyrkError, SyrkRunResult,
 };
-use syrk_repro::dense::{seeded_matrix, Matrix};
-use syrk_repro::machine::{CostModel, CostReport, FaultPlan, Machine, MachineError, Timeline};
+use syrk_dense::{seeded_matrix, Matrix};
+use syrk_machine::{CostModel, CostReport, FaultPlan, Machine, MachineError, Timeline};
 
 /// FNV-1a, one 64-bit word at a time.
 struct Fnv(u64);
@@ -370,8 +370,8 @@ fn event_engine_handles_algorithm_scale_beyond_thread_limits() {
     // per rank is good for, single process, correct result.
     let a = seeded_matrix::<f64>(50, 6, 13);
     let run = try_syrk_2d(&a, 23, CostModel::bandwidth_only(), None).expect("552-rank 2D run");
-    let want = syrk_repro::dense::syrk_full_reference(&a);
-    let err = syrk_repro::dense::max_abs_diff(&run.c, &want);
+    let want = syrk_dense::syrk_full_reference(&a);
+    let err = syrk_dense::max_abs_diff(&run.c, &want);
     assert!(err < 1e-10, "552-rank 2D result off by {err}");
     assert_eq!(run.cost.ranks.len(), 552);
 }

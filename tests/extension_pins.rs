@@ -1,4 +1,4 @@
-//! The §6 extension drivers (`syr2k`, `symm_2d`, `syrk_2d_limited`) run
+//! The §6 extension drivers (`syr2k`, `syrk_2d_limited`) run
 //! Algorithm 2's row-block exchange instead of hand copies of it. That
 //! changed which messages they send, and nothing else: `C` and every
 //! rank's words, flops and peak buffer had to be what they were under
@@ -26,13 +26,13 @@
 //! shared; their messages, phase rows and the tall shapes whose `C`
 //! outgrows `A` were printed before the four ran on one SUMMA grid.
 
-use syrk_repro::core::{
-    gemm_1d, gemm_2d, gemm_3d, scalapack_syrk_2d, symm_2d, syr2k, syrk_2d_limited, try_syrk_2d,
-    Plan, SyrkRunResult,
+use syrk_core::{
+    gemm_1d, gemm_2d, gemm_3d, scalapack_syrk_2d, syr2k, syrk_2d_limited, try_syrk_2d, Plan,
+    SyrkRunResult,
 };
-use syrk_repro::dense::{seeded_int_matrix, Matrix};
-use syrk_repro::machine::CostReport;
-use syrk_repro::CostModel;
+use syrk_dense::{seeded_int_matrix, Matrix};
+use syrk_machine::CostModel;
+use syrk_machine::CostReport;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0100_0000_01b3;
@@ -69,11 +69,6 @@ fn input(n1: usize, n2: usize, seed: u64) -> Matrix<f64> {
 }
 
 /// A symmetric integer matrix (both triangles stored).
-fn symmetric(n: usize) -> Matrix<f64> {
-    let raw = input(n, n, n as u64);
-    Matrix::from_fn(n, n, |i, j| raw[(i.max(j), i.min(j))])
-}
-
 /// `[C digest, rank digest, words_total, flops_total, peak_buffer_max]`.
 fn check(label: &str, c: &Matrix<f64>, cost: &CostReport, clocks: bool, want: [u64; 5]) {
     let got = [
@@ -275,23 +270,8 @@ fn limited_traffic_is_pinned() {
 }
 
 #[test]
-fn symm_and_limited_are_pinned() {
+fn limited_is_pinned() {
     let model = CostModel::typical();
-    let (a, b) = (symmetric(72), input(72, 8, 5));
-    let run = symm_2d(&a, &b, 3, model).unwrap();
-    check(
-        "symm_2d 72x8 c=3",
-        &run.c,
-        &run.cost,
-        false,
-        [
-            0xd982_b3e9_bf2c_960d,
-            0x02af_81f1_4a3f_60e5,
-            3456,
-            84_672,
-            144,
-        ],
-    );
     for (n1, n2, c, rounds, want) in [
         (
             72,
@@ -335,9 +315,9 @@ fn symm_and_limited_are_pinned() {
 
 /// Every driver sends one message per partner that shares a nonempty
 /// chunk, the way Algorithm 2 does. Before the change `syrk_2d_limited`
-/// and `symm_2d` ran the dense pairwise schedule, which also sends a
-/// zero-word lockstep message to every rank they share no block with, so
-/// the last two assertions failed there.
+/// ran the dense pairwise schedule, which also sends a zero-word
+/// lockstep message to every rank it shares no block with, so its
+/// assertions failed there.
 #[test]
 fn extension_messages_are_syrk_2d_messages() {
     let model = CostModel::typical();
@@ -356,10 +336,6 @@ fn extension_messages_are_syrk_2d_messages() {
         let want: Vec<u64> = syrk(n1, n2, c).iter().map(|m| rounds as u64 * m).collect();
         assert_eq!(got, want, "syrk_2d_limited {n1}x{n2} c={c} rounds={rounds}");
     }
-    let (a, b) = (symmetric(72), input(72, 8, 5));
-    let got = msgs(&symm_2d(&a, &b, 3, model).unwrap().cost);
-    let want: Vec<u64> = syrk(72, 8, 3).iter().map(|m| 2 * m).collect();
-    assert_eq!(got, want, "symm_2d 72x8 c=3");
 }
 
 /// Each rank's message count, as a digest.

@@ -3,11 +3,11 @@
 //! stay correct and (b) the cost reporting exposes the imbalance instead
 //! of hiding it.
 
-use syrk_repro::core::{try_syrk_1d, try_syrk_2d, try_syrk_3d, SyrkError, SyrkRunResult};
-use syrk_repro::dense::{
+use syrk_core::{try_syrk_1d, try_syrk_2d, try_syrk_3d, SyrkError, SyrkRunResult};
+use syrk_dense::{
     limit_threads, max_abs_diff, seeded_matrix, syrk_full_reference, syrk_tolerance, Matrix,
 };
-use syrk_repro::machine::{CostModel, CostReport, FaultPlan, Machine, MachineError};
+use syrk_machine::{CostModel, CostReport, FaultPlan, Machine, MachineError};
 
 #[test]
 fn extreme_aspect_ratios_stay_correct() {
@@ -54,7 +54,7 @@ fn zero_matrix_moves_the_same_words() {
     // the same words as a dense one (no silent short-circuiting).
     let (n1, n2, c) = (24usize, 8usize, 2usize);
     let dense = seeded_matrix::<f64>(n1, n2, 4);
-    let zero = syrk_repro::dense::Matrix::<f64>::zeros(n1, n2);
+    let zero = syrk_dense::Matrix::<f64>::zeros(n1, n2);
     let r1 = try_syrk_2d(&dense, c, CostModel::bandwidth_only(), None).unwrap();
     let r0 = try_syrk_2d(&zero, c, CostModel::bandwidth_only(), None).unwrap();
     assert_eq!(r1.cost.max_words_sent(), r0.cost.max_words_sent());

@@ -11,12 +11,11 @@
 //! separates `rows(i) > 0` from `block_len(i) > 0`), the padded variant,
 //! and the 2256-rank shape of the `sim_ranks` benchmark workload.
 
-use syrk_repro::core::{
-    run, try_syrk_2d, try_syrk_3d, RunSpec, SyrkRunResult, TriangleBlockDist, PHASE_ABFT,
+use syrk_core::{
+    run, try_syrk_2d, try_syrk_3d, Plan, RunSpec, SyrkRunResult, TriangleBlockDist, PHASE_ABFT,
 };
-use syrk_repro::dense::{seeded_int_matrix, syrk_full_reference, Matrix, Partition1D};
-use syrk_repro::machine::CostReport;
-use syrk_repro::{CostModel, Plan};
+use syrk_dense::{seeded_int_matrix, syrk_full_reference, Matrix, Partition1D};
+use syrk_machine::{CostModel, CostReport};
 
 /// FNV-1a over every rank row and every phase row of the report: all
 /// counters, the clock bits, and the phase names in first-use order.

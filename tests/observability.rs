@@ -2,12 +2,12 @@
 //! algorithm run, phase attribution, and the planner's public reporting
 //! types.
 
-use syrk_repro::core::{
-    run, syrk_lower_bound, RankedPlan, PHASE_ALLGATHER_A, PHASE_LOCAL_SYRK, PHASE_REDUCE_SCATTER_C,
+use syrk_core::{
+    run, syrk_lower_bound, Plan, RankedPlan, RunSpec, SyrkRunResult, PHASE_ALLGATHER_A,
+    PHASE_LOCAL_SYRK, PHASE_REDUCE_SCATTER_C,
 };
-use syrk_repro::dense::{limit_threads, max_abs_diff, seeded_matrix, syrk_full_reference, Matrix};
-use syrk_repro::machine::{CostModel, CostReport, EventKind, Timeline};
-use syrk_repro::{Plan, RunSpec, SyrkRunResult};
+use syrk_dense::{limit_threads, max_abs_diff, seeded_matrix, syrk_full_reference, Matrix};
+use syrk_machine::{CostModel, CostReport, EventKind, Timeline};
 
 /// One grid per algorithm, all accepting a 36 × 8 input.
 const GRIDS: [(&str, Plan); 3] = [
@@ -172,7 +172,7 @@ fn timelines_identical_across_host_thread_budgets() {
 
 #[test]
 fn planner_report_is_self_consistent() {
-    let rp: RankedPlan = syrk_repro::plan(512, 16, 40);
+    let rp: RankedPlan = syrk_core::plan(512, 16, 40);
     assert!(rp.plan.ranks() <= 40);
     assert!(rp.predicted_cost.is_finite() && rp.predicted_cost > 0.0);
     // The reported bound must equal Theorem 1 at the plan's rank count.

@@ -1,7 +1,7 @@
 //! Integration: the paper's concrete artifacts — Table 1, Fig. 2/3
 //! structure, the factor-2 headline, and the experiment harness itself.
 
-use syrk_repro::core::{gemm_lower_bound, syrk_lower_bound, TriangleBlockDist};
+use syrk_core::{gemm_lower_bound, syrk_lower_bound, TriangleBlockDist};
 
 #[test]
 fn table1_exact_reproduction() {
@@ -97,7 +97,7 @@ fn headline_factor_two_across_the_sweep() {
 fn experiment_harness_regenerates_every_artifact() {
     // Smoke-run the registry end to end (the binary's code path).
     let all = syrk_bench_reexport::all();
-    assert_eq!(all.len(), 21);
+    assert_eq!(all.len(), 20);
     // The cheap ones run here; the heavy ones have their own tests in
     // syrk-bench.
     for slug in ["fig1", "table1", "fig3", "bounds", "lemma6"] {

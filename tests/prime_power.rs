@@ -3,11 +3,11 @@
 //! needs prime `c`; these tests exercise grids the cyclic scheme cannot
 //! build (c = 4 → P = 20, c = 8 → P = 72, c = 9 → P = 90).
 
-use syrk_repro::core::{
+use syrk_core::{
     candidate_plans, constructible_orders, try_syrk_2d, try_syrk_3d, Plan, TriangleBlockDist,
 };
-use syrk_repro::dense::{max_abs_diff, seeded_matrix, syrk_full_reference, syrk_tolerance};
-use syrk_repro::machine::CostModel;
+use syrk_dense::{max_abs_diff, seeded_matrix, syrk_full_reference, syrk_tolerance};
+use syrk_machine::CostModel;
 
 #[test]
 fn affine_distributions_validate() {
@@ -74,6 +74,6 @@ fn planner_exploits_prime_power_grids() {
     let plans = candidate_plans(25);
     assert!(plans.contains(&Plan::TwoD { c: 4 }));
     // Tall-skinny instance: c = 4 beats c = 3 on predicted cost.
-    let rp = syrk_repro::plan(10_000, 8, 25);
+    let rp = syrk_core::plan(10_000, 8, 25);
     assert_eq!(rp.plan, Plan::TwoD { c: 4 }, "{:?}", rp.plan);
 }

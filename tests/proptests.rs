@@ -8,12 +8,12 @@
 //! exercises the same case set, and a failure message pins the exact
 //! inputs, which is all shrinking bought us for these small domains.
 
-use syrk_repro::core::{
+use syrk_core::{
     check_lemma3_proof_steps, check_loomis_whitney, check_symmetric_lw, quasiconvex,
     syrk_lower_bound, Lemma6Problem, PointSet, TriangleBlockDist,
 };
-use syrk_repro::dense::{DetRng, PackedLower, Partition1D};
-use syrk_repro::machine::Machine;
+use syrk_dense::{DetRng, PackedLower, Partition1D};
+use syrk_machine::Machine;
 
 /// A random set of strictly-lower points (j < i) in a small box.
 fn strictly_lower_points(rng: &mut DetRng) -> PointSet {
@@ -150,7 +150,7 @@ fn packed_roundtrip() {
     for case in 0..128 {
         let n = rng.gen_range(1, 20);
         let seed = rng.next_u64();
-        let m = syrk_repro::dense::seeded_matrix::<f64>(n, n, seed);
+        let m = syrk_dense::seeded_matrix::<f64>(n, n, seed);
         let p = PackedLower::from_matrix(&m);
         let full = p.to_full_symmetric();
         for i in 0..n {
@@ -228,11 +228,14 @@ fn planned_syrk_fuzz() {
         let n2 = rng.gen_range(1, 28);
         let p = rng.gen_range(1, 14);
         let seed = rng.gen_range(0, 50) as u64;
-        let a = syrk_repro::dense::seeded_matrix::<f64>(n1, n2, seed);
-        let (_, run) =
-            syrk_repro::run_auto(&a, p, syrk_repro::CostModel::bandwidth_only()).unwrap();
-        let want = syrk_repro::dense::syrk_full_reference(&a);
-        let err = syrk_repro::dense::max_abs_diff(&run.c, &want);
+        let a = syrk_dense::seeded_matrix::<f64>(n1, n2, seed);
+        let spec = syrk_core::RunSpec::new(
+            syrk_core::plan(n1, n2, p).plan,
+            syrk_machine::CostModel::bandwidth_only(),
+        );
+        let run = syrk_core::run(&a, &spec).unwrap().result;
+        let want = syrk_dense::syrk_full_reference(&a);
+        let err = syrk_dense::max_abs_diff(&run.c, &want);
         assert!(err < 1e-9, "case {case} ({n1},{n2},{p},{seed}): {err}");
     }
 }
@@ -242,22 +245,21 @@ fn planned_syrk_fuzz() {
 /// no triangle block construction — yields `Ok` or a typed [`SyrkError`],
 /// never a panic, and every `Ok` is numerically correct. That covers the
 /// `try_syrk_*` wrappers, the §6 drivers (SYR2K, which fails with
-/// SYRK's cause on every plan, SYMM, the panel variant) and the
+/// SYRK's cause on every plan, and the panel variant) and the
 /// GEMM/ScaLAPACK baselines, which take the grid order
 /// `c` as their side `r`. So is `run_with_recovery` on one or two rows
 /// with rank 1 crashing at its first operation: with one row the
 /// replanned attempt plans for an empty strict triangle.
 #[test]
 fn try_api_is_total_over_random_configs() {
-    use syrk_repro::core::{
-        gemm_1d, gemm_2d, gemm_3d, run_with_recovery, scalapack_syrk_2d, symm_2d, symm_reference,
-        syr2k, syrk_2d_limited, try_syrk_1d, try_syrk_2d, try_syrk_3d, Plan, RecoveryPolicy,
-        SyrkError,
+    use syrk_core::{
+        gemm_1d, gemm_2d, gemm_3d, run_with_recovery, scalapack_syrk_2d, syr2k, syrk_2d_limited,
+        try_syrk_1d, try_syrk_2d, try_syrk_3d, Plan, RecoveryPolicy, SyrkError,
     };
-    use syrk_repro::dense::{
+    use syrk_dense::{
         max_abs_diff, seeded_matrix, syr2k_full_reference, syrk_full_reference, Matrix,
     };
-    use syrk_repro::machine::FaultPlan;
+    use syrk_machine::FaultPlan;
 
     /// Tally one outcome: an `Ok` must match `want`, an error must
     /// display a cause.
@@ -281,7 +283,7 @@ fn try_api_is_total_over_random_configs() {
     }
 
     let mut rng = DetRng::seed_from_u64(0x5afe);
-    let model = syrk_repro::CostModel::bandwidth_only();
+    let model = syrk_machine::CostModel::bandwidth_only();
     let mut tally = (0usize, 0usize);
     for case in 0..40 {
         let n1 = rng.gen_range(0, 10);
@@ -291,8 +293,6 @@ fn try_api_is_total_over_random_configs() {
         let p2 = rng.gen_range(0, 4);
         let a = seeded_matrix::<f64>(n1, n2, case as u64);
         let b = seeded_matrix::<f64>(n1, n2, 100 + case as u64);
-        let raw = seeded_matrix::<f64>(n1, n1, 200 + case as u64);
-        let sym = Matrix::from_fn(n1, n1, |i, j| raw[(i, j)] + raw[(j, i)]);
         let rounds = 1 + case % 3;
         let rows = 1 + case % 2;
         let thin = seeded_matrix::<f64>(rows, n2, case as u64);
@@ -305,7 +305,7 @@ fn try_api_is_total_over_random_configs() {
         let at = |alg: &str| format!("case {case} {alg} ({n1},{n2},{p},{c},{p2})");
         let syrk_a = || syrk_full_reference(&a);
         let syrk_thin = || syrk_full_reference(&thin);
-        let c_of = |r: syrk_repro::SyrkRunResult| r.c;
+        let c_of = |r: syrk_core::SyrkRunResult| r.c;
         // SYR2K runs on the grid of the same plan, so it fails exactly
         // when SYRK does, with the same cause.
         let syr2k_ref = || syr2k_full_reference(&a, &b);
@@ -337,8 +337,6 @@ fn try_api_is_total_over_random_configs() {
             recovered(Plan::ThreeD { c, p2 }),
             syrk_thin,
         );
-        let symm = symm_2d(&sym, &a, c, model).map(|r| r.c);
-        check(t, &at("symm_2d"), symm, || symm_reference(&sym, &a));
         let limited = syrk_2d_limited(&a, c, rounds, model).map(c_of);
         check(t, &at("limited"), limited, syrk_a);
         // The baselines take the grid order as their side r.

@@ -14,10 +14,10 @@
 //! What faults may never touch — `C` and every non-retry phase row — is
 //! `tests/failure_injection.rs`' to check, at any size.
 
-use syrk_repro::core::try_syrk_2d;
-use syrk_repro::dense::seeded_int_matrix;
-use syrk_repro::machine::FaultPlan;
-use syrk_repro::CostModel;
+use syrk_core::try_syrk_2d;
+use syrk_dense::seeded_int_matrix;
+use syrk_machine::CostModel;
+use syrk_machine::FaultPlan;
 
 /// `(rank, phase, [msgs_sent, msgs_recv, words_sent, words_recv, clock bits])`.
 type Row = (usize, &'static str, [u64; 5]);

@@ -3,9 +3,9 @@
 //! grid, and the third attempt — the last the policy allows — finishes
 //! with a correct `C`. One case per plan family of the first attempt.
 
-use syrk_repro::core::{run_with_recovery, AttemptOutcome, Plan, RecoveryPolicy};
-use syrk_repro::dense::{max_abs_diff, seeded_matrix, syrk_full_reference};
-use syrk_repro::machine::{CostModel, FaultPlan};
+use syrk_core::{run_with_recovery, AttemptOutcome, Plan, RecoveryPolicy};
+use syrk_dense::{max_abs_diff, seeded_matrix, syrk_full_reference};
+use syrk_machine::{CostModel, FaultPlan};
 
 /// Run `(n1, n2)` from `initial` with ranks 1 and 3 crashing at their
 /// second operation and exactly three attempts allowed; return the plan
