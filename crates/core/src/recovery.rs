@@ -9,7 +9,8 @@
 //!    *recovery prologue* machine in which the survivors run the
 //!    fault-tolerant agreement collective
 //!    (`Comm::try_agree_on_failures`), charging heartbeat probes under
-//!    `recover:detect` and the suspect exchange under `recover:agree`;
+//!    `recover:detect` and the `⌈log₂ P′⌉` dissemination rounds of
+//!    suspect lists under `recover:agree`;
 //! 2. **shrink and replan** — the rank budget drops by one per crash and
 //!    the §5.4 planner picks the best grid for `P′ = P − f`, which may
 //!    cross a Theorem 1 bound case (each attempt records its

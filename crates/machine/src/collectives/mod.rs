@@ -7,8 +7,10 @@
 //! `w` is the per-processor data size before the collective.
 //! `Reduce-Scatter` additionally performs `(1 − 1/P)·w` additions.
 //!
-//! Those two, `All-Gather` (the GEMM baselines) and the crash-recovery
-//! agreement all run one step loop, `Comm::pairwise`. The §6
+//! Those two and `All-Gather` (the GEMM baselines) all run one step
+//! loop, `Comm::pairwise`. The crash-recovery agreement does not: it is
+//! a dissemination OR-all-reduce of `⌈log₂ P⌉` exchanges, since its
+//! suspect lists are tiny and union is idempotent. The §6
 //! latency-efficient variants (Bruck, recursive halving, tree + scatter)
 //! sit beside them so the trade-off can be measured (E12, E15).
 

@@ -54,7 +54,8 @@ pub(crate) const RETRY_CORRUPT_PHASE: &str = "retry:corrupt";
 ///
 /// Heartbeat probes and the timeout clock spent declaring a rank dead.
 pub const RECOVER_DETECT_PHASE: &str = "recover:detect";
-/// Survivor-to-survivor exchange of suspect lists until agreement.
+/// Survivor-to-survivor dissemination of suspect lists until agreement:
+/// `⌈log₂ P′⌉` exchanges per rank.
 pub const RECOVER_AGREE_PHASE: &str = "recover:agree";
 /// Re-shipping surviving A blocks into the replanned grid's layout.
 pub const RECOVER_REDISTRIBUTE_PHASE: &str = "recover:redistribute";

@@ -647,7 +647,7 @@ fn response_bodies_are_pinned_byte_for_byte() {
             "POST /run?alg=2d&n1=36&n2=8&c=3&seed=7",
             200,
             853,
-            0x7e5a_b2f1_a184_969a,
+            0x45ea_95d0_83cb_9f93,
         ),
         (
             "GET /plan?n1=abc&n2=250&p=48",

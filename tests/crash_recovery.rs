@@ -237,11 +237,11 @@ fn twod_crash_recovery_is_engine_identical_and_correct() {
 
     assert_eq!(report.final_plan, Plan::TwoD { c: 2 });
     assert_eq!(report.attempts.len(), 2);
-    assert_eq!(report.recovery_words, 324);
+    assert_eq!(report.recovery_words, 312);
     assert_eq!(report.backoff_clock, 64.0);
-    assert_eq!(run.cost.total_words(), 900);
-    assert_eq!(run.cost.max_words_sent(), 150);
-    assert_eq!(run.cost.elapsed(), 242.0);
+    assert_eq!(run.cost.total_words(), 888);
+    assert_eq!(run.cost.max_words_sent(), 148);
+    assert_eq!(run.cost.elapsed(), 240.0);
 }
 
 /// Shrinking `P = 12 → 11` on a wide instance crosses plan families
@@ -309,12 +309,12 @@ fn threed_crash_recovery_is_correct() {
     assert_eq!(max_abs_diff(&run.c, &syrk_full_reference(&a)), 0.0);
 }
 
-/// One crash's recovery cost, pinned before agreement and replanning
-/// change: rank 1 crashes at its second operation and `run_with_recovery`
-/// (three attempts) shrinks and replans. Each row is `(n1, n2, start,
-/// final plan, max words of recover:agree, of recover:redistribute, the
-/// run's max words sent)`, the maxima over ranks of the final cost
-/// report, which includes the recovery prologue.
+/// One crash's recovery cost, pinned so that a change to agreement or
+/// replanning shows: rank 1 crashes at its second operation and
+/// `run_with_recovery` (three attempts) shrinks and replans. Each row is
+/// `(n1, n2, start, final plan, max words of recover:agree, of
+/// recover:redistribute, the run's max words sent)`, the maxima over
+/// ranks of the final cost report, which includes the recovery prologue.
 fn one_crash_costs_are(rows: &[(usize, usize, Plan, Plan, u64, u64, u64)]) {
     let policy = RecoveryPolicy { max_attempts: 3 };
     let faults = FaultPlan::seeded(0).crash_rank(1, 2);
@@ -351,78 +351,78 @@ fn one_crash_recovery_costs_are_pinned() {
             1024,
             Plan::OneD { p: 96 },
             Plan::OneD { p: 95 },
-            94,
+            7,
             690,
-            2843,
+            2756,
         ),
         (
             240,
             64,
             Plan::TwoD { c: 9 },
             Plan::TwoD { c: 8 },
-            71,
+            7,
             214,
-            2077,
+            2013,
         ),
         (
             480,
             32,
             Plan::TwoD { c: 11 },
             Plan::TwoD { c: 9 },
-            89,
+            7,
             171,
-            1881,
+            1799,
         ),
         (
             256,
             64,
             Plan::TwoD { c: 7 },
             Plan::TwoD { c: 5 },
-            29,
+            5,
             547,
-            3501,
+            3477,
         ),
         (
             96,
             96,
             Plan::TwoD { c: 3 },
             Plan::TwoD { c: 2 },
-            5,
+            3,
             1536,
-            4614,
+            4612,
         ),
         (
             200,
             200,
             Plan::ThreeD { c: 7, p2: 7 },
             Plan::ThreeD { c: 8, p2: 5 },
-            359,
+            9,
             112,
-            1918,
+            1568,
         ),
         (
             96,
             96,
             Plan::TwoD { c: 23 },
             Plan::ThreeD { c: 9, p2: 6 },
-            539,
+            10,
             18,
-            920,
+            391,
         ),
     ]);
 }
 
-/// The `sim_ranks` shape: 2255 survivors agree pairwise.
+/// The `sim_ranks` shape: the prologue on the replanned 2176-rank grid
+/// agrees in ⌈log₂ 2176⌉ = 12 dissemination rounds.
 #[test]
-#[cfg_attr(debug_assertions, ignore = "2256 ranks: release only")]
 fn one_crash_recovery_cost_at_sim_ranks_is_pinned() {
     one_crash_costs_are(&[(
         188,
         96,
         Plan::TwoD { c: 47 },
         Plan::ThreeD { c: 16, p2: 8 },
-        2175,
+        12,
         9,
-        2435,
+        272,
     )]);
 }
