@@ -15,12 +15,13 @@
 //! simulated α-β-γ clock) to `target/experiments/trace_<mode>.{csv,json}`.
 //! Malformed arguments print usage and exit with status 2.
 
-use syrk_core::{attribute_bounds, plan, run, Plan, RunSpec, SyrkRunResult};
+use syrk_bench::trace::report;
+use syrk_core::{plan, run, Plan, RunSpec};
 use syrk_dense::{detected_isa, dispatched_isa, kernel_stats, seeded_matrix};
 use syrk_machine::telemetry::{flight, prometheus_text, registry, snapshot_json};
 use syrk_machine::{
-    chrome_trace_json, chrome_trace_json_with_wall, timelines_csv, CostModel, EventKind, FaultPlan,
-    Machine, MachineError, Timeline,
+    chrome_trace_json, chrome_trace_json_with_wall, timelines_csv, CostModel, FaultPlan, Machine,
+    MachineError,
 };
 
 const USAGE: &str = "\
@@ -200,29 +201,10 @@ fn run_deadlock(dump_path: &std::path::Path, metrics: Option<&str>) -> ! {
     }
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // Extract the --flag arguments before positional parsing.
+/// The run an argument line (flags other than `--faults` removed) asks
+/// for: the mode's label, the input shape, and the traced spec.
+fn spec_of(mut args: Vec<String>) -> (&'static str, usize, usize, RunSpec) {
     let faults: Option<FaultPlan> = take_flag(&mut args, "faults").map(|s| parse_faults(&s));
-    let metrics_fmt = take_flag(&mut args, "metrics");
-    if let Some(fmt) = &metrics_fmt {
-        if fmt != "text" && fmt != "json" {
-            eprintln!("trace: bad --metrics format {fmt:?} (want text or json)\n");
-            usage_exit()
-        }
-    }
-    let flight_path = take_flag(&mut args, "flight-recorder").map(std::path::PathBuf::from);
-    if args.first().map(String::as_str) == Some("deadlock") {
-        let dump =
-            flight_path.unwrap_or_else(|| "target/experiments/trace_deadlock_dump.json".into());
-        if let Some(dir) = dump.parent().filter(|d| !d.as_os_str().is_empty()) {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        run_deadlock(&dump, metrics_fmt.as_deref());
-    }
-    if flight_path.is_some() {
-        flight::enable();
-    }
     let (mode, rest) = match args.split_first() {
         None => (String::from("2d"), &args[..]),
         Some((m, rest)) => (m.to_ascii_lowercase(), rest),
@@ -246,8 +228,6 @@ fn main() {
             usage_exit()
         }
     };
-
-    let a = seeded_matrix::<f64>(n1, n2, 1);
     let model = CostModel {
         alpha: 1.0,
         beta: 0.01,
@@ -258,11 +238,38 @@ fn main() {
         trace: true,
         ..RunSpec::new(the_plan, model)
     };
+    (label, n1, n2, spec)
+}
+
+fn main() {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    // Extract the --flag arguments before positional parsing.
+    let metrics_fmt = take_flag(&mut args, "metrics");
+    if let Some(fmt) = &metrics_fmt {
+        if fmt != "text" && fmt != "json" {
+            eprintln!("trace: bad --metrics format {fmt:?} (want text or json)\n");
+            usage_exit()
+        }
+    }
+    let flight_path = take_flag(&mut args, "flight-recorder").map(std::path::PathBuf::from);
+    if args.first().map(String::as_str) == Some("deadlock") {
+        let dump =
+            flight_path.unwrap_or_else(|| "target/experiments/trace_deadlock_dump.json".into());
+        if let Some(dir) = dump.parent().filter(|d| !d.as_os_str().is_empty()) {
+            let _ = std::fs::create_dir_all(dir);
+        }
+        run_deadlock(&dump, metrics_fmt.as_deref());
+    }
+    if flight_path.is_some() {
+        flight::enable();
+    }
+    let (label, n1, n2, spec) = spec_of(args);
+    let a = seeded_matrix::<f64>(n1, n2, 1);
 
     let kernels_before = kernel_stats();
     let wall = std::time::Instant::now();
-    let (run, traces) = match run(&a, &spec) {
-        Ok(out) => (out.result, out.traces.expect("the spec asks for tracing")),
+    let out = match run(&a, &spec) {
+        Ok(out) => out,
         Err(e) => {
             eprintln!("trace: run failed: {e}");
             std::process::exit(1);
@@ -270,11 +277,9 @@ fn main() {
     };
     let wall = wall.elapsed().as_secs_f64();
     let kernels = kernel_stats().since(&kernels_before);
-
-    report(label, n1, n2, the_plan, &run, &traces);
-    if let Some(plan) = &spec.faults {
-        report_faults(plan, &run);
-    }
+    print!("{}", report(label, n1, n2, &spec, &out));
+    let run = &out.result;
+    let traces = out.traces.as_deref().expect("the spec asks for tracing");
 
     let total_flops: u64 = run.cost.ranks.iter().map(|r| r.flops).sum();
     println!(
@@ -333,8 +338,8 @@ fn main() {
     let csv_path = dir.join(format!("trace_{label}.csv"));
     let json_path = dir.join(format!("trace_{label}.json"));
     for (path, payload) in [
-        (&csv_path, timelines_csv(&traces)),
-        (&json_path, chrome_trace_json(&traces)),
+        (&csv_path, timelines_csv(traces)),
+        (&json_path, chrome_trace_json(traces)),
     ] {
         if let Err(e) = std::fs::write(path, payload) {
             eprintln!("trace: cannot write {}: {e}", path.display());
@@ -350,7 +355,7 @@ fn main() {
     if let Some(path) = &flight_path {
         flight::disable();
         let rec = flight::collect();
-        let merged = chrome_trace_json_with_wall(&traces, &rec);
+        let merged = chrome_trace_json_with_wall(traces, &rec);
         if let Err(e) = std::fs::write(path, merged) {
             eprintln!("trace: cannot write {}: {e}", path.display());
             std::process::exit(1);
@@ -376,67 +381,6 @@ fn vm_hwm_kib() -> Option<u64> {
     line.trim().trim_end_matches("kB").trim().parse().ok()
 }
 
-/// The retry phase table: traffic the fault plan caused, which is paid
-/// for in the ledger but sits outside the Theorem 1 bound terms. Sent and
-/// received words are summed because drops charge the sender while
-/// detected duplicates/corruptions charge the receiver.
-fn report_faults(plan: &FaultPlan, run: &SyrkRunResult) {
-    println!("\nfault injection (seed {}): retry traffic", plan.seed());
-    let retry: Vec<&str> = run
-        .cost
-        .phase_names()
-        .into_iter()
-        .filter(|n| n.starts_with("retry:"))
-        .collect();
-    if retry.is_empty() {
-        println!("  (no message was faulted under this plan)");
-        return;
-    }
-    println!(
-        "  {:<20} {:>12} {:>12} {:>10}",
-        "phase", "tot words", "tot msgs", "max clock"
-    );
-    for name in retry {
-        let (mut words, mut msgs, mut clock) = (0u64, 0u64, 0f64);
-        for rank in 0..run.cost.num_ranks() {
-            if let Some(c) = run.cost.phase_cost(rank, name) {
-                words += c.words_sent + c.words_recv;
-                msgs += c.msgs_sent + c.msgs_recv;
-                clock = clock.max(c.clock);
-            }
-        }
-        println!("  {name:<20} {words:>12} {msgs:>12} {clock:>10.3e}");
-    }
-}
-
-/// Per-rank summary, the phase table, and the bound-attribution residuals.
-fn report(label: &str, n1: usize, n2: usize, plan: Plan, run: &SyrkRunResult, traces: &[Timeline]) {
-    println!(
-        "{label} SYRK trace: A {n1}×{n2}, plan {plan:?}, P = {}",
-        run.cost.num_ranks()
-    );
-    println!(
-        "{:>5} {:>8} {:>8} {:>10} {:>10} {:>12}",
-        "rank", "events", "exchgs", "words", "flops", "final clock"
-    );
-    for (r, tl) in traces.iter().enumerate() {
-        let exchgs = tl.iter().filter(|e| e.kind == EventKind::Exchange).count();
-        println!(
-            "{:>5} {:>8} {:>8} {:>10} {:>10} {:>12.4}",
-            r,
-            tl.len(),
-            exchgs,
-            run.cost.ranks[r].words_sent,
-            run.cost.ranks[r].flops,
-            run.cost.ranks[r].clock
-        );
-    }
-    println!("critical path (max clock): {:.4}\n", run.cost.elapsed());
-    print!("{}", run.cost.phase_table());
-    println!();
-    print!("{}", attribute_bounds(n1, n2, plan, &run.cost));
-}
-
 /// Human-readable seconds.
 fn format_time(secs: f64) -> String {
     if secs >= 1.0 {
@@ -460,5 +404,46 @@ mod tests {
         assert!(format_time(2.5e-3).ends_with(" ms"));
         assert!(format_time(2.5e-6).ends_with(" us"));
         assert!(format_time(2.5e-9).ends_with(" ns"));
+    }
+
+    /// 64-bit FNV-1a of `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn reports_of_the_ci_lines_are_pinned() {
+        // (argument line, report length, FNV-1a of the report) for every
+        // line CI traces except the 10⁴-rank smokes: the report is the
+        // whole of stdout but the host lines (wall time, kernel dispatch,
+        // VmHWM, file paths).
+        let pins: [(&str, usize, u64); 5] = [
+            ("1d", 895, 0x041a_a354_d900_4e29),
+            ("2d", 1469, 0x78ef_646c_4a2f_bdb2),
+            ("3d", 2386, 0x7d49_91fd_b279_dc54),
+            ("plan", 1471, 0x66b8_fb75_a2b3_0e61),
+            (
+                "2d 36 8 3 --faults seed=7,drop=0.2,dup=0.1,delay=0.2,skew=2.0,corrupt=0.05",
+                2032,
+                0xd5c9_1106_36c4_4e40,
+            ),
+        ];
+        let mut moved = Vec::new();
+        for (line, want_len, want_digest) in pins {
+            let (label, n1, n2, spec) = spec_of(line.split(' ').map(String::from).collect());
+            let out = run(&seeded_matrix::<f64>(n1, n2, 1), &spec).expect("CI lines run");
+            let text = report(label, n1, n2, &spec, &out);
+            let got = (text.len(), fnv1a(text.as_bytes()));
+            if got != (want_len, want_digest) {
+                moved.push(format!("(\"{line}\", {}, {:#018x}),\n{text}", got.0, got.1));
+            }
+        }
+        assert!(
+            moved.is_empty(),
+            "pinned reports moved:\n{}",
+            moved.join("\n")
+        );
     }
 }

@@ -10,6 +10,7 @@
 
 pub mod experiments;
 pub mod table;
+pub mod trace;
 
 pub use experiments::{all, Experiment};
 pub use table::{fnum, Table};

@@ -17,6 +17,8 @@ use std::thread::JoinHandle;
 use syrk_server::json::{self, Json};
 use syrk_server::{Server, ServerConfig, SharedState};
 
+include!("support/run_table.rs");
+
 // ---------------------------------------------------------------------------
 // Harness
 
@@ -475,6 +477,22 @@ fn malformed_requests_get_4xx_and_the_server_keeps_serving() {
     // The server survived the whole battery.
     let (status, _) = get(srv.addr, "/plan?n1=30&n2=10&p=6");
     assert_eq!(status, 200);
+    srv.shutdown();
+}
+
+#[test]
+fn run_requests_answer_as_tabled() {
+    let srv = TestServer::start_default();
+    let mut moved = Vec::new();
+    for (query, body, want_status, want_message) in RUN_TABLE {
+        let (status, _head, reply) = post_json(srv.addr, &format!("/run?{query}"), body);
+        let doc = json::parse(&reply).unwrap_or_else(|e| panic!("{query}: {e} in {reply}"));
+        let message = doc.get("error").and_then(Json::as_str).unwrap_or("");
+        if (status, message) != (want_status, want_message) {
+            moved.push(format!("({query:?}, {body:?}, {status}, {message:?}),"));
+        }
+    }
+    assert!(moved.is_empty(), "answers moved:\n{}", moved.join("\n"));
     srv.shutdown();
 }
 
