@@ -8,24 +8,28 @@
 //! trace 2d [n1 n2 c]         # Algorithm 2        (defaults 36 8 3)
 //! trace 3d [n1 n2 c p2]      # Algorithm 3        (defaults 36 24 3 2)
 //! trace plan [n1 n2 P]       # planner's pick     (defaults 36 8 12)
+//! trace 2d 36 8 3 crash_rank=1 crash_op=2 max_attempts=3
 //! ```
+//!
+//! The mode and shape set `alg` and its grid keys; each `key=value` and
+//! `--faults` item is a further pair of the run's text form, which `/run`
+//! reads too. Bounds are attributed to the plan that ran last.
 //!
 //! Writes the full event log as CSV and as Chrome trace-event JSON
 //! (loadable in Perfetto / `chrome://tracing`; timestamps are the
 //! simulated α-β-γ clock) to `target/experiments/trace_<mode>.{csv,json}`.
 //! Malformed arguments print usage and exit with status 2.
 
-use syrk_bench::trace::report;
-use syrk_core::{plan, run, Plan, RunSpec};
+use syrk_bench::trace::{report, take_flag, trace_pairs};
+use syrk_core::{parse_run_spec, run, RunSpec};
 use syrk_dense::{detected_isa, dispatched_isa, kernel_stats, seeded_matrix};
 use syrk_machine::telemetry::{flight, prometheus_text, registry, snapshot_json};
 use syrk_machine::{
-    chrome_trace_json, chrome_trace_json_with_wall, timelines_csv, CostModel, FaultPlan, Machine,
-    MachineError,
+    chrome_trace_json, chrome_trace_json_with_wall, timelines_csv, CostModel, Machine, MachineError,
 };
 
 const USAGE: &str = "\
-usage: trace [mode] [shape] [--faults SPEC] [--metrics FMT] [--flight-recorder PATH]
+usage: trace [mode] [shape] [key=value ...] [--faults SPEC] [--metrics FMT] [--flight-recorder PATH]
   trace                  2D at the default shape (36, 8, c = 3)
   trace 1d [n1 n2 p]     Algorithm 1 (defaults 36 8 4)
   trace 2d [n1 n2 c]     Algorithm 2 (defaults 36 8 3)
@@ -36,124 +40,30 @@ usage: trace [mode] [shape] [--faults SPEC] [--metrics FMT] [--flight-recorder P
                          recording); exits 0 when the dump was written
 shape arguments are positive integers
 
-  --faults SPEC          inject deterministic transport faults and print the
-                         retry phase table. SPEC is comma-separated key=value:
-                         seed=N drop=p dup=p delay=p skew=s corrupt=p retries=n
-                         (probabilities in [0,1]); e.g. --faults seed=7,drop=0.2
+  key=value              a pair of the run's text form, as /run takes it: alg p
+                         c p2 fault_seed drop dup delay skew corrupt retries
+                         crash_rank crash_op max_attempts; the last value wins
+  --faults SPEC          comma-separated pairs (seed=N is fault_seed) and the
+                         retry phase table; e.g. --faults seed=7,drop=0.2
   --metrics FMT          print the telemetry registry after the run; FMT is
                          `text` (Prometheus exposition) or `json`
   --flight-recorder PATH enable the wall-clock flight recorder and write the
                          merged Chrome trace (simulated rows + wall-clock
                          rows) to PATH; in deadlock mode, the failure dump";
 
-fn usage_exit() -> ! {
-    eprintln!("{USAGE}");
+fn usage_exit(message: &str) -> ! {
+    eprintln!("trace: {message}\n\n{USAGE}");
     std::process::exit(2);
 }
 
-/// Parse every shape argument as a positive integer or exit with usage.
-fn parse_shape(args: &[String]) -> Vec<usize> {
-    args.iter()
-        .map(|a| match a.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("trace: bad shape argument {a:?} (want a positive integer)\n");
-                usage_exit()
-            }
-        })
-        .collect()
-}
-
-/// Parse a `--faults` spec (`seed=7,drop=0.2,...`) or exit with usage.
-fn parse_faults(spec: &str) -> FaultPlan {
-    let mut seed = 0u64;
-    let mut fields: Vec<(&str, f64)> = Vec::new();
-    for item in spec.split(',').filter(|s| !s.is_empty()) {
-        let bad = |what: &str| -> ! {
-            eprintln!("trace: bad --faults item {item:?} ({what})\n");
-            usage_exit()
-        };
-        let Some((key, value)) = item.split_once('=') else {
-            bad("want key=value");
-        };
-        match key {
-            "seed" => match value.parse::<u64>() {
-                Ok(n) => seed = n,
-                Err(_) => bad("seed wants an unsigned integer"),
-            },
-            "drop" | "dup" | "delay" | "corrupt" => match value.parse::<f64>() {
-                Ok(p) if (0.0..=1.0).contains(&p) => fields.push((key, p)),
-                _ => bad("probability must be in [0, 1]"),
-            },
-            "skew" => match value.parse::<f64>() {
-                Ok(s) if s >= 0.0 => fields.push((key, s)),
-                _ => bad("skew must be non-negative"),
-            },
-            "retries" => match value.parse::<u32>() {
-                Ok(n) => fields.push((key, f64::from(n))),
-                Err(_) => bad("retries wants an unsigned integer"),
-            },
-            _ => bad("unknown key"),
-        }
-    }
-    let get = |key: &str| {
-        fields
-            .iter()
-            .rev()
-            .find(|(k, _)| *k == key)
-            .map(|&(_, v)| v)
-    };
-    let mut plan = FaultPlan::seeded(seed);
-    if let Some(p) = get("drop") {
-        plan = plan.drop(p);
-    }
-    if let Some(p) = get("dup") {
-        plan = plan.duplicate(p);
-    }
-    if let Some(p) = get("delay") {
-        plan = plan.delay(p, get("skew").unwrap_or(1.0));
-    }
-    if let Some(p) = get("corrupt") {
-        plan = plan.corrupt(p);
-    }
-    if let Some(n) = get("retries") {
-        plan = plan.retries(n as u32);
-    }
-    plan
-}
-
-/// Pull `--NAME VALUE` / `--NAME=VALUE` out of `args`, returning the
-/// value; exits with usage when the flag is present but valueless.
-fn take_flag(args: &mut Vec<String>, name: &str) -> Option<String> {
-    let eq_form = format!("--{name}=");
-    let i = args
-        .iter()
-        .position(|a| a == &format!("--{name}") || a.starts_with(&eq_form))?;
-    if let Some(s) = args[i].strip_prefix(&eq_form) {
-        let s = s.to_string();
-        args.remove(i);
-        Some(s)
-    } else {
-        args.remove(i);
-        if i >= args.len() {
-            eprintln!("trace: --{name} needs a value\n");
-            usage_exit()
-        }
-        Some(args.remove(i))
-    }
-}
-
-/// Print the metrics registry in the requested format (`text` = Prometheus
-/// exposition, `json`).
+/// Print the metrics registry: `text` is the Prometheus exposition,
+/// anything else JSON.
 fn print_metrics(fmt: &str) {
     let snap = registry::snapshot();
-    match fmt {
-        "text" => print!("{}", prometheus_text(&snap)),
-        "json" => println!("{}", snapshot_json(&snap)),
-        other => {
-            eprintln!("trace: bad --metrics format {other:?} (want text or json)\n");
-            usage_exit()
-        }
+    if fmt == "text" {
+        print!("{}", prometheus_text(&snap));
+    } else {
+        println!("{}", snapshot_json(&snap));
     }
 }
 
@@ -201,42 +111,17 @@ fn run_deadlock(dump_path: &std::path::Path, metrics: Option<&str>) -> ! {
     }
 }
 
-/// The run an argument line (flags other than `--faults` removed) asks
-/// for: the mode's label, the input shape, and the traced spec.
-fn spec_of(mut args: Vec<String>) -> (&'static str, usize, usize, RunSpec) {
-    let faults: Option<FaultPlan> = take_flag(&mut args, "faults").map(|s| parse_faults(&s));
-    let (mode, rest) = match args.split_first() {
-        None => (String::from("2d"), &args[..]),
-        Some((m, rest)) => (m.to_ascii_lowercase(), rest),
-    };
-
-    let (label, n1, n2, the_plan) = match (mode.as_str(), &parse_shape(rest)[..]) {
-        ("1d", []) => ("1d", 36, 8, Plan::OneD { p: 4 }),
-        ("1d", [n1, n2, p]) => ("1d", *n1, *n2, Plan::OneD { p: *p }),
-        ("2d", []) => ("2d", 36, 8, Plan::TwoD { c: 3 }),
-        ("2d", [n1, n2, c]) => ("2d", *n1, *n2, Plan::TwoD { c: *c }),
-        ("3d", []) => ("3d", 36, 24, Plan::ThreeD { c: 3, p2: 2 }),
-        ("3d", [n1, n2, c, p2]) => ("3d", *n1, *n2, Plan::ThreeD { c: *c, p2: *p2 }),
-        ("plan", []) => ("plan", 36, 8, plan(36, 8, 12).plan),
-        ("plan", [n1, n2, p]) => ("plan", *n1, *n2, plan(*n1, *n2, *p).plan),
-        ("1d" | "2d" | "3d" | "plan", _) => {
-            eprintln!("trace: wrong number of shape arguments for mode {mode:?}\n");
-            usage_exit()
-        }
-        _ => {
-            eprintln!("trace: unknown mode {mode:?}\n");
-            usage_exit()
-        }
-    };
-    let model = CostModel {
+/// The run an argument line (without `--metrics` and `--flight-recorder`)
+/// asks for: the mode's label, the input shape and the traced spec.
+fn spec_of(args: Vec<String>) -> (&'static str, usize, usize, RunSpec) {
+    let (label, n1, n2, pairs) = trace_pairs(args).unwrap_or_else(|e| usage_exit(&e));
+    let spec = parse_run_spec(n1, n2, usize::MAX, &pairs);
+    let mut spec = spec.unwrap_or_else(|e| usage_exit(&e.to_string()));
+    spec.trace = true;
+    spec.model = CostModel {
         alpha: 1.0,
         beta: 0.01,
         gamma: 1e-5,
-    };
-    let spec = RunSpec {
-        faults,
-        trace: true,
-        ..RunSpec::new(the_plan, model)
     };
     (label, n1, n2, spec)
 }
@@ -244,14 +129,13 @@ fn spec_of(mut args: Vec<String>) -> (&'static str, usize, usize, RunSpec) {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // Extract the --flag arguments before positional parsing.
-    let metrics_fmt = take_flag(&mut args, "metrics");
-    if let Some(fmt) = &metrics_fmt {
-        if fmt != "text" && fmt != "json" {
-            eprintln!("trace: bad --metrics format {fmt:?} (want text or json)\n");
-            usage_exit()
-        }
+    let mut flag = |name| take_flag(&mut args, name).unwrap_or_else(|e| usage_exit(&e));
+    let metrics_fmt = flag("metrics");
+    let flight_path = flag("flight-recorder").map(std::path::PathBuf::from);
+    match metrics_fmt.as_deref() {
+        None | Some("text" | "json") => {}
+        Some(fmt) => usage_exit(&format!("bad --metrics format {fmt:?} (want text or json)")),
     }
-    let flight_path = take_flag(&mut args, "flight-recorder").map(std::path::PathBuf::from);
     if args.first().map(String::as_str) == Some("deadlock") {
         let dump =
             flight_path.unwrap_or_else(|| "target/experiments/trace_deadlock_dump.json".into());

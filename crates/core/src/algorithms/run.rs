@@ -19,7 +19,7 @@ use crate::planner::Plan;
 use crate::recovery::{self, RecoveryPolicy, RecoveryReport};
 
 /// Everything that parameterises one simulated SYRK run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     /// Algorithm and grid (§5.4).
     pub plan: Plan,

@@ -61,6 +61,7 @@ mod points;
 mod primes;
 mod prism;
 mod recovery;
+mod spec;
 
 pub use abft::PHASE_ABFT;
 pub use algorithms::{
@@ -93,3 +94,4 @@ pub use prism::SyrkIterationSpace;
 pub use recovery::{
     run_with_recovery, AttemptOutcome, RecoveryAttempt, RecoveryPolicy, RecoveryReport,
 };
+pub use spec::{parse_run_spec, SpecError};

@@ -13,12 +13,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use syrk_core::{
-    attribute_bounds, candidate_plans, gemm_lower_bound, plan, predicted_cost, ranked_plans, run,
-    syrk_lower_bound, AttemptOutcome, Plan, RankedPlan, RecoveryPolicy, RecoveryReport, RunSpec,
-    SyrkBound, SyrkRunResult,
+    attribute_bounds, candidate_plans, gemm_lower_bound, parse_run_spec, predicted_cost,
+    ranked_plans, run, syrk_lower_bound, AttemptOutcome, Plan, RankedPlan, RecoveryReport,
+    SpecError, SyrkBound, SyrkRunResult,
 };
 use syrk_dense::seeded_matrix;
-use syrk_machine::{CostModel, CostReport, FaultPlan};
+use syrk_machine::{CostModel, CostReport};
 use syrk_telemetry::{escape_json_into, registry};
 
 use crate::http::{Request, Response};
@@ -120,34 +120,6 @@ fn parse_body(req: &Request) -> Result<Option<Json>, Response> {
     json::parse(text)
         .map(Some)
         .map_err(|e| Response::json_error(400, &format!("malformed JSON body: {e}")))
-}
-
-/// An optional non-negative integer for `/run`, read from the body
-/// member `section.key` when present, else the query parameter `qname`.
-fn body_or_query_u64(
-    body: Option<&Json>,
-    section: &str,
-    key: &str,
-    req: &Request,
-    qname: &str,
-) -> Result<Option<u64>, Response> {
-    if let Some(v) = body.and_then(|b| b.get(section)).and_then(|s| s.get(key)) {
-        return v.as_u64().map(Some).ok_or_else(|| {
-            Response::json_error(
-                400,
-                &format!("body field {section}.{key} must be a non-negative integer"),
-            )
-        });
-    }
-    match req.query_param(qname) {
-        None => Ok(None),
-        Some(raw) => raw.parse::<u64>().map(Some).map_err(|_| {
-            Response::json_error(
-                400,
-                &format!("query parameter {qname:?} must be a non-negative integer, got {raw:?}"),
-            )
-        }),
-    }
 }
 
 /// Parse the common `(n1, n2, p)` triple and enforce the planner's
@@ -336,73 +308,17 @@ fn handle_run(state: &Arc<SharedState>, req: &Request) -> Result<Response, Respo
         return Err(Response::json_error(422, "n1 must be at least 2"));
     }
     let seed = optional_u64(req, "seed", 0)?;
-    let body = parse_body(req)?;
-    for section in ["recovery", "faults"] {
-        if let Some(v) = body.as_ref().and_then(|b| b.get(section)) {
-            if !matches!(v, Json::Obj(_)) {
-                return Err(Response::json_error(
-                    400,
-                    &format!("body field {section:?} must be an object"),
-                ));
-            }
-        }
+    let (cells, cap) = (n1.saturating_mul(n2), state::MAX_RUN_CELLS);
+    if cells > cap {
+        let msg = format!("n1*n2 = {cells} exceeds this server's run cap of {cap} cells");
+        return Err(Response::json_error(413, &msg));
     }
-    // Fault injection: a deterministic crash of one rank, from the body
-    // (`"faults": {"seed": S, "crash_rank": R, "crash_op": OP}`) or the
-    // equivalent query parameters.
-    let crash_rank = body_or_query_u64(body.as_ref(), "faults", "crash_rank", req, "crash_rank")?;
-    let crash_op =
-        body_or_query_u64(body.as_ref(), "faults", "crash_op", req, "crash_op")?.unwrap_or(1);
-    let fault_seed =
-        body_or_query_u64(body.as_ref(), "faults", "seed", req, "fault_seed")?.unwrap_or(0);
-    let faults: Option<FaultPlan> =
-        crash_rank.map(|r| FaultPlan::seeded(fault_seed).crash_rank(r as usize, crash_op));
-    // Recovery: `"recovery": {"max_attempts": N}` (or ?max_attempts=N)
-    // routes the run through the shrink-and-replan driver; an injected
-    // crash without it gets the driver's default budget, so faulted runs
-    // recover instead of 500ing.
-    let max_attempts = body_or_query_u64(
-        body.as_ref(),
-        "recovery",
-        "max_attempts",
-        req,
-        "max_attempts",
-    )?;
-    if max_attempts == Some(0) {
-        return Err(Response::json_error(
-            400,
-            "recovery.max_attempts must be at least 1",
-        ));
-    }
-    let policy = max_attempts
-        .map(|n| RecoveryPolicy {
-            max_attempts: n as usize,
-        })
-        .or_else(|| faults.is_some().then(RecoveryPolicy::default));
-    let chosen: Plan = match req.query_param("alg").unwrap_or("auto") {
-        "1d" => Plan::OneD {
-            p: required_usize(req, "p")?,
-        },
-        "2d" => Plan::TwoD {
-            c: required_usize(req, "c")?,
-        },
-        "3d" => Plan::ThreeD {
-            c: required_usize(req, "c")?,
-            p2: required_usize(req, "p2")?,
-        },
-        "auto" => {
-            let p = problem_params(req)?.2;
-            check_run_cells(n1, n2)?;
-            plan(n1, n2, p).plan
-        }
-        other => {
-            return Err(Response::json_error(
-                400,
-                &format!("alg must be one of 1d, 2d, 3d, auto; got {other:?}"),
-            ))
-        }
-    };
-    check_run_cells(n1, n2)?;
+    let pairs = run_pairs(req)?;
+    let mut spec = parse_run_spec(n1, n2, state::MAX_PLAN_RANKS, &pairs).map_err(|e| match e {
+        SpecError::OverBudget(..) => Response::json_error(413, &e.to_string()),
+        _ => Response::json_error(400, &e.to_string()),
+    })?;
+    let chosen = spec.plan;
     if chosen.ranks() > state::MAX_RUN_RANKS {
         return Err(Response::json_error(
             413,
@@ -433,17 +349,12 @@ fn handle_run(state: &Arc<SharedState>, req: &Request) -> Result<Response, Respo
         }
     })?;
 
-    // One spec per request; its failure dumps, if the server was
-    // configured with a dump directory, go to a per-run file.
-    let spec = RunSpec {
-        faults,
-        recovery: policy,
-        dump: state.config.dump_dir.as_ref().map(|dir| {
-            let seq = state.run_seq.fetch_add(1, Ordering::Relaxed);
-            dir.join(format!("run_{seq}.json"))
-        }),
-        ..RunSpec::new(chosen, CostModel::bandwidth_only())
-    };
+    // A run's failure dumps, if the server was configured with a dump
+    // directory, go to a file of its own.
+    spec.dump = state.config.dump_dir.as_ref().map(|dir| {
+        let seq = state.run_seq.fetch_add(1, Ordering::Relaxed);
+        dir.join(format!("run_{seq}.json"))
+    });
     let a = seeded_matrix::<f64>(n1, n2, seed);
     let result = run(&a, &spec);
     drop(permit);
@@ -553,19 +464,38 @@ fn write_run(
     out.push_str("}\n");
 }
 
-/// The 413 owed to a `/run` whose `n1·n2` input is over the cell cap.
-fn check_run_cells(n1: usize, n2: usize) -> Result<(), Response> {
-    let cells = n1.saturating_mul(n2);
-    if cells > state::MAX_RUN_CELLS {
-        return Err(Response::json_error(
-            413,
-            &format!(
-                "n1*n2 = {cells} exceeds this server's run cap of {} cells",
-                state::MAX_RUN_CELLS
-            ),
-        ));
+/// A `/run` as the text form of a run: every query pair but the
+/// request fields `n1`, `n2` and `seed`, then every `section.key` leaf of
+/// the JSON body (`faults.seed` is `fault_seed`), so the body beats the
+/// query.
+fn run_pairs(req: &Request) -> Result<Vec<(String, String)>, Response> {
+    let mut pairs = req.query.clone();
+    pairs.retain(|(k, _)| !["n1", "n2", "seed"].contains(&k.as_str()));
+    let sections = match parse_body(req)? {
+        None => Vec::new(),
+        Some(Json::Obj(sections)) => sections,
+        Some(_) => return Err(Response::json_error(400, "body must be a JSON object")),
+    };
+    for (section, members) in sections {
+        let Json::Obj(members) = members else {
+            let msg = format!("body field {section:?} must be an object");
+            return Err(Response::json_error(400, &msg));
+        };
+        for (key, value) in members {
+            let key = match (section.as_str(), key.as_str()) {
+                ("faults", "seed") => "fault_seed".to_string(),
+                ("faults", "crash_rank" | "crash_op") | ("recovery", "max_attempts") => key,
+                _ => format!("{section}.{key}"),
+            };
+            let value = match value {
+                Json::Num(n) => n.to_string(),
+                Json::Str(s) => format!("{s:?}"),
+                other => format!("{other:?}"),
+            };
+            pairs.push((key, value));
+        }
     }
-    Ok(())
+    Ok(pairs)
 }
 
 // ---------------------------------------------------------------------------
@@ -598,4 +528,166 @@ fn handle_status(state: &Arc<SharedState>) -> Response {
     row(&mut html, "runs_rejected", rejected);
     html.push_str("</table>\n</body></html>\n");
     Response::html(200, html)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::split_target;
+    use syrk_bench::trace::trace_pairs;
+    use syrk_dense::DetRng;
+
+    include!("../tests/support/run_table.rs");
+
+    /// The argument lines CI traces, but the 10⁴-rank smokes.
+    const TRACE_LINES: [&str; 6] = [
+        "1d",
+        "2d",
+        "3d",
+        "plan",
+        "2d 36 8 3 --faults seed=7,drop=0.2,dup=0.1,delay=0.2,skew=2.0,corrupt=0.05",
+        "2d 36 8 3 crash_rank=1 crash_op=2 max_attempts=3",
+    ];
+
+    /// A `POST /run?{query}` with `body`; `None` when the target is
+    /// malformed, which the HTTP layer answers before any handler.
+    fn request(query: &str, body: &str) -> Option<Request> {
+        let (path, query) = split_target(&format!("/run?{query}")).ok()?;
+        let (method, body) = ("POST".to_string(), body.as_bytes().to_vec());
+        Some(Request {
+            method,
+            path,
+            query,
+            body,
+        })
+    }
+
+    type Pairs = Vec<(String, String)>;
+
+    /// A `/run`'s input shape and run pairs, as `handle_run` reads them.
+    fn read(req: &Request) -> Option<(usize, usize, Pairs)> {
+        let n1 = required_usize(req, "n1").ok()?;
+        Some((n1, required_usize(req, "n2").ok()?, run_pairs(req).ok()?))
+    }
+
+    #[test]
+    fn a_run_and_its_trace_line_read_one_spec() {
+        // `serve_mixed`'s five classes: each request's pairs, passed to
+        // `trace` after the matching mode and shape, with and without the
+        // plan keys the mode and shape already give.
+        let crash = r#"{"faults": {"crash_rank": 3, "crash_op": 2}}"#;
+        for (query, body, line) in [
+            ("alg=1d&n1=256&n2=2048&p=8", "", "1d 256 2048 8"),
+            ("alg=2d&n1=338&n2=64&c=13", "", "2d 338 64 13"),
+            ("alg=3d&n1=240&n2=240&c=3&p2=2", "", "3d 240 240 3 2"),
+            ("alg=auto&n1=480&n2=480&p=30", "", "plan 480 480 30"),
+            ("alg=2d&n1=338&n2=64&c=13", crash, "2d 338 64 13"),
+        ] {
+            let req = request(&format!("{query}&seed=5"), body).expect("well-formed target");
+            let (n1, n2, pairs) = read(&req).expect("a valid request");
+            let served = parse_run_spec(n1, n2, state::MAX_PLAN_RANKS, &pairs).expect("parses");
+            assert_eq!(served.recovery.is_some(), !body.is_empty(), "{query}");
+            for with_plan in [true, false] {
+                let plan_key = |k: &str| ["alg", "p", "c", "p2"].contains(&k);
+                let given = pairs.iter().filter(|(k, _)| with_plan || !plan_key(k));
+                let mut args: Vec<String> = line.split(' ').map(String::from).collect();
+                args.extend(given.map(|(k, v)| format!("{k}={v}")));
+                let (_, t1, t2, traced) = trace_pairs(args).expect("a valid line");
+                assert_eq!((t1, t2), (n1, n2), "{line}");
+                let traced = parse_run_spec(t1, t2, usize::MAX, &traced);
+                assert_eq!(traced.as_ref(), Ok(&served), "{line}");
+            }
+        }
+    }
+
+    /// `text` with one to three printable-ASCII bytes replaced, inserted
+    /// or deleted.
+    fn mutate(rng: &mut DetRng, text: &str) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        for _ in 0..=rng.gen_below(3) {
+            let at = rng.gen_range(0, bytes.len() + 1);
+            let byte = b' ' + rng.gen_below(95) as u8;
+            match rng.gen_below(3) {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 if at < bytes.len() => drop(bytes.remove(at)),
+                _ => bytes.insert(at, byte),
+            }
+        }
+        String::from_utf8(bytes).expect("printable ASCII")
+    }
+
+    /// A spec parses, or its error names a key of `pairs` with its raw
+    /// value (a missing key: one `pairs` lacks); an accepted spec's
+    /// probabilities are in [0, 1] and its retries at most 64.
+    fn check(n1: usize, n2: usize, pairs: &[(String, String)]) {
+        let given = |key: &str, value: &str| pairs.iter().any(|(k, v)| k == key && v == value);
+        match parse_run_spec(n1, n2, state::MAX_RUN_RANKS, pairs) {
+            Ok(spec) => {
+                let Some(faults) = spec.faults else { return };
+                // `FaultPlan`'s fields are private; its `Debug` form shows them.
+                let debug = format!("{faults:?}");
+                let field = |name: &str| -> f64 {
+                    let rest =
+                        &debug[debug.find(&format!("{name}: ")).expect(name) + name.len() + 2..];
+                    rest[..rest.find([',', ' ']).expect("more fields")]
+                        .parse()
+                        .expect(name)
+                };
+                for name in ["drop_p", "dup_p", "delay_p", "corrupt_p"] {
+                    assert!((0.0..=1.0).contains(&field(name)), "{pairs:?}");
+                }
+                assert!(field("max_retries") <= 64.0, "{pairs:?}");
+            }
+            Err(SpecError::Invalid(key, Some(value), _)) => {
+                assert!(given(&key, &value), "{key}={value} not in {pairs:?}");
+            }
+            Err(SpecError::Invalid(key, None, _)) => {
+                assert!(pairs.iter().all(|(k, _)| *k != key), "{key} in {pairs:?}")
+            }
+            Err(SpecError::OverBudget(value, _)) => assert!(given("p", &value)),
+        }
+    }
+
+    #[test]
+    fn mutated_runs_parse_or_name_their_key() {
+        // 10³ mutants of each input, over 4·10⁴ in all, keep the test
+        // well under a second in a debug build.
+        const MUTANTS: usize = 1_000;
+        let mut rng = DetRng::seed_from_u64(49);
+        let mut queries: Vec<&str> = RUN_TABLE.iter().map(|row| row.0).collect();
+        let mut bodies: Vec<&str> = RUN_TABLE.iter().map(|row| row.1).collect();
+        for inputs in [&mut queries, &mut bodies] {
+            inputs.sort_unstable();
+            inputs.dedup();
+        }
+        for query in queries {
+            for _ in 0..MUTANTS {
+                let Some(req) = request(&mutate(&mut rng, query), "") else {
+                    continue;
+                };
+                if let Some((n1, n2, pairs)) = read(&req) {
+                    check(n1, n2, &pairs);
+                }
+            }
+        }
+        for body in bodies {
+            for _ in 0..MUTANTS {
+                let req = request("alg=2d&n1=36&n2=8&c=3", &mutate(&mut rng, body)).unwrap();
+                if let Some((n1, n2, pairs)) = read(&req) {
+                    check(n1, n2, &pairs);
+                }
+            }
+        }
+        for line in TRACE_LINES {
+            for _ in 0..MUTANTS {
+                let args = mutate(&mut rng, line)
+                    .split_whitespace()
+                    .map(String::from)
+                    .collect();
+                if let Ok((_, n1, n2, pairs)) = trace_pairs(args) {
+                    check(n1, n2, &pairs);
+                }
+            }
+        }
+    }
 }

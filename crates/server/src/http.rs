@@ -157,7 +157,7 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// Split a request target into its decoded path and query parameters.
-fn split_target(target: &str) -> Result<(String, Vec<(String, String)>), ParseError> {
+pub(crate) fn split_target(target: &str) -> Result<(String, Vec<(String, String)>), ParseError> {
     let (raw_path, raw_query) = match target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
         None => (target, None),
