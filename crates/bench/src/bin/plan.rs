@@ -43,10 +43,7 @@ fn main() {
     println!("ranks used:      {}", chosen.plan.ranks());
     println!("predicted words: {:.1}", chosen.predicted_cost);
     println!("bound at ranks:  {:.1}", chosen.bound);
-    println!(
-        "predicted/bound: {:.3}",
-        chosen.predicted_cost / chosen.bound.max(1.0)
-    );
+    println!("{}", ratio_line(chosen.predicted_cost, chosen.bound));
 
     println!("\ntop candidates:");
     for r in ranked.iter().take(8) {
@@ -56,5 +53,29 @@ fn main() {
             r.plan,
             r.plan.ranks()
         );
+    }
+}
+
+/// The chosen plan's predicted words over the bound at its ranks.
+fn ratio_line(predicted: f64, bound: f64) -> String {
+    if bound == 0.0 {
+        "predicted/bound: n/a (bound is 0)".into()
+    } else {
+        format!("predicted/bound: {:.3}", predicted / bound)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// At 36×8 and P = 10⁵ both sides are under one word (0.3): the
+    /// ratio divides by the bound as it is.
+    #[test]
+    fn the_ratio_is_unclamped_below_one_word() {
+        let chosen = &ranked_plans(36, 8, 100_000)[0];
+        let line = ratio_line(chosen.predicted_cost, chosen.bound);
+        assert_eq!(line, "predicted/bound: 1.039");
+        assert_eq!(ratio_line(0.0, 0.0), "predicted/bound: n/a (bound is 0)");
     }
 }

@@ -186,7 +186,7 @@ pub fn memory_footprint() -> Result<Vec<Table>, SyrkError> {
 }
 
 /// E15 — latency-optimal collectives inside Algorithm 1 (§6): the same
-/// computation with three Reduce-Scatter algorithms, under a
+/// computation with two Reduce-Scatter algorithms, under a
 /// latency-heavy model, P a power of two.
 pub fn latency_1d() -> Result<Vec<Table>, SyrkError> {
     let mut t = Table::new(
@@ -212,7 +212,6 @@ pub fn latency_1d() -> Result<Vec<Table>, SyrkError> {
     for (name, rs_alg) in [
         ("pairwise (paper §3.2)", ReduceScatterAlg::PairwiseExchange),
         ("recursive halving", ReduceScatterAlg::RecursiveHalving),
-        ("tree + scatter", ReduceScatterAlg::TreeThenScatter),
     ] {
         let spec = RunSpec {
             rs_alg,

@@ -211,14 +211,14 @@ mod tests {
         }
     }
 
-    /// E12 pins the only caller of Bruck's all-to-all.
+    /// E12 is pinned: pairwise all-to-all measured, Bruck's closed form.
     #[test]
     fn run_collectives() {
         run_slug("collectives", true);
     }
 
     /// E13, E15 and E16 are pinned; E15 is the only caller of
-    /// recursive halving and tree + scatter.
+    /// recursive halving.
     #[test]
     fn run_extensions() {
         for slug in ["syr2k", "memory", "latency1d", "limited"] {

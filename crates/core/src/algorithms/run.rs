@@ -41,7 +41,7 @@ pub struct RunSpec {
     /// one-rank slices, Algorithm 1's line 4), which runs iff `p2 > 1`,
     /// and the §6 latency/bandwidth trade (pairwise = the paper's
     /// analysis; recursive halving = log-latency at equal bandwidth for
-    /// power-of-two P; tree+scatter = log-latency, bandwidth-inflated).
+    /// power-of-two P, pairwise otherwise).
     pub rs_alg: ReduceScatterAlg,
     /// The exchange of `A` in each slice of more than one rank with the
     /// paper's padded buffer `B` (Alg. 2 lines 3–9 verbatim): measured

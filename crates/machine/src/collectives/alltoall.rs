@@ -1,6 +1,6 @@
 //! All-to-All (personalized exchange).
 
-use crate::collectives::{split_own, CollectiveAlg, TAG_ALLTOALL};
+use crate::collectives::{split_own, TAG_ALLTOALL};
 use crate::comm::Comm;
 use crate::envelope::Payload;
 use crate::error::MachineError;
@@ -28,7 +28,16 @@ impl Comm {
     /// ```
     #[must_use = "the Result carries transport failures that must be handled"]
     pub fn try_all_to_all(&self, blocks: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>, MachineError> {
-        self.try_all_to_all_with(blocks, CollectiveAlg::PairwiseExchange)
+        let (p, me) = (self.size(), self.rank());
+        assert_eq!(blocks.len(), p, "all_to_all needs one block per rank");
+        let words = blocks.iter().map(Vec::len).sum();
+        let _span = self.enter_collective(&ALL_TO_ALL, words, "coll:all-to-all", words);
+        let (own, sends) = split_own(blocks, me);
+        let mut recv = vec![Vec::new(); p];
+        recv[me] = own;
+        let deliver = |_, src: usize, block| recv[src] = block;
+        self.pairwise(TAG_ALLTOALL, sends, self.peers(), deliver)?;
+        Ok(recv)
     }
 
     /// Sparse all-to-all over explicit partner lists (the
@@ -69,81 +78,12 @@ impl Comm {
         });
         Ok(blocks.collect())
     }
-
-    /// All-to-all with an explicit algorithm choice.
-    #[must_use = "the Result carries transport failures that must be handled"]
-    pub fn try_all_to_all_with(
-        &self,
-        blocks: Vec<Vec<f64>>,
-        alg: CollectiveAlg,
-    ) -> Result<Vec<Vec<f64>>, MachineError> {
-        let (p, me) = (self.size(), self.rank());
-        assert_eq!(blocks.len(), p, "all_to_all needs one block per rank");
-        let words = blocks.iter().map(Vec::len).sum();
-        let _span = self.enter_collective(&ALL_TO_ALL, words, "coll:all-to-all", words);
-        if alg == CollectiveAlg::Bruck {
-            return self.a2a_bruck(blocks);
-        }
-        let (own, sends) = split_own(blocks, me);
-        let mut recv = vec![Vec::new(); p];
-        recv[me] = own;
-        let deliver = |_, src: usize, block| recv[src] = block;
-        self.pairwise(TAG_ALLTOALL, sends, self.peers(), deliver)?;
-        Ok(recv)
-    }
-
-    /// Bruck's algorithm: `⌈log₂ P⌉` rounds. Requires uniform block sizes.
-    ///
-    /// Round `k` (for each bit `k` of the rank distance) ships every block
-    /// whose destination distance has bit `k` set, so each round moves up to
-    /// `⌈P/2⌉` blocks: latency `O(log P)`, bandwidth `≈ (w/2)·log₂ P`
-    /// (the factor-`(log P)/2` inflation discussed in §6).
-    fn a2a_bruck(&self, blocks: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>, MachineError> {
-        let (p, me) = (self.size(), self.rank());
-        let b = blocks.first().map(Vec::len).unwrap_or(0);
-        assert!(
-            blocks.iter().all(|blk| blk.len() == b),
-            "Bruck all-to-all requires uniform block sizes"
-        );
-        if p == 1 {
-            return Ok(blocks);
-        }
-        // Phase 1: local rotation — slot d holds the block for rank me+d.
-        let mut slots: Vec<Vec<f64>> = (0..p).map(|d| blocks[(me + d) % p].clone()).collect();
-        // Phase 2: log rounds over distance bits.
-        let mut k = 1usize;
-        while k < p {
-            let dst = (me + k) % p; // ranks send k "forward"
-            let src = (me + p - k) % p;
-            let moving: Vec<usize> = (0..p).filter(|d| d & k != 0).collect();
-            // Pack: header of slot indices is metadata (indices are implied
-            // by the round on the receive side), so only data words count.
-            let mut out = Vec::with_capacity(moving.len() * b);
-            for &d in &moving {
-                out.extend_from_slice(&slots[d]);
-            }
-            let inc: Vec<f64> = self.try_exchange(dst, out, src, TAG_ALLTOALL)?;
-            for (i, &d) in moving.iter().enumerate() {
-                slots[d].copy_from_slice(&inc[i * b..(i + 1) * b]);
-            }
-            k <<= 1;
-        }
-        // Phase 3: inverse rotation. After phase 2, slot d holds the block
-        // *destined to me* that originated at rank me − d (mod p), with the
-        // bits of d consumed in distance order. Undo the rotation.
-        let mut recv = vec![Vec::new(); p];
-        for (d, slot) in slots.into_iter().enumerate() {
-            recv[(me + p - d) % p] = slot;
-        }
-        Ok(recv)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
 
-    use crate::collectives::CollectiveAlg;
     use crate::envelope::Payload;
     use crate::error::MachineError;
     use crate::fault::FaultPlan;
@@ -151,14 +91,14 @@ mod tests {
 
     /// The canonical all-to-all check: rank r sends `[r*P + q]` to rank q;
     /// afterwards rank q holds `[r*P + q]` from every r.
-    fn check_alltoall(p: usize, alg: CollectiveAlg) {
+    fn check_alltoall(p: usize) {
         let out = Machine::new(p)
             .try_run(|comm| {
                 let me = comm.rank();
                 let blocks: Vec<Vec<f64>> = (0..p)
                     .map(|q| vec![(me * p + q) as f64, 1000.0 + me as f64])
                     .collect();
-                let recv = comm.try_all_to_all_with(blocks, alg)?;
+                let recv = comm.try_all_to_all(blocks)?;
                 for (r, blk) in recv.iter().enumerate() {
                     assert_eq!(blk[0], (r * p + me) as f64, "P={p} rank {me} from {r}");
                     assert_eq!(blk[1], 1000.0 + r as f64);
@@ -172,14 +112,7 @@ mod tests {
     #[test]
     fn pairwise_correct_various_p() {
         for p in [1, 2, 3, 4, 5, 7, 8, 12] {
-            check_alltoall(p, CollectiveAlg::PairwiseExchange);
-        }
-    }
-
-    #[test]
-    fn bruck_correct_various_p() {
-        for p in [1, 2, 3, 4, 5, 6, 7, 8, 11, 16] {
-            check_alltoall(p, CollectiveAlg::Bruck);
+            check_alltoall(p);
         }
     }
 
@@ -410,26 +343,5 @@ mod tests {
         for (o, s) in rows(&owned).iter().zip(&rows(&shared)) {
             assert_eq!(o.cost.clock.to_bits(), s.cost.clock.to_bits(), "{}", o.name);
         }
-    }
-
-    #[test]
-    fn bruck_fewer_messages_more_words() {
-        let (p, b) = (16, 100);
-        let run = |alg| {
-            Machine::new(p)
-                .try_run(move |comm| {
-                    comm.try_all_to_all_with(vec![vec![0.0; b]; p], alg)
-                        .map(drop)
-                })
-                .unwrap()
-                .cost
-        };
-        let pw = run(CollectiveAlg::PairwiseExchange);
-        let bruck = run(CollectiveAlg::Bruck);
-        assert!(bruck.max_messages() < pw.max_messages());
-        assert!(bruck.max_words_sent() > pw.max_words_sent());
-        // log2(16) = 4 rounds, each shipping P/2 = 8 blocks.
-        assert_eq!(bruck.max_messages(), 4);
-        assert_eq!(bruck.max_words_sent(), (4 * 8 * b) as u64);
     }
 }

@@ -10,9 +10,9 @@
 //! Those two and `All-Gather` (the GEMM baselines) all run one step
 //! loop, `Comm::pairwise`. The crash-recovery agreement does not: it is
 //! a dissemination OR-all-reduce of `⌈log₂ P⌉` exchanges, since its
-//! suspect lists are tiny and union is idempotent. The §6
-//! latency-efficient variants (Bruck, recursive halving, tree + scatter)
-//! sit beside them so the trade-off can be measured (E12, E15).
+//! suspect lists are tiny and union is idempotent. Recursive-halving
+//! Reduce-Scatter, the §6 latency-efficient variant, sits beside them so
+//! the trade-off can be measured (E15).
 
 mod agree;
 mod allgather;
@@ -27,18 +27,6 @@ use crate::comm::{Comm, PhaseScope};
 use crate::envelope::Payload;
 use crate::error::MachineError;
 use crate::metrics::CollMetrics;
-
-/// Algorithm selector for collectives that have several implementations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CollectiveAlg {
-    /// Pairwise exchange: `P − 1` rounds, bandwidth-optimal `(1 − 1/P)·w`.
-    /// This is the algorithm assumed throughout the paper's cost analysis.
-    #[default]
-    PairwiseExchange,
-    /// Bruck's log-structured algorithm: `⌈log₂ P⌉` rounds, bandwidth
-    /// inflated by a factor of about `(log₂ P)/2` for all-to-all.
-    Bruck,
-}
 
 /// Reserved tag space for collectives so they never collide with
 /// user point-to-point tags (which should stay below this value).

@@ -1,12 +1,11 @@
 //! Reduce-Scatter: element-wise sum across ranks, result scattered.
 //!
-//! Three algorithms (the §6 latency discussion made executable):
+//! Two algorithms (the §6 latency discussion made executable):
 //!
 //! | algorithm          | latency       | bandwidth            | restriction |
 //! |--------------------|---------------|----------------------|-------------|
 //! | pairwise exchange  | `P − 1`       | `(1 − 1/P)·w`        | none        |
 //! | recursive halving  | `log₂ P`      | `(1 − 1/P)·w`        | `P = 2^k`   |
-//! | reduce + scatter   | `log₂ P` tree + `P−1` root sends | up to `w·log₂ P` at the root | none |
 
 use crate::collectives::{split_own, TAG_REDUCE_SCATTER};
 use crate::comm::Comm;
@@ -22,11 +21,6 @@ pub enum ReduceScatterAlg {
     /// `log₂ P` rounds, bandwidth-optimal; requires `P` a power of two
     /// (falls back to pairwise otherwise).
     RecursiveHalving,
-    /// Binomial-tree reduce to rank 0 followed by a direct scatter:
-    /// log-depth reduction but the root then sends `P − 1` messages and
-    /// receives `O(w log P)` words — illustrating why naive tree
-    /// composition does NOT achieve the §6 latency/bandwidth optimum.
-    TreeThenScatter,
 }
 
 impl Comm {
@@ -70,12 +64,10 @@ impl Comm {
         );
         let words = segments.iter().map(Vec::len).sum();
         let _span = self.enter_collective(&REDUCE_SCATTER, words, "coll:reduce-scatter", words);
-        match alg {
-            ReduceScatterAlg::RecursiveHalving if p.is_power_of_two() => {
-                self.rs_recursive_halving(segments)
-            }
-            ReduceScatterAlg::TreeThenScatter => self.rs_tree_then_scatter(segments),
-            _ => self.rs_pairwise(segments),
+        if alg == ReduceScatterAlg::RecursiveHalving && p.is_power_of_two() {
+            self.rs_recursive_halving(segments)
+        } else {
+            self.rs_pairwise(segments)
         }
     }
 
@@ -118,41 +110,6 @@ impl Comm {
             span = half;
         }
         Ok(std::mem::take(&mut acc[me]))
-    }
-
-    /// Binomial reduce of the concatenated buffer to rank 0, then a
-    /// direct scatter of the reduced segments: rank 0 sends each rank its
-    /// segment, in the pairwise schedule's step order.
-    fn rs_tree_then_scatter(&self, segments: Vec<Vec<f64>>) -> Result<Vec<f64>, MachineError> {
-        let lens: Vec<usize> = segments.iter().map(Vec::len).collect();
-        let (mut mine, sends, root) = match self.reduce_to_root(segments.concat())? {
-            Some(sum) => {
-                let (own, sends) = split_own(cut(&sum, &lens), 0);
-                (own, sends, None)
-            }
-            None => (Vec::new(), Vec::new(), Some(0)),
-        };
-        self.pairwise(TAG_REDUCE_SCATTER, sends, root, |_, _, seg| mine = seg)?;
-        Ok(mine)
-    }
-
-    /// Binomial-tree sum of every rank's `acc`: each rank absorbs its
-    /// children, then sends once to its parent. `Some(sum)` on rank 0.
-    fn reduce_to_root(&self, mut acc: Vec<f64>) -> Result<Option<Vec<f64>>, MachineError> {
-        let (p, me) = (self.size(), self.rank());
-        let mut mask = 1usize;
-        while mask < p {
-            if me & mask != 0 {
-                self.try_send(me - mask, TAG_REDUCE_SCATTER, acc)?;
-                return Ok(None);
-            }
-            if me + mask < p {
-                let inc: Vec<f64> = self.try_recv(me + mask, TAG_REDUCE_SCATTER)?;
-                self.absorb(&mut acc, &inc, me + mask);
-            }
-            mask <<= 1;
-        }
-        Ok(Some(acc))
     }
 
     /// `acc += inc` element-wise, charged as `|acc|` flops; `src` sent
@@ -317,6 +274,37 @@ mod tests {
     }
 
     #[test]
+    fn recursive_halving_falls_back_to_pairwise_off_powers_of_two() {
+        use super::ReduceScatterAlg;
+        use crate::cost::CostModel;
+        for p in [3usize, 5, 6, 12] {
+            let run = |alg| {
+                Machine::new(p)
+                    .with_model(CostModel::typical())
+                    .try_run(move |comm| {
+                        let me = comm.rank();
+                        let segments: Vec<Vec<f64>> = (0..p)
+                            .map(|q| vec![(me * p + q) as f64 / 3.0; q % 3 + 1])
+                            .collect();
+                        comm.try_reduce_scatter_with(segments, alg)
+                    })
+                    .unwrap()
+            };
+            let pw = run(ReduceScatterAlg::PairwiseExchange);
+            let rh = run(ReduceScatterAlg::RecursiveHalving);
+            let bits = |out: &crate::machine::RunOutput<Vec<f64>>| -> Vec<Vec<u64>> {
+                let seg = |r: &Vec<f64>| r.iter().map(|x| x.to_bits()).collect();
+                out.results.iter().map(seg).collect()
+            };
+            assert_eq!(bits(&pw), bits(&rh), "P={p}");
+            assert_eq!(pw.cost.ranks, rh.cost.ranks, "P={p}");
+            for (a, b) in pw.cost.ranks.iter().zip(&rh.cost.ranks) {
+                assert_eq!(a.clock.to_bits(), b.clock.to_bits(), "P={p}");
+            }
+        }
+    }
+
+    #[test]
     fn recursive_halving_is_log_latency_same_bandwidth() {
         use super::ReduceScatterAlg;
         let (p, seg) = (8usize, 32usize);
@@ -335,74 +323,5 @@ mod tests {
         assert_eq!(rh.max_messages(), 3); // log2(8)
                                           // Identical bandwidth: (1 - 1/P) * w.
         assert_eq!(rh.max_words_sent(), pw.max_words_sent());
-    }
-
-    #[test]
-    fn tree_then_scatter_correct_any_p() {
-        use super::ReduceScatterAlg;
-        for p in [1usize, 3, 5, 8] {
-            let out = Machine::new(p)
-                .try_run(move |comm| {
-                    let me = comm.rank();
-                    let segments: Vec<Vec<f64>> = (0..p).map(|q| vec![(me + q) as f64]).collect();
-                    comm.try_reduce_scatter_with(segments, ReduceScatterAlg::TreeThenScatter)
-                })
-                .unwrap();
-            let rank_sum: usize = (0..p).sum();
-            for (q, seg) in out.results.iter().enumerate() {
-                assert_eq!(seg[0], (rank_sum + p * q) as f64, "P={p} q={q}");
-            }
-        }
-    }
-
-    #[test]
-    fn tree_then_scatter_pays_bandwidth_for_latency() {
-        use super::ReduceScatterAlg;
-        let (p, seg) = (8usize, 64usize);
-        let run = |alg| {
-            Machine::new(p)
-                .try_run(move |comm| {
-                    let segments = vec![vec![1.0; seg]; p];
-                    comm.try_reduce_scatter_with(segments, alg).map(drop)
-                })
-                .unwrap()
-                .cost
-        };
-        let pw = run(ReduceScatterAlg::PairwiseExchange);
-        let tr = run(ReduceScatterAlg::TreeThenScatter);
-        // Latency bounded by 2 log P at any single rank...
-        assert!(tr.max_messages() <= 2 * 3 + 1);
-        // ...but the root receives ~w log P and sends ~w: more total
-        // words, `max_p (words_sent(p) + words_recv(p))`, at the busiest rank.
-        let max_words_total = |cost: &crate::cost::CostReport| {
-            let total = cost.ranks.iter().map(|r| r.words_sent + r.words_recv);
-            total.max().unwrap_or(0)
-        };
-        assert!(max_words_total(&tr) > max_words_total(&pw));
-    }
-
-    #[test]
-    fn binomial_reduce_sums_to_rank_0() {
-        for p in [1, 2, 3, 6, 9, 16] {
-            let out = Machine::new(p)
-                .try_run(|comm| comm.reduce_to_root(vec![comm.rank() as f64, 1.0]))
-                .unwrap();
-            let expected: f64 = (0..p).map(|r| r as f64).sum();
-            assert_eq!(out.results[0], Some(vec![expected, p as f64]), "P={p}");
-            assert!(out.results[1..].iter().all(Option::is_none), "P={p}");
-        }
-    }
-
-    #[test]
-    fn binomial_reduce_every_nonroot_sends_exactly_once() {
-        for p in [1, 2, 3, 6, 9, 16] {
-            let out = Machine::new(p)
-                .try_run(|comm| comm.reduce_to_root(vec![1.0; 5]).map(drop))
-                .unwrap();
-            let sent = out.cost.ranks.iter().map(|c| c.msgs_sent);
-            assert!(sent.eq((0..p).map(|r| u64::from(r != 0))), "P={p}");
-            // Flops: P − 1 partial-sum merges of 5 elements across the tree.
-            assert_eq!(out.cost.total_flops(), 5 * (p as u64 - 1), "P={p}");
-        }
     }
 }

@@ -74,7 +74,7 @@ mod trace;
 /// for [`chrome_trace_json_with_wall`] and failure dumps.
 pub use syrk_telemetry as telemetry;
 
-pub use collectives::{CollectiveAlg, ReduceScatterAlg};
+pub use collectives::ReduceScatterAlg;
 pub use comm::{
     Comm, PhaseScope, RECOVER_AGREE_PHASE, RECOVER_BACKOFF_PHASE, RECOVER_DETECT_PHASE,
     RECOVER_REDISTRIBUTE_PHASE,

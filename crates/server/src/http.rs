@@ -35,11 +35,12 @@ pub(crate) struct Request {
 }
 
 impl Request {
-    /// First value of query parameter `name`, if present.
+    /// Last value of query parameter `name`, if present: a repeated key
+    /// reads as `parse_run_spec` reads it.
     pub(crate) fn query_param(&self, name: &str) -> Option<&str> {
         self.query
             .iter()
-            .find(|(k, _)| k == name)
+            .rfind(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
     }
 }

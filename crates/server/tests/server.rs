@@ -172,6 +172,17 @@ fn plan_round_trips_through_strict_json() {
 }
 
 #[test]
+fn a_repeated_query_key_reads_its_last_value() {
+    let srv = TestServer::start_default();
+    let (status, once) = get(srv.addr, "/plan?n1=100&n2=50&p=12");
+    assert_eq!(status, 200);
+    assert_eq!(get(srv.addr, "/plan?n1=100&n2=50&p=0&p=12"), (200, once));
+    let (status, body) = get(srv.addr, "/plan?n1=100&n2=50&p=12&p=0");
+    assert_eq!(status, 400, "{body}");
+    srv.shutdown();
+}
+
+#[test]
 fn bounds_reports_syrk_vs_gemm_attribution() {
     let srv = TestServer::start_default();
     let (status, body) = get(srv.addr, "/bounds?n1=64&n2=64&p=12");

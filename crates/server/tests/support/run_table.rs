@@ -8,7 +8,7 @@
 const CRASH: &str =
     r#"{"recovery": {"max_attempts": 1}, "faults": {"seed": 5, "crash_rank": 1, "crash_op": 1}}"#;
 
-const RUN_TABLE: [(&str, &str, u16, &str); 31] = [
+const RUN_TABLE: [(&str, &str, u16, &str); 34] = [
     ("alg=warp&n1=10&n2=5", "", 400, "alg = \"warp\": must be 1d, 2d, 3d or auto"),
     ("alg=1d&n1=4000&n2=4000&p=2", "", 413, "n1*n2 = 16000000 exceeds this server's run cap of 1048576 cells"),
     ("alg=2d&n1=36&n2=8&c=18446744073709551557", "", 413, "plan needs 18446744073709551615 ranks, over this server's run cap of 4096"),
@@ -41,4 +41,8 @@ const RUN_TABLE: [(&str, &str, u16, &str); 31] = [
     ("alg=2d&n1=36&n2=8&c=3&crash_op=2", "", 200, ""),
     ("alg=2d&n1=36&n2=8&c=3", r#"{"faults": {"seed": 5}}"#, 200, ""),
     ("alg=2d&n1=36&n2=8&c=3&drop=1&retries=4294967295", "", 400, "retries = \"4294967295\": must be an integer ≤ 64"),
+    // A repeated key reads its last value, as every run key does.
+    ("alg=2d&n1=36&n1=1&n2=8&c=3", "", 422, "n1 must be at least 2"),
+    ("alg=2d&n1=36&n2=8&c=3&seed=7&seed=x", "", 400, "query parameter \"seed\" must be an integer, got \"x\""),
+    ("alg=2d&n1=36&n2=8&c=3&seed=x&seed=7", "", 200, ""),
 ];

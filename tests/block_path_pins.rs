@@ -255,7 +255,7 @@ fn serve_mixed_classes_are_pinned() {
 }
 
 /// The Algorithm 1 variants the plain rounds above do not reach — ABFT,
-/// the two log-latency Reduce-Scatters, ranks that own no columns — and
+/// the log-latency Reduce-Scatter, ranks that own no columns — and
 /// Algorithm 3 with the paper's padded exchange under recursive halving.
 /// The values were printed while each algorithm still had a driver of its
 /// own, before Algorithms 1 and 2 became corners of Algorithm 3's grid.
@@ -267,7 +267,7 @@ fn oned_variants_and_padded_3d_are_pinned() {
         spec
     };
     let p4 = Plan::OneD { p: 4 };
-    let cases: [(usize, usize, RunSpec, [u64; 7]); 5] = [
+    let cases: [(usize, usize, RunSpec, [u64; 7]); 4] = [
         (
             40,
             24,
@@ -293,20 +293,6 @@ fn oned_variants_and_padded_3d_are_pinned() {
                 820,
                 41_820,
                 0x6b0a_c249_bec0_117d,
-                0xb0ea_506f_9cdb_6d0d,
-            ],
-        ),
-        (
-            40,
-            24,
-            spec(p4, |s| s.rs_alg = ReduceScatterAlg::TreeThenScatter),
-            [
-                3075,
-                820,
-                3,
-                820,
-                41_820,
-                0x14d6_3dc6_df74_ea0d,
                 0xb0ea_506f_9cdb_6d0d,
             ],
         ),
@@ -354,7 +340,7 @@ fn oned_variants_and_padded_3d_are_pinned() {
 }
 
 /// Every one-rank-slice run pinned above — Algorithm 1 in the
-/// `sim_blocks` round, the `r1d` class and the four variants — by `C`
+/// `sim_blocks` round, the `r1d` class and the three variants — by `C`
 /// and every per-rank and per-phase counter but `peak_buffer_words`,
 /// clock bits and phase names included. Printed before every slice noted
 /// its footprint by one rule, which moved only these runs' peaks.
@@ -370,7 +356,7 @@ fn oned_runs_are_pinned_but_for_their_peaks() {
         CostModel::typical(),
         CostModel::bandwidth_only(),
     );
-    let cases: [(usize, usize, RunSpec, [u64; 2]); 6] = [
+    let cases: [(usize, usize, RunSpec, [u64; 2]); 5] = [
         (
             768,
             4096,
@@ -396,14 +382,6 @@ fn oned_runs_are_pinned_but_for_their_peaks() {
                 s.rs_alg = ReduceScatterAlg::RecursiveHalving
             }),
             [0x5cf9_cb49_a7a4_1c6d, 0xb0ea_506f_9cdb_6d0d],
-        ),
-        (
-            40,
-            24,
-            spec(p4, typical, |s| {
-                s.rs_alg = ReduceScatterAlg::TreeThenScatter
-            }),
-            [0x9a30_2b2f_8f93_29ed, 0xb0ea_506f_9cdb_6d0d],
         ),
         (
             5,
